@@ -5,9 +5,13 @@
 Commands::
 
     python -m pdf_parser_ray extract --input DIR_OR_SF --output OUT \
-        [--config sections.json] [--partitions 16] [--resume]
+        [--config sections.json] [--partitions 16] [--quarantine]
     python -m pdf_parser_ray metrics --output OUT
     python -m pdf_parser_ray synth --sf-dir DIR --output OUT [--n 1000]
+
+``extract`` always resumes: run again on the same ``--output`` (with
+the same ``--partitions``), it parses only the documents of partitions
+that have no manifest yet.
 
 Owns its Ray session (guarded init + shutdown); the library never does.
 """
@@ -48,18 +52,12 @@ def cmd_extract(args) -> int:
     config = None
     if args.config:
         config = FormConfig.from_json(args.config)
-    ds = read_corpus(args.input)
-    if getattr(args, "quarantine", False):
-        from .stages.parse import DocumentExtractor
-
-        out = ds.map_batches(
-            DocumentExtractor(config=config, quarantine=True),
-            batch_format="pyarrow",
-            batch_size=32,
-        )
-    else:
-        out = extract_pipeline(ds, config=config)
-    summary = resumable_write(out, args.output, n_partitions=args.partitions)
+    summary = resumable_write(
+        read_corpus(args.input),
+        args.output,
+        n_partitions=args.partitions,
+        transform=lambda ds: extract_pipeline(ds, config=config, quarantine=args.quarantine),
+    )
     print(json.dumps(summary))
     return 0
 

@@ -15,12 +15,17 @@ is atomic (tmp dir + rename), so a kill mid-partition leaves no
 manifest and the partition reruns. Partition ids derive from the
 *input* rows (md5 of the key column mod N), so a restarted run maps
 every row to the same partition and the completed set is a pure
-anti-join: partitions with manifests are dropped before any work runs.
+anti-join. ``resumable_write`` runs that anti-join once, on its input
+rows, before its ``transform`` (the parse, for the ``extract`` CLI):
+a resumed run does no work at all for a completed partition. The
+contract this needs: ``transform`` keeps each row's key, so its output
+rows route to the partition their input row did.
 
 Per-partition ``manifest.json`` carries the lineage/metrics record:
-row/doc counts, the partition's input fingerprint, and the wall time —
-the queryable replacement for the reference's ``[WARN]/[MISS]`` stdout
-diagnostics (reference ``extractor.py:768,799,885``).
+the partition count it was routed with, row/doc counts, the
+partition's input fingerprint, and the wall time — the queryable
+replacement for the reference's ``[WARN]/[MISS]`` stdout diagnostics
+(reference ``extractor.py:768,799,885``).
 """
 
 from __future__ import annotations
@@ -34,13 +39,21 @@ from typing import Callable
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..core.util import hash_bucket
 
-def _partition_of(keys: list[str], n_partitions: int) -> list[int]:
-    from ..core.util import hash_bucket
 
-    return [hash_bucket(k, n_partitions) for k in keys]
+def _partition_of(keys: pa.Array | pa.ChunkedArray, n_partitions: int) -> pa.Array:
+    """``hash_bucket(k, n_partitions)`` for every key, as int32. Each
+    distinct key is hashed once: output rows repeat their document's
+    key once per span."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    enc = pc.dictionary_encode(keys, null_encoding="encode")
+    ids = [hash_bucket(k, n_partitions) for k in enc.dictionary.to_pylist()]
+    return pa.array(ids, pa.int32()).take(enc.indices)
 
 
 def done_partitions(out_dir: str) -> set[int]:
@@ -53,6 +66,46 @@ def done_partitions(out_dir: str) -> set[int]:
         ):
             done.add(int(name.split("=", 1)[1]))
     return done
+
+
+def _check_partition_count(out_dir: str, n_partitions: int) -> None:
+    """Raise ``ValueError`` when ``out_dir`` was written with another
+    partition count. Resuming it with the wrong count is silently
+    wrong: the new routing sends documents to partitions that already
+    hold other documents, and keeps those of the old partitions. A
+    partition manifest from before the count was recorded is accepted
+    when its partition id fits ``n_partitions``."""
+    for name in sorted(os.listdir(out_dir)):
+        if name == "_manifest.json":
+            mpath = os.path.join(out_dir, name)
+        elif name.startswith("part="):
+            mpath = os.path.join(out_dir, name, "manifest.json")
+        else:
+            continue
+        recorded = None
+        if os.path.exists(mpath):
+            with open(mpath) as f:
+                recorded = json.load(f).get("n_partitions")
+        too_high = name.startswith("part=") and int(name.split("=", 1)[1]) >= n_partitions
+        if too_high or recorded not in (None, n_partitions):
+            raise ValueError(
+                f"{os.path.join(out_dir, name)} was written with "
+                f"{recorded or 'more'} partitions, not the {n_partitions} "
+                "requested; resume with the count it was written with, or "
+                "write to a new directory"
+            )
+
+
+def _write_run_manifest(out_dir: str, n_partitions: int, partitions) -> None:
+    with open(os.path.join(out_dir, "_manifest.json"), "w") as f:
+        json.dump(
+            {
+                "n_partitions": n_partitions,
+                "partitions": sorted(partitions),
+                "completed_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            },
+            f,
+        )
 
 
 def _input_fingerprint(keys) -> str:
@@ -77,8 +130,10 @@ def resumable_write(
     verify_fingerprints: bool = False,
     allow_empty_input: bool = False,
     partition_col: str | None = None,
+    transform: Callable | None = None,
 ) -> dict:
-    """Write ``ds`` to a resumable partitioned layout.
+    """Write ``transform(ds)`` (or ``ds`` itself) to a resumable
+    partitioned layout.
 
     Rows route to ``md5(key) % n_partitions`` — or, when
     ``partition_col`` names an int column already on the dataset, to
@@ -88,23 +143,33 @@ def resumable_write(
     stay tight (hash routing would scatter them). All
     resume/kill/fingerprint semantics are identical in both modes.
 
-    Partitions already
-    bearing a manifest are filtered out *before* the shuffle, so a
-    resumed run reprocesses only missing partitions. ``fail_on`` is a
-    test hook: raise inside the writer for chosen partitions to
-    simulate a mid-run kill.
+    Where the anti-join runs: ``done_partitions`` is read once, and the
+    rows of ``ds`` that route to a partition bearing a manifest are
+    dropped *before* ``transform`` runs, so a resumed run transforms
+    only the rows of missing partitions. When every partition is done
+    the plan is never executed: the call returns at once. ``transform``
+    (a ``Dataset -> Dataset`` function, e.g. the parse) must keep each
+    row's ``key`` (or ``partition_col``): every output row has to route
+    to the partition of the input row it came from. A group routed to
+    a completed partition therefore raises rather than overwrite it.
+    ``fail_on`` is a test hook: raise inside the writer for chosen
+    partitions to simulate a mid-run kill.
+
+    ``n_partitions`` must be the count ``out_dir`` was written with
+    (recorded in every manifest); another count raises ``ValueError``.
 
     ``verify_fingerprints=False`` (the fast default) assumes inputs are
     immutable across resumes — a completed partition is trusted on
-    manifest existence alone. ``verify_fingerprints=True`` routes every
-    row, recomputes each completed partition's input fingerprint from
-    the routed keys, and rewrites any partition whose stored
-    ``input_fingerprint`` no longer matches; matching partitions skip
-    the rewrite, and completed partitions that received NO routed rows
-    (their keys vanished from the input) are deleted. Detection scope:
-    the fingerprint covers the distinct key set and per-key row
-    counts — a change preserving both (same keys, same counts, edited
-    row content) is not detected (pinned by
+    manifest existence alone. ``verify_fingerprints=True`` pre-filters
+    nothing: it transforms and routes every row, recomputes each
+    completed partition's input fingerprint from the routed keys, and
+    rewrites any partition whose stored ``input_fingerprint`` no longer
+    matches; matching partitions skip the rewrite, and completed
+    partitions that received NO routed rows (their keys vanished from
+    the input) are deleted. Detection scope: the fingerprint covers the
+    distinct key set and per-key row counts of the written rows — a
+    change preserving both (same keys, same counts, edited row content)
+    is not detected (pinned by
     ``test_ray_integration.py::test_fingerprint_blind_spot_same_keys_same_counts``);
     treat inputs as append/delete-only or rewrite from scratch for
     content edits.
@@ -122,33 +187,49 @@ def resumable_write(
     invalidated: [...] (verify mode only)}.
     """
     os.makedirs(out_dir, exist_ok=True)
+    _check_partition_count(out_dir, n_partitions)
     done = done_partitions(out_dir)
+    run_manifest = os.path.join(out_dir, "_manifest.json")
+    if len(done) == n_partitions and not verify_fingerprints:
+        if not os.path.exists(run_manifest):
+            _write_run_manifest(out_dir, n_partitions, done)
+        return {"written": [], "skipped": sorted(done), "n_partitions": n_partitions}
+
+    def route(batch: pa.Table):
+        if partition_col is not None:
+            return pc.cast(batch[partition_col], pa.int32())
+        return _partition_of(batch[key], n_partitions)
+
+    # batch_size=None (per-block, zero-copy): the filter and the
+    # routing map are stateless and row-independent, so there is
+    # nothing to gain from fixed-size batches — and an explicit
+    # batch_size forces the executor to REBATCH the upstream operator's
+    # output across block boundaries, which on the fused flagship plan
+    # (many small guided blocks) measured 27x slower end-to-end
+    # (159.8 s vs 5.8 s at sf0.1 x16, 32 CPUs) than per-block routing.
+    if done and not verify_fingerprints:
+        done_ids = pa.array(sorted(done), pa.int32())
+
+        def drop_done(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.invert(pc.is_in(route(batch), value_set=done_ids)))
+
+        ds = ds.map_batches(drop_done, batch_format="pyarrow", batch_size=None)
+    if transform is not None:
+        ds = transform(ds)
 
     def add_partition(batch: pa.Table) -> pa.Table:
-        if partition_col is not None:
-            parts = [int(p) for p in batch[partition_col].to_pylist()]
-        else:
-            parts = _partition_of(batch[key].to_pylist(), n_partitions)
-        batch = batch.append_column("_part", pa.array(parts, pa.int32()))
-        if done and not verify_fingerprints:
-            import numpy as np
+        return batch.append_column("_part", route(batch))
 
-            mask = ~np.isin(np.array(parts, dtype=np.int32), list(done))
-            batch = batch.filter(pa.array(mask))
-        return batch
-
-    # batch_size=None (per-block, zero-copy): the routing map is
-    # stateless and row-independent, so there is nothing to gain from
-    # fixed-size batches — and an explicit batch_size forces the
-    # executor to REBATCH the upstream operator's output across block
-    # boundaries, which on the fused flagship plan (many small guided
-    # blocks) measured 27x slower end-to-end (159.8 s vs 5.8 s at
-    # sf0.1 x16, 32 CPUs) than per-block routing.
     routed = ds.map_batches(add_partition, batch_format="pyarrow", batch_size=None)
 
     def write_group(g: pd.DataFrame) -> pd.DataFrame:
         pid = int(g["_part"].iloc[0])
-        if pid in done and verify_fingerprints:
+        if pid in done and not verify_fingerprints:
+            raise RuntimeError(
+                f"rows routed to completed partition {pid}: the transform "
+                f"must keep each row's {partition_col or key}"
+            )
+        if pid in done:
             mpath = os.path.join(out_dir, f"part={pid:05d}", "manifest.json")
             with open(mpath) as f:
                 stored = json.load(f).get("input_fingerprint")
@@ -170,6 +251,7 @@ def resumable_write(
         fingerprint = _input_fingerprint(g[key])
         manifest = {
             "partition": pid,
+            "n_partitions": n_partitions,
             "n_rows": int(len(g)),
             "n_keys": int(g[key].nunique()),
             "input_fingerprint": fingerprint,
@@ -185,8 +267,8 @@ def resumable_write(
     written = routed.groupby("_part").map_groups(write_group, batch_format="pandas")
     written_df = written.to_pandas()
     if "n_rows" not in written_df.columns:
-        # fully-resumed run: every partition was filtered before the
-        # shuffle, and the empty result carries no schema
+        # no rows reached the writer, and the empty result carries no
+        # schema
         written_df = pd.DataFrame({"partition": [], "n_rows": []})
     # n_rows == 0 marks a fingerprint-verified skip, not a rewrite
     written_parts = sorted(
@@ -216,7 +298,6 @@ def resumable_write(
         if stale or written_parts:
             # output is changing: an old run-level completion claim
             # must not survive with partitions now missing/rewritten
-            run_manifest = os.path.join(out_dir, "_manifest.json")
             if os.path.exists(run_manifest):
                 os.remove(run_manifest)
         for pid in stale:
@@ -224,16 +305,8 @@ def resumable_write(
         summary["invalidated"] = stale
         summary["skipped"] = sorted(set(summary["skipped"]) - set(stale))
     all_done = done_partitions(out_dir)
-    if len(all_done) == n_partitions or set(range(n_partitions)) <= all_done:
-        with open(os.path.join(out_dir, "_manifest.json"), "w") as f:
-            json.dump(
-                {
-                    "n_partitions": n_partitions,
-                    "partitions": sorted(all_done),
-                    "completed_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                },
-                f,
-            )
+    if len(all_done) == n_partitions:
+        _write_run_manifest(out_dir, n_partitions, all_done)
     return summary
 
 

@@ -150,13 +150,16 @@ def extract_pipeline(
     concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 32,
     num_cpus: float = 1,
+    quarantine: bool = False,
 ):
     """Attach the parse stage to a span-corpus Dataset.
 
     ``concurrency=None`` uses stateless tasks (fully elastic — right
     when the config is cheap to construct, as here); set an int for a
     fixed actor pool (right when per-worker setup is expensive, e.g.
-    real OCR engines)."""
+    real OCR engines). ``quarantine`` is ``DocumentExtractor``'s: a
+    corrupt document becomes one ``error`` span instead of failing the
+    job."""
     kwargs: dict[str, Any] = dict(
         batch_format="pyarrow",
         batch_size=batch_size,
@@ -166,10 +169,10 @@ def extract_pipeline(
         kwargs["num_cpus"] = num_cpus
         return ds.map_batches(
             DocumentExtractor,
-            fn_constructor_kwargs={"config": config},
+            fn_constructor_kwargs={"config": config, "quarantine": quarantine},
             **kwargs,
         )
-    extractor = DocumentExtractor(config=config)
+    extractor = DocumentExtractor(config=config, quarantine=quarantine)
     return ds.map_batches(extractor, **kwargs)
 
 

@@ -21,8 +21,8 @@ Usage::
     )
 
 Output is the exploded span table ``(doc_id, kind, text, media_ref,
-offset)`` plus per-document lineage/metrics columns when
-``with_metrics=True``.
+offset)``, or with ``explode=False`` one ``(doc_id, spans)`` row per
+document.
 """
 
 from __future__ import annotations
@@ -66,12 +66,6 @@ class DocumentExtractor:
         self.quarantine = quarantine
 
     def _extract_one(self, doc_id: str, spans: list[dict]) -> list[dict]:
-        if not self.quarantine:
-            pages = decode_spans(doc_id, spans)
-            form_type = classify_form_type(pages)
-            sections = self.config.select(form_type)
-            structured = extract_document(pages, sections)
-            return flatten_to_spans(structured)
         try:
             pages = decode_spans(doc_id, spans)
             form_type = classify_form_type(pages)
@@ -79,6 +73,8 @@ class DocumentExtractor:
             structured = extract_document(pages, sections)
             return flatten_to_spans(structured)
         except Exception as e:  # noqa: BLE001 — quarantine IS the contract
+            if not self.quarantine:
+                raise
             return [
                 {
                     "kind": "error",

@@ -187,3 +187,32 @@ class TestTokenizerInvariants:
                     assert tid == _BIGRAM_ID_BASE + BIGRAMS.index(piece)
                 else:
                     assert tid == ord(piece)
+
+
+class TestPartitionRouting:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(st.one_of(st.none(), st.text(max_size=12)), max_size=60),
+        n_partitions=st.integers(min_value=1, max_value=64),
+        split=st.integers(min_value=0, max_value=60),
+    )
+    def test_hash_once_per_key_equals_hash_bucket(self, keys, n_partitions, split):
+        """The sink's routing hashes each distinct key once and takes
+        the ids back out by dictionary index; for any keys (repeats and
+        nulls included) and any chunking it must give ``hash_bucket``
+        of every row."""
+        import pyarrow as pa
+
+        from pdf_parser_ray.core.util import hash_bucket
+        from pdf_parser_ray.io.checkpoint import _partition_of
+
+        want = [hash_bucket(k, n_partitions) for k in keys]
+        keys = keys + keys[: len(keys) // 2]  # repeats across chunks
+        want = want + want[: len(want) // 2]
+        chunked = pa.chunked_array(
+            [pa.array(keys[:split], pa.string()), pa.array(keys[split:], pa.string())]
+        )
+        for arr in (pa.array(keys, pa.string()), chunked):
+            got = _partition_of(arr, n_partitions)
+            assert got.type == pa.int32()
+            assert got.to_pylist() == want

@@ -3,8 +3,10 @@ resumable checkpoint semantics, ANN recall. One Ray session per pytest
 run (see conftest)."""
 
 import os
+import shutil
 
 import numpy as np
+import pandas.testing as pd_testing
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -481,6 +483,196 @@ class TestResumableWrite:
         # the stored content is STILL df1's — the edit went undetected
         got = read_output(out).to_pandas().sort_values("doc_id").reset_index(drop=True)
         assert got["v"].max() < 1000
+
+    def test_partition_count_mismatch_is_loud(self, tmp_path):
+        """Resuming with another ``n_partitions`` would route documents
+        into partitions that hold other documents: every manifest
+        records the count, and a mismatch raises before any work."""
+        import json
+
+        import pandas as pd
+        import ray.data as rd
+
+        from pdf_parser_ray.io.checkpoint import partition_metrics, resumable_write
+
+        out = str(tmp_path / "ckpt")
+        ds = rd.from_pandas(pd.DataFrame({"doc_id": [f"d{i}" for i in range(100)]}))
+        resumable_write(ds, out, n_partitions=8)
+        assert set(partition_metrics(out)["n_partitions"]) == {8}
+        with pytest.raises(ValueError, match="_manifest.json was written with 8"):
+            resumable_write(ds, out, n_partitions=16)
+
+        for p in range(4):
+            shutil.rmtree(os.path.join(out, f"part={p:05d}"))
+        os.remove(os.path.join(out, "_manifest.json"))
+        with pytest.raises(ValueError, match="part=00004 was written with 8 partitions"):
+            resumable_write(ds, out, n_partitions=4)
+        with pytest.raises(ValueError, match="part=00004 was written with 8 partitions"):
+            resumable_write(ds, out, n_partitions=16)
+
+        # manifests from before the count was recorded: accepted while
+        # every partition id fits the requested count
+        for p in range(4, 8):
+            mpath = os.path.join(out, f"part={p:05d}", "manifest.json")
+            with open(mpath) as f:
+                m = json.load(f)
+            del m["n_partitions"]
+            with open(mpath, "w") as f:
+                json.dump(m, f)
+        with pytest.raises(ValueError, match="part=00004 was written with more"):
+            resumable_write(ds, out, n_partitions=4)
+        s = resumable_write(ds, out, n_partitions=8)
+        assert s["written"] == [0, 1, 2, 3] and s["skipped"] == [4, 5, 6, 7]
+
+    def test_transform_runs_after_the_anti_join_and_must_keep_keys(self, tmp_path):
+        """``transform`` sees only the rows of missing partitions; a
+        transform that rewrites keys would overwrite completed
+        partitions, so its rows routed there raise."""
+        import pandas as pd
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import ray.data as rd
+
+        from pdf_parser_ray.core.util import hash_bucket
+        from pdf_parser_ray.io.checkpoint import read_output, resumable_write
+
+        out = str(tmp_path / "ckpt")
+        ids = [f"d{i}" for i in range(100)]
+        ds = rd.from_pandas(pd.DataFrame({"doc_id": ids}))
+        resumable_write(ds, out, n_partitions=4)
+        shutil.rmtree(os.path.join(out, "part=00000"))
+
+        def only_partition_0(d):
+            def check(batch: pa.Table) -> pa.Table:
+                got = {hash_bucket(k, 4) for k in batch["doc_id"].to_pylist()}
+                assert got <= {0}, got
+                return batch
+
+            return d.map_batches(check, batch_format="pyarrow")
+
+        s = resumable_write(ds, out, n_partitions=4, transform=only_partition_0)
+        assert s["written"] == [0] and s["skipped"] == [1, 2, 3]
+        assert sorted(read_output(out).to_pandas()["doc_id"]) == sorted(ids)
+
+        shutil.rmtree(os.path.join(out, "part=00000"))
+
+        def rekey(d):
+            return d.map_batches(
+                lambda b: pa.table({"doc_id": pc.utf8_upper(b["doc_id"])}),
+                batch_format="pyarrow",
+            )
+
+        with pytest.raises(Exception, match="must keep each row's doc_id"):
+            resumable_write(ds, out, n_partitions=4, transform=rekey)
+
+
+class TestCliResume:
+    """``extract`` resumes through the input-side anti-join: the
+    documents of a completed partition are never parsed again."""
+
+    N_DOCS, N_PARTS = 24, 4
+    BAD = [
+        {"kind": "page", "text": "", "media_ref": "page://x/p1#800/1000", "offset": 0},
+        {"kind": "word", "text": "hi", "media_ref": "tok://NOT/AN/INT/0/0/0/0/0", "offset": 1},
+    ]
+
+    @classmethod
+    def _corpus(cls, path, corrupt=lambda doc_id: False):
+        """The span corpus of N_DOCS synthetic documents, with the
+        malformed span list in place of each document ``corrupt``
+        selects."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from pdf_parser_ray.core.schema import DOCUMENT_SCHEMA
+        from pdf_parser_ray.io.synth import gen_document
+
+        ids = [f"doc-{i:08d}" for i in range(cls.N_DOCS)]
+        spans = [cls.BAD if corrupt(d) else gen_document(d, 42) for d in ids]
+        pq.write_table(
+            pa.Table.from_pydict({"doc_id": ids, "spans": spans}, schema=DOCUMENT_SCHEMA),
+            path,
+        )
+        return path
+
+    @classmethod
+    def _extract(cls, corpus, out, *flags):
+        import contextlib
+        import io
+        import json
+
+        from pdf_parser_ray.__main__ import main
+
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main(["extract", "--input", corpus, "--output", out,
+                       "--partitions", str(cls.N_PARTS), *flags])
+        assert rc == 0
+        return json.loads(buf.getvalue().strip().splitlines()[-1])
+
+    @staticmethod
+    def _spans(out):
+        from pdf_parser_ray.io.checkpoint import read_output
+
+        return (read_output(out).to_pandas()
+                .sort_values(["doc_id", "offset"]).reset_index(drop=True))
+
+    @classmethod
+    def _part(cls, doc_id):
+        from pdf_parser_ray.core.util import hash_bucket
+
+        return hash_bucket(doc_id, cls.N_PARTS)
+
+    def _full_then_drop(self, tmp_path, missing, *flags, corrupt=lambda d: False):
+        """A full run of the corpus, and a copy of its output with the
+        ``missing`` partitions and the run manifest deleted."""
+        corpus = self._corpus(str(tmp_path / "corpus.parquet"), corrupt)
+        full, out = str(tmp_path / "full"), str(tmp_path / "out")
+        self._extract(corpus, full, *flags)
+        shutil.copytree(full, out)
+        os.remove(os.path.join(out, "_manifest.json"))
+        for p in missing:
+            shutil.rmtree(os.path.join(out, f"part={p:05d}"))
+        return corpus, full, out
+
+    def test_resume_never_parses_a_completed_partition(self, tmp_path):
+        missing = {0, 1}
+        corpus, full, out = self._full_then_drop(tmp_path, missing)
+        # every document of a completed partition now fails a strict parse
+        self._corpus(corpus, corrupt=lambda d: self._part(d) not in missing)
+        s = self._extract(corpus, out)
+        assert s["written"] == [0, 1] and s["skipped"] == [2, 3]
+        pd_testing.assert_frame_equal(self._spans(out), self._spans(full))
+        assert os.path.exists(os.path.join(out, "_manifest.json"))
+
+    def test_complete_output_is_a_no_op(self, tmp_path):
+        corpus, full, _ = self._full_then_drop(tmp_path, ())
+        mtimes = {
+            root: os.stat(os.path.join(root, "manifest.json")).st_mtime_ns
+            for root in (os.path.join(full, n) for n in os.listdir(full))
+            if os.path.isdir(root)
+        }
+        run_mtime = os.stat(os.path.join(full, "_manifest.json")).st_mtime_ns
+        # the plan must not run: every document would fail its parse
+        self._corpus(corpus, corrupt=lambda d: True)
+        s = self._extract(corpus, full)
+        assert s["written"] == [] and s["skipped"] == list(range(self.N_PARTS))
+        assert {
+            root: os.stat(os.path.join(root, "manifest.json")).st_mtime_ns
+            for root in mtimes
+        } == mtimes
+        assert os.stat(os.path.join(full, "_manifest.json")).st_mtime_ns == run_mtime
+
+    def test_quarantine_resume(self, tmp_path):
+        bad_doc = "doc-00000005"
+        missing = {self._part(bad_doc), (self._part(bad_doc) + 1) % self.N_PARTS}
+        corpus, full, out = self._full_then_drop(
+            tmp_path, missing, "--quarantine", corrupt=lambda d: d == bad_doc)
+        errors = self._spans(full).query("kind == 'error'")
+        assert list(errors["doc_id"]) == [bad_doc]
+        s = self._extract(corpus, out, "--quarantine")
+        assert set(s["written"]) == missing
+        pd_testing.assert_frame_equal(self._spans(out), self._spans(full))
 
 
 def test_lance_round_trip(tmp_path):
