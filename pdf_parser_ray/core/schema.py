@@ -36,6 +36,8 @@ was recovered from a highlight mark.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import pyarrow as pa
 
 SPAN_STRUCT = pa.struct(
@@ -64,6 +66,23 @@ EXPLODED_SCHEMA = pa.schema(
         pa.field("offset", pa.int32()),
     ]
 )
+
+
+def explode_spans(doc_ids: Iterable[str], span_lists: Iterable[list[dict]]) -> pa.Table:
+    """The :data:`EXPLODED_SCHEMA` table of per-document span lists: one
+    row per span, in document order then span order."""
+    rows = [(d, s) for d, spans in zip(doc_ids, span_lists) for s in spans]
+    return pa.Table.from_arrays(
+        [
+            pa.array([d for d, _ in rows], pa.string()),
+            pa.array([s["kind"] for _, s in rows], pa.string()),
+            pa.array([s["text"] for _, s in rows], pa.string()),
+            pa.array([s["media_ref"] for _, s in rows], pa.string()),
+            pa.array([s["offset"] for _, s in rows], pa.int32()),
+        ],
+        schema=EXPLODED_SCHEMA,
+    )
+
 
 TOKEN_STRUCT = pa.struct(
     [

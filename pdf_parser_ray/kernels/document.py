@@ -13,19 +13,20 @@ pages of one document (the only ordering dependency in the pipeline).
 stages (S1/S2, M1/M2, V1 slots): it reads the geometry fragments of
 ``page`` / ``word`` / ``checkbox`` / ``highlight`` spans. In production
 these slots are stateful actor stages (pdfium render + Tesseract +
-template match); the surrounding plumbing is identical.
+template match); the surrounding plumbing is identical. It reads span
+dicts or, from the parse stage, :class:`SpanColumns` column slices.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, NamedTuple
 
 from .answers import augment_answers
 from .assign import assign_checkboxes_sectionwise
 from .boxes import deduplicate_matches
 from .labels import get_label_positions
 from .lines import group_lines
-from .questions import match_sections_and_questions
+from .questions import NextHead, PageIndex, match_sections_and_questions
 from .sections import detect_section_regions
 from ..core.constants import ANCHOR_OFFSET_PX, DEFAULT_PAGE_HEIGHT, DEFAULT_PAGE_WIDTH
 from ..core.schema import media_id
@@ -34,53 +35,68 @@ Span = dict[str, Any]
 Page = dict[str, Any]
 
 
-def decode_spans(doc_id: str, spans: list[Span]) -> list[Page]:
+class SpanColumns(NamedTuple):
+    """One document's input spans as three parallel column slices, the
+    shape the parse stage reads from Arrow without building span dicts."""
+
+    kind: list[str | None]
+    text: list[str | None]
+    media_ref: list[str | None]
+
+
+def _new_page(number: int, width: int, height: int) -> Page:
+    return {
+        "page": number,
+        "width": width,
+        "height": height,
+        "tokens": [],
+        "ticked": [],
+        "empty": [],
+        "highlights": [],
+    }
+
+
+def _box_geometry(ref: str) -> list[str]:
+    frag = ref.split("#", 1)[1] if "#" in ref else ""
+    return frag.split("/") if frag else []
+
+
+def decode_spans(doc_id: str, spans: list[Span] | SpanColumns) -> list[Page]:
     """Decode an input span sequence into per-page token/box/highlight
-    structures (geometry read from media-ref fragments)."""
+    structures (geometry read from media-ref fragments).
+
+    ``spans`` is either a list of span dicts or a :class:`SpanColumns`
+    (the parse stage's columnar input). Both feed the same loop, which
+    reads spans strictly in order, so a malformed span raises the same
+    error at the same point either way."""
+    if isinstance(spans, SpanColumns):
+        rows = zip(*spans)
+    else:
+        rows = ((s["kind"], s.get("text"), s.get("media_ref")) for s in spans)
     pages: list[Page] = []
     current: Page | None = None
-    for span in spans:
-        kind = span["kind"]
-        ref = span.get("media_ref") or ""
+    for kind, text, ref in rows:
+        ref = ref or ""
         if kind == "page":
-            frag = ref.split("#", 1)[1] if "#" in ref else ""
             w, h = DEFAULT_PAGE_WIDTH, DEFAULT_PAGE_HEIGHT
-            if frag:
-                parts = frag.split("/")
-                if len(parts) >= 2:
-                    w, h = int(parts[0]), int(parts[1])
-            current = {
-                "page": len(pages) + 1,
-                "width": w,
-                "height": h,
-                "tokens": [],
-                "ticked": [],
-                "empty": [],
-                "highlights": [],
-            }
+            parts = _box_geometry(ref)
+            if len(parts) >= 2:
+                w, h = int(parts[0]), int(parts[1])
+            current = _new_page(len(pages) + 1, w, h)
             pages.append(current)
             continue
         if current is None:
             # Implicit first page for span streams without page markers.
-            current = {
-                "page": 1,
-                "width": DEFAULT_PAGE_WIDTH,
-                "height": DEFAULT_PAGE_HEIGHT,
-                "tokens": [],
-                "ticked": [],
-                "empty": [],
-                "highlights": [],
-            }
+            current = _new_page(1, DEFAULT_PAGE_WIDTH, DEFAULT_PAGE_HEIGHT)
             pages.append(current)
         if kind == "word":
             if ref.startswith("tok://"):
-                parts = ref[6:].split("/")
-                _p, x, y, w, h, block, par, line = (int(v) for v in parts[:8])
+                _p, x, y, w, h, block, par, line = map(int, ref[6:].split("/")[:8])
             else:
                 x = y = w = h = block = par = line = 0
             current["tokens"].append(
                 {
-                    "text": span.get("text") or "",
+                    "text": text or "",
                     "x": x,
                     "y": y,
                     "w": w,
@@ -91,8 +107,7 @@ def decode_spans(doc_id: str, spans: list[Span]) -> list[Page]:
                 }
             )
         elif kind == "checkbox":
-            frag = ref.split("#", 1)[1] if "#" in ref else ""
-            parts = frag.split("/") if frag else []
+            parts = _box_geometry(ref)
             x, y, w, h = (int(parts[i]) if i < len(parts) else 0 for i in range(4))
             score = (int(parts[4]) / 100.0) if len(parts) > 4 else 0.0
             status = "ticked" if (len(parts) > 5 and parts[5] == "t") else "empty"
@@ -107,8 +122,7 @@ def decode_spans(doc_id: str, spans: list[Span]) -> list[Page]:
             }
             (current["ticked"] if status == "ticked" else current["empty"]).append(box)
         elif kind == "highlight":
-            frag = ref.split("#", 1)[1] if "#" in ref else ""
-            parts = frag.split("/") if frag else []
+            parts = _box_geometry(ref)
             x, y, w, h = (int(parts[i]) if i < len(parts) else 0 for i in range(4))
             current["highlights"].append(
                 {
@@ -116,7 +130,7 @@ def decode_spans(doc_id: str, spans: list[Span]) -> list[Page]:
                     "y": y,
                     "w": w,
                     "h": h,
-                    "text": span.get("text") or "",
+                    "text": text or "",
                     "ref": media_id(ref),
                 }
             )
@@ -186,20 +200,22 @@ def extract_document(pages: list[Page], sections: list[dict]) -> dict[str, Any]:
             active_label_sections.append(sec)
             labels_to_search.extend(sorted(rem))
 
-        next_tokens = pages[idx + 1]["tokens"] if idx + 1 < n_pages else None
         # One line-grouping per page, shared by the label, section and
         # question matchers (grouping is pure; the reference regroups
-        # in each — SURVEY.md M3 notes the five clones).
+        # in each — SURVEY.md M3 notes the five clones), and at most one
+        # of the next page's head, shared by the cross-page passes.
         page_lines = group_lines(tokens)
-        from .questions import PageIndex
-
         page_idx = PageIndex(page_lines)
+        next_head = (
+            NextHead(page_lines, pages[idx + 1]["tokens"], page_h)
+            if idx + 1 < n_pages
+            else None
+        )
         label_positions = get_label_positions(
             tokens,
             labels_to_search,
-            next_page_tokens=next_tokens,
-            page_height=page_h,
             lines=page_lines,
+            next_head=next_head,
         )
         section_regions = detect_section_regions(
             tokens, sections, checkboxes, page_width=page_w, lines=page_lines,
@@ -256,11 +272,11 @@ def extract_document(pages: list[Page], sections: list[dict]) -> dict[str, Any]:
             tokens,
             question_sections_active,
             section_regions,
-            next_page_tokens=next_tokens,
             page_width=page_w,
             page_height=page_h,
             lines=page_lines,
             page_index=page_idx,
+            next_head=next_head,
         )
         responses_data = augment_answers(
             matches,

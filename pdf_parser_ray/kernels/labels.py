@@ -20,8 +20,9 @@ token lists; no cross-row state.
 
 from __future__ import annotations
 
-from .lines import Line, Token, group_lines, lines_with_next_head
+from .lines import Line, Token, group_lines
 from .normalize import clean_label_sequence, expected, normalize_text
+from .questions import NextHead
 
 from ..core.constants import (
     LABEL_MULTILINE_BASE_X_TOLERANCE,
@@ -128,19 +129,18 @@ def try_multiline_on_lines(
 def get_label_positions(
     tokens: list[Token],
     expected_labels: list[str],
-    next_page_tokens: list[Token] | None = None,
-    page_height: int = 10000,
-    next_page_head_lines: int = 5,
     lines: list[Line] | None = None,
+    next_head: NextHead | None = None,
 ) -> dict[str, list[tuple[int, int]]]:
     """Locate label anchor positions (reference ``extractor.py:194-532``).
 
     ``tokens`` is this page's OCR token list (in OCR emission order —
     the single-line pass scans tokens in that order, exactly like the
-    reference); ``next_page_tokens`` enables cross-page continuation
-    for labels not found in-page. ``lines`` may carry the page's
-    precomputed line groups (grouping is pure; sharing it across the
-    per-page matcher calls is semantics-preserving).
+    reference); ``next_head`` (the page's lines plus the next page's
+    head, see :class:`~.questions.NextHead`) enables cross-page
+    continuation for labels not found in-page. ``lines`` may carry the
+    page's precomputed line groups (grouping is pure; sharing it across
+    the per-page matcher calls is semantics-preserving).
     """
     label_positions: dict[str, list[tuple[int, int]]] = {}
 
@@ -234,14 +234,12 @@ def get_label_positions(
 
     # Pass 2: cross-page continuation for still-unfound labels
     # (reference extractor.py:512-528).
-    if next_page_tokens is not None:
-        lines_next = lines_with_next_head(
-            lines, next_page_tokens, page_height, next_page_head_lines
-        )
+    if next_head is not None:
         for lbl in expected_labels:
             if label_positions.get(lbl):
                 continue
             lbl_words = lbl.split()
+            lines_next = next_head.lines
             pos = try_multiline_on_lines(lines_next, lbl_words)
             if pos is not None:
                 label_positions.setdefault(lbl, []).append(pos)

@@ -157,16 +157,3 @@ def offset_tokens(tokens: Iterable[Token], y_offset: int) -> list[Token]:
         out.append(t)
     return out
 
-
-def lines_with_next_head(
-    lines: list[Line],
-    next_tokens: Iterable[Token] | None,
-    page_height: int,
-    n_groups: int = 5,
-) -> list[Line]:
-    """Current-page lines + the head of the next page, y-offset by this
-    page's height (reference ``extractor.py:331-375``)."""
-    if next_tokens is None:
-        return lines
-    next_lines = group_lines(offset_tokens(next_tokens, page_height))
-    return lines + head_line_groups(next_lines, n_groups)

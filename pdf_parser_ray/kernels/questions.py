@@ -10,10 +10,20 @@ question half of ``match_sections_and_questions`` (reference
 * one multiline hit via sibling-y-group lookahead (``try_multiline``);
 * y-band attribution with a post-anchor minimum start y;
 * band-crop retry for missed questions (V5 analog — the reference
-  re-OCRs the section band; here the band's tokens are re-matched in
-  crop space, the deterministic stand-in for that second OCR pass);
+  re-OCRs the section band; here the band's lines are re-matched, the
+  deterministic stand-in for that second OCR pass);
 * cross-page fallback appending the next page's head line-groups;
 * k-th-occurrence claiming for duplicated question texts (D4).
+
+Neither retry regroups the page. A band crop ``[y1, y2)`` is the run of
+the page's lines whose ``y`` lies in the band, found by bisection, with
+the page's candidate index restricted to that run
+(:meth:`PageIndex.band`). That equals regrouping the band's tokens
+whenever every line lies wholly inside or wholly outside the band; only
+when a line has words on both sides of a band edge are the band's
+tokens regrouped (:func:`band_tokens`). The cross-page lines are one
+:class:`NextHead` per page, grouped on first use and shared with the
+label matcher's cross-page pass.
 """
 
 from __future__ import annotations
@@ -85,7 +95,7 @@ class PageIndex:
     candidate sets are identical to the per-line scans — lines appear
     in list order in the blob, so iteration order is preserved."""
 
-    __slots__ = ("lines", "blob", "g_offs", "g_line", "g_tok")
+    __slots__ = ("lines", "blob", "g_offs", "g_line", "g_tok", "_cands", "_extents")
 
     def __init__(self, lines: list[Line]):
         self.lines = lines
@@ -107,14 +117,100 @@ class PageIndex:
         self.g_offs = g_offs
         self.g_line = g_line
         self.g_tok = g_tok
+        self._cands: dict = {}
+        self._extents: list[tuple[int, int]] | None = None
 
     def candidates(self, exp) -> dict[int, list[int]]:
-        """line_idx → [token_idx] of possible starts for ``exp``."""
-        out: dict[int, list[int]] = {}
-        for p in exp.prefix_positions(self.blob):
-            k = bisect_left(self.g_offs, p)
-            out.setdefault(self.g_line[k], []).append(self.g_tok[k])
+        """line_idx → [token_idx] of possible starts for ``exp``.
+        Memoized per ``exp``; callers must not mutate the result."""
+        out = self._cands.get(exp)
+        if out is None:
+            out = {}
+            for p in exp.prefix_positions(self.blob):
+                k = bisect_left(self.g_offs, p)
+                out.setdefault(self.g_line[k], []).append(self.g_tok[k])
+            self._cands[exp] = out
         return out
+
+    def band(self, y1: int, y2: int) -> "tuple[list[Line], _LineWindow] | None":
+        """The crop ``[y1, y2)`` as a slice of this index's lines, with
+        its candidate index, or ``None`` when a line has words on both
+        sides of ``y1`` or ``y2``.
+
+        With every line wholly inside or wholly outside the band, the
+        lines inside are those whose ``y`` lies in ``[y1, y2)``: a
+        contiguous run ``lines[a:b]`` of the y-sorted list. They keep
+        their keys, words, word order and ``y``, and the stable y-sort
+        keeps their relative order, so the run equals
+        ``group_lines(band_tokens(tokens, y1, y2))``. Its candidates
+        are this index's, restricted to ``[a, b)`` and renumbered."""
+        if self._extents is None:
+            self._extents = [
+                (min(ys), max(ys))
+                for ys in ([int(w["y"]) for w in ln["words"]] for ln in self.lines)
+            ]
+        for lo, hi in self._extents:
+            if lo < y1 <= hi or lo < y2 <= hi:
+                return None
+        line_ys = [ln["y"] for ln in self.lines]
+        a, b = bisect_left(line_ys, y1), bisect_left(line_ys, y2)
+        return self.lines[a:b], _LineWindow(self, a, b)
+
+
+class _LineWindow:
+    """The candidate index of the line run ``[a, b)`` of a
+    :class:`PageIndex`, with line indices counted from ``a``."""
+
+    __slots__ = ("page", "a", "b")
+
+    def __init__(self, page: PageIndex, a: int, b: int):
+        self.page, self.a, self.b = page, a, b
+
+    def candidates(self, exp) -> dict[int, list[int]]:
+        a, b = self.a, self.b
+        return {
+            li - a: toks
+            for li, toks in self.page.candidates(exp).items()
+            if a <= li < b
+        }
+
+
+class NextHead:
+    """A page's lines followed by the first ``n_groups`` line groups
+    of the next page, y-offset by the page height (reference
+    ``extractor.py:331-375``, ``response_extractor.py:300-343``), with
+    their :class:`PageIndex`. Both are built on first use, so a page
+    groups its successor at most once, however many label and question
+    cross-page passes read them."""
+
+    __slots__ = ("_page_lines", "_next_tokens", "_page_height", "_n_groups", "_lines", "_index")
+
+    def __init__(
+        self,
+        page_lines: list[Line],
+        next_tokens: list[Token],
+        page_height: int,
+        n_groups: int = 5,
+    ):
+        self._page_lines = page_lines
+        self._next_tokens = next_tokens
+        self._page_height = page_height
+        self._n_groups = n_groups
+        self._lines: list[Line] | None = None
+        self._index: PageIndex | None = None
+
+    @property
+    def lines(self) -> list[Line]:
+        if self._lines is None:
+            next_lines = group_lines(offset_tokens(self._next_tokens, self._page_height))
+            self._lines = self._page_lines + head_line_groups(next_lines, self._n_groups)
+        return self._lines
+
+    @property
+    def index(self) -> PageIndex:
+        if self._index is None:
+            self._index = PageIndex(self.lines)
+        return self._index
 
 
 def _best_span_in_line(
@@ -355,28 +451,21 @@ def try_multiline(
 
 
 def match_questions_like_labels(
-    tokens: list[Token],
-    questions: list[str],
-    next_page_tokens: list[Token] | None = None,
-    page_height: int = 10000,
-    next_page_head_lines: int = 5,
-    lines: list[Line] | None = None,
-    page_index: "PageIndex | None" = None,
+    tokens: list[Token], questions: list[str]
 ) -> dict[str, list[Hit]]:
     """Reference ``response_extractor.py:238-612``. Returns, per unique
-    question text, the list of match hits ``{x, y, segments}``.
+    question text, the list of match hits ``{x, y, segments}``."""
+    lines = group_lines(tokens)
+    return match_questions_in_lines(lines, questions, PageIndex(lines))
 
-    ``lines`` may carry the page's precomputed line groups (grouping is
-    pure, so reusing it across the per-section calls is
-    semantics-preserving — the reference regroups on every call).
-    """
-    if lines is None:
-        lines = group_lines(tokens)
-    if next_page_tokens is not None:
-        next_lines = group_lines(offset_tokens(next_page_tokens, page_height))
-        lines = lines + head_line_groups(next_lines, next_page_head_lines)
-        page_index = None  # appended head invalidates any passed index
 
+def match_questions_in_lines(
+    lines: list[Line], questions: list[str], index: "PageIndex | _LineWindow"
+) -> dict[str, list[Hit]]:
+    """:func:`match_questions_like_labels` on grouped ``lines`` with
+    their candidate ``index`` (grouping is pure, so the per-section
+    calls share the page's lines — the reference regroups on every
+    call)."""
     results: dict[str, list[Hit]] = {}
     unique_questions: list[str] = []
     seen_qtexts: set[str] = set()
@@ -384,7 +473,6 @@ def match_questions_like_labels(
         if q not in seen_qtexts:
             unique_questions.append(q)
             seen_qtexts.add(q)
-    index = page_index if page_index is not None else PageIndex(lines)
     for q in unique_questions:
         q_words = [w for w in q.split() if w]
         if not q_words:
@@ -413,27 +501,14 @@ def match_questions_like_labels(
     return results
 
 
-def crop_tokens(tokens: list[Token], y1: int, y2: int) -> list[Token]:
-    """Tokens inside a horizontal band, shifted into crop space — the
-    deterministic analog of re-OCRing a band crop
-    (reference ``try_crop``, ``response_extractor.py:715-732``)."""
-    out = []
-    for t in tokens:
-        y = int(t.get("y", 0))
-        if y1 <= y < y2:
-            t2 = dict(t)
-            t2["y"] = y - y1
-            out.append(t2)
-    return out
-
-
 def band_tokens(tokens: list[Token], y1: int, y2: int) -> list[Token]:
-    """Zero-copy band filter: the matcher's geometry is
+    """The tokens of the band ``[y1, y2)``, for a crop that
+    :meth:`PageIndex.band` cannot slice from the page's lines (a line
+    straddles a band edge). Zero-copy: the matcher's geometry is
     shift-invariant (grouping/order by relative y, lookahead by line
-    index and x tolerance, no absolute-y constants), so band retries
-    can reuse the original token dicts with absolute y — identical
-    matches to :func:`crop_tokens` + shift-back, minus one dict copy
-    per token per retry, and the shared ``_n`` norm cache survives."""
+    index and x tolerance, no absolute-y constants), so the crop keeps
+    the original token dicts with absolute y instead of shifting them
+    into crop space, and hits need no shift back."""
     return [t for t in tokens if y1 <= int(t.get("y", 0)) < y2]
 
 
@@ -441,15 +516,18 @@ def match_sections_and_questions(
     tokens: list[Token],
     sections: list[dict],
     section_regions: dict[str, dict[str, int]],
-    next_page_tokens: list[Token] | None = None,
     page_width: int = 2000,
     page_height: int = 3000,
     lines: list[Line] | None = None,
     page_index: "PageIndex | None" = None,
+    next_head: NextHead | None = None,
 ) -> list[dict[str, Any]]:
     """Reference ``match_sections_and_questions``
     (``response_extractor.py:618-790``), regions-provided path (the
-    extractor always passes ``section_regions``)."""
+    extractor always passes ``section_regions``).
+
+    ``next_head`` (built over ``lines``) enables the cross-page
+    fallback; the last page has none."""
     anchors: dict[str, int] = {}
     bands: dict[str, tuple[int, int]] = {}
     for sec in sections:
@@ -477,18 +555,20 @@ def match_sections_and_questions(
     page_lines = lines if lines is not None else group_lines(tokens)
     page_idx = page_index if page_index is not None else PageIndex(page_lines)
     # Band-crop retries for questions in the same section share the
-    # same (y1, y2) crop; cache the cropped token list + line groups +
-    # candidate index so each crop is built once per page, not once per
-    # missed question (regrouping is pure — semantics-preserving).
-    crop_cache: dict[tuple[int, int], tuple[list[Token], list[Line], PageIndex]] = {}
+    # same (y1, y2) crop; each crop's lines and candidate index are
+    # built once per call. A crop is a slice of the page's lines unless
+    # a line straddles a band edge; only then are the band's tokens
+    # regrouped.
+    crop_cache: dict[tuple[int, int], tuple[list[Line], PageIndex | _LineWindow]] = {}
 
-    def cropped(y1c: int, y2c: int) -> tuple[list[Token], list[Line], PageIndex]:
+    def cropped(y1c: int, y2c: int) -> tuple[list[Line], PageIndex | _LineWindow]:
         key = (y1c, y2c)
         hit = crop_cache.get(key)
         if hit is None:
-            band = band_tokens(tokens, y1c, y2c)  # zero-copy, absolute y
-            band_lines = group_lines(band)
-            hit = (band, band_lines, PageIndex(band_lines))
+            hit = page_idx.band(y1c, y2c)
+            if hit is None:
+                band_lines = group_lines(band_tokens(tokens, y1c, y2c))
+                hit = (band_lines, PageIndex(band_lines))
             crop_cache[key] = hit
         return hit
 
@@ -498,7 +578,7 @@ def match_sections_and_questions(
         qs = sec.get("questions") or []
         if not qs:
             continue
-        qhits = match_questions_like_labels(tokens, qs, lines=page_lines, page_index=page_idx)
+        qhits = match_questions_in_lines(page_lines, qs, page_idx)
         sec_hits: list[dict[str, Any]] = []
         claimed_by_q: dict[str, set[tuple[int, int]]] = {}
         yband = bands.get(sec_name)
@@ -528,13 +608,11 @@ def match_sections_and_questions(
                 y2c_primary = max(y1c + 1, int(min(page_height, y2)))
 
                 def try_crop(y2c_local: int) -> list[Hit]:
-                    # band tokens keep absolute y (zero-copy filter),
-                    # so hits need no crop-space shift-back
+                    # crop lines keep absolute y, so hits need no
+                    # crop-space shift-back
                     local_hits = []
-                    band, band_lines, band_idx = cropped(y1c, y2c_local)
-                    bhits = match_questions_like_labels(
-                        band, [q], lines=band_lines, page_index=band_idx
-                    ).get(q, [])
+                    band_lines, band_idx = cropped(y1c, y2c_local)
+                    bhits = match_questions_in_lines(band_lines, [q], band_idx).get(q, [])
                     for bh in bhits:
                         if (min_start_y is None) or (bh.get("y", 0) >= min_start_y):
                             local_hits.append(bh)
@@ -556,9 +634,9 @@ def match_sections_and_questions(
                             band_hits = try_crop(y2c_wide)
                 hits.extend(band_hits)
             # Cross-page fallback (response_extractor.py:751-766).
-            if not hits and next_page_tokens is not None:
-                xhits = match_questions_like_labels(
-                    tokens, [q], next_page_tokens=next_page_tokens, page_height=page_height
+            if not hits and next_head is not None:
+                xhits = match_questions_in_lines(
+                    next_head.lines, [q], next_head.index
                 ).get(q, [])
                 if yband:
                     y1, y2 = yband

@@ -64,7 +64,7 @@ from .boxes import deduplicate_matches
 from .document import classify_form_type, decode_spans, flatten_to_spans
 from .labels import get_label_positions
 from .lines import group_lines
-from .questions import PageIndex, match_sections_and_questions
+from .questions import NextHead, PageIndex, match_sections_and_questions
 from .sections import detect_section_regions
 from ..core.constants import ANCHOR_OFFSET_PX
 
@@ -145,13 +145,15 @@ def compute_shard_artifacts(
         next_tokens = pages[idx + 1]["tokens"] if idx + 1 < n else carry_tokens
         page_lines = group_lines(tokens)
         page_idx = PageIndex(page_lines)
+        next_head = (
+            NextHead(page_lines, next_tokens, page_h) if next_tokens is not None else None
+        )
 
         label_positions = get_label_positions(
             tokens,
             all_labels,
-            next_page_tokens=next_tokens,
-            page_height=page_h,
             lines=page_lines,
+            next_head=next_head,
         )
 
         per_variant: dict[Any, dict[str, Any]] = {}
@@ -190,11 +192,11 @@ def compute_shard_artifacts(
                         tokens,
                         [sec],
                         regions,
-                        next_page_tokens=next_tokens,
                         page_width=page_w,
                         page_height=page_h,
                         lines=page_lines,
                         page_index=page_idx,
+                        next_head=next_head,
                     )
                     records[sname] = {None: _sec_records(res, sname)}
                     continue
@@ -213,11 +215,11 @@ def compute_shard_artifacts(
                         tokens,
                         pair,
                         regions,
-                        next_page_tokens=next_tokens,
                         page_width=page_w,
                         page_height=page_h,
                         lines=page_lines,
                         page_index=page_idx,
+                        next_head=next_head,
                     )
                     entry[cand_name] = _sec_records(res, sname)
                 records[sname] = entry

@@ -22,6 +22,7 @@ from typing import Any
 import pyarrow as pa
 
 from ..core.config import FormConfig
+from ..core.schema import explode_spans
 from ..stages.parse import DocumentExtractor
 
 # Blocks per CPU for the corpus read: tunable skew/granularity knob
@@ -721,31 +722,16 @@ def extract_sharded(
         return batch.append_column("bucket", pa.array(buckets, pa.int64()))
 
     def reassemble_bucket(g: pd.DataFrame) -> pa.Table:
-        out_doc: list[str] = []
-        out_kind: list[str] = []
-        out_text: list[str] = []
-        out_ref: list[str] = []
-        out_off: list[int] = []
+        doc_ids: list[str] = []
+        span_lists: list[list[dict]] = []
         for doc_id, sub in g.groupby("doc_id", sort=False):
             sub = sub.sort_values("shard_idx")
             arts: list = []
             for blob in sub["arts"]:
                 arts.extend(pickle.loads(blob))
-            for s in replay_document(arts, cfg):
-                out_doc.append(doc_id)
-                out_kind.append(s["kind"])
-                out_text.append(s["text"])
-                out_ref.append(s["media_ref"])
-                out_off.append(s["offset"])
-        return pa.table(
-            {
-                "doc_id": pa.array(out_doc, pa.string()),
-                "kind": pa.array(out_kind, pa.string()),
-                "text": pa.array(out_text, pa.string()),
-                "media_ref": pa.array(out_ref, pa.string()),
-                "offset": pa.array(out_off, pa.int32()),
-            }
-        )
+            doc_ids.append(doc_id)
+            span_lists.append(replay_document(arts, cfg))
+        return explode_spans(doc_ids, span_lists)
 
     sharded = ds.map_batches(split, batch_format="pyarrow", batch_size=8)
     arts_ds = sharded.map_batches(artifacts, batch_format="pyarrow", batch_size=1)
@@ -939,11 +925,8 @@ def flagship(
         giant class only."""
 
         def synth_extract(batch: pa.Table) -> pa.Table:
-            out_doc: list[str] = []
-            out_kind: list[str] = []
-            out_text: list[str] = []
-            out_ref: list[str] = []
-            out_off: list[int] = []
+            doc_ids: list[str] = []
+            span_lists: list[list[dict]] = []
             for i, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
                 vocab = [w for w in (text or "").split() if w][:48] or None
                 for k in range(multiplier):
@@ -957,21 +940,9 @@ def flagship(
                     # TestEntry.test_fused_equals_two_stage.
                     pages = gen_document_pages(did, seed, vocab=vocab)
                     sections = config.select(classify_form_type(pages))
-                    for s in flatten_to_spans(extract_document(pages, sections)):
-                        out_doc.append(did)
-                        out_kind.append(s["kind"])
-                        out_text.append(s["text"])
-                        out_ref.append(s["media_ref"])
-                        out_off.append(s["offset"])
-            return pa.table(
-                {
-                    "doc_id": pa.array(out_doc, pa.string()),
-                    "kind": pa.array(out_kind, pa.string()),
-                    "text": pa.array(out_text, pa.string()),
-                    "media_ref": pa.array(out_ref, pa.string()),
-                    "offset": pa.array(out_off, pa.int32()),
-                }
-            )
+                    doc_ids.append(did)
+                    span_lists.append(flatten_to_spans(extract_document(pages, sections)))
+            return explode_spans(doc_ids, span_lists)
 
         return synth_extract
 

@@ -23,6 +23,14 @@ Usage::
 Output is the exploded span table ``(doc_id, kind, text, media_ref,
 offset)``, or with ``explode=False`` one ``(doc_id, spans)`` row per
 document.
+
+Input is read column-wise: the batch's ``spans`` list array is sliced
+once into its ``kind``, ``text`` and ``media_ref`` columns, and each
+document gets its runs of those columns as a
+:class:`~pdf_parser_ray.kernels.document.SpanColumns`, with no per-span
+dict. ``decode_spans`` stays the per-document entry point (called once
+per document, returning its pages); it accepts the columns and the
+span dicts alike.
 """
 
 from __future__ import annotations
@@ -31,7 +39,44 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..core.config import FormConfig
-from ..kernels.document import classify_form_type, decode_spans, extract_document, flatten_to_spans
+from ..core.schema import DOCUMENT_SCHEMA, explode_spans
+from ..kernels.document import (
+    SpanColumns,
+    classify_form_type,
+    decode_spans,
+    extract_document,
+    flatten_to_spans,
+)
+
+
+def span_columns(spans: pa.ChunkedArray | pa.Array) -> list[SpanColumns | list | None]:
+    """Each document's input spans from a ``list<span struct>`` column,
+    as column slices.
+
+    ``StructArray.field()`` ignores validity bitmaps, so a null span
+    would read as its child values and a null list as an empty one. A
+    document with either keeps its ``to_pylist()`` value (``None``, or
+    a list holding ``None``) instead, and fails in ``decode_spans``
+    exactly as the row path does."""
+    if isinstance(spans, pa.ChunkedArray):
+        spans = spans.combine_chunks()
+    offsets = spans.offsets.to_pylist()
+    base = offsets[0]  # non-zero for a slice
+    values = spans.values.slice(base, offsets[-1] - base)
+    # the same str/None lists as to_pylist(), an order of magnitude faster
+    cols = [
+        values.field(f).to_numpy(zero_copy_only=False).tolist()
+        for f in ("kind", "text", "media_ref")
+    ]
+    docs: list[SpanColumns | list | None] = [
+        SpanColumns(*(c[a - base : b - base] for c in cols))
+        for a, b in zip(offsets, offsets[1:])
+    ]
+    if spans.null_count or values.null_count:
+        for i, row in enumerate(spans.to_pylist()):
+            if row is None or None in row:
+                docs[i] = row
+    return docs
 
 
 class DocumentExtractor:
@@ -65,7 +110,7 @@ class DocumentExtractor:
         self.explode = explode
         self.quarantine = quarantine
 
-    def _extract_one(self, doc_id: str, spans: list[dict]) -> list[dict]:
+    def _extract_one(self, doc_id: str, spans: SpanColumns | list[dict]) -> list[dict]:
         try:
             pages = decode_spans(doc_id, spans)
             form_type = classify_form_type(pages)
@@ -86,28 +131,11 @@ class DocumentExtractor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch["doc_id"].to_pylist()
-        spans_col = batch["spans"].to_pylist()
+        out_spans = [
+            self._extract_one(d, s) for d, s in zip(doc_ids, span_columns(batch["spans"]))
+        ]
         if self.explode:
-            out_doc, out_kind, out_text, out_ref, out_off = [], [], [], [], []
-            for doc_id, spans in zip(doc_ids, spans_col):
-                for s in self._extract_one(doc_id, spans):
-                    out_doc.append(doc_id)
-                    out_kind.append(s["kind"])
-                    out_text.append(s["text"])
-                    out_ref.append(s["media_ref"])
-                    out_off.append(s["offset"])
-            return pa.table(
-                {
-                    "doc_id": pa.array(out_doc, pa.string()),
-                    "kind": pa.array(out_kind, pa.string()),
-                    "text": pa.array(out_text, pa.string()),
-                    "media_ref": pa.array(out_ref, pa.string()),
-                    "offset": pa.array(out_off, pa.int32()),
-                }
-            )
-        out_spans = [self._extract_one(d, s) for d, s in zip(doc_ids, spans_col)]
-        from ..core.schema import DOCUMENT_SCHEMA
-
+            return explode_spans(doc_ids, out_spans)
         return pa.Table.from_pydict(
             {"doc_id": doc_ids, "spans": out_spans}, schema=DOCUMENT_SCHEMA
         )

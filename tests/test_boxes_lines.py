@@ -11,8 +11,8 @@ from pdf_parser_ray.kernels.lines import (
     group_lines,
     group_lines_with_height,
     head_line_groups,
-    lines_with_next_head,
 )
+from pdf_parser_ray.kernels.questions import NextHead
 
 
 class TestGroupLines:
@@ -50,7 +50,7 @@ class TestHeadLineGroups:
     def test_next_head_offsets_by_page_height(self):
         cur = group_lines(make_tokens([(["a"], 10, 100)]))
         nxt = make_tokens([(["n1"], 10, 50), (["n2"], 10, 90)])
-        out = lines_with_next_head(cur, nxt, page_height=3000, n_groups=1)
+        out = NextHead(cur, nxt, page_height=3000, n_groups=1).lines
         assert [ln["y"] for ln in out] == [100, 3050]
 
 

@@ -4,6 +4,7 @@ from conftest import make_box, make_tokens
 
 from pdf_parser_ray.kernels.labels import get_label_positions, try_multiline_on_lines
 from pdf_parser_ray.kernels.lines import group_lines
+from pdf_parser_ray.kernels.questions import NextHead
 from pdf_parser_ray.kernels.sections import detect_section_regions
 
 
@@ -64,7 +65,9 @@ class TestLabelMultiline:
         tokens = make_tokens([(["Kidney"], 150, 2950)])
         next_tokens = make_tokens([(["Disease"], 160, 40)])
         pos = get_label_positions(
-            tokens, ["Kidney Disease"], next_page_tokens=next_tokens, page_height=3000
+            tokens,
+            ["Kidney Disease"],
+            next_head=NextHead(group_lines(tokens), next_tokens, page_height=3000),
         )
         assert pos["Kidney Disease"] == [(150, 2950)]
 

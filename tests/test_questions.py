@@ -3,7 +3,9 @@
 from conftest import make_box, make_tokens
 
 from pdf_parser_ray.kernels.assign import assign_checkboxes_sectionwise
+from pdf_parser_ray.kernels.lines import group_lines
 from pdf_parser_ray.kernels.questions import (
+    NextHead,
     find_all_full_in_line,
     match_questions_like_labels,
     match_sections_and_questions,
@@ -140,8 +142,8 @@ class TestCrossPageQuestion:
         ]
         regions = {"CONSENT": {"x1": 0, "y1": 2500, "x2": 2000, "y2": 2990}}
         out = match_sections_and_questions(
-            tokens, sections, regions,
-            next_page_tokens=next_tokens, page_height=3000,
+            tokens, sections, regions, page_height=3000,
+            next_head=NextHead(group_lines(tokens), next_tokens, page_height=3000),
         )
         q = out[0]["questions"][0]
         assert q["position"] == [150, 2950]
