@@ -218,10 +218,7 @@ def run_suite() -> dict:
     # multiplier scales the synthesized corpus so executor ramp-up
     # amortizes (docs = table rows × multiplier).
     mult = int(os.environ.get("GRAFT_EXTRACT_MULTIPLIER", "16"))
-    # A/B knob for the single-operator read-fused plan (default on —
-    # measured ~20% faster at 32 CPUs; GRAFT_FUSE_READ=0 reverts)
-    fuse_read = bool(int(os.environ.get("GRAFT_FUSE_READ", "1")))
-    flagship(SF_DIR, multiplier=1, fuse_read=fuse_read).count()
+    flagship(SF_DIR, multiplier=1).count()
     n_total = n_docs * mult
     # Best of three in-session timed runs at high core counts:
     # co-tenant noise on this box is ±15% and strictly additive, so
@@ -233,7 +230,7 @@ def run_suite() -> dict:
     reps: list[float] = []
     for _ in range(n_rep):
         t0 = time.perf_counter()
-        out_rows = flagship(SF_DIR, multiplier=mult, fuse_read=fuse_read).count()
+        out_rows = flagship(SF_DIR, multiplier=mult).count()
         reps.append(round(time.perf_counter() - t0, 3))
     headline = min(reps)
 

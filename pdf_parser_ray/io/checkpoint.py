@@ -204,8 +204,8 @@ def resumable_write(
     # routing map are stateless and row-independent, so there is
     # nothing to gain from fixed-size batches — and an explicit
     # batch_size forces the executor to REBATCH the upstream operator's
-    # output across block boundaries, which on the fused flagship plan
-    # (many small guided blocks) measured 27x slower end-to-end
+    # output across block boundaries, which on a plan of many small
+    # blocks (the former read-sliced flagship) measured 27x slower end-to-end
     # (159.8 s vs 5.8 s at sf0.1 x16, 32 CPUs) than per-block routing.
     if done and not verify_fingerprints:
         done_ids = pa.array(sorted(done), pa.int32())

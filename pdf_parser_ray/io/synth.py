@@ -209,57 +209,6 @@ def _emit_spans(doc_id: str, pages: list[_PageBuilder]) -> list[dict]:
     return spans
 
 
-def gen_document_pages(
-    doc_id: str, seed: int = 42, vocab: list[str] | None = None
-) -> list[dict]:
-    """Generate one document's decoded page structures directly —
-    bit-identical to ``decode_spans(gen_document(...))`` (asserted by
-    ``TestEntry.test_fused_equals_two_stage`` and the synth unit test):
-    tokens/boxes/highlights sorted in span emission order (y, x), box
-    refs carrying the same media ids. Used by the fused flagship to
-    skip the media-ref encode→parse round-trip.
-    """
-
-    builders = _gen_builders(doc_id, seed, vocab)
-    pages = []
-    for pb in builders:
-        ticked: list[dict] = []
-        empty: list[dict] = []
-        # boxes/highlights indexed in creation order for ref ids, then
-        # appended in (y, x) span order — exactly decode_spans' order.
-        box_entries = [
-            (b["y"], b["x"], i, b) for i, b in enumerate(pb.boxes)
-        ]
-        for y, x, i, b in sorted(box_entries, key=lambda t: (t[0], t[1])):
-            entry = {
-                "x": b["x"], "y": b["y"], "w": b["w"], "h": b["h"],
-                "score": b["score"], "status": b["status"],
-                "ref": f"media://{doc_id}/p{pb.page_no}/cb-{i}",
-            }
-            (ticked if b["status"] == "ticked" else empty).append(entry)
-        hl_entries = [(h["y"], h["x"], i, h) for i, h in enumerate(pb.highlights)]
-        highlights = [
-            {
-                "x": h["x"], "y": h["y"], "w": h["w"], "h": h["h"],
-                "text": h["text"],
-                "ref": f"media://{doc_id}/p{pb.page_no}/hl-{i}",
-            }
-            for y, x, i, h in sorted(hl_entries, key=lambda t: (t[0], t[1]))
-        ]
-        pages.append(
-            {
-                "page": pb.page_no,
-                "width": PAGE_W,
-                "height": PAGE_H,
-                "tokens": sorted(pb.tokens, key=lambda t: (t["y"], t["x"])),
-                "ticked": ticked,
-                "empty": empty,
-                "highlights": highlights,
-            }
-        )
-    return pages
-
-
 def gen_document(doc_id: str, seed: int = 42, vocab: list[str] | None = None) -> list[dict]:
     """Generate one synthetic form document's span sequence.
 

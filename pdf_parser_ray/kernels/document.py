@@ -3,11 +3,14 @@ span decode/flatten that bracket it.
 
 ``extract_document`` mirrors ``extract_pdf_with_sections`` (reference
 ``extractor.py:947-1126``): a strictly ordered page loop carrying
-remaining/completed label and question state, with next-page lookahead
+remaining/completed label and question state (:class:`FoldState`, which
+the page-shard replay shares), with next-page lookahead
 limited to the following page's head line groups. The whole fold runs
 inside ONE ``map_batches`` task per document row — documents are
 independent, so Ray parallelizes across documents and never across the
 pages of one document (the only ordering dependency in the pipeline).
+The per-document entry that brackets it with decode, classify and
+flatten is ``stages.parse.extract_spans``.
 
 ``decode_spans`` is the sandbox stand-in for the render/OCR/template
 stages (S1/S2, M1/M2, V1 slots): it reads the geometry fragments of
@@ -159,18 +162,109 @@ def classify_form_type(pages: list[Page]) -> str:
     return "female"
 
 
+class FoldState:
+    """The fold's remaining/completed label and question bookkeeping
+    (reference ``extractor.py:998-1014``, ``1034-1053``, ``1065-1114``),
+    shared by :func:`extract_document` and the page-shard replay
+    (:func:`~.shard.replay_document`). Per page: :meth:`label_search`,
+    then :meth:`labels_found`; :meth:`open_questions` (page 1 starts
+    every question list), then :meth:`questions_answered`."""
+
+    def __init__(self, sections: list[dict]):
+        self.sections = sections
+        self.label_sections = [
+            sec
+            for sec in sections
+            if isinstance(sec.get("labels"), list) and sec.get("labels")
+        ]
+        self.remaining_labels: dict[str, set[str]] = {
+            sec["section_name"]: set(sec["labels"]) for sec in self.label_sections
+        }
+        self.completed_labels: set[str] = set()
+        self.remaining_questions: dict[str, list[str]] = {}
+        self.completed_questions: set[str] = set()
+
+    def label_search(self) -> tuple[list[dict], list[str]]:
+        """The label sections still open, and their remaining labels
+        (sorted per section) to search this page for."""
+        active: list[dict] = []
+        labels: list[str] = []
+        for sec in self.label_sections:
+            name = sec["section_name"]
+            if name in self.completed_labels:
+                continue
+            rem = self.remaining_labels.get(name, set())
+            if not rem:
+                self.completed_labels.add(name)
+                continue
+            active.append(sec)
+            labels.extend(sorted(rem))
+        return active, labels
+
+    def labels_found(
+        self, active: list[dict], regions: dict, label_positions: dict
+    ) -> None:
+        """Drop the labels seen inside their section's region."""
+        for sec in active:
+            sname = sec["section_name"]
+            region = regions.get(sname)
+            if not region:
+                continue
+            y1_effective = region["y1"] + ANCHOR_OFFSET_PX
+            y2 = region["y2"]
+            still_needed: set[str] = set()
+            for lbl in self.remaining_labels.get(sname, set()):
+                found_in_region = any(
+                    y1_effective <= ly <= y2 for (_lx, ly) in label_positions.get(lbl, [])
+                )
+                if not found_in_region:
+                    still_needed.add(lbl)
+            self.remaining_labels[sname] = still_needed
+            if not still_needed:
+                self.completed_labels.add(sname)
+
+    def open_questions(self, page_number: int) -> list[dict]:
+        """The question sections still open on this page, in config
+        order; their questions left are ``remaining_questions[name]``."""
+        if page_number == 1:
+            for sec in self.sections:
+                qs = sec.get("questions") or []
+                if qs:
+                    self.remaining_questions[sec["section_name"]] = list(qs)
+        active: list[dict] = []
+        for sec in self.sections:
+            sname = sec["section_name"]
+            if not sec.get("questions"):
+                continue
+            if sname in self.completed_questions:
+                continue
+            if not self.remaining_questions.get(sname, []):
+                self.completed_questions.add(sname)
+                continue
+            active.append(sec)
+        return active
+
+    def questions_answered(self, responses: list[dict] | None) -> None:
+        """Drop the questions this page's responses matched."""
+        for sec in responses or []:
+            sname = sec.get("section")
+            for q in sec.get("questions", []):
+                qt = q.get("question")
+                rem_list = self.remaining_questions.get(sname, [])
+                if qt in rem_list:
+                    rem_list.remove(qt)
+                    self.remaining_questions[sname] = rem_list
+            if not self.remaining_questions.get(sname):
+                self.completed_questions.add(sname)
+
+
 def extract_document(pages: list[Page], sections: list[dict]) -> dict[str, Any]:
     """The per-document page fold (reference ``extractor.py:947-1126``).
 
     Returns ``{"pages": [{page_number, sections, responses}, ...]}``.
     """
     structured_data: dict[str, Any] = {"pages": []}
-
-    label_sections: list[dict] | None = None
-    remaining_labels_by_section: dict[str, set[str]] = {}
-    completed_label_sections: set[str] = set()
-    remaining_questions_by_section: dict[str, list[str]] = {}
-    completed_question_sections: set[str] = set()
+    state = FoldState(sections)
 
     n_pages = len(pages)
     for idx, page in enumerate(pages):
@@ -178,27 +272,7 @@ def extract_document(pages: list[Page], sections: list[dict]) -> dict[str, Any]:
         tokens = page["tokens"]
         page_w, page_h = page["width"], page["height"]
         checkboxes = deduplicate_matches(page["ticked"], page["empty"])
-
-        if label_sections is None:
-            label_sections = [
-                sec
-                for sec in sections
-                if isinstance(sec.get("labels"), list) and sec.get("labels")
-            ]
-            for sec in label_sections:
-                remaining_labels_by_section[sec["section_name"]] = set(sec["labels"])
-        labels_to_search: list[str] = []
-        active_label_sections: list[dict] = []
-        for sec in label_sections:
-            name = sec["section_name"]
-            if name in completed_label_sections:
-                continue
-            rem = remaining_labels_by_section.get(name, set())
-            if not rem:
-                completed_label_sections.add(name)
-                continue
-            active_label_sections.append(sec)
-            labels_to_search.extend(sorted(rem))
+        active_label_sections, labels_to_search = state.label_search()
 
         # One line-grouping per page, shared by the label, section and
         # question matchers (grouping is pure; the reference regroups
@@ -221,53 +295,16 @@ def extract_document(pages: list[Page], sections: list[dict]) -> dict[str, Any]:
             tokens, sections, checkboxes, page_width=page_w, lines=page_lines,
             page_index=page_idx,
         )
-
-        # Update remaining labels from OCR presence in region
-        # (reference extractor.py:1034-1053).
-        for sec in active_label_sections:
-            sname = sec["section_name"]
-            region = section_regions.get(sname)
-            if not region:
-                continue
-            y1_effective = region["y1"] + ANCHOR_OFFSET_PX
-            y2 = region["y2"]
-            still_needed: set[str] = set()
-            for lbl in remaining_labels_by_section.get(sname, set()):
-                found_in_region = any(
-                    y1_effective <= ly <= y2 for (_lx, ly) in label_positions.get(lbl, [])
-                )
-                if not found_in_region:
-                    still_needed.add(lbl)
-            remaining_labels_by_section[sname] = still_needed
-            if not still_needed:
-                completed_label_sections.add(sname)
+        state.labels_found(active_label_sections, section_regions, label_positions)
 
         sections_data = assign_checkboxes_sectionwise(
             checkboxes, active_label_sections, label_positions, section_regions
         )
 
-        # Question state (reference extractor.py:1065-1087).
-        if page_number == 1:
-            for sec in sections:
-                qs = sec.get("questions") or []
-                if qs:
-                    remaining_questions_by_section[sec["section_name"]] = list(qs)
-        question_sections_active: list[dict] = []
-        for sec in sections:
-            sname = sec["section_name"]
-            qs = sec.get("questions") or []
-            if not qs:
-                continue
-            if sname in completed_question_sections:
-                continue
-            remaining_qs = remaining_questions_by_section.get(sname, [])
-            if not remaining_qs:
-                completed_question_sections.add(sname)
-                continue
-            sec_copy = dict(sec)
-            sec_copy["questions"] = list(remaining_qs)
-            question_sections_active.append(sec_copy)
-
+        question_sections_active = [
+            dict(sec, questions=list(state.remaining_questions[sec["section_name"]]))
+            for sec in state.open_questions(page_number)
+        ]
         matches = match_sections_and_questions(
             tokens,
             question_sections_active,
@@ -287,18 +324,7 @@ def extract_document(pages: list[Page], sections: list[dict]) -> dict[str, Any]:
             page_height=page_h,
             lines=page_lines,
         )
-
-        # Update remaining questions (reference extractor.py:1100-1114).
-        for sec in responses_data or []:
-            sname = sec.get("section")
-            for q in sec.get("questions", []):
-                qt = q.get("question")
-                rem_list = remaining_questions_by_section.get(sname, [])
-                if qt in rem_list:
-                    rem_list.remove(qt)
-                    remaining_questions_by_section[sname] = rem_list
-            if not remaining_questions_by_section.get(sname):
-                completed_question_sections.add(sname)
+        state.questions_answered(responses_data)
 
         structured_data["pages"].append(
             {
@@ -346,20 +372,3 @@ def flatten_to_spans(structured: dict[str, Any]) -> list[Span]:
                     emit("answer", ans, q.get("answer_ref", "") or "")
     return spans
 
-
-def extract_spans(
-    doc_id: str, spans: list[Span], sections_or_config: Any
-) -> list[Span]:
-    """End-to-end per-document extraction: decode → classify → fold →
-    flatten. ``sections_or_config`` is either a plain sections list or
-    a :class:`~pdf_parser_ray.core.config.FormConfig` (variant selected
-    by the form-type classifier, reference ``extractor.py:1202-1238``).
-    """
-    pages = decode_spans(doc_id, spans)
-    if hasattr(sections_or_config, "select"):
-        form_type = classify_form_type(pages)
-        sections = sections_or_config.select(form_type)
-    else:
-        sections = sections_or_config
-    structured = extract_document(pages, sections)
-    return flatten_to_spans(structured)

@@ -36,8 +36,11 @@ the fold into:
    checkbox assignment, and answer augmentation (answers trim against
    *each other's* windows — reference ``response_extractor.py``'s
    interval self-join — so the matched-question set must be exact
-   before augmentation runs). Restriction arguments used by the
-   replay, each verified by the bit-identity test:
+   before augmentation runs). The bookkeeping is the unsharded fold's
+   own :class:`~.document.FoldState`; what the replay adds is the
+   restriction of the full-set artifacts to the labels and questions
+   that state leaves open. Restriction arguments used by the replay,
+   each verified by the bit-identity test:
 
    * label positions for a subset S of labels = the full-set result
      filtered to S (per-label loop, no cross-label state);
@@ -61,12 +64,11 @@ from typing import Any
 from .answers import augment_answers
 from .assign import assign_checkboxes_sectionwise
 from .boxes import deduplicate_matches
-from .document import classify_form_type, decode_spans, flatten_to_spans
+from .document import FoldState, classify_form_type, decode_spans, flatten_to_spans
 from .labels import get_label_positions
 from .lines import group_lines
 from .questions import NextHead, PageIndex, match_sections_and_questions
 from .sections import detect_section_regions
-from ..core.constants import ANCHOR_OFFSET_PX
 
 Span = dict[str, Any]
 
@@ -245,7 +247,7 @@ def compute_shard_artifacts(
 def replay_document(arts: list[dict[str, Any]], config) -> list[Span]:
     """The sequential phase: run the fold's state machine over the
     per-page artifacts and emit the output span list — bit-identical
-    to ``extract_spans`` on the unsharded document."""
+    to ``stages.parse.extract_spans`` on the unsharded document."""
     arts = sorted(arts, key=lambda a: a["page_number"])
     if not arts:
         return []
@@ -255,11 +257,7 @@ def replay_document(arts: list[dict[str, Any]], config) -> list[Span]:
     sections = config.select(form_type)
 
     structured: dict[str, Any] = {"pages": []}
-    label_sections: list[dict] | None = None
-    remaining_labels_by_section: dict[str, set[str]] = {}
-    completed_label_sections: set[str] = set()
-    remaining_questions_by_section: dict[str, list[str]] = {}
-    completed_question_sections: set[str] = set()
+    state = FoldState(sections)
 
     for art in arts:
         page_number = art["page_number"]
@@ -267,82 +265,27 @@ def replay_document(arts: list[dict[str, Any]], config) -> list[Span]:
         va = art["variants"][form_type]
         section_regions = va["regions"]
         full_positions = art["label_positions"]
-
-        if label_sections is None:
-            label_sections = [
-                sec
-                for sec in sections
-                if isinstance(sec.get("labels"), list) and sec.get("labels")
-            ]
-            for sec in label_sections:
-                remaining_labels_by_section[sec["section_name"]] = set(sec["labels"])
-        labels_to_search: list[str] = []
-        active_label_sections: list[dict] = []
-        for sec in label_sections:
-            name = sec["section_name"]
-            if name in completed_label_sections:
-                continue
-            rem = remaining_labels_by_section.get(name, set())
-            if not rem:
-                completed_label_sections.add(name)
-                continue
-            active_label_sections.append(sec)
-            labels_to_search.extend(sorted(rem))
+        active_label_sections, labels_to_search = state.label_search()
 
         # restriction of the full-set search — exact (per-label independence)
         label_positions = {
             l: full_positions[l] for l in labels_to_search if l in full_positions
         }
-
-        for sec in active_label_sections:
-            sname = sec["section_name"]
-            region = section_regions.get(sname)
-            if not region:
-                continue
-            y1_effective = region["y1"] + ANCHOR_OFFSET_PX
-            y2 = region["y2"]
-            still_needed: set[str] = set()
-            for lbl in remaining_labels_by_section.get(sname, set()):
-                found_in_region = any(
-                    y1_effective <= ly <= y2 for (_lx, ly) in label_positions.get(lbl, [])
-                )
-                if not found_in_region:
-                    still_needed.add(lbl)
-            remaining_labels_by_section[sname] = still_needed
-            if not still_needed:
-                completed_label_sections.add(sname)
+        state.labels_found(active_label_sections, section_regions, label_positions)
 
         sections_data = assign_checkboxes_sectionwise(
             checkboxes, active_label_sections, label_positions, section_regions
         )
 
-        if page_number == 1:
-            for sec in sections:
-                qs = sec.get("questions") or []
-                if qs:
-                    remaining_questions_by_section[sec["section_name"]] = list(qs)
-
         # reconstruct the matcher output for the ACTIVE section subset
-        q_secs = [sec for sec in sections if sec.get("questions")]
-        active_names: list[str] = []
-        for sec in q_secs:
-            sname = sec["section_name"]
-            if sname in completed_question_sections:
-                continue
-            remaining_qs = remaining_questions_by_section.get(sname, [])
-            if not remaining_qs:
-                completed_question_sections.add(sname)
-                continue
-            active_names.append(sname)
-
+        open_sections = state.open_questions(page_number)
+        active_names = [sec["section_name"] for sec in open_sections]
         order_names = va["order_names"]
         active_banded = [n for n in order_names if n in active_names]
         matches: list[dict[str, Any]] = []
-        for sec in q_secs:
+        for sec in open_sections:
             sname = sec["section_name"]
-            if sname not in active_names:
-                continue
-            rem = remaining_questions_by_section.get(sname, [])
+            rem = state.remaining_questions[sname]
             if sname in order_names:
                 pos = active_banded.index(sname)
                 next_name = active_banded[pos + 1] if pos + 1 < len(active_banded) else None
@@ -377,16 +320,7 @@ def replay_document(arts: list[dict[str, Any]], config) -> list[Span]:
             page_height=art["height"],
         )
 
-        for sec in responses_data or []:
-            sname = sec.get("section")
-            for q in sec.get("questions", []):
-                qt = q.get("question")
-                rem_list = remaining_questions_by_section.get(sname, [])
-                if qt in rem_list:
-                    rem_list.remove(qt)
-                    remaining_questions_by_section[sname] = rem_list
-            if not remaining_questions_by_section.get(sname):
-                completed_question_sections.add(sname)
+        state.questions_answered(responses_data)
 
         structured["pages"].append(
             {

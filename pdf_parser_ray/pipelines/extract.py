@@ -1,18 +1,21 @@
-"""Flagship extraction pipeline: span corpus → parse actors → output
-span table.
+"""Extraction plans over the span table: one row per document,
+``(doc_id, spans)``.
 
-The production shape (north star) is::
+The production plan (north star), which the ``extract`` CLI runs::
 
-    read_lance(corpus)                      # one row per document
-      → repartition by size class          # skew: giant docs
-      → map_batches(DocumentExtractor, …)  # actor pool, Arrow in/out
-      → write_parquet(partitioned)         # resumable sink
+    read_corpus(corpus)                     # one row per document
+      → map_batches(DocumentExtractor, …)  # tasks or actor pool, Arrow in/out
+      → resumable_write(partitioned)        # resumable sink
 
-In this sandbox the corpus is synthesized deterministically from the
-driver's ``documents.parquet`` (ids + text → seeded span documents),
-*inside* ``map_batches`` — no driver-side loop, no materialization; the
-synthesis stage stands in for the Lance read of a real interleaved
-corpus and scales the same way (generation is per-row pure).
+:func:`extract_pipeline` attaches the parse stage to any span-table
+Dataset. The registered ``extract_spans*`` queries (:func:`flagship`)
+run the same stage over :func:`corpus_from_documents`, which
+synthesizes the span table from the input tables' ``documents.parquet``
+(ids + text → seeded span documents) inside ``map_batches``: the
+sandbox stand-in for the Lance read of a real interleaved corpus, and
+the source perfbench writes its corpus from.
+:func:`extract_pipeline_skew_aware_sharded` routes documents by span
+count and page-shards the heavy class (:func:`extract_sharded`).
 """
 
 from __future__ import annotations
@@ -25,75 +28,8 @@ from ..core.config import FormConfig
 from ..core.schema import explode_spans
 from ..stages.parse import DocumentExtractor
 
-# Blocks per CPU for the corpus read: tunable skew/granularity knob
-# (env override GRAFT_BLOCKS_PER_CPU for measurement sweeps).
-import os as _os
 
-_BLOCKS_PER_CPU = int(_os.environ.get("GRAFT_BLOCKS_PER_CPU", "2"))
-
-# Per-worker-process row-group cache for the fused-read path. A task
-# asking for rows [lo, hi) decodes ONLY the row groups that cover that
-# range (pq.ParquetFile.read_row_group) and caches them per group, so
-# worker memory is O(row groups this worker's tasks touched), never
-# O(whole file) — unless the file IS one row group, where this
-# degenerates to exactly the old one-decode-per-worker behavior. A
-# production corpus has thousands of Lance fragments and each task
-# reads only its own; the row-group grain is the parquet analog.
-_RG_CACHE: dict = {}
-
-
-def _rg_starts(meta) -> "list[int]":
-    """Cumulative row offsets of each row group: starts[g] is the
-    absolute row index where group ``g`` begins; starts[-1] == n_rows."""
-    starts = [0]
-    for g in range(meta.num_row_groups):
-        starts.append(starts[-1] + meta.row_group(g).num_rows)
-    return starts
-
-
-def _covering_groups(starts: "list[int]", lo: int, hi: int) -> "tuple[int, int]":
-    """Half-open row-group range [g0, g1) covering rows [lo, hi)."""
-    import bisect
-
-    g0 = bisect.bisect_right(starts, lo) - 1
-    g1 = bisect.bisect_left(starts, hi)
-    return g0, g1
-
-
-def _documents_slice(path: str, lo: int, hi: int) -> pa.Table:
-    """Rows [lo, hi) of the corpus file, decoding only covering row
-    groups (cached per worker per group)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    key = (path, os.path.getmtime(path))
-    ent = _RG_CACHE.get(key)
-    if ent is None:
-        _RG_CACHE.clear()
-        pf = pq.ParquetFile(path)
-        ent = {"pf": pf, "starts": _rg_starts(pf.metadata), "groups": {}}
-        _RG_CACHE[key] = ent
-    starts = ent["starts"]
-    g0, g1 = _covering_groups(starts, lo, hi)
-    parts = []
-    for g in range(g0, g1):
-        t = ent["groups"].get(g)
-        if t is None:
-            ent["groups"][g] = t = ent["pf"].read_row_group(
-                g, columns=["doc_id", "text"]
-            )
-        parts.append(t)
-    tbl = parts[0] if len(parts) == 1 else pa.concat_tables(parts)
-    return tbl.slice(lo - starts[g0], hi - lo)
-
-
-def corpus_from_documents(
-    sf_dir: str,
-    seed: int = 42,
-    columns: list[str] | None = None,
-    multiplier: int = 1,
-):
+def corpus_from_documents(sf_dir: str, seed: int = 42, multiplier: int = 1):
     """Synthesize the span corpus from the driver's documents table.
 
     Reads only ``doc_id`` and ``text`` (prune at the read); each row
@@ -104,10 +40,11 @@ def corpus_from_documents(
     steady-state throughput at a corpus size where executor ramp-up
     amortizes.
     """
-    import ray.data as rd
+    import ray
 
-    from ..io.synth import gen_document
     from ..core.schema import DOCUMENT_SCHEMA
+    from ..io.sources import read_parquet_clean
+    from ..io.synth import gen_document
 
     def synth_batch(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
@@ -124,19 +61,11 @@ def corpus_from_documents(
         )
 
     # The sandbox corpus is ONE parquet file; without an explicit block
-    # count the fused read+synth+extract chain can collapse into one
-    # serial task. A production corpus is thousands of Lance fragments
-    # and parallelizes at the read; override_num_blocks restores that
-    # shape here (split at the read — no repartition barrier).
-    import ray
-
-    # 8 blocks per CPU: per-doc cost is highly variable (1% of docs are
-    # "giant", ~6× the pages), so fine blocks keep the last wave free
-    # of stragglers — the single-node analog of the size-class
-    # repartitioning the north rule requires for skewed documents.
-    from ..io.sources import read_parquet_clean
-
-    n_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * _BLOCKS_PER_CPU)
+    # count the read+synth+parse chain can collapse into one serial
+    # task. A production corpus is thousands of Lance fragments and
+    # parallelizes at the read; two blocks per CPU (at least 8) restore
+    # that shape here (split at the read — no repartition barrier).
+    n_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "text"],
@@ -175,6 +104,21 @@ def extract_pipeline(
         )
     extractor = DocumentExtractor(config=config, quarantine=quarantine)
     return ds.map_batches(extractor, **kwargs)
+
+
+def flagship(sf_dir: str, seed: int = 42, concurrency=None, multiplier: int = 1):
+    """documents.parquet → synthesized span table → parse stage →
+    exploded output span table (doc_id, kind, text, media_ref, offset).
+
+    The ``extract`` CLI's plan (:func:`extract_pipeline`) over
+    :func:`corpus_from_documents` instead of ``read_corpus``.
+    ``concurrency`` is :func:`extract_pipeline`'s: ``None`` parses in
+    stateless tasks (the ``extract_spans`` query), a size or
+    ``(min, max)`` range in an actor pool (``extract_spans_staged``).
+    ``seed`` and ``multiplier`` are :func:`corpus_from_documents`'.
+    """
+    corpus = corpus_from_documents(sf_dir, seed, multiplier=multiplier)
+    return extract_pipeline(corpus, concurrency=concurrency)
 
 
 def _fixtures_dir() -> str:
@@ -260,8 +204,8 @@ _FIXTURE_COLS = 'doc_id, kind, text, media_ref, "offset"'
 ORACLE_SQL = (
     {
         "extract_spans": _guarded_fixture_sql(_FIXTURE_COLS),
-        # the staged (actor-pool) path is row-for-row equal to the fused
-        # flagship (pinned by TestEntry.test_fused_equals_two_stage)
+        # the actor-pool path is row-for-row equal to the task path
+        # (pinned by TestEntry.test_fused_equals_two_stage)
         "extract_spans_staged": _guarded_fixture_sql(_FIXTURE_COLS),
         "extract_kind_stats": (
             "SELECT kind, COUNT(*) AS n_spans FROM ("
@@ -551,52 +495,6 @@ def extract_span_length_stats(sf_dir: str, _spans=None):
                                     "median_len")})
 
 
-def extract_pipeline_skew_aware(
-    ds,
-    config: FormConfig | None = None,
-    heavy_span_threshold: int = 600,
-    light_batch_size: int = 32,
-    heavy_batch_size: int = 2,
-):
-    """Size-class-aware parse: split the corpus into light and heavy
-    documents on span count (vectorized ``list_value_length``) and run
-    each class through its own parse stage with a batch size matched to
-    its per-row cost, then union the outputs.
-
-    This is the single-node expression of the size-class repartition
-    the north rule requires for skewed corpora (giant PDFs,
-    media-heavy pages): heavy rows never share a batch with thousands
-    of light rows, so no task becomes a straggler and worker heap stays
-    bounded. At cluster scale the same split keys a
-    ``repartition`` so heavy docs spread across nodes.
-    """
-    import pyarrow.compute as pc
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "n_spans", pc.cast(pc.list_value_length(batch["spans"]), pa.int32())
-        )
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow", batch_size=4096)
-
-    def keep(heavy: bool):
-        def fn(batch: pa.Table) -> pa.Table:
-            mask = (
-                pc.greater(batch["n_spans"], heavy_span_threshold)
-                if heavy
-                else pc.less_equal(batch["n_spans"], heavy_span_threshold)
-            )
-            return batch.filter(mask).drop_columns(["n_spans"])
-
-        return fn
-
-    light = tagged.map_batches(keep(False), batch_format="pyarrow")
-    heavy = tagged.map_batches(keep(True), batch_format="pyarrow")
-    out_light = extract_pipeline(light, config, batch_size=light_batch_size)
-    out_heavy = extract_pipeline(heavy, config, batch_size=heavy_batch_size)
-    return out_light.union(out_heavy)
-
-
 def extract_pipeline_skew_aware_sharded(
     ds,
     config: FormConfig | None = None,
@@ -604,34 +502,30 @@ def extract_pipeline_skew_aware_sharded(
     light_batch_size: int = 32,
     pages_per_shard: int = 8,
 ):
-    """Skew-aware parse with page-sharding for the heavy class: light
-    documents run the plain per-document path; documents above the
-    span threshold (giant PDFs) are page-sharded so one 10k-page
-    document spreads across the cluster instead of pinning one core
+    """Size-class routing for skewed corpora: documents split on span
+    count (vectorized ``list_value_length``, no parse); light documents
+    run the plain per-document path, and documents above the threshold
+    (giant PDFs) are page-sharded so one 10k-page document spreads
+    across the cluster instead of pinning one core
     (:func:`extract_sharded`). Outputs are bit-identical to the
-    unsharded pipeline; only the physical execution differs."""
+    unsharded pipeline; only the physical execution differs. A null
+    span list counts as zero spans, so it fails in the light class as
+    it does unrouted."""
     import pyarrow.compute as pc
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "n_spans", pc.cast(pc.list_value_length(batch["spans"]), pa.int32())
-        )
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow", batch_size=4096)
-
-    def keep(heavy: bool):
-        def fn(batch: pa.Table) -> pa.Table:
-            mask = (
-                pc.greater(batch["n_spans"], heavy_span_threshold)
+    def size_class(heavy: bool):
+        def keep(batch: pa.Table) -> pa.Table:
+            n = pc.fill_null(pc.list_value_length(batch["spans"]), 0)
+            return batch.filter(
+                pc.greater(n, heavy_span_threshold)
                 if heavy
-                else pc.less_equal(batch["n_spans"], heavy_span_threshold)
+                else pc.less_equal(n, heavy_span_threshold)
             )
-            return batch.filter(mask).drop_columns(["n_spans"])
 
-        return fn
+        return keep
 
-    light = tagged.map_batches(keep(False), batch_format="pyarrow")
-    heavy = tagged.map_batches(keep(True), batch_format="pyarrow")
+    light = ds.map_batches(size_class(False), batch_format="pyarrow")
+    heavy = ds.map_batches(size_class(True), batch_format="pyarrow")
     out_light = extract_pipeline(light, config, batch_size=light_batch_size)
     out_heavy = extract_sharded(heavy, config, pages_per_shard=pages_per_shard)
     return out_light.union(out_heavy)
@@ -740,281 +634,3 @@ def extract_sharded(
         .groupby("bucket")
         .map_groups(reassemble_bucket, batch_format="pandas")
     )
-
-
-def is_giant_doc(doc_id: str, seed: int = 42) -> bool:
-    """Cheap per-document skew probe for the synthesized corpus:
-    replays only the first two RNG draws of the generator
-    (``io/synth.py:_gen_builders``) — no pages are built. This is the
-    sandbox stand-in for the metadata-only size probe a real corpus
-    gives for free (the Lance ``spans`` list-length column /
-    ``extract_pipeline_skew_aware_sharded``'s ``n_spans`` tag): the
-    routing decision must never cost a parse."""
-    import random
-
-    rng = random.Random(f"{seed}:{doc_id}")
-    rng.random()  # form_type draw
-    return rng.random() < 0.01
-
-
-# Relative parse cost of a giant document vs a light one in the
-# synthesized corpus: giants repeat the section list 6× (synth contract
-# FIXTURES.md F1 / io/synth.py:297). For a real Lance corpus this
-# constant is replaced by the spans list-length column statistics
-# (p99.9 / mean from fragment metadata — no data pages read).
-_GIANT_COST_RATIO = 6.0
-# Engage size-class routing when ONE giant document could claim more
-# than this fraction of a whole-block task's work — below that, giants
-# are a sub-percent perturbation per block and the routing's second
-# source scan + probe cost buys nothing.
-_TAIL_DOMINANCE_THRESHOLD = 0.25
-
-
-def _fragment_paths(sf_dir: str) -> "list[str]":
-    """The corpus's fragment files. ``documents.parquet`` is either a
-    single file (the sandbox testdata shape) or a DIRECTORY of
-    fragment files (the production shape — one Lance fragment / one
-    parquet part per task). Sorted for deterministic slice order."""
-    import glob
-
-    p = f"{sf_dir}/documents.parquet"
-    if _os.path.isdir(p):
-        frags = sorted(glob.glob(_os.path.join(p, "*.parquet")))
-        if not frags:
-            raise FileNotFoundError(f"no fragment files under {p}")
-        return frags
-    return [p]
-
-
-def _corpus_rows(sf_dir: str) -> int:
-    """Footer-only total row count across all fragments."""
-    import pyarrow.parquet as pq
-
-    return sum(
-        pq.ParquetFile(p).metadata.num_rows for p in _fragment_paths(sf_dir)
-    )
-
-
-def _fragment_slices(frag_paths: "list[str]", n_blocks: int):
-    """Per-task read assignments ``(path, lo, hi)`` over a fragmented
-    corpus. Each slice is confined to ONE fragment (a task never opens
-    a second file — the production one-fragment-per-task contract);
-    blocks are allocated to fragments proportionally to their footer
-    row counts and sliced with :func:`_slice_bounds` inside each.
-    Slices are ordered big-first across fragments so guided
-    self-scheduling keeps its small-tasks-last straggler bound."""
-    import pyarrow.parquet as pq
-
-    rows = [pq.ParquetFile(p).metadata.num_rows for p in frag_paths]
-    total = sum(rows)
-    items: list[tuple[str, int, int]] = []
-    for p, n_rows in zip(frag_paths, rows):
-        if n_rows == 0:
-            continue
-        blocks_f = max(1, round(n_blocks * n_rows / max(total, 1)))
-        bounds = _slice_bounds(n_rows, blocks_f)
-        items.extend(
-            (p, int(bounds[i]), int(bounds[i + 1]))
-            for i in range(len(bounds) - 1)
-            if bounds[i + 1] > bounds[i]
-        )
-    items.sort(key=lambda it: it[2] - it[1], reverse=True)
-    return items
-
-
-def _tail_dominates(sf_dir: str, multiplier: int, n_blocks: int) -> bool:
-    """Metadata-only skew probe for ``skew_aware='auto'``: footer row
-    count → docs per whole-block task → does a single giant document
-    exceed ``_TAIL_DOMINANCE_THRESHOLD`` of a task's expected cost?"""
-    n_docs = _corpus_rows(sf_dir) * multiplier
-    docs_per_block = max(n_docs / n_blocks, 1.0)
-    return _GIANT_COST_RATIO >= _TAIL_DOMINANCE_THRESHOLD * docs_per_block
-
-
-def _slice_bounds(n_rows: int, n_blocks: int):
-    """Row-range bounds for the read-fused plan's slices.
-
-    ``guided`` (default): guided self-scheduling — slice sizes decay
-    geometrically (each ≈ remaining/n_blocks, floored at 1/4 of an
-    equal slice), big slices first. Per-slice parse cost varies with
-    document content (±~20% observed at 32 CPUs), which no metadata
-    probe predicts; decaying sizes make the last wave out of SMALL
-    tasks so the straggler bound shrinks without a cost model
-    (interleaved A/B at sf0.1×16, 32 CPUs: best-of-3 8.23 s vs 8.41 s
-    equal, medians 8.42 vs 9.07; a second noisier session agreed).
-    ``GRAFT_SLICING=equal`` reverts to ``n_blocks`` equal-row slices
-    for A/B. Both strategies emit the same total row coverage in
-    order."""
-    import numpy as np
-
-    if _os.environ.get("GRAFT_SLICING", "guided") != "guided":
-        return np.linspace(0, n_rows, n_blocks + 1).astype(int)
-    # Floor: 1/4 of an equal slice, but never below 48 source rows —
-    # below that, per-task fixed cost (scheduling + Arrow plumbing)
-    # outweighs the packing win and tiny corpora regress ~15%.
-    floor = max(48, n_rows // (n_blocks * 4))
-    bounds = [0]
-    remaining = n_rows
-    while remaining > 0:
-        step = max(floor, remaining // n_blocks)
-        step = min(step, remaining)
-        bounds.append(bounds[-1] + step)
-        remaining -= step
-    return np.asarray(bounds, dtype=int)
-
-
-def flagship(
-    sf_dir: str,
-    seed: int = 42,
-    concurrency=None,
-    batch_size: int | None = None,
-    multiplier: int = 1,
-    fused: bool = True,
-    skew_aware: bool | str = "auto",
-    fuse_read: bool = True,
-):
-    """documents.parquet → synthesized span corpus → extraction →
-    exploded output span table (doc_id, kind, text, media_ref, offset).
-
-    ``fused=True`` runs synthesis and extraction in one UDF, skipping
-    the Arrow materialization of the intermediate spans column (worth
-    ~45% of extraction CPU). ``fused=False`` exercises the two-stage
-    path — the shape a real Lance-backed corpus uses, where the source
-    column arrives as Arrow and ``extract_pipeline`` owns the parse.
-
-    ``skew_aware`` — the north-star pipeline must survive a
-    heavy-tailed corpus, and the decision is itself a measurement:
-    ``"auto"`` (default) engages routing iff the metadata-only
-    :func:`_tail_dominates` probe says one giant document could
-    dominate a whole-block task (true for small corpora / huge tails,
-    false when blocks hold thousands of docs and the ~1% giant class
-    is noise a block absorbs). When engaged, giant documents
-    (identified per-doc by the cheap :func:`is_giant_doc` probe) run
-    their own fine-batched fused stage so the expensive tail spreads
-    across many small tasks instead of straggling the last wave; the
-    light class keeps the fused whole-block path. (Page-sharding via
-    :func:`extract_sharded` is reserved for corpora with truly giant
-    documents — see the routing comment below.) Output is
-    bit-identical either way (routing equality pinned by
-    ``test_skew_aware_flagship_equality`` and the frozen fixture).
-
-    ``batch_size=None`` (default) makes each batch one whole block:
-    the UDF is a per-row loop with no vectorization to exploit, and
-    slicing blocks into small batches measurably costs ~15% at 32
-    cores (batch plumbing per slice). The actor-pool path keeps an
-    explicit batch size — there it bounds per-actor heap and load
-    imbalance across the pool.
-    """
-    if not fused:
-        corpus = corpus_from_documents(sf_dir, seed, multiplier=multiplier)
-        return extract_pipeline(
-            corpus, concurrency=concurrency, batch_size=batch_size or 32
-        )
-
-    import ray
-    import ray.data as rd
-
-    from ..io.synth import DEFAULT_CONFIG, gen_document_pages
-    from ..kernels.document import classify_form_type, extract_document, flatten_to_spans
-
-    config = DEFAULT_CONFIG
-
-    def make_synth_extract(keep_giant: bool | None):
-        """Fused synth+extract over source rows. ``keep_giant`` routes:
-        None = all docs (unrouted), False = light class only, True =
-        giant class only."""
-
-        def synth_extract(batch: pa.Table) -> pa.Table:
-            doc_ids: list[str] = []
-            span_lists: list[list[dict]] = []
-            for i, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-                vocab = [w for w in (text or "").split() if w][:48] or None
-                for k in range(multiplier):
-                    did = f"doc-{int(i):08d}" if k == 0 else f"doc-{int(i):08d}-{k}"
-                    if keep_giant is not None and is_giant_doc(did, seed) != keep_giant:
-                        continue
-                    # pages generated directly (bit-identical to the
-                    # decode path — see io/synth.gen_document_pages), so
-                    # the fused path skips the media-ref encode→parse
-                    # round-trip; staged-path equality is pinned by
-                    # TestEntry.test_fused_equals_two_stage.
-                    pages = gen_document_pages(did, seed, vocab=vocab)
-                    sections = config.select(classify_form_type(pages))
-                    doc_ids.append(did)
-                    span_lists.append(flatten_to_spans(extract_document(pages, sections)))
-            return explode_spans(doc_ids, span_lists)
-
-        return synth_extract
-
-    from ..io.sources import read_parquet_clean
-
-    n_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * _BLOCKS_PER_CPU)
-    ds = read_parquet_clean(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text"],
-        override_num_blocks=n_blocks,
-    )
-    if skew_aware == "auto":
-        skew_aware = _tail_dominates(sf_dir, multiplier, n_blocks)
-    if not skew_aware:
-        if fuse_read:
-            # Single-operator plan: each task reads+slices its own row
-            # range INSIDE the UDF (per-worker decode cache), so there
-            # is no single reader task streaming blocks to a separate
-            # map stage — no read→map object-store hop and no ramp
-            # starvation while one task splits the file. This mirrors
-            # the production shape (each task reads its own Lance
-            # fragment); measured against the two-operator plan in
-            # BASELINE.md. Multi-file corpora (documents.parquet as a
-            # DIRECTORY of fragments) slice one-fragment-per-task via
-            # _fragment_slices — a task never opens a second file.
-            items = _fragment_slices(_fragment_paths(sf_dir), n_blocks)
-            synth = make_synth_extract(None)
-
-            def read_slice_extract(batch: pa.Table) -> pa.Table:
-                out = []
-                for p, lo, hi in zip(
-                    batch["path"].to_pylist(),
-                    batch["lo"].to_pylist(),
-                    batch["hi"].to_pylist(),
-                ):
-                    out.append(synth(_documents_slice(p, int(lo), int(hi))))
-                return pa.concat_tables(out)
-
-            slices = rd.from_items(
-                [{"path": p, "lo": lo, "hi": hi} for p, lo, hi in items],
-                override_num_blocks=len(items),
-            )
-            return slices.map_batches(
-                read_slice_extract, batch_format="pyarrow", batch_size=1
-            )
-        return ds.map_batches(
-            make_synth_extract(None), batch_format="pyarrow", batch_size=batch_size
-        )
-
-    # Size-class routing (the single-node expression of the size-class
-    # repartition the north rule requires). The ~99% light class keeps
-    # the whole-block fused path; the giant class (~1%, ~6× pages
-    # each) runs its OWN fused stage with small source batches so the
-    # expensive docs spread across many fine tasks instead of
-    # straggling the last wave of a whole-block task. Re-scanning the
-    # pruned source for the second branch is deliberate: the
-    # read+probe is metadata-cheap next to a parse, and it keeps both
-    # branches un-branched Dataset plans (no mid-pipeline
-    # materialization).
-    #
-    # Page-SHARDING (``extract_sharded``) is deliberately NOT engaged
-    # here: it pays pickle+shuffle per shard, which only amortizes for
-    # truly giant documents (hundreds of pages — where one document
-    # exceeds a task's fair share of the corpus). This corpus's giant
-    # class tops out around ~18 pages, so the fine-batch stage wins;
-    # route such corpora through
-    # :func:`extract_pipeline_skew_aware_sharded` (equality and
-    # 1000-page behavior pinned by ``TestShardedExtract``).
-    light_out = ds.map_batches(
-        make_synth_extract(False), batch_format="pyarrow", batch_size=batch_size
-    )
-    heavy_out = ds.map_batches(
-        make_synth_extract(True), batch_format="pyarrow", batch_size=16
-    )
-    return light_out.union(heavy_out)

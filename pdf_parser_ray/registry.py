@@ -75,16 +75,12 @@ def all_queries() -> dict[str, Callable[[str], Any]]:
 
     out: dict[str, Callable[[str], Any]] = dict(REL)
     out["extract_spans"] = lambda sf_dir: flagship(sf_dir)
-    # The staged (non-fused) path: synthesized corpus Dataset →
-    # DocumentExtractor actor pool. Exercises the actor-pool parse
-    # stage the production Lance-backed corpus would use; row-for-row
-    # equal to the fused flagship (pinned by
-    # TestEntry.test_fused_equals_two_stage). The pool autoscales from
-    # 1 — a fixed pool equal to the session's CPU count starves the
+    # The same plan with the parse stage in a DocumentExtractor actor
+    # pool instead of tasks; row-for-row equal to extract_spans (pinned
+    # by TestEntry.test_fused_equals_two_stage). The pool autoscales
+    # from 1 — a fixed pool equal to the session's CPU count starves the
     # upstream read task and backpressure-deadlocks small sessions.
-    out["extract_spans_staged"] = lambda sf_dir: flagship(
-        sf_dir, fused=False, concurrency=(1, 8)
-    )
+    out["extract_spans_staged"] = lambda sf_dir: flagship(sf_dir, concurrency=(1, 8))
     out["extract_kind_stats"] = extract_kind_stats
     out["extract_kind_transitions"] = extract_kind_transitions
     out["extract_span_length_stats"] = extract_span_length_stats

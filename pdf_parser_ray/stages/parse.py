@@ -3,7 +3,7 @@
 
 ``DocumentExtractor`` is a callable CLASS: constructed once per actor
 (the sections config — the broadcast small side of every matching step,
-J3 — is validated and bound in ``__init__``, exactly as the reference
+J3 — is bound in ``__init__``, exactly as the reference
 loads ``sections.json`` + templates once per ``CheckboxExtractor``
 instance, reference ``extractor.py:88-106`` / ``948-951``), then invoked
 per Arrow batch. Each row's page fold runs independently — Ray
@@ -28,9 +28,9 @@ Input is read column-wise: the batch's ``spans`` list array is sliced
 once into its ``kind``, ``text`` and ``media_ref`` columns, and each
 document gets its runs of those columns as a
 :class:`~pdf_parser_ray.kernels.document.SpanColumns`, with no per-span
-dict. ``decode_spans`` stays the per-document entry point (called once
-per document, returning its pages); it accepts the columns and the
-span dicts alike.
+dict. :func:`extract_spans` is the one per-document entry point
+(decode → classify → fold → flatten); ``decode_spans`` accepts the
+columns and the span dicts alike.
 """
 
 from __future__ import annotations
@@ -79,6 +79,17 @@ def span_columns(spans: pa.ChunkedArray | pa.Array) -> list[SpanColumns | list |
     return docs
 
 
+def extract_spans(
+    doc_id: str, spans: SpanColumns | list[dict], config: FormConfig
+) -> list[dict]:
+    """One document end to end: decode → classify (selects the config
+    variant, reference ``extractor.py:1202-1238``) → page fold →
+    flatten. Returns the document's ordered output spans."""
+    pages = decode_spans(doc_id, spans)
+    sections = config.select(classify_form_type(pages))
+    return flatten_to_spans(extract_document(pages, sections))
+
+
 class DocumentExtractor:
     """Actor-pool parse stage (stateful stage ST1-ST3 analog).
 
@@ -92,7 +103,7 @@ class DocumentExtractor:
 
     def __init__(
         self,
-        config: FormConfig | dict | list | None = None,
+        config: FormConfig | None = None,
         explode: bool = True,
         quarantine: bool = False,
     ):
@@ -100,23 +111,13 @@ class DocumentExtractor:
             from ..io.synth import DEFAULT_CONFIG
 
             config = DEFAULT_CONFIG
-        if isinstance(config, list):
-            config = FormConfig.from_sections(config)
-        elif isinstance(config, dict):
-            config = FormConfig.from_sections(
-                config["sections"], config.get("variants")
-            )
         self.config = config
         self.explode = explode
         self.quarantine = quarantine
 
     def _extract_one(self, doc_id: str, spans: SpanColumns | list[dict]) -> list[dict]:
         try:
-            pages = decode_spans(doc_id, spans)
-            form_type = classify_form_type(pages)
-            sections = self.config.select(form_type)
-            structured = extract_document(pages, sections)
-            return flatten_to_spans(structured)
+            return extract_spans(doc_id, spans, self.config)
         except Exception as e:  # noqa: BLE001 — quarantine IS the contract
             if not self.quarantine:
                 raise

@@ -12,9 +12,9 @@ from pdf_parser_ray.kernels.document import (
     classify_form_type,
     decode_spans,
     extract_document,
-    extract_spans,
     flatten_to_spans,
 )
+from pdf_parser_ray.stages.parse import extract_spans
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "golden_spans.json")
 
@@ -121,14 +121,3 @@ class TestGiantDoc:
         out = extract_spans("doc-00000041", spans, DEFAULT_CONFIG)
         assert 20 <= len(out) <= 60
         assert [s["offset"] for s in out] == list(range(len(out)))
-
-
-class TestPagesDirect:
-    def test_gen_pages_equals_decode_path(self):
-        """gen_document_pages must be bit-identical to decoding the
-        emitted span sequence — the fused flagship relies on it."""
-        from pdf_parser_ray.io.synth import gen_document_pages
-
-        for i in list(range(20)) + [41, 120, 169, 176]:
-            d = f"doc-{i:08d}"
-            assert decode_spans(d, gen_document(d, 42)) == gen_document_pages(d, 42), d

@@ -143,7 +143,7 @@ class TestDocumentInvariants:
         present) are highlight ids, and every output kind is legal."""
         from pdf_parser_ray.core.schema import OUTPUT_KINDS, media_id
         from pdf_parser_ray.io.synth import DEFAULT_CONFIG, gen_document
-        from pdf_parser_ray.kernels.document import extract_spans
+        from pdf_parser_ray.stages.parse import extract_spans
 
         doc_id = f"doc-{seed_i:08d}"
         spans = gen_document(doc_id, 42)

@@ -25,8 +25,7 @@ class TestParseStage:
         import ray.data as rd
 
         from pdf_parser_ray.io.synth import DEFAULT_CONFIG, build_corpus_table, gen_document
-        from pdf_parser_ray.kernels.document import extract_spans
-        from pdf_parser_ray.stages.parse import DocumentExtractor
+        from pdf_parser_ray.stages.parse import DocumentExtractor, extract_spans
 
         ids = [f"doc-{i:08d}" for i in range(6)]
         tbl = build_corpus_table(ids, 42)
@@ -60,73 +59,29 @@ class TestEntry:
         assert list(df.columns) == ["doc_id", "kind", "text", "media_ref", "offset"]
 
     def test_fused_equals_two_stage(self):
+        """The two registered extract queries — the parse stage in
+        tasks (extract_spans) and in an actor pool
+        (extract_spans_staged) — are row-for-row equal."""
         from pdf_parser_ray.pipelines.extract import flagship
 
-        fused = flagship(SF).to_pandas().sort_values(["doc_id", "offset"]).reset_index(drop=True)
-        staged = (
-            flagship(SF, fused=False)
+        tasks = flagship(SF).to_pandas().sort_values(["doc_id", "offset"]).reset_index(drop=True)
+        pool = (
+            flagship(SF, concurrency=(1, 8))
             .to_pandas()
             .sort_values(["doc_id", "offset"])
             .reset_index(drop=True)
         )
-        assert fused.equals(staged)
+        assert len(tasks) > 0
+        assert tasks.equals(pool)
 
 
 class TestRowGroupSlices:
-    """The read-fused flagship must decode only the row groups covering
-    each task's [lo, hi) slice — never the whole file per worker
-    (VERDICT r3 item 1 / ADVICE r3)."""
-
-    def test_covering_groups(self):
-        from pdf_parser_ray.pipelines.extract import _covering_groups
-
-        starts = [0, 10, 20, 30, 40]  # 4 groups of 10
-        assert _covering_groups(starts, 0, 10) == (0, 1)
-        assert _covering_groups(starts, 10, 20) == (1, 2)
-        assert _covering_groups(starts, 5, 15) == (0, 2)
-        assert _covering_groups(starts, 9, 31) == (0, 4)
-        assert _covering_groups(starts, 39, 40) == (3, 4)
-        assert _covering_groups(starts, 20, 21) == (2, 3)
-
-    def _write_multi_rg(self, tmp_path, n=200, row_group_size=32):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        tbl = pa.table(
-            {
-                "doc_id": pa.array(list(range(n)), pa.int64()),
-                "text": pa.array([f"word{i} text body {i}" for i in range(n)]),
-                "extra": pa.array([i * 2 for i in range(n)], pa.int64()),
-            }
-        )
-        path = str(tmp_path / "documents.parquet")
-        pq.write_table(tbl, path, row_group_size=row_group_size)
-        assert pq.ParquetFile(path).metadata.num_row_groups == (n + row_group_size - 1) // row_group_size
-        return path, tbl
-
-    def test_slice_decodes_only_covering_groups(self, tmp_path):
-        import pyarrow.parquet as pq
-
-        from pdf_parser_ray.pipelines import extract as ex
-
-        path, tbl = self._write_multi_rg(tmp_path)
-        ex._RG_CACHE.clear()
-        got = ex._documents_slice(path, 40, 70)  # groups 1 and 2 of 32-row groups
-        assert got == tbl.select(["doc_id", "text"]).slice(40, 30)
-        ent = ex._RG_CACHE[(path, __import__("os").path.getmtime(path))]
-        assert sorted(ent["groups"]) == [1, 2]  # nothing outside the slice decoded
-        # second slice in the same groups: served from cache, no growth
-        got2 = ex._documents_slice(path, 64, 65)
-        assert sorted(ent["groups"]) == [1, 2]
-        assert got2 == tbl.select(["doc_id", "text"]).slice(64, 1)
-        # a later slice only adds its own groups
-        ex._documents_slice(path, 190, 200)
-        assert sorted(ent["groups"]) == [1, 2, 5, 6]
-        ex._RG_CACHE.clear()
+    """The flagship over a corpus file split into many row groups
+    equals the single-row-group original."""
 
     def test_flagship_multi_row_group_equality(self, tmp_path):
-        """Fused-read flagship over a multi-row-group rewrite of the
-        corpus equals the single-row-group original, row for row."""
+        """Flagship over a multi-row-group rewrite of the corpus equals
+        the single-row-group original, row for row."""
         import pyarrow.parquet as pq
 
         from pdf_parser_ray.pipelines.extract import flagship
@@ -136,13 +91,13 @@ class TestRowGroupSlices:
         assert pq.ParquetFile(str(tmp_path / "documents.parquet")).metadata.num_row_groups > 4
 
         base = (
-            flagship(SF, skew_aware=False)
+            flagship(SF)
             .to_pandas()
             .sort_values(["doc_id", "offset"])
             .reset_index(drop=True)
         )
         multi = (
-            flagship(str(tmp_path), skew_aware=False)
+            flagship(str(tmp_path))
             .to_pandas()
             .sort_values(["doc_id", "offset"])
             .reset_index(drop=True)
@@ -151,9 +106,8 @@ class TestRowGroupSlices:
 
 
 class TestFragmentedCorpus:
-    """Round-5 (VERDICT r4 item 6): the production one-fragment-per-
-    task read shape exercised in a test — documents.parquet as a
-    DIRECTORY of ≥8 fragment files, fused read routed over it."""
+    """The production fragmented read shape — documents.parquet as a
+    DIRECTORY of ≥8 fragment files — gives the single file's output."""
 
     @pytest.fixture(scope="class")
     def frag_dir(self, tmp_path_factory):
@@ -169,64 +123,18 @@ class TestFragmentedCorpus:
             pq.write_table(src.slice(lo, hi - lo), str(d / f"frag-{i:03d}.parquet"))
         return str(root)
 
-    def test_slice_plan_confines_tasks_to_one_fragment(self, frag_dir):
-        import pyarrow.parquet as pq
-
-        from pdf_parser_ray.pipelines.extract import (
-            _fragment_paths,
-            _fragment_slices,
-        )
-
-        paths = _fragment_paths(frag_dir)
-        assert len(paths) == 8
-        items = _fragment_slices(paths, 16)
-        assert len(items) >= 8
-        # every slice names exactly one fragment, and per fragment the
-        # slices tile [0, rows) without overlap or gap
-        by_path: dict = {}
-        for p, lo, hi in items:
-            by_path.setdefault(p, []).append((lo, hi))
-        assert set(by_path) == set(paths)
-        for p, ranges in by_path.items():
-            ranges.sort()
-            assert ranges[0][0] == 0
-            assert ranges[-1][1] == pq.ParquetFile(p).metadata.num_rows
-            for (a, b), (c, _) in zip(ranges, ranges[1:]):
-                assert b == c
-
-    def test_worker_decode_cache_per_fragment(self, frag_dir):
-        """The worker-side decode discipline over fragments: a second
-        slice of the same fragment reuses the decoded row groups (no
-        re-decode); switching fragments bounds worker memory to ONE
-        fragment's groups (the cache evicts the previous file)."""
-        from pdf_parser_ray.pipelines import extract as ex
-
-        paths = ex._fragment_paths(frag_dir)
-        ex._RG_CACHE.clear()
-        ex._documents_slice(paths[0], 0, 10)
-        (key0,) = ex._RG_CACHE
-        ent = ex._RG_CACHE[key0]
-        decoded = {g: t for g, t in ent["groups"].items()}
-        ex._documents_slice(paths[0], 10, 20)
-        for g, t in decoded.items():
-            assert ent["groups"][g] is t  # same Arrow table object — no re-decode
-        ex._documents_slice(paths[1], 0, 5)
-        (key1,) = ex._RG_CACHE  # exactly one file cached at a time
-        assert key1[0] == paths[1]
-        ex._RG_CACHE.clear()
-
     def test_fused_flagship_over_fragments_equals_single_file(
         self, frag_dir, ray_session
     ):
         from pdf_parser_ray.pipelines.extract import flagship
 
         single = (
-            flagship(SF, skew_aware=False)
+            flagship(SF)
             .to_pandas()
             .sort_values(["doc_id", "offset"])
             .reset_index(drop=True)
         )
-        frag_ds = flagship(frag_dir, skew_aware=False)
+        frag_ds = flagship(frag_dir)
         frag = (
             frag_ds.to_pandas()
             .sort_values(["doc_id", "offset"])
@@ -950,17 +858,24 @@ class TestMediaStub:
 
 class TestSkewAware:
     def test_skew_aware_equals_plain(self, tmp_path):
+        """Size-class routing on span count (the heavy class
+        page-sharded) equals the plain parse of the same read_corpus
+        input, with documents on both sides of the threshold."""
+        import pyarrow.compute as pc
         import ray.data as rd
 
         from pdf_parser_ray.io.sources import read_corpus, write_corpus
         from pdf_parser_ray.io.synth import build_corpus_table
         from pdf_parser_ray.pipelines.extract import (
             extract_pipeline,
-            extract_pipeline_skew_aware,
+            extract_pipeline_skew_aware_sharded,
         )
 
         ids = [f"doc-{i:08d}" for i in range(30)]
         tbl = build_corpus_table(ids, 42)
+        threshold = 108  # these 30 documents carry 95-118 spans
+        n_heavy = pc.sum(pc.greater(pc.list_value_length(tbl["spans"]), threshold)).as_py()
+        assert 0 < n_heavy < len(ids)  # each branch takes at least one document
         corpus_dir = str(tmp_path / "corpus")
         write_corpus(rd.from_arrow(tbl), corpus_dir)
 
@@ -971,13 +886,34 @@ class TestSkewAware:
             .reset_index(drop=True)
         )
         skew = (
-            extract_pipeline_skew_aware(read_corpus(corpus_dir), heavy_span_threshold=120)
+            extract_pipeline_skew_aware_sharded(
+                read_corpus(corpus_dir), heavy_span_threshold=threshold
+            )
             .to_pandas()
             .sort_values(["doc_id", "offset"])
             .reset_index(drop=True)
         )
         assert plain.equals(skew)
         assert len(plain) > 0
+
+
+    def test_null_span_list_fails_as_unrouted(self):
+        """A document whose span list is null is routed to the light
+        class, where the parse fails loudly as it does unrouted; it is
+        not dropped by both size filters."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        from pdf_parser_ray.core.schema import DOCUMENT_SCHEMA
+        from pdf_parser_ray.io.synth import gen_document
+        from pdf_parser_ray.pipelines.extract import extract_pipeline_skew_aware_sharded
+
+        tbl = pa.Table.from_pydict(
+            {"doc_id": ["doc-a", "doc-b"], "spans": [gen_document("doc-a", 42), None]},
+            schema=DOCUMENT_SCHEMA,
+        )
+        with pytest.raises(Exception, match="NoneType"):
+            extract_pipeline_skew_aware_sharded(rd.from_arrow(tbl)).materialize()
 
 
 class TestMediaPipelines:

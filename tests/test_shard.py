@@ -3,7 +3,7 @@ artifact+replay path with the sequential fold (SURVEY.md §4.3; the
 lead(1) carry spec is reference extractor.py:331-375)."""
 
 from pdf_parser_ray.io.synth import DEFAULT_CONFIG, gen_document
-from pdf_parser_ray.kernels.document import extract_spans
+from pdf_parser_ray.stages.parse import extract_spans
 from pdf_parser_ray.kernels.shard import (
     compute_shard_artifacts,
     make_shards,

@@ -1,8 +1,8 @@
 """No-Ray multiprocessing twin of the flagship extraction kernel.
 
 Measures this box's hardware scaling envelope (VERDICT r4 item 3): the
-IDENTICAL per-document synth+extract kernel the Ray flagship runs,
-driven by plain ``multiprocessing.Pool`` — no Ray, no Arrow block
+IDENTICAL per-document kernels the Ray flagship runs (``gen_document``,
+then ``stages.parse.extract_spans``), driven by plain ``multiprocessing.Pool`` — no Ray, no Arrow block
 output, no shuffle, no object store. If this harness's 8→32
 efficiency sits near Ray's, the high-core ceiling is the machine's
 one shared memory controller (the DRAM knee), not executor overhead.
@@ -36,24 +36,21 @@ def work_slice(args: "tuple[int, int]") -> int:
     """Rows [lo, hi) of documents.parquet → synth+extract, returning
     only the output span count (no Arrow assembly — the kernel alone)."""
     lo, hi = args
-    from pdf_parser_ray.io.synth import DEFAULT_CONFIG, gen_document_pages
-    from pdf_parser_ray.kernels.document import (
-        classify_form_type,
-        extract_document,
-        flatten_to_spans,
-    )
-    from pdf_parser_ray.pipelines.extract import _documents_slice
+    import pyarrow.parquet as pq
 
-    tbl = _documents_slice(f"{SF_DIR}/documents.parquet", lo, hi)
+    from pdf_parser_ray.io.synth import DEFAULT_CONFIG, gen_document
+    from pdf_parser_ray.stages.parse import extract_spans
+
+    tbl = pq.read_table(
+        f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"]
+    ).slice(lo, hi - lo)
     n_spans = 0
-    config = DEFAULT_CONFIG
     for i, text in zip(tbl["doc_id"].to_pylist(), tbl["text"].to_pylist()):
         vocab = [w for w in (text or "").split() if w][:48] or None
         for k in range(MULT):
             did = f"doc-{int(i):08d}" if k == 0 else f"doc-{int(i):08d}-{k}"
-            pages = gen_document_pages(did, SEED, vocab=vocab)
-            sections = config.select(classify_form_type(pages))
-            n_spans += len(flatten_to_spans(extract_document(pages, sections)))
+            spans = gen_document(did, SEED, vocab=vocab)
+            n_spans += len(extract_spans(did, spans, DEFAULT_CONFIG))
     return n_spans
 
 
