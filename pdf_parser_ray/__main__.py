@@ -9,9 +9,13 @@ Commands::
     python -m pdf_parser_ray metrics --output OUT
     python -m pdf_parser_ray synth --sf-dir DIR --output OUT [--n 1000]
 
-``extract`` always resumes: run again on the same ``--output`` (with
-the same ``--partitions``), it parses only the documents of partitions
-that have no manifest yet.
+``extract`` writes ``--partitions`` partitions, partition ``p`` holding
+the output of the ``p``-th contiguous slice of the input rows
+(``io/checkpoint.py`` ``slice_write``). It parses in one task per CPU,
+never more than the partitions it has to write, and commits each
+partition as soon as its slice is parsed. It always resumes: run again
+on the same ``--output`` with the same ``--partitions`` and input, it
+parses only the slices of partitions that have no manifest yet.
 
 Owns its Ray session (guarded init + shutdown); the library never does.
 """
@@ -45,18 +49,15 @@ def _init_ray(num_cpus: int | None):
 def cmd_extract(args) -> int:
     _init_ray(args.num_cpus)
     from .core.config import FormConfig
-    from .io.checkpoint import resumable_write
-    from .io.sources import read_corpus
-    from .pipelines.extract import extract_pipeline
+    from .io.checkpoint import slice_write
+    from .stages.parse import DocumentExtractor
 
-    config = None
-    if args.config:
-        config = FormConfig.from_json(args.config)
-    summary = resumable_write(
-        read_corpus(args.input),
+    config = FormConfig.from_json(args.config) if args.config else None
+    summary = slice_write(
+        args.input,
         args.output,
+        DocumentExtractor(config=config, quarantine=args.quarantine),
         n_partitions=args.partitions,
-        transform=lambda ds: extract_pipeline(ds, config=config, quarantine=args.quarantine),
     )
     print(json.dumps(summary))
     return 0

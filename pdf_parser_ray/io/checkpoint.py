@@ -10,16 +10,38 @@ Layout::
       part=00001/ ...
       _manifest.json            # run-level summary (after completion)
 
-A partition is **done** iff its ``manifest.json`` exists — the write
-is atomic (tmp dir + rename), so a kill mid-partition leaves no
-manifest and the partition reruns. Partition ids derive from the
-*input* rows (md5 of the key column mod N), so a restarted run maps
-every row to the same partition and the completed set is a pure
-anti-join. ``resumable_write`` runs that anti-join once, on its input
-rows, before its ``transform`` (the parse, for the ``extract`` CLI):
-a resumed run does no work at all for a completed partition. The
-contract this needs: ``transform`` keeps each row's key, so its output
-rows route to the partition their input row did.
+A partition is **done** iff its ``manifest.json`` exists. Every commit
+goes through one Arrow helper: sort by ``(key, offset)``, write
+``data.parquet`` and ``manifest.json`` into a ``.tmp-part=*`` dir, then
+rename it into place. A kill mid-partition leaves no manifest, so the
+partition reruns; the next run removes the temp dirs it left. A
+partition that receives no rows is committed as an empty, schema'd
+``data.parquet`` with ``n_rows: 0``, so a small input completes.
+
+Two routers decide which rows a partition holds. Both derive the
+partition from the *input*, so a restarted run maps every row to the
+same partition and the completed set is a pure anti-join, run before
+any work.
+
+* :func:`slice_write` (the ``extract`` CLI) routes by **input slice**.
+  Partition ``p`` is the global input rows ``[p·N//P, (p+1)·N//P)``
+  over a Parquet corpus's fragments in sorted name order, located from
+  the footers alone (:class:`InputSlices`). Completed slices are
+  dropped before anything is read. Each task reads the row groups
+  covering its run of slices once, then parses, sorts and commits
+  one slice at a time: there is no shuffle, and a partition commits as
+  soon as its slice is parsed. Every manifest records the input layout
+  (fragment names and row counts); resuming against another layout
+  raises, as the slices would cover other rows. Use it when the input
+  is a Parquet corpus and the output only needs to be complete and
+  resumable.
+* :func:`resumable_write` (any Dataset) routes each output row by
+  ``md5(key) % N``, or by an int ``partition_col`` the caller computed
+  (range routing, which a layout-clustering rewrite needs: contiguous
+  key ranges stay in one file, so its zone maps stay tight). It runs a
+  ``groupby`` exchange, so it commits only after the whole input is
+  produced. Use it when a partition must hold given keys (``zorder``)
+  or the input is not a file corpus.
 
 Per-partition ``manifest.json`` carries the lineage/metrics record:
 the partition count it was routed with, row/doc counts, the
@@ -30,19 +52,24 @@ replacement for the reference's ``[WARN]/[MISS]`` stdout diagnostics
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import json
 import os
 import shutil
 import time
+import traceback
 from typing import Callable
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..core.util import hash_bucket
+
+_TMP = ".tmp-part="  # prefix of a partition's dir before its rename
+_PARSE_BATCH = 32  # documents per transform call in slice_write
 
 
 def _partition_of(keys: pa.Array | pa.ChunkedArray, n_partitions: int) -> pa.Array:
@@ -54,6 +81,10 @@ def _partition_of(keys: pa.Array | pa.ChunkedArray, n_partitions: int) -> pa.Arr
     enc = pc.dictionary_encode(keys, null_encoding="encode")
     ids = [hash_bucket(k, n_partitions) for k in enc.dictionary.to_pylist()]
     return pa.array(ids, pa.int32()).take(enc.indices)
+
+
+def _part_dir(out_dir: str, pid: int) -> str:
+    return os.path.join(out_dir, f"part={pid:05d}")
 
 
 def done_partitions(out_dir: str) -> set[int]:
@@ -68,13 +99,15 @@ def done_partitions(out_dir: str) -> set[int]:
     return done
 
 
-def _check_partition_count(out_dir: str, n_partitions: int) -> None:
+def _check_manifests(out_dir: str, n_partitions: int, layout: list | None = None) -> None:
     """Raise ``ValueError`` when ``out_dir`` was written with another
-    partition count. Resuming it with the wrong count is silently
-    wrong: the new routing sends documents to partitions that already
-    hold other documents, and keeps those of the old partitions. A
-    partition manifest from before the count was recorded is accepted
-    when its partition id fits ``n_partitions``."""
+    partition count or from another input layout. Resuming it either
+    way is silently wrong: the new routing sends rows to partitions
+    that already hold other rows, and keeps those of the old
+    partitions. ``layout`` is :attr:`InputSlices.layout` for the slice
+    router and ``None`` for the key router. A partition manifest from
+    before the count was recorded is accepted when its partition id
+    fits ``n_partitions``."""
     for name in sorted(os.listdir(out_dir)):
         if name == "_manifest.json":
             mpath = os.path.join(out_dir, name)
@@ -82,10 +115,11 @@ def _check_partition_count(out_dir: str, n_partitions: int) -> None:
             mpath = os.path.join(out_dir, name, "manifest.json")
         else:
             continue
-        recorded = None
+        manifest = {}
         if os.path.exists(mpath):
             with open(mpath) as f:
-                recorded = json.load(f).get("n_partitions")
+                manifest = json.load(f)
+        recorded = manifest.get("n_partitions")
         too_high = name.startswith("part=") and int(name.split("=", 1)[1]) >= n_partitions
         if too_high or recorded not in (None, n_partitions):
             raise ValueError(
@@ -94,31 +128,245 @@ def _check_partition_count(out_dir: str, n_partitions: int) -> None:
                 "requested; resume with the count it was written with, or "
                 "write to a new directory"
             )
+        if manifest and manifest.get("input_layout") != layout:
+            raise ValueError(
+                f"{os.path.join(out_dir, name)} was written from another input "
+                "layout (fragment names and row counts), so its partition holds "
+                "other rows; write to a new directory"
+            )
 
 
-def _write_run_manifest(out_dir: str, n_partitions: int, partitions) -> None:
-    with open(os.path.join(out_dir, "_manifest.json"), "w") as f:
-        json.dump(
-            {
-                "n_partitions": n_partitions,
-                "partitions": sorted(partitions),
-                "completed_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            },
-            f,
-        )
+def _remove_stale_tmp(out_dir: str) -> None:
+    """Delete the temp dirs a killed run left before its rename."""
+    for name in os.listdir(out_dir):
+        if name.startswith(_TMP):
+            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
 
 
-def _input_fingerprint(keys) -> str:
+def _finish(out_dir: str, n_partitions: int, extra: dict) -> None:
+    """Write the run manifest once every partition is committed, unless
+    it is there already."""
+    done = done_partitions(out_dir)
+    path = os.path.join(out_dir, "_manifest.json")
+    if len(done) == n_partitions and not os.path.exists(path):
+        with open(path, "w") as f:
+            json.dump(
+                {
+                    "n_partitions": n_partitions,
+                    "partitions": sorted(done),
+                    "completed_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                    **extra,
+                },
+                f,
+            )
+
+
+def _input_fingerprint(keys: pa.Array | pa.ChunkedArray) -> str:
     """Fingerprint of a partition's routed input: sorted distinct keys
     WITH their multiplicities. Covers key-set and row-count changes;
     a change that preserves both (same keys, same counts, different
     row content) is NOT detected — stated in ``resumable_write``."""
-    from collections import Counter
+    counts = pc.value_counts(keys)
+    pairs = sorted(
+        zip(map(str, counts.field("values").to_pylist()), counts.field("counts").to_pylist())
+    )
+    return hashlib.md5(",".join(f"{k}:{n}" for k, n in pairs).encode()).hexdigest()
 
-    counts = Counter(map(str, keys))
-    return hashlib.md5(
-        ",".join(f"{k}:{counts[k]}" for k in sorted(counts)).encode()
-    ).hexdigest()
+
+def _commit(
+    out_dir: str,
+    pid: int,
+    table: pa.Table,
+    key: str,
+    n_partitions: int,
+    extra: dict,
+    started: float | None = None,
+) -> int:
+    """Commit ``table`` as partition ``pid``: rows sorted by ``key``
+    (then ``offset`` when present), ``data.parquet`` and
+    ``manifest.json`` written to a temp dir that is renamed into place.
+    ``extra`` joins the manifest; ``started`` (a ``time.time()``) starts
+    its ``wall_sec``. Returns the row count."""
+    t0 = time.time() if started is None else started
+    order = [(c, "ascending") for c in (key, "offset") if c in table.column_names]
+    table = table.sort_by(order)
+    tmp = os.path.join(out_dir, f"{_TMP}{pid:05d}-{os.getpid()}")
+    final = _part_dir(out_dir, pid)
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    pq.write_table(table, os.path.join(tmp, "data.parquet"))
+    manifest = {
+        "partition": pid,
+        "n_partitions": n_partitions,
+        "n_rows": table.num_rows,
+        "n_keys": pc.count_distinct(table[key]).as_py(),
+        "input_fingerprint": _input_fingerprint(table[key]),
+        "wall_sec": round(time.time() - t0, 4),
+        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **extra,
+    }
+    with open(os.path.join(tmp, "manifest.json"), "w") as f:
+        json.dump(manifest, f)
+    shutil.rmtree(final, ignore_errors=True)
+    os.rename(tmp, final)
+    return table.num_rows
+
+
+# ---- the slice router (the extract CLI) ----------------------------------
+
+
+def slice_bounds(n_rows: int, n_partitions: int) -> list[tuple[int, int]]:
+    """Partition ``p``'s global input rows ``[lo, hi)``:
+    ``[p·n_rows//n_partitions, (p+1)·n_rows//n_partitions)``."""
+    return [
+        (p * n_rows // n_partitions, (p + 1) * n_rows // n_partitions)
+        for p in range(n_partitions)
+    ]
+
+
+class InputSlices:
+    """The input slices of a Parquet corpus (a file, or a directory of
+    fragments read in sorted name order), from footer metadata only.
+
+    ``layout`` is ``[[fragment name, rows], ...]``: what the slices were
+    cut from, recorded in every manifest. ``bounds[p]`` is partition
+    ``p``'s global row range, and :meth:`covering` the row groups that
+    hold it."""
+
+    def __init__(self, path: str, n_partitions: int):
+        from .sources import parquet_fragments
+
+        self.layout: list[list] = []
+        self.row_groups: list[tuple[str, int, int, int]] = []  # (file, index, lo, hi)
+        n_rows = 0
+        for frag in parquet_fragments(path):
+            meta = pq.read_metadata(frag)
+            self.layout.append([os.path.basename(frag), meta.num_rows])
+            for i in range(meta.num_row_groups):
+                n = meta.row_group(i).num_rows
+                if n:
+                    self.row_groups.append((frag, i, n_rows, n_rows + n))
+                    n_rows += n
+        self._ends = [rg[3] for rg in self.row_groups]
+        self.bounds = slice_bounds(n_rows, n_partitions)
+
+    def covering(self, lo: int, hi: int) -> list[tuple[str, int, int, int]]:
+        """The row groups holding any of the global rows ``[lo, hi)``."""
+        first = bisect.bisect_right(self._ends, lo)
+        return list(itertools.takewhile(lambda rg: rg[2] < hi, self.row_groups[first:]))
+
+
+def slice_write(
+    path: str,
+    out_dir: str,
+    transform: Callable[[pa.Table], pa.Table],
+    n_partitions: int = 16,
+) -> dict:
+    """Write ``transform`` of every input slice of the corpus at
+    ``path`` to a resumable partitioned layout, partition ``p`` holding
+    the output of slice ``p`` (see :class:`InputSlices`).
+
+    The ``(doc_id, spans)`` rows of a slice go through ``transform``
+    (e.g. a ``DocumentExtractor``) in 32-row tables; its output must
+    carry ``doc_id``. Completed partitions are dropped before
+    anything is read; the rest are split into contiguous runs, one Ray
+    Data task per CPU of the session and never more tasks than
+    partitions. A task reads the row groups covering its run once,
+    keeping a row group that spans two of its slices, and commits each
+    slice as soon as it is transformed. It skips a partition that
+    already has a manifest, so a retried task redoes nothing.
+
+    A slice whose ``transform`` raises fails alone: its task stops,
+    every other task finishes its run, and then the call raises
+    ``RuntimeError`` naming the failed partitions. Another
+    ``n_partitions``, or another input layout (fragment names and row
+    counts), than ``out_dir`` was written with raises ``ValueError``
+    before any work.
+
+    Returns the run summary ``{written, skipped, n_partitions}``.
+    """
+    import ray
+    import ray.data as rd
+
+    from ..core.schema import DOCUMENT_SCHEMA
+
+    slices = InputSlices(path, n_partitions)
+    layout = {"input_layout": slices.layout}
+    os.makedirs(out_dir, exist_ok=True)
+    _check_manifests(out_dir, n_partitions, slices.layout)
+    _remove_stale_tmp(out_dir)
+    done = done_partitions(out_dir)
+    missing = [p for p in range(n_partitions) if p not in done]
+    if missing:
+
+        def commit_slice(pid: int, cache: dict) -> None:
+            t0 = time.time()
+            lo, hi = slices.bounds[pid]
+            pieces = []
+            for rg in slices.covering(lo, hi):
+                frag, i, glo, ghi = rg
+                if rg not in cache:
+                    with pq.ParquetFile(frag) as f:
+                        cache[rg] = f.read_row_group(i, columns=["doc_id", "spans"])
+                start = max(lo, glo)
+                pieces.append(cache[rg].slice(start - glo, min(hi, ghi) - start))
+            # an empty slice still runs once, to give its output schema
+            out = pa.concat_tables(
+                transform(piece.slice(j, _PARSE_BATCH))
+                for piece in pieces or [DOCUMENT_SCHEMA.empty_table()]
+                for j in range(0, max(piece.num_rows, 1), _PARSE_BATCH)
+            )
+            _commit(out_dir, pid, out, "doc_id", n_partitions,
+                    {**layout, "input_rows": [lo, hi]}, started=t0)
+            # the run's later slices start at or after hi
+            for rg in [rg for rg in cache if rg[3] <= hi]:
+                del cache[rg]
+
+        def commit_run(batch: pa.Table) -> pa.Table:
+            cache: dict = {}  # row group -> its rows, while a later slice needs it
+            for pid in batch["partitions"][0].as_py():
+                if os.path.exists(os.path.join(_part_dir(out_dir, pid), "manifest.json")):
+                    continue
+                try:
+                    commit_slice(pid, cache)
+                except Exception:  # returned to slice_write, which raises
+                    return pa.table({"partition": pa.array([pid], pa.int32()),
+                                     "error": [traceback.format_exc()]})
+            return pa.table({"partition": pa.array([], pa.int32()),
+                             "error": pa.array([], pa.string())})
+
+        # one contiguous run of missing partitions per CPU
+        k = max(1, min(int(ray.cluster_resources().get("CPU", 1)), len(missing)))
+        runs = [missing[i * len(missing) // k : (i + 1) * len(missing) // k] for i in range(k)]
+        failed = (
+            rd.from_items([{"partitions": r} for r in runs], override_num_blocks=len(runs))
+            .map_batches(commit_run, batch_format="pyarrow", batch_size=1)
+            .take_all()
+        )
+        if failed:
+            raise RuntimeError(
+                f"{len(failed)} partition(s) of {out_dir} failed; a rerun resumes "
+                "from the committed ones:\n"
+                + "\n".join(f"partition {r['partition']}: {r['error']}" for r in failed)
+            )
+    _finish(out_dir, n_partitions, layout)
+    return {
+        "written": sorted(done_partitions(out_dir) - done),
+        "skipped": sorted(done),
+        "n_partitions": n_partitions,
+    }
+
+
+# ---- the key router (any Dataset) ----------------------------------------
+
+
+def _committed_schema(out_dir: str) -> pa.Schema | None:
+    """The schema of the first committed ``data.parquet``, if any."""
+    for name in sorted(os.listdir(out_dir)):
+        data = os.path.join(out_dir, name, "data.parquet")
+        if name.startswith("part=") and os.path.exists(data):
+            return pq.read_schema(data)
+    return None
 
 
 def resumable_write(
@@ -130,10 +378,8 @@ def resumable_write(
     verify_fingerprints: bool = False,
     allow_empty_input: bool = False,
     partition_col: str | None = None,
-    transform: Callable | None = None,
 ) -> dict:
-    """Write ``transform(ds)`` (or ``ds`` itself) to a resumable
-    partitioned layout.
+    """Write ``ds`` to a resumable partitioned layout.
 
     Rows route to ``md5(key) % n_partitions`` — or, when
     ``partition_col`` names an int column already on the dataset, to
@@ -145,15 +391,14 @@ def resumable_write(
 
     Where the anti-join runs: ``done_partitions`` is read once, and the
     rows of ``ds`` that route to a partition bearing a manifest are
-    dropped *before* ``transform`` runs, so a resumed run transforms
-    only the rows of missing partitions. When every partition is done
-    the plan is never executed: the call returns at once. ``transform``
-    (a ``Dataset -> Dataset`` function, e.g. the parse) must keep each
-    row's ``key`` (or ``partition_col``): every output row has to route
-    to the partition of the input row it came from. A group routed to
-    a completed partition therefore raises rather than overwrite it.
-    ``fail_on`` is a test hook: raise inside the writer for chosen
-    partitions to simulate a mid-run kill.
+    dropped before the exchange, so a resumed run writes only the
+    missing partitions. When every partition is done the plan is never
+    executed: the call returns at once. ``fail_on`` is a test hook:
+    raise inside the writer for chosen partitions to simulate a
+    mid-run kill. After a run that raised nothing, every partition no
+    row routed to is committed empty, with the schema of the committed
+    ones (an input with no rows at all has none to write, and commits
+    nothing).
 
     ``n_partitions`` must be the count ``out_dir`` was written with
     (recorded in every manifest); another count raises ``ValueError``.
@@ -161,15 +406,15 @@ def resumable_write(
     ``verify_fingerprints=False`` (the fast default) assumes inputs are
     immutable across resumes — a completed partition is trusted on
     manifest existence alone. ``verify_fingerprints=True`` pre-filters
-    nothing: it transforms and routes every row, recomputes each
-    completed partition's input fingerprint from the routed keys, and
-    rewrites any partition whose stored ``input_fingerprint`` no longer
-    matches; matching partitions skip the rewrite, and completed
-    partitions that received NO routed rows (their keys vanished from
-    the input) are deleted. Detection scope: the fingerprint covers the
-    distinct key set and per-key row counts of the written rows — a
-    change preserving both (same keys, same counts, edited row content)
-    is not detected (pinned by
+    nothing: it routes every row, recomputes each completed
+    partition's input fingerprint from the routed keys, and rewrites
+    any partition whose stored ``input_fingerprint`` no longer matches;
+    matching partitions skip the rewrite, and completed partitions
+    with rows that received NO routed rows (their keys vanished from
+    the input) are deleted and not committed empty. Detection scope:
+    the fingerprint covers the distinct key set and per-key row counts
+    of the written rows — a change preserving both (same keys, same
+    counts, edited row content) is not detected (pinned by
     ``test_ray_integration.py::test_fingerprint_blind_spot_same_keys_same_counts``);
     treat inputs as append/delete-only or rewrite from scratch for
     content edits.
@@ -187,12 +432,12 @@ def resumable_write(
     invalidated: [...] (verify mode only)}.
     """
     os.makedirs(out_dir, exist_ok=True)
-    _check_partition_count(out_dir, n_partitions)
+    _check_manifests(out_dir, n_partitions)
+    _remove_stale_tmp(out_dir)
     done = done_partitions(out_dir)
     run_manifest = os.path.join(out_dir, "_manifest.json")
     if len(done) == n_partitions and not verify_fingerprints:
-        if not os.path.exists(run_manifest):
-            _write_run_manifest(out_dir, n_partitions, done)
+        _finish(out_dir, n_partitions, {})
         return {"written": [], "skipped": sorted(done), "n_partitions": n_partitions}
 
     def route(batch: pa.Table):
@@ -214,99 +459,75 @@ def resumable_write(
             return batch.filter(pc.invert(pc.is_in(route(batch), value_set=done_ids)))
 
         ds = ds.map_batches(drop_done, batch_format="pyarrow", batch_size=None)
-    if transform is not None:
-        ds = transform(ds)
 
     def add_partition(batch: pa.Table) -> pa.Table:
         return batch.append_column("_part", route(batch))
 
     routed = ds.map_batches(add_partition, batch_format="pyarrow", batch_size=None)
 
-    def write_group(g: pd.DataFrame) -> pd.DataFrame:
-        pid = int(g["_part"].iloc[0])
-        if pid in done and not verify_fingerprints:
-            raise RuntimeError(
-                f"rows routed to completed partition {pid}: the transform "
-                f"must keep each row's {partition_col or key}"
-            )
+    def write_group(g: pa.Table) -> pa.Table:
+        pid = g["_part"][0].as_py()
+        body = g.drop_columns(["_part"])
         if pid in done:
-            mpath = os.path.join(out_dir, f"part={pid:05d}", "manifest.json")
-            with open(mpath) as f:
+            with open(os.path.join(_part_dir(out_dir, pid), "manifest.json")) as f:
                 stored = json.load(f).get("input_fingerprint")
-            if stored == _input_fingerprint(g[key]):
+            if stored == _input_fingerprint(body[key]):
                 # verified unchanged — skip the rewrite
-                return pd.DataFrame({"partition": [pid], "n_rows": [0]})
+                return pa.table({"partition": [pid], "n_rows": [0]})
             # fingerprint mismatch: input changed — fall through and rewrite
         if fail_on is not None and fail_on(pid):
             raise RuntimeError(f"injected failure for partition {pid}")
-        t0 = time.time()
-        g = g.sort_values([key] + (["offset"] if "offset" in g.columns else []))
-        body = g.drop(columns=["_part"])
-        tmp = os.path.join(out_dir, f".tmp-part={pid:05d}-{os.getpid()}")
-        final = os.path.join(out_dir, f"part={pid:05d}")
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
-        pq.write_table(pa.Table.from_pandas(body, preserve_index=False),
-                       os.path.join(tmp, "data.parquet"))
-        fingerprint = _input_fingerprint(g[key])
-        manifest = {
-            "partition": pid,
-            "n_partitions": n_partitions,
-            "n_rows": int(len(g)),
-            "n_keys": int(g[key].nunique()),
-            "input_fingerprint": fingerprint,
-            "wall_sec": round(time.time() - t0, 4),
-            "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        with open(os.path.join(tmp, "manifest.json"), "w") as f:
-            json.dump(manifest, f)
-        shutil.rmtree(final, ignore_errors=True)
-        os.rename(tmp, final)
-        return pd.DataFrame({"partition": [pid], "n_rows": [len(g)]})
+        n = _commit(out_dir, pid, body, key, n_partitions, {})
+        return pa.table({"partition": [pid], "n_rows": [n]})
 
-    written = routed.groupby("_part").map_groups(write_group, batch_format="pandas")
-    written_df = written.to_pandas()
-    if "n_rows" not in written_df.columns:
-        # no rows reached the writer, and the empty result carries no
-        # schema
-        written_df = pd.DataFrame({"partition": [], "n_rows": []})
+    written = routed.groupby("_part").map_groups(write_group, batch_format="pyarrow").take_all()
     # n_rows == 0 marks a fingerprint-verified skip, not a rewrite
-    written_parts = sorted(
-        int(p) for p in written_df.loc[written_df["n_rows"] > 0, "partition"]
-    )
+    written_parts = sorted(r["partition"] for r in written if r["n_rows"] > 0)
     summary = {
         "written": written_parts,
         "skipped": sorted(set(done) - set(written_parts)),
         "n_partitions": n_partitions,
     }
     if verify_fingerprints:
-        # completed partitions that received no routed rows: every key
-        # they held vanished from the input — the data is stale
-        touched = {int(p) for p in written_df["partition"]}
-        if not touched and done and not allow_empty_input:
+        # completed partitions with rows that received no routed rows:
+        # every key they held vanished from the input — the data is
+        # stale. An empty partition that still receives none is
+        # unchanged.
+        touched = {r["partition"] for r in written}
+        held = set()
+        for pid in done:
+            with open(os.path.join(_part_dir(out_dir, pid), "manifest.json")) as f:
+                if json.load(f).get("n_rows"):
+                    held.add(pid)
+        if not touched and held and not allow_empty_input:
             # the run routed ZERO rows overall: stale == done and we'd
             # rmtree every completed partition. One upstream bug (empty
             # read, wrong filter) must not destroy the whole prior
             # output — refuse; force with allow_empty_input=True.
             raise ValueError(
                 f"verify_fingerprints run routed no rows but {out_dir} has "
-                f"{len(done)} completed partitions; refusing to invalidate "
+                f"{len(held)} completed partitions; refusing to invalidate "
                 "them all (pass allow_empty_input=True if the input is "
                 "genuinely empty now)"
             )
-        stale = sorted(set(done) - touched)
+        stale = sorted(held - touched)
         if stale or written_parts:
             # output is changing: an old run-level completion claim
             # must not survive with partitions now missing/rewritten
             if os.path.exists(run_manifest):
                 os.remove(run_manifest)
         for pid in stale:
-            shutil.rmtree(os.path.join(out_dir, f"part={pid:05d}"), ignore_errors=True)
+            shutil.rmtree(_part_dir(out_dir, pid), ignore_errors=True)
         summary["invalidated"] = stale
         summary["skipped"] = sorted(set(summary["skipped"]) - set(stale))
-    all_done = done_partitions(out_dir)
-    if len(all_done) == n_partitions:
-        _write_run_manifest(out_dir, n_partitions, all_done)
+    else:
+        schema = _committed_schema(out_dir)
+        empty = sorted(set(range(n_partitions)) - done_partitions(out_dir))
+        if schema is not None and empty:
+            for pid in empty:
+                _commit(out_dir, pid, schema.empty_table(), key, n_partitions, {})
+            summary["written"] = sorted(summary["written"] + empty)
+    _finish(out_dir, n_partitions, {})
     return summary
 
 
@@ -322,8 +543,11 @@ def read_output(out_dir: str):
     return rd.read_parquet(paths)
 
 
-def partition_metrics(out_dir: str) -> pd.DataFrame:
-    """The lineage/metrics table: one row per completed partition."""
+def partition_metrics(out_dir: str):
+    """The lineage/metrics table: one row per completed partition, as a
+    pandas DataFrame."""
+    import pandas as pd
+
     rows = []
     for name in sorted(os.listdir(out_dir)):
         mpath = os.path.join(out_dir, name, "manifest.json")

@@ -26,18 +26,46 @@ def read_parquet_clean(path, columns: list[str] | None = None, **kwargs):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    import os
-
-    first = path if isinstance(path, str) else path[0]
-    if os.path.isdir(first):
-        # fragmented corpus (directory of part files): schema from the
-        # first fragment — read_parquet itself handles the directory
-        frags = sorted(f for f in os.listdir(first) if f.endswith(".parquet"))
-        first = os.path.join(first, frags[0])
+    # a fragmented corpus (directory of part files) takes the schema
+    # of its first fragment — read_parquet itself handles the directory
+    first = parquet_fragments(path if isinstance(path, str) else path[0])[0]
     sch = pq.read_schema(first)
     names = columns if columns is not None else sch.names
     clean = pa.schema([pa.field(sch.field(c).name, sch.field(c).type) for c in names])
     return rd.read_parquet(path, columns=columns, schema=clean, **kwargs)
+
+
+def parquet_fragments(path: str) -> list[str]:
+    """The Parquet files of a corpus path, in sorted name order: the
+    file itself, or the ``.parquet`` files of a directory (at least
+    one). A Lance path raises ``ImportError`` without pylance, as
+    :func:`read_corpus` does, and ``NotImplementedError`` with it: its
+    fragments are not Parquet files."""
+    import os
+
+    if _is_lance(path):
+        raise NotImplementedError(f"{path}: slicing a Lance corpus is not implemented")
+    if not os.path.isdir(path):
+        return [path]
+    frags = [os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")]
+    if not frags:
+        raise FileNotFoundError(f"no .parquet files in {path}")
+    return frags
+
+
+def _is_lance(path: str) -> bool:
+    """Whether ``path`` names a Lance dataset; raises ``ImportError``
+    when it does and pylance is not installed."""
+    if not (path.endswith(".lance") or path.endswith("/lance")):
+        return False
+    try:
+        import lance  # noqa: F401
+    except ImportError as e:
+        raise ImportError(
+            "lance is not available in this environment; store the corpus "
+            "as parquet or install pylance"
+        ) from e
+    return True
 
 
 def sized_blocks(path: str, min_rows_per_block: int = 4096) -> int:
@@ -61,16 +89,8 @@ def read_corpus(path: str, columns: list[str] | None = None, override_num_blocks
     import ray.data as rd
 
     cols = columns or ["doc_id", "spans"]
-    if path.endswith(".lance") or path.endswith("/lance"):
-        try:
-            import lance  # noqa: F401
-
-            return rd.read_lance(path, columns=cols)
-        except ImportError as e:
-            raise ImportError(
-                "lance is not available in this environment; store the corpus "
-                "as parquet or install pylance"
-            ) from e
+    if _is_lance(path):
+        return rd.read_lance(path, columns=cols)
     kwargs = {}
     if override_num_blocks is not None:
         kwargs["override_num_blocks"] = override_num_blocks

@@ -1,14 +1,15 @@
 """Extraction plans over the span table: one row per document,
 ``(doc_id, spans)``.
 
-The production plan (north star), which the ``extract`` CLI runs::
+The production plan (north star)::
 
     read_corpus(corpus)                     # one row per document
       → map_batches(DocumentExtractor, …)  # tasks or actor pool, Arrow in/out
-      → resumable_write(partitioned)        # resumable sink
 
 :func:`extract_pipeline` attaches the parse stage to any span-table
-Dataset. The registered ``extract_spans*`` queries (:func:`flagship`)
+Dataset. The ``extract`` CLI runs the same ``DocumentExtractor`` inside
+``io/checkpoint.py`` ``slice_write``: one task per run of input
+slices reads, parses and commits each partition, with no exchange. The registered ``extract_spans*`` queries (:func:`flagship`)
 run the same stage over :func:`corpus_from_documents`, which
 synthesizes the span table from the input tables' ``documents.parquet``
 (ids + text → seeded span documents) inside ``map_batches``: the
@@ -80,16 +81,13 @@ def extract_pipeline(
     concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 32,
     num_cpus: float = 1,
-    quarantine: bool = False,
 ):
     """Attach the parse stage to a span-corpus Dataset.
 
     ``concurrency=None`` uses stateless tasks (fully elastic — right
     when the config is cheap to construct, as here); set an int for a
     fixed actor pool (right when per-worker setup is expensive, e.g.
-    real OCR engines). ``quarantine`` is ``DocumentExtractor``'s: a
-    corrupt document becomes one ``error`` span instead of failing the
-    job."""
+    real OCR engines)."""
     kwargs: dict[str, Any] = dict(
         batch_format="pyarrow",
         batch_size=batch_size,
@@ -99,11 +97,10 @@ def extract_pipeline(
         kwargs["num_cpus"] = num_cpus
         return ds.map_batches(
             DocumentExtractor,
-            fn_constructor_kwargs={"config": config, "quarantine": quarantine},
+            fn_constructor_kwargs={"config": config},
             **kwargs,
         )
-    extractor = DocumentExtractor(config=config, quarantine=quarantine)
-    return ds.map_batches(extractor, **kwargs)
+    return ds.map_batches(DocumentExtractor(config=config), **kwargs)
 
 
 def flagship(sf_dir: str, seed: int = 42, concurrency=None, multiplier: int = 1):

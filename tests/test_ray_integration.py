@@ -432,46 +432,58 @@ class TestResumableWrite:
         s = resumable_write(ds, out, n_partitions=8)
         assert s["written"] == [0, 1, 2, 3] and s["skipped"] == [4, 5, 6, 7]
 
-    def test_transform_runs_after_the_anti_join_and_must_keep_keys(self, tmp_path):
-        """``transform`` sees only the rows of missing partitions; a
-        transform that rewrites keys would overwrite completed
-        partitions, so its rows routed there raise."""
+    def test_partitions_no_row_routes_to_are_committed_empty(self, tmp_path):
+        """3 keys over 16 partitions: the run commits every partition no
+        key routes to as an empty, schema'd file, so the output is
+        complete and a rerun (default or verified) is a no-op."""
         import pandas as pd
-        import pyarrow as pa
-        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
         import ray.data as rd
 
         from pdf_parser_ray.core.util import hash_bucket
+        from pdf_parser_ray.io.checkpoint import partition_metrics, resumable_write
+
+        out = str(tmp_path / "ckpt")
+        keys = ["a", "b", "c"]
+        ds = rd.from_pandas(pd.DataFrame({"doc_id": keys, "v": [1, 2, 3]}))
+        s = resumable_write(ds, out, n_partitions=16)
+        assert s["written"] == list(range(16))
+        assert os.path.exists(os.path.join(out, "_manifest.json"))
+        held = {hash_bucket(k, 16) for k in keys}
+        m = partition_metrics(out)
+        assert sorted(m.loc[m["n_rows"] > 0, "partition"]) == sorted(held)
+        assert m["n_rows"].sum() == 3
+        empty = min(set(range(16)) - held)
+        t = pq.read_table(os.path.join(out, f"part={empty:05d}", "data.parquet"))
+        assert t.num_rows == 0 and t.column_names == ["doc_id", "v"]
+
+        s2 = resumable_write(ds, out, n_partitions=16)
+        assert s2["written"] == [] and s2["skipped"] == list(range(16))
+        s3 = resumable_write(ds, out, n_partitions=16, verify_fingerprints=True)
+        assert s3["written"] == [] and s3["invalidated"] == []
+        assert os.path.exists(os.path.join(out, "_manifest.json"))
+
+    def test_stale_temp_dirs_are_removed(self, tmp_path):
+        """A kill between a partition's write and its rename leaves a
+        ``.tmp-part=*`` dir behind; the next run removes it."""
+        import pandas as pd
+        import ray.data as rd
+
         from pdf_parser_ray.io.checkpoint import read_output, resumable_write
 
         out = str(tmp_path / "ckpt")
-        ids = [f"d{i}" for i in range(100)]
-        ds = rd.from_pandas(pd.DataFrame({"doc_id": ids}))
+        ds = rd.from_pandas(pd.DataFrame({"doc_id": [f"d{i}" for i in range(40)]}))
         resumable_write(ds, out, n_partitions=4)
-        shutil.rmtree(os.path.join(out, "part=00000"))
-
-        def only_partition_0(d):
-            def check(batch: pa.Table) -> pa.Table:
-                got = {hash_bucket(k, 4) for k in batch["doc_id"].to_pylist()}
-                assert got <= {0}, got
-                return batch
-
-            return d.map_batches(check, batch_format="pyarrow")
-
-        s = resumable_write(ds, out, n_partitions=4, transform=only_partition_0)
-        assert s["written"] == [0] and s["skipped"] == [1, 2, 3]
-        assert sorted(read_output(out).to_pandas()["doc_id"]) == sorted(ids)
-
-        shutil.rmtree(os.path.join(out, "part=00000"))
-
-        def rekey(d):
-            return d.map_batches(
-                lambda b: pa.table({"doc_id": pc.utf8_upper(b["doc_id"])}),
-                batch_format="pyarrow",
-            )
-
-        with pytest.raises(Exception, match="must keep each row's doc_id"):
-            resumable_write(ds, out, n_partitions=4, transform=rekey)
+        shutil.rmtree(os.path.join(out, "part=00002"))
+        os.remove(os.path.join(out, "_manifest.json"))
+        stale = os.path.join(out, ".tmp-part=00002-12345")
+        os.makedirs(stale)
+        with open(os.path.join(stale, "data.parquet"), "w") as f:
+            f.write("half-written")
+        s = resumable_write(ds, out, n_partitions=4)
+        assert s["written"] == [2]
+        assert not [n for n in os.listdir(out) if n.startswith(".tmp")]
+        assert read_output(out).count() == 40
 
 
 class TestCliResume:
@@ -526,10 +538,13 @@ class TestCliResume:
                 .sort_values(["doc_id", "offset"]).reset_index(drop=True))
 
     @classmethod
-    def _part(cls, doc_id):
-        from pdf_parser_ray.core.util import hash_bucket
+    def _part(cls, doc_id, n_parts=None):
+        """The partition of ``doc_id``: the input slice holding its row."""
+        from pdf_parser_ray.io.checkpoint import slice_bounds
 
-        return hash_bucket(doc_id, cls.N_PARTS)
+        row = int(doc_id.split("-")[1])
+        bounds = slice_bounds(cls.N_DOCS, n_parts or cls.N_PARTS)
+        return next(p for p, (lo, hi) in enumerate(bounds) if lo <= row < hi)
 
     def _full_then_drop(self, tmp_path, missing, *flags, corrupt=lambda d: False):
         """A full run of the corpus, and a copy of its output with the
@@ -581,6 +596,135 @@ class TestCliResume:
         s = self._extract(corpus, out, "--quarantine")
         assert set(s["written"]) == missing
         pd_testing.assert_frame_equal(self._spans(out), self._spans(full))
+
+    def test_failed_slice_leaves_every_other_partition_committed(self, tmp_path):
+        """A strict parse that fails on a document of the last slice
+        fails the run only after every other partition is committed (22
+        of 24 documents parsed); the resume parses only that slice and
+        equals a clean run."""
+        import contextlib
+        import io
+
+        from pdf_parser_ray.__main__ import main
+        from pdf_parser_ray.io.checkpoint import done_partitions
+
+        n_parts = 12
+        last = n_parts - 1
+        flags = ("--partitions", str(n_parts))
+        bad_doc = f"doc-{self.N_DOCS - 1:08d}"
+        assert self._part(bad_doc, n_parts) == last
+        corpus = self._corpus(str(tmp_path / "corpus.parquet"), lambda d: d == bad_doc)
+        out = str(tmp_path / "out")
+        with pytest.raises(RuntimeError, match=f"partition {last}:"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["extract", "--input", corpus, "--output", out, *flags])
+        assert done_partitions(out) == set(range(last))
+        assert not os.path.exists(os.path.join(out, "_manifest.json"))
+
+        # every document of a committed partition now fails a strict parse
+        self._corpus(corpus, corrupt=lambda d: self._part(d, n_parts) != last)
+        s = self._extract(corpus, out, *flags)
+        assert s["written"] == [last] and s["skipped"] == list(range(last))
+        clean = str(tmp_path / "clean")
+        self._extract(self._corpus(str(tmp_path / "clean.parquet")), clean, *flags)
+        pd_testing.assert_frame_equal(self._spans(out), self._spans(clean))
+        assert os.path.exists(os.path.join(out, "_manifest.json"))
+
+    def test_slices_cut_across_fragments_and_row_groups(self, tmp_path):
+        """Partition p holds the documents of input rows
+        [p·N//P, (p+1)·N//P) over the fragments in name order, whatever
+        fragment and row-group boundaries the slice crosses; its
+        manifest records the input layout and the row range."""
+        import json
+
+        import pyarrow.parquet as pq
+
+        from pdf_parser_ray.io.checkpoint import slice_bounds
+
+        one = self._corpus(str(tmp_path / "one.parquet"))
+        table = pq.read_table(one)
+        frags = tmp_path / "frags"
+        frags.mkdir()
+        pq.write_table(table.slice(0, 11), str(frags / "a.parquet"), row_group_size=5)
+        pq.write_table(table.slice(11), str(frags / "b.parquet"), row_group_size=5)
+        n_parts = 5
+        out, single = str(tmp_path / "out"), str(tmp_path / "single")
+        self._extract(str(frags), out, "--partitions", str(n_parts))
+        ids = table["doc_id"].to_pylist()
+        for p, (lo, hi) in enumerate(slice_bounds(self.N_DOCS, n_parts)):
+            part = os.path.join(out, f"part={p:05d}")
+            got = pq.read_table(os.path.join(part, "data.parquet"))
+            assert sorted(set(got["doc_id"].to_pylist())) == ids[lo:hi]
+            with open(os.path.join(part, "manifest.json")) as f:
+                m = json.load(f)
+            assert m["input_rows"] == [lo, hi]
+            assert m["input_layout"] == [["a.parquet", 11], ["b.parquet", 13]]
+        self._extract(one, single, "--partitions", str(n_parts))
+        pd_testing.assert_frame_equal(self._spans(out), self._spans(single))
+
+    def test_resume_against_another_input_layout_raises(self, tmp_path):
+        """Slices are row ranges over the input's fragments: appending a
+        document, or swapping a fragment, would move documents between
+        slices, so the resume raises before any work."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        corpus, _, out = self._full_then_drop(tmp_path, {0})
+        table = pq.read_table(corpus)
+        extra = table.slice(0, 1).set_column(0, "doc_id", pa.array(["doc-99999999"]))
+        pq.write_table(pa.concat_tables([table, extra]), corpus)
+        with pytest.raises(ValueError, match="another input layout"):
+            self._extract(corpus, out)
+        assert not os.path.exists(os.path.join(out, "part=00000"))
+
+        frags = tmp_path / "frags"
+        frags.mkdir()
+        pq.write_table(table.slice(0, 12), str(frags / "a.parquet"))
+        pq.write_table(table.slice(12), str(frags / "b.parquet"))
+        out = str(tmp_path / "frag-out")
+        self._extract(str(frags), out)
+        os.rename(frags / "b.parquet", frags / "c.parquet")
+        with pytest.raises(ValueError, match="another input layout"):
+            self._extract(str(frags), out)
+
+    def test_empty_slices_and_stale_temp_dirs(self, tmp_path):
+        """More partitions than documents: the empty slices are
+        committed with ``n_rows: 0`` and the run completes. A temp dir
+        left by a killed run is removed by the next one."""
+        from pdf_parser_ray.io.checkpoint import partition_metrics
+
+        corpus, full, out = self._full_then_drop(tmp_path, {1})
+        stale = os.path.join(out, ".tmp-part=00001-12345")
+        os.makedirs(stale)
+        s = self._extract(corpus, out)
+        assert s["written"] == [1]
+        assert not [n for n in os.listdir(out) if n.startswith(".tmp")]
+        pd_testing.assert_frame_equal(self._spans(out), self._spans(full))
+
+        wide = str(tmp_path / "wide")
+        s = self._extract(corpus, wide, "--partitions", "32")
+        assert s["written"] == list(range(32))
+        m = partition_metrics(wide)
+        assert (m["n_rows"] == 0).sum() == 32 - self.N_DOCS
+        assert os.path.exists(os.path.join(wide, "_manifest.json"))
+        # read_output adds the hive column `part`, which differs here
+        pd_testing.assert_frame_equal(self._spans(wide).drop(columns="part"),
+                                      self._spans(full).drop(columns="part"))
+
+    def test_lance_input_keeps_the_import_gate(self, tmp_path):
+        """The slicer reads Parquet footers only: a ``.lance`` input
+        raises the reader's ``ImportError`` without pylance, and
+        ``NotImplementedError`` with it, before any output is made."""
+        try:
+            import lance  # noqa: F401
+
+            expected = NotImplementedError
+        except ImportError:
+            expected = ImportError
+        out = str(tmp_path / "out")
+        with pytest.raises(expected):
+            self._extract(str(tmp_path / "corpus.lance"), out)
+        assert not os.path.exists(out)
 
 
 def test_lance_round_trip(tmp_path):
