@@ -540,7 +540,7 @@ def read_output(out_dir: str):
         for name in sorted(os.listdir(out_dir))
         if name.startswith("part=")
     ]
-    return rd.read_parquet(paths)
+    return rd.read_parquet(paths, partitioning=None)  # part=NNNNN is no column
 
 
 def partition_metrics(out_dir: str):

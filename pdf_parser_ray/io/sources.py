@@ -110,11 +110,7 @@ def read_table_auto(path: str, columns: list[str] | None = None, **kwargs):
 
     if path.endswith(".parquet"):
         return read_parquet_clean(path, columns=columns, **kwargs)
-    if path.endswith(".lance"):
-        try:
-            import lance  # noqa: F401
-        except ImportError as e:
-            raise ImportError("lance is not available in this environment") from e
+    if _is_lance(path):
         return rd.read_lance(path, columns=columns, **kwargs)
     if path.endswith(".csv"):
         ds = rd.read_csv(path, **kwargs)
@@ -130,11 +126,7 @@ def write_table_auto(ds, path: str, **kwargs):
     (Parquet / CSV / JSON-lines directories, Lance gated)."""
     if path.endswith(".parquet"):
         return ds.write_parquet(path, **kwargs)
-    if path.endswith(".lance"):
-        try:
-            import lance  # noqa: F401
-        except ImportError as e:
-            raise ImportError("lance is not available; use a parquet path") from e
+    if _is_lance(path):
         return ds.write_lance(path, **kwargs)
     if path.endswith(".csv"):
         return ds.write_csv(path, **kwargs)
@@ -145,13 +137,8 @@ def write_table_auto(ds, path: str, **kwargs):
 
 def write_corpus(ds, path: str, min_rows_per_file: int | None = None):
     """Write a span corpus; Parquet in the sandbox, Lance when present."""
-    if path.endswith(".lance"):
-        try:
-            import lance  # noqa: F401
-
-            return ds.write_lance(path)
-        except ImportError as e:
-            raise ImportError("lance is not available; use a parquet path") from e
+    if _is_lance(path):
+        return ds.write_lance(path)
     kwargs = {}
     if min_rows_per_file is not None:
         kwargs["min_rows_per_file"] = min_rows_per_file

@@ -26,6 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..core.exchange import exchange
 from ..stages.boilerplate import html_tokenize, strip_boilerplate
 from ..stages.textstats import _LANG_PATTERNS, _LANG_PRIORITY
 
@@ -199,51 +200,12 @@ def q_training_prep_shuffle(sf_dir: str, n_buckets: int = 32):
     annotated = ds.map_batches(annotate, batch_format="pyarrow", batch_size=None)
 
     # bucket semi-join: annotated rows ⋉ survivor ids on doc_id
-    def tag_rows(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        n = batch.num_rows
-        return pa.table(
-            {
-                "bucket": pa.array(ids % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-                "doc_id": batch["doc_id"],
-                "content_text": batch["content_text"],
-                "n_tokens": batch["n_tokens"],
-            }
-        )
+    def semi_bucket(rows: pa.Table, keep: pa.Table) -> pa.Table:
+        return rows.filter(pc.is_in(rows["doc_id"], value_set=keep["doc_id"].combine_chunks()))
 
-    def tag_survivors(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        n = batch.num_rows
-        return pa.table(
-            {
-                "bucket": pa.array(ids % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-                "doc_id": batch["doc_id"],
-                "content_text": pa.nulls(n, pa.string()),
-                "n_tokens": pa.nulls(n, pa.int64()),
-            }
-        )
-
-    import pandas as pd
-
-    both = annotated.map_batches(tag_rows, batch_format="pyarrow", batch_size=None).union(
-        survivors.map_batches(tag_survivors, batch_format="pyarrow", batch_size=None)
+    return exchange(
+        [(annotated, "doc_id"), (survivors, "doc_id")], semi_bucket, n_buckets=n_buckets
     )
-
-    def semi_bucket(g: pd.DataFrame) -> pa.Table:
-        keys = g.loc[g["side"] == 0, "doc_id"].to_numpy(dtype=np.int64)
-        rows = g[g["side"] == 1]
-        kept = rows[rows["doc_id"].isin(keys)]
-        return pa.table(
-            {
-                "doc_id": pa.array(kept["doc_id"].to_numpy(dtype=np.int64), pa.int64()),
-                "content_text": pa.array(kept["content_text"].tolist(), pa.string()),
-                "n_tokens": pa.array(kept["n_tokens"].to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
-
-    return both.groupby("bucket").map_groups(semi_bucket, batch_format="pandas")
 
 
 _SQL_TRAINING_PREP = rf"""
@@ -396,52 +358,15 @@ def q_corpus_prep_v3(sf_dir: str, n_buckets: int = 32):
     filters, and the only new plumbing is ONE doc-bucket hash join
     merging the two per-doc score streams. Output per surviving doc:
     language, NLL + bucket, DSIR weight, token count."""
-    import pandas as pd
-
     from ..stages.dsir import q_ccnet_buckets, q_dsir_weights
 
     cc = q_ccnet_buckets(sf_dir).filter(expr="ppl_bucket < 2")
     dw = q_dsir_weights(sf_dir).filter(expr="dsir_micro > 0")
 
-    def tag_cc(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(ids % n_buckets, pa.int64()),
-                "kind": pa.array(np.zeros(len(ids), dtype=np.int64), pa.int64()),
-                "doc_id": pa.array(ids, pa.int64()),
-                "lang": b["lang"],
-                "nll_micro": b["nll_micro"],
-                "ppl_bucket": b["ppl_bucket"],
-                "dsir_micro": pa.array(np.zeros(len(ids), dtype=np.int64), pa.int64()),
-                "n_tokens": pa.array(np.zeros(len(ids), dtype=np.int64), pa.int64()),
-            }
+    def merge(left: pa.Table, right: pa.Table) -> pa.Table:
+        j = left.select(["doc_id", "lang", "nll_micro", "ppl_bucket"]).to_pandas().merge(
+            right.select(["doc_id", "dsir_micro", "n_tokens"]).to_pandas(), on="doc_id"
         )
-
-    def tag_dw(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(ids)
-        return pa.table(
-            {
-                "bucket": pa.array(ids % n_buckets, pa.int64()),
-                "kind": pa.array(np.ones(n, dtype=np.int64), pa.int64()),
-                "doc_id": pa.array(ids, pa.int64()),
-                "lang": pa.array([""] * n, pa.string()),
-                "nll_micro": pa.array(np.zeros(n, dtype=np.int64), pa.int64()),
-                "ppl_bucket": pa.array(np.zeros(n, dtype=np.int64), pa.int64()),
-                "dsir_micro": b["dsir_micro"],
-                "n_tokens": b["n_tokens"],
-            }
-        )
-
-    tagged = cc.map_batches(tag_cc, batch_format="pyarrow", batch_size=None).union(
-        dw.map_batches(tag_dw, batch_format="pyarrow", batch_size=None)
-    )
-
-    def merge(g: "pd.DataFrame") -> pa.Table:
-        left = g[g["kind"] == 0][["doc_id", "lang", "nll_micro", "ppl_bucket"]]
-        right = g[g["kind"] == 1][["doc_id", "dsir_micro", "n_tokens"]]
-        j = left.merge(right, on="doc_id")
         return pa.table(
             {
                 "doc_id": pa.array(j["doc_id"].to_numpy(dtype=np.int64), pa.int64()),
@@ -461,7 +386,7 @@ def q_corpus_prep_v3(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return tagged.groupby("bucket").map_groups(merge, batch_format="pandas")
+    return exchange([(cc, "doc_id"), (dw, "doc_id")], merge, n_buckets=n_buckets)
 
 
 def _render_prep_v3_sql() -> str:

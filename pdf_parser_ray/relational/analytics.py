@@ -44,6 +44,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..core.exchange import exchange
 from .ops import _cents, _read
 
 
@@ -1043,7 +1044,6 @@ def q_idle_rich_customers(
     cents ≤ 10⁶, noted in the assert). The anti side — custkeys with an
     order above the threshold — is footer-gated: broadcast as a sorted
     key array within budget, bucket-shuffle twin beyond."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     from ..core.util import broadcast_build_fits
@@ -1109,57 +1109,30 @@ def q_idle_rich_customers(
 
         idle = rich_ds.map_batches(anti, batch_format="pyarrow", batch_size=None)
     else:
-        # shuffle twin: both sides hash on custkey % B, per-bucket
-        # vectorized NOT-IN — same tagged-union shape as the ops.py
+        # shuffle twin: both sides meet on custkey % B, per-bucket
+        # vectorized NOT-IN — the same exchange as the ops.py
         # semi/anti family
-        n_buckets = 32
         orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-        def tag_orders(batch: pa.Table) -> pa.Table:
+        def big_order_keys(batch: pa.Table) -> pa.Table:
             t = batch.filter(pc.greater(batch["o_totalprice"], min_order_total))
             ck = np.unique(t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64))
-            n = len(ck)
-            return pa.table(
-                {
-                    "bucket": pa.array(ck % n_buckets, pa.int64()),
-                    "side": pa.array(np.zeros(n, dtype=np.int8)),
-                    "key": pa.array(ck, pa.int64()),
-                    "c_nationkey": pa.nulls(n, pa.int64()),
-                    "acctbal_cents": pa.nulls(n, pa.int64()),
-                }
-            )
+            return pa.table({"o_custkey": pa.array(ck, pa.int64())})
 
-        def tag_rich(batch: pa.Table) -> pa.Table:
-            ck = batch["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "bucket": pa.array(ck % n_buckets, pa.int64()),
-                    "side": pa.array(np.ones(len(ck), dtype=np.int8)),
-                    "key": pa.array(ck, pa.int64()),
-                    "c_nationkey": batch["c_nationkey"],
-                    "acctbal_cents": batch["acctbal_cents"],
-                }
-            )
+        def anti_bucket(big: pa.Table, cu: pa.Table) -> pa.Table:
+            hit = pc.is_in(cu["c_custkey"], value_set=big["o_custkey"].combine_chunks())
+            return cu.filter(pc.invert(hit))
 
-        both = orders.map_batches(tag_orders, batch_format="pyarrow", batch_size=None).union(
-            rich_ds.map_batches(tag_rich, batch_format="pyarrow", batch_size=None)
+        idle = exchange(
+            [
+                (
+                    orders.map_batches(big_order_keys, batch_format="pyarrow", batch_size=None),
+                    "o_custkey",
+                ),
+                (rich_ds, "c_custkey"),
+            ],
+            anti_bucket,
         )
-
-        def anti_bucket(g: pd.DataFrame) -> pa.Table:
-            keys = g.loc[g["side"] == 0, "key"].to_numpy(dtype=np.int64)
-            cu = g[g["side"] == 1]
-            kept = cu[~cu["key"].isin(keys).to_numpy()]
-            return pa.table(
-                {
-                    "c_custkey": pa.array(kept["key"].to_numpy(dtype=np.int64)),
-                    # union-null-padding turns ints into float64 in the
-                    # group frame — re-anchor before use
-                    "c_nationkey": pa.array(kept["c_nationkey"].to_numpy(dtype=np.int64)),
-                    "acctbal_cents": pa.array(kept["acctbal_cents"].to_numpy(dtype=np.int64)),
-                }
-            )
-
-        idle = both.groupby("bucket").map_groups(anti_bucket, batch_format="pandas")
 
     def nation_partial(batch: pa.Table) -> pa.Table:
         nk = batch["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2052,39 +2025,23 @@ def q_pre_purchase_views(sf_dir: str, n_buckets: int = 32):
             }
         )
         g = df.groupby("user_id", as_index=False)["ts_us"].min()
-        uid = g["user_id"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
-                "user_id": pa.array(uid, pa.int64()),
+                "user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64), pa.int64()),
                 "ts_us": pa.array(g["ts_us"].to_numpy(dtype=np.int64), pa.int64()),
-                "event_type": pa.nulls(len(g), pa.string()),
-                "side": pa.array(np.ones(len(g), dtype=np.int8)),
             }
         )
 
-    def prep_events(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
+    def fold_bucket(cuts: pa.Table, evs: pa.Table) -> pa.Table:
+        # fold the per-batch partial MINs
+        cut = cuts.to_pandas().groupby("user_id")["ts_us"].min()
+        ev = pd.DataFrame(
             {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
-                "user_id": b["user_id"],
-                "ts_us": pc.cast(b["ts"], pa.int64()),
-                "event_type": b["event_type"],
-                "side": pa.array(np.zeros(len(uid), dtype=np.int8)),
+                "user_id": evs["user_id"].to_numpy(zero_copy_only=False),
+                "ts_us": pc.cast(evs["ts"], pa.int64()).to_numpy(zero_copy_only=False),
+                "event_type": evs["event_type"].to_pandas(),
             }
         )
-
-    both = events.map_batches(prep_cutoffs, batch_format="pyarrow").union(
-        events.map_batches(prep_events, batch_format="pyarrow")
-    )
-
-    def fold_bucket(g: pd.DataFrame) -> pa.Table:
-        cut = (
-            g[g["side"] == 1]
-            .groupby("user_id")["ts_us"].min()  # fold the per-batch partial MINs
-        )
-        ev = g[g["side"] == 0]
         cutoff = ev["user_id"].map(cut)  # NaN for never-ordered users → mask False
         keep = ev[ev["ts_us"] < cutoff]
         agg = keep.groupby("event_type").agg(
@@ -2101,8 +2058,14 @@ def q_pre_purchase_views(sf_dir: str, n_buckets: int = 32):
     from ray.data.aggregate import Sum
 
     return (
-        both.groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
+        exchange(
+            [
+                (events.map_batches(prep_cutoffs, batch_format="pyarrow"), "user_id"),
+                (events, "user_id"),
+            ],
+            fold_bucket,
+            n_buckets=n_buckets,
+        )
         .groupby("event_type")
         .aggregate(Sum("events", alias_name="events"), Sum("users", alias_name="users"))
     )
@@ -2160,45 +2123,20 @@ def q_spend_gini(sf_dir: str, n_buckets: int = 16):
             }
         )
         g = df.groupby("key", as_index=False)["cents"].sum()
-        keys = g["key"].to_numpy()
         return pa.table(
             {
-                "key": pa.array(keys, pa.int64()),
+                "key": pa.array(g["key"].to_numpy(), pa.int64()),
                 "cents": pa.array(g["cents"].to_numpy(), pa.int64()),
-                "bucket": pa.array(keys % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(len(g), dtype=np.int8)),
-                "seg": pa.nulls(len(g), pa.string()),
             }
         )
-
-    def prep_cust(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": b["c_custkey"],
-                "cents": pa.array(np.zeros(b.num_rows, dtype=np.int64)),
-                "bucket": pa.array(
-                    b["c_custkey"].to_numpy(zero_copy_only=False) % n_buckets,
-                    pa.int64(),
-                ),
-                "side": pa.array(np.ones(b.num_rows, dtype=np.int8)),
-                "seg": b["c_mktsegment"],
-            }
-        )
-
-    both = orders.map_batches(prep_orders, batch_format="pyarrow").union(
-        customer.map_batches(prep_cust, batch_format="pyarrow")
-    )
 
     m1 = 7  # mantissa bits of the value-range binning (≈ 2⁻⁷ buckets)
     _LIMB = 62
 
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
+    def join_bucket(parts: pa.Table, cust: pa.Table) -> pa.Table:
         # fold the per-batch partial sums, then attach the segment
-        probe = (
-            g[g["side"] == 0].groupby("key", as_index=False)["cents"].sum()
-        )
-        build = g[g["side"] == 1][["key", "seg"]]
-        j = probe.merge(build, on="key", how="inner")
+        probe = parts.to_pandas().groupby("key", as_index=False)["cents"].sum()
+        j = probe.merge(cust.to_pandas(), left_on="key", right_on="c_custkey")
         c = j["cents"].to_numpy(dtype=np.int64)
         if (c <= 0).any():
             raise ValueError("gini rank binning assumes positive spend totals")
@@ -2206,14 +2144,21 @@ def q_spend_gini(sf_dir: str, n_buckets: int = 16):
         sub = c >> np.maximum(bl - m1, 0)
         return pa.table(
             {
-                "seg": pa.array(j["seg"].astype(str), pa.string()),
+                "seg": pa.array(j["c_mktsegment"].astype(str), pa.string()),
                 "vbucket": pa.array(bl * (1 << m1) + sub, pa.int64()),
                 "key": pa.array(j["key"].to_numpy(dtype=np.int64), pa.int64()),
                 "cents": pa.array(c, pa.int64()),
             }
         )
 
-    grain = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    grain = exchange(
+        [
+            (orders.map_batches(prep_orders, batch_format="pyarrow"), "key"),
+            (customer, "c_custkey"),
+        ],
+        join_bucket,
+        n_buckets=n_buckets,
+    )
 
     def summarize(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["cents", "key"], kind="mergesort")

@@ -53,6 +53,7 @@ import pyarrow.compute as pc
 
 from .ops import _cents, _read
 from .analytics import _join_partitions, _qty_int
+from ..core.exchange import exchange
 
 _US = np.int64(86_400_000_000)
 
@@ -183,82 +184,6 @@ def _dim_join(
     return joined
 
 
-def _bucket_join(
-    left,
-    right,
-    *,
-    left_key: str,
-    right_key: str,
-    left_payload: dict[str, pa.DataType],
-    right_payload: dict[str, pa.DataType],
-    post,
-    n_buckets: int = 32,
-):
-    """Generic tagged-union bucket equi-join (the ``segment_revenue``
-    pattern, factored for reuse): both sides gain ``bucket = key % B``,
-    one union + one groupby moves them, and each bucket joins pairwise
-    inside ``map_groups`` — ONE all-to-all instead of the hash-join
-    operator's aggregator actor pool, whose fixed spin-up dominated the
-    order-grain joins below at sandbox scale (measured 4.5–5.7 s →
-    ~1.5–2 s at sf0.1 / 32 CPUs; at cluster scale B is sized so one
-    bucket's build side fits a worker heap, hot keys get the salted
-    variant ``q_segment_revenue_salted`` demonstrates).
-
-    ``left_payload`` / ``right_payload`` map payload column → pyarrow
-    type (names must be disjoint). Integer columns fill 0 on the
-    opposite side — a pandas column holding nulls silently floats and
-    corrupts wide ints — and string columns fill null; fills never
-    reach results because each side of the in-bucket merge selects
-    only its own columns. ``post`` folds the joined frame (columns:
-    ``key`` + payloads) to the caller's partial grain and MUST return
-    an explicit-schema ``pa.Table`` so empty buckets keep their
-    columns. Callers that feed PER-BATCH PARTIALS on the left rely on
-    the right side being unique per key (join-then-sum equals
-    sum-then-join) — that invariant folds the pre-merge groupby into
-    this exchange."""
-    import pandas as pd
-
-    assert not set(left_payload) & set(right_payload)
-    payloads = [(n, t, True) for n, t in left_payload.items()] + [
-        (n, t, False) for n, t in right_payload.items()
-    ]
-
-    def mk_prep(side: int, key_name: str):
-        def prep(b: pa.Table) -> pa.Table:
-            k = b[key_name].to_numpy(zero_copy_only=False).astype(np.int64)
-            cols: dict = {
-                "key": pa.array(k, pa.int64()),
-                "bucket": pa.array(k % n_buckets, pa.int64()),
-                "side": pa.array(np.full(len(k), side, np.int8)),
-            }
-            for name, typ, from_left in payloads:
-                if from_left == (side == 0):
-                    cols[name] = b[name]
-                elif pa.types.is_integer(typ):
-                    cols[name] = pa.array(np.zeros(len(k), np.int64), typ)
-                else:
-                    cols[name] = pa.nulls(len(k), typ)
-            return pa.table(cols)
-
-        return prep
-
-    both = left.map_batches(
-        mk_prep(0, left_key), batch_format="pyarrow", batch_size=None
-    ).union(
-        right.map_batches(mk_prep(1, right_key), batch_format="pyarrow", batch_size=None)
-    )
-
-    lcols = ["key"] + [n for n, _, fl in payloads if fl]
-    rcols = ["key"] + [n for n, _, fl in payloads if not fl]
-
-    def join_bucket(g: "pd.DataFrame") -> pa.Table:
-        lhs = g[g["side"] == 0][lcols]
-        rhs = g[g["side"] == 1][rcols]
-        return post(lhs.merge(rhs, on="key", how="inner"))
-
-    return both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
-
-
 def _nation_maps(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
     """nationkey-indexed (n_name, r_name) arrays. nation/region are
     spec-bounded (25 / 5 rows at every TPC-H scale), so this driver
@@ -364,7 +289,7 @@ def q_nation_trade_volume(sf_dir: str, budget_bytes: int | None = None):
     supp-nation, year) grain per batch, so the order-grain exchange
     carries partial sums, never lines. The customer side reduces
     orders to (orderkey, cust-nation) the same way. ONE tagged-union
-    bucket exchange (:func:`_bucket_join`) meets the two and folds the
+    bucket exchange (:func:`~..core.exchange.exchange`) meets the two and folds the
     pair sums in place — the customer side is unique per orderkey, so
     per-batch partials join-then-sum exactly — and the final group-by
     runs on a ≤ nations² × years key space."""
@@ -453,7 +378,10 @@ def q_nation_trade_volume(sf_dir: str, budget_bytes: int | None = None):
 
     cust_side = orders.map_batches(asia_orders, batch_format="pyarrow", batch_size=None)
 
-    def pair_fold(j: "pd.DataFrame") -> pa.Table:
+    def pair_fold(supp: pa.Table, cust: pa.Table) -> pa.Table:
+        j = supp.to_pandas().merge(
+            cust.to_pandas(), left_on="l_orderkey", right_on="o_orderkey"
+        )
         agg = (
             j.groupby(["sn_year", "cust_nk"], sort=False)["revenue_cents2"]
             .sum()
@@ -470,15 +398,7 @@ def q_nation_trade_volume(sf_dir: str, budget_bytes: int | None = None):
         )
 
     final = (
-        _bucket_join(
-            supp_side,
-            cust_side,
-            left_key="l_orderkey",
-            right_key="o_orderkey",
-            left_payload={"sn_year": pa.int64(), "revenue_cents2": pa.int64()},
-            right_payload={"cust_nk": pa.int64()},
-            post=pair_fold,
-        )
+        exchange([(supp_side, "l_orderkey"), (cust_side, "o_orderkey")], pair_fold)
         .groupby(["sn_year", "cust_nk"])
         .aggregate(Sum("revenue_cents2", alias_name="revenue_cents2"))
     )
@@ -533,7 +453,7 @@ def q_market_share(sf_dir: str, budget_bytes: int | None = None):
     supplier nationality rides the same gated attach, and lineitem
     folds to one (orderkey, total, target) row per order per batch
     before the single order-grain bucket exchange
-    (:func:`_bucket_join` — the ASIA-orders side is unique per
+    (:func:`~..core.exchange.exchange` — the ASIA-orders side is unique per
     orderkey, so per-batch partials need no pre-merge). The
     per-year read-off happens on ≤ #years rows driver-side in Python
     bignums, so no ppm product can overflow at any corpus size."""
@@ -578,7 +498,7 @@ def q_market_share(sf_dir: str, budget_bytes: int | None = None):
         )
 
     # per-batch partials ride straight into the bucket exchange (the
-    # ASIA-orders side is unique per orderkey — see _bucket_join)
+    # ASIA-orders side is unique per orderkey)
     per_order_ds = li.map_batches(per_order, batch_format="pyarrow", batch_size=None)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
@@ -610,7 +530,10 @@ def q_market_share(sf_dir: str, budget_bytes: int | None = None):
 
     cust_side = orders.map_batches(asia_years, batch_format="pyarrow", batch_size=None)
 
-    def year_fold(j: "pd.DataFrame") -> pa.Table:
+    def year_fold(lines: pa.Table, cust: pa.Table) -> pa.Table:
+        j = lines.to_pandas().merge(
+            cust.to_pandas(), left_on="l_orderkey", right_on="o_orderkey"
+        )
         agg = (
             j.groupby("o_year", sort=False)[["target_cents2", "total_cents2"]]
             .sum()
@@ -627,15 +550,7 @@ def q_market_share(sf_dir: str, budget_bytes: int | None = None):
         )
 
     per_year = (
-        _bucket_join(
-            per_order_ds,
-            cust_side,
-            left_key="l_orderkey",
-            right_key="o_orderkey",
-            left_payload={"target_cents2": pa.int64(), "total_cents2": pa.int64()},
-            right_payload={"o_year": pa.int64()},
-            post=year_fold,
-        )
+        exchange([(per_order_ds, "l_orderkey"), (cust_side, "o_orderkey")], year_fold)
         .groupby("o_year")
         .aggregate(
             Sum("target_cents2", alias_name="target_cents2"),
@@ -782,7 +697,7 @@ def q_product_profit(sf_dir: str, token: str = "bolt", budget_bytes: int | None 
         )
 
     # per-batch (orderkey, nation) partials flow straight into the
-    # bucket exchange — orders are unique per key (see _bucket_join)
+    # bucket exchange — orders are unique per key
     per_order = li.map_batches(
         per_order_nation, batch_format="pyarrow", batch_size=None
     )
@@ -796,7 +711,10 @@ def q_product_profit(sf_dir: str, token: str = "bolt", budget_bytes: int | None 
             }
         )
 
-    def nation_year_fold(j: "pd.DataFrame") -> pa.Table:
+    def nation_year_fold(lines: pa.Table, years: pa.Table) -> pa.Table:
+        j = lines.to_pandas().merge(
+            years.to_pandas(), left_on="l_orderkey", right_on="o_orderkey"
+        )
         agg = (
             j.groupby(["s_nationkey", "o_year"], sort=False)["profit_e4"]
             .sum()
@@ -811,14 +729,15 @@ def q_product_profit(sf_dir: str, token: str = "bolt", budget_bytes: int | None 
         )
 
     final = (
-        _bucket_join(
-            per_order,
-            orders.map_batches(order_years, batch_format="pyarrow", batch_size=None),
-            left_key="l_orderkey",
-            right_key="o_orderkey",
-            left_payload={"s_nationkey": pa.int64(), "profit_e4": pa.int64()},
-            right_payload={"o_year": pa.int64()},
-            post=nation_year_fold,
+        exchange(
+            [
+                (per_order, "l_orderkey"),
+                (
+                    orders.map_batches(order_years, batch_format="pyarrow", batch_size=None),
+                    "o_orderkey",
+                ),
+            ],
+            nation_year_fold,
         )
         .groupby(["s_nationkey", "o_year"])
         .aggregate(Sum("profit_e4", alias_name="profit_e4"))
@@ -864,7 +783,7 @@ def q_returned_item_revenue(
 ):
     """Top-k customers by revenue on RETURNED lines of orders placed in
     1996 H1 (TPC-H Q10 shape). Returned lines fold to order grain per
-    batch, one order-grain bucket exchange (:func:`_bucket_join`)
+    batch, one order-grain bucket exchange (:func:`~..core.exchange.exchange`)
     attaches custkey from the date-filtered orders side and folds the
     roll-up to customer grain in place, and only then do
     name/nation attach and the bounded top-k sort run — the fact table
@@ -925,7 +844,10 @@ def q_returned_item_revenue(
             }
         )
 
-    def cust_fold(j: "pd.DataFrame") -> pa.Table:
+    def cust_fold(lines: pa.Table, window_orders: pa.Table) -> pa.Table:
+        j = lines.to_pandas().merge(
+            window_orders.to_pandas(), left_on="l_orderkey", right_on="o_orderkey"
+        )
         agg = j.groupby("o_custkey", sort=False)["revenue_cents2"].sum().reset_index()
         return pa.table(
             {
@@ -937,14 +859,15 @@ def q_returned_item_revenue(
         )
 
     per_customer = (
-        _bucket_join(
-            per_order,
-            orders.map_batches(window, batch_format="pyarrow", batch_size=None),
-            left_key="l_orderkey",
-            right_key="o_orderkey",
-            left_payload={"revenue_cents2": pa.int64()},
-            right_payload={"o_custkey": pa.int64()},
-            post=cust_fold,
+        exchange(
+            [
+                (per_order, "l_orderkey"),
+                (
+                    orders.map_batches(window, batch_format="pyarrow", batch_size=None),
+                    "o_orderkey",
+                ),
+            ],
+            cust_fold,
         )
         .groupby("o_custkey")
         .aggregate(Sum("revenue_cents2", alias_name="revenue_cents2"))
@@ -1042,7 +965,10 @@ def q_priority_line_mix(sf_dir: str):
     )
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
 
-    def split_fold(j: "pd.DataFrame") -> pa.Table:
+    def split_fold(lines: pa.Table, prio: pa.Table) -> pa.Table:
+        j = lines.to_pandas().merge(
+            prio.to_pandas(), left_on="l_orderkey", right_on="o_orderkey"
+        )
         high = j["o_orderpriority"].isin(["1-URGENT", "2-HIGH"]).to_numpy()
         cnt = j["cnt"].to_numpy()
         df = pd.DataFrame(
@@ -1062,15 +988,7 @@ def q_priority_line_mix(sf_dir: str):
         )
 
     return (
-        _bucket_join(
-            per_order,
-            orders,
-            left_key="l_orderkey",
-            right_key="o_orderkey",
-            left_payload={"l_linestatus": pa.string(), "cnt": pa.int64()},
-            right_payload={"o_orderpriority": pa.string()},
-            post=split_fold,
-        )
+        exchange([(per_order, "l_orderkey"), (orders, "o_orderkey")], split_fold)
         .groupby("l_linestatus")
         .aggregate(
             Sum("high_line_count", alias_name="high_line_count"),

@@ -1572,8 +1572,8 @@ def q_ship_latency_percentiles(
     (orderkey → order-day, priority) lookup broadcasts into the
     lineitem scan — ZERO all-to-alls, per-batch (priority, latency)
     cells stream to a bounded driver merge (≤ blocks × latency-domain
-    rows). Beyond budget, the tagged-union orderkey bucket join
-    (:func:`~pdf_parser_ray.relational.analytics2._bucket_join`, ONE
+    rows). Beyond budget, the orderkey bucket join
+    (:func:`~pdf_parser_ray.core.exchange.exchange`, ONE
     all-to-all; lineitem pre-reduced to (order, ship-day) count cells)
     folds each bucket to the same cells. The percentile read-off runs
     on the value-count summary either way.
@@ -1665,7 +1665,7 @@ def _ship_latency_broadcast(sf_dir: str):
 def _ship_latency_shuffle(sf_dir: str, n_buckets: int = 32):
     import pandas as pd
 
-    from .analytics2 import _bucket_join
+    from ..core.exchange import exchange
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
     orders = _read(
@@ -1709,7 +1709,8 @@ def _ship_latency_shuffle(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def cells(j: pd.DataFrame) -> pa.Table:
+    def cells(lines: pa.Table, ords: pa.Table) -> pa.Table:
+        j = lines.to_pandas().merge(ords.to_pandas(), left_on="l_orderkey", right_on="o_orderkey")
         lat = j["ship_day"].to_numpy(np.int64) - j["ord_day"].to_numpy(np.int64)
         agg = (
             pd.DataFrame({"pr": j["pr"].to_numpy(), "lat": lat,
@@ -1726,17 +1727,10 @@ def _ship_latency_shuffle(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    parts = _bucket_join(
-        li.map_batches(prep_li, batch_format="pyarrow", batch_size=None),
-        orders.map_batches(
-            prep_orders, batch_format="pyarrow", batch_size=None
-        ),
-        left_key="l_orderkey",
-        right_key="o_orderkey",
-        left_payload={"ship_day": pa.int64(), "n": pa.int64()},
-        right_payload={"ord_day": pa.int64(), "pr": pa.string()},
-        post=cells,
-        n_buckets=n_buckets,
+    lines = li.map_batches(prep_li, batch_format="pyarrow", batch_size=None)
+    ords = orders.map_batches(prep_orders, batch_format="pyarrow", batch_size=None)
+    parts = exchange(
+        [(lines, "l_orderkey"), (ords, "o_orderkey")], cells, n_buckets=n_buckets
     ).to_pandas()  # ≤ buckets × priorities × latency-domain rows
     return _latency_fold(parts)
 

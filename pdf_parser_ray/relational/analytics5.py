@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.exchange import exchange
 from .ops import _cents, _read
 from .analytics2 import _ts_us
 
@@ -1203,7 +1204,7 @@ def q_theil_decomposition(sf_dir: str, n_buckets: int = 32):
     ``xᵢ·N < 2⁶³`` (≈ sf100 in cents; rescale the unit past that,
     the ``revenue_autocorr`` rule).
 
-    Shape: ONE custkey-bucket tagged exchange resolves per-customer
+    Shape: ONE custkey-bucket exchange resolves per-customer
     spend WITH its nation (the ``spend_gini`` join pattern); the
     ≤ nations-row (N_g, X_g) aggregate folds on the driver; the term
     pass streams the per-customer grain once against the broadcast
@@ -1230,50 +1231,30 @@ def q_theil_decomposition(sf_dir: str, n_buckets: int = 32):
                     ),
                 }
             ).groupby("key", as_index=False)["cents"].sum()
-            k = df["key"].to_numpy(np.int64)
             return pa.table(
                 {
-                    "bucket": pa.array(k % n_buckets),
-                    "side": pa.array(np.zeros(len(k), np.int8)),
-                    "key": pa.array(k),
-                    "val": pa.array(df["cents"].to_numpy(np.int64)),
+                    "key": pa.array(df["key"].to_numpy(np.int64)),
+                    "cents": pa.array(df["cents"].to_numpy(np.int64)),
                 }
             )
 
-        def c_rows(b: pa.Table) -> pa.Table:
-            k = b["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        def resolve(parts: pa.Table, cust: pa.Table) -> pa.Table:
+            spend = parts.to_pandas().groupby("key", as_index=False)["cents"].sum()
+            j = spend.merge(cust.to_pandas(), left_on="key", right_on="c_custkey")
             return pa.table(
                 {
-                    "bucket": pa.array(k % n_buckets),
-                    "side": pa.array(np.ones(len(k), np.int8)),
-                    "key": pa.array(k),
-                    "val": pa.array(
-                        b["c_nationkey"].to_numpy(zero_copy_only=False).astype(
-                            np.int64
-                        )
-                    ),
+                    "nation": pa.array(j["c_nationkey"].to_numpy(np.int64)),
+                    "x": pa.array(j["cents"].to_numpy(np.int64)),
                 }
             )
 
-        def resolve(g: pd.DataFrame) -> pa.Table:
-            s = g[g["side"] == 0].groupby("key", as_index=False)["val"].sum()
-            nat = g[g["side"] == 1][["key", "val"]].rename(
-                columns={"val": "nation"}
-            )
-            j = s.merge(nat, on="key")
-            return pa.table(
-                {
-                    "nation": pa.array(j["nation"].to_numpy(np.int64)),
-                    "x": pa.array(j["val"].to_numpy(np.int64)),
-                }
-            )
-
-        orders_ds = orders.map_batches(o_rows, batch_format="pyarrow", batch_size=None)
-        cust_ds = customer.map_batches(c_rows, batch_format="pyarrow", batch_size=None)
-        return (
-            orders_ds.union(cust_ds)
-            .groupby("bucket")
-            .map_groups(resolve, batch_format="pandas")
+        return exchange(
+            [
+                (orders.map_batches(o_rows, batch_format="pyarrow", batch_size=None), "key"),
+                (customer, "c_custkey"),
+            ],
+            resolve,
+            n_buckets=n_buckets,
         )
 
     n_rows_hint = pq_.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows

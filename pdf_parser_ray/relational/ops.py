@@ -19,8 +19,10 @@ Design rules:
   task/actor, the object store dedupes); no shuffle.
 * **Pre-aggregate before the shuffle** — per-batch partial combine
   inside ``map_batches``, then a small ``groupby`` over partials.
-* **Salt nothing silently** — the partitioned hash join shows the
-  explicit bucket pattern used when both sides are large.
+* **Salt nothing silently** — when both sides are large they meet in
+  :func:`~..core.exchange.exchange`, the one co-partitioned bucket
+  exchange (routing, side split, empty-side schemas); the salted
+  segment join packs its salt into the key it hands over.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..core.exchange import exchange
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -254,12 +258,12 @@ GROUP BY r_name
 def q_segment_revenue(sf_dir: str, n_buckets: int = 16):
     """orders ⋈ customer on custkey → revenue per market segment.
 
-    The explicit bucket pattern: both sides gain ``bucket =
-    key % B``; per-bucket groups join pairwise inside ``map_groups``.
-    At cluster scale B is sized so one bucket's build side fits a
-    worker's heap, and hot keys get salted into sub-buckets; here the
-    key is near-uniform so no salting is needed (documented
-    partitioning assumption)."""
+    The bucket join: both sides meet in one ``key % B`` exchange
+    (:func:`~..core.exchange.exchange`) and each bucket joins its two
+    side tables. At cluster scale B is sized so one bucket's build
+    side fits a worker's heap, and hot keys get salted into
+    sub-buckets; here the key is near-uniform so no salting is needed
+    (documented partitioning assumption)."""
     import pandas as pd
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -270,8 +274,6 @@ def q_segment_revenue(sf_dir: str, n_buckets: int = 16):
         # shuffle: the exchange then carries one row per (batch, key)
         # instead of one per order — the partial-combine discipline
         # applied to the join's probe side.
-        import pandas as pd
-
         df = pd.DataFrame(
             {
                 "key": b["o_custkey"].to_numpy(zero_copy_only=False),
@@ -279,45 +281,22 @@ def q_segment_revenue(sf_dir: str, n_buckets: int = 16):
             }
         )
         g = df.groupby("key", as_index=False)["total_cents"].sum()
-        keys = g["key"].to_numpy()
         return pa.table(
             {
-                "key": pa.array(keys, pa.int64()),
+                "key": pa.array(g["key"].to_numpy(), pa.int64()),
                 "total_cents": pa.array(g["total_cents"].to_numpy(), pa.int64()),
-                "bucket": pa.array(keys % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(len(g), dtype=np.int8)),
-                "seg": pa.nulls(len(g), pa.string()),
             }
         )
 
-    def prep_cust(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": b["c_custkey"],
-                "total_cents": pa.array(np.zeros(b.num_rows, dtype=np.int64)),
-                "bucket": pa.array(
-                    b["c_custkey"].to_numpy(zero_copy_only=False) % n_buckets, pa.int64()
-                ),
-                "side": pa.array(np.ones(b.num_rows, dtype=np.int8)),
-                "seg": b["c_mktsegment"],
-            }
-        )
-
-    both = orders.map_batches(prep_orders, batch_format="pyarrow").union(
-        customer.map_batches(prep_cust, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
-        build = g[g["side"] == 1][["key", "seg"]]
-        probe = g[g["side"] == 0][["key", "total_cents"]]
-        j = probe.merge(build, on="key", how="inner")
-        out = j.groupby("seg", as_index=False)["total_cents"].sum()
+    def join_bucket(probe: pa.Table, build: pa.Table) -> pa.Table:
+        j = probe.to_pandas().merge(build.to_pandas(), left_on="key", right_on="c_custkey")
+        out = j.groupby("c_mktsegment", as_index=False)["total_cents"].sum()
         # explicit Arrow schema so empty partitions keep their columns
         # (schema-less empty pandas blocks trip the executor's
         # schema-consistency check)
         return pa.table(
             {
-                "c_mktsegment": pa.array(out["seg"].tolist(), pa.string()),
+                "c_mktsegment": pa.array(out["c_mktsegment"].tolist(), pa.string()),
                 "revenue_cents": pa.array(
                     out["total_cents"].to_numpy(dtype=np.int64), pa.int64()
                 ),
@@ -326,7 +305,14 @@ def q_segment_revenue(sf_dir: str, n_buckets: int = 16):
 
     from ray.data.aggregate import Sum
 
-    per_bucket = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    per_bucket = exchange(
+        [
+            (orders.map_batches(prep_orders, batch_format="pyarrow"), "key"),
+            (customer, "c_custkey"),
+        ],
+        join_bucket,
+        n_buckets=n_buckets,
+    )
     return per_bucket.groupby("c_mktsegment").aggregate(
         Sum("revenue_cents", alias_name="revenue_cents")
     )
@@ -370,46 +356,32 @@ def q_segment_revenue_salted(sf_dir: str, n_buckets: int = 16, n_salts: int = 4)
         salt = np.arange(len(g), dtype=np.int64) % n_salts
         return pa.table(
             {
+                "route": pa.array((keys % n_buckets) * n_salts + salt, pa.int64()),
                 "key": pa.array(keys, pa.int64()),
                 "total_cents": pa.array(g["total_cents"].to_numpy(), pa.int64()),
-                "bucket": pa.array((keys % n_buckets) * n_salts + salt, pa.int64()),
-                "side": pa.array(np.zeros(len(g), dtype=np.int8)),
-                "seg": pa.nulls(len(g), pa.string()),
             }
         )
 
     def prep_cust(b: pa.Table) -> pa.Table:
         ck = b["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(ck)
-        rep_keys = np.repeat(ck, n_salts)
-        rep_salt = np.tile(np.arange(n_salts, dtype=np.int64), n)
+        rep = np.repeat(np.arange(len(ck)), n_salts)
+        rep_salt = np.tile(np.arange(n_salts, dtype=np.int64), len(ck))
         return pa.table(
             {
-                "key": pa.array(rep_keys, pa.int64()),
-                "total_cents": pa.array(np.zeros(n * n_salts, dtype=np.int64)),
-                "bucket": pa.array(
-                    (rep_keys % n_buckets) * n_salts + rep_salt, pa.int64()
-                ),
-                "side": pa.array(np.ones(n * n_salts, dtype=np.int8)),
-                "seg": pa.array(
-                    np.repeat(np.asarray(b["c_mktsegment"].to_pylist(), dtype=object), n_salts).tolist(),
-                    pa.string(),
-                ),
+                "route": pa.array((ck[rep] % n_buckets) * n_salts + rep_salt, pa.int64()),
+                "c_custkey": pa.array(ck[rep], pa.int64()),
+                "c_mktsegment": b["c_mktsegment"].take(pa.array(rep)),
             }
         )
 
-    both = orders.map_batches(prep_orders, batch_format="pyarrow").union(
-        customer.map_batches(prep_cust, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
-        build = g[g["side"] == 1][["key", "seg"]].drop_duplicates("key")
-        probe = g[g["side"] == 0][["key", "total_cents"]]
-        j = probe.merge(build, on="key", how="inner")
-        out = j.groupby("seg", as_index=False)["total_cents"].sum()
+    def join_bucket(probe: pa.Table, build: pa.Table) -> pa.Table:
+        j = probe.to_pandas().merge(
+            build.to_pandas().drop_duplicates("c_custkey"), left_on="key", right_on="c_custkey"
+        )
+        out = j.groupby("c_mktsegment", as_index=False)["total_cents"].sum()
         return pa.table(
             {
-                "c_mktsegment": pa.array(out["seg"].tolist(), pa.string()),
+                "c_mktsegment": pa.array(out["c_mktsegment"].tolist(), pa.string()),
                 "revenue_cents": pa.array(
                     out["total_cents"].to_numpy(dtype=np.int64), pa.int64()
                 ),
@@ -418,7 +390,14 @@ def q_segment_revenue_salted(sf_dir: str, n_buckets: int = 16, n_salts: int = 4)
 
     from ray.data.aggregate import Sum
 
-    per_bucket = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    per_bucket = exchange(
+        [
+            (orders.map_batches(prep_orders, batch_format="pyarrow"), "route"),
+            (customer.map_batches(prep_cust, batch_format="pyarrow"), "route"),
+        ],
+        join_bucket,
+        n_buckets=n_buckets * n_salts,
+    )
     return per_bucket.groupby("c_mktsegment").aggregate(
         Sum("revenue_cents", alias_name="revenue_cents")
     )
@@ -472,8 +451,6 @@ def _customer_order_filter_shuffle(
     partition. ``customer_ds`` lets a caller substitute a pre-filtered
     probe side (the Bloom shape) — it must carry the customer
     schema."""
-    import pandas as pd
-
     ocols = ["o_custkey"] + (["o_totalprice"] if min_total is not None else [])
     orders = _read(sf_dir, "orders", ocols)
     customer = (
@@ -482,54 +459,31 @@ def _customer_order_filter_shuffle(
         else _read(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
     )
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
+    def order_keys(batch: pa.Table) -> pa.Table:
         if min_total is not None:
             batch = batch.filter(pc.greater(batch["o_totalprice"], min_total))
         ck = np.unique(batch["o_custkey"].to_numpy(zero_copy_only=False))
-        n = len(ck)
+        return pa.table({"o_custkey": pa.array(ck, pa.int64())})
+
+    def semi_bucket(okeys: pa.Table, cust: pa.Table) -> pa.Table:
+        mask = pc.is_in(cust["c_custkey"], value_set=okeys["o_custkey"].combine_chunks())
+        kept = cust.filter(mask if keep_with_orders else pc.invert(mask))
         return pa.table(
             {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-                "key": pa.array(ck, pa.int64()),
-                "c_name": pa.nulls(n, pa.string()),
-                "acctbal_cents": pa.nulls(n, pa.int64()),
+                "c_custkey": pc.cast(kept["c_custkey"], pa.int64()),
+                "c_name": pc.cast(kept["c_name"], pa.string()),
+                "acctbal_cents": _cents(kept["c_acctbal"]),
             }
         )
 
-    def tag_cust(batch: pa.Table) -> pa.Table:
-        ck = batch["c_custkey"].to_numpy(zero_copy_only=False)
-        n = batch.num_rows
-        return pa.table(
-            {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-                "key": pa.array(ck, pa.int64()),
-                "c_name": batch["c_name"],
-                "acctbal_cents": _cents(batch["c_acctbal"]),
-            }
-        )
-
-    both = orders.map_batches(tag_orders, batch_format="pyarrow", batch_size=None).union(
-        customer.map_batches(tag_cust, batch_format="pyarrow", batch_size=None)
+    return exchange(
+        [
+            (orders.map_batches(order_keys, batch_format="pyarrow", batch_size=None), "o_custkey"),
+            (customer, "c_custkey"),
+        ],
+        semi_bucket,
+        n_buckets=n_buckets,
     )
-
-    def semi_bucket(g: pd.DataFrame) -> pa.Table:
-        keys = g.loc[g["side"] == 0, "key"].to_numpy(dtype=np.int64)
-        cust = g[g["side"] == 1]
-        mask = cust["key"].isin(keys).to_numpy()
-        kept = cust[mask if keep_with_orders else ~mask]
-        return pa.table(
-            {
-                "c_custkey": pa.array(kept["key"].to_numpy(dtype=np.int64), pa.int64()),
-                "c_name": pa.array(kept["c_name"].tolist(), pa.string()),
-                "acctbal_cents": pa.array(
-                    kept["acctbal_cents"].to_numpy(dtype=np.int64), pa.int64()
-                ),
-            }
-        )
-
-    return both.groupby("bucket").map_groups(semi_bucket, batch_format="pandas")
 
 
 def q_customers_with_orders(sf_dir: str, budget_bytes: int | None = None):
@@ -622,16 +576,8 @@ def q_top_revenue_orders(
             ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
             idx = np.clip(np.searchsorted(key_arr, ck), 0, max(len(key_arr) - 1, 0))
             in_seg = key_arr[idx] == ck if len(key_arr) else np.zeros(len(ck), bool)
-            t = batch.filter(pa.array(in_seg & (od < cut)))
-            ok = t["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "bucket": pa.array(ok % n_buckets, pa.int64()),
-                    "side": pa.array(np.ones(len(ok), dtype=np.int8)),
-                    "key": pa.array(ok, pa.int64()),
-                    "rev": pa.nulls(len(ok), pa.int64()),
-                    "o_orderdate": t["o_orderdate"],
-                }
+            return batch.filter(pa.array(in_seg & (od < cut))).select(
+                ["o_orderkey", "o_orderdate"]
             )
 
         seg_orders = orders.map_batches(
@@ -641,62 +587,35 @@ def q_top_revenue_orders(
         # Shuffle twin for the semi join: orders (date-filtered) and
         # segment customer keys exchange once on custkey; a partition
         # keeps its orders whose custkey appears on the customer side,
-        # re-tagged to the orderkey grain for the downstream join.
+        # at the orderkey grain for the downstream join.
         customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
-        def tag_order(batch: pa.Table) -> pa.Table:
+        def early_orders(batch: pa.Table) -> pa.Table:
             od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
-            t = batch.filter(pa.array(od < cut))
-            ck = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "cbucket": pa.array(ck % n_buckets, pa.int64()),
-                    "cside": pa.array(np.zeros(len(ck), dtype=np.int8)),
-                    "ckey": pa.array(ck, pa.int64()),
-                    "o_orderkey": pa.array(
-                        t["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-                        pa.int64(),
-                    ),
-                    "o_orderdate": t["o_orderdate"],
-                }
+            return batch.filter(pa.array(od < cut))
+
+        def seg_cust(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.equal(batch["c_mktsegment"], segment))
+
+        def semi_bucket(ords: pa.Table, cust: pa.Table) -> pa.Table:
+            kept = ords.filter(
+                pc.is_in(ords["o_custkey"], value_set=cust["c_custkey"].combine_chunks())
             )
+            return kept.select(["o_orderkey", "o_orderdate"])
 
-        def tag_cust(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            t = batch.filter(pc.equal(batch["c_mktsegment"], segment))
-            ck = t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "cbucket": pa.array(ck % n_buckets, pa.int64()),
-                    "cside": pa.array(np.ones(len(ck), dtype=np.int8)),
-                    "ckey": pa.array(ck, pa.int64()),
-                    "o_orderkey": pa.nulls(len(ck), pa.int64()),
-                    "o_orderdate": pa.nulls(len(ck), pa.timestamp("us")),
-                }
-            )
-
-        both_c = orders.map_batches(
-            tag_order, batch_format="pyarrow", batch_size=None
-        ).union(customer.map_batches(tag_cust, batch_format="pyarrow", batch_size=None))
-
-        def semi_bucket(g: pd.DataFrame) -> pa.Table:
-            seg_keys = g.loc[g["cside"] == 1, "ckey"].to_numpy(dtype=np.int64)
-            ords = g[g["cside"] == 0]
-            kept = ords[ords["ckey"].isin(seg_keys).to_numpy()]
-            ok = kept["o_orderkey"].to_numpy(dtype=np.int64)
-            return pa.table(
-                {
-                    "bucket": pa.array(ok % n_buckets, pa.int64()),
-                    "side": pa.array(np.ones(len(ok), dtype=np.int8)),
-                    "key": pa.array(ok, pa.int64()),
-                    "rev": pa.nulls(len(ok), pa.int64()),
-                    "o_orderdate": pa.array(kept["o_orderdate"], pa.timestamp("us")),
-                }
-            )
-
-        seg_orders = both_c.groupby("cbucket").map_groups(
-            semi_bucket, batch_format="pandas"
+        seg_orders = exchange(
+            [
+                (
+                    orders.map_batches(early_orders, batch_format="pyarrow", batch_size=None),
+                    "o_custkey",
+                ),
+                (
+                    customer.map_batches(seg_cust, batch_format="pyarrow", batch_size=None),
+                    "c_custkey",
+                ),
+            ],
+            semi_bucket,
+            n_buckets=n_buckets,
         )
 
     lineitem = _read(
@@ -715,28 +634,23 @@ def q_top_revenue_orders(
             }
         )
         agg = df.groupby("key", sort=False)["rev"].sum()
-        keys = agg.index.to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(len(keys), dtype=np.int8)),
-                "key": pa.array(keys, pa.int64()),
+                "key": pa.array(agg.index.to_numpy(dtype=np.int64), pa.int64()),
                 "rev": pa.array(agg.to_numpy(dtype=np.int64), pa.int64()),
-                "o_orderdate": pa.nulls(len(keys), pa.timestamp("us")),
             }
         )
 
-    both = seg_orders.union(
-        lineitem.map_batches(li_partials, batch_format="pyarrow", batch_size=None)
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
-        rev = g[g["side"] == 0].groupby("key", sort=False)["rev"].sum()
-        ords = g[g["side"] == 1][["key", "o_orderdate"]]
-        merged = ords.merge(rev, how="inner", left_on="key", right_index=True)
+    def join_bucket(lines: pa.Table, ords: pa.Table) -> pa.Table:
+        rev = lines.to_pandas().groupby("key", sort=False)["rev"].sum()
+        merged = ords.to_pandas().merge(
+            rev, how="inner", left_on="o_orderkey", right_index=True
+        )
         return pa.table(
             {
-                "o_orderkey": pa.array(merged["key"].to_numpy(dtype=np.int64), pa.int64()),
+                "o_orderkey": pa.array(
+                    merged["o_orderkey"].to_numpy(dtype=np.int64), pa.int64()
+                ),
                 "revenue_cents2": pa.array(
                     merged["rev"].to_numpy(dtype=np.int64), pa.int64()
                 ),
@@ -744,7 +658,14 @@ def q_top_revenue_orders(
             }
         )
 
-    joined = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    joined = exchange(
+        [
+            (lineitem.map_batches(li_partials, batch_format="pyarrow", batch_size=None), "key"),
+            (seg_orders, "o_orderkey"),
+        ],
+        join_bucket,
+        n_buckets=n_buckets,
+    )
     return joined.sort(["revenue_cents2", "o_orderkey"], descending=[True, False]).limit(k)
 
 
@@ -1086,47 +1007,12 @@ def q_supplier_revenue(
         # Shuffle twin: dim rows (nation resolved via the 25-row map)
         # and totals meet in a suppkey-bucket exchange — O(suppliers +
         # distinct suppkeys) rows, both already at aggregated grain.
-        import ray.data as rd
-
         sup_ds = _read(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey"])
 
-        def tag_dim(batch: pa.Table) -> pa.Table:
-            keys = batch["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            nk = batch["s_nationkey"].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "bucket": pa.array(keys % n_buckets, pa.int64()),
-                    "side": pa.array(np.ones(len(keys), dtype=np.int8)),
-                    "s_suppkey": pa.array(keys, pa.int64()),
-                    "s_name": batch["s_name"],
-                    "n_name": pa.array(
-                        [n_map[int(x)] for x in nk], pa.string()
-                    ),
-                    "revenue_cents2": pa.nulls(len(keys), pa.int64()),
-                }
-            )
-
-        def tag_tot(batch: pa.Table) -> pa.Table:
-            keys = batch["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "bucket": pa.array(keys % n_buckets, pa.int64()),
-                    "side": pa.array(np.zeros(len(keys), dtype=np.int8)),
-                    "s_suppkey": pa.array(keys, pa.int64()),
-                    "s_name": pa.nulls(len(keys), pa.string()),
-                    "n_name": pa.nulls(len(keys), pa.string()),
-                    "revenue_cents2": batch["revenue_cents2"],
-                }
-            )
-
-        both = sup_ds.map_batches(tag_dim, batch_format="pyarrow", batch_size=None).union(
-            totals.map_batches(tag_tot, batch_format="pyarrow", batch_size=None)
-        )
-
-        def join_bucket(g: pd.DataFrame) -> pa.Table:
-            dim = g[g["side"] == 1][["s_suppkey", "s_name", "n_name"]]
-            tot = g[g["side"] == 0][["s_suppkey", "revenue_cents2"]]
-            merged = tot.merge(dim, how="left", on="s_suppkey")
+        def join_bucket(tot: pa.Table, dim: pa.Table) -> pa.Table:
+            d = dim.to_pandas()
+            d["n_name"] = [n_map[int(x)] for x in d["s_nationkey"]]
+            merged = tot.to_pandas().merge(d, how="left", on="s_suppkey")
             if merged["s_name"].isna().any():
                 missing = merged.loc[merged["s_name"].isna(), "s_suppkey"]
                 raise ValueError(
@@ -1145,7 +1031,9 @@ def q_supplier_revenue(
                 }
             )
 
-        resolved = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+        resolved = exchange(
+            [(totals, "s_suppkey"), (sup_ds, "s_suppkey")], join_bucket, n_buckets=n_buckets
+        )
     return resolved.sort(["revenue_cents2", "s_suppkey"], descending=[True, False]).limit(k)
 
 
@@ -1169,39 +1057,40 @@ def q_active_buyers(sf_dir: str, n_buckets: int = 32):
     """Distributed INTERSECT — the set-operation class (vs the
     row-preserving joins): customer keys that appear in BOTH orders
     and events (``events.user_id`` shares the custkey domain). Each
-    side dedupes per batch and ships bare keys tagged with a side BIT;
-    one coarse ``key % B`` groupby; a partition keeps the keys whose
-    OR-of-side-bits is 3 — the same exchange EXCEPT/UNION-distinct
-    fall out of by changing the final mask (== 1 / any). Exchange
-    volume is O(distinct keys × blocks), never rows."""
-    import pandas as pd
+    side dedupes per batch and ships bare keys; one coarse ``key % B``
+    exchange; a bucket intersects its two key sets — the same exchange
+    EXCEPT/UNION-distinct fall out of by changing the set operation.
+    Exchange volume is O(distinct keys × blocks), never rows."""
 
-    orders = _read(sf_dir, "orders", ["o_custkey"])
-    events = _read(sf_dir, "events", ["user_id"])
+    def intersect(od: pa.Table, ev: pa.Table) -> pa.Table:
+        k1 = np.unique(od["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64))
+        k2 = np.unique(ev["user_id"].to_numpy(zero_copy_only=False).astype(np.int64))
+        return pa.table({"c_custkey": pa.array(np.intersect1d(k1, k2), pa.int64())})
 
-    def tag(col: str, bit: int):
+    return exchange(_buyer_keys(sf_dir), intersect, n_buckets=n_buckets)
+
+
+def _buyer_keys(sf_dir: str) -> list:
+    """The two key sides of the set-operation exchanges: distinct order
+    custkeys and distinct event user ids, deduped per batch so the
+    exchange carries O(distinct keys × blocks) rows."""
+
+    def distinct(col: str):
         def fn(batch: pa.Table) -> pa.Table:
             keys = np.unique(batch[col].to_numpy(zero_copy_only=False)).astype(np.int64)
-            return pa.table(
-                {
-                    "bucket": pa.array(keys % n_buckets, pa.int64()),
-                    "key": pa.array(keys, pa.int64()),
-                    "side": pa.array(np.full(len(keys), bit, dtype=np.int64), pa.int64()),
-                }
-            )
+            return pa.table({col: pa.array(keys, pa.int64())})
 
         return fn
 
-    both = orders.map_batches(tag("o_custkey", 1), batch_format="pyarrow", batch_size=None).union(
-        events.map_batches(tag("user_id", 2), batch_format="pyarrow", batch_size=None)
-    )
-
-    def intersect(g: pd.DataFrame) -> pa.Table:
-        k1 = np.unique(g.loc[g["side"] == 1, "key"].to_numpy(dtype=np.int64))
-        k2 = np.unique(g.loc[g["side"] == 2, "key"].to_numpy(dtype=np.int64))
-        return pa.table({"c_custkey": pa.array(np.intersect1d(k1, k2), pa.int64())})
-
-    return both.groupby("bucket").map_groups(intersect, batch_format="pandas")
+    return [
+        (
+            _read(sf_dir, table, [col]).map_batches(
+                distinct(col), batch_format="pyarrow", batch_size=None
+            ),
+            col,
+        )
+        for table, col in (("orders", "o_custkey"), ("events", "user_id"))
+    ]
 
 
 _SQL_ACTIVE_BUYERS = """
@@ -1213,39 +1102,17 @@ SELECT user_id AS c_custkey FROM events
 
 def q_silent_buyers(sf_dir: str, n_buckets: int = 32):
     """Distributed EXCEPT — the promised second mask over the same
-    side-bit key exchange as :func:`q_active_buyers`: ordering
+    key exchange as :func:`q_active_buyers`: ordering
     customers with NO events (``setdiff`` instead of ``intersect1d``
     per bucket; this direction is non-empty — every event user also
     orders, so the reverse difference would be the empty-schema
     trap)."""
-    import pandas as pd
+    def diff(od: pa.Table, ev: pa.Table) -> pa.Table:
+        k1 = np.unique(od["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64))
+        k2 = np.unique(ev["user_id"].to_numpy(zero_copy_only=False).astype(np.int64))
+        return pa.table({"c_custkey": pa.array(np.setdiff1d(k1, k2), pa.int64())})
 
-    orders = _read(sf_dir, "orders", ["o_custkey"])
-    events = _read(sf_dir, "events", ["user_id"])
-
-    def tag(col: str, bit: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            keys = np.unique(batch[col].to_numpy(zero_copy_only=False)).astype(np.int64)
-            return pa.table(
-                {
-                    "bucket": pa.array(keys % n_buckets, pa.int64()),
-                    "key": pa.array(keys, pa.int64()),
-                    "side": pa.array(np.full(len(keys), bit, dtype=np.int64), pa.int64()),
-                }
-            )
-
-        return fn
-
-    both = orders.map_batches(tag("o_custkey", 1), batch_format="pyarrow", batch_size=None).union(
-        events.map_batches(tag("user_id", 2), batch_format="pyarrow", batch_size=None)
-    )
-
-    def diff(g: pd.DataFrame) -> pa.Table:
-        od = np.unique(g.loc[g["side"] == 1, "key"].to_numpy(dtype=np.int64))
-        ev = np.unique(g.loc[g["side"] == 2, "key"].to_numpy(dtype=np.int64))
-        return pa.table({"c_custkey": pa.array(np.setdiff1d(od, ev), pa.int64())})
-
-    return both.groupby("bucket").map_groups(diff, batch_format="pandas")
+    return exchange(_buyer_keys(sf_dir), diff, n_buckets=n_buckets)
 
 
 _SQL_SILENT_BUYERS = """
@@ -1276,47 +1143,20 @@ def q_customer_order_profile(sf_dir: str, n_buckets: int = 16):
             }
         )
         agg = df.groupby("key", sort=False).agg(n=("cents", "size"), cents=("cents", "sum"))
-        keys = agg.index.to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(len(keys), dtype=np.int8)),
-                "key": pa.array(keys, pa.int64()),
+                "key": pa.array(agg.index.to_numpy(dtype=np.int64), pa.int64()),
                 "n": pa.array(agg["n"].to_numpy(dtype=np.int64), pa.int64()),
                 "cents": pa.array(agg["cents"].to_numpy(dtype=np.int64), pa.int64()),
-                "c_name": pa.nulls(len(keys), pa.string()),
             }
         )
 
-    def cust_rows(batch: pa.Table) -> pa.Table:
-        ck = batch["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(ck)
+    def outer_bucket(parts: pa.Table, cust: pa.Table) -> pa.Table:
+        built = parts.to_pandas().groupby("key", sort=False)[["n", "cents"]].sum()
+        merged = cust.to_pandas().merge(built, how="left", left_on="c_custkey", right_index=True)
         return pa.table(
             {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-                "key": pa.array(ck, pa.int64()),
-                "n": pa.nulls(n, pa.int64()),
-                "cents": pa.nulls(n, pa.int64()),
-                "c_name": batch["c_name"],
-            }
-        )
-
-    both = orders.map_batches(order_partials, batch_format="pyarrow", batch_size=None).union(
-        customer.map_batches(cust_rows, batch_format="pyarrow", batch_size=None)
-    )
-
-    def outer_bucket(g: pd.DataFrame) -> pa.Table:
-        built = (
-            g[g["side"] == 0]
-            .groupby("key", sort=False)[["n", "cents"]]
-            .sum()
-        )
-        cust = g[g["side"] == 1][["key", "c_name"]]
-        merged = cust.merge(built, how="left", left_on="key", right_index=True)
-        return pa.table(
-            {
-                "c_custkey": pa.array(merged["key"].to_numpy(dtype=np.int64), pa.int64()),
+                "c_custkey": pa.array(merged["c_custkey"].to_numpy(dtype=np.int64), pa.int64()),
                 "c_name": pa.array(merged["c_name"].tolist(), pa.string()),
                 "n_orders": pa.array(
                     merged["n"].fillna(0).to_numpy(dtype=np.int64), pa.int64()
@@ -1327,7 +1167,14 @@ def q_customer_order_profile(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    return both.groupby("bucket").map_groups(outer_bucket, batch_format="pandas")
+    return exchange(
+        [
+            (orders.map_batches(order_partials, batch_format="pyarrow", batch_size=None), "key"),
+            (customer, "c_custkey"),
+        ],
+        outer_bucket,
+        n_buckets=n_buckets,
+    )
 
 
 _SQL_OUTER_PROFILE = """
@@ -1946,40 +1793,17 @@ def q_last_order_before_event_bucketed(sf_dir: str, n_buckets: int = 16):
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
     events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        n = batch.num_rows
-        return pa.table(
+    def asof_bucket(ords: pa.Table, evs: pa.Table) -> pa.Table:
+        ev = pd.DataFrame(
             {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-                "key": pa.array(ck, pa.int64()),
-                "t_us": pc.cast(batch["o_orderdate"], pa.int64()),
-                "event_id": pa.nulls(n, pa.int64()),
+                "key": _ints(evs["user_id"]),
+                "t_us": _ints(evs["ts"]),
+                "event_id": _ints(evs["event_id"]),
             }
-        )
-
-    def tag_events(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        n = batch.num_rows
-        return pa.table(
-            {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-                "key": pa.array(uid, pa.int64()),
-                "t_us": pc.cast(batch["ts"], pa.int64()),
-                "event_id": batch["event_id"],
-            }
-        )
-
-    both = orders.map_batches(tag_orders, batch_format="pyarrow", batch_size=None).union(
-        events.map_batches(tag_events, batch_format="pyarrow", batch_size=None)
-    )
-
-    def asof_bucket(g: pd.DataFrame) -> pa.Table:
-        ev = g[g["side"] == 0][["key", "t_us", "event_id"]].sort_values("t_us", kind="stable")
-        od = g[g["side"] == 1][["key", "t_us"]].sort_values("t_us", kind="stable")
-        od = od.rename(columns={"t_us": "od_us"})
+        ).sort_values("t_us", kind="stable")
+        od = pd.DataFrame(
+            {"key": _ints(ords["o_custkey"]), "od_us": _ints(ords["o_orderdate"])}
+        ).sort_values("od_us", kind="stable")
         j = pd.merge_asof(
             ev, od, left_on="t_us", right_on="od_us", by="key", direction="backward"
         )
@@ -1997,7 +1821,15 @@ def q_last_order_before_event_bucketed(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    return both.groupby("bucket").map_groups(asof_bucket, batch_format="pandas")
+    return exchange(
+        [(orders, "o_custkey"), (events, "user_id")], asof_bucket, n_buckets=n_buckets
+    )
+
+
+def _ints(col: pa.ChunkedArray) -> np.ndarray:
+    """An integer or timestamp column as int64 numpy (timestamps as
+    their epoch count)."""
+    return pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False)
 
 
 _SQL_ASOF = """
@@ -2032,57 +1864,23 @@ def q_orders_near_event(sf_dir: str, window_days: int = 30, n_buckets: int = 16)
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
     events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        cents = np.rint(
-            batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        n = batch.num_rows
-        return pa.table(
-            {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-                "key": pa.array(ck, pa.int64()),
-                "t_us": pc.cast(batch["o_orderdate"], pa.int64()),
-                "event_id": pa.nulls(n, pa.int64()),
-                "cents": pa.array(cents, pa.int64()),
-            }
-        )
-
-    def tag_events(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        n = batch.num_rows
-        return pa.table(
-            {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-                "key": pa.array(uid, pa.int64()),
-                "t_us": pc.cast(batch["ts"], pa.int64()),
-                "event_id": batch["event_id"],
-                "cents": pa.nulls(n, pa.int64()),
-            }
-        )
-
-    both = orders.map_batches(tag_orders, batch_format="pyarrow", batch_size=None).union(
-        events.map_batches(tag_events, batch_format="pyarrow", batch_size=None)
-    )
     w_us = np.int64(window_days) * _US_PER_DAY
 
-    def range_bucket(g: pd.DataFrame) -> pa.Table:
-        od = g[g["side"] == 1]
-        ev = g[g["side"] == 0]
-        ok = od["key"].to_numpy(dtype=np.int64)
-        od_us = od["t_us"].to_numpy(dtype=np.int64)
-        cents = od["cents"].to_numpy(dtype=np.int64)
+    def range_bucket(od: pa.Table, ev: pa.Table) -> pa.Table:
+        ok = _ints(od["o_custkey"])
+        od_us = _ints(od["o_orderdate"])
+        cents = np.rint(od["o_totalprice"].to_numpy(zero_copy_only=False) * 100).astype(
+            np.int64
+        )
         if len(ok) and int(ok.max()) >= (1 << (63 - _DAY_BITS)):
             raise ValueError("custkey overflows composite key")
         comp = (ok << _DAY_BITS) | (od_us // _US_PER_DAY)
         order_idx = np.argsort(comp, kind="stable")
         comp_sorted = comp[order_idx]
-        prefix = np.concatenate([[0], np.cumsum(cents[order_idx])])
+        prefix = np.concatenate([[0], np.cumsum(cents[order_idx])]).astype(np.int64)
 
-        uid = ev["key"].to_numpy(dtype=np.int64)
-        ts = ev["t_us"].to_numpy(dtype=np.int64)
+        uid = _ints(ev["user_id"])
+        ts = _ints(ev["ts"])
         lo_day = -((-(ts - w_us)) // _US_PER_DAY)  # ⌈(ts−w)/day⌉
         lo = np.searchsorted(comp_sorted, (uid << _DAY_BITS) | lo_day, side="left")
         hi = np.searchsorted(
@@ -2090,14 +1888,16 @@ def q_orders_near_event(sf_dir: str, window_days: int = 30, n_buckets: int = 16)
         )
         return pa.table(
             {
-                "event_id": pa.array(ev["event_id"].to_numpy(dtype=np.int64), pa.int64()),
+                "event_id": pa.array(_ints(ev["event_id"]), pa.int64()),
                 "user_id": pa.array(uid, pa.int64()),
                 "n_orders_30d": pa.array(hi - lo, pa.int64()),
                 "total_cents_30d": pa.array(prefix[hi] - prefix[lo], pa.int64()),
             }
         )
 
-    return both.groupby("bucket").map_groups(range_bucket, batch_format="pandas")
+    return exchange(
+        [(orders, "o_custkey"), (events, "user_id")], range_bucket, n_buckets=n_buckets
+    )
 
 
 _SQL_RANGE_JOIN = """
@@ -2567,39 +2367,17 @@ def q_revenue_rollup(sf_dir: str, n_buckets: int = 16):
             }
         )
         g = df.groupby("key", as_index=False)["cents"].sum()
-        keys = g["key"].to_numpy()
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(len(g), dtype=np.int8)),
-                "key": pa.array(keys, pa.int64()),
+                "key": pa.array(g["key"].to_numpy(), pa.int64()),
                 "cents": pa.array(g["cents"].to_numpy(), pa.int64()),
-                "nkey": pa.array(np.zeros(len(g), dtype=np.int64)),
             }
         )
 
-    def prep_cust(b: pa.Table) -> pa.Table:
-        ck = b["c_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(b.num_rows, dtype=np.int8)),
-                "key": pa.array(ck, pa.int64()),
-                "cents": pa.array(np.zeros(b.num_rows, dtype=np.int64)),
-                "nkey": pc.cast(b["c_nationkey"], pa.int64()),
-            }
-        )
-
-    both = orders.map_batches(prep_orders, batch_format="pyarrow").union(
-        customer.map_batches(prep_cust, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
-        probe = g[g["side"] == 0][["key", "cents"]]
-        build = g[g["side"] == 1][["key", "nkey"]]
-        j = probe.merge(build, on="key", how="inner")
-        agg = j.groupby("nkey", as_index=False)["cents"].sum()
-        geo = [nkey_to_geo[int(k)] for k in agg["nkey"]]
+    def join_bucket(probe: pa.Table, build: pa.Table) -> pa.Table:
+        j = probe.to_pandas().merge(build.to_pandas(), left_on="key", right_on="c_custkey")
+        agg = j.groupby("c_nationkey", as_index=False)["cents"].sum()
+        geo = [nkey_to_geo[int(k)] for k in agg["c_nationkey"]]
         return pa.table(
             {
                 "r_name": pa.array([g0 for g0, _ in geo], pa.string()),
@@ -2608,7 +2386,14 @@ def q_revenue_rollup(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    leaf = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    leaf = exchange(
+        [
+            (orders.map_batches(prep_orders, batch_format="pyarrow"), "key"),
+            (customer, "c_custkey"),
+        ],
+        join_bucket,
+        n_buckets=n_buckets,
+    )
 
     def fan_out(batch: pa.Table) -> pa.Table:
         r = batch["r_name"].to_pylist()
@@ -3473,52 +3258,30 @@ def q_customer_supplier_reach(sf_dir: str, min_suppliers: int = 5, n_buckets: in
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
 
     def li_pairs(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "key": b["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "val": b["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-            }
-        ).drop_duplicates()
-        return pa.table(
-            {
-                "bucket": pa.array(df["key"].to_numpy() % n_buckets),
-                "side": pa.array(np.zeros(len(df), dtype=np.int8)),
-                "key": pa.array(df["key"].to_numpy()),
-                "val": pa.array(df["val"].to_numpy()),
-            }
+        return pa.Table.from_pandas(
+            b.to_pandas().drop_duplicates(), preserve_index=False
         )
 
-    def o_rows(b: pa.Table) -> pa.Table:
-        ok = b["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(ok % n_buckets),
-                "side": pa.array(np.ones(len(ok), dtype=np.int8)),
-                "key": pa.array(ok),
-                "val": pa.array(
-                    b["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-                ),
-            }
-        )
-
-    both = lineitem.map_batches(li_pairs, batch_format="pyarrow", batch_size=None).union(
-        orders.map_batches(o_rows, batch_format="pyarrow", batch_size=None)
-    )
-
-    def rekey_bucket(g: pd.DataFrame) -> pa.Table:
-        pairs = g[g["side"] == 0][["key", "val"]]
-        owner = g[g["side"] == 1][["key", "val"]].rename(columns={"val": "ck"})
-        j = pairs.merge(owner, on="key")[["ck", "val"]].drop_duplicates()
-        ck = j["ck"].to_numpy(dtype=np.int64)
+    def rekey_bucket(li: pa.Table, ords: pa.Table) -> pa.Table:
+        j = li.to_pandas().merge(ords.to_pandas(), left_on="l_orderkey", right_on="o_orderkey")
+        j = j[["o_custkey", "l_suppkey"]].drop_duplicates()
+        ck = j["o_custkey"].to_numpy(dtype=np.int64)
         return pa.table(
             {
                 "cbucket": pa.array(ck % n_buckets),
                 "ck": pa.array(ck),
-                "supp": pa.array(j["val"].to_numpy(dtype=np.int64)),
+                "supp": pa.array(j["l_suppkey"].to_numpy(dtype=np.int64)),
             }
         )
 
-    pairs = both.groupby("bucket").map_groups(rekey_bucket, batch_format="pandas")
+    pairs = exchange(
+        [
+            (lineitem.map_batches(li_pairs, batch_format="pyarrow", batch_size=None), "l_orderkey"),
+            (orders, "o_orderkey"),
+        ],
+        rekey_bucket,
+        n_buckets=n_buckets,
+    )
 
     def count_bucket(g: pd.DataFrame) -> pa.Table:
         agg = (
@@ -3637,15 +3400,14 @@ def q_order_event_reconcile(
     Scale shape: both inputs pre-aggregate per batch inside
     ``map_batches`` (the exchange carries ``O(keys × blocks)``
     fixed-width partials, never fact rows), meet once in a key-bucket
-    side-bit exchange, and each bucket does a vectorized outer merge.
+    exchange, and each bucket does a vectorized outer merge.
     The segment membership probe is sized like every other build side
     (:func:`~..core.util.broadcast_build_fits`): within budget the
     segment keys come from a row-group-filtered dimension read and
     prune order partials before the exchange; beyond it the keys ride
-    the SAME exchange as a third side-tag and membership resolves per
+    the SAME exchange as a third side and membership resolves per
     bucket — either way the plan is one all-to-all, and both shapes
     share this oracle (switch exercised both ways in tests)."""
-    import pandas as pd
     import pyarrow.parquet as pq
 
     from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
@@ -3674,66 +3436,30 @@ def q_order_event_reconcile(
             idx = np.clip(np.searchsorted(seg_keys, ck), 0, max(len(seg_keys) - 1, 0))
             in_seg = seg_keys[idx] == ck if len(seg_keys) else np.zeros(len(ck), bool)
             ck, cents = ck[in_seg], cents[in_seg]
-        df = pd.DataFrame({"key": ck, "cents": cents})
-        agg = df.groupby("key", sort=False).agg(n=("cents", "size"), cents=("cents", "sum"))
-        keys = agg.index.to_numpy(dtype=np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(keys % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(len(keys), dtype=np.int8)),
-                "key": pa.array(keys, pa.int64()),
-                "n": pa.array(agg["n"].to_numpy(dtype=np.int64), pa.int64()),
-                "cents": pa.array(agg["cents"].to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
-
-    def seg_rows(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.equal(batch["c_mktsegment"], segment))
-        ck = t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(ck)
-        return pa.table(
-            {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
-                "side": pa.array(np.full(n, 2, dtype=np.int8)),
-                "key": pa.array(ck, pa.int64()),
-                "n": pa.nulls(n, pa.int64()),
-                "cents": pa.nulls(n, pa.int64()),
-            }
-        )
+        return _count_cents(ck, cents)
 
     def event_partials(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "key": batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "cents": _cents(batch["value"]).to_numpy(),
-            }
-        )
-        agg = df.groupby("key", sort=False).agg(n=("cents", "size"), cents=("cents", "sum"))
-        keys = agg.index.to_numpy(dtype=np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(keys % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(len(keys), dtype=np.int8)),
-                "key": pa.array(keys, pa.int64()),
-                "n": pa.array(agg["n"].to_numpy(dtype=np.int64), pa.int64()),
-                "cents": pa.array(agg["cents"].to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
+        ck = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return _count_cents(ck, _cents(batch["value"]).to_numpy())
 
-    both = orders.map_batches(
-        order_partials, batch_format="pyarrow", batch_size=None
-    ).union(events.map_batches(event_partials, batch_format="pyarrow", batch_size=None))
+    inputs = [
+        (orders.map_batches(order_partials, batch_format="pyarrow", batch_size=None), "key"),
+        (events.map_batches(event_partials, batch_format="pyarrow", batch_size=None), "key"),
+    ]
     if not fits:
         customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-        both = both.union(
-            customer.map_batches(seg_rows, batch_format="pyarrow", batch_size=None)
+        seg_rows = customer.map_batches(
+            lambda b: b.filter(pc.equal(b["c_mktsegment"], segment)),
+            batch_format="pyarrow",
+            batch_size=None,
         )
+        inputs.append((seg_rows, "c_custkey"))
 
-    def outer_bucket(g: pd.DataFrame) -> pa.Table:
-        o = g[g["side"] == 0].groupby("key", sort=False)[["n", "cents"]].sum()
-        if seg_keys is None:
-            o = o[o.index.isin(g.loc[g["side"] == 2, "key"])]
-        e = g[g["side"] == 1].groupby("key", sort=False)[["n", "cents"]].sum()
+    def outer_bucket(o_t: pa.Table, e_t: pa.Table, *seg: pa.Table) -> pa.Table:
+        o = o_t.to_pandas().groupby("key", sort=False)[["n", "cents"]].sum()
+        if seg:
+            o = o[o.index.isin(seg[0]["c_custkey"].to_numpy(zero_copy_only=False))]
+        e = e_t.to_pandas().groupby("key", sort=False)[["n", "cents"]].sum()
         m = o.merge(
             e, how="outer", left_index=True, right_index=True, suffixes=("_o", "_e")
         )
@@ -3759,7 +3485,22 @@ def q_order_event_reconcile(
             }
         )
 
-    return both.groupby("bucket").map_groups(outer_bucket, batch_format="pandas")
+    return exchange(inputs, outer_bucket, n_buckets=n_buckets)
+
+
+def _count_cents(keys: np.ndarray, cents: np.ndarray) -> pa.Table:
+    """Per-key ``(n, cents)`` partials of one batch."""
+    import pandas as pd
+
+    df = pd.DataFrame({"key": keys, "cents": cents})
+    agg = df.groupby("key", sort=False).agg(n=("cents", "size"), cents=("cents", "sum"))
+    return pa.table(
+        {
+            "key": pa.array(agg.index.to_numpy(dtype=np.int64), pa.int64()),
+            "n": pa.array(agg["n"].to_numpy(dtype=np.int64), pa.int64()),
+            "cents": pa.array(agg["cents"].to_numpy(dtype=np.int64), pa.int64()),
+        }
+    )
 
 
 _SQL_RECONCILE = """
@@ -4016,49 +3757,33 @@ def q_revenue_cube(sf_dir: str, n_buckets: int = 16):
             }
         )
         g = df.groupby(["key", "priority"], as_index=False)["cents"].sum()
-        keys = g["key"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets),
-                "side": pa.array(np.zeros(len(g), dtype=np.int8)),
-                "key": pa.array(keys),
+                "key": pa.array(g["key"].to_numpy(dtype=np.int64)),
                 "priority": pa.array(g["priority"], pa.string()),
                 "cents": pa.array(g["cents"].to_numpy(dtype=np.int64)),
             }
         )
 
-    def prep_cust(b: pa.Table) -> pa.Table:
-        ck = b["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def join_bucket(probe: pa.Table, build: pa.Table) -> pa.Table:
+        j = probe.to_pandas().merge(build.to_pandas(), left_on="key", right_on="c_custkey")
+        agg = j.groupby(["c_mktsegment", "priority"], as_index=False)["cents"].sum()
         return pa.table(
             {
-                "bucket": pa.array(ck % n_buckets),
-                "side": pa.array(np.ones(b.num_rows, dtype=np.int8)),
-                "key": pa.array(ck),
-                "priority": b["c_mktsegment"],  # segment rides the priority slot
-                "cents": pa.array(np.zeros(b.num_rows, dtype=np.int64)),
-            }
-        )
-
-    both = orders.map_batches(prep_orders, batch_format="pyarrow", batch_size=None).union(
-        customer.map_batches(prep_cust, batch_format="pyarrow", batch_size=None)
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
-        probe = g[g["side"] == 0][["key", "priority", "cents"]]
-        build = g[g["side"] == 1][["key", "priority"]].rename(
-            columns={"priority": "segment"}
-        )
-        j = probe.merge(build, on="key", how="inner")
-        agg = j.groupby(["segment", "priority"], as_index=False)["cents"].sum()
-        return pa.table(
-            {
-                "segment": pa.array(agg["segment"], pa.string()),
+                "segment": pa.array(agg["c_mktsegment"], pa.string()),
                 "priority": pa.array(agg["priority"], pa.string()),
                 "revenue_cents": pa.array(agg["cents"].to_numpy(dtype=np.int64)),
             }
         )
 
-    leaf = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    leaf = exchange(
+        [
+            (orders.map_batches(prep_orders, batch_format="pyarrow", batch_size=None), "key"),
+            (customer, "c_custkey"),
+        ],
+        join_bucket,
+        n_buckets=n_buckets,
+    )
 
     def fan_out(batch: pa.Table) -> pa.Table:
         s = batch["segment"].to_pylist()
@@ -4247,40 +3972,15 @@ def q_local_supplier_revenue(
     # the whole plan drops one all-to-all barrier — measured ~15%
     # faster at bench scale, 3.41→2.91 s best-of-3; the bucket
     # exchange below remains the beyond-budget shape, forced in tests)
-    def prep_o(b: pa.Table) -> pa.Table:
-        ck = b["o_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(len(ck), dtype=np.int8)),
-                "key": b["o_custkey"],
-                "o_orderkey": b["o_orderkey"],
-                "c_nat": pa.nulls(len(ck), pa.int64()),
-            }
-        )
+    def in_region(b: pa.Table) -> pa.Table:
+        return b.filter(pc.is_in(b["c_nationkey"], value_set=nat_arr))
 
-    def prep_c(b: pa.Table) -> pa.Table:
-        keep = pc.is_in(b["c_nationkey"], value_set=nat_arr)
-        t = b.filter(keep)
-        ck = t["c_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(len(ck), dtype=np.int8)),
-                "key": t["c_custkey"],
-                "o_orderkey": pa.nulls(len(ck), pa.int64()),
-                "c_nat": pc.cast(t["c_nationkey"], pa.int64()),
-            }
-        )
-
-    def join_a(g: pd.DataFrame) -> pa.Table:
-        build = g[g["side"] == 1][["key", "c_nat"]]
-        probe = g[g["side"] == 0][["key", "o_orderkey"]]
-        j = probe.merge(build, on="key", how="inner")
+    def join_a(ords: pa.Table, cust: pa.Table) -> pa.Table:
+        j = ords.to_pandas().merge(cust.to_pandas(), left_on="o_custkey", right_on="c_custkey")
         return pa.table(
             {
                 "o_orderkey": pa.array(j["o_orderkey"].to_numpy(dtype=np.int64)),
-                "c_nat": pa.array(j["c_nat"].to_numpy(dtype=np.int64)),
+                "c_nat": pa.array(j["c_nationkey"].to_numpy(dtype=np.int64)),
             }
         )
 
@@ -4315,13 +4015,16 @@ def q_local_supplier_revenue(
         # the customer Dataset exists only on this branch — the
         # broadcast path reads the dimension itself via pq.read_table
         customer = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        order_nat = (
-            orders.map_batches(prep_o, batch_format="pyarrow", batch_size=None)
-            .union(
-                customer.map_batches(prep_c, batch_format="pyarrow", batch_size=None)
-            )
-            .groupby("bucket")
-            .map_groups(join_a, batch_format="pandas")
+        order_nat = exchange(
+            [
+                (orders, "o_custkey"),
+                (
+                    customer.map_batches(in_region, batch_format="pyarrow", batch_size=None),
+                    "c_custkey",
+                ),
+            ],
+            join_a,
+            n_buckets=n_buckets,
         )
 
     # ---- exchange B: lineitem revenue ⋈ (orderkey → c_nat) ----
@@ -4361,39 +4064,15 @@ def q_local_supplier_revenue(
             )
             return pa.table(
                 {
-                    "bucket": pa.array(
-                        agg["ok"].to_numpy(dtype=np.int64) % n_buckets, pa.int64()
-                    ),
-                    "side": pa.array(np.zeros(len(agg), dtype=np.int8)),
-                    "key": pa.array(agg["ok"].to_numpy(dtype=np.int64), pa.int64()),
+                    "ok": pa.array(agg["ok"].to_numpy(dtype=np.int64), pa.int64()),
                     "s_nat": pa.array(agg["s_nat"].to_numpy(dtype=np.int64)),
                     "rev": pa.array(agg["rev"].to_numpy(dtype=np.int64), pa.int64()),
-                    "c_nat": pa.nulls(len(agg), pa.int64()),
                 }
             )
 
-        def tag_ord(b: pa.Table) -> pa.Table:
-            ok = b["o_orderkey"].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "bucket": pa.array(ok % n_buckets, pa.int64()),
-                    "side": pa.array(np.ones(len(ok), dtype=np.int8)),
-                    "key": b["o_orderkey"],
-                    "s_nat": pa.nulls(len(ok), pa.int64()),
-                    "rev": pa.nulls(len(ok), pa.int64()),
-                    "c_nat": b["c_nat"],
-                }
-            )
-
-        def join_b(g: pd.DataFrame) -> pa.Table:
-            build = g[g["side"] == 1][["key", "c_nat"]]
-            probe = g[g["side"] == 0][["key", "s_nat", "rev"]]
-            j = probe.merge(build, on="key", how="inner")
+        def join_b(lines: pa.Table, ords: pa.Table) -> pa.Table:
+            j = lines.to_pandas().merge(ords.to_pandas(), left_on="ok", right_on="o_orderkey")
             j = j[j["s_nat"] == j["c_nat"]]
-            # the union's null-padded columns made rev float64 in the
-            # group frame; restore int64 BEFORE the sum (each value is
-            # < 2^53 so the cast is lossless, the SUM would not be)
-            j = j.assign(rev=j["rev"].astype(np.int64))
             out = j.groupby("s_nat", as_index=False)["rev"].sum()
             return pa.table(
                 {
@@ -4403,10 +4082,14 @@ def q_local_supplier_revenue(
             )
 
         folded = (
-            li.map_batches(prep_li, batch_format="pyarrow", batch_size=None)
-            .union(order_nat.map_batches(tag_ord, batch_format="pyarrow", batch_size=None))
-            .groupby("bucket")
-            .map_groups(join_b, batch_format="pandas")
+            exchange(
+                [
+                    (li.map_batches(prep_li, batch_format="pyarrow", batch_size=None), "ok"),
+                    (order_nat, "o_orderkey"),
+                ],
+                join_b,
+                n_buckets=n_buckets,
+            )
             .groupby("nat")
             .aggregate(Sum("rev", alias_name="revenue_cents2"))
         )
@@ -4431,82 +4114,40 @@ def q_local_supplier_revenue(
             )
             return pa.table(
                 {
-                    "bucket": pa.array(
-                        agg["ok"].to_numpy(dtype=np.int64) % n_buckets, pa.int64()
-                    ),
-                    "side": pa.array(np.zeros(len(agg), dtype=np.int8)),
-                    "key": pa.array(agg["ok"].to_numpy(dtype=np.int64), pa.int64()),
+                    "ok": pa.array(agg["ok"].to_numpy(dtype=np.int64), pa.int64()),
                     "sup": pa.array(agg["sup"].to_numpy(dtype=np.int64)),
                     "rev": pa.array(agg["rev"].to_numpy(dtype=np.int64), pa.int64()),
-                    "c_nat": pa.nulls(len(agg), pa.int64()),
                 }
             )
 
-        def tag_ord2(b: pa.Table) -> pa.Table:
-            ok = b["o_orderkey"].to_numpy(zero_copy_only=False)
+        def join_b2(lines: pa.Table, ords: pa.Table) -> pa.Table:
+            j = lines.to_pandas().merge(ords.to_pandas(), left_on="ok", right_on="o_orderkey")
+            out = j.groupby(["sup", "c_nat"], as_index=False)["rev"].sum()
             return pa.table(
                 {
-                    "bucket": pa.array(ok % n_buckets, pa.int64()),
-                    "side": pa.array(np.ones(len(ok), dtype=np.int8)),
-                    "key": b["o_orderkey"],
-                    "sup": pa.nulls(len(ok), pa.int64()),
-                    "rev": pa.nulls(len(ok), pa.int64()),
-                    "c_nat": b["c_nat"],
-                }
-            )
-
-        def join_b2(g: pd.DataFrame) -> pa.Table:
-            build = g[g["side"] == 1][["key", "c_nat"]]
-            probe = g[g["side"] == 0][["key", "sup", "rev"]]
-            j = probe.merge(build, on="key", how="inner")
-            # int64 restore before the sum (see join_b)
-            j = j.assign(rev=j["rev"].astype(np.int64))
-            out = (
-                j.groupby(["sup", "c_nat"], as_index=False)["rev"].sum()
-            )
-            sup_k = out["sup"].to_numpy(dtype=np.int64)
-            return pa.table(
-                {
-                    "bucket": pa.array(sup_k % n_buckets, pa.int64()),
-                    "side": pa.array(np.zeros(len(out), dtype=np.int8)),
-                    "key": pa.array(sup_k, pa.int64()),
+                    "sup": pa.array(out["sup"].to_numpy(dtype=np.int64), pa.int64()),
                     "c_nat": pa.array(out["c_nat"].to_numpy(dtype=np.int64)),
                     "rev": pa.array(out["rev"].to_numpy(dtype=np.int64), pa.int64()),
-                    "s_nat": pa.nulls(len(out), pa.int64()),
                 }
             )
+
+        part_b = exchange(
+            [
+                (li.map_batches(prep_li_nk, batch_format="pyarrow", batch_size=None), "ok"),
+                (order_nat, "o_orderkey"),
+            ],
+            join_b2,
+            n_buckets=n_buckets,
+        )
 
         sup_ds = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
 
-        def tag_sup(b: pa.Table) -> pa.Table:
-            keep = pc.is_in(pc.cast(b["s_nationkey"], pa.int64()), value_set=nat_arr)
-            t = b.filter(keep)
-            sk2 = t["s_suppkey"].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "bucket": pa.array(sk2 % n_buckets, pa.int64()),
-                    "side": pa.array(np.ones(len(sk2), dtype=np.int8)),
-                    "key": t["s_suppkey"],
-                    "c_nat": pa.nulls(len(sk2), pa.int64()),
-                    "rev": pa.nulls(len(sk2), pa.int64()),
-                    "s_nat": pc.cast(t["s_nationkey"], pa.int64()),
-                }
-            )
+        def sup_in_region(b: pa.Table) -> pa.Table:
+            return b.filter(pc.is_in(pc.cast(b["s_nationkey"], pa.int64()), value_set=nat_arr))
 
-        part_b = (
-            li.map_batches(prep_li_nk, batch_format="pyarrow", batch_size=None)
-            .union(order_nat.map_batches(tag_ord2, batch_format="pyarrow", batch_size=None))
-            .groupby("bucket")
-            .map_groups(join_b2, batch_format="pandas")
-        )
-
-        def join_c(g: pd.DataFrame) -> pa.Table:
-            build = g[g["side"] == 1][["key", "s_nat"]]
-            probe = g[g["side"] == 0][["key", "c_nat", "rev"]]
-            j = probe.merge(build, on="key", how="inner")
-            j = j[j["c_nat"] == j["s_nat"]]
-            # int64 restore before the sum (see join_b)
-            j = j.assign(rev=j["rev"].astype(np.int64))
+        def join_c(parts: pa.Table, sups: pa.Table) -> pa.Table:
+            j = parts.to_pandas().merge(sups.to_pandas(), left_on="sup", right_on="s_suppkey")
+            j = j[j["c_nat"] == j["s_nationkey"]]
             out = j.groupby("c_nat", as_index=False)["rev"].sum()
             return pa.table(
                 {
@@ -4516,9 +4157,17 @@ def q_local_supplier_revenue(
             )
 
         folded = (
-            part_b.union(sup_ds.map_batches(tag_sup, batch_format="pyarrow", batch_size=None))
-            .groupby("bucket")
-            .map_groups(join_c, batch_format="pandas")
+            exchange(
+                [
+                    (part_b, "sup"),
+                    (
+                        sup_ds.map_batches(sup_in_region, batch_format="pyarrow", batch_size=None),
+                        "s_suppkey",
+                    ),
+                ],
+                join_c,
+                n_buckets=n_buckets,
+            )
             .groupby("nat")
             .aggregate(Sum("rev", alias_name="revenue_cents2"))
         )

@@ -23,6 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..core.exchange import exchange
 from .dedup import _AUG_SQL, augmented_corpus, label_propagation_clusters
 
 _CHUNK = 32  # context-window chunking: words per chunk
@@ -316,48 +317,21 @@ def q_semantic_dedup(sf_dir: str, threshold: float = 0.4, n_buckets: int = 16):
     def dropped_only(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        mask = pc.not_equal(batch["doc_id"], batch["cluster_rep"])
-        ids = batch.filter(mask)["doc_id"]
-        n = len(ids)
-        key = ids.to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(key % n_buckets, pa.int64()),
-                "vec_id": pa.array(key, pa.int64()),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-            }
-        )
+        return batch.filter(pc.not_equal(batch["doc_id"], batch["cluster_rep"]))
 
-    def tag_corpus(batch: pa.Table) -> pa.Table:
-        key = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(key)
-        return pa.table(
-            {
-                "bucket": pa.array(key % n_buckets, pa.int64()),
-                "vec_id": pa.array(key, pa.int64()),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-            }
-        )
+    def anti(corpus: pa.Table, dropped: pa.Table) -> pa.Table:
+        keep = corpus["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        if dropped.num_rows:  # no pairs at all: the side has no columns either
+            keep = keep[~np.isin(keep, dropped["doc_id"].to_numpy(zero_copy_only=False))]
+        return pa.table({"vec_id": pa.array(keep, pa.int64())})
 
-    corpus_ids = _embeddings(sf_dir).select_columns(["vec_id"]).map_batches(
-        tag_corpus, batch_format="pyarrow", batch_size=None
-    )
-    dropped = clusters.map_batches(
-        dropped_only, batch_format="pyarrow", batch_size=None
-    )
-
-    def anti(g: pd.DataFrame) -> pa.Table:
-        drop = set(g.loc[g["side"] == 1, "vec_id"].tolist())
-        keep = g.loc[g["side"] == 0, "vec_id"]
-        keep = keep[~keep.isin(drop)]
-        return pa.table(
-            {"vec_id": pa.array(keep.to_numpy(dtype=np.int64), pa.int64())}
-        )
-
-    return (
-        corpus_ids.union(dropped)
-        .groupby("bucket")
-        .map_groups(anti, batch_format="pandas")
+    return exchange(
+        [
+            (_embeddings(sf_dir).select_columns(["vec_id"]), "vec_id"),
+            (clusters.map_batches(dropped_only, batch_format="pyarrow", batch_size=None), "doc_id"),
+        ],
+        anti,
+        n_buckets=n_buckets,
     )
 
 
@@ -790,12 +764,10 @@ def substring_dedup_ds(
     def flag_non_first(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["gram", "doc_id", "pos"], kind="mergesort")
         flagged = g[g.duplicated("gram", keep="first")]
-        ids = flagged["doc_id"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "doc_id": pa.array(ids, pa.int64()),
+                "doc_id": pa.array(flagged["doc_id"].to_numpy(dtype=np.int64), pa.int64()),
                 "pos": pa.array(flagged["pos"].to_numpy(dtype=np.int64), pa.int64()),
-                "doc_bucket": pa.array(ids % n_buckets, pa.int64()),
             }
         )
 
@@ -803,36 +775,9 @@ def substring_dedup_ds(
         flag_non_first, batch_format="pandas"
     )
 
-    def tag_flag(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_bucket": batch["doc_bucket"],
-                "side": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-                "doc_id": batch["doc_id"],
-                "pos": batch["pos"],
-                "text": pa.nulls(batch.num_rows, pa.string()),
-            }
-        )
-
-    def tag_doc(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "doc_bucket": pa.array(ids % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(len(ids), dtype=np.int8)),
-                "doc_id": pa.array(ids, pa.int64()),
-                "pos": pa.nulls(len(ids), pa.int64()),
-                "text": batch["text"],
-            }
-        )
-
-    both = flagged.map_batches(tag_flag, batch_format="pyarrow", batch_size=None).union(
-        ds.map_batches(tag_doc, batch_format="pyarrow", batch_size=None)
-    )
-
-    def rebuild(g: pd.DataFrame) -> pa.Table:
-        docs = g[g["side"] == 1]
-        flags = g[g["side"] == 0]
+    def rebuild(flag_t: pa.Table, doc_t: pa.Table) -> pa.Table:
+        docs = doc_t.to_pandas()
+        flags = flag_t.to_pandas()
         pos_by_doc = {
             int(d): sub["pos"].to_numpy(dtype=np.int64)
             for d, sub in flags.groupby("doc_id", sort=False)
@@ -867,7 +812,11 @@ def substring_dedup_ds(
             }
         )
 
-    return both.groupby("doc_bucket").map_groups(rebuild, batch_format="pandas")
+    return exchange(
+        [(flagged, "doc_id"), (ds.select_columns(["doc_id", "text"]), "doc_id")],
+        rebuild,
+        n_buckets=n_buckets,
+    )
 
 
 def substring_dedup_ctes(source_sql: str) -> str:

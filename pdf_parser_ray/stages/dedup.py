@@ -37,6 +37,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..core.exchange import exchange
+
 _EXACT_EVERY = 10
 _NEAR_EVERY = 7
 _EXACT_BASE = 1_000_000
@@ -319,8 +321,8 @@ def _resolve_pair_texts(pairs, corpus, n_buckets: int = 16):
     corpus shuffled ONCE.
 
     Each pair emits two half rows — one keyed by each endpoint. The
-    halves union with the corpus into one coarse ``doc_id % B`` bucket
-    shuffle; inside each partition a pandas merge resolves the half's
+    halves meet the corpus in one coarse ``doc_id % B`` exchange
+    (``core.exchange.exchange``); inside each partition a pandas merge resolves the half's
     text (per-task memory O(corpus/B) — B sized so one bucket's corpus
     slice fits a worker's heap). A second, pairs-only shuffle
     recombines the two halves by pair key. At 100 TB the corpus
@@ -333,16 +335,13 @@ def _resolve_pair_texts(pairs, corpus, n_buckets: int = 16):
     inner join). Candidates generated FROM the corpus can never hit
     this; pinned by ``TestPairTextResolve``."""
 
-    def tag_halves(batch: pa.Table) -> pa.Table:
+    def halves(batch: pa.Table) -> pa.Table:
         a = batch["doc_a"].to_numpy(zero_copy_only=False)
         b = batch["doc_b"].to_numpy(zero_copy_only=False)
-        key = np.concatenate([a, b])
         n = len(a)
         return pa.table(
             {
-                "bucket": pa.array(key % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(2 * n, dtype=np.int8)),
-                "key": pa.array(key, pa.int64()),
+                "key": pa.array(np.concatenate([a, b]), pa.int64()),
                 "doc_a": pa.array(np.concatenate([a, a]), pa.int64()),
                 "doc_b": pa.array(np.concatenate([b, b]), pa.int64()),
                 "slot": pa.array(
@@ -350,37 +349,17 @@ def _resolve_pair_texts(pairs, corpus, n_buckets: int = 16):
                         [np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)]
                     )
                 ),
-                "text": pa.nulls(2 * n, pa.string()),
             }
         )
 
-    def tag_corpus(batch: pa.Table) -> pa.Table:
-        key = batch["doc_id"].to_numpy(zero_copy_only=False)
-        n = batch.num_rows
-        return pa.table(
-            {
-                "bucket": pa.array(key % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-                "key": pa.array(key, pa.int64()),
-                "doc_a": pa.nulls(n, pa.int64()),
-                "doc_b": pa.nulls(n, pa.int64()),
-                "slot": pa.nulls(n, pa.int8()),
-                "text": batch["text"],
-            }
-        )
-
-    both = pairs.map_batches(tag_halves, batch_format="pyarrow", batch_size=None).union(
-        corpus.map_batches(tag_corpus, batch_format="pyarrow", batch_size=None)
-    )
-
-    def resolve_bucket(g: pd.DataFrame) -> pa.Table:
+    def resolve_bucket(half: pa.Table, docs: pa.Table) -> pa.Table:
         # Repeated candidate pairs (one hit per matching LSH band, when
         # the caller skipped the distinct shuffle) collapse here: every
         # repetition of a pair routes identical half rows to this same
         # bucket, so a vectorized drop_duplicates is a global distinct.
-        halves = g[g["side"] == 0][["key", "doc_a", "doc_b", "slot"]].drop_duplicates()
-        build = g[g["side"] == 1][["key", "text"]]
-        j = halves.merge(build, on="key", how="inner")
+        j = half.to_pandas().drop_duplicates().merge(
+            docs.to_pandas(), left_on="key", right_on="doc_id", how="inner"
+        )
         a = j["doc_a"].to_numpy(dtype=np.int64)
         b = j["doc_b"].to_numpy(dtype=np.int64)
         return pa.table(
@@ -395,8 +374,13 @@ def _resolve_pair_texts(pairs, corpus, n_buckets: int = 16):
             }
         )
 
-    halves_resolved = both.groupby("bucket").map_groups(
-        resolve_bucket, batch_format="pandas"
+    halves_resolved = exchange(
+        [
+            (pairs.map_batches(halves, batch_format="pyarrow", batch_size=None), "key"),
+            (corpus.select_columns(["doc_id", "text"]), "doc_id"),
+        ],
+        resolve_bucket,
+        n_buckets=n_buckets,
     )
 
     def combine(g: pd.DataFrame) -> pa.Table:
@@ -1032,40 +1016,12 @@ def label_propagation_clusters(edges, max_rounds: int = 32):
             pa.table({"doc_id": pa.array([], pa.int64()), "cluster_rep": pa.array([], pa.int64())})
         )
 
-    n_buckets = 16
-
-    def tag_adj(batch: pa.Table) -> pa.Table:
-        src = batch["src"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(src % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-                "key": pa.array(src, pa.int64()),
-                "val": batch["dst"],
-            }
-        )
-
-    adj_tagged = adj.map_batches(tag_adj, batch_format="pyarrow", batch_size=None).materialize()
-
-    def tag_labels(batch: pa.Table) -> pa.Table:
-        node = batch["node"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(node % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(batch.num_rows, dtype=np.int8)),
-                "key": pa.array(node, pa.int64()),
-                "val": batch["label"],
-            }
-        )
-
-    def propagate(g: pd.DataFrame) -> pa.Table:
-        # edges (key=src, val=dst) ⋈ labels (key=node, val=label) →
-        # neighbour-label candidates (node=dst, label). Emitted as
-        # Arrow so the union with the Arrow-blocked labels dataset
-        # stays single-block-type (mixed block types break sort/agg).
-        edges_g = g[g["side"] == 0][["key", "val"]].rename(columns={"val": "dst"})
-        labels_g = g[g["side"] == 1][["key", "val"]].rename(columns={"val": "label"})
-        j = edges_g.merge(labels_g, on="key", how="inner")
+    def propagate(edges_g: pa.Table, labels_g: pa.Table) -> pa.Table:
+        # edges (src, dst) ⋈ labels (node, label) → neighbour-label
+        # candidates (node=dst, label). Emitted as Arrow so the union
+        # with the Arrow-blocked labels dataset stays single-block-type
+        # (mixed block types break sort/agg).
+        j = edges_g.to_pandas().merge(labels_g.to_pandas(), left_on="src", right_on="node")
         return pa.table(
             {
                 "node": pa.array(j["dst"].to_numpy(dtype=np.int64), pa.int64()),
@@ -1074,14 +1030,9 @@ def label_propagation_clusters(edges, max_rounds: int = 32):
         )
 
     for _ in range(max_rounds):
-        # one coarse-bucket shuffle joins edges with current labels;
+        # one coarse-bucket exchange joins edges with current labels;
         # the Min aggregate folds neighbour candidates into the labels
-        nbr = (
-            labels.map_batches(tag_labels, batch_format="pyarrow", batch_size=None)
-            .union(adj_tagged)
-            .groupby("bucket")
-            .map_groups(propagate, batch_format="pandas")
-        )
+        nbr = exchange([(adj, "src"), (labels, "node")], propagate, n_buckets=16)
         labels = (
             nbr.union(labels)
             .groupby("node")

@@ -19,6 +19,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..core.exchange import exchange
+
 _TOP_K = 10
 _N_QUERIES = 8  # vec_id 0..7 are the query set
 
@@ -335,9 +337,6 @@ def q_label_token_stats(sf_dir: str, n_buckets: int = 16):
     ``(vec_id, label)`` (never vectors); per-bucket merge emits
     per-label partials and a k-group Sum finishes. At 100 TB neither
     raw column crosses the wire."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
     from ..io.sources import read_parquet_clean
 
     docs = read_parquet_clean(
@@ -348,40 +347,11 @@ def q_label_token_stats(sf_dir: str, n_buckets: int = 16):
     )
 
     def doc_side(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        toks = pc.cast(
-            pc.count_substring_regex(batch["text"], r"\S+"), pa.int64()
-        ).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(ids % n_buckets, pa.int64()),
-                "side": pa.array(np.zeros(len(ids), dtype=np.int8)),
-                "key": pa.array(ids, pa.int64()),
-                "n_tokens": pa.array(toks, pa.int64()),
-                "label": pa.nulls(len(ids), pa.int64()),
-            }
-        )
+        toks = pc.cast(pc.count_substring_regex(batch["text"], r"\S+"), pa.int64())
+        return pa.table({"doc_id": batch["doc_id"], "n_tokens": toks})
 
-    def emb_side(batch: pa.Table) -> pa.Table:
-        ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(ids % n_buckets, pa.int64()),
-                "side": pa.array(np.ones(len(ids), dtype=np.int8)),
-                "key": pa.array(ids, pa.int64()),
-                "n_tokens": pa.nulls(len(ids), pa.int64()),
-                "label": pc.cast(batch["label"], pa.int64()),
-            }
-        )
-
-    both = docs.map_batches(doc_side, batch_format="pyarrow", batch_size=None).union(
-        emb.map_batches(emb_side, batch_format="pyarrow", batch_size=None)
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
-        d = g[g["side"] == 0][["key", "n_tokens"]]
-        e = g[g["side"] == 1][["key", "label"]]
-        j = e.merge(d, on="key", how="inner")
+    def join_bucket(d: pa.Table, e: pa.Table) -> pa.Table:
+        j = e.to_pandas().merge(d.to_pandas(), left_on="vec_id", right_on="doc_id")
         agg = j.groupby("label", sort=False).agg(
             total_tokens=("n_tokens", "sum"), n_docs=("n_tokens", "size")
         )
@@ -397,7 +367,14 @@ def q_label_token_stats(sf_dir: str, n_buckets: int = 16):
 
     from ray.data.aggregate import Sum
 
-    per_bucket = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    per_bucket = exchange(
+        [
+            (docs.map_batches(doc_side, batch_format="pyarrow", batch_size=None), "doc_id"),
+            (emb, "vec_id"),
+        ],
+        join_bucket,
+        n_buckets=n_buckets,
+    )
     return per_bucket.groupby("label").aggregate(
         Sum("total_tokens", alias_name="total_tokens"), Sum("n_docs", alias_name="n_docs")
     )

@@ -24,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.exchange import exchange
+
 N_ITER = 5
 DAMP_NUM = 850_000  # 0.85 in micro-units
 BASE = 150_000      # (1 − 0.85) in micro-units
@@ -34,6 +36,17 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     from ..io.sources import read_table
 
     return read_table(sf_dir, table, columns)
+
+
+def _distinct_order_supp(lineitem):
+    """Per-batch distinct ``(l_orderkey, l_suppkey)`` pairs: the
+    lineitem side of the orderkey exchange carries pairs, never
+    lines."""
+
+    def distinct(b: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(b.to_pandas().drop_duplicates(), preserve_index=False)
+
+    return lineitem.map_batches(distinct, batch_format="pyarrow", batch_size=None)
 
 
 def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
@@ -50,13 +63,12 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
        one orderkey-bucket exchange rewrites to ``(cust, supp)``.
     2. **Adjacency finalise** — a src-bucket exchange dedups each
        ``(src, dst)`` globally (both directions of a pair land in
-       their own src bucket), computes ``deg(src)`` in the same
-       partition, and emits the initial rank row per node. The result
-       is materialized ONCE — the adjacency is reused by all
-       iterations, and the pin is O(edges), spillable.
-    3. **Per iteration (×5)** — ranks ride the SAME src-bucket layout
-       as the adjacency, so the contribution join is partition-local
-       after one exchange; per-edge ``contrib = (r·850000) //
+       their own src bucket) and computes ``deg(src)`` in the same
+       partition. The result is materialized ONCE — the adjacency is
+       reused by all iterations, and the pin is O(edges), spillable.
+    3. **Per iteration (×5)** — ranks meet the adjacency in one
+       src-bucket exchange (the first iteration needs no rank side:
+       every node starts at ``R0``); per-edge ``contrib = (r·850000) //
        (1000000·deg)`` rows re-bucket by dst and sum into the next
        rank vector, which is materialized (O(nodes) per iteration,
        never driver-side). Every exchanged row is three int64s —
@@ -70,102 +82,48 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
 
-    def li_rows(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "key": b["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "val": b["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-            }
-        ).drop_duplicates()
-        return pa.table(
-            {
-                "bucket": pa.array(df["key"].to_numpy() % n_buckets),
-                "side": pa.array(np.zeros(len(df), dtype=np.int8)),
-                "key": pa.array(df["key"].to_numpy()),
-                "val": pa.array(df["val"].to_numpy()),
-            }
-        )
-
-    def o_rows(b: pa.Table) -> pa.Table:
-        ok = b["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(ok % n_buckets),
-                "side": pa.array(np.ones(len(ok), dtype=np.int8)),
-                "key": pa.array(ok),
-                "val": pa.array(
-                    b["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-                ),
-            }
-        )
-
-    both = lineitem.map_batches(li_rows, batch_format="pyarrow", batch_size=None).union(
-        orders.map_batches(o_rows, batch_format="pyarrow", batch_size=None)
-    )
-
-    def to_edges(g: pd.DataFrame) -> pa.Table:
-        li = g[g["side"] == 0][["key", "val"]]
-        o = g[g["side"] == 1][["key", "val"]].rename(columns={"val": "ck"})
-        j = li.merge(o, on="key")[["ck", "val"]].drop_duplicates()
-        c = j["ck"].to_numpy(dtype=np.int64) * 2
-        s = j["val"].to_numpy(dtype=np.int64) * 2 + 1
+    def to_edges(li: pa.Table, o: pa.Table) -> pa.Table:
+        j = li.to_pandas().merge(o.to_pandas(), left_on="l_orderkey", right_on="o_orderkey")
+        j = j[["o_custkey", "l_suppkey"]].drop_duplicates()
+        c = j["o_custkey"].to_numpy(dtype=np.int64) * 2
+        s = j["l_suppkey"].to_numpy(dtype=np.int64) * 2 + 1
         src = np.concatenate([c, s])
-        dst = np.concatenate([s, c])
         return pa.table(
             {
                 "sbucket": pa.array(src % n_buckets),
-                "side": pa.array(np.zeros(len(src), dtype=np.int8)),
                 "src": pa.array(src),
-                "dst": pa.array(dst),
-                "val": pa.array(np.zeros(len(src), dtype=np.int64)),
+                "dst": pa.array(np.concatenate([s, c])),
             }
         )
 
-    sym = both.groupby("bucket").map_groups(to_edges, batch_format="pandas")
+    sym = exchange(
+        [(_distinct_order_supp(lineitem), "l_orderkey"), (orders, "o_orderkey")],
+        to_edges,
+        n_buckets=n_buckets,
+    )
 
     def adjacency(g: pd.DataFrame) -> pa.Table:
         e = g.drop_duplicates(["src", "dst"])
         deg = e.groupby("src", sort=False)["dst"].transform("size")
-        src = e["src"].to_numpy(dtype=np.int64)
-        nodes = np.unique(src)
         return pa.table(
             {
-                "sbucket": pa.array(
-                    np.concatenate([src % n_buckets, nodes % n_buckets])
-                ),
-                "side": pa.array(
-                    np.concatenate(
-                        [np.zeros(len(src), dtype=np.int8), np.ones(len(nodes), np.int8)]
-                    )
-                ),
-                "src": pa.array(np.concatenate([src, nodes])),
-                "dst": pa.array(
-                    np.concatenate(
-                        [e["dst"].to_numpy(dtype=np.int64), np.zeros(len(nodes), np.int64)]
-                    )
-                ),
-                # edges carry deg(src); rank rows carry the rank
-                "val": pa.array(
-                    np.concatenate(
-                        [deg.to_numpy(dtype=np.int64), np.full(len(nodes), R0, np.int64)]
-                    )
-                ),
+                "src": pa.array(e["src"].to_numpy(dtype=np.int64)),
+                "dst": pa.array(e["dst"].to_numpy(dtype=np.int64)),
+                "val": pa.array(deg.to_numpy(dtype=np.int64)),  # deg(src)
             }
         )
 
-    graph0 = (
+    edges = (
         sym.groupby("sbucket").map_groups(adjacency, batch_format="pandas").materialize()
     )
-    edges = graph0.filter(expr="side == 0")
-    ranks = graph0.filter(expr="side == 1").materialize()
 
-    def contribs(g: pd.DataFrame) -> pa.Table:
-        e = g[g["side"] == 0]
-        r = g[g["side"] == 1][["src", "val"]].rename(columns={"val": "r"})
-        j = e.merge(r, on="src")
-        c = (j["r"].to_numpy(dtype=np.int64) * DAMP_NUM) // (
-            1_000_000 * j["val"].to_numpy(dtype=np.int64)
-        )
+    def contribs(e: pa.Table, *r: pa.Table) -> pa.Table:
+        j = e.to_pandas()
+        if r:
+            j = j.merge(r[0].to_pandas().rename(columns={"val": "r"}), on="src")
+        # the first iteration has no rank side: every node starts at R0
+        rank = j["r"].to_numpy(dtype=np.int64) if r else R0
+        c = (rank * DAMP_NUM) // (1_000_000 * j["val"].to_numpy(dtype=np.int64))
         # pre-aggregate by dst before the exchange: the dst-bucket
         # shuffle carries O(nodes × buckets) partials, never edges
         agg = pd.DataFrame({"dst": j["dst"].to_numpy(dtype=np.int64), "c": c}).groupby(
@@ -182,23 +140,18 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
 
     def fold(g: pd.DataFrame) -> pa.Table:
         agg = g.groupby("dst", sort=False)["c"].sum()
-        node = agg.index.to_numpy(dtype=np.int64)
-        n = len(node)
         return pa.table(
             {
-                "sbucket": pa.array(node % n_buckets),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-                "src": pa.array(node),
-                "dst": pa.array(np.zeros(n, dtype=np.int64)),
+                "src": pa.array(agg.index.to_numpy(dtype=np.int64)),
                 "val": pa.array(BASE + agg.to_numpy(dtype=np.int64)),
             }
         )
 
+    ranks = None
     for _ in range(N_ITER):
+        sides = [(edges, "src")] + ([(ranks, "src")] if ranks is not None else [])
         ranks = (
-            edges.union(ranks)
-            .groupby("sbucket")
-            .map_groups(contribs, batch_format="pandas")
+            exchange(sides, contribs, n_buckets=n_buckets)
             .groupby("dbucket")
             .map_groups(fold, batch_format="pandas")
             # Ray's sort shuffle emits one output partition per input
@@ -473,6 +426,12 @@ def _member_mask(wedge_keys: np.ndarray, sorted_edge_keys: np.ndarray) -> np.nda
     return (sorted_edge_keys[pos_c] == wedge_keys) & ok
 
 
+def _edge_keys(b: pa.Table) -> pa.Table:
+    """``src << 32 | dst`` keys of an oriented edge batch."""
+    k = (b["src"].to_numpy(zero_copy_only=False) << 32) | b["dst"].to_numpy(zero_copy_only=False)
+    return pa.table({"key": pa.array(k)})
+
+
 def _count_members(wedge_keys: np.ndarray, sorted_edge_keys: np.ndarray) -> int:
     return int(_member_mask(wedge_keys, sorted_edge_keys).sum())
 
@@ -540,40 +499,11 @@ def _triangle_count_from(
     # unbounded-edge fallback: ship wedge KEYS (one int64 each) through
     # a key-hash exchange and close them against the co-located edges
     def wedge_rows(g: pd.DataFrame) -> pa.Table:
-        k = _wedge_keys(g)
-        return pa.table(
-            {
-                "jbucket": pa.array(k % n_buckets),
-                "side": pa.array(np.zeros(len(k), dtype=np.int8)),
-                "key": pa.array(k),
-            }
-        )
+        return pa.table({"key": pa.array(_wedge_keys(g))})
 
-    def edge_key_rows(b: pa.Table) -> pa.Table:
-        k = (b["src"].to_numpy(zero_copy_only=False) << 32) | b[
-            "dst"
-        ].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "jbucket": pa.array(k % n_buckets),
-                "side": pa.array(np.ones(len(k), dtype=np.int8)),
-                "key": pa.array(k),
-            }
-        )
-
-    tagged = (
-        oriented.groupby("sbucket")
-        .map_groups(wedge_rows, batch_format="pandas")
-        .union(
-            oriented.map_batches(
-                edge_key_rows, batch_format="pyarrow", batch_size=None
-            )
-        )
-    )
-
-    def close_wedges(g: pd.DataFrame) -> pa.Table:
-        w = g[g["side"] == 0]["key"].to_numpy(dtype=np.int64)
-        e = np.sort(g[g["side"] == 1]["key"].to_numpy(dtype=np.int64))
+    def close_wedges(wedges: pa.Table, edge: pa.Table) -> pa.Table:
+        w = wedges["key"].to_numpy(zero_copy_only=False).astype(np.int64)
+        e = np.sort(edge["key"].to_numpy(zero_copy_only=False).astype(np.int64))
         return pa.table(
             {
                 "one": pa.array([0], pa.int64()),
@@ -591,8 +521,14 @@ def _triangle_count_from(
         )
 
     return (
-        tagged.groupby("jbucket")
-        .map_groups(close_wedges, batch_format="pandas")
+        exchange(
+            [
+                (oriented.groupby("sbucket").map_groups(wedge_rows, batch_format="pandas"), "key"),
+                (oriented.map_batches(_edge_keys, batch_format="pyarrow", batch_size=None), "key"),
+            ],
+            close_wedges,
+            n_buckets=n_buckets,
+        )
         .groupby("one")
         .map_groups(finish, batch_format="pandas")
     )
@@ -706,47 +642,21 @@ def q_clustering_coeff(
 
         def wedge_rows(g: pd.DataFrame) -> pa.Table:
             centers, k = _wedges(g)
-            return pa.table(
-                {
-                    "jbucket": pa.array(k % n_buckets),
-                    "side": pa.array(np.zeros(len(k), dtype=np.int8)),
-                    "key": pa.array(k),
-                    "center": pa.array(centers),
-                }
-            )
+            return pa.table({"key": pa.array(k), "center": pa.array(centers)})
 
-        def edge_key_rows(b: pa.Table) -> pa.Table:
-            k = (b["src"].to_numpy(zero_copy_only=False) << 32) | b[
-                "dst"
-            ].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "jbucket": pa.array(k % n_buckets),
-                    "side": pa.array(np.ones(len(k), dtype=np.int8)),
-                    "key": pa.array(k),
-                    "center": pa.array(np.zeros(len(k), dtype=np.int64)),
-                }
-            )
-
-        tagged = (
-            oriented.groupby("sbucket")
-            .map_groups(wedge_rows, batch_format="pandas")
-            .union(
-                oriented.map_batches(
-                    edge_key_rows, batch_format="pyarrow", batch_size=None
-                )
-            )
-        )
-
-        def credit_bucket(g: pd.DataFrame) -> pa.Table:
-            w = g[g["side"] == 0]
-            keys = w["key"].to_numpy(dtype=np.int64)
-            centers = w["center"].to_numpy(dtype=np.int64)
-            e = np.sort(g[g["side"] == 1]["key"].to_numpy(dtype=np.int64))
+        def credit_bucket(w: pa.Table, edge: pa.Table) -> pa.Table:
+            keys = w["key"].to_numpy(zero_copy_only=False).astype(np.int64)
+            centers = w["center"].to_numpy(zero_copy_only=False).astype(np.int64)
+            e = np.sort(edge["key"].to_numpy(zero_copy_only=False).astype(np.int64))
             return _node_partials(centers, keys, _member_mask(keys, e))
 
-        tri_rows = tagged.groupby("jbucket").map_groups(
-            credit_bucket, batch_format="pandas"
+        tri_rows = exchange(
+            [
+                (oriented.groupby("sbucket").map_groups(wedge_rows, batch_format="pandas"), "key"),
+                (oriented.map_batches(_edge_keys, batch_format="pyarrow", batch_size=None), "key"),
+            ],
+            credit_bucket,
+            n_buckets=n_buckets,
         )
 
     tri = (
@@ -1271,39 +1181,9 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
 
-    def li_rows(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "key": b["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "val": b["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-            }
-        ).drop_duplicates()
-        return pa.table(
-            {
-                "bucket": pa.array(df["key"].to_numpy() % n_buckets),
-                "side": pa.array(np.zeros(len(df), dtype=np.int8)),
-                "key": pa.array(df["key"].to_numpy()),
-                "val": pa.array(df["val"].to_numpy()),
-            }
-        )
-
-    def o_rows(b: pa.Table) -> pa.Table:
-        ok = b["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(ok % n_buckets),
-                "side": pa.array(np.ones(len(ok), dtype=np.int8)),
-                "key": pa.array(ok),
-                "val": pa.array(
-                    b["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-                ),
-            }
-        )
-
-    def to_edges(g: pd.DataFrame) -> pa.Table:
-        li = g[g["side"] == 0][["key", "val"]].rename(columns={"val": "s"})
-        o = g[g["side"] == 1][["key", "val"]].rename(columns={"val": "c"})
-        j = li.merge(o, on="key")[["c", "s"]].drop_duplicates()
+    def to_edges(li: pa.Table, o: pa.Table) -> pa.Table:
+        j = li.to_pandas().merge(o.to_pandas(), left_on="l_orderkey", right_on="o_orderkey")
+        j = j.rename(columns={"o_custkey": "c", "l_suppkey": "s"})[["c", "s"]].drop_duplicates()
         c = j["c"].to_numpy(dtype=np.int64)
         s = j["s"].to_numpy(dtype=np.int64)
         return pa.table(
@@ -1328,10 +1208,11 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
         )
 
     edges = (
-        lineitem.map_batches(li_rows, batch_format="pyarrow", batch_size=None)
-        .union(orders.map_batches(o_rows, batch_format="pyarrow", batch_size=None))
-        .groupby("bucket")
-        .map_groups(to_edges, batch_format="pandas")
+        exchange(
+            [(_distinct_order_supp(lineitem), "l_orderkey"), (orders, "o_orderkey")],
+            to_edges,
+            n_buckets=n_buckets,
+        )
         .groupby("cbucket")
         .map_groups(dedup_edges, batch_format="pandas")
         .materialize()  # O(edges) pin, reused by all 2·ITER half-steps
@@ -1376,17 +1257,14 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
         .materialize()
     )
 
-    def half_step(state, state_bucket, join_key, emit_key, emit_bucket):
+    def half_step(state, join_key, emit_key):
         """One E/Eᵀ application: co-locate state with edges on
         ``join_key``, pre-sum contributions per ``emit_key`` inside
         the map, exchange once, fold."""
 
-        def contribs(g: pd.DataFrame) -> pa.Table:
-            e = g[g["is_edge"] == 1]
-            st = g[g["is_edge"] == 0][["node", "val"]].rename(
-                columns={"node": join_key, "val": "r"}
-            )
-            j = e.merge(st, on=join_key)
+        def contribs(e: pa.Table, st: pa.Table) -> pa.Table:
+            r = st.to_pandas()[["node", "val"]].rename(columns={"node": join_key, "val": "r"})
+            j = e.to_pandas().merge(r, on=join_key)
             agg = j.groupby(emit_key, sort=False)["r"].sum()
             node = agg.index.to_numpy(dtype=np.int64)
             return pa.table(
@@ -1394,34 +1272,6 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
                     "ebucket": pa.array(node % n_buckets),
                     "node": pa.array(node),
                     "contrib": pa.array(agg.to_numpy(dtype=np.int64)),
-                }
-            )
-
-        def edge_tag(b: pa.Table) -> pa.Table:
-            k = b[join_key].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "jbucket": pa.array(k % n_buckets),
-                    "is_edge": pa.array(np.ones(b.num_rows, np.int8)),
-                    "c": b["c"],
-                    "s": b["s"],
-                    "node": pa.array(np.zeros(b.num_rows, np.int64)),
-                    "val": pa.array(np.zeros(b.num_rows, np.int64)),
-                }
-            )
-
-        def state_tag(b: pa.Table) -> pa.Table:
-            z = np.zeros(b.num_rows, np.int64)
-            return pa.table(
-                {
-                    "jbucket": pa.array(
-                        b["node"].to_numpy(zero_copy_only=False) % n_buckets
-                    ),
-                    "is_edge": pa.array(np.zeros(b.num_rows, np.int8)),
-                    "c": pa.array(z),
-                    "s": pa.array(z),
-                    "node": b["node"],
-                    "val": b["val"],
                 }
             )
 
@@ -1436,10 +1286,7 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
             )
 
         raw = (
-            edges.map_batches(edge_tag, batch_format="pyarrow", batch_size=None)
-            .union(state.map_batches(state_tag, batch_format="pyarrow", batch_size=None))
-            .groupby("jbucket")
-            .map_groups(contribs, batch_format="pandas")
+            exchange([(edges, join_key), (state, "node")], contribs, n_buckets=n_buckets)
             .groupby("ebucket")
             .map_groups(fold, batch_format="pandas")
             # pin the loop state at n_buckets blocks: the sort shuffle
@@ -1470,8 +1317,8 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
 
     a = None
     for _ in range(_HITS_ITER):
-        a = half_step(h, "cbucket", "c", "s", "sbucket")
-        h = half_step(a, "sbucket", "s", "c", "cbucket")
+        a = half_step(h, "c", "s")
+        h = half_step(a, "s", "c")
 
     def finish(node_type: int):
         def fn(b: pa.Table) -> pa.Table:

@@ -48,6 +48,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.exchange import exchange
+
 _W_SCALE = 1_000_000_000_000  # 10¹² — micro·micro: w(d) = 10¹² // lnm(d)
 
 
@@ -176,44 +178,27 @@ def q_adamic_adar(
             key = agg.index.to_numpy(dtype=np.int64)
             score = agg["sum"].to_numpy(dtype=np.int64)
             cn = agg["size"].to_numpy(dtype=np.int64)
-        return pa.table(
-            {
-                "pbucket": pa.array(key % n_buckets),
-                "side": pa.array(np.zeros(len(key), dtype=np.int8)),
-                "key": pa.array(key),
-                "score": pa.array(score),
-                "cn": pa.array(cn),
-            }
-        )
+        return pa.table({"key": pa.array(key), "score": pa.array(score), "cn": pa.array(cn)})
 
-    def edge_key_rows(b: pa.Table) -> pa.Table:
+    def edge_keys(b: pa.Table) -> pa.Table:
         k = (b["a"].to_numpy(zero_copy_only=False) << 32) | b["b"].to_numpy(
             zero_copy_only=False
         )
-        z = np.zeros(len(k), dtype=np.int64)
-        return pa.table(
-            {
-                "pbucket": pa.array(k % n_buckets),
-                "side": pa.array(np.ones(len(k), dtype=np.int8)),
-                "key": pa.array(k),
-                "score": pa.array(z),
-                "cn": pa.array(z),
-            }
-        )
+        return pa.table({"key": pa.array(k)})
 
-    tagged = (
+    pairs = (
         edges.map_batches(center_rows, batch_format="pyarrow", batch_size=None)
         .groupby("cbucket")
         .map_groups(pair_partials, batch_format="pandas")
     )
+    sides = [(pairs, "key")]
     if bkeys is None:
-        tagged = tagged.union(
-            edges.map_batches(edge_key_rows, batch_format="pyarrow", batch_size=None)
+        sides.append(
+            (edges.map_batches(edge_keys, batch_format="pyarrow", batch_size=None), "key")
         )
 
-    def resolve_bucket(g: pd.DataFrame) -> pa.Table:
-        s = g[g["side"] == 0]
-        if not len(s):
+    def resolve_bucket(part: pa.Table, *edge: pa.Table) -> pa.Table:
+        if not part.num_rows:
             e = np.empty(0, dtype=np.int64)
             return pa.table(
                 {
@@ -221,17 +206,18 @@ def q_adamic_adar(
                     "score_micro": pa.array(e), "jaccard_ppm": pa.array(e),
                 }
             )
-        agg = s.groupby("key", sort=False)[["score", "cn"]].sum()
+        agg = part.to_pandas().groupby("key", sort=False)[["score", "cn"]].sum()
         key = agg.index.to_numpy(dtype=np.int64)
         score = agg["score"].to_numpy(dtype=np.int64)
         cn = agg["cn"].to_numpy(dtype=np.int64)
-        ekeys = np.sort(g[g["side"] == 1]["key"].to_numpy(dtype=np.int64))
-        pos = np.searchsorted(ekeys, key)
-        ok = pos < len(ekeys)
-        is_edge = np.zeros(len(key), dtype=bool)
-        if len(ekeys):
-            is_edge[ok] = ekeys[np.where(ok, pos, 0)][ok] == key[ok]
-        key, score, cn = key[~is_edge], score[~is_edge], cn[~is_edge]
+        if edge:
+            ekeys = np.sort(edge[0]["key"].to_numpy(zero_copy_only=False).astype(np.int64))
+            pos = np.searchsorted(ekeys, key)
+            ok = pos < len(ekeys)
+            is_edge = np.zeros(len(key), dtype=bool)
+            if len(ekeys):
+                is_edge[ok] = ekeys[np.where(ok, pos, 0)][ok] == key[ok]
+            key, score, cn = key[~is_edge], score[~is_edge], cn[~is_edge]
         u = key >> 32
         v = key & 0xFFFFFFFF
         du = deg_vals[np.searchsorted(deg_nodes, u)]
@@ -249,11 +235,9 @@ def q_adamic_adar(
             }
         )
 
-    tops = (
-        tagged.groupby("pbucket")
-        .map_groups(resolve_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: ≤ n_buckets·top_k rows
-    )
+    tops = exchange(
+        sides, resolve_bucket, n_buckets=n_buckets
+    ).to_pandas()  # bounded: ≤ n_buckets·top_k rows
     cols = ["u", "v", "cn", "score_micro", "jaccard_ppm"]
     if tops.empty:
         # every wedge closed an existing edge: the sort shuffle emits

@@ -246,14 +246,14 @@ def q_resolve_media_refs(sf_dir: str, n_buckets: int = 32):
     many per doc; features: one per doc), so no broadcast — the ref
     parse (page / element class / element index) is vectorized Arrow
     regex inside the extraction stream, then ONE tagged-union bucket
-    exchange keyed on the source doc (``_bucket_join``, the
-    segment_revenue pattern) meets the two sides; only fixed-width
+    exchange keyed on the source doc (``core.exchange.exchange``)
+    meets the two sides; only fixed-width
     rows (refs, sha, dims) travel, never payloads. The feature side is
     unique per doc_id, satisfying the join-then-X invariant."""
     import pyarrow.compute as pc
 
     from ..pipelines.extract import flagship
-    from ..relational.analytics2 import _bucket_join
+    from ..core.exchange import exchange
 
     spans = flagship(sf_dir)
 
@@ -280,10 +280,11 @@ def q_resolve_media_refs(sf_dir: str, n_buckets: int = 32):
         ["doc_id", "media_type", "sha256", "width", "height"]
     )
 
-    def post(df) -> pa.Table:
+    def post(refs: pa.Table, feat: pa.Table) -> pa.Table:
+        df = refs.to_pandas().merge(feat.to_pandas(), left_on="src_doc", right_on="doc_id")
         return pa.table(
             {
-                "doc_id": pa.array(df["key"].to_numpy(dtype="int64"), pa.int64()),
+                "doc_id": pa.array(df["src_doc"].to_numpy(dtype="int64"), pa.int64()),
                 "kind": pa.array(df["kind"].tolist(), pa.string()),
                 "media_ref": pa.array(df["media_ref"].tolist(), pa.string()),
                 "offset": pa.array(df["offset"].to_numpy(dtype="int64"), pa.int64()),
@@ -297,28 +298,7 @@ def q_resolve_media_refs(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return _bucket_join(
-        hits,
-        feats,
-        left_key="src_doc",
-        right_key="doc_id",
-        left_payload={
-            "kind": pa.string(),
-            "media_ref": pa.string(),
-            "offset": pa.int64(),
-            "page": pa.int64(),
-            "elem": pa.string(),
-            "elem_idx": pa.int64(),
-        },
-        right_payload={
-            "media_type": pa.string(),
-            "sha256": pa.string(),
-            "width": pa.int64(),
-            "height": pa.int64(),
-        },
-        post=post,
-        n_buckets=n_buckets,
-    )
+    return exchange([(hits, "src_doc"), (feats, "doc_id")], post, n_buckets=n_buckets)
 
 
 def _resolve_oracle_sql() -> str | None:

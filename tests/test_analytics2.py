@@ -334,6 +334,20 @@ class TestReturnedItemRevenue:
 
 
 class TestBucketJoin:
+    """Two-sided inner joins through ``core.exchange.exchange``: the
+    fold merges the two side tables on their keys as ``key``."""
+
+    @staticmethod
+    def _join(left, right, post):
+        from pdf_parser_ray.core.exchange import exchange
+
+        def fold(lt, rt):
+            lhs = lt.to_pandas().rename(columns={"k": "key"})
+            rhs = rt.to_pandas().rename(columns={"rk": "key"})
+            return post(lhs.merge(rhs, on="key", how="inner"))
+
+        return exchange([(left, "k"), (right, "rk")], fold)
+
     def _sides(self):
         import ray.data
 
@@ -348,9 +362,9 @@ class TestBucketJoin:
         return left, right
 
     def test_inner_join_and_fill_isolation(self):
-        """Inner semantics on the tagged union; the opposite-side fill
-        values (0 for ints, null for strings) must never reach the
-        joined frame — the merge selects each side's own columns."""
+        """Inner semantics; no opposite-side fill value (0 for ints,
+        null for strings) reaches the joined frame — each side table
+        carries only its own columns."""
         left, right = self._sides()
 
         def post(j):
@@ -363,15 +377,7 @@ class TestBucketJoin:
                 "s": pa.array(j["s"].tolist(), pa.string()),
             })
 
-        from pdf_parser_ray.relational.analytics2 import _bucket_join
-
-        out = _bucket_join(
-            left, right,
-            left_key="k", right_key="rk",
-            left_payload={"a": pa.int64()},
-            right_payload={"s": pa.string()},
-            post=post,
-        ).to_pandas().sort_values("k").reset_index(drop=True)
+        out = self._join(left, right, post).to_pandas().sort_values("k").reset_index(drop=True)
         want = [k for k in range(2, 65, 2)]
         assert out["k"].tolist() == want
         assert out["a"].tolist() == [k * 10 for k in want]
@@ -399,15 +405,7 @@ class TestBucketJoin:
                 "b": pa.array(g["b"].to_numpy(dtype=np.int64)),
             })
 
-        from pdf_parser_ray.relational.analytics2 import _bucket_join
-
-        out = _bucket_join(
-            left, right,
-            left_key="k", right_key="rk",
-            left_payload={"a": pa.int64()},
-            right_payload={"b": pa.int64()},
-            post=post,
-        ).to_pandas().sort_values("k").reset_index(drop=True)
+        out = self._join(left, right, post).to_pandas().sort_values("k").reset_index(drop=True)
         assert out["k"].tolist() == [1, 2]
         assert out["a"].tolist() == [sum(range(0, 40, 2)), sum(range(1, 40, 2))]
         assert out["b"].tolist() == [100 * 20, 200 * 20]

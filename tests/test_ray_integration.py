@@ -707,9 +707,18 @@ class TestCliResume:
         m = partition_metrics(wide)
         assert (m["n_rows"] == 0).sum() == 32 - self.N_DOCS
         assert os.path.exists(os.path.join(wide, "_manifest.json"))
-        # read_output adds the hive column `part`, which differs here
-        pd_testing.assert_frame_equal(self._spans(wide).drop(columns="part"),
-                                      self._spans(full).drop(columns="part"))
+        # read_output returns exactly the committed columns: the
+        # part=NNNNN directory names add no hive column
+        import pyarrow.parquet as pq
+
+        from pdf_parser_ray.io.checkpoint import read_output
+
+        committed = {
+            tuple(pq.read_schema(os.path.join(wide, n, "data.parquet")).names)
+            for n in os.listdir(wide) if n.startswith("part=")
+        }
+        assert committed == {tuple(read_output(wide).schema().names)}
+        pd_testing.assert_frame_equal(self._spans(wide), self._spans(full))
 
     def test_lance_input_keeps_the_import_gate(self, tmp_path):
         """The slicer reads Parquet footers only: a ``.lance`` input
