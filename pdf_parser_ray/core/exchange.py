@@ -14,18 +14,28 @@ one Arrow table per side rebuilt from its own streams. No side's
 columns are ever padded into another side's schema, so an int64
 payload stays int64 — a null-padded pandas column would float and
 corrupt wide ints — and a side with no rows in a bucket still arrives
-as an empty table with that side's schema. A side with no rows at
-all sends nothing — Ray Data never hands an empty batch to a UDF, so
-no schema of it reaches any worker — and arrives as an empty table
-with no columns.
+as an empty table with that side's schema.
 
-A side whose plan already holds a barrier (a sort, groupby or
-repartition) is materialized before the sides are unioned. Ray Data
-runs a barrier's sample/map/reduce tasks synchronously inside the
-executor's scheduling loop; with another side still streaming, that
-side's task can hold the session's last CPU while it waits for the
-loop to take its output, and the barrier's tasks never start. In a
-1-CPU session ``near_dup_pairs`` hung exactly so: the LSH band
+A side with no rows anywhere sends no stream, so the fold gets that
+side's schema from the driver: the schema the side states as the
+third element of its tuple, or else the one Ray knows without running
+the side (a plain read's, or a materialized side's that has rows).
+Ray knows none of a side built by a map or a fold, and running the
+side would not tell it either: Ray Data never hands an empty batch to
+a UDF, so a map over an input that was filtered empty leaves no block
+behind. Such a side therefore states its schema. A side that states
+none and of which Ray knows none raises ``ValueError`` while the
+exchange is built; a side whose rows do not carry the column names
+it states raises in the fold's task.
+
+Building a multi-sided exchange executes part of its inputs: a side
+whose plan already holds a barrier (a sort, groupby or repartition)
+is materialized, on the driver, before the sides are unioned. Ray
+Data runs a barrier's sample/map/reduce tasks synchronously inside
+the executor's scheduling loop; with another side still streaming,
+that side's task can hold the session's last CPU while it waits for
+the loop to take its output, and the barrier's tasks never start. In
+a 1-CPU session ``near_dup_pairs`` hung exactly so: the LSH band
 groupby sat in one branch of the union while the corpus read held
 the CPU in the other.
 """
@@ -63,6 +73,18 @@ def _has_barrier(ds) -> bool:
     return False
 
 
+def _schema(ds, side: int) -> pa.Schema:
+    """The Arrow schema of ``ds``'s rows, if Ray knows it without
+    running ``ds``."""
+    s = ds.schema(fetch_if_missing=False)
+    if s is None or not isinstance(s.base_schema, pa.Schema):
+        raise ValueError(
+            f"Ray knows no Arrow schema of exchange side {side} without running it: "
+            "give the side as (dataset, key, schema)"
+        )
+    return s.base_schema
+
+
 def _to_ipc(t: pa.Table) -> bytes:
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, t.schema) as w:
@@ -82,15 +104,18 @@ def exchange(
 ):
     """Co-partition ``sides`` by key and fold each bucket once.
 
-    ``sides`` is a sequence of ``(dataset, key_column)`` pairs. Rows of
-    every side whose keys share a bucket meet in one call
-    ``fold(t0, t1, ...)``, one ``pa.Table`` per side in ``sides``
-    order, each with only that side's columns and types. A bucket
-    where a side has no rows hands that side an empty table of its
-    schema (no columns if the side has no rows anywhere). ``fold``
-    returns a block (``pa.Table`` or pandas frame); it is also called
-    for buckets where every side is empty, so it must give empty
-    output explicit column types.
+    ``sides`` is a sequence of ``(dataset, key_column)`` or
+    ``(dataset, key_column, schema)`` tuples; ``schema`` is the
+    ``pa.Schema`` of the side's rows (see the module docstring for
+    when a side must state it). Rows of every side whose keys share a
+    bucket meet in one call ``fold(t0, t1, ...)``, one ``pa.Table`` per
+    side in ``sides`` order, each with only that side's columns and
+    types. A bucket where a side has no rows hands that side an empty
+    table of its schema, also when the side has no rows anywhere.
+    ``fold`` returns a block (``pa.Table`` or pandas frame); it is also
+    called for buckets where every side is empty, so it must give empty
+    output explicit column types. With more than one side, building
+    the exchange materializes each side that holds a barrier.
 
     A caller whose bucket is not a function of one key column packs
     the extra part into the key it hands over (a salted join routes on
@@ -113,11 +138,20 @@ def exchange(
 
         return split
 
+    stated = [s[2] if len(s) > 2 else None for s in sides]
+    sides = [(s[0], s[1]) for s in sides]
+    # a lone side is folded only in the buckets it sends rows to
+    schemas = stated
+    if n_sides > 1:
+        sides = [(ds.materialize() if _has_barrier(ds) else ds, key) for ds, key in sides]
+        schemas = [
+            schema if schema is not None else _schema(ds, i)
+            for i, ((ds, _), schema) in enumerate(zip(sides, stated))
+        ]
     tagged = [
         ds.map_batches(tagger(i, key), batch_format="pyarrow", batch_size=None)
         for i, (ds, key) in enumerate(sides)
     ]
-    tagged = [t.materialize() if n_sides > 1 and _has_barrier(t) else t for t in tagged]
     wire = tagged[0].union(*tagged[1:]) if n_sides > 1 else tagged[0]
 
     def meet(g: pa.Table):
@@ -126,8 +160,15 @@ def exchange(
         tables = []
         for i in range(n_sides):
             parts = [_from_ipc(rows[j]) for j in np.flatnonzero(side == i)]
+            if parts and stated[i] is not None and parts[0].column_names != stated[i].names:
+                raise ValueError(
+                    f"exchange side {i} sends columns {parts[0].column_names}, "
+                    f"states {stated[i].names}"
+                )
             tables.append(
-                pa.concat_tables(parts, promote_options="permissive") if parts else pa.table({})
+                pa.concat_tables(parts, promote_options="permissive")
+                if parts
+                else schemas[i].empty_table()
             )
         return fold(*tables)
 

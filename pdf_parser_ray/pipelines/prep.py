@@ -204,7 +204,16 @@ def q_training_prep_shuffle(sf_dir: str, n_buckets: int = 32):
         return rows.filter(pc.is_in(rows["doc_id"], value_set=keep["doc_id"].combine_chunks()))
 
     return exchange(
-        [(annotated, "doc_id"), (survivors, "doc_id")], semi_bucket, n_buckets=n_buckets
+        [
+            (
+                annotated,
+                "doc_id",
+                pa.schema({"doc_id": pa.int64(), "content_text": pa.string(), "n_tokens": pa.int64()}),
+            ),
+            (survivors, "doc_id", pa.schema({"doc_id": pa.int64()})),
+        ],
+        semi_bucket,
+        n_buckets=n_buckets,
     )
 
 
@@ -386,7 +395,19 @@ def q_corpus_prep_v3(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return exchange([(cc, "doc_id"), (dw, "doc_id")], merge, n_buckets=n_buckets)
+    cc_schema = pa.schema(
+        {
+            "doc_id": pa.int64(),
+            "lang": pa.string(),
+            "n_tokens": pa.int64(),
+            "nll_micro": pa.int64(),
+            "ppl_bucket": pa.int64(),
+        }
+    )
+    dw_schema = pa.schema({"doc_id": pa.int64(), "n_tokens": pa.int64(), "dsir_micro": pa.int64()})
+    return exchange(
+        [(cc, "doc_id", cc_schema), (dw, "doc_id", dw_schema)], merge, n_buckets=n_buckets
+    )
 
 
 def _render_prep_v3_sql() -> str:

@@ -1128,8 +1128,15 @@ def q_idle_rich_customers(
                 (
                     orders.map_batches(big_order_keys, batch_format="pyarrow", batch_size=None),
                     "o_custkey",
+                    pa.schema({"o_custkey": pa.int64()}),
                 ),
-                (rich_ds, "c_custkey"),
+                (
+                    rich_ds,
+                    "c_custkey",
+                    pa.schema(
+                        {"c_custkey": pa.int64(), "c_nationkey": pa.int64(), "acctbal_cents": pa.int64()}
+                    ),
+                ),
             ],
             anti_bucket,
         )
@@ -2060,7 +2067,11 @@ def q_pre_purchase_views(sf_dir: str, n_buckets: int = 32):
     return (
         exchange(
             [
-                (events.map_batches(prep_cutoffs, batch_format="pyarrow"), "user_id"),
+                (
+                    events.map_batches(prep_cutoffs, batch_format="pyarrow"),
+                    "user_id",
+                    pa.schema({"user_id": pa.int64(), "ts_us": pa.int64()}),
+                ),
                 (events, "user_id"),
             ],
             fold_bucket,
@@ -2153,7 +2164,11 @@ def q_spend_gini(sf_dir: str, n_buckets: int = 16):
 
     grain = exchange(
         [
-            (orders.map_batches(prep_orders, batch_format="pyarrow"), "key"),
+            (
+                orders.map_batches(prep_orders, batch_format="pyarrow"),
+                "key",
+                pa.schema({"key": pa.int64(), "cents": pa.int64()}),
+            ),
             (customer, "c_custkey"),
         ],
         join_bucket,

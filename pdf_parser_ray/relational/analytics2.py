@@ -398,7 +398,23 @@ def q_nation_trade_volume(sf_dir: str, budget_bytes: int | None = None):
         )
 
     final = (
-        exchange([(supp_side, "l_orderkey"), (cust_side, "o_orderkey")], pair_fold)
+        exchange(
+            [
+                (
+                    supp_side,
+                    "l_orderkey",
+                    pa.schema(
+                        {"l_orderkey": pa.int64(), "sn_year": pa.int64(), "revenue_cents2": pa.int64()}
+                    ),
+                ),
+                (
+                    cust_side,
+                    "o_orderkey",
+                    pa.schema({"o_orderkey": pa.int64(), "cust_nk": pa.int64()}),
+                ),
+            ],
+            pair_fold,
+        )
         .groupby(["sn_year", "cust_nk"])
         .aggregate(Sum("revenue_cents2", alias_name="revenue_cents2"))
     )
@@ -550,7 +566,23 @@ def q_market_share(sf_dir: str, budget_bytes: int | None = None):
         )
 
     per_year = (
-        exchange([(per_order_ds, "l_orderkey"), (cust_side, "o_orderkey")], year_fold)
+        exchange(
+            [
+                (
+                    per_order_ds,
+                    "l_orderkey",
+                    pa.schema(
+                        {"l_orderkey": pa.int64(), "target_cents2": pa.int64(), "total_cents2": pa.int64()}
+                    ),
+                ),
+                (
+                    cust_side,
+                    "o_orderkey",
+                    pa.schema({"o_orderkey": pa.int64(), "o_year": pa.int64()}),
+                ),
+            ],
+            year_fold,
+        )
         .groupby("o_year")
         .aggregate(
             Sum("target_cents2", alias_name="target_cents2"),
@@ -731,10 +763,17 @@ def q_product_profit(sf_dir: str, token: str = "bolt", budget_bytes: int | None 
     final = (
         exchange(
             [
-                (per_order, "l_orderkey"),
+                (
+                    per_order,
+                    "l_orderkey",
+                    pa.schema(
+                        {"l_orderkey": pa.int64(), "s_nationkey": pa.int64(), "profit_e4": pa.int64()}
+                    ),
+                ),
                 (
                     orders.map_batches(order_years, batch_format="pyarrow", batch_size=None),
                     "o_orderkey",
+                    pa.schema({"o_orderkey": pa.int64(), "o_year": pa.int64()}),
                 ),
             ],
             nation_year_fold,
@@ -861,10 +900,15 @@ def q_returned_item_revenue(
     per_customer = (
         exchange(
             [
-                (per_order, "l_orderkey"),
+                (
+                    per_order,
+                    "l_orderkey",
+                    pa.schema({"l_orderkey": pa.int64(), "revenue_cents2": pa.int64()}),
+                ),
                 (
                     orders.map_batches(window, batch_format="pyarrow", batch_size=None),
                     "o_orderkey",
+                    pa.schema({"o_orderkey": pa.int64(), "o_custkey": pa.int64()}),
                 ),
             ],
             cust_fold,
@@ -988,7 +1032,19 @@ def q_priority_line_mix(sf_dir: str):
         )
 
     return (
-        exchange([(per_order, "l_orderkey"), (orders, "o_orderkey")], split_fold)
+        exchange(
+            [
+                (
+                    per_order,
+                    "l_orderkey",
+                    pa.schema(
+                        {"l_orderkey": pa.int64(), "l_linestatus": pa.string(), "cnt": pa.int64()}
+                    ),
+                ),
+                (orders, "o_orderkey"),
+            ],
+            split_fold,
+        )
         .groupby("l_linestatus")
         .aggregate(
             Sum("high_line_count", alias_name="high_line_count"),

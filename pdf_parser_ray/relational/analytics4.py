@@ -1729,8 +1729,12 @@ def _ship_latency_shuffle(sf_dir: str, n_buckets: int = 32):
 
     lines = li.map_batches(prep_li, batch_format="pyarrow", batch_size=None)
     ords = orders.map_batches(prep_orders, batch_format="pyarrow", batch_size=None)
+    lines_schema = pa.schema({"l_orderkey": pa.int64(), "ship_day": pa.int64(), "n": pa.int64()})
+    ords_schema = pa.schema({"o_orderkey": pa.int64(), "ord_day": pa.int64(), "pr": pa.string()})
     parts = exchange(
-        [(lines, "l_orderkey"), (ords, "o_orderkey")], cells, n_buckets=n_buckets
+        [(lines, "l_orderkey", lines_schema), (ords, "o_orderkey", ords_schema)],
+        cells,
+        n_buckets=n_buckets,
     ).to_pandas()  # ≤ buckets × priorities × latency-domain rows
     return _latency_fold(parts)
 

@@ -1250,7 +1250,11 @@ def q_theil_decomposition(sf_dir: str, n_buckets: int = 32):
 
         return exchange(
             [
-                (orders.map_batches(o_rows, batch_format="pyarrow", batch_size=None), "key"),
+                (
+                    orders.map_batches(o_rows, batch_format="pyarrow", batch_size=None),
+                    "key",
+                    pa.schema({"key": pa.int64(), "cents": pa.int64()}),
+                ),
                 (customer, "c_custkey"),
             ],
             resolve,

@@ -307,7 +307,11 @@ def q_segment_revenue(sf_dir: str, n_buckets: int = 16):
 
     per_bucket = exchange(
         [
-            (orders.map_batches(prep_orders, batch_format="pyarrow"), "key"),
+            (
+                orders.map_batches(prep_orders, batch_format="pyarrow"),
+                "key",
+                pa.schema({"key": pa.int64(), "total_cents": pa.int64()}),
+            ),
             (customer, "c_custkey"),
         ],
         join_bucket,
@@ -392,8 +396,18 @@ def q_segment_revenue_salted(sf_dir: str, n_buckets: int = 16, n_salts: int = 4)
 
     per_bucket = exchange(
         [
-            (orders.map_batches(prep_orders, batch_format="pyarrow"), "route"),
-            (customer.map_batches(prep_cust, batch_format="pyarrow"), "route"),
+            (
+                orders.map_batches(prep_orders, batch_format="pyarrow"),
+                "route",
+                pa.schema({"route": pa.int64(), "key": pa.int64(), "total_cents": pa.int64()}),
+            ),
+            (
+                customer.map_batches(prep_cust, batch_format="pyarrow"),
+                "route",
+                pa.schema(
+                    {"route": pa.int64(), "c_custkey": pa.int64(), "c_mktsegment": pa.string()}
+                ),
+            ),
         ],
         join_bucket,
         n_buckets=n_buckets * n_salts,
@@ -478,8 +492,16 @@ def _customer_order_filter_shuffle(
 
     return exchange(
         [
-            (orders.map_batches(order_keys, batch_format="pyarrow", batch_size=None), "o_custkey"),
-            (customer, "c_custkey"),
+            (
+                orders.map_batches(order_keys, batch_format="pyarrow", batch_size=None),
+                "o_custkey",
+                pa.schema({"o_custkey": pa.int64()}),
+            ),
+            (
+                customer,
+                "c_custkey",
+                pa.schema({"c_custkey": pa.int64(), "c_name": pa.string(), "c_acctbal": pa.float64()}),
+            ),
         ],
         semi_bucket,
         n_buckets=n_buckets,
@@ -608,10 +630,18 @@ def q_top_revenue_orders(
                 (
                     orders.map_batches(early_orders, batch_format="pyarrow", batch_size=None),
                     "o_custkey",
+                    pa.schema(
+                        {
+                            "o_orderkey": pa.int64(),
+                            "o_custkey": pa.int64(),
+                            "o_orderdate": pa.timestamp("us"),
+                        }
+                    ),
                 ),
                 (
                     customer.map_batches(seg_cust, batch_format="pyarrow", batch_size=None),
                     "c_custkey",
+                    pa.schema({"c_custkey": pa.int64(), "c_mktsegment": pa.string()}),
                 ),
             ],
             semi_bucket,
@@ -660,8 +690,16 @@ def q_top_revenue_orders(
 
     joined = exchange(
         [
-            (lineitem.map_batches(li_partials, batch_format="pyarrow", batch_size=None), "key"),
-            (seg_orders, "o_orderkey"),
+            (
+                lineitem.map_batches(li_partials, batch_format="pyarrow", batch_size=None),
+                "key",
+                pa.schema({"key": pa.int64(), "rev": pa.int64()}),
+            ),
+            (
+                seg_orders,
+                "o_orderkey",
+                pa.schema({"o_orderkey": pa.int64(), "o_orderdate": pa.timestamp("us")}),
+            ),
         ],
         join_bucket,
         n_buckets=n_buckets,
@@ -1031,8 +1069,11 @@ def q_supplier_revenue(
                 }
             )
 
+        totals_schema = pa.schema({"s_suppkey": pa.int64(), "revenue_cents2": pa.int64()})
         resolved = exchange(
-            [(totals, "s_suppkey"), (sup_ds, "s_suppkey")], join_bucket, n_buckets=n_buckets
+            [(totals, "s_suppkey", totals_schema), (sup_ds, "s_suppkey")],
+            join_bucket,
+            n_buckets=n_buckets,
         )
     return resolved.sort(["revenue_cents2", "s_suppkey"], descending=[True, False]).limit(k)
 
@@ -1088,6 +1129,7 @@ def _buyer_keys(sf_dir: str) -> list:
                 distinct(col), batch_format="pyarrow", batch_size=None
             ),
             col,
+            pa.schema({col: pa.int64()}),
         )
         for table, col in (("orders", "o_custkey"), ("events", "user_id"))
     ]
@@ -1169,7 +1211,11 @@ def q_customer_order_profile(sf_dir: str, n_buckets: int = 16):
 
     return exchange(
         [
-            (orders.map_batches(order_partials, batch_format="pyarrow", batch_size=None), "key"),
+            (
+                orders.map_batches(order_partials, batch_format="pyarrow", batch_size=None),
+                "key",
+                _COUNT_CENTS,
+            ),
             (customer, "c_custkey"),
         ],
         outer_bucket,
@@ -2388,7 +2434,11 @@ def q_revenue_rollup(sf_dir: str, n_buckets: int = 16):
 
     leaf = exchange(
         [
-            (orders.map_batches(prep_orders, batch_format="pyarrow"), "key"),
+            (
+                orders.map_batches(prep_orders, batch_format="pyarrow"),
+                "key",
+                pa.schema({"key": pa.int64(), "cents": pa.int64()}),
+            ),
             (customer, "c_custkey"),
         ],
         join_bucket,
@@ -3276,7 +3326,11 @@ def q_customer_supplier_reach(sf_dir: str, min_suppliers: int = 5, n_buckets: in
 
     pairs = exchange(
         [
-            (lineitem.map_batches(li_pairs, batch_format="pyarrow", batch_size=None), "l_orderkey"),
+            (
+                lineitem.map_batches(li_pairs, batch_format="pyarrow", batch_size=None),
+                "l_orderkey",
+                pa.schema({"l_orderkey": pa.int64(), "l_suppkey": pa.int64()}),
+            ),
             (orders, "o_orderkey"),
         ],
         rekey_bucket,
@@ -3443,8 +3497,16 @@ def q_order_event_reconcile(
         return _count_cents(ck, _cents(batch["value"]).to_numpy())
 
     inputs = [
-        (orders.map_batches(order_partials, batch_format="pyarrow", batch_size=None), "key"),
-        (events.map_batches(event_partials, batch_format="pyarrow", batch_size=None), "key"),
+        (
+            orders.map_batches(order_partials, batch_format="pyarrow", batch_size=None),
+            "key",
+            _COUNT_CENTS,
+        ),
+        (
+            events.map_batches(event_partials, batch_format="pyarrow", batch_size=None),
+            "key",
+            _COUNT_CENTS,
+        ),
     ]
     if not fits:
         customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
@@ -3453,7 +3515,9 @@ def q_order_event_reconcile(
             batch_format="pyarrow",
             batch_size=None,
         )
-        inputs.append((seg_rows, "c_custkey"))
+        inputs.append(
+            (seg_rows, "c_custkey", pa.schema({"c_custkey": pa.int64(), "c_mktsegment": pa.string()}))
+        )
 
     def outer_bucket(o_t: pa.Table, e_t: pa.Table, *seg: pa.Table) -> pa.Table:
         o = o_t.to_pandas().groupby("key", sort=False)[["n", "cents"]].sum()
@@ -3486,6 +3550,9 @@ def q_order_event_reconcile(
         )
 
     return exchange(inputs, outer_bucket, n_buckets=n_buckets)
+
+
+_COUNT_CENTS = pa.schema({"key": pa.int64(), "n": pa.int64(), "cents": pa.int64()})
 
 
 def _count_cents(keys: np.ndarray, cents: np.ndarray) -> pa.Table:
@@ -3778,7 +3845,11 @@ def q_revenue_cube(sf_dir: str, n_buckets: int = 16):
 
     leaf = exchange(
         [
-            (orders.map_batches(prep_orders, batch_format="pyarrow", batch_size=None), "key"),
+            (
+                orders.map_batches(prep_orders, batch_format="pyarrow", batch_size=None),
+                "key",
+                pa.schema({"key": pa.int64(), "priority": pa.string(), "cents": pa.int64()}),
+            ),
             (customer, "c_custkey"),
         ],
         join_bucket,
@@ -3965,6 +4036,7 @@ def q_local_supplier_revenue(
     )
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    order_nat_schema = pa.schema({"o_orderkey": pa.int64(), "c_nat": pa.int64()})
 
     # ---- exchange A: orders ⋈ in-region customers on custkey ----
     # (skipped entirely when the region-filtered customer map fits the
@@ -4021,6 +4093,7 @@ def q_local_supplier_revenue(
                 (
                     customer.map_batches(in_region, batch_format="pyarrow", batch_size=None),
                     "c_custkey",
+                    pa.schema({"c_custkey": pa.int64(), "c_nationkey": pa.int32()}),
                 ),
             ],
             join_a,
@@ -4084,8 +4157,12 @@ def q_local_supplier_revenue(
         folded = (
             exchange(
                 [
-                    (li.map_batches(prep_li, batch_format="pyarrow", batch_size=None), "ok"),
-                    (order_nat, "o_orderkey"),
+                    (
+                        li.map_batches(prep_li, batch_format="pyarrow", batch_size=None),
+                        "ok",
+                        pa.schema({"ok": pa.int64(), "s_nat": pa.int64(), "rev": pa.int64()}),
+                    ),
+                    (order_nat, "o_orderkey", order_nat_schema),
                 ],
                 join_b,
                 n_buckets=n_buckets,
@@ -4133,8 +4210,12 @@ def q_local_supplier_revenue(
 
         part_b = exchange(
             [
-                (li.map_batches(prep_li_nk, batch_format="pyarrow", batch_size=None), "ok"),
-                (order_nat, "o_orderkey"),
+                (
+                    li.map_batches(prep_li_nk, batch_format="pyarrow", batch_size=None),
+                    "ok",
+                    pa.schema({"ok": pa.int64(), "sup": pa.int64(), "rev": pa.int64()}),
+                ),
+                (order_nat, "o_orderkey", order_nat_schema),
             ],
             join_b2,
             n_buckets=n_buckets,
@@ -4159,10 +4240,15 @@ def q_local_supplier_revenue(
         folded = (
             exchange(
                 [
-                    (part_b, "sup"),
+                    (
+                        part_b,
+                        "sup",
+                        pa.schema({"sup": pa.int64(), "c_nat": pa.int64(), "rev": pa.int64()}),
+                    ),
                     (
                         sup_ds.map_batches(sup_in_region, batch_format="pyarrow", batch_size=None),
                         "s_suppkey",
+                        pa.schema({"s_suppkey": pa.int64(), "s_nationkey": pa.int32()}),
                     ),
                 ],
                 join_c,

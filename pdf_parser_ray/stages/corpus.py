@@ -321,14 +321,21 @@ def q_semantic_dedup(sf_dir: str, threshold: float = 0.4, n_buckets: int = 16):
 
     def anti(corpus: pa.Table, dropped: pa.Table) -> pa.Table:
         keep = corpus["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if dropped.num_rows:  # no pairs at all: the side has no columns either
-            keep = keep[~np.isin(keep, dropped["doc_id"].to_numpy(zero_copy_only=False))]
+        keep = keep[~np.isin(keep, dropped["doc_id"].to_numpy(zero_copy_only=False))]
         return pa.table({"vec_id": pa.array(keep, pa.int64())})
 
     return exchange(
         [
-            (_embeddings(sf_dir).select_columns(["vec_id"]), "vec_id"),
-            (clusters.map_batches(dropped_only, batch_format="pyarrow", batch_size=None), "doc_id"),
+            (
+                _embeddings(sf_dir).select_columns(["vec_id"]),
+                "vec_id",
+                pa.schema({"vec_id": pa.int64()}),
+            ),
+            (
+                clusters.map_batches(dropped_only, batch_format="pyarrow", batch_size=None),
+                "doc_id",
+                pa.schema({"doc_id": pa.int64(), "cluster_rep": pa.int64()}),
+            ),
         ],
         anti,
         n_buckets=n_buckets,
@@ -813,7 +820,14 @@ def substring_dedup_ds(
         )
 
     return exchange(
-        [(flagged, "doc_id"), (ds.select_columns(["doc_id", "text"]), "doc_id")],
+        [
+            (flagged, "doc_id", pa.schema({"doc_id": pa.int64(), "pos": pa.int64()})),
+            (
+                ds.select_columns(["doc_id", "text"]),
+                "doc_id",
+                pa.schema({"doc_id": pa.int64(), "text": pa.string()}),
+            ),
+        ],
         rebuild,
         n_buckets=n_buckets,
     )

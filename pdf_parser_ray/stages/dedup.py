@@ -376,8 +376,18 @@ def _resolve_pair_texts(pairs, corpus, n_buckets: int = 16):
 
     halves_resolved = exchange(
         [
-            (pairs.map_batches(halves, batch_format="pyarrow", batch_size=None), "key"),
-            (corpus.select_columns(["doc_id", "text"]), "doc_id"),
+            (
+                pairs.map_batches(halves, batch_format="pyarrow", batch_size=None),
+                "key",
+                pa.schema(
+                    {"key": pa.int64(), "doc_a": pa.int64(), "doc_b": pa.int64(), "slot": pa.int8()}
+                ),
+            ),
+            (
+                corpus.select_columns(["doc_id", "text"]),
+                "doc_id",
+                pa.schema({"doc_id": pa.int64(), "text": pa.string()}),
+            ),
         ],
         resolve_bucket,
         n_buckets=n_buckets,

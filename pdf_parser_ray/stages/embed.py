@@ -369,7 +369,11 @@ def q_label_token_stats(sf_dir: str, n_buckets: int = 16):
 
     per_bucket = exchange(
         [
-            (docs.map_batches(doc_side, batch_format="pyarrow", batch_size=None), "doc_id"),
+            (
+                docs.map_batches(doc_side, batch_format="pyarrow", batch_size=None),
+                "doc_id",
+                pa.schema({"doc_id": pa.int64(), "n_tokens": pa.int64()}),
+            ),
             (emb, "vec_id"),
         ],
         join_bucket,

@@ -38,6 +38,12 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     return read_table(sf_dir, table, columns)
 
 
+# the exchange schemas of the order-supplier pair side and of a
+# wedge or edge key side
+_ORDER_SUPP = pa.schema({"l_orderkey": pa.int64(), "l_suppkey": pa.int64()})
+_KEY = pa.schema({"key": pa.int64()})
+
+
 def _distinct_order_supp(lineitem):
     """Per-batch distinct ``(l_orderkey, l_suppkey)`` pairs: the
     lineitem side of the orderkey exchange carries pairs, never
@@ -97,7 +103,7 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
         )
 
     sym = exchange(
-        [(_distinct_order_supp(lineitem), "l_orderkey"), (orders, "o_orderkey")],
+        [(_distinct_order_supp(lineitem), "l_orderkey", _ORDER_SUPP), (orders, "o_orderkey")],
         to_edges,
         n_buckets=n_buckets,
     )
@@ -523,8 +529,16 @@ def _triangle_count_from(
     return (
         exchange(
             [
-                (oriented.groupby("sbucket").map_groups(wedge_rows, batch_format="pandas"), "key"),
-                (oriented.map_batches(_edge_keys, batch_format="pyarrow", batch_size=None), "key"),
+                (
+                    oriented.groupby("sbucket").map_groups(wedge_rows, batch_format="pandas"),
+                    "key",
+                    _KEY,
+                ),
+                (
+                    oriented.map_batches(_edge_keys, batch_format="pyarrow", batch_size=None),
+                    "key",
+                    _KEY,
+                ),
             ],
             close_wedges,
             n_buckets=n_buckets,
@@ -652,8 +666,16 @@ def q_clustering_coeff(
 
         tri_rows = exchange(
             [
-                (oriented.groupby("sbucket").map_groups(wedge_rows, batch_format="pandas"), "key"),
-                (oriented.map_batches(_edge_keys, batch_format="pyarrow", batch_size=None), "key"),
+                (
+                    oriented.groupby("sbucket").map_groups(wedge_rows, batch_format="pandas"),
+                    "key",
+                    pa.schema({"key": pa.int64(), "center": pa.int64()}),
+                ),
+                (
+                    oriented.map_batches(_edge_keys, batch_format="pyarrow", batch_size=None),
+                    "key",
+                    _KEY,
+                ),
             ],
             credit_bucket,
             n_buckets=n_buckets,
@@ -1209,7 +1231,10 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
 
     edges = (
         exchange(
-            [(_distinct_order_supp(lineitem), "l_orderkey"), (orders, "o_orderkey")],
+            [
+                (_distinct_order_supp(lineitem), "l_orderkey", _ORDER_SUPP),
+                (orders, "o_orderkey"),
+            ],
             to_edges,
             n_buckets=n_buckets,
         )
@@ -1244,7 +1269,6 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
         d = g.drop_duplicates("node")
         return pa.table(
             {
-                "cbucket": pa.array(d["node"].to_numpy(np.int64) % n_buckets),
                 "node": pa.array(d["node"].to_numpy(np.int64)),
                 "val": pa.array(d["val"].to_numpy(np.int64)),
             }
@@ -1263,7 +1287,7 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
         the map, exchange once, fold."""
 
         def contribs(e: pa.Table, st: pa.Table) -> pa.Table:
-            r = st.to_pandas()[["node", "val"]].rename(columns={"node": join_key, "val": "r"})
+            r = st.to_pandas().rename(columns={"node": join_key, "val": "r"})
             j = e.to_pandas().merge(r, on=join_key)
             agg = j.groupby(emit_key, sort=False)["r"].sum()
             node = agg.index.to_numpy(dtype=np.int64)
@@ -1286,7 +1310,14 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
             )
 
         raw = (
-            exchange([(edges, join_key), (state, "node")], contribs, n_buckets=n_buckets)
+            exchange(
+                [
+                    (edges, join_key),
+                    (state, "node", pa.schema({"node": pa.int64(), "val": pa.int64()})),
+                ],
+                contribs,
+                n_buckets=n_buckets,
+            )
             .groupby("ebucket")
             .map_groups(fold, batch_format="pandas")
             # pin the loop state at n_buckets blocks: the sort shuffle

@@ -191,10 +191,14 @@ def q_adamic_adar(
         .groupby("cbucket")
         .map_groups(pair_partials, batch_format="pandas")
     )
-    sides = [(pairs, "key")]
+    sides = [(pairs, "key", pa.schema({"key": pa.int64(), "score": pa.int64(), "cn": pa.int64()}))]
     if bkeys is None:
         sides.append(
-            (edges.map_batches(edge_keys, batch_format="pyarrow", batch_size=None), "key")
+            (
+                edges.map_batches(edge_keys, batch_format="pyarrow", batch_size=None),
+                "key",
+                pa.schema({"key": pa.int64()}),
+            )
         )
 
     def resolve_bucket(part: pa.Table, *edge: pa.Table) -> pa.Table:

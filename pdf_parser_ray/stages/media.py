@@ -298,7 +298,14 @@ def q_resolve_media_refs(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return exchange([(hits, "src_doc"), (feats, "doc_id")], post, n_buckets=n_buckets)
+    i64, utf8 = pa.int64(), pa.string()
+    hits_schema = pa.schema({"src_doc": i64, "kind": utf8, "media_ref": utf8, "offset": i64,
+                             "page": i64, "elem": utf8, "elem_idx": i64})
+    feats_schema = pa.schema({"doc_id": i64, "media_type": utf8, "sha256": utf8, "width": i64,
+                              "height": i64})
+    return exchange(
+        [(hits, "src_doc", hits_schema), (feats, "doc_id", feats_schema)], post, n_buckets=n_buckets
+    )
 
 
 def _resolve_oracle_sql() -> str | None:

@@ -411,6 +411,35 @@ class TestBucketJoin:
         assert out["b"].tolist() == [100 * 20, 200 * 20]
 
 
+class TestEmptyExchangeSide:
+    """A query parameter that filters one side of an exchange empty
+    everywhere gives the query's result, not an error: the fold still
+    gets that side's columns. The hash-join plan (``budget_bytes=1``)
+    must agree with the broadcast plan."""
+
+    def test_product_profit_with_no_matching_part(self):
+        assert _pd(a2.q_product_profit(SF, token="zz-no-part")).empty
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("top_revenue_orders", {"segment": "NONE"}),
+            ("top_revenue_orders", {"cutoff": "1900-01-01"}),
+            ("order_event_reconcile", {"segment": "NONE"}),
+            ("idle_rich_customers", {"min_order_total": 1e15}),
+        ],
+    )
+    def test_hash_join_plan_matches_broadcast(self, name, kwargs):
+        from pdf_parser_ray.relational import analytics, ops
+
+        q = {**ops.QUERIES, **analytics.QUERIES}[name]
+        a = _pd(q(SF, **kwargs))
+        b = _pd(q(SF, budget_bytes=1, **kwargs))
+        assert len(a) == len(b)
+        if len(a):
+            assert _canon(a) == _canon(b)
+
+
 class TestDegenerateStatGuards:
     """Round-5 hardening: the drift/ranksum SQL oracles must mirror the
     engine's empty-sample guards (a corpus where every order shares one

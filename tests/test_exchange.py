@@ -1,17 +1,19 @@
 """Property tests for ``core.exchange.exchange``, the one co-partitioned
 exchange: every row of every side reaches exactly one fold call, rows
 that share a key meet in the same call, and each side arrives with its
-own schema — also in a bucket where it has no rows."""
+own schema — also in a bucket where it has no rows, and when it has
+no rows at all."""
 
 from __future__ import annotations
 
 import uuid
 
 import pyarrow as pa
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdf_parser_ray.core.exchange import exchange
+from pdf_parser_ray.core.exchange import _has_barrier, exchange
 
 # wide ints: a pandas column padded with nulls would float and round these
 _BIG = 2**62
@@ -36,11 +38,25 @@ def _sides(draw):
         if i == 1:
             cols["s1"] = pa.array([None if v is None else str(v) for v in vals], pa.string())
         tables.append(pa.table(cols))
-    return tables, draw(st.sampled_from([1, 3, 32]))
+    # a stated side is built by a map, so Ray knows no schema of it
+    stated = draw(st.lists(st.booleans(), min_size=len(tables), max_size=len(tables)))
+    return tables, stated, draw(st.sampled_from([1, 3, 32]))
 
 
 @settings(max_examples=12, deadline=None)
 @given(_sides())
+# a side built by a map that has no rows at all: Ray knows no schema
+# of it, so only the stated one can reach the fold
+@example(
+    (
+        [
+            pa.table({"k0": pa.array([1, 2], pa.int64()), "v0": pa.array([_BIG, None], pa.int64())}),
+            pa.table({"k1": pa.array([], pa.int64()), "v1": pa.array([], pa.int64())}),
+        ],
+        [False, True],
+        3,
+    )
+)
 def test_every_row_once_keys_meet_and_schemas_hold(case):
     import ray.data
 
@@ -71,8 +87,23 @@ def test_every_row_once_keys_meet_and_schemas_hold(case):
             }
         )
 
-    tables, n_buckets = case
-    sides = [(ray.data.from_arrow(t), f"k{i}") for i, t in enumerate(tables)]
+    tables, stated, n_buckets = case
+    sides = [
+        (
+            ray.data.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow"),
+            f"k{i}",
+            t.schema,
+        )
+        if state
+        else (ray.data.from_arrow(t), f"k{i}")
+        for i, (t, state) in enumerate(zip(tables, stated))
+    ]
+    if len(tables) > 1 and any(not s and not t.num_rows for t, s in zip(tables, stated)):
+        # an empty side that states no schema, and of which Ray knows
+        # none, is refused while the exchange is built
+        with pytest.raises(ValueError, match="knows no Arrow schema"):
+            exchange(sides, _record, n_buckets=n_buckets)
+        return
     got = exchange(sides, _record, n_buckets=n_buckets).to_pandas()
     if not any(t.num_rows for t in tables):
         assert got.empty  # no side sends a row: nothing to fold
@@ -87,13 +118,41 @@ def test_every_row_once_keys_meet_and_schemas_hold(case):
     assert (rows.groupby("key")["call"].nunique() == 1).all()
 
     # each call sees every side with that side's own schema, also in
-    # a bucket where the side has no rows; a side with no rows at all
-    # sends no schema and arrives column-less
+    # a bucket where the side has no rows and when it has none at all
     meta = got[got["schema"].notna()]
     assert set(meta.groupby("call")["side"].nunique()) == {len(tables)}
     for i, t in enumerate(tables):
-        sent = t.schema.to_string(show_schema_metadata=False) if t.num_rows else ""
-        assert set(meta.loc[meta["side"] == i, "schema"]) == {sent}
+        want = t.schema.to_string(show_schema_metadata=False)
+        assert set(meta.loc[meta["side"] == i, "schema"]) == {want}
+
+
+def test_stated_schema_must_name_the_rows_columns():
+    import ray.data
+
+    left = ray.data.from_arrow(pa.table({"k": [1, 2]}))
+    right = ray.data.from_arrow(pa.table({"k": [2, 3]})).map_batches(
+        lambda b: b, batch_format="pyarrow"
+    )
+    wrong = pa.schema({"key": pa.int64()})
+    out = exchange([(left, "k"), (right, "k", wrong)], lambda a, b: a, n_buckets=2)
+    with pytest.raises(ValueError, match="states"):
+        out.materialize()
+
+
+def test_has_barrier_sees_each_all_to_all_operator():
+    """The 1-CPU hang fix rests on this walk of Ray's logical plan: a
+    Ray upgrade that moves a barrier out of ``AbstractAllToAll`` must
+    fail here, not hang a query."""
+    import ray.data
+
+    ds = ray.data.from_arrow(pa.table({"k": [1, 2, 3]}))
+    assert not _has_barrier(ds)
+    assert not _has_barrier(ds.map_batches(lambda b: b, batch_format="pyarrow"))
+    assert _has_barrier(ds.groupby("k").map_groups(lambda g: g, batch_format="pyarrow"))
+    assert _has_barrier(ds.groupby("k").count().map_batches(lambda b: b, batch_format="pyarrow"))
+    assert _has_barrier(ds.sort("k"))
+    assert _has_barrier(ds.repartition(2))
+    assert _has_barrier(ds.random_shuffle())
 
 
 def test_near_dup_pairs_finishes_in_a_one_cpu_session():
