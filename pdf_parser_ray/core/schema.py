@@ -36,8 +36,9 @@ was recovered from a highlight mark.
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import itemgetter
 
+import numpy as np
 import pyarrow as pa
 
 SPAN_STRUCT = pa.struct(
@@ -68,20 +69,25 @@ EXPLODED_SCHEMA = pa.schema(
 )
 
 
-def explode_spans(doc_ids: Iterable[str], span_lists: Iterable[list[dict]]) -> pa.Table:
+def explode_spans(doc_ids: list[str], span_lists: list[list[dict]]) -> pa.Table:
     """The :data:`EXPLODED_SCHEMA` table of per-document span lists: one
     row per span, in document order then span order."""
-    rows = [(d, s) for d, spans in zip(doc_ids, span_lists) for s in spans]
+    spans = [s for doc_spans in span_lists for s in doc_spans]
+    doc_rows = np.repeat(np.arange(len(doc_ids)), [len(s) for s in span_lists])
+    cols = list(zip(*map(_SPAN_FIELDS, spans))) or [(), (), (), ()]
     return pa.Table.from_arrays(
         [
-            pa.array([d for d, _ in rows], pa.string()),
-            pa.array([s["kind"] for _, s in rows], pa.string()),
-            pa.array([s["text"] for _, s in rows], pa.string()),
-            pa.array([s["media_ref"] for _, s in rows], pa.string()),
-            pa.array([s["offset"] for _, s in rows], pa.int32()),
+            pa.array(doc_ids, pa.string()).take(doc_rows),
+            pa.array(cols[0], pa.string()),
+            pa.array(cols[1], pa.string()),
+            pa.array(cols[2], pa.string()),
+            pa.array(cols[3], pa.int32()),
         ],
         schema=EXPLODED_SCHEMA,
     )
+
+
+_SPAN_FIELDS = itemgetter("kind", "text", "media_ref", "offset")
 
 
 TOKEN_STRUCT = pa.struct(

@@ -480,7 +480,12 @@ def resumable_write(
         n = _commit(out_dir, pid, body, key, n_partitions, {})
         return pa.table({"partition": [pid], "n_rows": [n]})
 
-    written = routed.groupby("_part").map_groups(write_group, batch_format="pyarrow").take_all()
+    # materialized before it is read: a streaming read of a plan whose
+    # writer raises leaves its prefetch threads running, and they call
+    # into Ray after the session has shut down
+    written = (
+        routed.groupby("_part").map_groups(write_group, batch_format="pyarrow").materialize()
+    ).take_all()
     # n_rows == 0 marks a fingerprint-verified skip, not a rewrite
     written_parts = sorted(r["partition"] for r in written if r["n_rows"] > 0)
     summary = {

@@ -32,10 +32,11 @@ Mirrors the answer half of ``extract_responses_from_page`` (reference
 from __future__ import annotations
 
 import re
-from typing import Any
+from bisect import bisect_left, bisect_right
+from typing import TYPE_CHECKING, Any
 
 from .boxes import Box
-from .lines import Line, Token, group_lines_with_height
+from .lines import Line, Token, group_lines_with_height, reading_order
 
 from ..core.constants import (
     ANCHOR_OFFSET_PX,
@@ -52,6 +53,9 @@ from ..core.constants import (
     YESNO_PROBE_MAX_BANDS,
     YESNO_SLIDE_OFFSETS,
 )
+
+if TYPE_CHECKING:
+    from .document import PageModel
 
 _ZIP_RE = re.compile(r"^\d{5}(-\d{4})?$")
 
@@ -136,10 +140,16 @@ def collect_answer_lines(
     q_segments: list[dict] | None,
     right_x: int,
     question_line_token_set: set[str] | None = None,
+    line_ys: list[int] | None = None,
 ) -> tuple[str, int, int]:
     """Reference ``response_extractor.py:935-1155`` (fixed-offset band +
     continuation window + assembly). Returns
     ``(answer_text, window_y_start, dynamic_y_end)``.
+
+    ``line_ys`` (each line's ``y``, for ``line_list`` sorted by ``y`` as
+    grouped lines are) lets the band and the continuation window be
+    found by bisection instead of scanning every line: each window is
+    a y-range, and a scan in y order visits exactly its run of lines.
     """
     last_seg_y = q_start_y
     if q_segments:
@@ -152,7 +162,12 @@ def collect_answer_lines(
     left_bound = max(0, q_start_x - ANSWER_LEFT_MARGIN_PX)
     captured_any = False
     captured_line_ys: list[int] = []
-    for ln in line_list:
+    band = line_list
+    if line_ys is not None:
+        band = line_list[
+            bisect_left(line_ys, start_collect_y) : bisect_right(line_ys, band_bottom_y)
+        ]
+    for ln in band:
         ly = ln.get("y")
         if ly is None or ly <= last_seg_y:
             continue
@@ -169,7 +184,10 @@ def collect_answer_lines(
         y_answer = min(captured_line_ys)
         cont_start = y_answer + ANSWER_CONTINUATION_MIN_DELTA_Y
         cont_end = y_answer + ANSWER_CONTINUATION_MAX_DELTA_Y
-        for ln2 in line_list:
+        window = line_list
+        if line_ys is not None:
+            window = line_list[bisect_right(line_ys, cont_start) :]
+        for ln2 in window:
             ly2 = ln2.get("y")
             if ly2 is None:
                 continue
@@ -207,8 +225,13 @@ def collect_answer_lines(
     dynamic_y_end = band_bottom_y
     if captured_line_ys:
         last_captured_y = max(captured_line_ys)
-        last_ln = next((ln for ln in line_list if ln.get("y") == last_captured_y), None)
-        last_h = int(last_ln.get("h") or 0) if last_ln else 0
+        if line_ys is not None:
+            last_ln = line_list[bisect_left(line_ys, last_captured_y)]
+        else:
+            last_ln = next((ln for ln in line_list if ln.get("y") == last_captured_y), None)
+        # a line's height is its tallest word's (what the answer
+        # collector's grouping records as ``h``)
+        last_h = max((int(w.get("h", 0)) for w in last_ln["words"]), default=0) if last_ln else 0
         if last_captured_y > band_bottom_y:
             dynamic_y_end = last_captured_y + max(last_h, 0)
     return ans_text, start_collect_y, dynamic_y_end
@@ -222,19 +245,19 @@ def augment_answers(
     page_width: int = 2000,
     page_height: int = 3000,
     lines: list[Line] | None = None,
+    page: "PageModel | None" = None,
 ) -> list[dict]:
     """Run the full post-matching answer phase on ``matches`` in place
     (reference ``extract_responses_from_page`` body,
     ``response_extractor.py:870-1634``). Returns ``matches``.
-    ``lines`` may carry the page's existing :func:`group_lines` result;
-    the answer-collector shape derives from it without regrouping
-    (bit-equivalent — see :func:`lines_with_height_from`)."""
-    if lines is not None:
-        from .lines import lines_with_height_from
-
-        line_list = lines_with_height_from(lines)
-    else:
-        line_list = group_lines_with_height(tokens)
+    ``lines`` may carry the page's existing :func:`group_lines` result,
+    read as is: it groups and orders like the answer collector's own
+    grouping (:func:`group_lines_with_height`), which only adds a
+    height per line. ``page`` (the tokens' :class:`~.document.PageModel`)
+    lends its (y, x) token order to the strict pruning."""
+    line_list = lines if lines is not None else group_lines_with_height(tokens)
+    # grouped lines are y-sorted: answer windows are bisected
+    line_ys = [ln["y"] for ln in line_list]
 
     for sec in matches:
         qlist = sec.get("questions", [])
@@ -258,6 +281,7 @@ def augment_answers(
                 q.get("segments"),
                 right_bound,
                 question_line_token_set=question_line_token_set,
+                line_ys=line_ys,
             )
             expanded_x_start = max(0, int(q_start_x) - ANSWER_LEFT_MARGIN_PX)
             q["answer_window"] = {
@@ -408,14 +432,10 @@ def augment_answers(
     # Strict horizontal pruning (V6 analog,
     # reference response_extractor.py:1450-1489): tokens of the page
     # filtered to the final window stand in for the re-OCR of the crop.
-    # Tokens are pre-sorted by (y, x) once; each window is a bisected
-    # y-slice + x filter (already in OCR reading order).
-    from bisect import bisect_left, bisect_right
-
-    toks_sorted = sorted(
-        (t for t in tokens if (t.get("text") or "").strip()),
-        key=lambda t: (int(t.get("y", 0)), int(t.get("x", 0))),
-    )
+    # Tokens are sorted by (y, x) once per page; each window is a
+    # bisected y-slice + x filter (already in OCR reading order).
+    by_yx = page.by_yx if page is not None else reading_order(tokens)
+    toks_sorted = [t for t in by_yx if (t.get("text") or "").strip()]
     tok_ys = [int(t.get("y", 0)) for t in toks_sorted]
     for sec in matches:
         for q in sec.get("questions", []):

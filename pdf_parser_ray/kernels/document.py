@@ -17,7 +17,16 @@ stages (S1/S2, M1/M2, V1 slots): it reads the geometry fragments of
 ``page`` / ``word`` / ``checkbox`` / ``highlight`` spans. In production
 these slots are stateful actor stages (pdfium render + Tesseract +
 template match); the surrounding plumbing is identical. It reads span
-dicts or, from the parse stage, :class:`SpanColumns` column slices.
+dicts or, from the parse stage, :class:`SpanColumns` column slices whose
+word geometry the stage already decoded in Arrow for the whole batch;
+then only checkbox, highlight and page refs are parsed here, and each
+page's tokens are built in one pass. Columns without ``geometry`` (a
+document whose refs Arrow cannot parse) take the span-by-span path.
+
+The fold reads every page through one :class:`PageModel`: its lines,
+their candidate index, its tokens in reading order and the next
+page's head are each built once and shared by the classifier and every
+fold phase (labels, sections, questions, answers).
 """
 
 from __future__ import annotations
@@ -28,23 +37,27 @@ from .answers import augment_answers
 from .assign import assign_checkboxes_sectionwise
 from .boxes import deduplicate_matches
 from .labels import get_label_positions
-from .lines import group_lines
+from .lines import Line, Token, group_lines, reading_order
 from .questions import NextHead, PageIndex, match_sections_and_questions
 from .sections import detect_section_regions
 from ..core.constants import ANCHOR_OFFSET_PX, DEFAULT_PAGE_HEIGHT, DEFAULT_PAGE_WIDTH
-from ..core.schema import media_id
 
 Span = dict[str, Any]
 Page = dict[str, Any]
 
 
 class SpanColumns(NamedTuple):
-    """One document's input spans as three parallel column slices, the
-    shape the parse stage reads from Arrow without building span dicts."""
+    """One document's input spans as parallel column slices, the shape
+    the parse stage reads from Arrow without building span dicts.
+    ``geometry`` holds the columns ``x, y, w, h, block, par, line`` of
+    every span, decoded from its ``tok://`` ref in Arrow (zeros for
+    spans that are not ``tok://`` words); without it, word refs are
+    parsed one by one."""
 
     kind: list[str | None]
     text: list[str | None]
     media_ref: list[str | None]
+    geometry: list[list[int]] | None = None
 
 
 def _new_page(number: int, width: int, height: int) -> Page:
@@ -59,9 +72,91 @@ def _new_page(number: int, width: int, height: int) -> Page:
     }
 
 
-def _box_geometry(ref: str) -> list[str]:
-    frag = ref.split("#", 1)[1] if "#" in ref else ""
-    return frag.split("/") if frag else []
+def _box_geometry(ref: str) -> tuple[str, list[str]]:
+    """A media ref's identity and its geometry fragment's fields."""
+    media, _, frag = ref.partition("#")
+    return media, frag.split("/") if frag else []
+
+
+def _box_ints(parts: list[str], n: int) -> list[int]:
+    """The first ``n`` geometry fields as ints, zeros for missing ones."""
+    ints = [int(p) for p in parts[:n]]
+    return ints + [0] * (n - len(ints))
+
+
+def _word_geometry(ref: str) -> tuple[int, ...]:
+    """A word's ``(x, y, w, h, block, par, line)`` from its
+    ``tok://p/x/y/w/h/block/par/line`` ref; zeros for any other ref."""
+    if not ref.startswith("tok://"):
+        return (0,) * 7
+    _p, x, y, w, h, block, par, line = map(int, ref[6:].split("/")[:8])
+    return x, y, w, h, block, par, line
+
+
+def _token(text: str | None, x, y, w, h, block, par, line) -> Token:
+    return {
+        "text": text or "",
+        "x": x,
+        "y": y,
+        "w": w,
+        "h": h,
+        "block": block,
+        "par": par,
+        "line": line,
+    }
+
+
+def _page_for(pages: list[Page], current: Page | None) -> Page:
+    if current is None:
+        # Implicit first page for span streams without page markers.
+        current = _new_page(1, DEFAULT_PAGE_WIDTH, DEFAULT_PAGE_HEIGHT)
+        pages.append(current)
+    return current
+
+
+def _decode_other(
+    pages: list[Page], current: Page | None, kind: str | None, text: str | None, ref: str
+) -> Page:
+    """Decode one span that is not a word into ``pages``; returns the
+    page that later spans belong to."""
+    if kind == "page":
+        w, h = DEFAULT_PAGE_WIDTH, DEFAULT_PAGE_HEIGHT
+        parts = _box_geometry(ref)[1]
+        if len(parts) >= 2:
+            w, h = int(parts[0]), int(parts[1])
+        current = _new_page(len(pages) + 1, w, h)
+        pages.append(current)
+        return current
+    current = _page_for(pages, current)
+    if kind == "checkbox":
+        media, parts = _box_geometry(ref)
+        x, y, w, h, score = _box_ints(parts, 5)
+        status = "ticked" if (len(parts) > 5 and parts[5] == "t") else "empty"
+        box = {
+            "x": x,
+            "y": y,
+            "w": w,
+            "h": h,
+            "score": round(score / 100.0, 2),
+            "status": status,
+            "ref": media,
+        }
+        (current["ticked"] if status == "ticked" else current["empty"]).append(box)
+    elif kind == "highlight":
+        media, parts = _box_geometry(ref)
+        x, y, w, h = _box_ints(parts, 4)
+        current["highlights"].append(
+            {
+                "x": x,
+                "y": y,
+                "w": w,
+                "h": h,
+                "text": text or "",
+                "ref": media,
+            }
+        )
+    # other kinds (header/image/link/...) carry no geometry to decode
+    return current
 
 
 def decode_spans(doc_id: str, spans: list[Span] | SpanColumns) -> list[Page]:
@@ -69,76 +164,117 @@ def decode_spans(doc_id: str, spans: list[Span] | SpanColumns) -> list[Page]:
     structures (geometry read from media-ref fragments).
 
     ``spans`` is either a list of span dicts or a :class:`SpanColumns`
-    (the parse stage's columnar input). Both feed the same loop, which
-    reads spans strictly in order, so a malformed span raises the same
-    error at the same point either way."""
+    (the parse stage's columnar input). Spans are read strictly in
+    order, so a malformed span raises the same error at the same point
+    either way. With decoded ``geometry`` no word can raise, so all
+    words become tokens in one pass and only the other spans are read
+    one by one."""
+    if isinstance(spans, SpanColumns) and spans.geometry is not None:
+        return _decode_runs(spans)
     if isinstance(spans, SpanColumns):
-        rows = zip(*spans)
+        rows = zip(spans.kind, spans.text, spans.media_ref)
     else:
         rows = ((s["kind"], s.get("text"), s.get("media_ref")) for s in spans)
     pages: list[Page] = []
     current: Page | None = None
     for kind, text, ref in rows:
-        ref = ref or ""
-        if kind == "page":
-            w, h = DEFAULT_PAGE_WIDTH, DEFAULT_PAGE_HEIGHT
-            parts = _box_geometry(ref)
-            if len(parts) >= 2:
-                w, h = int(parts[0]), int(parts[1])
-            current = _new_page(len(pages) + 1, w, h)
-            pages.append(current)
-            continue
-        if current is None:
-            # Implicit first page for span streams without page markers.
-            current = _new_page(1, DEFAULT_PAGE_WIDTH, DEFAULT_PAGE_HEIGHT)
-            pages.append(current)
         if kind == "word":
-            if ref.startswith("tok://"):
-                _p, x, y, w, h, block, par, line = map(int, ref[6:].split("/")[:8])
-            else:
-                x = y = w = h = block = par = line = 0
-            current["tokens"].append(
-                {
-                    "text": text or "",
-                    "x": x,
-                    "y": y,
-                    "w": w,
-                    "h": h,
-                    "block": block,
-                    "par": par,
-                    "line": line,
-                }
-            )
-        elif kind == "checkbox":
-            parts = _box_geometry(ref)
-            x, y, w, h = (int(parts[i]) if i < len(parts) else 0 for i in range(4))
-            score = (int(parts[4]) / 100.0) if len(parts) > 4 else 0.0
-            status = "ticked" if (len(parts) > 5 and parts[5] == "t") else "empty"
-            box = {
-                "x": x,
-                "y": y,
-                "w": w,
-                "h": h,
-                "score": round(score, 2),
-                "status": status,
-                "ref": media_id(ref),
-            }
-            (current["ticked"] if status == "ticked" else current["empty"]).append(box)
-        elif kind == "highlight":
-            parts = _box_geometry(ref)
-            x, y, w, h = (int(parts[i]) if i < len(parts) else 0 for i in range(4))
-            current["highlights"].append(
-                {
-                    "x": x,
-                    "y": y,
-                    "w": w,
-                    "h": h,
-                    "text": text or "",
-                    "ref": media_id(ref),
-                }
-            )
-        # other kinds (header/image/link/...) carry no geometry to decode
+            current = _page_for(pages, current)
+            current["tokens"].append(_token(text, *_word_geometry(ref or "")))
+        else:
+            current = _decode_other(pages, current, kind, text, ref or "")
     return pages
+
+
+def _decode_runs(spans: SpanColumns) -> list[Page]:
+    """:func:`decode_spans` of columns with decoded ``geometry``."""
+    kinds, texts, refs = spans.kind, spans.text, spans.media_ref
+    # :func:`_token`'s dict, built inline: a call per word would add
+    # about a third to the decode
+    words = [
+        {
+            "text": text or "",
+            "x": x,
+            "y": y,
+            "w": w,
+            "h": h,
+            "block": block,
+            "par": par,
+            "line": line,
+        }
+        for kind, text, x, y, w, h, block, par, line in zip(kinds, texts, *spans.geometry)
+        if kind == "word"
+    ]
+    pages: list[Page] = []
+    current: Page | None = None
+    start = 0  # the first word not yet on a page
+    # the words before the j-th other span number i - j; they belong
+    # to the page open when the next page marker (or the end) comes
+    for j, i in enumerate([i for i, k in enumerate(kinds) if k != "word"]):
+        if kinds[i] == "page" and start < i - j:
+            current = _page_for(pages, current)
+            current["tokens"].extend(words[start : i - j])
+            start = i - j
+        current = _decode_other(pages, current, kinds[i], texts[i], refs[i] or "")
+    if start < len(words):
+        _page_for(pages, current)["tokens"].extend(words[start:])
+    return pages
+
+
+class PageModel:
+    """One page's tokens and the views of them that the fold's phases
+    share, each built on first use and at most once: the page's lines
+    (:func:`group_lines`), their candidate :class:`PageIndex`, the
+    tokens in (y, x) reading order, and the :class:`NextHead` that
+    reads the next page's own lines across the page break.
+
+    :func:`page_model` keeps a page's model on the page dict, so the
+    classifier and the fold share it."""
+
+    __slots__ = ("tokens", "_lines", "_index", "_by_yx")
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self._lines: list[Line] | None = None
+        self._index: PageIndex | None = None
+        self._by_yx: list[Token] | None = None
+
+    @property
+    def lines(self) -> list[Line]:
+        if self._lines is None:
+            self._lines = group_lines(self.tokens)
+        return self._lines
+
+    @property
+    def index(self) -> PageIndex:
+        if self._index is None:
+            self._index = PageIndex(self.lines)
+        return self._index
+
+    @property
+    def by_yx(self) -> list[Token]:
+        if self._by_yx is None:
+            self._by_yx = reading_order(self.tokens)
+        return self._by_yx
+
+    def next_head(self, next_page: "PageModel", page_height: int) -> NextHead:
+        """This page's lines followed by ``next_page``'s head groups."""
+        return NextHead(
+            self.lines,
+            next_page.tokens,
+            page_height,
+            page_index=self.index,
+            next_lines=lambda: next_page.lines,
+        )
+
+
+def page_model(page: Page) -> PageModel:
+    """The :class:`PageModel` of ``page["tokens"]``, kept on the page
+    (a page whose tokens were replaced gets a new one)."""
+    model = page.get("model")
+    if model is None or model.tokens is not page["tokens"]:
+        model = page["model"] = PageModel(page["tokens"])
+    return model
 
 
 def classify_form_type(pages: list[Page]) -> str:
@@ -149,8 +285,7 @@ def classify_form_type(pages: list[Page]) -> str:
     """
     if not pages:
         return "female"
-    toks = sorted(pages[0]["tokens"], key=lambda t: (t["y"], t["x"]))
-    text = " ".join(t["text"] for t in toks).lower()
+    text = " ".join(t["text"] for t in page_model(pages[0]).by_yx).lower()
     fi = text.find("female patient information")
     mi = text.find("male patient information")
     # "male patient information" is a substring of the female marker —
@@ -266,25 +401,22 @@ def extract_document(pages: list[Page], sections: list[dict]) -> dict[str, Any]:
     structured_data: dict[str, Any] = {"pages": []}
     state = FoldState(sections)
 
-    n_pages = len(pages)
-    for idx, page in enumerate(pages):
+    models = [page_model(page) for page in pages]
+    for idx, (page, model) in enumerate(zip(pages, models)):
         page_number = idx + 1
         tokens = page["tokens"]
         page_w, page_h = page["width"], page["height"]
         checkboxes = deduplicate_matches(page["ticked"], page["empty"])
         active_label_sections, labels_to_search = state.label_search()
 
-        # One line-grouping per page, shared by the label, section and
-        # question matchers (grouping is pure; the reference regroups
-        # in each — SURVEY.md M3 notes the five clones), and at most one
-        # of the next page's head, shared by the cross-page passes.
-        page_lines = group_lines(tokens)
-        page_idx = PageIndex(page_lines)
-        next_head = (
-            NextHead(page_lines, pages[idx + 1]["tokens"], page_h)
-            if idx + 1 < n_pages
-            else None
-        )
+        # One line-grouping per page, shared by the label, section,
+        # question and answer phases (grouping is pure; the reference
+        # regroups in each — SURVEY.md M3 notes the five clones), and
+        # the next page's head cut from that page's own lines, shared
+        # by the cross-page passes.
+        page_lines = model.lines
+        page_idx = model.index
+        next_head = model.next_head(models[idx + 1], page_h) if idx + 1 < len(models) else None
         label_positions = get_label_positions(
             tokens,
             labels_to_search,
@@ -323,6 +455,7 @@ def extract_document(pages: list[Page], sections: list[dict]) -> dict[str, Any]:
             page_width=page_w,
             page_height=page_h,
             lines=page_lines,
+            page=model,
         )
         state.questions_answered(responses_data)
 

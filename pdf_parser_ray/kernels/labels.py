@@ -20,8 +20,10 @@ token lists; no cross-row state.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .lines import Line, Token, group_lines
-from .normalize import clean_label_sequence, expected, normalize_text
+from .normalize import clean_label_sequence, expected, normalize_text, token_blob
 from .questions import NextHead
 
 from ..core.constants import (
@@ -144,16 +146,18 @@ def get_label_positions(
     """
     label_positions: dict[str, list[tuple[int, int]]] = {}
 
-    flat = [
-        {
-            "text": normalize_text(t["text"].strip()),
-            "orig": t["text"].strip(),
-            "x": int(t.get("x", 0)),
-            "y": int(t.get("y", 0)),
-        }
-        for t in tokens
-        if (t.get("text") or "").strip()
-    ]
+    # The page's non-blank tokens as columns, in OCR emission order:
+    # stripped text, its normalized form, x and y.
+    origs: list[str] = []
+    xs: list[int] = []
+    ys: list[int] = []
+    for t in tokens:
+        orig = (t.get("text") or "").strip()
+        if orig:
+            origs.append(orig)
+            xs.append(int(t.get("x", 0)))
+            ys.append(int(t.get("y", 0)))
+    norms = list(map(normalize_text, origs))
     if lines is None:
         lines = group_lines(tokens)
 
@@ -162,21 +166,12 @@ def get_label_positions(
     # `first_word in normalize_text(...)` gate, extractor.py:489) is a
     # C-level substring sweep instead of a per-(label, token) Python
     # loop. Normalized tokens hold no '\n', so hits never cross tokens.
-    from bisect import bisect_right
-
-    _offs: list[int] = []
-    _parts: list[str] = []
-    pos = 0
-    for tkn in flat:
-        _offs.append(pos + 1)
-        _parts.append("\n")
-        _parts.append(tkn["text"])
-        pos += 1 + len(tkn["text"])
-    flat_blob = "".join(_parts)
+    flat_blob, _offs = token_blob(norms)
+    n = len(norms)
 
     def first_word_candidates(first_word: str) -> list[int]:
         if not first_word:
-            return list(range(len(flat)))
+            return list(range(n))
         out: list[int] = []
         start = 0
         last_tok = -1
@@ -199,7 +194,6 @@ def get_label_positions(
         first_word = normalize_text(lbl_words[0])
         last_word = normalize_text(lbl_words[-1])
         exp_full = expected(lbl)
-        n = len(flat)
         max_len = len(lbl_words)
         found = False
         # Single-line token-window scan (reference extractor.py:484-493);
@@ -207,18 +201,10 @@ def get_label_positions(
         # the same set the reference's `in` gate admits.
         for i in first_word_candidates(first_word):
             for j in range(i, min(i + max_len, n)):
-                seq = flat[i : j + 1]
-                if not seq:
-                    continue
-                if (
-                    first_word in normalize_text(seq[0]["orig"])
-                    and last_word in normalize_text(seq[-1]["orig"])
-                ):
-                    seq_clean = clean_label_sequence([t["orig"] for t in seq])
+                if first_word in norms[i] and last_word in norms[j]:
+                    seq_clean = clean_label_sequence(origs[i : j + 1])
                     if exp_full.contains(seq_clean):
-                        label_positions.setdefault(lbl, []).append(
-                            (seq[0]["x"], seq[0]["y"])
-                        )
+                        label_positions.setdefault(lbl, []).append((xs[i], ys[i]))
                         found = True
         if not found:
             pos = try_multiline_on_lines(lines, lbl_words)

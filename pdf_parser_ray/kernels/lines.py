@@ -7,10 +7,13 @@ y — in five near-identical clones (``extractor.py:304-322`` /
 ``879-898``). Implemented once here, parameterized by which token
 fields are kept.
 
-Tokens are plain dicts ``{text, x, y, w, h, block, par, line}`` — the
-columnar pytesseract ``Output.DICT`` converted row-wise for the
-per-document fold (documents are small; the cross-document axis is
-where Ray parallelizes).
+Tokens are plain dicts ``{text, x, y, w, h, block, par, line}``, one
+per OCR word. The parse stage decodes their geometry for a whole batch
+in Arrow and builds each page's token dicts in one pass
+(``kernels.document.decode_spans``); the page's lines, and the shifted
+head lines its predecessor reads across the page break
+(:func:`offset_lines`), are grouped once per page and shared by every
+fold phase (``kernels.document.PageModel``).
 """
 
 from __future__ import annotations
@@ -106,27 +109,6 @@ def group_lines_with_height(tokens: Iterable[Token]) -> list[Line]:
     return out
 
 
-def lines_with_height_from(lines: list[Line]) -> list[Line]:
-    """Derive the answer collector's line shape from an existing
-    :func:`group_lines` result: same grouping keys, same insertion
-    order, same stable sorts — so deriving (one max() per line) is
-    bit-equivalent to regrouping the tokens from scratch, minus one
-    full grouping pass per page. The joined line ``text`` that
-    :func:`group_lines_with_height` precomputes is not consumed by any
-    caller, so it is omitted here."""
-    out: list[Line] = []
-    for ln in lines:
-        words = ln["words"]
-        out.append(
-            {
-                "words": words,
-                "y": ln["y"],
-                "h": max((int(w.get("h", 0)) for w in words), default=0),
-            }
-        )
-    return out
-
-
 def head_line_groups(lines: list[Line], n_groups: int) -> list[Line]:
     """Keep the first ``n_groups`` distinct-y line groups.
 
@@ -145,6 +127,34 @@ def head_line_groups(lines: list[Line], n_groups: int) -> list[Line]:
             i += 1
         seen_groups += 1
     return kept
+
+
+def _yx(tok: Token) -> tuple[int, int]:
+    return int(tok.get("y", 0)), int(tok.get("x", 0))
+
+
+def reading_order(tokens: Iterable[Token]) -> list[Token]:
+    """Tokens stably sorted by (y, x), the order OCR reads them."""
+    return sorted(tokens, key=_yx)
+
+
+def offset_lines(lines: list[Line], y_offset: int) -> list[Line]:
+    """``lines`` moved down by ``y_offset``: equal to grouping their
+    tokens after :func:`offset_tokens`. The grouping keys, the word
+    order and the stable y-sort do not change under a common shift,
+    so only each word's and line's ``y`` moves (as ``int(y) + y_offset``,
+    what :func:`offset_tokens` writes)."""
+    dy = int(y_offset)
+    return [
+        {
+            "block": ln["block"],
+            "par": ln["par"],
+            "line_num": ln["line_num"],
+            "words": [dict(w, y=int(w["y"]) + dy) for w in ln["words"]],
+            "y": ln["y"] + dy,
+        }
+        for ln in lines
+    ]
 
 
 def offset_tokens(tokens: Iterable[Token], y_offset: int) -> list[Token]:

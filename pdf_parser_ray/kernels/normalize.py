@@ -30,11 +30,13 @@ from __future__ import annotations
 import re
 import unicodedata
 from functools import lru_cache
+from itertools import accumulate
 
 _EDGE_LEAD = re.compile(r"^[^a-zA-Z]+")
 _EDGE_TRAIL = re.compile(r"[^a-zA-Z]+$")
 
 
+@lru_cache(maxsize=65536)
 def _drop_control(text: str) -> str:
     """NFKD-normalize and remove Unicode control-category characters."""
     t = unicodedata.normalize("NFKD", text)
@@ -144,19 +146,33 @@ class Expected:
             return True
         return self._prefix.match(haystack) is not None
 
-    def prefix_positions(self, blob: str) -> list[int]:
-        """Char positions in a ``"\\n" + "\\n".join(tokens)`` blob where
-        a token *starts with* this expected string — one C-level regex
-        scan replacing a per-token Python ``startswith`` loop. Patterns
-        cannot cross token boundaries (``\\n`` matches no pattern
-        class), so each hit is a token-start prefix match, exactly the
-        set of candidate starts the matchers consider."""
+    def prefix_positions(self, blob: str, start: int = 0) -> list[int]:
+        """Char positions in a ``"\\n" + "\\n".join(tokens)`` blob where a
+        token whose leading ``\\n`` lies at or after ``start`` *starts
+        with* this expected string — one C-level regex scan replacing a
+        per-token Python ``startswith`` loop. Patterns cannot cross
+        token boundaries (``\\n`` matches no pattern class), so each hit
+        is a token-start prefix match, exactly the set of candidate
+        starts the matchers consider. The pattern consumes the token's
+        leading ``\\n``, a literal prefix the regex engine seeks fast,
+        and each hit is one past it."""
         if self._nl_prefix is None:
-            self._nl_prefix = re.compile(r"(?<=\n)" + self._pat_src)
-        return [m.start() for m in self._nl_prefix.finditer(blob)]
+            self._nl_prefix = re.compile("\n" + self._pat_src)
+        return [m.start() + 1 for m in self._nl_prefix.finditer(blob, start)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Expected({self.expected_s!r})"
+
+
+def token_blob(tokens: list[str], start: int = 0) -> tuple[str, list[int]]:
+    """The blob ``"\\n" + "\\n".join(tokens)`` that the C-level scans
+    (:meth:`Expected.prefix_positions`, ``str.find``) search, and where
+    each token begins in it, one past its ``\\n``, with the blob placed
+    at ``start``."""
+    if not tokens:
+        return "", []
+    offsets = list(accumulate([len(t) + 1 for t in tokens[:-1]], initial=start + 1))
+    return "\n" + "\n".join(tokens), offsets
 
 
 @lru_cache(maxsize=65536)

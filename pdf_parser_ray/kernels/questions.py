@@ -22,17 +22,24 @@ the page's candidate index restricted to that run
 whenever every line lies wholly inside or wholly outside the band; only
 when a line has words on both sides of a band edge are the band's
 tokens regrouped (:func:`band_tokens`). The cross-page lines are one
-:class:`NextHead` per page, grouped on first use and shared with the
+:class:`NextHead` per page, cut on first use from the next page's own
+lines, indexed by extending the page's index, and shared with the
 label matcher's cross-page pass.
+
+Neither retry re-matches what the page pass matched: a line's
+same-line full matches are memoized on the line per question
+(:func:`line_full_matches`) and read by the page pass, both crops and
+the cross-page pass alike, and a crop's multiline search starts at the
+page's first multiline hit (:meth:`PageIndex.multiline`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any
+from typing import Any, Callable
 
-from .lines import Line, Token, group_lines, head_line_groups, offset_tokens
-from .normalize import expected, ocr_norm
+from .lines import Line, Token, group_lines, head_line_groups, offset_lines, offset_tokens
+from .normalize import expected, ocr_norm, token_blob
 
 from ..core.constants import (
     ANCHOR_OFFSET_PX,
@@ -44,33 +51,13 @@ Hit = dict[str, Any]
 
 
 def _line_norms(line: Line) -> list[str]:
-    """Per-line cache of OCR-normalized token strings plus the
-    newline-joined blob/offsets used for C-level candidate scans.
-    Normalization is pure, so caching on the line dict is
-    semantics-preserving (the reference re-normalizes every probe).
-    The per-token ``_n`` cache survives regrouping (crop retries and
-    the answer collector regroup the same token dicts ~6× per page —
-    normalization depends only on the text, so sharing is safe)."""
+    """Per-line cache of OCR-normalized token strings. Normalization is
+    pure (and ``ocr_norm`` memoized per string), so caching on the line
+    dict is semantics-preserving (the reference re-normalizes every
+    probe)."""
     norms = line.get("_norms")
     if norms is None:
-        norms = []
-        for w in line["words"]:
-            nv = w.get("_n")
-            if nv is None:
-                nv = ocr_norm(w["text"])
-                w["_n"] = nv
-            norms.append(nv)
-        offs = []
-        pos = 0
-        parts = []
-        for t in norms:
-            offs.append(pos + 1)
-            parts.append("\n")
-            parts.append(t)
-            pos += 1 + len(t)
-        line["_norms"] = norms
-        line["_blob"] = "".join(parts)
-        line["_offs"] = offs
+        norms = line["_norms"] = [ocr_norm(w["text"]) for w in line["words"]]
     return norms
 
 
@@ -78,13 +65,16 @@ def _candidate_starts(line: Line, first_exp) -> list[int]:
     """Token indices where the first expected word (or the merged
     concat — whose prefix is the first word) can start. Equals the set
     of start indices the reference's per-token loop can accept, found
-    with one regex scan instead of len(words) Python probes."""
-    _line_norms(line)
-    blob = line["_blob"]
-    offs = line["_offs"]
+    with one regex scan of the line's blob (cached on the line) instead
+    of len(words) Python probes."""
+    blob = line.get("_blob")
+    if blob is None:
+        blob, line["_offs"] = token_blob(_line_norms(line))
+        line["_blob"] = blob
     positions = first_exp.prefix_positions(blob)
     if not positions:
         return []
+    offs = line["_offs"]
     return [bisect_left(offs, p) for p in positions]
 
 
@@ -93,44 +83,80 @@ class PageIndex:
     concatenated, so locating every possible start of a question is ONE
     regex scan over the page instead of one per (question, line). The
     candidate sets are identical to the per-line scans — lines appear
-    in list order in the blob, so iteration order is preserved."""
+    in list order in the blob, so iteration order is preserved.
 
-    __slots__ = ("lines", "blob", "g_offs", "g_line", "g_tok", "_cands", "_extents")
+    With ``base`` (the index of a prefix of ``lines``) the index extends
+    it: the base's blob and token offsets are copied, not rebuilt, and
+    a scan covers only the lines past the base, its hits appended to
+    the base's memoized candidates. No match crosses a line, as ``\\n``
+    matches no pattern class, so the result equals a scan of the whole
+    blob."""
 
-    def __init__(self, lines: list[Line]):
+    __slots__ = (
+        "lines", "blob", "g_offs", "g_line", "g_tok", "_cands", "_extents", "_line_ys", "_base",
+        "_tail", "_multi",
+    )
+
+    def __init__(self, lines: list[Line], base: "PageIndex | None" = None):
         self.lines = lines
-        parts: list[str] = []
-        g_offs: list[int] = []
-        g_line: list[int] = []
-        g_tok: list[int] = []
-        pos = 0
-        for li, line in enumerate(lines):
-            _line_norms(line)
-            blob = line["_blob"]
-            for ti, off in enumerate(line["_offs"]):
-                g_offs.append(pos + off)
-                g_line.append(li)
-                g_tok.append(ti)
-            parts.append(blob)
-            pos += len(blob)
-        self.blob = "".join(parts)
+        if base is None:
+            first, pos, blob = 0, 0, ""
+            g_offs: list[int] = []
+            g_line: list[int] = []
+            g_tok: list[int] = []
+        else:
+            first, pos, blob = len(base.lines), len(base.blob), base.blob
+            g_offs, g_line, g_tok = base.g_offs[:], base.g_line[:], base.g_tok[:]
+        self._base = base
+        self._tail = pos
+        # the lines' blobs concatenated are one blob of all their tokens
+        norms: list[str] = []
+        for li in range(first, len(lines)):
+            line_norms = _line_norms(lines[li])
+            norms.extend(line_norms)
+            g_line.extend([li] * len(line_norms))
+            g_tok.extend(range(len(line_norms)))
+        tail, offsets = token_blob(norms, pos)
+        g_offs.extend(offsets)
+        self.blob = blob + tail
         self.g_offs = g_offs
         self.g_line = g_line
         self.g_tok = g_tok
         self._cands: dict = {}
         self._extents: list[tuple[int, int]] | None = None
+        self._line_ys: list[int] | None = None
+        self._multi: dict[str, dict | None] = {}
+
+    @property
+    def line_ys(self) -> list[int]:
+        """Each line's ``y``: ascending for grouped lines."""
+        if self._line_ys is None:
+            self._line_ys = [ln["y"] for ln in self.lines]
+        return self._line_ys
 
     def candidates(self, exp) -> dict[int, list[int]]:
         """line_idx → [token_idx] of possible starts for ``exp``.
         Memoized per ``exp``; callers must not mutate the result."""
         out = self._cands.get(exp)
         if out is None:
-            out = {}
-            for p in exp.prefix_positions(self.blob):
+            if self._base is None:
+                out, hits = {}, exp.prefix_positions(self.blob)
+            else:
+                out = dict(self._base.candidates(exp))
+                hits = exp.prefix_positions(self.blob, self._tail)
+            for p in hits:
                 k = bisect_left(self.g_offs, p)
                 out.setdefault(self.g_line[k], []).append(self.g_tok[k])
             self._cands[exp] = out
         return out
+
+    def multiline(self, q: str, q_words: list[str], cand_by_line: dict) -> dict | None:
+        """:func:`try_multiline` over this index's lines for question
+        ``q`` (``cand_by_line`` its first word's candidates), memoized
+        per question. Callers must not mutate the result."""
+        if q not in self._multi:
+            self._multi[q] = try_multiline(self.lines, q_words, cand_by_line)
+        return self._multi[q]
 
     def band(self, y1: int, y2: int) -> "tuple[list[Line], _LineWindow] | None":
         """The crop ``[y1, y2)`` as a slice of this index's lines, with
@@ -152,7 +178,7 @@ class PageIndex:
         for lo, hi in self._extents:
             if lo < y1 <= hi or lo < y2 <= hi:
                 return None
-        line_ys = [ln["y"] for ln in self.lines]
+        line_ys = self.line_ys
         a, b = bisect_left(line_ys, y1), bisect_left(line_ys, y2)
         return self.lines[a:b], _LineWindow(self, a, b)
 
@@ -174,16 +200,44 @@ class _LineWindow:
             if a <= li < b
         }
 
+    def multiline(self, q: str, q_words: list[str], cand_by_line: dict) -> dict | None:
+        """:func:`try_multiline` over the run. A band never splits the
+        lines of one ``y``, so from a start line in the run the search
+        reads the same lines as over the page's, or runs out of them
+        sooner. Start lines before the page's first hit fail over the
+        page's lines, so they fail in the run too, and the run's search
+        starts at that hit."""
+        page = self.page
+        hit = page.multiline(q, q_words, page.candidates(expected(q_words[0])))
+        if hit is None:
+            return None
+        first = max(hit["line"], self.a) - self.a
+        return try_multiline(
+            page.lines[self.a : self.b],
+            q_words,
+            {li: toks for li, toks in cand_by_line.items() if li >= first},
+        )
+
 
 class NextHead:
     """A page's lines followed by the first ``n_groups`` line groups
     of the next page, y-offset by the page height (reference
     ``extractor.py:331-375``, ``response_extractor.py:300-343``), with
     their :class:`PageIndex`. Both are built on first use, so a page
-    groups its successor at most once, however many label and question
-    cross-page passes read them."""
+    reads its successor at most once, however many label and question
+    cross-page passes read them.
 
-    __slots__ = ("_page_lines", "_next_tokens", "_page_height", "_n_groups", "_lines", "_index")
+    ``next_lines`` (a callable returning the next page's
+    :func:`group_lines`) lets the head be cut from the next page's own
+    lines and shifted (:func:`offset_lines`) instead of regrouping its
+    tokens.
+    ``page_index`` (the :class:`PageIndex` of ``page_lines``) is
+    extended by the head lines instead of re-indexing the page."""
+
+    __slots__ = (
+        "_page_lines", "_next_tokens", "_page_height", "_n_groups", "_lines", "_index",
+        "_page_index", "_next_lines",
+    )
 
     def __init__(
         self,
@@ -191,6 +245,8 @@ class NextHead:
         next_tokens: list[Token],
         page_height: int,
         n_groups: int = 5,
+        page_index: PageIndex | None = None,
+        next_lines: Callable[[], list[Line]] | None = None,
     ):
         self._page_lines = page_lines
         self._next_tokens = next_tokens
@@ -198,18 +254,26 @@ class NextHead:
         self._n_groups = n_groups
         self._lines: list[Line] | None = None
         self._index: PageIndex | None = None
+        self._page_index = page_index if page_index and page_index.lines is page_lines else None
+        self._next_lines = next_lines
 
     @property
     def lines(self) -> list[Line]:
         if self._lines is None:
-            next_lines = group_lines(offset_tokens(self._next_tokens, self._page_height))
-            self._lines = self._page_lines + head_line_groups(next_lines, self._n_groups)
+            if self._next_lines is None:
+                next_lines = group_lines(offset_tokens(self._next_tokens, self._page_height))
+                head = head_line_groups(next_lines, self._n_groups)
+            else:
+                head = offset_lines(
+                    head_line_groups(self._next_lines(), self._n_groups), self._page_height
+                )
+            self._lines = self._page_lines + head
         return self._lines
 
     @property
     def index(self) -> PageIndex:
         if self._index is None:
-            self._index = PageIndex(self.lines)
+            self._index = PageIndex(self.lines, base=self._page_index)
         return self._index
 
 
@@ -299,6 +363,27 @@ def find_all_full_in_line(
     return segments
 
 
+def line_full_matches(
+    line: Line, q: str, q_words: list[str], candidates: list[int]
+) -> list[dict]:
+    """:func:`find_all_full_in_line` for question ``q`` on one grouped
+    line, memoized on the line. Every index a line is read through
+    (the page's, a band window of it, a :class:`NextHead` extending it)
+    gives the line the same candidates, as they are scanned from the
+    line's own blob; so the page pass, the band-crop retries and the
+    cross-page pass share one result per (line, question). Callers
+    must not mutate it."""
+    memo = line.get("_full")
+    if memo is None:
+        memo = line["_full"] = {}
+    segs = memo.get(q)
+    if segs is None:
+        segs = memo[q] = find_all_full_in_line(
+            line["words"], q_words, line=line, candidates=candidates
+        )
+    return segs
+
+
 def _segment(seg_tokens: list[dict], count: int) -> dict:
     return {
         "line_y": int(min(t["y"] for t in seg_tokens)),
@@ -319,7 +404,8 @@ def try_multiline(
     (from :class:`PageIndex`) restricts the start-line scan to lines
     that can match the first expected word — lines without a candidate
     yield ``matched_here == 0`` in the reference loop and are skipped
-    there too."""
+    there too. A hit is ``{start, segments, line}``, ``line`` the index
+    of its start line in ``lines``: the first start line that matches."""
     base_x_tolerance = LABEL_MULTILINE_BASE_X_TOLERANCE
     max_lookahead = LABEL_MULTILINE_MAX_LOOKAHEAD
     n_lbl = len(lbl_words_seq)
@@ -446,7 +532,7 @@ def try_multiline(
             x_ref = seg_tokens[0]["x"]
             matched_all = curr_lbl_idx == n_lbl
         if matched_all:
-            return {"start": (start_x, start_y), "segments": segments}
+            return {"start": (start_x, start_y), "segments": segments, "line": i}
     return None
 
 
@@ -463,9 +549,9 @@ def match_questions_in_lines(
     lines: list[Line], questions: list[str], index: "PageIndex | _LineWindow"
 ) -> dict[str, list[Hit]]:
     """:func:`match_questions_like_labels` on grouped ``lines`` with
-    their candidate ``index`` (grouping is pure, so the per-section
-    calls share the page's lines — the reference regroups on every
-    call)."""
+    their candidate ``index``, the index built over exactly ``lines``
+    (grouping is pure, so the per-section calls share the page's lines
+    — the reference regroups on every call)."""
     results: dict[str, list[Hit]] = {}
     unique_questions: list[str] = []
     seen_qtexts: set[str] = set()
@@ -480,10 +566,7 @@ def match_questions_in_lines(
         cand_by_line = index.candidates(expected(q_words[0]))
         seen_starts: set[tuple[int, int]] = set()
         for li in sorted(cand_by_line):
-            line = lines[li]
-            for seg in find_all_full_in_line(
-                line["words"], q_words, line=line, candidates=cand_by_line[li]
-            ):
+            for seg in line_full_matches(lines[li], q, q_words, cand_by_line[li]):
                 key = (int(seg["start_x"]), int(seg["line_y"]))
                 if key in seen_starts:
                     continue
@@ -491,7 +574,7 @@ def match_questions_in_lines(
                 results.setdefault(q, []).append(
                     {"x": key[0], "y": key[1], "segments": [seg]}
                 )
-        hit = try_multiline(lines, q_words, cand_by_line)
+        hit = index.multiline(q, q_words, cand_by_line)
         if hit is not None:
             key = (int(hit["start"][0]), int(hit["start"][1]))
             if key not in seen_starts:

@@ -64,10 +64,9 @@ from typing import Any
 from .answers import augment_answers
 from .assign import assign_checkboxes_sectionwise
 from .boxes import deduplicate_matches
-from .document import FoldState, classify_form_type, decode_spans, flatten_to_spans
+from .document import FoldState, classify_form_type, decode_spans, flatten_to_spans, page_model
 from .labels import get_label_positions
-from .lines import group_lines
-from .questions import NextHead, PageIndex, match_sections_and_questions
+from .questions import match_sections_and_questions
 from .sections import detect_section_regions
 
 Span = dict[str, Any]
@@ -119,10 +118,11 @@ def compute_shard_artifacts(
 ) -> list[dict[str, Any]]:
     """The parallel phase: one artifact dict per page of the shard."""
     pages = decode_spans(doc_id, shard_spans)
-    carry_tokens = None
+    models = [page_model(page) for page in pages]
     if carry_spans is not None:
         cpages = decode_spans(doc_id, carry_spans)
-        carry_tokens = cpages[0]["tokens"] if cpages else None
+        if cpages:
+            models.append(page_model(cpages[0]))
 
     # always include the base (None) variant: config.select falls back
     # to base sections for a classified form type that has no variant,
@@ -139,17 +139,14 @@ def compute_shard_artifacts(
     )
 
     arts: list[dict[str, Any]] = []
-    n = len(pages)
     for idx, page in enumerate(pages):
         tokens = page["tokens"]
         page_w, page_h = page["width"], page["height"]
         checkboxes = deduplicate_matches(page["ticked"], page["empty"])
-        next_tokens = pages[idx + 1]["tokens"] if idx + 1 < n else carry_tokens
-        page_lines = group_lines(tokens)
-        page_idx = PageIndex(page_lines)
-        next_head = (
-            NextHead(page_lines, next_tokens, page_h) if next_tokens is not None else None
-        )
+        model = models[idx]
+        page_lines = model.lines
+        page_idx = model.index
+        next_head = model.next_head(models[idx + 1], page_h) if idx + 1 < len(models) else None
 
         label_positions = get_label_positions(
             tokens,

@@ -99,23 +99,25 @@ def _dim_join(
     once on the driver, sorted by key, and shipped to every task as
     plain arrays; each batch gathers its columns via one
     ``searchsorted`` — zero exchanges. Past the budget it degrades to
-    a Dataset hash join against the (filtered) dimension — one
-    exchange at fact grain, the honest cost when the "dimension" is
-    itself huge. Both paths drop fact rows with no match (inner), so
-    FK orphans behave identically. ``cols=[]`` turns the attach into a
-    pure semi-join membership filter.
+    a co-partitioned :func:`~..core.exchange.exchange` of the fact and
+    the dimension read (``num_partitions`` buckets) — one exchange at
+    fact grain, the honest cost when the "dimension" is itself huge —
+    where each bucket joins its rows in Arrow. Both paths drop fact
+    rows with no match (inner), so FK orphans behave identically, and
+    yield the same columns: the fact's, then ``cols``. ``cols=[]``
+    turns the attach into a pure semi-join membership filter.
 
     ``dim_filter`` (pa.Table → pa.Table, referencing only ``cols`` /
-    ``filter_cols`` columns) applies the dimension predicate: on the
-    broadcast path it runs BEFORE the key set ships (a selective
-    predicate shrinks the broadcast); on the join path it runs on the
-    joined stream AFTER the exchange — a heavily-filtered dim side can
-    hash entire join partitions empty, and Ray's hash-shuffle join
-    aborts on the schema-less blocks those produce, so the full
-    dimension joins and the predicate prunes immediately downstream.
-    ``filter_cols`` names the extra columns the predicate reads that
-    are NOT attached to the fact side (read for the filter, then
-    dropped).
+    ``filter_cols`` columns) applies the dimension predicate before the
+    dimension rows meet the fact: on the broadcast path before the key
+    set ships (a selective predicate shrinks the broadcast), on the
+    exchange path in each bucket. ``filter_cols`` names the extra
+    columns the predicate reads that are NOT attached to the fact side
+    (read for the filter, then dropped). A side filtered empty, or a
+    fact with no rows, gives an empty result, not an error: the
+    exchange hands each fold the dimension's schema as read from its
+    footer, and the fact's as Ray knows it (Ray runs a fact built by a
+    map or a fold up to its first block to learn it).
     """
     import pyarrow.parquet as pq
 
@@ -160,28 +162,24 @@ def _dim_join(
 
         return fact.map_batches(gather, batch_format="pyarrow", batch_size=None)
 
-    dim_ds = _read(sf_dir, table, read_cols)
-    # Ray's hash join does not emit the right-side key column, so both
-    # paths yield the same schema: fact columns + ``cols``.
-    # ``num_partitions`` lets a caller with a known-tiny fact side
-    # force one partition: a partition whose blocks all hash empty
-    # loses its schema inside Ray's hash-shuffle aggregator and the
-    # pyarrow join aborts on the missing FieldRef.
-    joined = fact.join(
-        dim_ds,
-        join_type="inner",
-        num_partitions=num_partitions or _join_partitions(),
-        on=(fact_key,),
-        right_on=(dim_key,),
+    footer = pq.read_schema(path)
+    dim_schema = pa.schema([pa.field(c, footer.field(c).type) for c in read_cols])
+    known = fact.schema()
+    fact_schema = known.base_schema if known is not None else None
+
+    def attach(f: pa.Table, d: pa.Table) -> pa.Table:
+        if dim_filter is not None:
+            d = dim_filter(d)
+        d = d.select([dim_key] + cols)
+        # the key types may differ in width; the dim key is not kept
+        d = d.set_column(0, dim_key, d[dim_key].cast(f.schema.field(fact_key).type))
+        return f.join(d, keys=fact_key, right_keys=dim_key, join_type="inner")
+
+    return exchange(
+        [(fact, fact_key, fact_schema), (_read(sf_dir, table, read_cols), dim_key, dim_schema)],
+        attach,
+        n_buckets=num_partitions or _join_partitions(),
     )
-    if dim_filter is not None:
-        joined = joined.map_batches(
-            dim_filter, batch_format="pyarrow", batch_size=None
-        )
-    extra = [c for c in (filter_cols or []) if c not in cols]
-    if extra:
-        joined = joined.drop_columns(extra)
-    return joined
 
 
 def _nation_maps(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +283,7 @@ def q_nation_trade_volume(sf_dir: str, budget_bytes: int | None = None):
     is non-empty at every sf).
 
     Scale plan: the supplier attach is footer-gated broadcast (zero
-    exchange) or hash join; lineitem then pre-reduces to (orderkey,
+    exchange) or an exchange join; lineitem then pre-reduces to (orderkey,
     supp-nation, year) grain per batch, so the order-grain exchange
     carries partial sums, never lines. The customer side reduces
     orders to (orderkey, cust-nation) the same way. ONE tagged-union
@@ -1117,9 +1115,8 @@ def q_top_supplier(sf_dir: str, budget_bytes: int | None = None):
         batch_format="pyarrow",
         batch_size=None,
     )
-    # Winner set is tiny (ties at the max); a single join partition
-    # avoids Ray's schema-less-empty-partition join failure and is the
-    # right plan at this cardinality anyway.
+    # Winner set is tiny (ties at the max): one exchange bucket is the
+    # right plan at this cardinality.
     named = _dim_join(
         winners,
         sf_dir,
@@ -1230,10 +1227,8 @@ def q_prolific_part_suppliers(sf_dir: str, budget_bytes: int | None = None):
     )
     # The qualified set is a filtered slice of the (materialized)
     # supplier-grain table: re-counting it is a cheap second read of
-    # the pin, and sizing the join partitions to it keeps every
-    # partition non-empty (Ray's hash join drops the schema of an
-    # all-empty partition and aborts) while still fanning out when
-    # many suppliers qualify.
+    # the pin, and sizes the exchange's buckets to it, fanning out
+    # when many suppliers qualify.
     n_qual = int(qualified.count())
     if n_qual == 0:
         return qualified

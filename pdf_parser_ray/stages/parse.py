@@ -28,15 +28,25 @@ Input is read column-wise: the batch's ``spans`` list array is sliced
 once into its ``kind``, ``text`` and ``media_ref`` columns, and each
 document gets its runs of those columns as a
 :class:`~pdf_parser_ray.kernels.document.SpanColumns`, with no per-span
-dict. :func:`extract_spans` is the one per-document entry point
-(decode → classify → fold → flatten); ``decode_spans`` accepts the
-columns and the span dicts alike.
+dict. The geometry of every ``tok://`` word ref in the batch is decoded
+here, in Arrow, once per batch: one ``pc.split_pattern`` over the refs
+and one int64 cast of their first eight fields, handed to each document
+as the columns' ``geometry``. Arrow's cast is stricter than ``int()``
+(it rejects blanks, ``+``, ``_``, non-ASCII digits and values beyond
+int64). When it rejects a field, the batch's fields are checked one by
+one: a document holding a ``tok://`` ref with fewer than eight fields,
+or a field that is not a run of at most 18 ASCII digits, gets no
+``geometry`` and is decoded by ``decode_spans``'s scalar ``int()`` path,
+so its values and errors are the row path's. :func:`extract_spans` is
+the one per-document entry point (decode → classify → fold → flatten);
+``decode_spans`` accepts the columns and the span dicts alike.
 """
 
 from __future__ import annotations
 
-
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..core.config import FormConfig
 from ..core.schema import DOCUMENT_SCHEMA, explode_spans
@@ -51,7 +61,7 @@ from ..kernels.document import (
 
 def span_columns(spans: pa.ChunkedArray | pa.Array) -> list[SpanColumns | list | None]:
     """Each document's input spans from a ``list<span struct>`` column,
-    as column slices.
+    as column slices with their word geometry decoded in Arrow.
 
     ``StructArray.field()`` ignores validity bitmaps, so a null span
     would read as its child values and a null list as an empty one. A
@@ -60,23 +70,60 @@ def span_columns(spans: pa.ChunkedArray | pa.Array) -> list[SpanColumns | list |
     exactly as the row path does."""
     if isinstance(spans, pa.ChunkedArray):
         spans = spans.combine_chunks()
-    offsets = spans.offsets.to_pylist()
-    base = offsets[0]  # non-zero for a slice
-    values = spans.values.slice(base, offsets[-1] - base)
+    offsets = spans.offsets.to_numpy()
+    base = int(offsets[0])  # non-zero for a slice
+    values = spans.values.slice(base, int(offsets[-1]) - base)
+    offsets = (offsets - base).tolist()
     # the same str/None lists as to_pylist(), an order of magnitude faster
     cols = [
         values.field(f).to_numpy(zero_copy_only=False).tolist()
         for f in ("kind", "text", "media_ref")
     ]
+    geometry, scalar_spans = _word_geometry(values)
+    scalar_docs = set(np.searchsorted(offsets, scalar_spans, side="right").tolist())
     docs: list[SpanColumns | list | None] = [
-        SpanColumns(*(c[a - base : b - base] for c in cols))
-        for a, b in zip(offsets, offsets[1:])
+        SpanColumns(
+            *(c[a:b] for c in cols),
+            geometry=None if d in scalar_docs else [c[a:b] for c in geometry],
+        )
+        for d, (a, b) in enumerate(zip(offsets, offsets[1:]), start=1)
     ]
     if spans.null_count or values.null_count:
         for i, row in enumerate(spans.to_pylist()):
             if row is None or None in row:
                 docs[i] = row
     return docs
+
+
+def _word_geometry(values: pa.StructArray) -> tuple[list[list[int]], np.ndarray]:
+    """The columns ``x, y, w, h, block, par, line`` of every span, from
+    its ``tok://p/x/y/w/h/block/par/line`` ref, parsed for all spans at
+    once; zeros for spans that are not ``tok://`` words. Also returns
+    the positions of the word spans whose ref Arrow cannot parse (see
+    the module docstring), for their documents to decode on the scalar
+    path."""
+    kind, ref = values.field("kind"), values.field("media_ref")
+    is_tok = pc.and_kleene(pc.equal(kind, "word"), pc.starts_with(ref, "tok://"))
+    rows = np.flatnonzero(is_tok.fill_null(False).to_numpy(zero_copy_only=False))
+    # "tok:", "", p, x, y, w, h, block, par, line[, the rest]
+    parts = pc.split_pattern(ref, "/", max_splits=9)
+    whole = pc.list_value_length(parts).fill_null(0).to_numpy()[rows] >= 10
+    starts = parts.offsets.to_numpy()[rows[whole]] + 2
+    fields = parts.values.take(pa.array((starts[:, None] + np.arange(8)).ravel()))
+    clean = np.ones(len(starts), dtype=bool)
+    try:
+        ints = pc.cast(fields, pa.int64())
+    except pa.ArrowInvalid:
+        # Arrow's cast is stricter than int(): cast the plain digit runs
+        digits = pc.and_(
+            pc.ascii_is_decimal(fields), pc.less_equal(pc.binary_length(fields), 18)
+        )
+        ints = pc.cast(pc.if_else(digits, fields, "0"), pa.int64())
+        clean = digits.to_numpy(zero_copy_only=False).reshape(-1, 8).all(axis=1)
+    whole[whole] = clean
+    geometry = np.zeros((7, len(values)), dtype=np.int64)
+    geometry[:, rows[whole]] = ints.to_numpy().reshape(-1, 8)[clean, 1:].T
+    return [c.tolist() for c in geometry], rows[~whole]
 
 
 def extract_spans(

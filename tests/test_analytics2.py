@@ -6,7 +6,7 @@ Pins beyond the oracle harness:
   every query must hash-match DuckDB running its registered oracle SQL
   verbatim (semantics incl. orphan-drop, not just the driver tables);
 * broadcast/fallback twins (budget_bytes=1 forces every ``_dim_join``
-  to the hash-join plan) produce identical results;
+  to the exchange plan) produce identical results;
 * the algebraic edges: Q6 strict boundaries, Q15 max ties, Q20's
   exact-5/4-mean exclusion, Q10's total tie-break under LIMIT;
 * ``_dim_join`` itself: inner orphan-drop, ``filter_cols`` columns are
@@ -166,7 +166,7 @@ class TestCraftedDifferential:
 
 
 class TestBroadcastFallbackTwins:
-    """budget_bytes=1 forces every _dim_join to the hash-join plan;
+    """budget_bytes=1 forces every _dim_join to the exchange plan;
     both plans must hash-match on the same input."""
 
     @pytest.mark.parametrize(
@@ -414,11 +414,16 @@ class TestBucketJoin:
 class TestEmptyExchangeSide:
     """A query parameter that filters one side of an exchange empty
     everywhere gives the query's result, not an error: the fold still
-    gets that side's columns. The hash-join plan (``budget_bytes=1``)
-    must agree with the broadcast plan."""
+    gets that side's columns. The join plan (``budget_bytes=1``) must
+    agree with the broadcast plan."""
 
     def test_product_profit_with_no_matching_part(self):
         assert _pd(a2.q_product_profit(SF, token="zz-no-part")).empty
+
+    def test_product_profit_with_no_matching_part_on_the_exchange_plan(self):
+        # the part attach's exchange filters every bucket empty, so the
+        # supplier attach gets a fact side with no rows
+        assert _pd(a2.q_product_profit(SF, token="zz-no-part", budget_bytes=1)).empty
 
     @pytest.mark.parametrize(
         "name, kwargs",
