@@ -85,44 +85,57 @@ def cmd_synth(args) -> int:
 def cmd_regress(args) -> int:
     """Golden-file regression harness — the engine analog of the
     reference's ``run_regression.py:75-165``: run the extractor over a
-    span corpus, compare each document's span sequence to the golden
-    file (strict (kind, text, media_ref, offset) equality), seed
-    missing goldens, ``--update`` to rewrite, exit 1 on failures."""
+    span corpus through the ``extract`` command's sink
+    (:func:`~.io.checkpoint.slice_write`, into a temporary directory),
+    then read the output one partition at a time and compare each
+    document's span sequence to the golden file (strict (kind, text,
+    media_ref, offset) equality), seed missing goldens, ``--update`` to
+    rewrite, exit 1 on failures."""
     import os
+    import tempfile
+
+    import pyarrow.parquet as pq
 
     _init_ray(args.num_cpus)
-    from .io.sources import read_corpus
-    from .pipelines.extract import extract_pipeline
+    from .io.checkpoint import slice_write
+    from .stages.parse import DocumentExtractor
 
-    out = extract_pipeline(read_corpus(args.corpus)).to_pandas()
-    got: dict[str, list] = {}
-    for doc_id, g in out.groupby("doc_id"):
-        g = g.sort_values("offset")
-        got[doc_id] = [
-            [r.kind, r.text, r.media_ref, int(r.offset)] for r in g.itertuples()
-        ]
     goldens: dict[str, list] = {}
     if os.path.exists(args.goldens):
         with open(args.goldens) as f:
             goldens = json.load(f)
     failures, seeded = [], []
-    for doc_id, spans in sorted(got.items()):
-        if doc_id not in goldens or args.update:
-            if doc_id not in goldens:
-                seeded.append(doc_id)
-            goldens[doc_id] = spans
-            continue
-        if goldens[doc_id] != spans:
-            failures.append(doc_id)
-            print(f"[FAIL] {doc_id}: span sequence differs from golden")
-        else:
-            print(f"[PASS] {doc_id}")
+    n_docs = 0
+    with tempfile.TemporaryDirectory() as out:
+        slice_write(args.corpus, out, DocumentExtractor())
+        for name in sorted(os.listdir(out)):
+            data = os.path.join(out, name, "data.parquet")
+            if not (name.startswith("part=") and os.path.exists(data)):
+                continue
+            part = pq.read_table(data).sort_by([("doc_id", "ascending"), ("offset", "ascending")])
+            got: dict[str, list] = {}
+            for doc_id, kind, text, ref, off in zip(
+                *(part[c].to_pylist() for c in ("doc_id", "kind", "text", "media_ref", "offset"))
+            ):
+                got.setdefault(doc_id, []).append([kind, text, ref, int(off)])
+            n_docs += len(got)
+            for doc_id, spans in got.items():
+                if doc_id not in goldens or args.update:
+                    if doc_id not in goldens:
+                        seeded.append(doc_id)
+                    goldens[doc_id] = spans
+                    continue
+                if goldens[doc_id] != spans:
+                    failures.append(doc_id)
+                    print(f"[FAIL] {doc_id}: span sequence differs from golden")
+                else:
+                    print(f"[PASS] {doc_id}")
     if seeded or args.update:
         with open(args.goldens, "w") as f:
-            json.dump(goldens, f, indent=1)
+            json.dump(dict(sorted(goldens.items())), f, indent=1)
         for d in seeded:
             print(f"[SEED] {d}")
-    print(json.dumps({"passed": len(got) - len(failures) - len(seeded),
+    print(json.dumps({"passed": n_docs - len(failures) - len(seeded),
                       "failed": len(failures), "seeded": len(seeded)}))
     return 1 if failures else 0
 

@@ -15,22 +15,40 @@ question half of ``match_sections_and_questions`` (reference
 * cross-page fallback appending the next page's head line-groups;
 * k-th-occurrence claiming for duplicated question texts (D4).
 
-Neither retry regroups the page. A band crop ``[y1, y2)`` is the run of
-the page's lines whose ``y`` lies in the band, found by bisection, with
-the page's candidate index restricted to that run
-(:meth:`PageIndex.band`). That equals regrouping the band's tokens
-whenever every line lies wholly inside or wholly outside the band; only
-when a line has words on both sides of a band edge are the band's
-tokens regrouped (:func:`band_tokens`). The cross-page lines are one
-:class:`NextHead` per page, cut on first use from the next page's own
-lines, indexed by extending the page's index, and shared with the
-label matcher's cross-page pass.
+Each page's questions are matched once. A page's :class:`PageIndex`
+keeps its question table: one row per distinct question text, built
+on first use, holding
 
-Neither retry re-matches what the page pass matched: a line's
-same-line full matches are memoized on the line per question
-(:func:`line_full_matches`) and read by the page pass, both crops and
-the cross-page pass alike, and a crop's multiline search starts at the
-page's first multiline hit (:meth:`PageIndex.multiline`).
+* the same-line full matches of every line that has one, and the
+  page's hits (``{x, y, segments}``), computed once per page however
+  many sections list the question;
+* one multiline outcome per start line: the hit or none, and the first
+  line of the last line group the search read (:func:`multiline_from`).
+  :func:`try_multiline` is the first start line whose outcome is a hit.
+
+A band crop ``[y1, y2)`` is the run ``lines[a:b]`` of the page's
+y-sorted lines whose ``y`` lies in the band (:meth:`PageIndex.band`),
+unless a line has words on both sides of a band edge; only then are
+the band's tokens regrouped (:func:`band_tokens`) and indexed afresh.
+A run's hits are read from the page's table: its full matches are the
+page's on lines ``a..b-1``, and its multiline hit is the first start
+line at or past ``max(a, page's first hit)`` whose page outcome is a
+hit that read no line group at or past ``b``. That is exact because a
+band never splits the lines of one ``y``: a search that stays inside
+the run reads the same lines as on the page, and one that would leave
+it fails inside it.
+
+The cross-page lines are one :class:`NextHead` per page, cut on first
+use from the next page's own lines, and indexed by extending the
+page's index; the extended index keeps its own outcome table (a search
+that ran out of the page's lines can succeed across the page break)
+and reuses the page's full matches.
+
+:func:`match_sections_and_questions` reads a section's hits of a
+question (page pass, both band crops, cross-page pass) once per call
+and ranks them once, so a question its section lists several times
+(k-th-occurrence claiming) only claims the next of them; each band
+crop's window or regrouped index is built once per call.
 """
 
 from __future__ import annotations
@@ -85,16 +103,23 @@ class PageIndex:
     candidate sets are identical to the per-line scans — lines appear
     in list order in the blob, so iteration order is preserved.
 
+    The index also keeps the page's question table (module docstring):
+    one :class:`_Question` row per question text, each built on first
+    use, read by :meth:`hits` and, for a band window, :meth:`window_hits`.
+    The rows hold no reference back to the index, so a page's views are
+    freed by reference counting once its document is done; a cycle
+    would leave every page to the garbage collector.
+
     With ``base`` (the index of a prefix of ``lines``) the index extends
     it: the base's blob and token offsets are copied, not rebuilt, and
     a scan covers only the lines past the base, its hits appended to
     the base's memoized candidates. No match crosses a line, as ``\\n``
     matches no pattern class, so the result equals a scan of the whole
-    blob."""
+    blob. The base lines' full matches are read from the base's rows."""
 
     __slots__ = (
-        "lines", "blob", "g_offs", "g_line", "g_tok", "_cands", "_extents", "_line_ys", "_base",
-        "_tail", "_multi",
+        "lines", "blob", "g_offs", "g_line", "g_tok", "_cands", "_tall", "_line_ys", "_base",
+        "_tail", "_rows",
     )
 
     def __init__(self, lines: list[Line], base: "PageIndex | None" = None):
@@ -123,9 +148,9 @@ class PageIndex:
         self.g_line = g_line
         self.g_tok = g_tok
         self._cands: dict = {}
-        self._extents: list[tuple[int, int]] | None = None
+        self._tall: list[tuple[int, int]] | None = None
         self._line_ys: list[int] | None = None
-        self._multi: dict[str, dict | None] = {}
+        self._rows: dict[str, _Question] = {}
 
     @property
     def line_ys(self) -> list[int]:
@@ -150,73 +175,163 @@ class PageIndex:
             self._cands[exp] = out
         return out
 
-    def multiline(self, q: str, q_words: list[str], cand_by_line: dict) -> dict | None:
-        """:func:`try_multiline` over this index's lines for question
-        ``q`` (``cand_by_line`` its first word's candidates), memoized
-        per question. Callers must not mutate the result."""
-        if q not in self._multi:
-            self._multi[q] = try_multiline(self.lines, q_words, cand_by_line)
-        return self._multi[q]
+    def _row(self, q: str) -> _Question:
+        row = self._rows.get(q)
+        if row is None:
+            row = self._rows[q] = _Question(q.split())
+            if not row.words:
+                row.hits = []
+                return row
+            lines = self.lines
+            row.cands = self.candidates(row.exps[0])
+            row.starts = sorted(row.cands)
+            first = 0
+            if self._base is not None:
+                base = self._base._row(q)
+                first = len(self._base.lines)
+                row.full_lines, row.full_segs = base.full_lines[:], base.full_segs[:]
+            for li in row.starts[bisect_left(row.starts, first) :]:
+                segs = find_all_full_in_line(
+                    lines[li]["words"], row.words, line=lines[li], candidates=row.cands[li]
+                )
+                if segs:
+                    row.full_lines.append(li)
+                    row.full_segs.append(segs)
+        return row
 
-    def band(self, y1: int, y2: int) -> "tuple[list[Line], _LineWindow] | None":
-        """The crop ``[y1, y2)`` as a slice of this index's lines, with
-        its candidate index, or ``None`` when a line has words on both
-        sides of ``y1`` or ``y2``.
+    def _outcome(self, row: _Question, i: int) -> tuple[dict | None, int]:
+        out = row.outcomes.get(i)
+        if out is None:
+            out = row.outcomes[i] = multiline_from(
+                self.lines, i, row.words, row.exps, row.cands[i]
+            )
+        return out
+
+    def _first(self, row: _Question) -> int:
+        """The position in ``row.starts`` of the first start line whose
+        outcome is a hit, ``len(row.starts)`` when none is."""
+        if row.first is None:
+            k = 0
+            while k < len(row.starts) and self._outcome(row, row.starts[k])[0] is None:
+                k += 1
+            row.first = k
+        return row.first
+
+    def hits(self, q: str) -> list[Hit]:
+        """Question ``q``'s hits on these lines: every same-line full
+        match, then the multiline hit unless it starts where one of them
+        does. Memoized per ``q``; callers must not mutate the result."""
+        row = self._row(q)
+        if row.hits is None:
+            k = self._first(row)
+            hit = self._outcome(row, row.starts[k])[0] if k < len(row.starts) else None
+            row.hits = _collect(row.full_segs, hit)
+        return row.hits
+
+    def window_hits(self, q: str, a: int, b: int) -> list[Hit]:
+        """Question ``q``'s hits on the line run ``[a, b)``, a band that
+        splits no line group (:meth:`band`): :meth:`hits` of the run's
+        own index."""
+        row = self._row(q)
+        if not row.words:
+            return []
+        lo, hi = bisect_left(row.full_lines, a), bisect_left(row.full_lines, b)
+        return _collect(row.full_segs[lo:hi], self.window_multiline(q, a, b))
+
+    def window_multiline(self, q: str, a: int, b: int) -> dict | None:
+        """:func:`try_multiline` on the line run ``[a, b)``: the first
+        start line in the run, at or past the page's first hit, whose
+        page outcome is a hit that read no line group at or past ``b``."""
+        row = self._row(q)
+        starts = row.starts
+        for k in range(max(self._first(row), bisect_left(starts, a)), len(starts)):
+            i = starts[k]
+            if i >= b:
+                break
+            hit, last = self._outcome(row, i)
+            if hit is not None and last < b:
+                return hit
+        return None
+
+    def band(self, y1: int, y2: int) -> "_LineWindow | None":
+        """The crop ``[y1, y2)`` as a window of this index's lines, or
+        ``None`` when a line has words on both sides of ``y1`` or
+        ``y2``. Only lines whose words span several ``y`` can, so only
+        those are checked.
 
         With every line wholly inside or wholly outside the band, the
         lines inside are those whose ``y`` lies in ``[y1, y2)``: a
         contiguous run ``lines[a:b]`` of the y-sorted list. They keep
         their keys, words, word order and ``y``, and the stable y-sort
         keeps their relative order, so the run equals
-        ``group_lines(band_tokens(tokens, y1, y2))``. Its candidates
-        are this index's, restricted to ``[a, b)`` and renumbered."""
-        if self._extents is None:
-            self._extents = [
-                (min(ys), max(ys))
-                for ys in ([int(w["y"]) for w in ln["words"]] for ln in self.lines)
-            ]
-        for lo, hi in self._extents:
+        ``group_lines(band_tokens(tokens, y1, y2))``."""
+        if self._tall is None:
+            self._tall = []
+            for ln in self.lines:
+                ys = [w["y"] for w in ln["words"]]
+                lo, hi = min(ys), max(ys)
+                if lo != hi:
+                    self._tall.append((int(lo), int(hi)))
+        for lo, hi in self._tall:
             if lo < y1 <= hi or lo < y2 <= hi:
                 return None
         line_ys = self.line_ys
-        a, b = bisect_left(line_ys, y1), bisect_left(line_ys, y2)
-        return self.lines[a:b], _LineWindow(self, a, b)
+        return _LineWindow(self, bisect_left(line_ys, y1), bisect_left(line_ys, y2))
 
 
 class _LineWindow:
-    """The candidate index of the line run ``[a, b)`` of a
-    :class:`PageIndex`, with line indices counted from ``a``."""
+    """The line run ``[a, b)`` of a :class:`PageIndex`, matched from the
+    page's question table."""
 
     __slots__ = ("page", "a", "b")
 
     def __init__(self, page: PageIndex, a: int, b: int):
         self.page, self.a, self.b = page, a, b
 
-    def candidates(self, exp) -> dict[int, list[int]]:
-        a, b = self.a, self.b
-        return {
-            li - a: toks
-            for li, toks in self.page.candidates(exp).items()
-            if a <= li < b
-        }
+    def hits(self, q: str) -> list[Hit]:
+        """Question ``q``'s hits on the run's lines."""
+        return self.page.window_hits(q, self.a, self.b)
 
-    def multiline(self, q: str, q_words: list[str], cand_by_line: dict) -> dict | None:
-        """:func:`try_multiline` over the run. A band never splits the
-        lines of one ``y``, so from a start line in the run the search
-        reads the same lines as over the page's, or runs out of them
-        sooner. Start lines before the page's first hit fail over the
-        page's lines, so they fail in the run too, and the run's search
-        starts at that hit."""
-        page = self.page
-        hit = page.multiline(q, q_words, page.candidates(expected(q_words[0])))
-        if hit is None:
-            return None
-        first = max(hit["line"], self.a) - self.a
-        return try_multiline(
-            page.lines[self.a : self.b],
-            q_words,
-            {li: toks for li, toks in cand_by_line.items() if li >= first},
-        )
+
+class _Question:
+    """One question's row of a page's question table."""
+
+    __slots__ = (
+        "words", "exps", "cands", "starts", "full_lines", "full_segs", "outcomes", "first", "hits",
+    )
+
+    def __init__(self, words: list[str]):
+        self.words = words
+        self.exps = [expected(w) for w in words]
+        self.cands: dict[int, list[int]] = {}
+        # candidate start lines, ascending
+        self.starts: list[int] = []
+        # the lines with a same-line full match, ascending, and their matches
+        self.full_lines: list[int] = []
+        self.full_segs: list[list[dict]] = []
+        # start line -> (multiline hit or None, last line group read)
+        self.outcomes: dict[int, tuple[dict | None, int]] = {}
+        # position in ``starts`` of the first multiline hit, once known
+        self.first: int | None = None
+        self.hits: list[Hit] | None = None
+
+
+def _collect(line_segs: list[list[dict]], hit: dict | None) -> list[Hit]:
+    """The hits of the full matches ``line_segs`` (line by line) and the
+    multiline ``hit``, the first at each start ``(x, y)`` kept."""
+    out: list[Hit] = []
+    seen: set[tuple[int, int]] = set()
+    for segs in line_segs:
+        for seg in segs:
+            key = (int(seg["start_x"]), int(seg["line_y"]))
+            if key not in seen:
+                seen.add(key)
+                out.append({"x": key[0], "y": key[1], "segments": [seg]})
+    if hit is not None:
+        key = (int(hit["start"][0]), int(hit["start"][1]))
+        if key not in seen:
+            out.append({"x": key[0], "y": key[1], "segments": hit["segments"]})
+    return out
 
 
 class NextHead:
@@ -363,27 +478,6 @@ def find_all_full_in_line(
     return segments
 
 
-def line_full_matches(
-    line: Line, q: str, q_words: list[str], candidates: list[int]
-) -> list[dict]:
-    """:func:`find_all_full_in_line` for question ``q`` on one grouped
-    line, memoized on the line. Every index a line is read through
-    (the page's, a band window of it, a :class:`NextHead` extending it)
-    gives the line the same candidates, as they are scanned from the
-    line's own blob; so the page pass, the band-crop retries and the
-    cross-page pass share one result per (line, question). Callers
-    must not mutate it."""
-    memo = line.get("_full")
-    if memo is None:
-        memo = line["_full"] = {}
-    segs = memo.get(q)
-    if segs is None:
-        segs = memo[q] = find_all_full_in_line(
-            line["words"], q_words, line=line, candidates=candidates
-        )
-    return segs
-
-
 def _segment(seg_tokens: list[dict], count: int) -> dict:
     return {
         "line_y": int(min(t["y"] for t in seg_tokens)),
@@ -394,145 +488,165 @@ def _segment(seg_tokens: list[dict], count: int) -> dict:
     }
 
 
+def multiline_from(
+    lines: list[Line],
+    i: int,
+    lbl_words_seq: list[str],
+    exps_seq: list,
+    candidates: list[int] | None = None,
+) -> tuple[dict | None, int]:
+    """The multiline question search from start line ``i``
+    (reference ``response_extractor.py:450-570``), ``exps_seq`` the
+    words' :func:`expected` and ``candidates`` the line's first-word
+    candidates (scanned from the line when ``None``). Returns the hit
+    ``{start, segments}`` or ``None``, and the first line of the last
+    sibling y-group the search read (``i`` when it read none)."""
+    line = lines[i]
+    words = line["words"]
+    if not words:
+        return None, i
+    best_start, matched_here = _best_span_in_line(
+        words, lbl_words_seq, line=line, candidates=candidates
+    )
+    if matched_here == 0:
+        return None, i
+    base_x_tolerance = LABEL_MULTILINE_BASE_X_TOLERANCE
+    n_lbl = len(lbl_words_seq)
+    start_x = words[best_start]["x"]
+    start_y = words[best_start]["y"]
+    x_ref = start_x
+    curr_lbl_idx = matched_here
+    curr_idx = i
+    last_group = i
+    matched_all = curr_lbl_idx == n_lbl
+    lookahead_used = 0
+    seg_words = words[best_start : best_start + matched_here]
+    last_idx = min(best_start + max(0, matched_here - 1), len(words) - 1)
+    segments = [
+        {
+            "line_y": int(
+                min(t["y"] for t in seg_words) if matched_here > 0 else line.get("y", 0)
+            ),
+            "start_x": start_x,
+            "end_x": words[last_idx]["x"] + words[last_idx].get("w", 0),
+            "count": matched_here,
+            "tokens": [t["text"] for t in seg_words],
+        }
+    ]
+    while not matched_all and lookahead_used < LABEL_MULTILINE_MAX_LOOKAHEAD:
+        j = curr_idx + 1
+        curr_y = lines[curr_idx]["y"] if curr_idx < len(lines) else None
+        while j < len(lines) and curr_y is not None and lines[j]["y"] <= curr_y:
+            j += 1
+        if j >= len(lines):
+            break
+        last_group = j
+        next_y = lines[j]["y"]
+        group_indices = []
+        kidx = j
+        while kidx < len(lines) and lines[kidx]["y"] == next_y:
+            group_indices.append(kidx)
+            kidx += 1
+        exp_next = exps_seq[curr_lbl_idx]
+        best_overall = 0
+        best_overall_idx = None
+        best_overall_segtoks = None
+        for li in group_indices:
+            line_tokens = lines[li]["words"]
+            if not line_tokens:
+                continue
+            lnorms = _line_norms(lines[li])
+            starters = _candidate_starts(lines[li], exp_next)
+            candidate_indices = [
+                idx for idx in starters
+                if abs(line_tokens[idx]["x"] - x_ref) <= base_x_tolerance
+            ]
+            if not candidate_indices:
+                candidate_indices = starters
+            if not candidate_indices:
+                candidate_indices = [
+                    idx
+                    for idx, tok in enumerate(line_tokens)
+                    if abs(tok["x"] - x_ref) <= base_x_tolerance
+                    and exp_next.contains(lnorms[idx])
+                ]
+            if not candidate_indices:
+                continue
+            best_line_match = 0
+            best_line_segtoks = None
+            for ci in candidate_indices:
+                matched_in_line = 0
+                k = ci
+                while k < len(line_tokens) and (curr_lbl_idx + matched_in_line) < n_lbl:
+                    exp2 = exps_seq[curr_lbl_idx + matched_in_line]
+                    tok_clean = lnorms[k]
+                    ok2 = (
+                        exp2.startswith(tok_clean)
+                        if matched_in_line == 0
+                        else exp2.contains(tok_clean)
+                    )
+                    if ok2:
+                        matched_in_line += 1
+                        k += 1
+                    else:
+                        break
+                if matched_in_line > best_line_match:
+                    best_line_match = matched_in_line
+                    best_line_segtoks = line_tokens[ci : ci + matched_in_line]
+            if best_line_match > best_overall:
+                best_overall = best_line_match
+                best_overall_idx = li
+                best_overall_segtoks = best_line_segtoks
+        if best_overall == 0 or best_overall_idx is None or best_overall_segtoks is None:
+            break
+        seg_tokens = best_overall_segtoks
+        next_line = lines[best_overall_idx]
+        segments.append(
+            {
+                "line_y": int(
+                    min(t["y"] for t in seg_tokens) if seg_tokens else next_line.get("y", 0)
+                ),
+                "start_x": seg_tokens[0]["x"],
+                "end_x": seg_tokens[-1]["x"] + seg_tokens[-1].get("w", 0),
+                "count": best_overall,
+                "tokens": [t["text"] for t in seg_tokens],
+            }
+        )
+        curr_lbl_idx += best_overall
+        curr_idx = best_overall_idx
+        lookahead_used += 1
+        x_ref = seg_tokens[0]["x"]
+        matched_all = curr_lbl_idx == n_lbl
+    if matched_all:
+        return {"start": (start_x, start_y), "segments": segments}, last_group
+    return None, last_group
+
+
 def try_multiline(
     lines: list[Line],
     lbl_words_seq: list[str],
     cand_by_line: dict[int, list[int]] | None = None,
 ) -> dict | None:
-    """Multiline question search over sibling y-groups
-    (reference ``response_extractor.py:450-570``). ``cand_by_line``
-    (from :class:`PageIndex`) restricts the start-line scan to lines
-    that can match the first expected word — lines without a candidate
-    yield ``matched_here == 0`` in the reference loop and are skipped
-    there too. A hit is ``{start, segments, line}``, ``line`` the index
-    of its start line in ``lines``: the first start line that matches."""
-    base_x_tolerance = LABEL_MULTILINE_BASE_X_TOLERANCE
-    max_lookahead = LABEL_MULTILINE_MAX_LOOKAHEAD
-    n_lbl = len(lbl_words_seq)
+    """Multiline question search over sibling y-groups: the hit of the
+    first start line whose :func:`multiline_from` finds one.
+    ``cand_by_line`` (from :class:`PageIndex`) restricts the start
+    lines to those that can match the first expected word — lines
+    without a candidate yield ``matched_here == 0`` in the reference
+    loop and are skipped there too."""
     # resolve the per-word Expected objects once (the lookahead loop
     # probes them per token; the lru_cache lookup per probe adds up)
     exps_seq = [expected(w) for w in lbl_words_seq]
-    if cand_by_line is not None:
-        start_iter = [(i, lines[i]) for i in sorted(cand_by_line)]
+    if cand_by_line is None:
+        starts: Any = range(len(lines))
     else:
-        start_iter = list(enumerate(lines))
-    for i, line in start_iter:
-        words = line["words"]
-        if not words:
-            continue
-        best_start, matched_here = _best_span_in_line(
-            words,
-            lbl_words_seq,
-            line=line,
-            candidates=cand_by_line.get(i) if cand_by_line is not None else None,
+        starts = sorted(cand_by_line)
+    for i in starts:
+        hit, _ = multiline_from(
+            lines, i, lbl_words_seq, exps_seq,
+            cand_by_line[i] if cand_by_line is not None else None,
         )
-        if matched_here == 0:
-            continue
-        start_x = words[best_start]["x"]
-        start_y = words[best_start]["y"]
-        x_ref = start_x
-        curr_lbl_idx = matched_here
-        curr_idx = i
-        matched_all = curr_lbl_idx == n_lbl
-        lookahead_used = 0
-        seg_words = words[best_start : best_start + matched_here]
-        last_idx = min(best_start + max(0, matched_here - 1), len(words) - 1)
-        segments = [
-            {
-                "line_y": int(
-                    min(t["y"] for t in seg_words) if matched_here > 0 else line.get("y", 0)
-                ),
-                "start_x": start_x,
-                "end_x": words[last_idx]["x"] + words[last_idx].get("w", 0),
-                "count": matched_here,
-                "tokens": [t["text"] for t in seg_words],
-            }
-        ]
-        while not matched_all and lookahead_used < max_lookahead:
-            j = curr_idx + 1
-            curr_y = lines[curr_idx]["y"] if curr_idx < len(lines) else None
-            while j < len(lines) and curr_y is not None and lines[j]["y"] <= curr_y:
-                j += 1
-            if j >= len(lines):
-                break
-            next_y = lines[j]["y"]
-            group_indices = []
-            kidx = j
-            while kidx < len(lines) and lines[kidx]["y"] == next_y:
-                group_indices.append(kidx)
-                kidx += 1
-            exp_next = exps_seq[curr_lbl_idx]
-            best_overall = 0
-            best_overall_idx = None
-            best_overall_segtoks = None
-            for li in group_indices:
-                line_tokens = lines[li]["words"]
-                if not line_tokens:
-                    continue
-                lnorms = _line_norms(lines[li])
-                starters = _candidate_starts(lines[li], exp_next)
-                candidate_indices = [
-                    idx for idx in starters
-                    if abs(line_tokens[idx]["x"] - x_ref) <= base_x_tolerance
-                ]
-                if not candidate_indices:
-                    candidate_indices = starters
-                if not candidate_indices:
-                    candidate_indices = [
-                        idx
-                        for idx, tok in enumerate(line_tokens)
-                        if abs(tok["x"] - x_ref) <= base_x_tolerance
-                        and exp_next.contains(lnorms[idx])
-                    ]
-                if not candidate_indices:
-                    continue
-                best_line_match = 0
-                best_line_segtoks = None
-                for ci in candidate_indices:
-                    matched_in_line = 0
-                    k = ci
-                    while k < len(line_tokens) and (curr_lbl_idx + matched_in_line) < n_lbl:
-                        exp2 = exps_seq[curr_lbl_idx + matched_in_line]
-                        tok_clean = lnorms[k]
-                        ok2 = (
-                            exp2.startswith(tok_clean)
-                            if matched_in_line == 0
-                            else exp2.contains(tok_clean)
-                        )
-                        if ok2:
-                            matched_in_line += 1
-                            k += 1
-                        else:
-                            break
-                    if matched_in_line > best_line_match:
-                        best_line_match = matched_in_line
-                        best_line_segtoks = line_tokens[ci : ci + matched_in_line]
-                if best_line_match > best_overall:
-                    best_overall = best_line_match
-                    best_overall_idx = li
-                    best_overall_segtoks = best_line_segtoks
-            if best_overall == 0 or best_overall_idx is None or best_overall_segtoks is None:
-                break
-            seg_tokens = best_overall_segtoks
-            next_line = lines[best_overall_idx]
-            segments.append(
-                {
-                    "line_y": int(
-                        min(t["y"] for t in seg_tokens) if seg_tokens else next_line.get("y", 0)
-                    ),
-                    "start_x": seg_tokens[0]["x"],
-                    "end_x": seg_tokens[-1]["x"] + seg_tokens[-1].get("w", 0),
-                    "count": best_overall,
-                    "tokens": [t["text"] for t in seg_tokens],
-                }
-            )
-            curr_lbl_idx += best_overall
-            curr_idx = best_overall_idx
-            lookahead_used += 1
-            x_ref = seg_tokens[0]["x"]
-            matched_all = curr_lbl_idx == n_lbl
-        if matched_all:
-            return {"start": (start_x, start_y), "segments": segments, "line": i}
+        if hit is not None:
+            return hit
     return None
 
 
@@ -540,47 +654,14 @@ def match_questions_like_labels(
     tokens: list[Token], questions: list[str]
 ) -> dict[str, list[Hit]]:
     """Reference ``response_extractor.py:238-612``. Returns, per unique
-    question text, the list of match hits ``{x, y, segments}``."""
-    lines = group_lines(tokens)
-    return match_questions_in_lines(lines, questions, PageIndex(lines))
-
-
-def match_questions_in_lines(
-    lines: list[Line], questions: list[str], index: "PageIndex | _LineWindow"
-) -> dict[str, list[Hit]]:
-    """:func:`match_questions_like_labels` on grouped ``lines`` with
-    their candidate ``index``, the index built over exactly ``lines``
-    (grouping is pure, so the per-section calls share the page's lines
-    — the reference regroups on every call)."""
+    question text with a hit, the list of match hits
+    ``{x, y, segments}``."""
+    index = PageIndex(group_lines(tokens))
     results: dict[str, list[Hit]] = {}
-    unique_questions: list[str] = []
-    seen_qtexts: set[str] = set()
     for q in questions:
-        if q not in seen_qtexts:
-            unique_questions.append(q)
-            seen_qtexts.add(q)
-    for q in unique_questions:
-        q_words = [w for w in q.split() if w]
-        if not q_words:
-            continue
-        cand_by_line = index.candidates(expected(q_words[0]))
-        seen_starts: set[tuple[int, int]] = set()
-        for li in sorted(cand_by_line):
-            for seg in line_full_matches(lines[li], q, q_words, cand_by_line[li]):
-                key = (int(seg["start_x"]), int(seg["line_y"]))
-                if key in seen_starts:
-                    continue
-                seen_starts.add(key)
-                results.setdefault(q, []).append(
-                    {"x": key[0], "y": key[1], "segments": [seg]}
-                )
-        hit = index.multiline(q, q_words, cand_by_line)
-        if hit is not None:
-            key = (int(hit["start"][0]), int(hit["start"][1]))
-            if key not in seen_starts:
-                results.setdefault(q, []).append(
-                    {"x": key[0], "y": key[1], "segments": hit["segments"]}
-                )
+        hits = index.hits(q)
+        if hits:
+            results[q] = hits
     return results
 
 
@@ -635,25 +716,21 @@ def match_sections_and_questions(
         else:
             bands[name] = (anchor_y, next_anchor_bottom)
 
-    page_lines = lines if lines is not None else group_lines(tokens)
-    page_idx = page_index if page_index is not None else PageIndex(page_lines)
-    # Band-crop retries for questions in the same section share the
-    # same (y1, y2) crop; each crop's lines and candidate index are
-    # built once per call. A crop is a slice of the page's lines unless
-    # a line straddles a band edge; only then are the band's tokens
-    # regrouped.
-    crop_cache: dict[tuple[int, int], tuple[list[Line], PageIndex | _LineWindow]] = {}
+    if page_index is None:
+        page_index = PageIndex(lines if lines is not None else group_lines(tokens))
+    # A band crop is a window of the page's lines, matched from the
+    # page's question table, unless a line straddles a band edge; only
+    # then are the band's tokens regrouped.
+    crops: dict[tuple[int, int], PageIndex | _LineWindow] = {}
 
-    def cropped(y1c: int, y2c: int) -> tuple[list[Line], PageIndex | _LineWindow]:
-        key = (y1c, y2c)
-        hit = crop_cache.get(key)
-        if hit is None:
-            hit = page_idx.band(y1c, y2c)
-            if hit is None:
-                band_lines = group_lines(band_tokens(tokens, y1c, y2c))
-                hit = (band_lines, PageIndex(band_lines))
-            crop_cache[key] = hit
-        return hit
+    def crop(y1c: int, y2c: int) -> PageIndex | _LineWindow:
+        view = crops.get((y1c, y2c))
+        if view is None:
+            view = page_index.band(y1c, y2c)
+            if view is None:
+                view = PageIndex(group_lines(band_tokens(tokens, y1c, y2c)))
+            crops[(y1c, y2c)] = view
+        return view
 
     out: list[dict[str, Any]] = []
     for sec in sections:
@@ -661,9 +738,6 @@ def match_sections_and_questions(
         qs = sec.get("questions") or []
         if not qs:
             continue
-        qhits = match_questions_in_lines(page_lines, qs, page_idx)
-        sec_hits: list[dict[str, Any]] = []
-        claimed_by_q: dict[str, set[tuple[int, int]]] = {}
         yband = bands.get(sec_name)
         sec_anchor_y = anchors.get(sec_name)
         min_start_y = (
@@ -671,16 +745,20 @@ def match_sections_and_questions(
             if isinstance(sec_anchor_y, (int, float))
             else None
         )
-        for q in qs:
-            hits = [h for h in qhits.get(q, []) if not h.get("skipped")]
+
+        def in_band(hits: list[Hit]) -> list[Hit]:
+            y1, y2 = yband
+            return [
+                h
+                for h in hits
+                if y1 <= h["y"] <= y2 and (min_start_y is None or h["y"] >= min_start_y)
+            ]
+
+        def section_hits(q: str) -> list[Hit]:
+            """``q``'s hits for this section, in (y, x) order."""
+            hits = page_index.hits(q)
             if yband:
-                y1, y2 = yband
-                hits = [
-                    h
-                    for h in hits
-                    if y1 <= h.get("y", 0) <= y2
-                    and (min_start_y is None or h.get("y", 0) >= min_start_y)
-                ]
+                hits = in_band(hits)
             # Band-crop retry (V5 analog, response_extractor.py:700-748).
             if not hits and yband:
                 y1, y2 = yband
@@ -693,16 +771,14 @@ def match_sections_and_questions(
                 def try_crop(y2c_local: int) -> list[Hit]:
                     # crop lines keep absolute y, so hits need no
                     # crop-space shift-back
-                    local_hits = []
-                    band_lines, band_idx = cropped(y1c, y2c_local)
-                    bhits = match_questions_in_lines(band_lines, [q], band_idx).get(q, [])
-                    for bh in bhits:
-                        if (min_start_y is None) or (bh.get("y", 0) >= min_start_y):
-                            local_hits.append(bh)
-                    return local_hits
+                    return [
+                        bh
+                        for bh in crop(y1c, y2c_local).hits(q)
+                        if min_start_y is None or bh["y"] >= min_start_y
+                    ]
 
-                band_hits = try_crop(y2c_primary)
-                if not band_hits and section_regions and sec_name in anchors:
+                hits = try_crop(y2c_primary)
+                if not hits and section_regions and sec_name in anchors:
                     idx = next(
                         (i for i, (n, _) in enumerate(ordered) if n == sec_name), None
                     )
@@ -714,28 +790,26 @@ def match_sections_and_questions(
                         )
                         y2c_wide = max(y1c + 1, int(min(page_height, next_anchor_bottom)))
                         if y2c_wide > y2c_primary:
-                            band_hits = try_crop(y2c_wide)
-                hits.extend(band_hits)
+                            hits = try_crop(y2c_wide)
             # Cross-page fallback (response_extractor.py:751-766).
             if not hits and next_head is not None:
-                xhits = match_questions_in_lines(
-                    next_head.lines, [q], next_head.index
-                ).get(q, [])
+                hits = next_head.index.hits(q)
                 if yband:
-                    y1, y2 = yband
-                    xhits = [
-                        h
-                        for h in xhits
-                        if y1 <= h.get("y", 0) <= y2
-                        and (min_start_y is None or h.get("y", 0) >= min_start_y)
-                    ]
-                hits.extend(xhits)
-            if not hits:
-                continue
-            # K-th occurrence claiming (D4, response_extractor.py:770-782).
+                    hits = in_band(hits)
+            return sorted(hits, key=lambda h: (h["y"], h["x"]))
+
+        # A question listed k times claims its k first hits
+        # (D4, response_extractor.py:770-782); its hits are read once.
+        ranked: dict[str, list[Hit]] = {}
+        claimed_by_q: dict[str, set[tuple[int, int]]] = {}
+        sec_hits: list[dict[str, Any]] = []
+        for q in qs:
+            hits = ranked.get(q)
+            if hits is None:
+                hits = ranked[q] = section_hits(q)
             claimed = claimed_by_q.setdefault(q, set())
-            for chosen in sorted(hits, key=lambda h: (h.get("y", 0), h.get("x", 0))):
-                key = (int(chosen.get("x", 0)), int(chosen.get("y", 0)))
+            for chosen in hits:
+                key = (chosen["x"], chosen["y"])
                 if key in claimed:
                     continue
                 claimed.add(key)
@@ -743,8 +817,8 @@ def match_sections_and_questions(
                     {
                         "question": q,
                         "position": [key[0], key[1]],
-                        "segments": chosen.get("segments", []),
-                        "skipped": chosen.get("skipped"),
+                        "segments": chosen["segments"],
+                        "skipped": None,
                     }
                 )
                 break

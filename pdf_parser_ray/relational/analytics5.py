@@ -771,9 +771,11 @@ def q_brand_rank_stability(sf_dir: str):
     wide = folded.pivot_table(
         index="brand", columns="half", values="cents", aggfunc="sum"
     )
-    both = wide.dropna()
-    r1 = [int(v) for v in both.get(0, pd.Series(dtype=float)).fillna(0)]
-    r2 = [int(v) for v in both.get(1, pd.Series(dtype=float)).fillna(0)]
+    # brands present in both halves; a half with no rows at all (every
+    # ship date in one month) leaves none
+    both = wide.reindex(columns=[0, 1]).dropna()
+    r1 = [int(v) for v in both[0]]
+    r2 = [int(v) for v in both[1]]
     nb = len(r1)
     conc = disc = ties = 0
     for i in range(nb):
@@ -1284,6 +1286,15 @@ def q_theil_decomposition(sf_dir: str, n_buckets: int = 32):
     if n_tot == 0 or x_tot == 0:
         return pd.DataFrame({c: pd.Series([0], dtype=np.int64) for c in out_cols})
 
+    # Every lnm argument (xᵢ·N, xᵢ·N_g, X_g·N, X·N_g) is at most one of
+    # these two; past 2⁶³ numpy's int64 would wrap silently where the
+    # oracle's BIGINT raises, so fail as it does.
+    bound = max(int(groups["x_g"].max()) * n_tot, x_tot * int(groups["n_g"].max()))
+    if bound >= 2**63:
+        raise OverflowError(
+            f"theil_decomposition: spend × count {bound} passes 2^63 (int64); "
+            "rescale the spend unit"
+        )
     ng_map = {
         int(r.nation): (int(r.n_g), int(r.x_g)) for r in groups.itertuples()
     }
@@ -2142,14 +2153,16 @@ def q_source_length_drift(sf_dir: str):
     pivot = h.pivot_table(index="v", columns="s", values="c", aggfunc="sum").fillna(0).sort_index()
     n_total = int(pivot.to_numpy().sum())
     rows = []
+    vs = pivot.index.to_numpy(np.int64)
     for s in sorted(pivot.columns):
         cs = pivot[s].to_numpy(np.int64)
         call = pivot.sum(axis=1).to_numpy(np.int64)
         n_s = int(cs.sum())
         n_r = n_total - n_s
         cum_s = cum_all = 0
-        d_num, at_v = 0, 0
-        for v, a, t in zip(pivot.index.to_numpy(np.int64), cs, call):
+        # a max gap of 0 is attained first at the smallest length
+        d_num, at_v = 0, int(vs[0])
+        for v, a, t in zip(vs, cs, call):
             cum_s += int(a)
             cum_all += int(t)
             gap = abs(cum_s * n_r - (cum_all - cum_s) * n_s)
@@ -2291,6 +2304,10 @@ QUERIES = {
 }
 
 ORACLE_SQL = {
+    # Diverges on a series shorter than 2 months (t < 2): the engine
+    # emits one row (n_right 0, gain 0) and the oracle none, as its sc
+    # CTE keeps only cum.rn < t.n. test_single_month_degenerate pins the
+    # engine's row; every benchmark scale has many months.
     "revenue_changepoint": _SQL_CHANGEPOINT,
     "seasonal_strength": _SQL_SEASONAL_STRENGTH,
     "rfm_segments": _SQL_RFM,

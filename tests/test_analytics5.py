@@ -264,45 +264,56 @@ class TestReadability:
         assert got.loc[2, "n_sentences"] == 0 and got.loc[2, "n_syllables"] == 0
 
 
+def _brand_tables(tmp_path, partkeys, prices, ship):
+    """Brands A and B (partkeys 1 and 2) and one lineitem per price;
+    returns the engine's answer and DuckDB's on the registered oracle."""
+    part = pa.table(
+        {
+            "p_partkey": pa.array([1, 2], pa.int64()),
+            "p_brand": pa.array(["A", "B"], pa.string()),
+        }
+    )
+    li = pa.table(
+        {
+            "l_orderkey": pa.array(np.arange(1, len(prices) + 1), pa.int64()),
+            "l_partkey": pa.array(partkeys, pa.int64()),
+            "l_extendedprice": pa.array(prices),
+            "l_shipdate": pa.array([np.datetime64(d, "us") for d in ship], pa.timestamp("us")),
+        }
+    )
+    pq.write_table(part, str(tmp_path / "part.parquet"))
+    pq.write_table(li, str(tmp_path / "lineitem.parquet"))
+    got = a5.q_brand_rank_stability(str(tmp_path))
+    con = duckdb.connect()
+    for t in ("part", "lineitem"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{tmp_path}/{t}.parquet'")
+    return got, con.sql(a5._SQL_BRAND_RANK_STABILITY).df()
+
+
 class TestBrandRankStability:
     def test_flip_and_stable(self, tmp_path):
         """Two brands whose revenue ranking flips between halves →
         one discordant pair; oracle hash-equal on the same fixture."""
-        import pyarrow.parquet as pq2
-
-        part = pa.table(
-            {
-                "p_partkey": pa.array([1, 2], pa.int64()),
-                "p_brand": pa.array(["A", "B"], pa.string()),
-            }
-        )
         # months 1995-01 (half 0) and 1995-12 (half 1): A dominates
         # early, B dominates late
-        ship = [
-            np.datetime64("1995-01-05", "us"), np.datetime64("1995-01-06", "us"),
-            np.datetime64("1995-12-05", "us"), np.datetime64("1995-12-06", "us"),
-        ]
-        li = pa.table(
-            {
-                "l_orderkey": pa.array([1, 2, 3, 4], pa.int64()),
-                "l_partkey": pa.array([1, 2, 1, 2], pa.int64()),
-                "l_extendedprice": pa.array([100.0, 10.0, 10.0, 100.0]),
-                "l_shipdate": pa.array(ship, pa.timestamp("us")),
-            }
+        got, oracle = _brand_tables(
+            tmp_path,
+            [1, 2, 1, 2],
+            [100.0, 10.0, 10.0, 100.0],
+            ["1995-01-05", "1995-01-06", "1995-12-05", "1995-12-06"],
         )
-        pq2.write_table(part, str(tmp_path / "part.parquet"))
-        pq2.write_table(li, str(tmp_path / "lineitem.parquet"))
-        got = a5.q_brand_rank_stability(str(tmp_path))
         assert got.loc[0, "n_brands"] == 2 and got.loc[0, "n_pairs"] == 1
         assert got.loc[0, "discordant"] == 1 and got.loc[0, "tau_num"] == -1
-        con = duckdb.connect()
-        for t in ("part", "lineitem"):
-            con.execute(
-                f"CREATE VIEW {t} AS SELECT * FROM '{tmp_path}/{t}.parquet'"
-            )
-        assert _canon(got) == _canon(
-            con.sql(a5._SQL_BRAND_RANK_STABILITY).df()
+        assert _canon(got) == _canon(oracle)
+
+    def test_single_month_has_no_second_half(self, tmp_path):
+        """Every ship date in one month: the midpoint is that month, so
+        no brand has a half-1 revenue and none is counted."""
+        got, oracle = _brand_tables(
+            tmp_path, [1, 2, 1], [100.0, 10.0, 5.0], ["1995-03-01", "1995-03-02", "1995-03-30"]
         )
+        assert got.loc[0, "n_brands"] == 0 and got.loc[0, "n_pairs"] == 0
+        assert _canon(got) == _canon(oracle)
 
 
 class TestBasketTriples:
@@ -460,6 +471,19 @@ class TestTheilDecomposition:
         assert got.loc[0, "theil_micro"] == 0
         assert got.loc[0, "between_micro"] == 0
         assert got.loc[0, "within_micro"] == 0
+
+    def test_int64_envelope_fails_loudly(self, tmp_path):
+        """A customer spending 5·10¹⁸ cents among 2 customers puts
+        xᵢ·N past 2⁶³: the engine raises rather than wrap, as the
+        oracle's BIGINT arithmetic does."""
+        self._fixture(tmp_path, {0: [5e16], 1: [1.0]})
+        with pytest.raises(OverflowError, match="2\\^63"):
+            a5.q_theil_decomposition(str(tmp_path))
+        con = duckdb.connect()
+        for t in ("customer", "orders"):
+            con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{tmp_path}/{t}.parquet'")
+        with pytest.raises(duckdb.OutOfRangeException):
+            con.sql(a5._SQL_THEIL).df()
 
 
 class TestReturnRatePchart:
@@ -711,6 +735,27 @@ class TestSourceLengthDrift:
         assert _canon(got.reset_index()) == _canon(
             con.sql(a5._SQL_SOURCE_LENGTH_DRIFT).df()
         )
+
+    def test_single_source_gap_zero_at_smallest_length(self, tmp_path):
+        """One source: the rest is empty, every gap is 0, and the max is
+        first attained at the smallest length (the oracle's MIN(v))."""
+        lens = [300, 100, 200, 100, 250]
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": pa.array(np.arange(len(lens)), pa.int64()),
+                    "text": pa.array(["x"] * len(lens), pa.string()),
+                    "source": pa.array(["only"] * len(lens), pa.string()),
+                    "n_chars": pa.array(lens, pa.int64()),
+                }
+            ),
+            str(tmp_path / "documents.parquet"),
+        )
+        got = a5.q_source_length_drift(str(tmp_path))
+        assert got.loc[0, "d_num"] == 0 and got.loc[0, "at_value"] == 100
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW documents AS SELECT * FROM '{tmp_path}/documents.parquet'")
+        assert _canon(got) == _canon(con.sql(a5._SQL_SOURCE_LENGTH_DRIFT).df())
 
 
 class TestRevenueOutlierDays:

@@ -108,3 +108,37 @@ class TestQueryCli:
     def test_unknown_query_is_loud(self, ray_session, capsys):
         assert main(["query", "no_such_query"]) == 2
         assert "unknown query" in capsys.readouterr().out
+
+
+class TestRegressCli:
+    """The `regress` subcommand seeds goldens, passes an unchanged
+    corpus and fails a document whose golden differs."""
+
+    def test_seed_pass_and_fail(self, ray_session, corpus, tmp_path, capsys):
+        from pdf_parser_ray.stages.parse import extract_spans
+        from pdf_parser_ray.io.synth import DEFAULT_CONFIG
+
+        goldens = str(tmp_path / "goldens.json")
+        argv = ["regress", "--corpus", corpus, "--goldens", goldens]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {
+            "passed": 0, "failed": 0, "seeded": 6,
+        }
+        with open(goldens) as f:
+            seeded = json.load(f)
+        doc = "doc-00000002"
+        want = extract_spans(doc, gen_document(doc, 42), DEFAULT_CONFIG)
+        assert seeded[doc] == [[s["kind"], s["text"], s["media_ref"], s["offset"]] for s in want]
+
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {
+            "passed": 6, "failed": 0, "seeded": 0,
+        }
+
+        seeded[doc] = seeded[doc][:-1]
+        with open(goldens, "w") as f:
+            json.dump(seeded, f)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert f"[FAIL] {doc}" in out
+        assert json.loads(out.splitlines()[-1]) == {"passed": 5, "failed": 1, "seeded": 0}

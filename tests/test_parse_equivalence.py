@@ -1,13 +1,14 @@
 """Property tests for the parse stage's shortcuts:
 
 * a band crop sliced from the page's lines (``PageIndex.band``) equals
-  regrouping the band's tokens, lines and candidate index alike, and
-  the question matcher's output does not depend on which path a crop
-  took;
+  regrouping the band's tokens, lines and hits alike, and the question
+  matcher's output does not depend on which path a crop took;
+* a band window's multiline hit, read from the page's question table,
+  equals ``try_multiline`` over the window's lines;
 * the next page's head cut from its own lines and the extended index
   of :class:`NextHead` equal regrouping and re-indexing them;
-* the matcher's per-line and per-question memos, the bisected answer
-  windows and the page's shared (y, x) order change no output;
+* the page's question table, the bisected answer windows and the
+  page's shared (y, x) order change no output;
 * the columnar span decode (``span_columns`` → ``decode_spans``, word
   geometry parsed in Arrow) equals ``decode_spans`` on the
   ``to_pylist()`` span dicts, for sliced batches, multi-chunk columns
@@ -65,6 +66,7 @@ band_st = st.one_of(
     st.tuples(st.integers(-10, 420), st.integers(-10, 420)),
 )
 EXPS = [expected(w) for w in ("Would", "you", "YES", "no", "il", "")]
+QUESTIONS = ["Would you like", "Yes No", "reminders?", "you like", "Would you", "No 1l -"]
 
 
 def _shape(lines):
@@ -75,6 +77,26 @@ def _shape(lines):
         )
         for ln in lines
     ]
+
+
+def _plain_hits(lines, q):
+    """A question's hits on ``lines`` matched from scratch, without the
+    question table: every line's full matches, then the multiline hit
+    of ``try_multiline`` over all start lines."""
+    words = q.split()
+    hits, seen = [], set()
+    for line in lines:
+        for seg in find_all_full_in_line(line["words"], words):
+            key = (int(seg["start_x"]), int(seg["line_y"]))
+            if key not in seen:
+                seen.add(key)
+                hits.append({"x": key[0], "y": key[1], "segments": [seg]})
+    hit = try_multiline(lines, words) if words else None
+    if hit is not None:
+        key = (int(hit["start"][0]), int(hit["start"][1]))
+        if key not in seen:
+            hits.append({"x": key[0], "y": key[1], "segments": hit["segments"]})
+    return hits
 
 
 @settings(max_examples=500, deadline=None)
@@ -92,13 +114,44 @@ def test_band_slice_equals_regroup(tokens, band):
             for e in (y1, y2)
         )
         return
-    lines, window = got
-    assert _shape(lines) == _shape(want_lines)
+    window = got
+    a, b = window.a, window.b
+    assert _shape(page.lines[a:b]) == _shape(want_lines)
     want_index = PageIndex(want_lines)
     for exp in EXPS:
-        assert window.candidates(exp) == want_index.candidates(exp)
-        # the page's memoized scan gives the same answer twice
-        assert window.candidates(exp) == want_index.candidates(exp)
+        # the window's start lines are the page's, restricted and renumbered
+        assert {
+            li - a: toks for li, toks in page.candidates(exp).items() if a <= li < b
+        } == want_index.candidates(exp)
+    for q in QUESTIONS:
+        assert window.hits(q) == want_index.hits(q)
+        # the page's memoized rows give the same answer twice
+        assert window.hits(q) == want_index.hits(q)
+
+
+# words stacked on lines 30 apart, so multiline questions span them
+stacked_token = token.flatmap(
+    lambda t: st.just(dict(t, y=30 * (3 * t["block"] + t["line"]), text=t["text"] or "like"))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(tokens_st, st.lists(stacked_token, min_size=1, max_size=40)),
+    band_st,
+    st.sampled_from(QUESTIONS),
+    st.booleans(),
+)
+def test_window_multiline_equals_try_multiline(tokens, band, q, page_first):
+    page = PageIndex(group_lines([dict(t) for t in tokens]))
+    if page_first:
+        # the page's outcomes computed before the window reads them
+        page.hits(q)
+    window = page.band(*band)
+    if window is None:
+        return
+    a, b = window.a, window.b
+    assert page.window_multiline(q, a, b) == try_multiline(page.lines[a:b], q.split())
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,15 +210,22 @@ def test_next_head_from_next_lines_equals_regroup(tokens, next_tokens, n_groups,
             next_lines=lambda: next_lines,
         ).index.candidates(exp) == want.candidates(exp)
         assert page_index.candidates(exp) == PageIndex(page_lines).candidates(exp)
+    for q in QUESTIONS:
+        # the page's rows built first, their full matches reused, or not
+        page_index.hits(q)
+        assert got.hits(q) == _plain_hits(regrouped.lines, q)
+        assert NextHead(
+            page_lines, next_tokens, height, n_groups, next_lines=lambda: next_lines
+        ).index.hits(q) == _plain_hits(regrouped.lines, q)
 
 
-def _unmemoized(line, q, q_words, candidates):
-    return find_all_full_in_line(line["words"], q_words, line=line, candidates=candidates)
-
-
-def _multiline_unmemoized(index, q, q_words, cand_by_line):
-    lines = index.lines if isinstance(index, PageIndex) else index.page.lines[index.a : index.b]
-    return try_multiline(lines, q_words, cand_by_line)
+def _stacked(words_at):
+    """Tokens ``(text, x, y)``, one line per distinct ``y``."""
+    ys = sorted({y for _t, _x, y in words_at})
+    return [
+        {"text": t, "x": x, "y": y, "w": 10, "h": 10, "block": 0, "par": 0, "line": ys.index(y)}
+        for t, x, y in words_at
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,28 +235,41 @@ def _multiline_unmemoized(index, q, q_words, cand_by_line):
     st.lists(token, max_size=8),
 )
 @example(  # a line holding two questions that share their first words
-    [
-        {"text": t, "x": x, "y": 100, "w": 10, "h": 10, "block": 0, "par": 0, "line": 0}
-        for t, x in (("Would", 0), ("you", 20), ("like", 40))
-    ],
+    _stacked([("Would", 0, 100), ("you", 20, 100), ("like", 40, 100)]),
     [(50, 300)],
     [],
 )
 @example(  # a two-line question below ALPHA's band that only its widened crop finds
-    [
-        {"text": t, "x": x, "y": y, "w": 10, "h": 10, "block": 0, "par": 0, "line": ln}
-        for t, x, y, ln in (("Would", 0, 100, 0), ("you", 20, 100, 0), ("like", 0, 130, 1))
-    ],
+    _stacked([("Would", 0, 100), ("you", 20, 100), ("like", 0, 130)]),
     [(0, 50), (300, 350)],
     [],
 )
+@example(  # "Yes No" listed four times, below the band: the widened crop finds three
+    _stacked([("Yes", 0, y) for y in (100, 130, 160)] + [("No", 20, y) for y in (100, 130, 160)]),
+    [(0, 50)],
+    [],
+)
+@example(  # ALPHA's band ends at 110: the page's search from y 100 reads y 130, past it
+    _stacked(
+        [("Would", 0, 10), ("you", 20, 10), ("like", 0, 20)]
+        + [("Would", 0, 100), ("you", 20, 100), ("like", 0, 130)]
+    ),
+    [(0, 400), (111, 400)],
+    [],
+)
 def test_matcher_same_with_and_without_memos(tokens, bands, next_tokens):
-    names = ["ALPHA", "BETA", "GAMMA"][: len(bands)]
+    # NOWHERE has no region: its hits are not banded, and its
+    # cross-page hits may lie on the next page's head lines
+    names = ["ALPHA", "BETA", "GAMMA"][: len(bands)] + ["NOWHERE"]
     sections = [
         {
             "section_name": n,
-            # two questions share a first word, two a last one
-            "questions": ["Would you like", "Yes No", "reminders?", "you like", "Would you"],
+            # two questions share a first word, two a last one, and
+            # one is listed four times
+            "questions": [
+                "Would you like", "Yes No", "reminders?", "you like", "Would you",
+                "Yes No", "Yes No", "Yes No",
+            ],
         }
         for n in names
     ]
@@ -217,9 +290,11 @@ def test_matcher_same_with_and_without_memos(tokens, bands, next_tokens):
         ]
 
     memoized = run()
-    with mock.patch.object(questions, "line_full_matches", _unmemoized), \
-            mock.patch.object(PageIndex, "multiline", _multiline_unmemoized), \
-            mock.patch.object(questions._LineWindow, "multiline", _multiline_unmemoized):
+    with mock.patch.object(PageIndex, "hits", lambda self, q: _plain_hits(self.lines, q)), \
+            mock.patch.object(
+                questions._LineWindow, "hits",
+                lambda self, q: _plain_hits(self.page.lines[self.a : self.b], q),
+            ):
         plain = run()
     assert memoized == plain
 
