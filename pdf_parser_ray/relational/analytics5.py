@@ -1202,9 +1202,12 @@ def q_theil_decomposition(sf_dir: str, n_buckets: int = 32):
     reported with ``*_micro = num / X`` in TRUNCATING integer
     division (DuckDB ``//`` truncates toward zero where Python
     floors — the sign is handled explicitly so both sides agree on
-    the near-zero negatives the ln snap can produce). Envelope:
-    ``xᵢ·N < 2⁶³`` (≈ sf100 in cents; rescale the unit past that,
-    the ``revenue_autocorr`` rule).
+    the near-zero negatives the ln snap can produce). Envelope: every
+    ``lnm`` argument below 2⁶³. The binding ones are ``X_g·N`` and
+    ``X·N_g``, which grow as N² (2.4·10¹⁵ in cents at sf0.1, so about
+    sf6); past that the query raises ``OverflowError``, as the oracle's
+    BIGINT products do (rescale the unit, the ``revenue_autocorr``
+    rule).
 
     Shape: ONE custkey-bucket exchange resolves per-customer
     spend WITH its nation (the ``spend_gini`` join pattern); the
