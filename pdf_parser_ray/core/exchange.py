@@ -1,20 +1,28 @@
-"""The co-partitioned exchange: the one place two or more Datasets meet.
+"""The keyed exchange: the one path by which rows move to a bucket fold.
 
 Every wide join, semi join and co-grouped fold in the engine moves its
-sides through :func:`exchange`. One module decides the routing (an
-integer key goes to ``key % n_buckets``, any other key to
-``core.util.hash_bucket``), how the sides are told apart on the wire,
-and what a fold sees when a side has no rows in a bucket.
+sides through :func:`exchange`, and so does every single-sided fold
+over coarse key buckets (a per-user window scan, a per-term count, a
+dedup by fingerprint): one side, one key, one fold per bucket. One
+module decides the routing (an integer key goes to ``key % n_buckets``,
+any other key to ``core.util.hash_bucket`` of each distinct value), how
+the sides are told apart on the wire, and what a fold sees when a side
+has no rows in a bucket. A fold keyed on a natural value that must see
+one group alone (a priority, a year, one global group) stays a plain
+``groupby(column).map_groups``.
 
-On the wire each input batch becomes ``n_buckets`` rows
-``(bucket, side, rows)``: ``rows`` holds the batch's rows for that
-bucket as one Arrow IPC stream, its own schema included. One sort-based
-``groupby(bucket).map_groups`` barrier moves them, and the fold gets
-one Arrow table per side rebuilt from its own streams. No side's
-columns are ever padded into another side's schema, so an int64
-payload stays int64 — a null-padded pandas column would float and
-corrupt wide ints — and a side with no rows in a bucket still arrives
-as an empty table with that side's schema.
+On the wire each input batch becomes one row ``(bucket, side, rows)``
+per bucket it has rows for: ``rows`` holds the batch's rows for that
+bucket as one Arrow IPC stream, its own schema included. A bucket
+slice with no rows sends nothing, so a fold is called only for
+buckets where some side has rows, and every call holds at least one
+row. One sort-based ``groupby(bucket).map_groups`` barrier moves the
+streams, and the fold gets one Arrow table per side rebuilt from its
+own streams. No side's columns are ever padded into another side's
+schema, so an int64 payload stays int64 — a null-padded pandas column
+would float and corrupt wide ints — and a side with no rows in a
+bucket that another side has rows in arrives as an empty table with
+that side's schema.
 
 A side with no rows anywhere sends no stream, so the fold gets that
 side's schema from the driver: the schema the side states as the
@@ -46,6 +54,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _route(key: pa.ChunkedArray, n_buckets: int) -> np.ndarray:
@@ -54,9 +63,11 @@ def _route(key: pa.ChunkedArray, n_buckets: int) -> np.ndarray:
         return k % n_buckets
     from .util import hash_bucket
 
-    return np.fromiter(
-        (hash_bucket(v, n_buckets) for v in key.to_pylist()), np.int64, len(key)
-    )
+    # hash each distinct value once, then spread the hashes to the rows
+    d = pc.dictionary_encode(key.combine_chunks(), null_encoding="encode")
+    values = d.dictionary.to_pylist()
+    per_value = np.fromiter((hash_bucket(v, n_buckets) for v in values), np.int64, len(values))
+    return per_value[d.indices.to_numpy(zero_copy_only=False)]
 
 
 def _has_barrier(ds) -> bool:
@@ -110,37 +121,46 @@ def exchange(
     when a side must state it). Rows of every side whose keys share a
     bucket meet in one call ``fold(t0, t1, ...)``, one ``pa.Table`` per
     side in ``sides`` order, each with only that side's columns and
-    types. A bucket where a side has no rows hands that side an empty
-    table of its schema, also when the side has no rows anywhere.
-    ``fold`` returns a block (``pa.Table`` or pandas frame); it is also
-    called for buckets where every side is empty, so it must give empty
-    output explicit column types. With more than one side, building
-    the exchange materializes each side that holds a barrier.
+    types. ``fold`` is called only for buckets where some side has
+    rows; a side with no rows in such a bucket gets an empty table of
+    its schema, also when the side has no rows anywhere. A lone side's
+    fold therefore always gets at least one row, as
+    ``groupby().map_groups`` gives. ``fold`` returns a block
+    (``pa.Table``, pandas frame or dict of columns); a fold that works
+    in pandas calls ``.to_pandas()`` on its table. With more than one
+    side, building the exchange materializes each side that holds a
+    barrier.
 
     A caller whose bucket is not a function of one key column packs
     the extra part into the key it hands over (a salted join routes on
-    ``(key % B) * S + salt`` with ``n_buckets = B * S``)."""
+    ``(key % B) * S + salt`` with ``n_buckets = B * S``; a fold over
+    (source, segment) pairs hands over one crc32 of both). A key that
+    already names a bucket below ``n_buckets`` (a value-range bucket,
+    a crc32 bucket a shared helper emits) is its own bucket."""
     n_sides = len(sides)
-    buckets = pa.array(np.arange(n_buckets, dtype=np.int64))
 
     def tagger(side: int, key: str):
-        tag = pa.array(np.full(n_buckets, side, np.int8))
-
         def split(b: pa.Table) -> pa.Table:
             bucket = _route(b[key], n_buckets)
             order = np.argsort(bucket, kind="stable")
             bounds = np.searchsorted(bucket[order], np.arange(n_buckets + 1))
             b = b.take(pa.array(order))
-            rows = [_to_ipc(b.slice(lo, hi - lo)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            # an empty slice sends no stream: a fold is called only for
+            # buckets where some side has rows
+            sent = np.flatnonzero(bounds[1:] > bounds[:-1])
+            rows = [_to_ipc(b.slice(bounds[i], bounds[i + 1] - bounds[i])) for i in sent]
             return pa.table(
-                {"bucket": buckets, "side": tag, "rows": pa.array(rows, pa.large_binary())}
+                {
+                    "bucket": pa.array(sent, pa.int64()),
+                    "side": pa.array(np.full(len(sent), side, np.int8)),
+                    "rows": pa.array(rows, pa.large_binary()),
+                }
             )
 
         return split
 
     stated = [s[2] if len(s) > 2 else None for s in sides]
     sides = [(s[0], s[1]) for s in sides]
-    # a lone side is folded only in the buckets it sends rows to
     schemas = stated
     if n_sides > 1:
         sides = [(ds.materialize() if _has_barrier(ds) else ds, key) for ds, key in sides]

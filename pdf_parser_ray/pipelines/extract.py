@@ -26,6 +26,7 @@ from typing import Any
 import pyarrow as pa
 
 from ..core.config import FormConfig
+from ..core.exchange import exchange
 from ..core.schema import explode_spans
 from ..stages.parse import DocumentExtractor
 
@@ -314,15 +315,8 @@ def extract_offset_audit(sf_dir: str, n_buckets: int = 32, _spans=None):
             .agg(["size", "min", "max"])
             .reset_index()
         )
-        import zlib
-
-        h = np.array(
-            [zlib.crc32(str(d).encode()) for d in agg["doc_id"]],
-            dtype=np.int64,
-        )
         return pa.table(
             {
-                "bucket": pa.array(h % n_buckets, pa.int64()),
                 "doc_id": pa.array(agg["doc_id"].tolist(), pa.string()),
                 "n": pa.array(agg["size"].to_numpy(np.int64), pa.int64()),
                 "mn": pa.array(agg["min"].to_numpy(np.int64), pa.int64()),
@@ -330,7 +324,8 @@ def extract_offset_audit(sf_dir: str, n_buckets: int = 32, _spans=None):
             }
         )
 
-    def verdicts(g: pd.DataFrame) -> pa.Table:
+    def verdicts(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         per = g.groupby("doc_id", sort=False).agg(
             n=("n", "sum"), mn=("mn", "min"), mx=("mx", "max")
         )
@@ -344,10 +339,9 @@ def extract_offset_audit(sf_dir: str, n_buckets: int = 32, _spans=None):
             }
         )
 
+    keyed = spans.map_batches(partial, batch_format="pyarrow", batch_size=None)
     per_bucket = (
-        spans.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(verdicts, batch_format="pandas")
+        exchange([(keyed, "doc_id")], verdicts, n_buckets=n_buckets)
         .to_pandas()  # bounded: ≤ n_buckets verdict rows
     )
     return pd.DataFrame(
@@ -366,15 +360,13 @@ def extract_kind_transitions(sf_dir: str, n_buckets: int = 32, _spans=None):
     (:func:`extract_kind_stats`) cannot see, because it audits the
     north rule's ORDER dimension, not just span identity.
 
-    Shape: spans re-key by a coarse ``crc32(doc_id) % B`` bucket
-    carrying only (doc_id, kind, offset) — text/media_ref never move —
+    Shape: spans exchange on doc_id into B coarse buckets carrying
+    only (doc_id, kind, offset) — text/media_ref never move —
     each bucket sorts (doc, offset) once and counts its same-doc
     shifted pairs vectorized into ≤ kinds² cells; a tiny (from, to)
     groupby merges buckets. Oracle: ``LAG(kind) OVER (PARTITION BY
     doc_id ORDER BY offset)`` over the frozen fixture.
     """
-    import zlib
-
     import numpy as np
     import pandas as pd
     from ray.data.aggregate import Sum
@@ -382,25 +374,15 @@ def extract_kind_transitions(sf_dir: str, n_buckets: int = 32, _spans=None):
     spans = flagship(sf_dir) if _spans is None else _spans
 
     def rekey(batch: pa.Table) -> pa.Table:
-        h = np.array(
-            [zlib.crc32(str(d).encode()) for d in batch["doc_id"].to_pylist()],
-            dtype=np.int64,
-        )
-        return pa.table(
-            {
-                "bucket": pa.array(h % n_buckets, pa.int64()),
-                "doc_id": batch["doc_id"],
-                "kind": batch["kind"],
-                "off": batch["offset"],
-            }
-        )
+        return pa.table({"doc_id": batch["doc_id"], "kind": batch["kind"], "off": batch["offset"]})
 
     _cell_schema = pa.schema(
         [("kind_from", pa.string()), ("kind_to", pa.string()),
          ("n", pa.int64())]
     )
 
-    def cells_bucket(g: pd.DataFrame) -> pa.Table:
+    def cells_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["doc_id", "off"], kind="stable")
         doc = g["doc_id"].to_numpy()
         kind = g["kind"].to_numpy()
@@ -422,10 +404,9 @@ def extract_kind_transitions(sf_dir: str, n_buckets: int = 32, _spans=None):
             schema=_cell_schema,
         )
 
+    keyed = spans.map_batches(rekey, batch_format="pyarrow", batch_size=None)
     return (
-        spans.map_batches(rekey, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(cells_bucket, batch_format="pandas")
+        exchange([(keyed, "doc_id")], cells_bucket, n_buckets=n_buckets)
         .groupby(["kind_from", "kind_to"])
         .aggregate(Sum("n", alias_name="n_pairs"))
     )
@@ -551,7 +532,6 @@ def extract_sharded(
     ``TestShardedExtract``); the artifact blob crosses the shuffle as
     an opaque pickled binary column (engine-internal exchange).
     """
-    import pandas as pd
     import pickle
 
     from ..io.synth import DEFAULT_CONFIG
@@ -596,23 +576,18 @@ def extract_sharded(
             }
         )
 
-    # Reassembly groups on a COARSE bucket of doc_id, not doc_id
-    # itself: one fine-keyed map_groups per document pays Ray's
-    # per-group overhead thousands of times (the repo-wide tiny-groups
-    # trap); inside a bucket the per-document replay is a plain pandas
-    # groupby. Bucket count scales with the session so buckets spread
-    # across workers.
+    # Reassembly exchanges on doc_id into COARSE buckets, not one
+    # group per document: one fine-keyed map_groups per document pays
+    # Ray's per-group overhead thousands of times (the repo-wide
+    # tiny-groups trap); inside a bucket the per-document replay is a
+    # plain pandas groupby. Bucket count scales with the session so
+    # buckets spread across workers.
     import ray
 
     n_buckets = max(8, int(ray.cluster_resources().get("CPU", 8)))
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from ..core.util import hash_bucket
-
-        buckets = [hash_bucket(d, n_buckets) for d in batch["doc_id"].to_pylist()]
-        return batch.append_column("bucket", pa.array(buckets, pa.int64()))
-
-    def reassemble_bucket(g: pd.DataFrame) -> pa.Table:
+    def reassemble_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         doc_ids: list[str] = []
         span_lists: list[list[dict]] = []
         for doc_id, sub in g.groupby("doc_id", sort=False):
@@ -626,8 +601,4 @@ def extract_sharded(
 
     sharded = ds.map_batches(split, batch_format="pyarrow", batch_size=8)
     arts_ds = sharded.map_batches(artifacts, batch_format="pyarrow", batch_size=1)
-    return (
-        arts_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reassemble_bucket, batch_format="pandas")
-    )
+    return exchange([(arts_ds, "doc_id")], reassemble_bucket, n_buckets=n_buckets)

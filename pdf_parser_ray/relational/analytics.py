@@ -114,7 +114,6 @@ def q_late_ship_priority(sf_dir: str, grace_days: int = 5):
     grace_us = grace_days * _US_PER_DAY
 
     def late_counts(batch: pa.Table) -> pa.Table:
-        import pandas as pd
 
         od = (
             batch["o_orderdate"].to_numpy(zero_copy_only=False)
@@ -931,13 +930,14 @@ def q_waiting_suppliers(
         np.maximum.at(mx, inv, ship)
         return pa.table(
             {
-                "bucket": pa.array((uniq >> _SUPP_BITS) % n_buckets),
+                "ok": pa.array(uniq >> _SUPP_BITS),
                 "pair": pa.array(uniq),
                 "max_ship_us": pa.array(mx),
             }
         )
 
-    def winners(g: pd.DataFrame) -> pa.Table:
+    def winners(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         # partials for one pair arrive as multiple rows (one per source
         # batch) — finish the MAX here instead of a separate global
         # pair-grain groupby
@@ -959,10 +959,9 @@ def q_waiting_suppliers(
             }
         )
 
+    keyed = li.map_batches(pair_max, batch_format="pyarrow", batch_size=None)
     counts = (
-        li.map_batches(pair_max, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(winners, batch_format="pandas")
+        exchange([(keyed, "ok")], winners, n_buckets=n_buckets)
         .groupby("s_suppkey")
         .aggregate(Sum("waiting_orders", alias_name="waiting_orders"))
     )
@@ -1338,7 +1337,6 @@ def q_event_unpivot(sf_dir: str):
     wide = q_event_pivot(sf_dir)
 
     def melt(batch: pa.Table) -> pa.Table:
-        import pandas as pd
 
         df = batch.to_pandas()
         m = df.melt(
@@ -1485,7 +1483,6 @@ def q_order_ewma(sf_dir: str, n_buckets: int = 32):
     2·10⁶·num exceeds int64. One custkey-bucket exchange at the order
     grain (the input grain of any ordered window), everything after is
     vectorized per partition."""
-    import pandas as pd
 
     orders = _read(
         sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"]
@@ -1495,7 +1492,6 @@ def q_order_ewma(sf_dir: str, n_buckets: int = 32):
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
                 "ck": pa.array(ck),
                 "ok": pa.array(
                     batch["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1508,7 +1504,8 @@ def q_order_ewma(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def ewma(g: pd.DataFrame) -> pa.Table:
+    def ewma(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["ck", "date_us", "ok"])
         ck = g["ck"].to_numpy(dtype=np.int64)
         cents = g["cents"].to_numpy(dtype=np.int64)
@@ -1539,11 +1536,8 @@ def q_order_ewma(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        orders.map_batches(tag, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(ewma, batch_format="pandas")
-    )
+    keyed = orders.map_batches(tag, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "ck")], ewma, n_buckets=n_buckets)
 
 
 _SQL_ORDER_EWMA = f"""
@@ -1856,7 +1850,6 @@ def q_event_validity_intervals(sf_dir: str, n_buckets: int = 32):
     as float64 — the same sentinel-coalesce discipline as
     attribution_last_touch). One user-bucket exchange at the event
     grain; the shift is a vectorized per-partition gather."""
-    import pandas as pd
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
@@ -1864,7 +1857,6 @@ def q_event_validity_intervals(sf_dir: str, n_buckets: int = 32):
         uid = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
                 "user_id": pa.array(uid),
                 "event_id": pa.array(
                     batch["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1876,7 +1868,8 @@ def q_event_validity_intervals(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def intervals(g: pd.DataFrame) -> pa.Table:
+    def intervals(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts_us", "event_id"])
         uid = g["user_id"].to_numpy(dtype=np.int64)
         ts = g["ts_us"].to_numpy(dtype=np.int64)
@@ -1902,11 +1895,8 @@ def q_event_validity_intervals(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        ev.map_batches(tag, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(intervals, batch_format="pandas")
-    )
+    keyed = ev.map_batches(tag, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "user_id")], intervals, n_buckets=n_buckets)
 
 
 _SQL_VALIDITY_INTERVALS = f"""
@@ -2113,7 +2103,7 @@ def q_spend_gini(sf_dir: str, n_buckets: int = 16):
     one step leaner than ``customer_spend_quartiles``'s two-pass
     bucket-rank: per-customer spends land in VALUE-RANGE buckets
     (monotone ``(bit_length, mantissa)`` binning — bucket order IS
-    value order), each (segment, vbucket) group emits the closed-form
+    value order), each (segment, vbin) group emits the closed-form
     pieces ``(k, Σc, Σ j·cⱼ)`` of its locally-sorted run, and the
     driver prefix-sums the O(segments × buckets) summary to place
     every group's global rank offset: ``Σ(2r−n−1)c = (2·offset+1−n)·Σc
@@ -2156,7 +2146,7 @@ def q_spend_gini(sf_dir: str, n_buckets: int = 16):
         return pa.table(
             {
                 "seg": pa.array(j["c_mktsegment"].astype(str), pa.string()),
-                "vbucket": pa.array(bl * (1 << m1) + sub, pa.int64()),
+                "vbin": pa.array(bl * (1 << m1) + sub, pa.int64()),
                 "key": pa.array(j["key"].to_numpy(dtype=np.int64), pa.int64()),
                 "cents": pa.array(c, pa.int64()),
             }
@@ -2184,7 +2174,7 @@ def q_spend_gini(sf_dir: str, n_buckets: int = 16):
         return pa.table(
             {
                 "seg": pa.array([str(g["seg"].iloc[0])], pa.string()),
-                "vbucket": pa.array([int(g["vbucket"].iloc[0])], pa.int64()),
+                "vbin": pa.array([int(g["vbin"].iloc[0])], pa.int64()),
                 "k": pa.array([k], pa.int64()),
                 "s_lo": pa.array([s & ((1 << _LIMB) - 1)], pa.int64()),
                 "s_hi": pa.array([s >> _LIMB], pa.int64()),
@@ -2194,10 +2184,10 @@ def q_spend_gini(sf_dir: str, n_buckets: int = 16):
         )
 
     summary = (
-        grain.groupby(["seg", "vbucket"])
+        grain.groupby(["seg", "vbin"])
         .map_groups(summarize, batch_format="pandas")
         .to_pandas()  # bounded: O(segments × value buckets) fixed-width rows
-        .sort_values(["seg", "vbucket"], kind="mergesort")
+        .sort_values(["seg", "vbin"], kind="mergesort")
     )
 
     out = []

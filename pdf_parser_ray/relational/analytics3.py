@@ -16,6 +16,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..core.exchange import exchange
 from .ops import _cents, _read, _rhalf
 from .analytics2 import _ts_us, _year_of
 
@@ -53,16 +54,10 @@ def q_user_active_time(sf_dir: str, ttl_s: int = 300, n_buckets: int = 32):
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
-                "user_id": batch["user_id"],
-                "ts_us": pc.cast(batch["ts"], pa.int64()),
-            }
-        )
+        return pa.table({"user_id": batch["user_id"], "ts_us": pc.cast(batch["ts"], pa.int64())})
 
-    def fold_bucket(g: "pd.DataFrame") -> pa.Table:
+    def fold_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts_us"], kind="stable")
         uid = g["user_id"].to_numpy(dtype=np.int64)
         ts = g["ts_us"].to_numpy(dtype=np.int64)
@@ -97,11 +92,8 @@ def q_user_active_time(sf_dir: str, ttl_s: int = 300, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "user_id")], fold_bucket, n_buckets=n_buckets)
 
 
 _SQL_USER_ACTIVE_TIME = """
@@ -161,16 +153,14 @@ def q_user_burstiness(sf_dir: str, n_buckets: int = 32):
         )
         return pa.table(
             {
-                "bucket": pa.array(
-                    agg["user_id"].to_numpy(np.int64) % n_buckets, pa.int64()
-                ),
                 "user_id": pa.array(agg["user_id"].to_numpy(np.int64), pa.int64()),
                 "day": pa.array(agg["day"].to_numpy(np.int64), pa.int64()),
                 "cnt": pa.array(agg["cnt"].to_numpy(np.int64), pa.int64()),
             }
         )
 
-    def fold_bucket(g: "pd.DataFrame") -> pa.Table:
+    def fold_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         cell = (
             g.groupby(["user_id", "day"], sort=False)["cnt"].sum().reset_index()
         )
@@ -202,11 +192,8 @@ def q_user_burstiness(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "user_id")], fold_bucket, n_buckets=n_buckets)
 
 
 _SQL_USER_BURSTINESS = """
@@ -544,12 +531,10 @@ def q_time_to_convert(sf_dir: str, n_buckets: int = 32):
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
         et = batch["event_type"]
         keep = pc.is_in(et, value_set=pa.array(["view", "purchase"]))
         t = pa.table(
             {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
                 "user_id": batch["user_id"],
                 "ts_us": pc.cast(batch["ts"], pa.int64()),
                 "is_view": pc.equal(et, "view"),
@@ -557,7 +542,8 @@ def q_time_to_convert(sf_dir: str, n_buckets: int = 32):
         )
         return t.filter(keep)
 
-    def fold_bucket(g: "pd.DataFrame") -> pa.Table:
+    def fold_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         views = (
             g[g["is_view"]]
             .groupby("user_id", sort=False)["ts_us"]
@@ -572,10 +558,9 @@ def q_time_to_convert(sf_dir: str, n_buckets: int = 32):
         vals = (lat["ts_us"] - lat["v0"]).to_numpy(dtype=np.int64)
         return pa.table({"latency_us": pa.array(vals, pa.int64())})
 
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
     lats = (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
+        exchange([(keyed, "user_id")], fold_bucket, n_buckets=n_buckets)
         .to_pandas()  # bounded: one row per CONVERTER (≤ users)
     )
     v = np.sort(lats["latency_us"].to_numpy(dtype=np.int64))
@@ -651,16 +636,15 @@ def q_top_decile_share(sf_dir: str):
             .sum()
             .reset_index()
         )
-        keys = agg["o_custkey"].to_numpy(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets, pa.int64()),
-                "o_custkey": pa.array(keys, pa.int64()),
+                "o_custkey": pa.array(agg["o_custkey"].to_numpy(np.int64), pa.int64()),
                 "cents": pa.array(agg["cents"].to_numpy(np.int64), pa.int64()),
             }
         )
 
-    def bucket_value_counts(g: "pd.DataFrame") -> pa.Table:
+    def bucket_value_counts(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         totals = g.groupby("o_custkey", sort=False)["cents"].sum()
         vals, cnt = np.unique(totals.to_numpy(dtype=np.int64), return_counts=True)
         return pa.table(
@@ -670,10 +654,9 @@ def q_top_decile_share(sf_dir: str):
             }
         )
 
+    keyed = orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
     vc = (
-        orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(bucket_value_counts, batch_format="pandas")
+        exchange([(keyed, "o_custkey")], bucket_value_counts, n_buckets=n_buckets)
         .to_pandas()  # bounded: ≤ one row per DISTINCT spend total per bucket
         .groupby("total_cents_v", sort=False)["cnt"]
         .sum()

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
+from ..core.exchange import exchange
 from .ops import _cents, _read, _rhalf
 from .analytics2 import _ts_us
 
@@ -223,16 +223,14 @@ def q_customer_survival_km(sf_dir: str, censor_days: int = 90, n_buckets: int = 
         )
         return pa.table(
             {
-                "bucket": pa.array(
-                    agg["ck"].to_numpy(np.int64) % n_buckets, pa.int64()
-                ),
                 "ck": pa.array(agg["ck"].to_numpy(np.int64), pa.int64()),
                 "first": pa.array(agg["first"].to_numpy(np.int64), pa.int64()),
                 "last": pa.array(agg["last"].to_numpy(np.int64), pa.int64()),
             }
         )
 
-    def cells_bucket(g: pd.DataFrame) -> pa.Table:
+    def cells_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         per = (
             g.groupby("ck", sort=False)
             .agg(first=("first", "min"), last=("last", "max"))
@@ -254,10 +252,9 @@ def q_customer_survival_km(sf_dir: str, censor_days: int = 90, n_buckets: int = 
             }
         )
 
+    keyed = orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
     cells = (
-        orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(cells_bucket, batch_format="pandas")
+        exchange([(keyed, "ck")], cells_bucket, n_buckets=n_buckets)
         .groupby(["t", "ev"])
         .aggregate(Sum("n", alias_name="n"))
         .to_pandas()  # ≤ 2 × #distinct-lifetimes rows (calendar-bounded)
@@ -584,13 +581,13 @@ def q_basket_lift(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
         ).drop_duplicates()
         return pa.table(
             {
-                "bucket": pa.array(df["ok"].to_numpy() % n_buckets, pa.int64()),
                 "ok": pa.array(df["ok"].to_numpy(), pa.int64()),
                 "pk": pa.array(df["pk"].to_numpy(), pa.int64()),
             }
         )
 
-    def cells_bucket(g: pd.DataFrame) -> pa.Table:
+    def cells_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         d = g.drop_duplicates(["ok", "pk"])
         j = d.merge(d, on="ok")
         j = j[j["pk_x"] < j["pk_y"]]
@@ -618,20 +615,16 @@ def q_basket_lift(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
         n = np.concatenate(
             [pairs["n"].to_numpy(np.int64), parts["n"].to_numpy(np.int64)]
         )
-        cb = ((cell >> 31) & 0x7FFFFFFF) % n_buckets * n_buckets + (
-            cell & 0x7FFFFFFF
-        ) % n_buckets
         return pa.table(
-            {"cbucket": cb, "cell": cell, "n": n},
-            schema=pa.schema([("cbucket", pa.int64()), ("cell", pa.int64()),
-                              ("n", pa.int64())]),
+            {"cell": cell, "n": n}, schema=pa.schema([("cell", pa.int64()), ("n", pa.int64())])
         )
 
-    # global cell reduction folded INTO the coarse cbucket exchange
+    # global cell reduction folded INTO the coarse cell exchange
     # (a per-cell-key aggregate here is the tiny-group trap — see
     # q_copurchase_pairs) with the support filter and the part_a rekey
     # applied before anything else ships
-    def reduce_rekey_a(g: pd.DataFrame) -> pa.Table:
+    def reduce_rekey_a(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = g.groupby("cell", sort=False)["n"].sum().reset_index()
         cell = agg["cell"].to_numpy(np.int64)
         n = agg["n"].to_numpy(np.int64)
@@ -641,31 +634,26 @@ def q_basket_lift(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
         keep = (kind == 1) | ((kind == 0) & (n >= min_support))
         return pa.table(
             {
-                "bucket": pa.array(a[keep] % n_buckets, pa.int64()),
                 "kind": pa.array(kind[keep], pa.int64()),
                 "a": pa.array(a[keep], pa.int64()),
                 "b": pa.array(bb[keep], pa.int64()),
                 "n": pa.array(n[keep], pa.int64()),
             },
-            schema=pa.schema([("bucket", pa.int64()), ("kind", pa.int64()),
-                              ("a", pa.int64()), ("b", pa.int64()),
+            schema=pa.schema([("kind", pa.int64()), ("a", pa.int64()), ("b", pa.int64()),
                               ("n", pa.int64())]),
         )
 
-    cells = (
-        li.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(cells_bucket, batch_format="pandas")
-        .groupby("cbucket")
-        .map_groups(reduce_rekey_a, batch_format="pandas")
-    )
+    keyed = li.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    baskets = exchange([(keyed, "ok")], cells_bucket, n_buckets=n_buckets)
+    cells = exchange([(baskets, "cell")], reduce_rekey_a, n_buckets=n_buckets)
 
     _na_schema = pa.schema(
         [("kind", pa.int64()), ("a", pa.int64()), ("b", pa.int64()),
          ("n", pa.int64()), ("na", pa.int64())]
     )
 
-    def attach_na(g: pd.DataFrame) -> pa.Table:
+    def attach_na(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         parts = g[g["kind"] == 1][["a", "n"]].rename(columns={"n": "na"})
         pairs = g[g["kind"] == 0].merge(parts, on="a", how="left")
         parts_out = g[g["kind"] == 1].assign(na=0)
@@ -689,7 +677,7 @@ def q_basket_lift(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
         )
         return pa.table(
             {
-                "bucket": pa.array(key % n_buckets, pa.int64()),
+                "key": pa.array(key, pa.int64()),
                 "kind": b["kind"],
                 "a": b["a"],
                 "b": b["b"],
@@ -704,7 +692,8 @@ def q_basket_lift(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
          ("lift_ppm", pa.int64())]
     )
 
-    def finish_bucket(g: pd.DataFrame) -> pa.Table:
+    def finish_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         parts = g[g["kind"] == 1][["a", "n"]].rename(
             columns={"a": "b", "n": "nb"}
         )
@@ -725,13 +714,10 @@ def q_basket_lift(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
             schema=_out_schema,
         )
 
-    return (
-        cells.groupby("bucket")
-        .map_groups(attach_na, batch_format="pandas")
-        .map_batches(rekey_b, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(finish_bucket, batch_format="pandas")
+    with_na = exchange([(cells, "a")], attach_na, n_buckets=n_buckets).map_batches(
+        rekey_b, batch_format="pyarrow"
     )
+    return exchange([(with_na, "key")], finish_bucket, n_buckets=n_buckets)
 
 
 def _orders_count(sf_dir: str) -> int:
@@ -892,16 +878,14 @@ def q_customer_concentration_hhi(sf_dir: str, n_buckets: int = 32):
         )
         return pa.table(
             {
-                "bucket": pa.array(
-                    agg["ck"].to_numpy(np.int64) % n_buckets, pa.int64()
-                ),
                 "ck": pa.array(agg["ck"].to_numpy(np.int64), pa.int64()),
                 "yr": pa.array(agg["yr"].to_numpy(np.int64), pa.int64()),
                 "rev": pa.array(agg["rev"].to_numpy(np.int64), pa.int64()),
             }
         )
 
-    def cells_bucket(g: pd.DataFrame) -> pa.Table:
+    def cells_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         per = (
             g.groupby(["ck", "yr"], sort=False)["rev"].sum().reset_index()
         )
@@ -932,10 +916,9 @@ def q_customer_concentration_hhi(sf_dir: str, n_buckets: int = 32):
             }
         )
 
+    keyed = orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
     cells = (
-        orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(cells_bucket, batch_format="pandas")
+        exchange([(keyed, "ck")], cells_bucket, n_buckets=n_buckets)
         .groupby("yr")
         .aggregate(
             Sum("n", alias_name="n"),
@@ -1287,13 +1270,13 @@ def q_user_stickiness(sf_dir: str, n_buckets: int = 32):
         df = pd.DataFrame({"uid": uid, "m": month}).drop_duplicates()
         return pa.table(
             {
-                "bucket": pa.array(df["uid"].to_numpy() % n_buckets, pa.int64()),
                 "uid": pa.array(df["uid"].to_numpy(np.int64), pa.int64()),
                 "m": pa.array(df["m"].to_numpy(np.int64), pa.int64()),
             }
         )
 
-    def cells(g: pd.DataFrame) -> pa.Table:
+    def cells(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         per = g.drop_duplicates(["uid", "m"]).groupby("uid", sort=False).size()
         agg = per.value_counts().sort_index()
         return pa.table(
@@ -1305,10 +1288,9 @@ def q_user_stickiness(sf_dir: str, n_buckets: int = 32):
             }
         )
 
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
     dist = (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(cells, batch_format="pandas")
+        exchange([(keyed, "uid")], cells, n_buckets=n_buckets)
         .groupby("months_active")
         .aggregate(Sum("n_users", alias_name="n_users"))
         .to_pandas()  # ≤ #calendar-months rows
@@ -1381,16 +1363,14 @@ def q_new_vs_returning_revenue(sf_dir: str, n_buckets: int = 32):
         )
         return pa.table(
             {
-                "bucket": pa.array(
-                    agg["ck"].to_numpy(np.int64) % n_buckets, pa.int64()
-                ),
                 "ck": pa.array(agg["ck"].to_numpy(np.int64), pa.int64()),
                 "yr": pa.array(agg["yr"].to_numpy(np.int64), pa.int64()),
                 "rev": pa.array(agg["rev"].to_numpy(np.int64), pa.int64()),
             }
         )
 
-    def cells(g: pd.DataFrame) -> pa.Table:
+    def cells(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         per = g.groupby(["ck", "yr"], sort=False)["rev"].sum().reset_index()
         first = per.groupby("ck", sort=False)["yr"].transform("min")
         per = per.assign(
@@ -1411,10 +1391,9 @@ def q_new_vs_returning_revenue(sf_dir: str, n_buckets: int = 32):
             }
         )
 
+    keyed = orders.map_batches(prep, batch_format="pyarrow", batch_size=None)
     cells_df = (
-        orders.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(cells, batch_format="pandas")
+        exchange([(keyed, "ck")], cells, n_buckets=n_buckets)
         .groupby(["o_year", "is_new"])
         .aggregate(Sum("rev", alias_name="rev"), Sum("n", alias_name="n"))
         .to_pandas()  # ≤ 2 × #years rows
@@ -1489,13 +1468,13 @@ def q_user_activity_streaks(sf_dir: str, n_buckets: int = 32):
         df = pd.DataFrame({"uid": uid, "day": day}).drop_duplicates()
         return pa.table(
             {
-                "bucket": pa.array(df["uid"].to_numpy() % n_buckets, pa.int64()),
                 "uid": pa.array(df["uid"].to_numpy(np.int64), pa.int64()),
                 "day": pa.array(df["day"].to_numpy(np.int64), pa.int64()),
             }
         )
 
-    def islands(g: pd.DataFrame) -> pa.Table:
+    def islands(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         d = (
             g.drop_duplicates(["uid", "day"])
             .sort_values(["uid", "day"], kind="stable")
@@ -1525,11 +1504,8 @@ def q_user_activity_streaks(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(islands, batch_format="pandas")
-    )
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "uid")], islands, n_buckets=n_buckets)
 
 
 _SQL_STREAKS = """

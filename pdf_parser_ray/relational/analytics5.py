@@ -91,22 +91,18 @@ def q_revenue_changepoint(sf_dir: str):
     the bounded driver series. Returns one row: ``(split_month,
     n_left, n_right, mean_left_k, mean_right_k, gain_k2)`` where
     ``split_month`` is the epoch-month index of the LAST month in the
-    left segment and the means are floor k$ of the original series."""
+    left segment and the means are floor k$ of the original series. A
+    series shorter than 2 months has no split and returns no row, as
+    the oracle does."""
     import pandas as pd
 
     m = _monthly_rev_k(sf_dir)
     months = m["month"].to_numpy(np.int64)
     rev = [int(v) for v in m["rev_k"]]
     t = len(rev)
+    cols = ["split_month", "n_left", "n_right", "mean_left_k", "mean_right_k", "gain_k2"]
     if t < 2:
-        return pd.DataFrame(
-            {
-                "split_month": [months[0] if t else 0],
-                "n_left": [t], "n_right": [0],
-                "mean_left_k": [rev[0] if t else 0], "mean_right_k": [0],
-                "gain_k2": [0],
-            }
-        ).astype(np.int64)
+        return pd.DataFrame({c: pd.Series([], dtype=np.int64) for c in cols})
     c0 = min(rev)
     y = [v - c0 for v in rev]
     s_tot = sum(y)
@@ -871,13 +867,13 @@ def q_basket_triples(
         ).drop_duplicates()
         return pa.table(
             {
-                "bucket": pa.array(df["o"].to_numpy() % n_buckets),
                 "o": pa.array(df["o"].to_numpy()),
                 "p": pa.array(df["p"].to_numpy()),
             }
         )
 
-    def basket_triples(g: pd.DataFrame) -> pa.Table:
+    def basket_triples(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         df = g[["o", "p"]].drop_duplicates()
         j = df.merge(df, on="o")
         j = j[j["p_x"] < j["p_y"]]
@@ -888,14 +884,8 @@ def q_basket_triples(
             .size()
             .reset_index(name="n")
         )
-        key = (
-            agg["p_x"].to_numpy(np.int64) * 1_000_003
-            + agg["p_y"].to_numpy(np.int64) * 10_007
-            + agg["p"].to_numpy(np.int64)
-        )
         return pa.table(
             {
-                "tbucket": pa.array(key % n_buckets),
                 "p1": pa.array(agg["p_x"].to_numpy(np.int64)),
                 "p2": pa.array(agg["p_y"].to_numpy(np.int64)),
                 "p3": pa.array(agg["p"].to_numpy(np.int64)),
@@ -903,7 +893,8 @@ def q_basket_triples(
             }
         )
 
-    def resolve(g: pd.DataFrame) -> pa.Table:
+    def resolve(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = (
             g.groupby(["p1", "p2", "p3"], sort=False)["n"].sum().reset_index()
         )
@@ -921,14 +912,10 @@ def q_basket_triples(
             }
         )
 
-    tops = (
-        li.map_batches(op_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(basket_triples, batch_format="pandas")
-        .groupby("tbucket")
-        .map_groups(resolve, batch_format="pandas")
-        .to_pandas()  # bounded: ≤ n_buckets·top_k rows
-    )
+    keyed = li.map_batches(op_rows, batch_format="pyarrow", batch_size=None)
+    triples = exchange([(keyed, "o")], basket_triples, n_buckets=n_buckets)
+    # every copy of a triple shares its p1; bounded: ≤ n_buckets·top_k rows
+    tops = exchange([(triples, "p1")], resolve, n_buckets=n_buckets).to_pandas()
     cols = ["p1", "p2", "p3", "support"]
     if tops.empty:
         return pd.DataFrame({c: pd.Series([], dtype=np.int64) for c in cols})
@@ -1077,10 +1064,8 @@ def q_event_trigrams(sf_dir: str, n_buckets: int = 32):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
                 "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "ts_us": pc.cast(batch["ts"], pa.int64()),
@@ -1088,7 +1073,8 @@ def q_event_trigrams(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def trigrams_bucket(g: pd.DataFrame) -> pa.Table:
+    def trigrams_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy(dtype=np.int64)
         et = g["event_type"].to_numpy()
@@ -1125,10 +1111,9 @@ def q_event_trigrams(sf_dir: str, n_buckets: int = 32):
             }
         )
 
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
     folded = (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(trigrams_bucket, batch_format="pandas")
+        exchange([(keyed, "user_id")], trigrams_bucket, n_buckets=n_buckets)
         .groupby(["t1", "t2", "t3"])
         .aggregate(Sum("n", alias_name="n_steps"))
         .to_pandas()  # bounded: ≤ types³ rows by construction
@@ -1741,14 +1726,14 @@ def q_cohort_ltv(sf_dir: str, n_buckets: int = 32):
         cents = _cents(b["o_totalprice"]).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bucket": pa.array(ck % n_buckets),
                 "ck": pa.array(ck),
                 "month": pa.array(month),
                 "cents": pa.array(cents),
             }
         )
 
-    def cells(g: pd.DataFrame) -> pa.Table:
+    def cells(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         first = g.groupby("ck", sort=False)["month"].transform("min")
         age = g["month"].to_numpy(np.int64) - first.to_numpy(np.int64)
         agg = (
@@ -1790,10 +1775,9 @@ def q_cohort_ltv(sf_dir: str, n_buckets: int = 32):
             }
         )
 
+    keyed = orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
     folded = (
-        orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(cells, batch_format="pandas")
+        exchange([(keyed, "ck")], cells, n_buckets=n_buckets)
         .groupby(["cohort", "age"])
         .aggregate(Sum("v", alias_name="v"))
         .to_pandas()  # bounded: ≤ months² cells + months head rows
@@ -1875,8 +1859,6 @@ def q_price_volume_decomposition(sf_dir: str, n_buckets: int = 32):
     import os
 
     import pandas as pd
-    import pyarrow.parquet as pq_
-    from ray.data.aggregate import Sum
 
     from ..stages.zorder import _footer_max, _footer_min
 
@@ -1909,7 +1891,6 @@ def q_price_volume_decomposition(sf_dir: str, n_buckets: int = 32):
         )
         return pa.table(
             {
-                "pbucket": pa.array(agg["pk"].to_numpy(np.int64) % n_buckets),
                 "pk": pa.array(agg["pk"].to_numpy(np.int64)),
                 "half": pa.array(agg["half"].to_numpy(np.int64)),
                 "c": pa.array(agg["c"].to_numpy(np.int64)),
@@ -1917,7 +1898,8 @@ def q_price_volume_decomposition(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def bridge(g: pd.DataFrame) -> pa.Table:
+    def bridge(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         s = g.groupby(["pk", "half"], sort=False)[["c", "q"]].sum().reset_index()
         w = s.pivot_table(index="pk", columns="half", values=["c", "q"],
                           aggfunc="sum")
@@ -1950,10 +1932,9 @@ def q_price_volume_decomposition(sf_dir: str, n_buckets: int = 32):
             }
         )
 
+    keyed = li.map_batches(partial, batch_format="pyarrow", batch_size=None)
     parts = (
-        li.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("pbucket")
-        .map_groups(bridge, batch_format="pandas")
+        exchange([(keyed, "pk")], bridge, n_buckets=n_buckets)
         .to_pandas()  # ≤ n_buckets summary rows
     )
     return pd.DataFrame(
@@ -2030,7 +2011,6 @@ def q_basket_dispersion(sf_dir: str):
     vectorized in-group) → three scalar moments per bucket → driver
     snap."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     li = _read(sf_dir, "lineitem", ["l_orderkey"])
 
@@ -2042,18 +2022,17 @@ def q_basket_dispersion(sf_dir: str):
         )
         return pa.table(
             {
-                # coarse bucket: a 16-key sort shuffle replaces the
-                # order-grain groupby (measured 4.27 s → 1.7 s at
+                # coarse buckets: a 16-bucket exchange on ok replaces
+                # the order-grain groupby (measured 4.27 s → 1.7 s at
                 # sf0.1) — per-order totals resolve vectorized inside
-                # each bucket group before the moments fold
-                "bucket": pa.array(ok.astype(np.int64) % n_buckets),
+                # each bucket before the moments fold
                 "ok": pa.array(ok.astype(np.int64)),
                 "n": pa.array(cnt.astype(np.int64)),
             }
         )
 
-    def moments(g) -> pa.Table:
-        x = g.groupby("ok", sort=False)["n"].sum().to_numpy()
+    def moments(g: pa.Table) -> pa.Table:
+        x = g.to_pandas().groupby("ok", sort=False)["n"].sum().to_numpy()
         return pa.table(
             {
                 "cnt": pa.array([len(x)], pa.int64()),
@@ -2062,10 +2041,9 @@ def q_basket_dispersion(sf_dir: str):
             }
         )
 
+    keyed = li.map_batches(partial, batch_format="pyarrow", batch_size=None)
     m = (
-        li.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(moments, batch_format="pandas")
+        exchange([(keyed, "ok")], moments, n_buckets=n_buckets)
         .to_pandas()  # ≤ n_buckets moment rows
     )
     n = int(m["cnt"].sum())
@@ -2307,10 +2285,6 @@ QUERIES = {
 }
 
 ORACLE_SQL = {
-    # Diverges on a series shorter than 2 months (t < 2): the engine
-    # emits one row (n_right 0, gain 0) and the oracle none, as its sc
-    # CTE keeps only cum.rn < t.n. test_single_month_degenerate pins the
-    # engine's row; every benchmark scale has many months.
     "revenue_changepoint": _SQL_CHANGEPOINT,
     "seasonal_strength": _SQL_SEASONAL_STRENGTH,
     "rfm_segments": _SQL_RFM,

@@ -737,22 +737,20 @@ def q_event_gaps(sf_dir: str, n_buckets: int = 32):
     ``user_id % B`` exchange (each row moves once), then one
     vectorized sort + ``diff`` per partition with the cross-user
     boundary masked — never a per-user task."""
-    import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
                 "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "ts_us": pc.cast(batch["ts"], pa.int64()),
             }
         )
 
-    def gaps_bucket(g: pd.DataFrame) -> pa.Table:
+    def gaps_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy(dtype=np.int64)
         ts = g["ts_us"].to_numpy(dtype=np.int64)
@@ -767,11 +765,8 @@ def q_event_gaps(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(gaps_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "user_id")], gaps_bucket, n_buckets=n_buckets)
 
 
 _SQL_EVENT_GAPS = """
@@ -826,28 +821,28 @@ def q_customer_spend_quartiles(sf_dir: str, k_tiles: int = 4):
 
     m1 = _QSK_MBITS + 1
 
-    def add_vbucket(batch: pa.Table) -> pa.Table:
+    def add_vbin(batch: pa.Table) -> pa.Table:
         c = batch["spend_cents"].to_numpy(zero_copy_only=False)
         if (c <= 0).any():
             raise ValueError("spend quartiles assume positive totals")
         bl = np.frexp(c.astype(np.float64))[1].astype(np.int64)
         sub = c >> np.maximum(bl - m1, 0)
         return batch.append_column(
-            "vbucket", pa.array(bl * (1 << m1) + sub, pa.int64())
+            "vbin", pa.array(bl * (1 << m1) + sub, pa.int64())
         )
 
     # consumed twice (counts pass + assign pass) — pin the tiny
     # aggregated grain rather than re-running the orders aggregation
     keyed = totals.map_batches(
-        add_vbucket, batch_format="pyarrow", batch_size=None
+        add_vbin, batch_format="pyarrow", batch_size=None
     ).materialize()
 
-    counts = keyed.groupby("vbucket").count().to_pandas()
-    counts = counts.sort_values("vbucket", ascending=False)  # DESC spend order
+    counts = keyed.groupby("vbin").count().to_pandas()
+    counts = counts.sort_values("vbin", ascending=False)  # DESC spend order
     n_total = int(counts["count()"].sum())
     offsets = dict(
         zip(
-            counts["vbucket"].tolist(),
+            counts["vbin"].tolist(),
             np.concatenate([[0], counts["count()"].cumsum().to_numpy()[:-1]]).tolist(),
         )
     )
@@ -855,7 +850,7 @@ def q_customer_spend_quartiles(sf_dir: str, k_tiles: int = 4):
 
     def assign(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["spend_cents", "c_custkey"], ascending=[False, True], kind="mergesort")
-        rank = offsets[int(g["vbucket"].iloc[0])] + np.arange(len(g), dtype=np.int64)
+        rank = offsets[int(g["vbin"].iloc[0])] + np.arange(len(g), dtype=np.int64)
         cut = rem * (base + 1)
         tile = np.where(rank < cut, rank // (base + 1), rem + (rank - cut) // max(base, 1))
         return pa.table(
@@ -866,7 +861,7 @@ def q_customer_spend_quartiles(sf_dir: str, k_tiles: int = 4):
             }
         )
 
-    return keyed.groupby("vbucket").map_groups(assign, batch_format="pandas")
+    return keyed.groupby("vbin").map_groups(assign, batch_format="pandas")
 
 
 _SQL_SPEND_QUARTILES = """
@@ -895,15 +890,12 @@ def q_event_dedup_windowed(sf_dir: str, window_sec: int = 3600, n_buckets: int =
 
     Same ``user_id % B`` coarse-bucket exchange: each row moves once,
     one vectorized sort + diff per partition."""
-    import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
                 "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "event_type": batch["event_type"],
@@ -913,7 +905,8 @@ def q_event_dedup_windowed(sf_dir: str, window_sec: int = 3600, n_buckets: int =
 
     win_us = window_sec * 1_000_000
 
-    def dedup_bucket(g: pd.DataFrame) -> pa.Table:
+    def dedup_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "event_type", "ts_us", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy(dtype=np.int64)
         typ = g["event_type"].to_numpy()
@@ -931,11 +924,8 @@ def q_event_dedup_windowed(sf_dir: str, window_sec: int = 3600, n_buckets: int =
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(dedup_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "user_id")], dedup_bucket, n_buckets=n_buckets)
 
 
 _SQL_EVENT_DEDUP_WINDOWED = """
@@ -1319,9 +1309,8 @@ def q_customers_with_orders_bloom(
             }
         )
 
-    import pandas as pd
-
-    def or_merge(g: pd.DataFrame) -> pa.Table:
+    def or_merge(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         acc = np.zeros(n_words, dtype=np.uint64)
         for b in g["bits"]:
             acc |= np.frombuffer(b, dtype=np.uint64)
@@ -1332,10 +1321,9 @@ def q_customers_with_orders_bloom(
             }
         )
 
+    keyed = orders.map_batches(partial_bloom, batch_format="pyarrow", batch_size=None)
     partials = (
-        orders.map_batches(partial_bloom, batch_format="pyarrow", batch_size=None)
-        .groupby("rb")
-        .map_groups(or_merge, batch_format="pandas")
+        exchange([(keyed, "rb")], or_merge, n_buckets=reduce_width)
         .to_pandas()
     )
     final = np.zeros(n_words, dtype=np.uint64)
@@ -1481,11 +1469,8 @@ def q_hourly_top_user(sf_dir: str, n_buckets: int = 32):
         .aggregate(Sum("cents", alias_name="cents"))
     )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = batch["hour_bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("bucket", pa.array(h % n_buckets, pa.int64()))
-
-    def top_per_hour(g: pd.DataFrame) -> pa.Table:
+    def top_per_hour(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["hour_bucket", "cents", "user_id"],
                           ascending=[True, False, True], kind="mergesort")
         first = ~g.duplicated("hour_bucket", keep="first")
@@ -1498,11 +1483,7 @@ def q_hourly_top_user(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        pairs.map_batches(add_bucket, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(top_per_hour, batch_format="pandas")
-    )
+    return exchange([(pairs, "hour_bucket")], top_per_hour, n_buckets=n_buckets)
 
 
 _SQL_HOURLY_TOP_USER = """
@@ -1540,11 +1521,8 @@ def q_user_sessions(sf_dir: str, gap_s: int = 1800, n_buckets: int = 32):
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
     gap_us = gap_s * 1_000_000
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column("bucket", pa.array(uid % n_buckets, pa.int64()))
-
-    def fn(g: pd.DataFrame) -> pa.Table:
+    def fn(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy(dtype=np.int64)
         us = g["ts"].astype("int64").to_numpy()
@@ -1570,11 +1548,7 @@ def q_user_sessions(sf_dir: str, gap_s: int = 1800, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(fn, batch_format="pandas")
-    )
+    return exchange([(ds, "user_id")], fn, n_buckets=n_buckets)
 
 
 def q_user_interarrival(sf_dir: str, n_buckets: int = 32):
@@ -1597,11 +1571,8 @@ def q_user_interarrival(sf_dir: str, n_buckets: int = 32):
 
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column("bucket", pa.array(uid % n_buckets, pa.int64()))
-
-    def fn(g: pd.DataFrame) -> pa.Table:
+    def fn(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy(dtype=np.int64)
         us = g["ts"].astype("int64").to_numpy()
@@ -1639,11 +1610,7 @@ def q_user_interarrival(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(fn, batch_format="pandas")
-    )
+    return exchange([(ds, "user_id")], fn, n_buckets=n_buckets)
 
 
 _SQL_INTERARRIVAL = """
@@ -2058,22 +2025,20 @@ def q_top_orders_per_customer(sf_dir: str, n: int = 3, n_buckets: int = 32):
     partition one sort + ``groupby.cumcount`` ranks every customer
     vectorized (per-customer ``map_groups`` would serialize on group
     overhead)."""
-    import pandas as pd
 
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
                 "o_custkey": batch["o_custkey"],
                 "o_orderkey": batch["o_orderkey"],
                 "total_cents": _cents(batch["o_totalprice"]),
             }
         )
 
-    def rank_bucket(g: pd.DataFrame) -> pa.Table:
+    def rank_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(
             ["o_custkey", "total_cents", "o_orderkey"],
             ascending=[True, False, True],
@@ -2091,11 +2056,8 @@ def q_top_orders_per_customer(sf_dir: str, n: int = 3, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(rank_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "o_custkey")], rank_bucket, n_buckets=n_buckets)
 
 
 _SQL_TOP_PER_CUSTOMER = """
@@ -2919,17 +2881,14 @@ def q_running_total(sf_dir: str, n_buckets: int = 32):
     arrival and hash-identical to the oracle. The exchange moves each
     row once; partition memory is |orders|/B rows — at 100 TB raise B
     to keep a bucket inside a worker's heap."""
-    import pandas as pd
 
     ds = _read(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"]
     )
 
     def prep(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
                 "o_custkey": batch["o_custkey"],
                 "o_orderkey": batch["o_orderkey"],
                 "date_us": pc.cast(batch["o_orderdate"], pa.int64()),
@@ -2937,7 +2896,8 @@ def q_running_total(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def scan_bucket(g: pd.DataFrame) -> pa.Table:
+    def scan_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["o_custkey", "date_us", "o_orderkey"], kind="stable")
         run = g.groupby("o_custkey", sort=False)["cents"].cumsum()
         return pa.table(
@@ -2948,11 +2908,8 @@ def q_running_total(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(scan_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "o_custkey")], scan_bucket, n_buckets=n_buckets)
 
 
 _SQL_RUNNING_TOTAL = """
@@ -3181,7 +3138,7 @@ def q_customer_order_span(sf_dir: str, n_buckets: int = 16):
     rank-family windows, first/last are DECOMPOSABLE: each batch
     reduces its rows to one (first-candidate, last-candidate, count)
     partial per customer, so the exchange carries one fixed-width row
-    per (customer × batch), never the orders; the bucket groupby then
+    per (customer × batch), never the orders; the custkey exchange then
     re-reduces partials with the same lexicographic (date, orderkey)
     argmin/argmax. Total ordering via the orderkey tiebreak keeps the
     result exact under any block arrival order."""
@@ -3205,7 +3162,6 @@ def q_customer_order_span(sf_dir: str, n_buckets: int = 16):
         ck = f["ck"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(ck % n_buckets),
                 "ck": pa.array(ck),
                 "f_ok": pa.array(f["ok"].to_numpy(dtype=np.int64)),
                 "f_dt": pa.array(f["dt"].to_numpy(dtype=np.int64)),
@@ -3217,7 +3173,8 @@ def q_customer_order_span(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    def reduce_bucket(g: pd.DataFrame) -> pa.Table:
+    def reduce_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         f = (
             g.sort_values(["ck", "f_dt", "f_ok"])
             .groupby("ck", sort=False)
@@ -3247,11 +3204,8 @@ def q_customer_order_span(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    return (
-        orders.map_batches(partials, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    keyed = orders.map_batches(partials, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "ck")], reduce_bucket, n_buckets=n_buckets)
 
 
 _SQL_ORDER_SPAN = """
@@ -3302,7 +3256,6 @@ def q_customer_supplier_reach(sf_dir: str, min_suppliers: int = 5, n_buckets: in
     both facts on the join key once, keep every exchanged row a pair
     of int64s, and never let a count-distinct ship raw values to the
     driver."""
-    import pandas as pd
 
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
@@ -3315,11 +3268,9 @@ def q_customer_supplier_reach(sf_dir: str, min_suppliers: int = 5, n_buckets: in
     def rekey_bucket(li: pa.Table, ords: pa.Table) -> pa.Table:
         j = li.to_pandas().merge(ords.to_pandas(), left_on="l_orderkey", right_on="o_orderkey")
         j = j[["o_custkey", "l_suppkey"]].drop_duplicates()
-        ck = j["o_custkey"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "cbucket": pa.array(ck % n_buckets),
-                "ck": pa.array(ck),
+                "ck": pa.array(j["o_custkey"].to_numpy(dtype=np.int64)),
                 "supp": pa.array(j["l_suppkey"].to_numpy(dtype=np.int64)),
             }
         )
@@ -3337,7 +3288,8 @@ def q_customer_supplier_reach(sf_dir: str, min_suppliers: int = 5, n_buckets: in
         n_buckets=n_buckets,
     )
 
-    def count_bucket(g: pd.DataFrame) -> pa.Table:
+    def count_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = (
             g.drop_duplicates(["ck", "supp"])
             .groupby("ck", sort=False)
@@ -3352,7 +3304,7 @@ def q_customer_supplier_reach(sf_dir: str, min_suppliers: int = 5, n_buckets: in
             }
         )
 
-    return pairs.groupby("cbucket").map_groups(count_bucket, batch_format="pandas")
+    return exchange([(pairs, "ck")], count_bucket, n_buckets=n_buckets)
 
 
 _SQL_SUPPLIER_REACH = """
@@ -3390,13 +3342,13 @@ def q_key_skew(sf_dir: str, k: int = 20, n_buckets: int = 32):
         keys = agg.index.to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets),
                 "key": pa.array(keys),
                 "cnt": pa.array(agg.to_numpy(dtype=np.int64)),
             }
         )
 
-    def local_topk(g: pd.DataFrame) -> pa.Table:
+    def local_topk(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = g.groupby("key", sort=False)["cnt"].sum().reset_index()
         agg = agg.sort_values(["cnt", "key"], ascending=[False, True]).head(k)
         cnt = agg["cnt"].to_numpy(dtype=np.int64)
@@ -3408,10 +3360,9 @@ def q_key_skew(sf_dir: str, k: int = 20, n_buckets: int = 32):
             }
         )
 
+    keyed = orders.map_batches(partials, batch_format="pyarrow", batch_size=None)
     return (
-        orders.map_batches(partials, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(local_topk, batch_format="pandas")
+        exchange([(keyed, "key")], local_topk, n_buckets=n_buckets)
         .sort(["cnt", "o_custkey"], descending=[True, False])
         .limit(k)
     )
@@ -3630,13 +3581,13 @@ def q_cohort_retention(sf_dir: str, n_buckets: int = 32):
         ).drop_duplicates()
         return pa.table(
             {
-                "bucket": pa.array(df["user"].to_numpy() % n_buckets),
                 "user": pa.array(df["user"].to_numpy()),
                 "mi": pa.array(df["mi"].to_numpy()),
             }
         )
 
-    def cells(g: pd.DataFrame) -> pa.Table:
+    def cells(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.drop_duplicates(["user", "mi"])
         g = g.assign(cm=g.groupby("user", sort=False)["mi"].transform("min"))
         agg = (
@@ -3655,10 +3606,9 @@ def q_cohort_retention(sf_dir: str, n_buckets: int = 32):
             }
         )
 
+    keyed = ev.map_batches(partials, batch_format="pyarrow", batch_size=None)
     out = (
-        ev.map_batches(partials, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(cells, batch_format="pandas")
+        exchange([(keyed, "user")], cells, n_buckets=n_buckets)
         .groupby(["cohort_day", "days_since"])
         .aggregate(Sum("n", alias_name="n_users"))
     )
@@ -3728,14 +3678,14 @@ def q_conversion_funnel(sf_dir: str, n_buckets: int = 16):
         us = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)[keep]
         return pa.table(
             {
-                "bucket": pa.array((uid % n_buckets).astype(np.int64)),
                 "user_id": pa.array(uid.astype(np.int64)),
                 "code": pa.array(code[keep]),
                 "us": pa.array(us),
             }
         )
 
-    def funnel_bucket(g: pd.DataFrame) -> pa.Table:
+    def funnel_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         users = np.sort(g["user_id"].unique())
         t1 = g[g["code"] == 0].groupby("user_id")["us"].min()
         c = g[g["code"] == 1].merge(t1.rename("t1").reset_index(), on="user_id")
@@ -3764,11 +3714,8 @@ def q_conversion_funnel(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(funnel_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "user_id")], funnel_bucket, n_buckets=n_buckets)
 
 
 _SQL_FUNNEL = """
@@ -3902,7 +3849,12 @@ def q_orders_above_avg(sf_dir: str, n_buckets: int = 16):
     fact table is scanned once and the partials the shuffle carries
     are one row per distinct customer per batch. The comparison is
     exact integer cross-multiplication (``cents·cnt > sum_cents``) —
-    no division, no float, hash-identical to the oracle."""
+    no division, no float, hash-identical to the oracle.
+
+    Both row kinds travel as one lone exchange side told apart by
+    ``side``: they come from one read, which a two-sided exchange
+    would run twice. Each kind pads the other's columns with int64
+    zeros, never nulls, so no wide int is floated."""
     import pandas as pd
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
@@ -3919,7 +3871,6 @@ def q_orders_above_avg(sf_dir: str, n_buckets: int = 16):
         pk = part.index.to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(np.concatenate([ck % n_buckets, pk % n_buckets])),
                 "side": pa.array(
                     np.concatenate(
                         [np.zeros(len(ck), dtype=np.int8), np.ones(len(pk), dtype=np.int8)]
@@ -3936,7 +3887,8 @@ def q_orders_above_avg(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    def filter_bucket(g: pd.DataFrame) -> pa.Table:
+    def filter_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         parts = g[g["side"] == 1].groupby("custkey")[["cents", "cnt"]].sum()
         rows = g[g["side"] == 0].merge(
             parts, left_on="custkey", right_index=True, suffixes=("", "_tot")
@@ -3950,11 +3902,8 @@ def q_orders_above_avg(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    return (
-        orders.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(filter_bucket, batch_format="pandas")
-    )
+    keyed = orders.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "custkey")], filter_bucket, n_buckets=n_buckets)
 
 
 _SQL_ABOVE_AVG = """
@@ -4325,11 +4274,9 @@ def q_user_entropy(sf_dir: str, n_buckets: int = 32):
             .size()
             .reset_index(name="c")
         )
-        u = agg["u"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(u % n_buckets, pa.int64()),
-                "u": pa.array(u, pa.int64()),
+                "u": pa.array(agg["u"].to_numpy(dtype=np.int64), pa.int64()),
                 "t": pa.array(
                     [x if isinstance(x, str) else None for x in agg["t"]],
                     pa.string(),
@@ -4344,7 +4291,8 @@ def q_user_entropy(sf_dir: str, n_buckets: int = 32):
         uniq, inv = np.unique(vals, return_inverse=True)
         return np.array([lnm_micro(int(k)) for k in uniq], dtype=np.int64)[inv]
 
-    def entropy_bucket(g: pd.DataFrame) -> pa.Table:
+    def entropy_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         cnt = (
             g.groupby(["u", "t"], sort=False, dropna=False)["c"].sum().reset_index()
         )
@@ -4366,11 +4314,8 @@ def q_user_entropy(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(entropy_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(partials, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "u")], entropy_bucket, n_buckets=n_buckets)
 
 
 def _sql_user_entropy() -> str:
@@ -4415,7 +4360,6 @@ def q_segment_share(sf_dir: str):
     Same single exchange as :func:`q_segment_revenue`; the grand total
     folds from the per-segment rows themselves (O(segments) driver
     arithmetic, no second pass over orders)."""
-    import pandas as pd
 
     seg = q_segment_revenue(sf_dir).to_pandas()  # O(segments) rows
     total = int(seg["revenue_cents"].sum())
@@ -4487,9 +4431,6 @@ def q_latest_events(sf_dir: str, n_buckets: int = 32):
         head = df[~df["user_id"].duplicated()]
         return pa.table(
             {
-                "bucket": pa.array(
-                    head["user_id"].to_numpy(dtype=np.int64) % n_buckets, pa.int64()
-                ),
                 "user_id": pa.array(head["user_id"].to_numpy(dtype=np.int64)),
                 "ts_us": pa.array(head["ts_us"].to_numpy(dtype=np.int64)),
                 "event_id": pa.array(head["event_id"].to_numpy(dtype=np.int64)),
@@ -4498,7 +4439,8 @@ def q_latest_events(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def latest_bucket(g: pd.DataFrame) -> pa.Table:
+    def latest_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(
             ["user_id", "ts_us", "event_id"], ascending=[True, False, False],
             kind="stable",
@@ -4518,11 +4460,8 @@ def q_latest_events(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(latest_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "user_id")], latest_bucket, n_buckets=n_buckets)
 
 
 _SQL_LATEST_EVENTS = """
@@ -4553,7 +4492,6 @@ def q_copurchase_pairs(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
     bucket, and a tiny pair groupby applies the support filter. Part
     payloads never ship — only int64 keys."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -4566,20 +4504,20 @@ def q_copurchase_pairs(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
         ).drop_duplicates()
         return pa.table(
             {
-                "bucket": pa.array(df["ok"].to_numpy() % n_buckets, pa.int64()),
                 "ok": pa.array(df["ok"].to_numpy(), pa.int64()),
                 "pk": pa.array(df["pk"].to_numpy(), pa.int64()),
             }
         )
 
-    def pairs_bucket(g: pd.DataFrame) -> pa.Table:
+    def pairs_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         d = g.drop_duplicates(["ok", "pk"])
         j = d.merge(d, on="ok")
         j = j[j["pk_x"] < j["pk_y"]]
         # pack the pair into ONE int64 key (partkeys are far below
         # 2³¹) and pre-reduce within this basket bucket; the packed
-        # key also carries the COARSE pair bucket for the next
-        # exchange — a per-pair-key global aggregate here was the
+        # key is the next exchange's key, which routes it to a COARSE
+        # bucket — a per-pair-key global aggregate here was the
         # tiny-group trap this repo documents (measured 190 s remote
         # CPU at sf0.1 for the 1.2M-key Sort-aggregate vs ~2 s for
         # the 64-bucket exchange + in-bucket vectorized count)
@@ -4592,18 +4530,15 @@ def q_copurchase_pairs(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
             .size()
             .reset_index(name="n")
         )
-        pk = agg["pair"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "pbucket": pa.array((pk >> 32) % n_buckets * n_buckets
-                                    + (pk & 0xFFFFFFFF) % n_buckets,
-                                    pa.int64()),
-                "pair": pa.array(pk, pa.int64()),
+                "pair": pa.array(agg["pair"].to_numpy(dtype=np.int64), pa.int64()),
                 "n": pa.array(agg["n"].to_numpy(dtype=np.int64), pa.int64()),
             }
         )
 
-    def count_bucket(g: pd.DataFrame) -> pa.Table:
+    def count_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = g.groupby("pair", sort=False)["n"].sum().reset_index()
         agg = agg[agg["n"] >= min_support]
         pair = agg["pair"].to_numpy(dtype=np.int64)
@@ -4618,13 +4553,9 @@ def q_copurchase_pairs(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
                               ("n_orders", pa.int64())]),
         )
 
-    return (
-        li.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(pairs_bucket, batch_format="pandas")
-        .groupby("pbucket")
-        .map_groups(count_bucket, batch_format="pandas")
-    )
+    keyed = li.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    baskets = exchange([(keyed, "ok")], pairs_bucket, n_buckets=n_buckets)
+    return exchange([(baskets, "pair")], count_bucket, n_buckets=n_buckets)
 
 
 _SQL_COPURCHASE = """
@@ -4674,16 +4605,16 @@ def q_rolling_active_users(sf_dir: str, window_days: int = 7, n_buckets: int = 3
         wd = np.repeat(df["d"].to_numpy(), window_days) + np.tile(
             np.arange(window_days, dtype=np.int64), len(df)
         )
-        key = u * np.int64(1_000_003) + wd  # composite shuffle key
         return pa.table(
             {
-                "bucket": pa.array(key % n_buckets, pa.int64()),
+                "key": pa.array(u * np.int64(1_000_003) + wd, pa.int64()),  # composite
                 "user": pa.array(u, pa.int64()),
                 "wd": pa.array(wd, pa.int64()),
             }
         )
 
-    def dedup_count(g: pd.DataFrame) -> pa.Table:
+    def dedup_count(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = (
             g.drop_duplicates(["user", "wd"])
             .groupby("wd", sort=False)
@@ -4697,10 +4628,9 @@ def q_rolling_active_users(sf_dir: str, window_days: int = 7, n_buckets: int = 3
             }
         )
 
+    keyed = ev.map_batches(fan_out, batch_format="pyarrow", batch_size=None)
     out = (
-        ev.map_batches(fan_out, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(dedup_count, batch_format="pandas")
+        exchange([(keyed, "key")], dedup_count, n_buckets=n_buckets)
         .groupby("wd")
         .aggregate(Sum("n", alias_name="active_users"))
     )
@@ -4749,15 +4679,12 @@ def q_user_paths(sf_dir: str, max_steps: int = 8, n_buckets: int = 32):
     One ``user % B`` exchange (rows move once); inside a bucket the
     sort, the per-user head-``max_steps`` mask and the join are
     vectorized pandas ops, and the output is one row per user."""
-    import pandas as pd
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
                 "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "ts_us": pc.cast(batch["ts"], pa.int64()),
@@ -4765,7 +4692,8 @@ def q_user_paths(sf_dir: str, max_steps: int = 8, n_buckets: int = 32):
             }
         )
 
-    def paths_bucket(g: pd.DataFrame) -> pa.Table:
+    def paths_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy(dtype=np.int64)
         n = len(g)
@@ -4785,11 +4713,8 @@ def q_user_paths(sf_dir: str, max_steps: int = 8, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(paths_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "user_id")], paths_bucket, n_buckets=n_buckets)
 
 
 _SQL_USER_PATHS = """
@@ -4887,23 +4812,21 @@ def q_user_activity_outliers(sf_dir: str, k_sigma: int = 2, n_buckets: int = 32)
     flag filter runs where the counts already live. The per-user count
     table streams twice (stats, then filter) rather than pinning."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "events", ["user_id"])
 
     def partials(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
         agg = pd.Series(uid).value_counts()
-        u = agg.index.to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(u % n_buckets, pa.int64()),
-                "user_id": pa.array(u, pa.int64()),
+                "user_id": pa.array(agg.index.to_numpy(dtype=np.int64), pa.int64()),
                 "c": pa.array(agg.to_numpy(dtype=np.int64), pa.int64()),
             }
         )
 
-    def fold_bucket(g: pd.DataFrame) -> pa.Table:
+    def fold_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = g.groupby("user_id", sort=False)["c"].sum()
         return pa.table(
             {
@@ -4912,11 +4835,8 @@ def q_user_activity_outliers(sf_dir: str, k_sigma: int = 2, n_buckets: int = 32)
             }
         )
 
-    counts = (
-        ds.map_batches(partials, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(partials, batch_format="pyarrow", batch_size=None)
+    counts = exchange([(keyed, "user_id")], fold_bucket, n_buckets=n_buckets)
     # counts has TWO consumers (stats pass, then flag pass) and Ray
     # re-executes lineage per consumer — pin the tiny per-user table
     # when the footer-bounded estimate fits (distinct users ≤ event
@@ -5143,10 +5063,8 @@ def q_event_transitions(sf_dir: str, n_buckets: int = 32):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
                 "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "ts_us": pc.cast(batch["ts"], pa.int64()),
@@ -5154,7 +5072,8 @@ def q_event_transitions(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def pairs_bucket(g: pd.DataFrame) -> pa.Table:
+    def pairs_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy(dtype=np.int64)
         et = g["event_type"].to_numpy()
@@ -5182,10 +5101,9 @@ def q_event_transitions(sf_dir: str, n_buckets: int = 32):
             }
         )
 
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
     folded = (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(pairs_bucket, batch_format="pandas")
+        exchange([(keyed, "user_id")], pairs_bucket, n_buckets=n_buckets)
         .groupby(["from_type", "to_type"])
         .aggregate(Sum("n", alias_name="n_steps"))
         .to_pandas()  # bounded: O(types²) rows by construction
@@ -5233,17 +5151,14 @@ def q_order_moving_avg(sf_dir: str, window: int = 3, n_buckets: int = 32):
     a cumsum difference over exact cents with the per-customer run
     boundary masked — O(rows) per partition, never a per-customer task.
     The average is an exact integer rational, so it hash-matches."""
-    import pandas as pd
 
     orders = _read(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"]
     )
 
     def prep(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bucket": pa.array(ck % n_buckets, pa.int64()),
                 "o_orderkey": batch["o_orderkey"],
                 "o_custkey": batch["o_custkey"],
                 "date_us": pc.cast(batch["o_orderdate"], pa.int64()),
@@ -5251,7 +5166,8 @@ def q_order_moving_avg(sf_dir: str, window: int = 3, n_buckets: int = 32):
             }
         )
 
-    def frame_bucket(g: pd.DataFrame) -> pa.Table:
+    def frame_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["o_custkey", "date_us", "o_orderkey"], kind="stable")
         ck = g["o_custkey"].to_numpy(dtype=np.int64)
         cents = g["cents"].to_numpy(dtype=np.int64)
@@ -5273,11 +5189,8 @@ def q_order_moving_avg(sf_dir: str, window: int = 3, n_buckets: int = 32):
             }
         )
 
-    return (
-        orders.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(frame_bucket, batch_format="pandas")
-    )
+    keyed = orders.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "o_custkey")], frame_bucket, n_buckets=n_buckets)
 
 
 _SQL_MOVING_AVG = """
@@ -5340,7 +5253,6 @@ def q_attribution_last_touch(sf_dir: str, n_buckets: int = 32):
         et = t["event_type"].to_pandas()
         return pa.table(
             {
-                "bucket": pa.array(uid % n_buckets, pa.int64()),
                 "user_id": pa.array(uid, pa.int64()),
                 "ts_us": pc.cast(t["ts"], pa.int64()),
                 "event_id": t["event_id"],
@@ -5351,7 +5263,8 @@ def q_attribution_last_touch(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def attrib_bucket(g: pd.DataFrame) -> pa.Table:
+    def attrib_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="stable")
         u = g["user_id"].to_numpy(dtype=np.int64)
         touch = g["is_touch"].to_numpy(dtype=bool)
@@ -5391,11 +5304,8 @@ def q_attribution_last_touch(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(attrib_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "user_id")], attrib_bucket, n_buckets=n_buckets)
 
 
 _SQL_ATTRIBUTION = """
@@ -5642,7 +5552,6 @@ def q_dq_audit(sf_dir: str, n_buckets: int = 32):
     (dimension-bounded, ``np.isin`` per batch — the semi-join family's
     bucket-shuffle twin is the unbounded-dimension fallback). The
     final exchange carries O(metrics × blocks) rows."""
-    import pandas as pd
 
     orders = _read(
         sf_dir, "orders",
@@ -5684,16 +5593,8 @@ def q_dq_audit(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def key_rows(batch: pa.Table) -> pa.Table:
-        ok = batch["o_orderkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(ok % n_buckets, pa.int64()),
-                "o_orderkey": pa.array(ok, pa.int64()),
-            }
-        )
-
-    def dup_partial(g: pd.DataFrame) -> pa.Table:
+    def dup_partial(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         dup = int((g["o_orderkey"].value_counts() > 1).sum())
         return pa.table(
             {
@@ -5715,11 +5616,8 @@ def q_dq_audit(sf_dir: str, n_buckets: int = 32):
     scan = orders.map_batches(
         scan_partials, batch_format="pyarrow", batch_size=None
     )
-    dups = (
-        orders.map_batches(key_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(dup_partial, batch_format="pandas")
-    )
+    keyed = orders.select_columns(["o_orderkey"])
+    dups = exchange([(keyed, "o_orderkey")], dup_partial, n_buckets=n_buckets)
     crows = customer.map_batches(
         cust_partial, batch_format="pyarrow", batch_size=None
     )

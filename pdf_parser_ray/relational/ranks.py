@@ -16,7 +16,7 @@ Scale shape (orders ranked by ``(o_totalprice DESC, o_orderkey)``):
    partials merge with one tiny ``groupby(bucket)`` Sum — the
    exchange carries ``buckets × blocks`` rows). The driver folds the
    exclusive prefix sum: each bucket's global rank offset.
-2. **Rank read-off** — ``groupby(bucket).map_groups`` sorts each
+2. **Rank read-off** — one ``exchange`` on the bucket sorts each
    bucket vectorized and adds its offset. Every row crosses the wire
    once; no task holds more than one bucket (value-skewed buckets are
    split by widening B, same knob as every range exchange here).
@@ -36,6 +36,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.exchange import exchange
+
 _B = 256  # value-range buckets; widen at scale to bound bucket size
 
 
@@ -52,7 +54,6 @@ def q_global_rank(sf_dir: str, n_buckets: int = _B):
     ``o_orderkey, cents, rank, pct_ppm`` with
     ``pct_ppm = rank · 10⁶ // n_total`` (integer division on
     positives, identical in numpy and DuckDB)."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     from ..stages.zorder import _footer_max
@@ -74,8 +75,12 @@ def q_global_rank(sf_dir: str, n_buckets: int = _B):
             batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
         # descending-value buckets: bucket 0 holds the largest cents,
-        # so bucket order IS global rank order
+        # so bucket order IS global rank order. A bucket below
+        # n_buckets is its own exchange bucket; one outside would share
+        # a fold with another and take the wrong offset
         bucket = ((max_cents - cents) * n_buckets) // (max_cents + 1)
+        if len(bucket) and (bucket.min() < 0 or bucket.max() >= n_buckets):
+            raise ValueError("global rank: a total lies outside the footer's value range")
         return pa.table(
             {
                 "bucket": pa.array(bucket, pa.int64()),
@@ -115,7 +120,8 @@ def q_global_rank(sf_dir: str, n_buckets: int = _B):
         )
     )
 
-    def rank_bucket(g: "pd.DataFrame") -> pa.Table:
+    def rank_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(
             ["cents", "o_orderkey"], ascending=[False, True], kind="mergesort"
         )
@@ -132,9 +138,7 @@ def q_global_rank(sf_dir: str, n_buckets: int = _B):
             }
         )
 
-    return prepped.groupby("bucket").map_groups(
-        rank_bucket, batch_format="pandas"
-    )
+    return exchange([(prepped, "bucket")], rank_bucket, n_buckets=n_buckets)
 
 
 _SQL_GLOBAL_RANK = """

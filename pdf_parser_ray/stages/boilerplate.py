@@ -25,6 +25,8 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..core.exchange import exchange
+
 _NAV = ["Home", "About", "Contact", "Login", "Register"]
 _RELATED = ["Related", "articles:", "Top", "stories", "Trending", "now"]
 _FOOTER = ["Privacy", "Policy", "Terms", "Copyright", "2024"]
@@ -196,23 +198,22 @@ def q_chrome_strip(sf_dir: str, n_buckets: int = 64):
                 o_src.append(s)
                 o_idx.append(i)
                 o_seg.append(seg)
-        bucket = [
-            zlib.crc32(f"{s}|{g}".encode()) % n_buckets
-            for s, g in zip(o_src, o_seg)
-        ]
+        # the (source, seg) key packed into one int for the exchange
+        seg_key = [zlib.crc32(f"{s}|{g}".encode()) for s, g in zip(o_src, o_seg)]
         return pa.table(
             {
                 "doc_id": pa.array(o_id, pa.int64()),
                 "source": pa.array(o_src, pa.string()),
                 "seg_idx": pa.array(o_idx, pa.int64()),
                 "seg": pa.array(o_seg, pa.string()),
-                "seg_bucket": pa.array(bucket, pa.int64()),
+                "seg_key": pa.array(seg_key, pa.int64()),
             }
         )
 
     segs = ds.map_batches(segments, batch_format="pyarrow", batch_size=None)
 
-    def flag_chrome(g, n_buckets=n_buckets):
+    def flag_chrome(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         freq = g.groupby(["source", "seg"])["doc_id"].transform("size")
         keep = (freq < CHROME_K).to_numpy()
         return pa.table(
@@ -221,17 +222,13 @@ def q_chrome_strip(sf_dir: str, n_buckets: int = 64):
                 "seg_idx": pa.array(g["seg_idx"].to_numpy(dtype=np.int64), pa.int64()),
                 "seg": pa.array(g["seg"].tolist(), pa.string()),
                 "kept": pa.array(keep.astype(np.int64), pa.int64()),
-                "doc_bucket": pa.array(
-                    g["doc_id"].to_numpy(dtype=np.int64) % n_buckets, pa.int64()
-                ),
             }
         )
 
-    flagged = segs.groupby("seg_bucket").map_groups(
-        flag_chrome, batch_format="pandas"
-    )
+    flagged = exchange([(segs, "seg_key")], flag_chrome, n_buckets=n_buckets)
 
-    def reassemble(g) -> pa.Table:
+    def reassemble(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         o_id: list[int] = []
         o_txt: list[str] = []
         o_kept: list[int] = []
@@ -252,9 +249,7 @@ def q_chrome_strip(sf_dir: str, n_buckets: int = 64):
             }
         )
 
-    return flagged.groupby("doc_bucket").map_groups(
-        reassemble, batch_format="pandas"
-    )
+    return exchange([(flagged, "doc_id")], reassemble, n_buckets=n_buckets)
 
 
 _C_H6 = "CAST(CAST('0x' || substr(md5({e}), 1, 6) AS BIGINT) AS VARCHAR)"

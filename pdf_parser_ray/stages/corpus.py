@@ -8,7 +8,7 @@ These have no counterpart in the reference repo (which processes one
 PDF at a time — `extractor.py` holds no corpus-level operator); they
 are the corpus-hygiene layer a 100-TB training pipeline runs between
 extraction and packing, built with the same discipline as
-``stages/dedup.py``: coarse-bucket groupbys with vectorized per-group
+``stages/dedup.py``: coarse-bucket exchanges with vectorized per-group
 logic, no driver-side materialization, integer-exact outputs so the
 DuckDB oracles hash-match bit-for-bit.
 """
@@ -137,21 +137,19 @@ def q_segment_dedup(sf_dir: str, n_buckets: int = 64):
                 o_id.append(d)
                 o_idx.append(i)
                 o_seg.append(" ".join(words[i * _SEG : (i + 1) * _SEG]))
-        bucket = np.array(
-            [zlib.crc32(s.encode()) % n_buckets for s in o_seg], dtype=np.int64
-        )
         return pa.table(
             {
                 "doc_id": pa.array(o_id, pa.int64()),
                 "seg_idx": pa.array(o_idx, pa.int64()),
                 "seg": pa.array(o_seg, pa.string()),
-                "seg_bucket": pa.array(bucket, pa.int64()),
+                "seg_crc": pa.array([zlib.crc32(s.encode()) for s in o_seg], pa.int64()),
             }
         )
 
     segs = ds.map_batches(segments, batch_format="pyarrow", batch_size=None)
 
-    def keep_first(g: pd.DataFrame) -> pa.Table:
+    def keep_first(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["seg", "doc_id", "seg_idx"], kind="mergesort")
         kept = (~g.duplicated("seg", keep="first")).to_numpy()
         return pa.table(
@@ -160,15 +158,13 @@ def q_segment_dedup(sf_dir: str, n_buckets: int = 64):
                 "seg_idx": pa.array(g["seg_idx"].to_numpy(dtype=np.int64), pa.int64()),
                 "seg": pa.array(g["seg"].tolist(), pa.string()),
                 "kept": pa.array(kept.astype(np.int64), pa.int64()),
-                "doc_bucket": pa.array(
-                    g["doc_id"].to_numpy(dtype=np.int64) % n_buckets, pa.int64()
-                ),
             }
         )
 
-    flagged = segs.groupby("seg_bucket").map_groups(keep_first, batch_format="pandas")
+    flagged = exchange([(segs, "seg_crc")], keep_first, n_buckets=n_buckets)
 
-    def reassemble(g: pd.DataFrame) -> pa.Table:
+    def reassemble(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         o_id: list[int] = []
         o_txt: list[str] = []
         o_kept: list[int] = []
@@ -191,9 +187,7 @@ def q_segment_dedup(sf_dir: str, n_buckets: int = 64):
             }
         )
 
-    return flagged.groupby("doc_bucket").map_groups(
-        reassemble, batch_format="pandas"
-    )
+    return exchange([(flagged, "doc_id")], reassemble, n_buckets=n_buckets)
 
 
 _SQL_SEGMENT_DEDUP = f"""
@@ -404,7 +398,8 @@ def epoch_shuffle_ds(ds, salt: str = "epoch0", n_buckets: int = 64):
         ]
         # Bucket by first-byte RANGE (// not %): bucket b must hold a
         # contiguous slice of the hash order for offsets+local-rank to
-        # compose into the global rank. n_buckets must divide 256.
+        # compose into the global rank. n_buckets must divide 256, so
+        # every bucket is below n_buckets and is its own exchange bucket.
         width = 256 // n_buckets
         bucket = np.array([int(k[:2], 16) // width for k in keys], dtype=np.int64)
         return batch.append_column(
@@ -423,14 +418,15 @@ def epoch_shuffle_ds(ds, salt: str = "epoch0", n_buckets: int = 64):
         offsets[int(b)] = run
         run += int(n)
 
-    def rank_bucket(g: pd.DataFrame) -> pa.Table:
+    def rank_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["shuffle_key", "doc_id"], kind="mergesort")
         rank = offsets[int(g["bucket"].iloc[0])] + np.arange(len(g), dtype=np.int64)
         g = g.drop(columns=["bucket"])
         out = pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
         return out.append_column("epoch_rank", pa.array(rank, pa.int64()))
 
-    return keyed_ds.groupby("bucket").map_groups(rank_bucket, batch_format="pandas")
+    return exchange([(keyed_ds, "bucket")], rank_bucket, n_buckets=n_buckets)
 
 
 _SQL_EPOCH_SHUFFLE = """
@@ -514,8 +510,6 @@ def q_stratified_split(sf_dir: str):
     per-lang rank read-off moves to the value-count summary exactly
     like the percentile family."""
     import hashlib
-
-    import pandas as pd
 
     from ..io.sources import read_parquet_clean
 
@@ -751,8 +745,6 @@ def substring_dedup_ds(
     consumer — linear re-read instead of pinning a corpus-scale copy
     into the object store. Output is identical either way (both paths
     exercised in ``TestSubstringDedup``)."""
-    import zlib
-
     from ..core.util import PIN_BUDGET_BYTES, pin_fits
 
     if text_col != "text":
@@ -768,7 +760,8 @@ def substring_dedup_ds(
         gram_rows_loop(n_buckets), batch_format="pyarrow", batch_size=None
     )
 
-    def flag_non_first(g: pd.DataFrame) -> pa.Table:
+    def flag_non_first(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["gram", "doc_id", "pos"], kind="mergesort")
         flagged = g[g.duplicated("gram", keep="first")]
         return pa.table(
@@ -778,9 +771,7 @@ def substring_dedup_ds(
             }
         )
 
-    flagged = grams.groupby("gram_bucket").map_groups(
-        flag_non_first, batch_format="pandas"
-    )
+    flagged = exchange([(grams, "gram_bucket")], flag_non_first, n_buckets=n_buckets)
 
     def rebuild(flag_t: pa.Table, doc_t: pa.Table) -> pa.Table:
         docs = doc_t.to_pandas()

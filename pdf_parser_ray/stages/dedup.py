@@ -109,18 +109,18 @@ def augmented_corpus(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
-def _with_fp(ds, n_buckets: int = 64):
-    """Add the content fingerprint and a coarse shuffle bucket (first
-    fp byte % n_buckets): the groupby partitions on the bucket, and the
-    per-fingerprint logic runs vectorized inside each partition —
-    hash-partition + per-group-first without per-tiny-group overhead."""
+_FP_BUCKETS = 64
+
+
+def _with_fp(ds):
+    """Add the content fingerprint ``fp``. Its folds exchange on ``fp``
+    into ``_FP_BUCKETS`` coarse buckets, and the per-fingerprint logic
+    runs vectorized inside each bucket — hash-partition +
+    per-group-first without per-tiny-group overhead."""
 
     def fn(batch: pa.Table) -> pa.Table:
         fps = [hashlib.md5((t or "").encode()).hexdigest() for t in batch["text"].to_pylist()]
-        buckets = np.array([int(f[:2], 16) % n_buckets for f in fps], dtype=np.int64)
-        return batch.append_column("fp", pa.array(fps)).append_column(
-            "fp_bucket", pa.array(buckets)
-        )
+        return batch.append_column("fp", pa.array(fps))
 
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
@@ -131,11 +131,12 @@ def q_dedup_exact(sf_dir: str):
     doc_id per fingerprint group."""
     ds = _with_fp(augmented_corpus(sf_dir))
 
-    def keep_first(g: pd.DataFrame) -> pd.DataFrame:
+    def keep_first(g: pa.Table) -> pd.DataFrame:
+        g = g.to_pandas()
         idx = g.groupby("fp", sort=False)["doc_id"].idxmin()
         return g.loc[idx, ["doc_id", "text"]]
 
-    return ds.groupby("fp_bucket").map_groups(keep_first, batch_format="pandas")
+    return exchange([(ds, "fp")], keep_first, n_buckets=_FP_BUCKETS)
 
 
 _SQL_DEDUP_EXACT = f"""
@@ -150,7 +151,8 @@ def q_dup_pairs_exact(sf_dir: str):
     groups — never a cross join."""
     ds = _with_fp(augmented_corpus(sf_dir))
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def pairs(g: pa.Table) -> pd.DataFrame:
+        g = g.to_pandas()
         out_a, out_b = [], []
         for _fp, sub in g.groupby("fp", sort=False):
             if len(sub) < 2:
@@ -164,7 +166,7 @@ def q_dup_pairs_exact(sf_dir: str):
             {"doc_a": np.array(out_a, dtype=np.int64), "doc_b": np.array(out_b, dtype=np.int64)}
         )
 
-    return ds.groupby("fp_bucket").map_groups(pairs, batch_format="pandas")
+    return exchange([(ds, "fp")], pairs, n_buckets=_FP_BUCKETS)
 
 
 _SQL_DUP_PAIRS = f"""
@@ -258,18 +260,17 @@ def jaccard(a: str, b: str, k: int = 3) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def candidate_pairs(corpus, n_pair_buckets: int = 32, distinct_pairs: bool = True):
+def candidate_pairs(corpus):
     """LSH candidate generation over ``corpus`` (an
     :func:`augmented_corpus`): band rows → coarse band_id groupby →
-    within-band pairs → distinct pairs via a coarse pair-bucket
-    groupby. Everything stays a Dataset; nothing lands on the driver.
+    within-band pairs. Everything stays a Dataset; nothing lands on
+    the driver.
 
-    With ``distinct_pairs=False`` the de-duplication shuffle is
-    skipped and raw (possibly repeated — one hit per matching band)
-    pairs are returned; :func:`_resolve_pair_texts` then dedupes them
+    The pairs are raw (possibly repeated — one hit per matching
+    band): :func:`_resolve_pair_texts` dedupes them
     for free inside its existing bucket shuffle, because every
     repetition of a pair routes its halves to the same buckets. That
-    drops the chain from four all-to-all exchanges to three; the cost
+    keeps the chain at three all-to-all exchanges, not four; the cost
     is shipping ≤ n_bands copies of each candidate's fixed-width half
     rows through the resolve exchange instead of one."""
     bands = corpus.map_batches(minhash_bands, batch_format="pyarrow", batch_size=None)
@@ -293,27 +294,7 @@ def candidate_pairs(corpus, n_pair_buckets: int = 32, distinct_pairs: bool = Tru
             {"doc_a": np.array(out_a, dtype=np.int64), "doc_b": np.array(out_b, dtype=np.int64)}
         )
 
-    cand = bands.groupby("band_id").map_groups(band_pairs, batch_format="pandas")
-    if not distinct_pairs:
-        return cand
-
-    # Distinct pairs (the same pair fires in several bands): coarse
-    # pair-bucket shuffle, drop_duplicates vectorized per partition —
-    # the same fine-key-inside-coarse-group discipline as _with_fp.
-    def add_pair_bucket(batch: pa.Table) -> pa.Table:
-        a = batch["doc_a"].to_numpy(zero_copy_only=False)
-        b = batch["doc_b"].to_numpy(zero_copy_only=False)
-        bucket = (a * np.int64(1_000_003) + b) % n_pair_buckets
-        return batch.append_column("pair_bucket", pa.array(bucket, pa.int64()))
-
-    def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["doc_a", "doc_b"], ignore_index=True)[["doc_a", "doc_b"]]
-
-    return (
-        cand.map_batches(add_pair_bucket, batch_format="pyarrow", batch_size=None)
-        .groupby("pair_bucket")
-        .map_groups(distinct, batch_format="pandas")
-    )
+    return bands.groupby("band_id").map_groups(band_pairs, batch_format="pandas")
 
 
 def _resolve_pair_texts(pairs, corpus, n_buckets: int = 16):
@@ -360,15 +341,10 @@ def _resolve_pair_texts(pairs, corpus, n_buckets: int = 16):
         j = half.to_pandas().drop_duplicates().merge(
             docs.to_pandas(), left_on="key", right_on="doc_id", how="inner"
         )
-        a = j["doc_a"].to_numpy(dtype=np.int64)
-        b = j["doc_b"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "pair_bucket": pa.array(
-                    (a * np.int64(1_000_003) + b) % n_buckets, pa.int64()
-                ),
-                "doc_a": pa.array(a, pa.int64()),
-                "doc_b": pa.array(b, pa.int64()),
+                "doc_a": pa.array(j["doc_a"].to_numpy(dtype=np.int64), pa.int64()),
+                "doc_b": pa.array(j["doc_b"].to_numpy(dtype=np.int64), pa.int64()),
                 "slot": pa.array(j["slot"].to_numpy(dtype=np.int8)),
                 "text": pa.array(j["text"].tolist(), pa.string()),
             }
@@ -393,7 +369,8 @@ def _resolve_pair_texts(pairs, corpus, n_buckets: int = 16):
         n_buckets=n_buckets,
     )
 
-    def combine(g: pd.DataFrame) -> pa.Table:
+    def combine(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         a_side = g[g["slot"] == 0][["doc_a", "doc_b", "text"]].rename(
             columns={"text": "text_a"}
         )
@@ -410,9 +387,8 @@ def _resolve_pair_texts(pairs, corpus, n_buckets: int = 16):
             }
         )
 
-    return halves_resolved.groupby("pair_bucket").map_groups(
-        combine, batch_format="pandas"
-    )
+    # both resolved halves of a pair carry its doc_a
+    return exchange([(halves_resolved, "doc_a")], combine, n_buckets=n_buckets)
 
 
 def _verify_pairs(with_ab, threshold: float):
@@ -471,7 +447,7 @@ def q_near_dup_pairs(sf_dir: str, threshold: float = 0.5):
     hint = parquet_uncompressed_bytes(f"{sf_dir}/documents.parquet")
     if pin_fits(hint + hint // 4 + 1):
         corpus = corpus.materialize()
-    cand = candidate_pairs(corpus, distinct_pairs=False)
+    cand = candidate_pairs(corpus)
     return _verify_pairs(_resolve_pair_texts(cand, corpus), threshold)
 
 
@@ -641,7 +617,7 @@ prefix_gram_rows = prefix_gram_rows_vec
 
 def ngram_candidate_pairs(corpus, threshold: float, n_buckets: int = 32):
     """Candidate pairs for an EXACT n-gram Jaccard join: prefix-gram
-    inverted index → coarse ``crc32(gram) % B`` bucket groupby → pairs
+    inverted index → coarse ``crc32(gram) % B`` bucket exchange → pairs
     within each fine gram group (vectorized pandas grouping inside the
     coarse partition — the tiny-group ``map_groups`` trap again) →
     length filter (J ≥ t ⇒ t·|B| ≤ |A| for |A| ≤ |B|) pruned at pair
@@ -670,9 +646,8 @@ def ngram_candidate_pairs(corpus, threshold: float, n_buckets: int = 32):
     rows = corpus.map_batches(
         prefix_gram_rows(threshold, n_buckets), batch_format="pyarrow", batch_size=None
     )
-    return rows.groupby("gram_bucket").map_groups(
-        _make_gram_pairs(thr_num, thr_den), batch_format="pandas"
-    )
+    pairs = _make_gram_pairs(thr_num, thr_den)
+    return exchange([(rows, "gram_bucket")], pairs, n_buckets=n_buckets)
 
 
 def _make_gram_pairs(thr_num: int, thr_den: int):
@@ -680,7 +655,8 @@ def _make_gram_pairs(thr_num: int, thr_den: int):
     DF-ordered prefix variants (the filters only need SOME fixed
     global gram order, applied consistently to both docs of a pair)."""
 
-    def gram_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def gram_pairs(g: pa.Table) -> pd.DataFrame:
+        g = g.to_pandas()
         # Fine grouping WITHOUT pandas groupby: factorize + stable sort
         # + boundary slicing, visiting only multi-row groups — a pandas
         # groupby loop here pays ~100 µs × tens of thousands of
@@ -767,39 +743,37 @@ def ngram_candidate_pairs_df(corpus, threshold: float, n_buckets: int = 32):
                 out_crc.append(zlib.crc32(g.encode()))
                 out_gram.append(g)
                 out_doc.append(doc_id)
-        crc = np.array(out_crc, dtype=np.int64)
         return pa.table(
             {
-                "gram_bucket": pa.array(crc % n_buckets, pa.int64()),
                 "gram": pa.array(out_gram, pa.string()),
-                # hashed ONCE here and carried through both exchanges —
-                # the per-doc prefix sort and the final re-bucketing
-                # reuse it instead of re-running a Python crc loop over
-                # the full gram volume
-                "crc": pa.array(crc, pa.int64()),
+                # hashed ONCE here and carried through the exchanges —
+                # the gram routing, the per-doc prefix sort and the
+                # final re-bucketing reuse it instead of re-running a
+                # Python crc loop over the full gram volume
+                "crc": pa.array(out_crc, pa.int64()),
                 "doc_id": pa.array(out_doc, pa.int64()),
             }
         )
 
     rows = corpus.map_batches(gram_doc_rows, batch_format="pyarrow", batch_size=None)
 
-    def attach_df(g: pd.DataFrame) -> pa.Table:
+    def attach_df(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         codes, _ = pd.factorize(g["gram"], sort=False)
         df_col = np.bincount(codes)[codes]
-        ids = g["doc_id"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "doc_bucket": pa.array(ids % n_buckets, pa.int64()),
-                "doc_id": pa.array(ids, pa.int64()),
+                "doc_id": pa.array(g["doc_id"].to_numpy(dtype=np.int64), pa.int64()),
                 "gram": pa.array(g["gram"].tolist(), pa.string()),
                 "crc": pa.array(g["crc"].to_numpy(dtype=np.int64), pa.int64()),
                 "df": pa.array(df_col.astype(np.int64), pa.int64()),
             }
         )
 
-    with_df = rows.groupby("gram_bucket").map_groups(attach_df, batch_format="pandas")
+    with_df = exchange([(rows, "crc")], attach_df, n_buckets=n_buckets)
 
-    def prefix_per_doc(g: pd.DataFrame) -> pa.Table:
+    def prefix_per_doc(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         grams = np.asarray(g["gram"].tolist(), dtype=object)
         crc = g["crc"].to_numpy(dtype=np.int64)
         ids = g["doc_id"].to_numpy(dtype=np.int64)
@@ -818,7 +792,7 @@ def ngram_candidate_pairs_df(corpus, threshold: float, n_buckets: int = 32):
         keep = pos < (n - alpha + 1)
         return pa.table(
             {
-                "gram_bucket": pa.array(crc[keep] % n_buckets, pa.int64()),
+                "crc": pa.array(crc[keep], pa.int64()),
                 "gram": pa.array(grams[keep].tolist(), pa.string()),
                 "doc_id": pa.array(ids[keep], pa.int64()),
                 "n_grams": pa.array(n[keep], pa.int64()),
@@ -826,10 +800,8 @@ def ngram_candidate_pairs_df(corpus, threshold: float, n_buckets: int = 32):
             }
         )
 
-    pref = with_df.groupby("doc_bucket").map_groups(prefix_per_doc, batch_format="pandas")
-    return pref.groupby("gram_bucket").map_groups(
-        _make_gram_pairs(thr_num, thr_den), batch_format="pandas"
-    )
+    pref = exchange([(with_df, "doc_id")], prefix_per_doc, n_buckets=n_buckets)
+    return exchange([(pref, "crc")], _make_gram_pairs(thr_num, thr_den), n_buckets=n_buckets)
 
 
 def q_ngram_dedup_pairs_df(sf_dir: str, threshold: float = 0.5):
@@ -930,9 +902,6 @@ def q_simhash_dup_pairs(sf_dir: str, n_buckets: int = 32):
         return pa.table(
             {
                 "band_key": pa.array(np.concatenate(out_bucket), pa.int64()),
-                "coarse": pa.array(
-                    np.concatenate(out_bucket) % n_buckets, pa.int64()
-                ),
                 "doc_id": pa.array(np.concatenate(out_doc), pa.int64()),
                 "simhash": pa.array(np.concatenate(out_sh), pa.int64()),
             }
@@ -942,7 +911,8 @@ def q_simhash_dup_pairs(sf_dir: str, n_buckets: int = 32):
         axis=1
     ).astype(np.int64)
 
-    def pairs(g: pd.DataFrame) -> pa.Table:
+    def pairs(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         out_a, out_b = [], []
         for _k, sub in g.groupby("band_key", sort=False):
             if len(sub) < 2:
@@ -963,22 +933,13 @@ def q_simhash_dup_pairs(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    cand = (
-        ds.map_batches(band_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("coarse")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    keyed = ds.map_batches(band_rows, batch_format="pyarrow", batch_size=None)
+    cand = exchange([(keyed, "band_key")], pairs, n_buckets=n_buckets)
 
-    # a pair collides in up to 4 bands → global pair dedup on a coarse
-    # pair bucket (fixed-width rows only, the near_dup_pairs pattern)
-    def tag(batch: pa.Table) -> pa.Table:
-        a = batch["doc_a"].to_numpy(zero_copy_only=False)
-        b = batch["doc_b"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "pb", pa.array((a * 1_000_003 + b) % n_buckets, pa.int64())
-        )
-
-    def dedup(g: pd.DataFrame) -> pa.Table:
+    # a pair collides in up to 4 bands → global pair dedup, exchanged
+    # on doc_a (fixed-width rows only, the near_dup_pairs pattern)
+    def dedup(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         u = g.drop_duplicates(["doc_a", "doc_b"])
         return pa.table(
             {
@@ -987,11 +948,7 @@ def q_simhash_dup_pairs(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        cand.map_batches(tag, batch_format="pyarrow", batch_size=None)
-        .groupby("pb")
-        .map_groups(dedup, batch_format="pandas")
-    )
+    return exchange([(cand, "doc_a")], dedup, n_buckets=n_buckets)
 
 
 def label_propagation_clusters(edges, max_rounds: int = 32):
@@ -1201,7 +1158,7 @@ def q_edit_dup_pairs(sf_dir: str):
 
     def tag(batch: pa.Table) -> pa.Table:
         n = batch["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("bucket", pa.array(n // _EDIT_LEN_BUCKET))
+        return batch.append_column("len_band", pa.array(n // _EDIT_LEN_BUCKET))
 
     def block_pairs(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values("doc_id")
@@ -1229,7 +1186,7 @@ def q_edit_dup_pairs(sf_dir: str):
 
     return (
         ds.map_batches(tag, batch_format="pyarrow", batch_size=None)
-        .groupby(["lang", "bucket"])
+        .groupby(["lang", "len_band"])
         .map_groups(block_pairs, batch_format="pandas")
     )
 
@@ -1267,9 +1224,13 @@ def q_dedup_incremental(sf_dir: str, snapshot_mod: int = 3, budget_bytes: "int |
     count), the snapshot side collapses to a driver-built set shipped
     once via ``ray.put`` and the shard streams through one vectorized
     ``isin`` filter — zero shuffles. Past the budget, BOTH sides ship
-    fixed-width ``(fp, side, doc_id)`` rows into one ``fp_bucket``
+    fixed-width ``(fp, side, doc_id)`` rows into one ``fp``
     exchange and the anti join runs vectorized per bucket (the twin;
     forced in tests via ``budget_bytes=1``, hash-identical output).
+    The twin's two row kinds travel as one lone exchange side told
+    apart by ``side``: both come from one corpus read, which a
+    two-sided exchange would run twice. They share every column, so
+    nothing is padded.
     In production the snapshot side is a persisted fingerprint index —
     this operator IS that index's build + probe in one plan."""
     import ray
@@ -1316,8 +1277,9 @@ def q_dedup_incremental(sf_dir: str, snapshot_mod: int = 3, budget_bytes: "int |
 
         return tagged.map_batches(admit, batch_format="pyarrow", batch_size=None)
 
-    # shuffle twin: one fp_bucket exchange, vectorized per-bucket anti join
-    def anti(g: pd.DataFrame) -> pa.Table:
+    # shuffle twin: one fp exchange, vectorized per-bucket anti join
+    def anti(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         new = g[g["side"] == 0]
         kept = new[~new["fp"].isin(g.loc[g["side"] == 1, "fp"])]
         return pa.table(
@@ -1327,11 +1289,8 @@ def q_dedup_incremental(sf_dir: str, snapshot_mod: int = 3, budget_bytes: "int |
             }
         )
 
-    return (
-        tagged.select_columns(["fp", "fp_bucket", "side", "doc_id"])
-        .groupby("fp_bucket")
-        .map_groups(anti, batch_format="pandas")
-    )
+    keyed = tagged.select_columns(["fp", "side", "doc_id"])
+    return exchange([(keyed, "fp")], anti, n_buckets=_FP_BUCKETS)
 
 
 _SQL_DEDUP_INCREMENTAL = f"""
@@ -1483,8 +1442,8 @@ WHERE bit_count(xor(a.simhash, b.simhash)) <= {SIMHASH_MAX_HAMMING}
 _CONTAIN_NUM, _CONTAIN_DEN = 4, 5
 
 
-def _containment_gram_rows(n_buckets: int = 32, k: int = 3):
-    """doc → one ``(gram_bucket, gram, doc_id, n_grams, in_prefix)``
+def _containment_gram_rows(k: int = 3):
+    """doc → one ``(crc, gram, doc_id, n_grams, in_prefix)``
     row per gram (ALL grams, not just the prefix): asymmetric
     containment needs the full inverted index on the CONTAINING side,
     while the prefix-filtering lemma applies only on the CONTAINED
@@ -1502,9 +1461,7 @@ def _containment_gram_rows(n_buckets: int = 32, k: int = 3):
         in_prefix = pos < (n - alpha + 1)
         return pa.table(
             {
-                "gram_bucket": pa.array(
-                    df["crc"].to_numpy(np.int64) % n_buckets, pa.int64()
-                ),
+                "crc": pa.array(df["crc"].to_numpy(np.int64), pa.int64()),
                 "gram": pa.array(df["g"].tolist(), pa.string()),
                 "doc_id": pa.array(ids[df["d"].to_numpy()], pa.int64()),
                 "n_grams": pa.array(n, pa.int64()),
@@ -1516,7 +1473,7 @@ def _containment_gram_rows(n_buckets: int = 32, k: int = 3):
     return fn
 
 
-def _containment_pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
+def _containment_pairs_bucket(g: pa.Table) -> pd.DataFrame:
     """Per-gram-bucket DIRECTED candidate pairs (contained → containing):
     for each fine gram group, prefix-flagged rows seed pairs against
     every row of the group, pruned by two integer filters — length
@@ -1527,6 +1484,7 @@ def _containment_pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
     always survives its earliest-gram emission — the same argument as
     the Jaccard path's PPJoin filter). Vectorized per group via
     broadcasted index grids; pair keys dedup once per partition."""
+    g = g.to_pandas()
     codes, _ = pd.factorize(g["gram"], sort=False)
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
@@ -1599,9 +1557,7 @@ def q_containment_dup_pairs(sf_dir: str):
     rows = corpus.map_batches(
         _containment_gram_rows(), batch_format="pyarrow", batch_size=None
     )
-    cand = rows.groupby("gram_bucket").map_groups(
-        _containment_pairs_bucket, batch_format="pandas"
-    )
+    cand = exchange([(rows, "crc")], _containment_pairs_bucket, n_buckets=32)
 
     def verify(batch: pa.Table) -> pa.Table:
         da = batch["doc_a"].to_pylist()
@@ -1674,12 +1630,12 @@ def q_dup_cluster_histogram(sf_dir: str):
     wire, never text) → per-bucket cluster sizes fold to (size →
     count) partials → ONE tiny (≤ max-cluster-size) exchange → the
     bounded histogram. Same grain class as the sketch read-offs."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     ds = _with_fp(augmented_corpus(sf_dir))
 
-    def size_partials(g: pd.DataFrame) -> pa.Table:
+    def size_partials(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         sizes = g.groupby("fp", sort=False).size()
         hist = sizes.value_counts()
         k = hist.index.to_numpy(np.int64)
@@ -1691,8 +1647,7 @@ def q_dup_cluster_histogram(sf_dir: str):
         )
 
     out = (
-        ds.groupby("fp_bucket")
-        .map_groups(size_partials, batch_format="pandas")
+        exchange([(ds, "fp")], size_partials, n_buckets=_FP_BUCKETS)
         .groupby("cluster_size")
         .aggregate(Sum("n_clusters", alias_name="n_clusters"))
         .to_pandas()  # bounded: one row per distinct cluster size

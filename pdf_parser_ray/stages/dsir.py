@@ -37,6 +37,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..core.exchange import exchange
 from .textstats import (
     _docs,
     _shared_ln_cte,
@@ -106,7 +107,8 @@ def q_dsir_weights(
         ].to_numpy()
         return t.append_column("ttf", pa.array(ttf.astype(np.int64), pa.int64()))
 
-    def bucket_model(g: "pd.DataFrame") -> pa.Table:
+    def bucket_model(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = g.groupby("term", sort=False)[["tf", "ttf"]].sum().reset_index()
         tot_r = int(agg["tf"].sum())
         tot_t = int(agg["ttf"].sum())
@@ -131,10 +133,9 @@ def q_dsir_weights(
             }
         )
 
+    tf = ds.map_batches(tf_rows_tgt, batch_format="pyarrow", batch_size=None)
     rows = (
-        ds.map_batches(tf_rows_tgt, batch_format="pyarrow", batch_size=None)
-        .groupby("term_bucket")
-        .map_groups(bucket_model, batch_format="pandas")
+        exchange([(tf, "term_bucket")], bucket_model, n_buckets=n_buckets)
         .to_pandas()  # bounded: ≤ B·(V+1) fixed-width rows
     )
     tr = int(rows.loc[rows["kind"] == 1, "cr"].sum())
@@ -290,8 +291,6 @@ def q_ccnet_buckets(sf_dir: str, vocab_size: int = 32768, n_buckets: int = 32):
     nll_micro) value-count summary exactly like the percentile family
     (`q_priority_percentiles`); the per-doc BUCKET assignment then
     joins back by nll range, same rule, same hashes."""
-    import pandas as pd
-
     scored = lm_score_ds(
         sf_dir, vocab_size=vocab_size, n_buckets=n_buckets, carry=("lang",)
     )

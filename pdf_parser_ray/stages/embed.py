@@ -585,8 +585,8 @@ def q_embed_near_dup_ivf(sf_dir: str, threshold: float = 0.4, n_cells: int = 16,
     """Approximate embedding near-dup via multi-probe IVF cells — the
     sub-quadratic scale path. Every vector is assigned to its
     ``m_probe`` nearest of ``n_cells`` random-projection centroids;
-    pairs are scored only inside shared cells, then deduped with a
-    coarse pair-bucket groupby.
+    pairs are scored only inside shared cells, then deduped in one
+    exchange on ``vec_a``.
 
     Recall/threshold interaction (measured on this corpus, 64-dim):
     θ = 0.4 is a 66° angle, so cell membership of the two vectors is
@@ -637,15 +637,9 @@ def q_embed_near_dup_ivf(sf_dir: str, threshold: float = 0.4, n_cells: int = 16,
     )
 
     # a pair sharing several cells scores several times → distinct via
-    # a coarse pair-bucket groupby (values identical, keep first)
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        a = batch["vec_a"].to_numpy(zero_copy_only=False)
-        b = batch["vec_b"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "pair_bucket", pa.array((a * np.int64(1_000_003) + b) % 16, pa.int64())
-        )
-
-    def distinct(g: pd.DataFrame) -> pa.Table:
+    # an exchange on vec_a (values identical, keep first)
+    def distinct(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.drop_duplicates(["vec_a", "vec_b"], ignore_index=True)
         return pa.table(
             {
@@ -655,11 +649,7 @@ def q_embed_near_dup_ivf(sf_dir: str, threshold: float = 0.4, n_cells: int = 16,
             }
         )
 
-    return (
-        cand.map_batches(add_bucket, batch_format="pyarrow", batch_size=None)
-        .groupby("pair_bucket")
-        .map_groups(distinct, batch_format="pandas")
-    )
+    return exchange([(cand, "vec_a")], distinct, n_buckets=16)
 
 
 _SQL_EMBED_NEAR_DUP = """

@@ -96,7 +96,6 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
         src = np.concatenate([c, s])
         return pa.table(
             {
-                "sbucket": pa.array(src % n_buckets),
                 "src": pa.array(src),
                 "dst": pa.array(np.concatenate([s, c])),
             }
@@ -108,7 +107,8 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
         n_buckets=n_buckets,
     )
 
-    def adjacency(g: pd.DataFrame) -> pa.Table:
+    def adjacency(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         e = g.drop_duplicates(["src", "dst"])
         deg = e.groupby("src", sort=False)["dst"].transform("size")
         return pa.table(
@@ -119,9 +119,7 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    edges = (
-        sym.groupby("sbucket").map_groups(adjacency, batch_format="pandas").materialize()
-    )
+    edges = exchange([(sym, "src")], adjacency, n_buckets=n_buckets).materialize()
 
     def contribs(e: pa.Table, *r: pa.Table) -> pa.Table:
         j = e.to_pandas()
@@ -135,16 +133,15 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
         agg = pd.DataFrame({"dst": j["dst"].to_numpy(dtype=np.int64), "c": c}).groupby(
             "dst", sort=False
         )["c"].sum()
-        dst = agg.index.to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "dbucket": pa.array(dst % n_buckets),
-                "dst": pa.array(dst),
+                "dst": pa.array(agg.index.to_numpy(dtype=np.int64)),
                 "c": pa.array(agg.to_numpy(dtype=np.int64)),
             }
         )
 
-    def fold(g: pd.DataFrame) -> pa.Table:
+    def fold(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = g.groupby("dst", sort=False)["c"].sum()
         return pa.table(
             {
@@ -156,10 +153,9 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
     ranks = None
     for _ in range(N_ITER):
         sides = [(edges, "src")] + ([(ranks, "src")] if ranks is not None else [])
+        contrib = exchange(sides, contribs, n_buckets=n_buckets)
         ranks = (
-            exchange(sides, contribs, n_buckets=n_buckets)
-            .groupby("dbucket")
-            .map_groups(fold, batch_format="pandas")
+            exchange([(contrib, "dst")], fold, n_buckets=n_buckets)
             # Ray's sort shuffle emits one output partition per input
             # block; left uncapped, each iteration's block count feeds
             # the next union and compounds (measured: 606 mostly-empty
@@ -254,7 +250,7 @@ def q_triangle_count(
     Returns one row: ``(n_edges, n_triangles)``."""
     edges = _copurchase_edges(sf_dir, n_buckets)
     deg_nodes, deg_vals = _degree_arrays(edges)
-    oriented = _orient_edges(edges, deg_nodes, deg_vals, n_buckets)
+    oriented = _orient_edges(edges, deg_nodes, deg_vals)
     return _triangle_count_from(
         edges, oriented, n_buckets, broadcast_probe=broadcast_probe
     )
@@ -276,29 +272,22 @@ def _copurchase_edges(sf_dir: str, n_buckets: int):
                 "p": b["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64),
             }
         ).drop_duplicates()
-        return pa.table(
-            {
-                "bucket": pa.array(df["o"].to_numpy() % n_buckets),
-                "o": pa.array(df["o"].to_numpy()),
-                "p": pa.array(df["p"].to_numpy()),
-            }
-        )
+        return pa.table({"o": pa.array(df["o"].to_numpy()), "p": pa.array(df["p"].to_numpy())})
 
-    def basket_pairs(g: pd.DataFrame) -> pa.Table:
+    def basket_pairs(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         df = g[["o", "p"]].drop_duplicates()
         j = df.merge(df, on="o")
         j = j[j["p_x"] < j["p_y"]][["p_x", "p_y"]].drop_duplicates()
-        a = j["p_x"].to_numpy(dtype=np.int64)
-        b_ = j["p_y"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "ebucket": pa.array((a * 1_000_003 + b_) % n_buckets),
-                "a": pa.array(a),
-                "b": pa.array(b_),
+                "a": pa.array(j["p_x"].to_numpy(dtype=np.int64)),
+                "b": pa.array(j["p_y"].to_numpy(dtype=np.int64)),
             }
         )
 
-    def distinct_edges(g: pd.DataFrame) -> pa.Table:
+    def distinct_edges(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         e = g[["a", "b"]].drop_duplicates()
         return pa.table(
             {
@@ -307,14 +296,11 @@ def _copurchase_edges(sf_dir: str, n_buckets: int):
             }
         )
 
-    return (
-        lineitem.map_batches(op_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(basket_pairs, batch_format="pandas")
-        .groupby("ebucket")
-        .map_groups(distinct_edges, batch_format="pandas")
-        .materialize()  # O(edges) pin, reused by degrees + wedge join
-    )
+    keyed = lineitem.map_batches(op_rows, batch_format="pyarrow", batch_size=None)
+    pairs = exchange([(keyed, "o")], basket_pairs, n_buckets=n_buckets)
+    # every copy of an edge shares its ``a``; an O(edges) pin, reused
+    # by degrees + wedge join
+    return exchange([(pairs, "a")], distinct_edges, n_buckets=n_buckets).materialize()
 
 
 def _degree_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +338,7 @@ def _degree_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
     return deg_nodes[deg_order], deg_df["deg"].to_numpy(dtype=np.int64)[deg_order]
 
 
-def _orient_edges(edges, deg_nodes: np.ndarray, deg_vals: np.ndarray, n_buckets: int):
+def _orient_edges(edges, deg_nodes: np.ndarray, deg_vals: np.ndarray):
     """Re-orient every edge src→dst by ascending ``(degree, id)`` key —
     caps out-degree at O(√edges), the hot-node wedge-explosion guard."""
 
@@ -369,7 +355,6 @@ def _orient_edges(edges, deg_nodes: np.ndarray, deg_vals: np.ndarray, n_buckets:
         dkey = np.where(lo, kb, ka)
         return pa.table(
             {
-                "sbucket": pa.array(src % n_buckets),
                 "src": pa.array(src),
                 "dst": pa.array(dst),
                 "dkey": pa.array(dkey),
@@ -478,7 +463,8 @@ def _triangle_count_from(
             .to_numpy(dtype=np.int64)
         )
 
-        def count_local(g: pd.DataFrame) -> pa.Table:
+        def count_local(g: pa.Table) -> pa.Table:
+            g = g.to_pandas()
             tri = _count_members(_wedge_keys(g), ekeys)
             return pa.table(
                 {
@@ -496,15 +482,15 @@ def _triangle_count_from(
             )
 
         return (
-            oriented.groupby("sbucket")
-            .map_groups(count_local, batch_format="pandas")
+            exchange([(oriented, "src")], count_local, n_buckets=n_buckets)
             .groupby("one")
             .map_groups(finish_broadcast, batch_format="pandas")
         )
 
     # unbounded-edge fallback: ship wedge KEYS (one int64 each) through
     # a key-hash exchange and close them against the co-located edges
-    def wedge_rows(g: pd.DataFrame) -> pa.Table:
+    def wedge_rows(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         return pa.table({"key": pa.array(_wedge_keys(g))})
 
     def close_wedges(wedges: pa.Table, edge: pa.Table) -> pa.Table:
@@ -530,7 +516,7 @@ def _triangle_count_from(
         exchange(
             [
                 (
-                    oriented.groupby("sbucket").map_groups(wedge_rows, batch_format="pandas"),
+                    exchange([(oriented, "src")], wedge_rows, n_buckets=n_buckets),
                     "key",
                     _KEY,
                 ),
@@ -589,7 +575,7 @@ def q_clustering_coeff(
 
     edges = _copurchase_edges(sf_dir, n_buckets)
     deg_nodes, deg_vals = _degree_arrays(edges)
-    oriented = _orient_edges(edges, deg_nodes, deg_vals, n_buckets)
+    oriented = _orient_edges(edges, deg_nodes, deg_vals)
 
     from ..core.util import BROADCAST_BUDGET_BYTES
 
@@ -645,16 +631,16 @@ def q_clustering_coeff(
             .to_numpy(dtype=np.int64)
         )
 
-        def credit_local(g: pd.DataFrame) -> pa.Table:
+        def credit_local(g: pa.Table) -> pa.Table:
+            g = g.to_pandas()
             centers, keys = _wedges(g)
             return _node_partials(centers, keys, _member_mask(keys, ekeys))
 
-        tri_rows = oriented.groupby("sbucket").map_groups(
-            credit_local, batch_format="pandas"
-        )
+        tri_rows = exchange([(oriented, "src")], credit_local, n_buckets=n_buckets)
     else:
 
-        def wedge_rows(g: pd.DataFrame) -> pa.Table:
+        def wedge_rows(g: pa.Table) -> pa.Table:
+            g = g.to_pandas()
             centers, k = _wedges(g)
             return pa.table({"key": pa.array(k), "center": pa.array(centers)})
 
@@ -667,7 +653,7 @@ def q_clustering_coeff(
         tri_rows = exchange(
             [
                 (
-                    oriented.groupby("sbucket").map_groups(wedge_rows, batch_format="pandas"),
+                    exchange([(oriented, "src")], wedge_rows, n_buckets=n_buckets),
                     "key",
                     pa.schema({"key": pa.int64(), "center": pa.int64()}),
                 ),
@@ -872,15 +858,10 @@ def q_part_hops(sf_dir: str, seed_size: int = 1, n_buckets: int = 32):
                 "p": b["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64),
             }
         ).drop_duplicates()
-        return pa.table(
-            {
-                "bucket": pa.array(df["o"].to_numpy() % n_buckets),
-                "o": pa.array(df["o"].to_numpy()),
-                "p": pa.array(df["p"].to_numpy()),
-            }
-        )
+        return pa.table({"o": pa.array(df["o"].to_numpy()), "p": pa.array(df["p"].to_numpy())})
 
-    def basket_adj(g: pd.DataFrame) -> pa.Table:
+    def basket_adj(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         df = g[["o", "p"]].drop_duplicates()
         j = df.merge(df, on="o")
         j = j[j["p_x"] != j["p_y"]][["p_x", "p_y"]].drop_duplicates()
@@ -891,12 +872,11 @@ def q_part_hops(sf_dir: str, seed_size: int = 1, n_buckets: int = 32):
             }
         )
 
-    adj = (
-        lineitem.map_batches(op_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(basket_adj, batch_format="pandas")
-        .materialize()  # reused once per BFS round
-    )
+    adj = exchange(
+        [(lineitem.map_batches(op_rows, batch_format="pyarrow", batch_size=None), "o")],
+        basket_adj,
+        n_buckets=n_buckets,
+    ).materialize()  # reused once per BFS round
 
     rows_node = [seeds]
     rows_hops = [np.zeros(len(seeds), dtype=np.int64)]
@@ -1197,75 +1177,52 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
 
     Returns one row per node: ``(node_type, node, score_micro)`` with
     node_type 0 = customer hub, 1 = supplier authority."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
 
     def to_edges(li: pa.Table, o: pa.Table) -> pa.Table:
         j = li.to_pandas().merge(o.to_pandas(), left_on="l_orderkey", right_on="o_orderkey")
         j = j.rename(columns={"o_custkey": "c", "l_suppkey": "s"})[["c", "s"]].drop_duplicates()
-        c = j["c"].to_numpy(dtype=np.int64)
-        s = j["s"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "cbucket": pa.array(c % n_buckets),
-                "c": pa.array(c),
-                "s": pa.array(s),
+                "c": pa.array(j["c"].to_numpy(dtype=np.int64)),
+                "s": pa.array(j["s"].to_numpy(dtype=np.int64)),
             }
         )
 
-    def dedup_edges(g: pd.DataFrame) -> pa.Table:
+    def dedup_edges(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         # the orderkey buckets dedup only within an order — the same
-        # (c, s) pair recurs across orders, so one cbucket exchange
+        # (c, s) pair recurs across orders, so one exchange on c
         # dedups globally (all copies share c, hence the bucket)
         d = g.drop_duplicates(["c", "s"])
         return pa.table(
             {
-                "cbucket": pa.array(d["c"].to_numpy(np.int64) % n_buckets),
                 "c": pa.array(d["c"].to_numpy(np.int64)),
                 "s": pa.array(d["s"].to_numpy(np.int64)),
             }
         )
 
-    edges = (
-        exchange(
-            [
-                (_distinct_order_supp(lineitem), "l_orderkey", _ORDER_SUPP),
-                (orders, "o_orderkey"),
-            ],
-            to_edges,
-            n_buckets=n_buckets,
-        )
-        .groupby("cbucket")
-        .map_groups(dedup_edges, batch_format="pandas")
-        .materialize()  # O(edges) pin, reused by all 2·ITER half-steps
+    pairs = exchange(
+        [(_distinct_order_supp(lineitem), "l_orderkey", _ORDER_SUPP), (orders, "o_orderkey")],
+        to_edges,
+        n_buckets=n_buckets,
     )
-
-    def scores_from(g: pd.DataFrame, key: str, out_bucket: str) -> pa.Table:
-        agg = g.groupby(key, sort=False)["contrib"].sum()
-        node = agg.index.to_numpy(dtype=np.int64)
-        return pa.table(
-            {
-                out_bucket: pa.array(node % n_buckets),
-                "node": pa.array(node),
-                "val": pa.array(agg.to_numpy(dtype=np.int64)),
-            }
-        )
+    # O(edges) pin, reused by all 2·ITER half-steps
+    edges = exchange([(pairs, "c")], dedup_edges, n_buckets=n_buckets).materialize()
 
     # h₀ = 10⁶ per customer (derived from the edge set itself)
     def h0_rows(b: pa.Table) -> pa.Table:
         c = np.unique(b["c"].to_numpy(zero_copy_only=False))
         return pa.table(
             {
-                "cbucket": pa.array(c % n_buckets),
                 "node": pa.array(c),
                 "val": pa.array(np.full(len(c), 1_000_000, np.int64)),
             }
         )
 
-    def dedup_nodes(g: pd.DataFrame) -> pa.Table:
+    def dedup_nodes(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         d = g.drop_duplicates("node")
         return pa.table(
             {
@@ -1274,12 +1231,8 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    h = (
-        edges.map_batches(h0_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("cbucket")
-        .map_groups(dedup_nodes, batch_format="pandas")
-        .materialize()
-    )
+    keyed = edges.map_batches(h0_rows, batch_format="pyarrow", batch_size=None)
+    h = exchange([(keyed, "node")], dedup_nodes, n_buckets=n_buckets).materialize()
 
     def half_step(state, join_key, emit_key):
         """One E/Eᵀ application: co-locate state with edges on
@@ -1290,16 +1243,15 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
             r = st.to_pandas().rename(columns={"node": join_key, "val": "r"})
             j = e.to_pandas().merge(r, on=join_key)
             agg = j.groupby(emit_key, sort=False)["r"].sum()
-            node = agg.index.to_numpy(dtype=np.int64)
             return pa.table(
                 {
-                    "ebucket": pa.array(node % n_buckets),
-                    "node": pa.array(node),
+                    "node": pa.array(agg.index.to_numpy(dtype=np.int64)),
                     "contrib": pa.array(agg.to_numpy(dtype=np.int64)),
                 }
             )
 
-        def fold(g: pd.DataFrame) -> pa.Table:
+        def fold(g: pa.Table) -> pa.Table:
+            g = g.to_pandas()
             agg = g.groupby("node", sort=False)["contrib"].sum()
             node = agg.index.to_numpy(dtype=np.int64)
             return pa.table(
@@ -1309,17 +1261,10 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
                 }
             )
 
+        state_side = (state, "node", pa.schema({"node": pa.int64(), "val": pa.int64()}))
+        contrib = exchange([(edges, join_key), state_side], contribs, n_buckets=n_buckets)
         raw = (
-            exchange(
-                [
-                    (edges, join_key),
-                    (state, "node", pa.schema({"node": pa.int64(), "val": pa.int64()})),
-                ],
-                contribs,
-                n_buckets=n_buckets,
-            )
-            .groupby("ebucket")
-            .map_groups(fold, batch_format="pandas")
+            exchange([(contrib, "node")], fold, n_buckets=n_buckets)
             # pin the loop state at n_buckets blocks: the sort shuffle
             # emits one output partition per input block, so left
             # uncapped each half-step's block count feeds the next

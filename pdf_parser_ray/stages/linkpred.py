@@ -98,7 +98,6 @@ def q_adamic_adar(
         w = np.concatenate([wa[ma], wb[mb]])
         return pa.table(
             {
-                "cbucket": pa.array(c % n_buckets),
                 "c": pa.array(c),
                 "n": pa.array(n),
                 "w": pa.array(w),
@@ -136,7 +135,8 @@ def q_adamic_adar(
     else:
         bkeys = None
 
-    def pair_partials(g: pd.DataFrame) -> pa.Table:
+    def pair_partials(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         # stride-offset wedge sweep (see graph._wedges): after sorting
         # by (c, n), positions t and t+d share a center iff
         # c[t] == c[t+d]; n ascending within a center makes u < v free.
@@ -186,11 +186,8 @@ def q_adamic_adar(
         )
         return pa.table({"key": pa.array(k)})
 
-    pairs = (
-        edges.map_batches(center_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("cbucket")
-        .map_groups(pair_partials, batch_format="pandas")
-    )
+    keyed = edges.map_batches(center_rows, batch_format="pyarrow", batch_size=None)
+    pairs = exchange([(keyed, "c")], pair_partials, n_buckets=n_buckets)
     sides = [(pairs, "key", pa.schema({"key": pa.int64(), "score": pa.int64(), "cn": pa.int64()}))]
     if bkeys is None:
         sides.append(

@@ -22,6 +22,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from ..core.exchange import exchange
+
 MEDIA_SCHEMA = pa.schema(
     [
         pa.field("doc_id", pa.int64()),
@@ -148,19 +150,27 @@ class FrameSampleStub:
         )
 
 
-def q_media_features(sf_dir: str):
-    """Binary corpus → actor-pool decode stub → per-item features.
-    The sha256/width/height derivations are SQL-reproducible, giving
-    the media plumbing a full oracle even though decode is stubbed."""
-    ds = synth_media_corpus(sf_dir)
+def decode_media(ds):
+    """Run ``ds``'s media rows through the :class:`MediaDecodeStub`
+    actor pool. The actors reserve no CPU: a pool actor holding a
+    reserved CPU waits for rows from the read task upstream of it, and
+    in a 1- or 2-CPU session no CPU is left for that task to start, so
+    the query never finishes."""
     return ds.map_batches(
         MediaDecodeStub,
         fn_constructor_kwargs={"use_real_codecs": False},
         batch_format="pyarrow",
         batch_size=1024,
         concurrency=2,
-        num_cpus=1,
+        num_cpus=0,
     )
+
+
+def q_media_features(sf_dir: str):
+    """Binary corpus → actor-pool decode stub → per-item features.
+    The sha256/width/height derivations are SQL-reproducible, giving
+    the media plumbing a full oracle even though decode is stubbed."""
+    return decode_media(synth_media_corpus(sf_dir))
 
 
 _SQL_MEDIA = """
@@ -185,37 +195,16 @@ def q_media_dedup(sf_dir: str, n_buckets: int = 32):
     columns can't reuse the text path's fingerprint kernels and the
     exchange discipline (hash rows, not blobs) is the 100-TB-critical
     part."""
-    import pandas as pd
-
     from .dedup import augmented_corpus
 
     docs = augmented_corpus(sf_dir)
 
-    feats = docs.map_batches(
-        docs_to_media_batch, batch_format="pyarrow", batch_size=1024
-    ).map_batches(
-        MediaDecodeStub,
-        fn_constructor_kwargs={"use_real_codecs": False},
-        batch_format="pyarrow",
-        batch_size=1024,
-        concurrency=2,
-        num_cpus=1,
-    )
+    feats = decode_media(
+        docs.map_batches(docs_to_media_batch, batch_format="pyarrow", batch_size=1024)
+    ).select_columns(["doc_id", "media_type", "sha256"])
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        shas = batch["sha256"].to_pylist()
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    [int(s[:2], 16) % n_buckets for s in shas], pa.int64()
-                ),
-                "doc_id": batch["doc_id"],
-                "media_type": batch["media_type"],
-                "sha256": batch["sha256"],
-            }
-        )
-
-    def keep_first(g: pd.DataFrame) -> pa.Table:
+    def keep_first(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         idx = g.groupby("sha256", sort=False)["doc_id"].idxmin()
         kept = g.loc[idx]
         return pa.table(
@@ -226,11 +215,7 @@ def q_media_dedup(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        feats.map_batches(bucket, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(keep_first, batch_format="pandas")
-    )
+    return exchange([(feats, "sha256")], keep_first, n_buckets=n_buckets)
 
 
 def q_resolve_media_refs(sf_dir: str, n_buckets: int = 32):
@@ -253,7 +238,6 @@ def q_resolve_media_refs(sf_dir: str, n_buckets: int = 32):
     import pyarrow.compute as pc
 
     from ..pipelines.extract import flagship
-    from ..core.exchange import exchange
 
     spans = flagship(sf_dir)
 

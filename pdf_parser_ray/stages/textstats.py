@@ -16,6 +16,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..core.exchange import exchange
+
 
 def _docs(sf_dir: str, columns: list[str]):
     from ..io.sources import read_parquet_clean
@@ -363,9 +365,6 @@ def q_balanced_sample(sf_dir: str, cap: int = 50, n_buckets: int = 16):
     a windowed rank over a coarse ``hash(lang) % B`` shuffle (languages
     are few, so every group is one partition — the same shape scales
     to thousands of strata)."""
-    import pandas as pd
-
-    from ..core.util import hash_bucket
 
     ds = _docs(sf_dir, ["doc_id", "text"])
 
@@ -385,15 +384,10 @@ def q_balanced_sample(sf_dir: str, cap: int = 50, n_buckets: int = 16):
             take = s >= best
             lang[take & (s > 0)] = lg
             best = np.maximum(best, s)
-        lang_arr = pa.array(lang, pa.string())
-        bucket = pa.array(
-            [hash_bucket(l, n_buckets) for l in lang], pa.int64()
-        )
-        return pa.table(
-            {"doc_id": batch["doc_id"], "lang_pred": lang_arr, "bucket": bucket}
-        )
+        return pa.table({"doc_id": batch["doc_id"], "lang_pred": pa.array(lang, pa.string())})
 
-    def cap_group(g: pd.DataFrame) -> pa.Table:
+    def cap_group(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["lang_pred", "doc_id"], kind="stable")
         rn = g.groupby("lang_pred", sort=False).cumcount()
         kept = g[rn < cap]
@@ -404,11 +398,8 @@ def q_balanced_sample(sf_dir: str, cap: int = 50, n_buckets: int = 16):
             }
         )
 
-    return (
-        ds.map_batches(score, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(cap_group, batch_format="pandas")
-    )
+    keyed = ds.map_batches(score, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "lang_pred")], cap_group, n_buckets=n_buckets)
 
 
 
@@ -431,8 +422,6 @@ def q_source_cap_sample(sf_dir: str, cap: int = 10, n_buckets: int = 16):
     vectorized inside each coarse ``hash(source) % B`` partition."""
     import pandas as pd
 
-    from ..core.util import hash_bucket
-
     ds = _docs(sf_dir, ["doc_id", "source"])
 
     def prune(batch: pa.Table) -> pa.Table:
@@ -447,13 +436,11 @@ def q_source_cap_sample(sf_dir: str, cap: int = 10, n_buckets: int = 16):
             {
                 "doc_id": pa.array(kept["doc_id"].to_numpy(dtype=np.int64), pa.int64()),
                 "source": pa.array(kept["source"].tolist(), pa.string()),
-                "bucket": pa.array(
-                    [hash_bucket(s, n_buckets) for s in kept["source"]], pa.int64()
-                ),
             }
         )
 
-    def cap_group(g: pd.DataFrame) -> pa.Table:
+    def cap_group(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g.sort_values(["source", "doc_id"], kind="stable")
         kept = g[g.groupby("source", sort=False).cumcount() < cap]
         return pa.table(
@@ -463,11 +450,8 @@ def q_source_cap_sample(sf_dir: str, cap: int = 10, n_buckets: int = 16):
             }
         )
 
-    return (
-        ds.map_batches(prune, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(cap_group, batch_format="pandas")
-    )
+    keyed = ds.map_batches(prune, batch_format="pyarrow", batch_size=None)
+    return exchange([(keyed, "source")], cap_group, n_buckets=n_buckets)
 
 
 _SQL_SOURCE_CAP = """
@@ -519,7 +503,6 @@ def q_top_tokens(sf_dir: str, k: int = 20):
     ``groupby(token).Sum`` → global top-k. Deterministic order
     (count desc, token asc). The heavy-hitter detector for frequent
     n-gram / boilerplate contamination scans."""
-    import pandas as pd
 
     ds = _docs(sf_dir, ["text"])
 
@@ -1101,7 +1084,6 @@ def q_tfidf_top_terms(sf_dir: str, k: int = 3, n_buckets: int = 32):
     on any platform; ranking happens on the integer, never a float."""
     import pandas as pd
     import pyarrow.parquet as pq
-    import zlib
 
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     ln_n = _shared_ln(int(n_docs))
@@ -1109,7 +1091,8 @@ def q_tfidf_top_terms(sf_dir: str, k: int = 3, n_buckets: int = 32):
 
     tf_rows = tf_rows_vec(n_buckets)
 
-    def score(g: pd.DataFrame) -> pa.Table:
+    def score(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         df_per_term = g.groupby("term", sort=False)["doc_id"].transform("size")
         # one shared-ln evaluation per distinct df value
         idf = {int(d): ln_n - _shared_ln(int(d)) for d in df_per_term.unique()}
@@ -1124,9 +1107,6 @@ def q_tfidf_top_terms(sf_dir: str, k: int = 3, n_buckets: int = 32):
         )
         return pa.table(
             {
-                "doc_bucket": pa.array(
-                    g["doc_id"].to_numpy(dtype=np.int64) % n_buckets, pa.int64()
-                ),
                 "doc_id": pa.array(g["doc_id"].to_numpy(dtype=np.int64), pa.int64()),
                 "term": pa.array(g["term"].tolist(), pa.string()),
                 "tf": pa.array(tf, pa.int64()),
@@ -1135,22 +1115,20 @@ def q_tfidf_top_terms(sf_dir: str, k: int = 3, n_buckets: int = 32):
             }
         )
 
-    scored = (
-        ds.map_batches(tf_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("term_bucket")
-        .map_groups(score, batch_format="pandas")
-    )
+    keyed = ds.map_batches(tf_rows, batch_format="pyarrow", batch_size=None)
+    scored = exchange([(keyed, "term_bucket")], score, n_buckets=n_buckets)
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
+    def topk(g: pa.Table) -> pd.DataFrame:
         return (
-            g.sort_values(
+            g.to_pandas()
+            .sort_values(
                 ["doc_id", "tfidf_micro", "term"], ascending=[True, False, True]
             )
             .groupby("doc_id", sort=False)
             .head(k)[["doc_id", "term", "tf", "df", "tfidf_micro"]]
         )
 
-    return scored.groupby("doc_bucket").map_groups(topk, batch_format="pandas")
+    return exchange([(scored, "doc_id")], topk, n_buckets=n_buckets)
 
 
 # idf via the shared-ln expression tree (see _shared_ln above): lnd
@@ -1360,7 +1338,6 @@ def _ensure_token_index(sf_dir: str, n_buckets: int = 32) -> str:
     import os
     import shutil
 
-    import pandas as pd
     import pyarrow.parquet as pq
 
     path = _token_index_dir(sf_dir, n_buckets)
@@ -1376,7 +1353,8 @@ def _ensure_token_index(sf_dir: str, n_buckets: int = 32) -> str:
             {"doc_id": batch["doc_id"], "text": pc.utf8_lower(batch["text"])}
         )
 
-    def write_bucket(g: pd.DataFrame) -> pa.Table:
+    def write_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         b = int(g["term_bucket"].iloc[0])
         g = g.sort_values(["term", "doc_id"], kind="stable")
         t = pa.table(
@@ -1394,13 +1372,11 @@ def _ensure_token_index(sf_dir: str, n_buckets: int = 32) -> str:
              "n_postings": pa.array([len(g)], pa.int64())}
         )
 
-    manifest = (
-        ds.map_batches(lower, batch_format="pyarrow", batch_size=None)
-        .map_batches(tf_rows_vec(n_buckets), batch_format="pyarrow", batch_size=None)
-        .groupby("term_bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .to_pandas()  # bounded: one row per bucket
+    rows = ds.map_batches(lower, batch_format="pyarrow", batch_size=None).map_batches(
+        tf_rows_vec(n_buckets), batch_format="pyarrow", batch_size=None
     )
+    # bounded: one row per bucket
+    manifest = exchange([(rows, "term_bucket")], write_bucket, n_buckets=n_buckets).to_pandas()
     with open(os.path.join(tmp, "_manifest.json"), "w") as f:
         json.dump(
             {
@@ -1602,7 +1578,8 @@ def lm_score_ds(
     ds = _docs(sf_dir, ["doc_id", "text", *carry])
     tf_rows = tf_rows_vec(n_buckets)
 
-    def bucket_model(g: "pd.DataFrame") -> pa.Table:
+    def bucket_model(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = g.groupby("term", sort=False)["tf"].sum().reset_index(name="c")
         total = int(agg["c"].sum())
         top = agg.sort_values(["c", "term"], ascending=[False, True]).head(vocab_size)
@@ -1620,10 +1597,9 @@ def lm_score_ds(
             }
         )
 
+    keyed = ds.map_batches(tf_rows, batch_format="pyarrow", batch_size=None)
     model_rows = (
-        ds.map_batches(tf_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("term_bucket")
-        .map_groups(bucket_model, batch_format="pandas")
+        exchange([(keyed, "term_bucket")], bucket_model, n_buckets=n_buckets)
         .to_pandas()  # bounded: ≤ B·(V+1) fixed-width rows
     )
     total_tokens = int(model_rows.loc[model_rows["kind"] == 1, "c"].sum())
@@ -1746,7 +1722,8 @@ def q_pmi_pairs(sf_dir: str, vocab_size: int = 64, min_docs: int = 5, n_buckets:
     ds = _docs(sf_dir, ["doc_id", "text"])
     tf_rows = tf_rows_vec(n_buckets)
 
-    def bucket_top(g: "pd.DataFrame") -> pa.Table:
+    def bucket_top(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = g.groupby("term", sort=False)["tf"].sum().reset_index(name="c")
         top = agg.sort_values(["c", "term"], ascending=[False, True]).head(vocab_size)
         return pa.table(
@@ -1756,10 +1733,9 @@ def q_pmi_pairs(sf_dir: str, vocab_size: int = 64, min_docs: int = 5, n_buckets:
             }
         )
 
+    keyed = ds.map_batches(tf_rows, batch_format="pyarrow", batch_size=None)
     cand = (
-        ds.map_batches(tf_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("term_bucket")
-        .map_groups(bucket_top, batch_format="pandas")
+        exchange([(keyed, "term_bucket")], bucket_top, n_buckets=n_buckets)
         .to_pandas()  # bounded: ≤ B·V fixed-width rows
     )
     vocab = (
@@ -1995,7 +1971,8 @@ def q_bm25_search(sf_dir: str, k: int = 10, pin_budget_bytes: "int | None" = Non
     k1p1, k1_1mb, k1b = float("2.2"), float("0.3"), float("0.9")
     n_f, total_f = float(n_docs), float(total_dl)
 
-    def score_bucket(g: pd.DataFrame) -> pa.Table:
+    def score_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         tf = g["tf"].to_numpy(dtype=np.int64)
         dl = g["dl"].to_numpy(dtype=np.int64)
         ti = g["term_idx"].to_numpy(dtype=np.int64)
@@ -2020,19 +1997,7 @@ def q_bm25_search(sf_dir: str, k: int = 10, pin_budget_bytes: "int | None" = Non
             }
         )
 
-    def bucketize(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "bucket",
-            pc.cast(
-                pc.bit_wise_and(batch["doc_id"], pa.scalar(15, pa.int64())), pa.int64()
-            ),
-        )
-
-    scored = (
-        hits.map_batches(bucketize, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(score_bucket, batch_format="pandas")
-    )
+    scored = exchange([(hits, "doc_id")], score_bucket, n_buckets=16)
     return scored.sort(["bm25_micro", "doc_id"], descending=[True, False]).limit(k)
 
 
@@ -2238,7 +2203,8 @@ def q_vocab_growth(sf_dir: str, n_bins: int = 10):
             }
         )
 
-    def bucket_bins(g: "pd.DataFrame") -> pa.Table:
+    def bucket_bins(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         first = g.groupby("term", sort=False)["first_doc"].min()
         decile = (n_bins * first.to_numpy(dtype=np.int64)) // n_docs
         vals, cnt = np.unique(decile, return_counts=True)
@@ -2251,10 +2217,9 @@ def q_vocab_growth(sf_dir: str, n_bins: int = 10):
 
     from ray.data.aggregate import Sum
 
+    keyed = ds.map_batches(firsts, batch_format="pyarrow", batch_size=None)
     bins = (
-        ds.map_batches(firsts, batch_format="pyarrow", batch_size=None)
-        .groupby("term_bucket")
-        .map_groups(bucket_bins, batch_format="pandas")
+        exchange([(keyed, "term_bucket")], bucket_bins, n_buckets=32)
         .groupby("decile")
         .aggregate(Sum("n", alias_name="n_new_terms"))
         .to_pandas()  # ≤ n_bins rows
@@ -2346,7 +2311,8 @@ def q_source_vocab_overlap(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def bucket_partials(g: "pd.DataFrame") -> pa.Table:
+    def bucket_partials(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         g = g[["term", "source"]].drop_duplicates()
         nt = g.groupby("source", sort=False).size().reset_index(name="c")
         j = g.merge(g, on="term")
@@ -2376,10 +2342,9 @@ def q_source_vocab_overlap(sf_dir: str, n_buckets: int = 32):
             }
         )
 
+    keyed = ds.map_batches(ts_rows, batch_format="pyarrow", batch_size=None)
     folded = (
-        ds.map_batches(ts_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("term_bucket")
-        .map_groups(bucket_partials, batch_format="pandas")
+        exchange([(keyed, "term_bucket")], bucket_partials, n_buckets=n_buckets)
         .groupby(["sa", "sb"])
         .aggregate(Sum("c", alias_name="c"))
         .to_pandas()  # bounded: sources + sources² rows
@@ -2654,7 +2619,8 @@ def q_source_js_divergence(sf_dir: str, n_buckets: int = 32):
         for b in sources[i + 1:]
     }
 
-    def bucket_pairs(g: "pd.DataFrame") -> pa.Table:
+    def bucket_pairs(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         cmat = (
             g.pivot_table(index="term", columns="source", values="tf",
                           aggfunc="sum", fill_value=0)
@@ -2701,10 +2667,9 @@ def q_source_js_divergence(sf_dir: str, n_buckets: int = 32):
             "t_a", pa.array(ta, pa.int64())
         ).append_column("t_b", pa.array(tb, pa.int64()))
 
+    keyed = ds.map_batches(tf_src, batch_format="pyarrow", batch_size=None)
     return (
-        ds.map_batches(tf_src, batch_format="pyarrow", batch_size=None)
-        .groupby("term_bucket")
-        .map_groups(bucket_pairs, batch_format="pandas")
+        exchange([(keyed, "term_bucket")], bucket_pairs, n_buckets=n_buckets)
         .groupby(["source_a", "source_b"])
         .aggregate(
             Sum("sum_p_micro", alias_name="sum_p_micro"),
@@ -2799,8 +2764,6 @@ def q_doc_novelty(sf_dir: str, n_buckets: int = 32):
     per-doc partials inside the bucket, so the SECOND exchange
     (groupby doc_id) carries O(docs × buckets) count rows, never
     grams."""
-    import zlib
-
     import pandas as pd
     from ray.data.aggregate import Sum
 
@@ -2819,16 +2782,16 @@ def q_doc_novelty(sf_dir: str, n_buckets: int = 32):
         keep = wc_of_row >= 3
         d = ids[df["d"].to_numpy()[keep]]
         grams = df["g"].to_numpy()[keep]
-        crc = df["crc"].to_numpy(np.int64)[keep]
         return pa.table(
             {
-                "gram_bucket": pa.array(crc % n_buckets, pa.int64()),
+                "crc": pa.array(df["crc"].to_numpy(np.int64)[keep], pa.int64()),
                 "gram": pa.array(grams.tolist(), pa.string()),
                 "doc_id": pa.array(d, pa.int64()),
             }
         )
 
-    def fold_bucket(g: "pd.DataFrame") -> pa.Table:
+    def fold_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         first = g.groupby("gram", sort=False)["doc_id"].transform("min")
         out = (
             pd.DataFrame(
@@ -2862,10 +2825,9 @@ def q_doc_novelty(sf_dir: str, n_buckets: int = 32):
         )
         return batch.append_column("novelty_ppm", pa.array(ppm, pa.int64()))
 
+    keyed = ds.map_batches(gram_doc_rows, batch_format="pyarrow", batch_size=None)
     return (
-        ds.map_batches(gram_doc_rows, batch_format="pyarrow", batch_size=None)
-        .groupby("gram_bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
+        exchange([(keyed, "crc")], fold_bucket, n_buckets=n_buckets)
         .groupby("doc_id")
         .aggregate(
             Sum("n_grams", alias_name="n_grams"),
@@ -3121,7 +3083,6 @@ def q_dup_rate_by_source(sf_dir: str, n_buckets: int = 32):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from ..core.util import hash_bucket
     from ..relational.ops import _rhalf
 
     ds = _docs(sf_dir, ["text", "source"])
@@ -3131,15 +3092,13 @@ def q_dup_rate_by_source(sf_dir: str, n_buckets: int = 32):
         fp = md5_hex(norm)
         return pa.table(
             {
-                "bucket": pa.array(
-                    [hash_bucket(f, n_buckets) for f in fp], pa.int64()
-                ),
                 "fp": pa.array(fp, pa.string()),
                 "source": batch["source"],
             }
         )
 
-    def cells(g: pd.DataFrame) -> pa.Table:
+    def cells(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         k = g.groupby("fp", sort=False)["fp"].transform("size")
         agg = (
             pd.DataFrame(
@@ -3157,10 +3116,9 @@ def q_dup_rate_by_source(sf_dir: str, n_buckets: int = 32):
             }
         )
 
+    keyed = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
     per_source = (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(cells, batch_format="pandas")
+        exchange([(keyed, "fp")], cells, n_buckets=n_buckets)
         .groupby("source")
         .aggregate(
             Sum("n_docs", alias_name="n_docs"),
@@ -3338,12 +3296,8 @@ def q_lm_doc_bigram_nll(sf_dir: str, n_buckets: int = 32):
     vectorized via the distinct-value lnm LUT → a coarse doc-bucket
     exchange folds each doc's partials into its final row.
     """
-    import zlib
-
     import pandas as pd
-    from ray.data.aggregate import Sum
 
-    from ..core.util import hash_bucket
     from ..relational.ops import _rhalf
 
     ds = _docs(sf_dir, ["doc_id", "text"])
@@ -3360,9 +3314,6 @@ def q_lm_doc_bigram_nll(sf_dir: str, n_buckets: int = 32):
                 cnt[k] = cnt.get(k, 0) + 1
         return pa.table(
             {
-                "bucket": pa.array(
-                    [hash_bucket(k[1], n_buckets) for k in cnt], pa.int64()
-                ),
                 "doc_id": pa.array([k[0] for k in cnt], pa.int64()),
                 "x": pa.array([k[1] for k in cnt], pa.string()),
                 "y": pa.array([k[2] for k in cnt], pa.string()),
@@ -3370,7 +3321,8 @@ def q_lm_doc_bigram_nll(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def score_bucket(g: pd.DataFrame) -> pa.Table:
+    def score_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         c = g["c"].to_numpy(np.int64)
         xy = g.groupby(["x", "y"], sort=False)["c"].transform("sum")
         rx = g.groupby("x", sort=False)["c"].transform("sum")
@@ -3384,21 +3336,14 @@ def q_lm_doc_bigram_nll(sf_dir: str, n_buckets: int = 32):
         )
         return pa.table(
             {
-                "doc_bucket": pa.array(
-                    np.array(
-                        [zlib.crc32(str(d).encode()) for d in agg["doc_id"]],
-                        dtype=np.int64,
-                    )
-                    % n_buckets,
-                    pa.int64(),
-                ),
                 "doc_id": pa.array(agg["doc_id"].to_numpy(np.int64), pa.int64()),
                 "s": pa.array(agg["s"].to_numpy(np.int64), pa.int64()),
                 "nb": pa.array(agg["nb"].to_numpy(np.int64), pa.int64()),
             }
         )
 
-    def finish_bucket(g: pd.DataFrame) -> pa.Table:
+    def finish_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = g.groupby("doc_id", sort=False)[["s", "nb"]].sum().reset_index()
         nll = np.array(
             [_rhalf(int(s), int(nb)) for s, nb in zip(agg["s"], agg["nb"])],
@@ -3412,13 +3357,9 @@ def q_lm_doc_bigram_nll(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(score_bucket, batch_format="pandas")
-        .groupby("doc_bucket")
-        .map_groups(finish_bucket, batch_format="pandas")
-    )
+    keyed = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    scored = exchange([(keyed, "x")], score_bucket, n_buckets=n_buckets)
+    return exchange([(scored, "doc_id")], finish_bucket, n_buckets=n_buckets)
 
 
 def _sql_lm_bigram_nll() -> str:
@@ -3488,7 +3429,6 @@ def q_bigram_entropy_rate(sf_dir: str, n_buckets: int = 32):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from ..core.util import hash_bucket
     from ..relational.ops import _rhalf
 
     ds = _docs(sf_dir, ["text"])
@@ -3507,19 +3447,8 @@ def q_bigram_entropy_rate(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    def rekey(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    [hash_bucket(x, n_buckets) for x in b["x"].to_pylist()],
-                    pa.int64(),
-                ),
-                "x": b["x"],
-                "n": b["n"],
-            }
-        )
-
-    def fold_bucket(g: pd.DataFrame) -> pa.Table:
+    def fold_bucket(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         n = g["n"].to_numpy(np.int64)
         r = g.groupby("x", sort=False)["n"].transform("sum").to_numpy(np.int64)
         contrib = int(np.sum(n * (_lnm_vec(r) - _lnm_vec(n)), dtype=np.int64))
@@ -3530,15 +3459,14 @@ def q_bigram_entropy_rate(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    parts = (
+    cells = (
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
         .groupby(["x", "y"])
         .aggregate(Sum("n", alias_name="n"))
-        .map_batches(rekey, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .to_pandas()  # ≤ #buckets rows
+        .select_columns(["x", "n"])
     )
+    # ≤ #buckets rows
+    parts = exchange([(cells, "x")], fold_bucket, n_buckets=n_buckets).to_pandas()
     s = int(parts["s"].sum())
     nb = int(parts["nb"].sum())
     return pd.DataFrame(
@@ -3632,16 +3560,14 @@ def q_g2_collocations(
                 cnt[(x, y)] = cnt.get((x, y), 0) + 1
         return pa.table(
             {
-                "xbucket": pa.array(
-                    [hash_bucket(k[0], n_buckets) for k in cnt], pa.int64()
-                ),
                 "x": pa.array([k[0] for k in cnt], pa.string()),
                 "y": pa.array([k[1] for k in cnt], pa.string()),
                 "n": pa.array(list(cnt.values()), pa.int64()),
             }
         )
 
-    def margin_x(g: pd.DataFrame) -> pa.Table:
+    def margin_x(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         cell = g.groupby(["x", "y"], sort=False)["n"].sum().reset_index(name="k11")
         r = cell.groupby("x", sort=False)["k11"].transform("sum")
         local_n = int(cell["k11"].sum())
@@ -3649,7 +3575,9 @@ def q_g2_collocations(
             [hash_bucket(y, n_buckets) for y in cell["y"]], dtype=np.int64
         )
         # side-1 rows forward this bucket's Σk to EVERY y-bucket: each
-        # destination sums one row per x-bucket back into the global N
+        # destination sums one row per x-bucket back into the global N.
+        # ``ybucket`` addresses a bucket outright, so it is the next
+        # exchange's key (a key below n_buckets routes to itself)
         return pa.table(
             {
                 "ybucket": pa.array(
@@ -3683,7 +3611,8 @@ def q_g2_collocations(
             out[m] = k[m] * _lnm_vec(k[m])
         return out
 
-    def score_y(g: pd.DataFrame) -> pa.Table:
+    def score_y(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         n_total = int(g[g["side"] == 1]["k11"].sum())
         s = g[g["side"] == 0]
         # the C margin MUST see every cell of its y — compute it
@@ -3733,14 +3662,10 @@ def q_g2_collocations(
             }
         )
 
-    tops = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("xbucket")
-        .map_groups(margin_x, batch_format="pandas")
-        .groupby("ybucket")
-        .map_groups(score_y, batch_format="pandas")
-        .to_pandas()  # bounded: ≤ n_buckets·top_k rows
-    )
+    keyed = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    margins = exchange([(keyed, "x")], margin_x, n_buckets=n_buckets)
+    # bounded: ≤ n_buckets·top_k rows
+    tops = exchange([(margins, "ybucket")], score_y, n_buckets=n_buckets).to_pandas()
     cols = ["term_a", "term_b", "n_ab", "g2_micro"]
     if tops.empty:
         tops = pd.DataFrame(

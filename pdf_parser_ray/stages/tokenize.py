@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.exchange import exchange
 from .textstats import _docs
 
 # Fixed public vocab: the classic most-frequent English letter bigrams
@@ -340,18 +341,13 @@ def q_lm_doc_nll_tokens(sf_dir: str, vocab_size: int = 32768, n_buckets: int = 3
     All-integer output via the shared fixed IEEE ln, so the oracle —
     the recursive-CTE tokenizer replay composed with the LM SQL — is
     hash-exact."""
-    import pandas as pd
     import ray
     from .textstats import _shared_ln
 
     ds = _docs(sf_dir, ["doc_id", "text"])
 
-    def bucketize(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "bucket", pa.array(batch["token_id"].to_numpy() % n_buckets, pa.int64())
-        )
-
-    def bucket_model(g: "pd.DataFrame") -> pa.Table:
+    def bucket_model(g: pa.Table) -> pa.Table:
+        g = g.to_pandas()
         agg = g.groupby("token_id", sort=False)["cnt"].sum().reset_index(name="c")
         total = int(agg["c"].sum())
         top = agg.sort_values(["c", "token_id"], ascending=[False, True]).head(
@@ -374,19 +370,15 @@ def q_lm_doc_nll_tokens(sf_dir: str, vocab_size: int = 32768, n_buckets: int = 3
             }
         )
 
-    model_rows = (
-        ds.map_batches(
-            _IdCounter,
-            batch_format="pyarrow",
-            batch_size=256,
-            concurrency=(1, 4),
-            num_cpus=1,
-        )
-        .map_batches(bucketize, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(bucket_model, batch_format="pandas")
-        .to_pandas()  # bounded: ≤ B·(V+1) fixed-width rows
+    counts = ds.map_batches(
+        _IdCounter,
+        batch_format="pyarrow",
+        batch_size=256,
+        concurrency=(1, 4),
+        num_cpus=1,
     )
+    # bounded: ≤ B·(V+1) fixed-width rows
+    model_rows = exchange([(counts, "token_id")], bucket_model, n_buckets=n_buckets).to_pandas()
     total_tokens = int(model_rows.loc[model_rows["kind"] == 1, "c"].sum())
     vocab = (
         model_rows[model_rows["kind"] == 0]

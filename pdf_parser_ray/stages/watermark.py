@@ -25,15 +25,15 @@ Scale shape — the watermark is a GLOBAL running max over arrival
 order, the one genuinely sequential dependency in the family. It
 distributes as a two-level prefix scan:
 
-1. **Partials** — one pass emits, per ARRIVAL-DAY bucket, the max
-   event time (per-batch partial → ``groupby(bucket).Max``: the
-   exchange carries one row per (bucket, block)). Arrival days are
+1. **Partials** — one pass emits, per arrival day ``arr_day``, the max
+   event time (per-batch partial → ``groupby(arr_day).Max``: the
+   exchange carries one row per (day, block)). Arrival days are
    contiguous ranges of arrival order, so an exclusive prefix max
    over the ≤ thousands of day rows — folded on the driver — is the
-   exact carry-in watermark state at each bucket boundary.
-2. **Scan + tally** — ``groupby(bucket).map_groups`` sorts each
-   bucket by ``(arrival, event_id)``, runs one vectorized
-   ``np.maximum.accumulate`` seeded with the bucket's carry-in, flags
+   exact carry-in watermark state at each day boundary.
+2. **Scan + tally** — ``groupby(arr_day).map_groups`` sorts each
+   day by ``(arrival, event_id)``, runs one vectorized
+   ``np.maximum.accumulate`` seeded with the day's carry-in, flags
    lateness, and pre-aggregates to per-hour partials; a final
    ``groupby(hour)`` Sum merges them. Each event crosses the wire
    once; no stage ever holds more than one arrival day.
@@ -74,13 +74,13 @@ def _cents(arr) -> pa.Array:
 
 
 def _prep(batch: pa.Table) -> pa.Table:
-    """event rows → (bucket, arr, event_id, us, cents), vectorized."""
+    """event rows → (arr_day, arr, event_id, us, cents), vectorized."""
     us = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
     ids = batch["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     arr = us + (ids * _HASH_MULT) % _HASH_MOD
     return pa.table(
         {
-            "bucket": pa.array(arr // _DAY_US, pa.int64()),
+            "arr_day": pa.array(arr // _DAY_US, pa.int64()),
             "arr": pa.array(arr, pa.int64()),
             "event_id": pa.array(ids, pa.int64()),
             "us": pa.array(us, pa.int64()),
@@ -104,23 +104,23 @@ def q_watermark_split(sf_dir: str, lateness_us: int = _LATENESS_US):
     # Bounded: one row per arrival day present in the corpus.
     day_rows = (
         ds.map_batches(_prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
+        .groupby("arr_day")
         .aggregate(Max("us", alias_name="max_us"))
         .to_pandas()
-        .sort_values("bucket")
+        .sort_values("arr_day")
     )
     maxes = day_rows["max_us"].to_numpy(dtype=np.int64)
     prefix = np.concatenate(
         ([_NEG_INF], np.maximum.accumulate(maxes)[:-1])
     )  # exclusive prefix max: state BEFORE each day starts
     carry = dict(
-        zip(day_rows["bucket"].to_numpy(dtype=np.int64).tolist(), prefix.tolist())
+        zip(day_rows["arr_day"].to_numpy(dtype=np.int64).tolist(), prefix.tolist())
     )
 
     def scan_day(g: "pd.DataFrame") -> pa.Table:
         g = g.sort_values(["arr", "event_id"], kind="mergesort")
         us = g["us"].to_numpy(dtype=np.int64)
-        seed = carry[int(g["bucket"].iloc[0])]
+        seed = carry[int(g["arr_day"].iloc[0])]
         # prev_max[i] = max event time seen strictly before row i
         prev_max = np.maximum.accumulate(
             np.concatenate(([seed], us[:-1]))
@@ -150,7 +150,7 @@ def q_watermark_split(sf_dir: str, lateness_us: int = _LATENESS_US):
 
     return (
         ds.map_batches(_prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
+        .groupby("arr_day")
         .map_groups(scan_day, batch_format="pandas")
         .groupby("hour_bucket")
         .aggregate(

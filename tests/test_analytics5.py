@@ -82,8 +82,7 @@ class TestRevenueChangepoint:
     def test_single_month_degenerate(self, tmp_path):
         _monthly_orders(tmp_path, [7])
         got = a5.q_revenue_changepoint(str(tmp_path))
-        assert got.loc[0, "n_left"] == 1 and got.loc[0, "n_right"] == 0
-        assert got.loc[0, "gain_k2"] == 0
+        assert _canon(got) == _canon(_oracle(tmp_path, a5._SQL_CHANGEPOINT))
 
 
 class TestSeasonalStrength:

@@ -1,11 +1,14 @@
-"""Property tests for ``core.exchange.exchange``, the one co-partitioned
+"""Property tests for ``core.exchange.exchange``, the one keyed
 exchange: every row of every side reaches exactly one fold call, rows
-that share a key meet in the same call, and each side arrives with its
-own schema — also in a bucket where it has no rows, and when it has
-no rows at all."""
+that share a key meet in the same call, no call is made for a bucket
+without rows, and each side arrives with its own schema — also in a
+bucket where it has no rows, and when it has no rows at all. A guard
+keeps bucket-keyed folds from being hand-rolled outside it again."""
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import uuid
 
 import pyarrow as pa
@@ -62,7 +65,10 @@ def test_every_row_once_keys_meet_and_schemas_hold(case):
 
     def _record(*tables: pa.Table) -> pa.Table:
         """One row per input row, plus one ``schema`` row per side, all
-        tagged with this call's id."""
+        tagged with this call's id. A call whose sides are all empty
+        raises: a bucket without rows must not be folded."""
+        if not any(t.num_rows for t in tables):
+            raise AssertionError("fold called for a bucket where no side has rows")
         call = uuid.uuid4().hex
         out = {"call": [], "side": [], "key": [], "val": [], "schema": []}
         for i, t in enumerate(tables):
@@ -116,6 +122,10 @@ def test_every_row_once_keys_meet_and_schemas_hold(case):
 
     # every key, across all sides, is folded in exactly one call
     assert (rows.groupby("key")["call"].nunique() == 1).all()
+
+    # every call holds at least one row in some side (a lone side's
+    # fold is never called empty: _record raises on such a call)
+    assert set(got["call"]) == set(rows["call"])
 
     # each call sees every side with that side's own schema, also in
     # a bucket where the side has no rows and when it has none at all
@@ -208,3 +218,71 @@ def test_near_dup_pairs_finishes_in_a_one_cpu_session():
     con.sql(f"CREATE VIEW documents AS SELECT * FROM '{sf}/documents.parquet'")
     want = con.sql(ORACLE_SQL["near_dup_pairs"]).df()
     assert got == sorted(want[["doc_a", "doc_b", "jaccard_micro"]].values.tolist())
+
+
+# The folds that stay a plain ``groupby(column).map_groups``: each is
+# keyed on a natural value whose groups a fold must see one at a time
+# (a priority, a year, a language, one global group, a value-range bin,
+# a band, a checkpoint partition), not on a bucket a site computes for
+# routing. Any other ``groupby(K).map_groups`` goes through ``exchange``.
+_NATURAL_KEY_FOLDS = {
+    ("io/checkpoint.py", "_part"),
+    ("relational/analytics.py", "o_orderpriority"),
+    ("relational/analytics.py", "l_returnflag"),
+    ("relational/analytics.py", ("seg", "vbin")),
+    ("relational/analytics2.py", "o_year"),
+    ("relational/analytics4.py", "o_year"),
+    ("relational/ops.py", "o_orderpriority"),
+    ("relational/ops.py", "vbin"),
+    ("relational/ops.py", "day"),
+    ("relational/ops.py", "one"),
+    ("stages/corpus.py", "lang"),
+    ("stages/dedup.py", "band_id"),
+    ("stages/dedup.py", ("lang", "len_band")),
+    ("stages/dsir.py", "lang"),
+    ("stages/embed.py", "query_id"),
+    ("stages/embed.py", "task"),
+    ("stages/embed.py", "cell"),
+    ("stages/embed.py", "cluster"),
+    ("stages/embed.py", "p"),
+    ("stages/graph.py", "one"),
+    ("stages/textstats.py", "lang_pred"),
+    ("stages/textstats.py", "part"),
+    ("stages/watermark.py", "arr_day"),
+}
+
+
+def _groupby_map_groups_sites(package: pathlib.Path):
+    """``(module, key, line)`` of every ``.groupby(K).map_groups(`` call
+    in ``package`` outside ``core/``; a list key becomes a tuple."""
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if module.startswith("core/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            inner = node.func.value
+            if node.func.attr != "map_groups" or not (
+                isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr == "groupby"
+            ):
+                continue
+            key = ast.literal_eval(inner.args[0])
+            yield module, tuple(key) if isinstance(key, list) else key, node.lineno
+
+
+def test_bucket_folds_go_through_exchange():
+    """A fold over coarse key buckets is one ``exchange`` call: no
+    module outside ``core/`` computes its own bucket column and folds it
+    with ``groupby(bucket).map_groups``."""
+    package = pathlib.Path(__file__).resolve().parent.parent / "pdf_parser_ray"
+    sites = list(_groupby_map_groups_sites(package))
+    assert sites, "the walk found no groupby().map_groups call at all"
+    stray = [
+        f"{module}:{line} groupby({key!r})"
+        for module, key, line in sites
+        if (module, key) not in _NATURAL_KEY_FOLDS
+    ]
+    assert not stray, "route these folds through core.exchange.exchange:\n" + "\n".join(stray)

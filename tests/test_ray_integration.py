@@ -1184,8 +1184,8 @@ class TestPairTextResolve:
 
     def test_repeated_pairs_collapse(self):
         """_resolve_pair_texts contract: a candidate pair repeated k
-        times (one hit per matching LSH band — candidate_pairs with
-        distinct_pairs=False) resolves to exactly ONE output row, both
+        times (one hit per matching LSH band, as candidate_pairs
+        returns them) resolves to exactly ONE output row, both
         for same-bucket and cross-bucket endpoint placements."""
         import pandas as pd
         import pyarrow as pa
