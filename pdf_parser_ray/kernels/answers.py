@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .boxes import Box
-from .lines import Line, Token, group_lines_with_height, reading_order
+from .lines import Lines, PageModel, Token, as_page
 
 from ..core.constants import (
     ANCHOR_OFFSET_PX,
@@ -53,9 +53,6 @@ from ..core.constants import (
     YESNO_PROBE_MAX_BANDS,
     YESNO_SLIDE_OFFSETS,
 )
-
-if TYPE_CHECKING:
-    from .document import PageModel
 
 _ZIP_RE = re.compile(r"^\d{5}(-\d{4})?$")
 
@@ -134,22 +131,21 @@ def compute_right_bound(
 
 
 def collect_answer_lines(
-    line_list: list[Line],
+    lines: Lines,
     q_start_x: int,
     q_start_y: int,
     q_segments: list[dict] | None,
     right_x: int,
     question_line_token_set: set[str] | None = None,
-    line_ys: list[int] | None = None,
 ) -> tuple[str, int, int]:
     """Reference ``response_extractor.py:935-1155`` (fixed-offset band +
     continuation window + assembly). Returns
     ``(answer_text, window_y_start, dynamic_y_end)``.
 
-    ``line_ys`` (each line's ``y``, for ``line_list`` sorted by ``y`` as
-    grouped lines are) lets the band and the continuation window be
-    found by bisection instead of scanning every line: each window is
-    a y-range, and a scan in y order visits exactly its run of lines.
+    The lines are sorted by ``y``, so the band and the continuation
+    window are found by bisection instead of scanning every line: each
+    window is a y-range, and a scan in y order visits exactly its run
+    of lines.
     """
     last_seg_y = q_start_y
     if q_segments:
@@ -162,19 +158,16 @@ def collect_answer_lines(
     left_bound = max(0, q_start_x - ANSWER_LEFT_MARGIN_PX)
     captured_any = False
     captured_line_ys: list[int] = []
-    band = line_list
-    if line_ys is not None:
-        band = line_list[
-            bisect_left(line_ys, start_collect_y) : bisect_right(line_ys, band_bottom_y)
-        ]
-    for ln in band:
-        ly = ln.get("y")
-        if ly is None or ly <= last_seg_y:
+    line_ys, starts, xs, texts = lines.ys, lines.starts, lines.x, lines.text
+
+    def window_words(i: int) -> list[str]:
+        return [texts[k] for k in range(starts[i], starts[i + 1]) if left_bound <= xs[k] <= right_x]
+
+    for i in range(bisect_left(line_ys, start_collect_y), bisect_right(line_ys, band_bottom_y)):
+        ly = line_ys[i]
+        if ly <= last_seg_y:
             continue
-        if ly < start_collect_y or ly > band_bottom_y:
-            continue
-        words = ln.get("words", [])
-        window_tokens = [w.get("text", "") for w in words if left_bound <= w.get("x", 0) <= right_x]
+        window_tokens = window_words(i)
         if window_tokens:
             answers.append(" ".join(t for t in window_tokens if t))
             captured_any = True
@@ -184,23 +177,15 @@ def collect_answer_lines(
         y_answer = min(captured_line_ys)
         cont_start = y_answer + ANSWER_CONTINUATION_MIN_DELTA_Y
         cont_end = y_answer + ANSWER_CONTINUATION_MAX_DELTA_Y
-        window = line_list
-        if line_ys is not None:
-            window = line_list[bisect_right(line_ys, cont_start) :]
-        for ln2 in window:
-            ly2 = ln2.get("y")
-            if ly2 is None:
-                continue
+        for i in range(bisect_right(line_ys, cont_start), len(line_ys)):
+            ly2 = line_ys[i]
             if ly2 <= y_answer:
-                continue
-            if ly2 <= cont_start:
                 continue
             if ly2 > cont_end:
                 break
             if ly2 in captured_line_ys:
                 continue
-            words2 = ln2.get("words", [])
-            c_tokens = [w.get("text", "") for w in words2 if left_bound <= w.get("x", 0) <= right_x]
+            c_tokens = window_words(i)
             if not c_tokens:
                 continue
             if question_line_token_set:
@@ -225,13 +210,9 @@ def collect_answer_lines(
     dynamic_y_end = band_bottom_y
     if captured_line_ys:
         last_captured_y = max(captured_line_ys)
-        if line_ys is not None:
-            last_ln = line_list[bisect_left(line_ys, last_captured_y)]
-        else:
-            last_ln = next((ln for ln in line_list if ln.get("y") == last_captured_y), None)
-        # a line's height is its tallest word's (what the answer
-        # collector's grouping records as ``h``)
-        last_h = max((int(w.get("h", 0)) for w in last_ln["words"]), default=0) if last_ln else 0
+        i = bisect_left(line_ys, last_captured_y)
+        # a line's height is its tallest word's
+        last_h = max(lines.h[starts[i] : starts[i + 1]], default=0)
         if last_captured_y > band_bottom_y:
             dynamic_y_end = last_captured_y + max(last_h, 0)
     return ans_text, start_collect_y, dynamic_y_end
@@ -239,25 +220,23 @@ def collect_answer_lines(
 
 def augment_answers(
     matches: list[dict],
-    tokens: list[Token],
+    page: PageModel | list[Token],
     highlights: list[Highlight],
     checkboxes: list[Box],
     page_width: int = 2000,
     page_height: int = 3000,
-    lines: list[Line] | None = None,
-    page: "PageModel | None" = None,
 ) -> list[dict]:
     """Run the full post-matching answer phase on ``matches`` in place
     (reference ``extract_responses_from_page`` body,
     ``response_extractor.py:870-1634``). Returns ``matches``.
-    ``lines`` may carry the page's existing :func:`group_lines` result,
-    read as is: it groups and orders like the answer collector's own
-    grouping (:func:`group_lines_with_height`), which only adds a
-    height per line. ``page`` (the tokens' :class:`~.document.PageModel`)
-    lends its (y, x) token order to the strict pruning."""
-    line_list = lines if lines is not None else group_lines_with_height(tokens)
-    # grouped lines are y-sorted: answer windows are bisected
-    line_ys = [ln["y"] for ln in line_list]
+    ``page`` is the page's :class:`~.lines.PageModel` (or its token
+    list): the answer collector reads its lines, which group and order
+    like the reference's answer grouping, and the strict pruning its
+    reading order."""
+    if not matches:
+        return matches
+    page = as_page(page)
+    line_list = page.lines
 
     for sec in matches:
         qlist = sec.get("questions", [])
@@ -281,7 +260,6 @@ def augment_answers(
                 q.get("segments"),
                 right_bound,
                 question_line_token_set=question_line_token_set,
-                line_ys=line_ys,
             )
             expanded_x_start = max(0, int(q_start_x) - ANSWER_LEFT_MARGIN_PX)
             q["answer_window"] = {
@@ -432,11 +410,11 @@ def augment_answers(
     # Strict horizontal pruning (V6 analog,
     # reference response_extractor.py:1450-1489): tokens of the page
     # filtered to the final window stand in for the re-OCR of the crop.
-    # Tokens are sorted by (y, x) once per page; each window is a
-    # bisected y-slice + x filter (already in OCR reading order).
-    by_yx = page.by_yx if page is not None else reading_order(tokens)
-    toks_sorted = [t for t in by_yx if (t.get("text") or "").strip()]
-    tok_ys = [int(t.get("y", 0)) for t in toks_sorted]
+    # The page's non-blank words in (y, x) reading order; each window
+    # is a bisected y-slice + x filter (already in OCR reading order).
+    yx = page.yx
+    xs, texts = line_list.x, line_list.text
+    tok_ys: list[int] | None = None
     for sec in matches:
         for q in sec.get("questions", []):
             aw = q.get("answer_window")
@@ -447,13 +425,12 @@ def augment_answers(
             y0, y1 = aw.get("y_start"), aw.get("y_end")
             if None in (x0, x1, y0, y1):
                 continue
+            if tok_ys is None:
+                ys = line_list.y
+                tok_ys = [ys[k] for k in yx]
             lo = bisect_left(tok_ys, y0)
             hi = bisect_right(tok_ys, y1)
-            kept_tokens = [
-                t["text"].strip()
-                for t in toks_sorted[lo:hi]
-                if x0 <= int(t.get("x", 0)) <= x1
-            ]
+            kept_tokens = [texts[k] for k in yx[lo:hi] if x0 <= xs[k] <= x1]
             if not kept_tokens:
                 continue
             orig_tokens = ans.split()

@@ -18,27 +18,29 @@ stages (S1/S2, M1/M2, V1 slots): it reads the geometry fragments of
 these slots are stateful actor stages (pdfium render + Tesseract +
 template match); the surrounding plumbing is identical. It reads span
 dicts or, from the parse stage, :class:`SpanColumns` column slices whose
-word geometry the stage already decoded in Arrow for the whole batch;
-then only checkbox, highlight and page refs are parsed here, and each
-page's tokens are built in one pass. Columns without ``geometry`` (a
-document whose refs Arrow cannot parse) take the span-by-span path.
+pages' word columns the stage already built for the whole batch; then
+only checkbox, highlight and page refs are parsed here. Columns without
+``pages`` (a document whose refs Arrow cannot parse) and span dicts
+take the span-by-span path, which gives each page its token dicts.
 
-The fold reads every page through one :class:`PageModel`: its lines,
-their candidate index, its tokens in reading order and the next
-page's head are each built once and shared by the classifier and every
-fold phase (labels, sections, questions, answers).
+The fold reads every page through one :class:`~.lines.PageModel`: its
+words as columns in line, emission and reading order, their candidate
+index and the next page's head (:class:`~.questions.NextHead`) are
+each built once and shared by the classifier and every fold phase
+(labels, sections, questions, answers), which index the columns; a
+page of token dicts gets its model from them.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .answers import augment_answers
 from .assign import assign_checkboxes_sectionwise
 from .boxes import deduplicate_matches
 from .labels import get_label_positions
-from .lines import Line, Token, group_lines, reading_order
-from .questions import NextHead, PageIndex, match_sections_and_questions
+from .lines import PageModel, Token
+from .questions import NextHead, match_sections_and_questions
 from .sections import detect_section_regions
 from ..core.constants import ANCHOR_OFFSET_PX, DEFAULT_PAGE_HEIGHT, DEFAULT_PAGE_WIDTH
 
@@ -49,15 +51,16 @@ Page = dict[str, Any]
 class SpanColumns(NamedTuple):
     """One document's input spans as parallel column slices, the shape
     the parse stage reads from Arrow without building span dicts.
-    ``geometry`` holds the columns ``x, y, w, h, block, par, line`` of
-    every span, decoded from its ``tok://`` ref in Arrow (zeros for
-    spans that are not ``tok://`` words); without it, word refs are
-    parsed one by one."""
+    ``pages`` returns the :class:`~.lines.PageModel` of each of the
+    document's pages, from columns the parse stage built for the whole
+    batch; the columns then hold only the spans that are not words.
+    Without ``pages`` they hold every span, and word refs are parsed
+    one by one."""
 
     kind: list[str | None]
     text: list[str | None]
     media_ref: list[str | None]
-    geometry: list[list[int]] | None = None
+    pages: Callable[[], list[PageModel]] | None = None
 
 
 def _new_page(number: int, width: int, height: int) -> Page:
@@ -166,10 +169,9 @@ def decode_spans(doc_id: str, spans: list[Span] | SpanColumns) -> list[Page]:
     ``spans`` is either a list of span dicts or a :class:`SpanColumns`
     (the parse stage's columnar input). Spans are read strictly in
     order, so a malformed span raises the same error at the same point
-    either way. With decoded ``geometry`` no word can raise, so all
-    words become tokens in one pass and only the other spans are read
-    one by one."""
-    if isinstance(spans, SpanColumns) and spans.geometry is not None:
+    either way. With the ``pages`` built no word can raise, and only
+    the other spans are read one by one."""
+    if isinstance(spans, SpanColumns) and spans.pages is not None:
         return _decode_runs(spans)
     if isinstance(spans, SpanColumns):
         rows = zip(spans.kind, spans.text, spans.media_ref)
@@ -187,93 +189,31 @@ def decode_spans(doc_id: str, spans: list[Span] | SpanColumns) -> list[Page]:
 
 
 def _decode_runs(spans: SpanColumns) -> list[Page]:
-    """:func:`decode_spans` of columns with decoded ``geometry``."""
-    kinds, texts, refs = spans.kind, spans.text, spans.media_ref
-    # :func:`_token`'s dict, built inline: a call per word would add
-    # about a third to the decode
-    words = [
-        {
-            "text": text or "",
-            "x": x,
-            "y": y,
-            "w": w,
-            "h": h,
-            "block": block,
-            "par": par,
-            "line": line,
-        }
-        for kind, text, x, y, w, h, block, par, line in zip(kinds, texts, *spans.geometry)
-        if kind == "word"
-    ]
+    """:func:`decode_spans` of columns with their ``pages`` built: the
+    spans that are not words are read here, and each page gets its
+    model. A page more than the page markers is the implicit first
+    page, opened before the first marker."""
+    models = spans.pages()
     pages: list[Page] = []
     current: Page | None = None
-    start = 0  # the first word not yet on a page
-    # the words before the j-th other span number i - j; they belong
-    # to the page open when the next page marker (or the end) comes
-    for j, i in enumerate([i for i, k in enumerate(kinds) if k != "word"]):
-        if kinds[i] == "page" and start < i - j:
-            current = _page_for(pages, current)
-            current["tokens"].extend(words[start : i - j])
-            start = i - j
-        current = _decode_other(pages, current, kinds[i], texts[i], refs[i] or "")
-    if start < len(words):
-        _page_for(pages, current)["tokens"].extend(words[start:])
+    if len(models) > spans.kind.count("page"):
+        current = _page_for(pages, current)
+    for kind, text, ref in zip(spans.kind, spans.text, spans.media_ref):
+        current = _decode_other(pages, current, kind, text, ref or "")
+    for page, model in zip(pages, models):
+        del page["tokens"]
+        page["model"] = model
     return pages
 
 
-class PageModel:
-    """One page's tokens and the views of them that the fold's phases
-    share, each built on first use and at most once: the page's lines
-    (:func:`group_lines`), their candidate :class:`PageIndex`, the
-    tokens in (y, x) reading order, and the :class:`NextHead` that
-    reads the next page's own lines across the page break.
-
-    :func:`page_model` keeps a page's model on the page dict, so the
-    classifier and the fold share it."""
-
-    __slots__ = ("tokens", "_lines", "_index", "_by_yx")
-
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self._lines: list[Line] | None = None
-        self._index: PageIndex | None = None
-        self._by_yx: list[Token] | None = None
-
-    @property
-    def lines(self) -> list[Line]:
-        if self._lines is None:
-            self._lines = group_lines(self.tokens)
-        return self._lines
-
-    @property
-    def index(self) -> PageIndex:
-        if self._index is None:
-            self._index = PageIndex(self.lines)
-        return self._index
-
-    @property
-    def by_yx(self) -> list[Token]:
-        if self._by_yx is None:
-            self._by_yx = reading_order(self.tokens)
-        return self._by_yx
-
-    def next_head(self, next_page: "PageModel", page_height: int) -> NextHead:
-        """This page's lines followed by ``next_page``'s head groups."""
-        return NextHead(
-            self.lines,
-            next_page.tokens,
-            page_height,
-            page_index=self.index,
-            next_lines=lambda: next_page.lines,
-        )
-
-
 def page_model(page: Page) -> PageModel:
-    """The :class:`PageModel` of ``page["tokens"]``, kept on the page
-    (a page whose tokens were replaced gets a new one)."""
+    """The :class:`~.lines.PageModel` of a decoded page, or of
+    ``page["tokens"]``, kept on the page (a page whose tokens were
+    replaced gets a new one)."""
     model = page.get("model")
-    if model is None or model.tokens is not page["tokens"]:
-        model = page["model"] = PageModel(page["tokens"])
+    tokens = page.get("tokens")
+    if model is None or (tokens is not None and model.tokens is not tokens):
+        model = page["model"] = PageModel(tokens or [])
     return model
 
 
@@ -285,7 +225,9 @@ def classify_form_type(pages: list[Page]) -> str:
     """
     if not pages:
         return "female"
-    text = " ".join(t["text"] for t in page_model(pages[0]).by_yx).lower()
+    model = page_model(pages[0])
+    raw = model.raw
+    text = " ".join([raw[i] for i in model.order]).lower()
     fi = text.find("female patient information")
     mi = text.find("male patient information")
     # "male patient information" is a substring of the female marker —
@@ -379,6 +321,16 @@ class FoldState:
             active.append(sec)
         return active
 
+    def done(self, page_number: int) -> bool:
+        """True when no label section and no question section is open
+        on this page after page 1: the state only shrinks, so no later
+        page finds anything either."""
+        return (
+            page_number > 1
+            and not self.label_search()[0]
+            and not self.open_questions(page_number)
+        )
+
     def questions_answered(self, responses: list[dict] | None) -> None:
         """Drop the questions this page's responses matched."""
         for sec in responses or []:
@@ -397,6 +349,9 @@ def extract_document(pages: list[Page], sections: list[dict]) -> dict[str, Any]:
     """The per-document page fold (reference ``extractor.py:947-1126``).
 
     Returns ``{"pages": [{page_number, sections, responses}, ...]}``.
+    Once nothing is left to find (:meth:`FoldState.done`), the rest of
+    the pages get empty records without being read: every phase's
+    result there would be empty.
     """
     structured_data: dict[str, Any] = {"pages": []}
     state = FoldState(sections)
@@ -404,29 +359,24 @@ def extract_document(pages: list[Page], sections: list[dict]) -> dict[str, Any]:
     models = [page_model(page) for page in pages]
     for idx, (page, model) in enumerate(zip(pages, models)):
         page_number = idx + 1
-        tokens = page["tokens"]
+        if state.done(page_number):
+            structured_data["pages"].extend(
+                {"page_number": n, "sections": [], "responses": []}
+                for n in range(page_number, len(pages) + 1)
+            )
+            break
         page_w, page_h = page["width"], page["height"]
         checkboxes = deduplicate_matches(page["ticked"], page["empty"])
         active_label_sections, labels_to_search = state.label_search()
 
-        # One line-grouping per page, shared by the label, section,
-        # question and answer phases (grouping is pure; the reference
-        # regroups in each — SURVEY.md M3 notes the five clones), and
-        # the next page's head cut from that page's own lines, shared
-        # by the cross-page passes.
-        page_lines = model.lines
-        page_idx = model.index
-        next_head = model.next_head(models[idx + 1], page_h) if idx + 1 < len(models) else None
-        label_positions = get_label_positions(
-            tokens,
-            labels_to_search,
-            lines=page_lines,
-            next_head=next_head,
-        )
-        section_regions = detect_section_regions(
-            tokens, sections, checkboxes, page_width=page_w, lines=page_lines,
-            page_index=page_idx,
-        )
+        # One set of page columns, shared by the label, section,
+        # question and answer phases (the reference regroups in each —
+        # SURVEY.md M3 notes the five clones), and the next page's head
+        # cut from that page's own lines, shared by the cross-page
+        # passes.
+        next_head = NextHead(model, models[idx + 1], page_h) if idx + 1 < len(models) else None
+        label_positions = get_label_positions(model, labels_to_search, next_head=next_head)
+        section_regions = detect_section_regions(model, sections, checkboxes, page_width=page_w)
         state.labels_found(active_label_sections, section_regions, label_positions)
 
         sections_data = assign_checkboxes_sectionwise(
@@ -438,24 +388,20 @@ def extract_document(pages: list[Page], sections: list[dict]) -> dict[str, Any]:
             for sec in state.open_questions(page_number)
         ]
         matches = match_sections_and_questions(
-            tokens,
+            model,
             question_sections_active,
             section_regions,
             page_width=page_w,
             page_height=page_h,
-            lines=page_lines,
-            page_index=page_idx,
             next_head=next_head,
         )
         responses_data = augment_answers(
             matches,
-            tokens,
+            model,
             page["highlights"],
             checkboxes,
             page_width=page_w,
             page_height=page_h,
-            lines=page_lines,
-            page=model,
         )
         state.questions_answered(responses_data)
 

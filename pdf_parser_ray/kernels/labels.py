@@ -15,14 +15,14 @@ Faithful reimplementation of ``CheckboxExtractor.get_label_positions``
   (``extractor.py:512-528``).
 
 Pure per-document function — runs inside ``map_batches`` on one row's
-token lists; no cross-row state.
+page columns; no cross-row state.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .lines import Line, Token, group_lines
+from .lines import Lines, PageModel, Token, as_page
 from .normalize import clean_label_sequence, expected, normalize_text, token_blob
 from .questions import NextHead
 
@@ -32,34 +32,34 @@ from ..core.constants import (
 )
 
 
-def try_multiline_on_lines(
-    lines_input: list[Line], lbl_words_seq: list[str]
-) -> tuple[int, int] | None:
+def try_multiline_on_lines(lines: Lines, lbl_words_seq: list[str]) -> tuple[int, int] | None:
     """Multiline label search (reference ``extractor.py:378-470``).
 
     Returns the (x, y) of the start token of a full multi-line match, or
-    None. Continuation steps onto the *next list entry* only (not next
+    None. Continuation steps onto the *next line* only (not next
     y-group — that variant belongs to the section detector).
     """
     base_x_tolerance = LABEL_MULTILINE_BASE_X_TOLERANCE
     max_lookahead = LABEL_MULTILINE_MAX_LOOKAHEAD
     n_lbl = len(lbl_words_seq)
     exps = [expected(w) for w in lbl_words_seq]
+    starts, xs, norms = lines.starts, lines.x, lines.lnorm
+    n_lines = len(lines)
 
-    for i, line in enumerate(lines_input):
-        words = line["words"]
-        if not words:
+    for i in range(n_lines):
+        s, e = starts[i], starts[i + 1]
+        if s == e:
             continue
         # Best contiguous leading-word match starting at any token.
         best_start = None
         best_matched_here = 0
-        for start_idx in range(len(words)):
+        for start_idx in range(s, e):
             matched_here = 0
             k = start_idx
             for lbl_idx in range(n_lbl):
-                if k >= len(words):
+                if k >= e:
                     break
-                if exps[lbl_idx].contains(normalize_text(words[k]["text"])):
+                if exps[lbl_idx].contains(norms[k]):
                     matched_here += 1
                     k += 1
                 else:
@@ -71,33 +71,28 @@ def try_multiline_on_lines(
                 break
         if best_matched_here == 0:
             continue
-        start_x = words[best_start]["x"]
-        start_y = words[best_start]["y"]
+        start_x = xs[best_start]
+        start_y = lines.y[best_start]
         x_ref = start_x
         curr_lbl_idx = best_matched_here
         curr_idx = i
         matched_all = curr_lbl_idx == n_lbl
         lookahead_used = 0
         while not matched_all and lookahead_used < max_lookahead:
-            if curr_idx + 1 >= len(lines_input):
+            if curr_idx + 1 >= n_lines:
                 break
-            next_tokens = lines_input[curr_idx + 1]["words"]
-            if not next_tokens:
+            ns, ne = starts[curr_idx + 1], starts[curr_idx + 2]
+            if ns == ne:
                 break
             exp_next = exps[curr_lbl_idx]
             candidate_indices = [
                 idx
-                for idx, tok in enumerate(next_tokens)
-                if abs(tok["x"] - x_ref) <= base_x_tolerance
-                and exp_next.contains(normalize_text(tok["text"]))
+                for idx in range(ns, ne)
+                if abs(xs[idx] - x_ref) <= base_x_tolerance and exp_next.contains(norms[idx])
             ]
             if not candidate_indices:
                 # Relax: scan the whole line (reference extractor.py:435-437)
-                candidate_indices = [
-                    idx
-                    for idx, tok in enumerate(next_tokens)
-                    if exp_next.contains(normalize_text(tok["text"]))
-                ]
+                candidate_indices = [idx for idx in range(ns, ne) if exp_next.contains(norms[idx])]
             if not candidate_indices:
                 break
             best_line_match = 0
@@ -106,9 +101,9 @@ def try_multiline_on_lines(
                 matched_in_line = 0
                 k = ci
                 for lbl_idx in range(curr_lbl_idx, n_lbl):
-                    if k >= len(next_tokens):
+                    if k >= ne:
                         break
-                    if exps[lbl_idx].contains(normalize_text(next_tokens[k]["text"])):
+                    if exps[lbl_idx].contains(norms[k]):
                         matched_in_line += 1
                         k += 1
                     else:
@@ -121,7 +116,7 @@ def try_multiline_on_lines(
             curr_lbl_idx += best_line_match
             curr_idx += 1
             lookahead_used += 1
-            x_ref = next_tokens[best_line_start]["x"]
+            x_ref = xs[best_line_start]
             matched_all = curr_lbl_idx == n_lbl
         if matched_all:
             return (start_x, start_y)
@@ -129,37 +124,29 @@ def try_multiline_on_lines(
 
 
 def get_label_positions(
-    tokens: list[Token],
+    page: PageModel | list[Token],
     expected_labels: list[str],
-    lines: list[Line] | None = None,
     next_head: NextHead | None = None,
 ) -> dict[str, list[tuple[int, int]]]:
     """Locate label anchor positions (reference ``extractor.py:194-532``).
 
-    ``tokens`` is this page's OCR token list (in OCR emission order —
-    the single-line pass scans tokens in that order, exactly like the
-    reference); ``next_head`` (the page's lines plus the next page's
-    head, see :class:`~.questions.NextHead`) enables cross-page
-    continuation for labels not found in-page. ``lines`` may carry the
-    page's precomputed line groups (grouping is pure; sharing it across
-    the per-page matcher calls is semantics-preserving).
+    ``page`` is the page's :class:`~.lines.PageModel` (or its token
+    list); the single-line pass scans its words in OCR emission order,
+    exactly like the reference, and the multiline passes its lines.
+    ``next_head`` (the page's lines plus the next page's head, see
+    :class:`~.questions.NextHead`) enables cross-page continuation for
+    labels not found in-page.
     """
     label_positions: dict[str, list[tuple[int, int]]] = {}
+    if not expected_labels:
+        return label_positions
 
-    # The page's non-blank tokens as columns, in OCR emission order:
-    # stripped text, its normalized form, x and y.
-    origs: list[str] = []
-    xs: list[int] = []
-    ys: list[int] = []
-    for t in tokens:
-        orig = (t.get("text") or "").strip()
-        if orig:
-            origs.append(orig)
-            xs.append(int(t.get("x", 0)))
-            ys.append(int(t.get("y", 0)))
-    norms = list(map(normalize_text, origs))
-    if lines is None:
-        lines = group_lines(tokens)
+    # The page's non-blank words in OCR emission order, by their index
+    # in the lines, and their normalized text.
+    page = as_page(page)
+    lines, emit = page.lines, page.emit
+    lnorm = lines.lnorm
+    norms = [lnorm[k] for k in emit]
 
     # One newline-joined blob of the normalized tokens: finding every
     # token that *contains* a label's first word (the reference's
@@ -202,9 +189,12 @@ def get_label_positions(
         for i in first_word_candidates(first_word):
             for j in range(i, min(i + max_len, n)):
                 if first_word in norms[i] and last_word in norms[j]:
-                    seq_clean = clean_label_sequence(origs[i : j + 1])
+                    seq_clean = clean_label_sequence(
+                        [lines.text[k] for k in emit[i : j + 1]]
+                    )
                     if exp_full.contains(seq_clean):
-                        label_positions.setdefault(lbl, []).append((xs[i], ys[i]))
+                        k = emit[i]
+                        label_positions.setdefault(lbl, []).append((lines.x[k], lines.y[k]))
                         found = True
         if not found:
             pos = try_multiline_on_lines(lines, lbl_words)

@@ -146,10 +146,11 @@ class Expected:
             return True
         return self._prefix.match(haystack) is not None
 
-    def prefix_positions(self, blob: str, start: int = 0) -> list[int]:
+    def prefix_positions(self, blob: str, start: int = 0, end: int | None = None) -> list[int]:
         """Char positions in a ``"\\n" + "\\n".join(tokens)`` blob where a
-        token whose leading ``\\n`` lies at or after ``start`` *starts
-        with* this expected string — one C-level regex scan replacing a
+        token whose leading ``\\n`` lies in ``[start, end)`` and which
+        ends by ``end`` (a token boundary) *starts with* this expected
+        string — one C-level regex scan replacing a
         per-token Python ``startswith`` loop. Patterns cannot cross
         token boundaries (``\\n`` matches no pattern class), so each hit
         is a token-start prefix match, exactly the set of candidate
@@ -158,7 +159,9 @@ class Expected:
         and each hit is one past it."""
         if self._nl_prefix is None:
             self._nl_prefix = re.compile("\n" + self._pat_src)
-        return [m.start() + 1 for m in self._nl_prefix.finditer(blob, start)]
+        if end is None:
+            end = len(blob)
+        return [m.start() + 1 for m in self._nl_prefix.finditer(blob, start, end)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Expected({self.expected_s!r})"

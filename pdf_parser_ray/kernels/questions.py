@@ -29,7 +29,8 @@ on first use, holding
 A band crop ``[y1, y2)`` is the run ``lines[a:b]`` of the page's
 y-sorted lines whose ``y`` lies in the band (:meth:`PageIndex.band`),
 unless a line has words on both sides of a band edge; only then are
-the band's tokens regrouped (:func:`band_tokens`) and indexed afresh.
+the band's words regrouped (:meth:`~.lines.PageModel.band`) and indexed
+afresh.
 A run's hits are read from the page's table: its full matches are the
 page's on lines ``a..b-1``, and its multiline hit is the first start
 line at or past ``max(a, page's first hit)`` whose page outcome is a
@@ -53,11 +54,11 @@ crop's window or regrouped index is built once per call.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Callable
+from bisect import bisect_left, bisect_right
+from typing import Any, Iterable
 
-from .lines import Line, Token, group_lines, head_line_groups, offset_lines, offset_tokens
-from .normalize import expected, ocr_norm, token_blob
+from .lines import Lines, PageModel, Token, as_page
+from .normalize import expected
 
 from ..core.constants import (
     ANCHOR_OFFSET_PX,
@@ -68,40 +69,28 @@ from ..core.constants import (
 Hit = dict[str, Any]
 
 
-def _line_norms(line: Line) -> list[str]:
-    """Per-line cache of OCR-normalized token strings. Normalization is
-    pure (and ``ocr_norm`` memoized per string), so caching on the line
-    dict is semantics-preserving (the reference re-normalizes every
-    probe)."""
-    norms = line.get("_norms")
-    if norms is None:
-        norms = line["_norms"] = [ocr_norm(w["text"]) for w in line["words"]]
-    return norms
-
-
-def _candidate_starts(line: Line, first_exp) -> list[int]:
-    """Token indices where the first expected word (or the merged
-    concat — whose prefix is the first word) can start. Equals the set
-    of start indices the reference's per-token loop can accept, found
-    with one regex scan of the line's blob (cached on the line) instead
-    of len(words) Python probes."""
-    blob = line.get("_blob")
-    if blob is None:
-        blob, line["_offs"] = token_blob(_line_norms(line))
-        line["_blob"] = blob
-    positions = first_exp.prefix_positions(blob)
-    if not positions:
+def _candidate_starts(lines: Lines, li: int, first_exp) -> list[int]:
+    """The words of line ``li`` where the first expected word (or the
+    merged concat — whose prefix is the first word) can start. Equals
+    the set of start words the reference's per-token loop can accept,
+    found with one regex scan of the line's run of the lines' blob
+    instead of one Python probe per word."""
+    s, e = lines.starts[li], lines.starts[li + 1]
+    if s == e:
         return []
-    offs = line["_offs"]
-    return [bisect_left(offs, p) for p in positions]
+    blob, offs = lines.blob
+    # the line's run of the blob ends where the next word's "\n" is
+    end = offs[e] - 1 if e < len(offs) else len(blob)
+    return [bisect_left(offs, p) for p in first_exp.prefix_positions(blob, offs[s] - 1, end)]
 
 
 class PageIndex:
-    """Page-level candidate index: all lines' normalized-token blobs
-    concatenated, so locating every possible start of a question is ONE
-    regex scan over the page instead of one per (question, line). The
-    candidate sets are identical to the per-line scans — lines appear
-    in list order in the blob, so iteration order is preserved.
+    """Page-level candidate index over the blob of the lines' words
+    (:attr:`Lines.blob`), so locating every possible start of a
+    question is ONE regex scan over the page instead of one per
+    (question, line). The candidate sets are identical to the per-line
+    scans — lines appear in order in the blob, so iteration order is
+    preserved.
 
     The index also keeps the page's question table (module docstring):
     one :class:`_Question` row per question text, each built on first
@@ -111,67 +100,38 @@ class PageIndex:
     would leave every page to the garbage collector.
 
     With ``base`` (the index of a prefix of ``lines``) the index extends
-    it: the base's blob and token offsets are copied, not rebuilt, and
-    a scan covers only the lines past the base, its hits appended to
-    the base's memoized candidates. No match crosses a line, as ``\\n``
-    matches no pattern class, so the result equals a scan of the whole
-    blob. The base lines' full matches are read from the base's rows."""
+    it: a scan covers only the blob past the base's, its hits appended
+    to the base's memoized candidates. No match crosses a word, as
+    ``\\n`` matches no pattern class, so the result equals a scan of the
+    whole blob. The base lines' full matches are read from the base's
+    rows."""
 
-    __slots__ = (
-        "lines", "blob", "g_offs", "g_line", "g_tok", "_cands", "_tall", "_line_ys", "_base",
-        "_tail", "_rows",
-    )
+    __slots__ = ("lines", "_cands", "_tall", "_base", "_tail", "_rows")
 
-    def __init__(self, lines: list[Line], base: "PageIndex | None" = None):
+    def __init__(self, lines: Lines, base: "PageIndex | None" = None):
         self.lines = lines
-        if base is None:
-            first, pos, blob = 0, 0, ""
-            g_offs: list[int] = []
-            g_line: list[int] = []
-            g_tok: list[int] = []
-        else:
-            first, pos, blob = len(base.lines), len(base.blob), base.blob
-            g_offs, g_line, g_tok = base.g_offs[:], base.g_line[:], base.g_tok[:]
         self._base = base
-        self._tail = pos
-        # the lines' blobs concatenated are one blob of all their tokens
-        norms: list[str] = []
-        for li in range(first, len(lines)):
-            line_norms = _line_norms(lines[li])
-            norms.extend(line_norms)
-            g_line.extend([li] * len(line_norms))
-            g_tok.extend(range(len(line_norms)))
-        tail, offsets = token_blob(norms, pos)
-        g_offs.extend(offsets)
-        self.blob = blob + tail
-        self.g_offs = g_offs
-        self.g_line = g_line
-        self.g_tok = g_tok
+        self._tail = len(base.lines.blob[0]) if base is not None else 0
         self._cands: dict = {}
         self._tall: list[tuple[int, int]] | None = None
-        self._line_ys: list[int] | None = None
         self._rows: dict[str, _Question] = {}
 
-    @property
-    def line_ys(self) -> list[int]:
-        """Each line's ``y``: ascending for grouped lines."""
-        if self._line_ys is None:
-            self._line_ys = [ln["y"] for ln in self.lines]
-        return self._line_ys
-
     def candidates(self, exp) -> dict[int, list[int]]:
-        """line_idx → [token_idx] of possible starts for ``exp``.
-        Memoized per ``exp``; callers must not mutate the result."""
+        """line → [word] of possible starts for ``exp``, words by their
+        index in the lines. Memoized per ``exp``; callers must not
+        mutate the result."""
         out = self._cands.get(exp)
         if out is None:
+            blob, offs = self.lines.blob
+            starts = self.lines.starts
             if self._base is None:
-                out, hits = {}, exp.prefix_positions(self.blob)
+                out, hits = {}, exp.prefix_positions(blob)
             else:
                 out = dict(self._base.candidates(exp))
-                hits = exp.prefix_positions(self.blob, self._tail)
+                hits = exp.prefix_positions(blob, self._tail)
             for p in hits:
-                k = bisect_left(self.g_offs, p)
-                out.setdefault(self.g_line[k], []).append(self.g_tok[k])
+                k = bisect_left(offs, p)
+                out.setdefault(bisect_right(starts, k) - 1, []).append(k)
             self._cands[exp] = out
         return out
 
@@ -191,9 +151,7 @@ class PageIndex:
                 first = len(self._base.lines)
                 row.full_lines, row.full_segs = base.full_lines[:], base.full_segs[:]
             for li in row.starts[bisect_left(row.starts, first) :]:
-                segs = find_all_full_in_line(
-                    lines[li]["words"], row.words, line=lines[li], candidates=row.cands[li]
-                )
+                segs = find_all_full_in_line(lines, li, row.words, candidates=row.cands[li])
                 if segs:
                     row.full_lines.append(li)
                     row.full_segs.append(segs)
@@ -261,21 +219,23 @@ class PageIndex:
 
         With every line wholly inside or wholly outside the band, the
         lines inside are those whose ``y`` lies in ``[y1, y2)``: a
-        contiguous run ``lines[a:b]`` of the y-sorted list. They keep
-        their keys, words, word order and ``y``, and the stable y-sort
+        contiguous run ``a..b-1`` of the y-sorted lines. They keep
+        their keys, words, word order and ``y``, and the line order
         keeps their relative order, so the run equals
-        ``group_lines(band_tokens(tokens, y1, y2))``."""
+        :meth:`PageModel.band` of the page."""
         if self._tall is None:
             self._tall = []
-            for ln in self.lines:
-                ys = [w["y"] for w in ln["words"]]
-                lo, hi = min(ys), max(ys)
-                if lo != hi:
-                    self._tall.append((int(lo), int(hi)))
+            ys, starts = self.lines.y, self.lines.starts
+            for i in range(len(self.lines)):
+                s, e = starts[i], starts[i + 1]
+                if e - s > 1:
+                    lo, hi = min(ys[s:e]), max(ys[s:e])
+                    if lo != hi:
+                        self._tall.append((lo, hi))
         for lo, hi in self._tall:
             if lo < y1 <= hi or lo < y2 <= hi:
                 return None
-        line_ys = self.line_ys
+        line_ys = self.lines.ys
         return _LineWindow(self, bisect_left(line_ys, y1), bisect_left(line_ys, y2))
 
 
@@ -340,77 +300,54 @@ class NextHead:
     ``extractor.py:331-375``, ``response_extractor.py:300-343``), with
     their :class:`PageIndex`. Both are built on first use, so a page
     reads its successor at most once, however many label and question
-    cross-page passes read them.
+    cross-page passes read them. The head is cut from the next page's
+    own lines and shifted (:meth:`Lines.extended`), and its index
+    extends the page's."""
 
-    ``next_lines`` (a callable returning the next page's
-    :func:`group_lines`) lets the head be cut from the next page's own
-    lines and shifted (:func:`offset_lines`) instead of regrouping its
-    tokens.
-    ``page_index`` (the :class:`PageIndex` of ``page_lines``) is
-    extended by the head lines instead of re-indexing the page."""
-
-    __slots__ = (
-        "_page_lines", "_next_tokens", "_page_height", "_n_groups", "_lines", "_index",
-        "_page_index", "_next_lines",
-    )
+    __slots__ = ("_page", "_next", "_page_height", "_n_groups", "_lines", "_index")
 
     def __init__(
         self,
-        page_lines: list[Line],
-        next_tokens: list[Token],
+        page: PageModel | Iterable[Token],
+        next_page: PageModel | Iterable[Token],
         page_height: int,
         n_groups: int = 5,
-        page_index: PageIndex | None = None,
-        next_lines: Callable[[], list[Line]] | None = None,
     ):
-        self._page_lines = page_lines
-        self._next_tokens = next_tokens
+        self._page = as_page(page)
+        self._next = as_page(next_page)
         self._page_height = page_height
         self._n_groups = n_groups
-        self._lines: list[Line] | None = None
+        self._lines: Lines | None = None
         self._index: PageIndex | None = None
-        self._page_index = page_index if page_index and page_index.lines is page_lines else None
-        self._next_lines = next_lines
 
     @property
-    def lines(self) -> list[Line]:
+    def lines(self) -> Lines:
         if self._lines is None:
-            if self._next_lines is None:
-                next_lines = group_lines(offset_tokens(self._next_tokens, self._page_height))
-                head = head_line_groups(next_lines, self._n_groups)
-            else:
-                head = offset_lines(
-                    head_line_groups(self._next_lines(), self._n_groups), self._page_height
-                )
-            self._lines = self._page_lines + head
+            nxt = self._next.lines
+            self._lines = self._page.lines.extended(
+                nxt, nxt.head(self._n_groups), self._page_height
+            )
         return self._lines
 
     @property
     def index(self) -> PageIndex:
         if self._index is None:
-            self._index = PageIndex(self.lines, base=self._page_index)
+            self._index = PageIndex(self.lines, base=self._page.index)
         return self._index
 
 
 def _best_span_in_line(
-    words: list[dict],
-    lbl_words: list[str],
-    line: Line | None = None,
-    candidates: list[int] | None = None,
+    lines: Lines, li: int, lbl_words: list[str], candidates: list[int] | None = None
 ) -> tuple[int | None, int]:
     """Reference ``response_extractor.py:365-397``."""
     exp_concat = expected(" ".join(lbl_words))
     exps = [expected(w) for w in lbl_words]
-    if line is not None:
-        norms = _line_norms(line)
-        if candidates is None:
-            candidates = _candidate_starts(line, exps[0])
-    else:
-        norms = [ocr_norm(w["text"]) for w in words]
-        candidates = [i for i in range(len(words)) if exps[0].startswith(norms[i])]
+    norms = lines.norm
+    if candidates is None:
+        candidates = _candidate_starts(lines, li, exps[0])
     best_start = None
     best_matched_here = 0
-    n = len(words)
+    n = lines.starts[li + 1]
     for start_idx in candidates:
         tok0_clean = norms[start_idx]
         if exp_concat.startswith(tok0_clean):
@@ -434,31 +371,23 @@ def _best_span_in_line(
 
 
 def find_all_full_in_line(
-    words: list[dict],
-    lbl_words: list[str],
-    line: Line | None = None,
-    candidates: list[int] | None = None,
+    lines: Lines, li: int, lbl_words: list[str], candidates: list[int] | None = None
 ) -> list[dict]:
-    """All same-line full matches on one line
+    """All same-line full matches on line ``li``
     (reference ``response_extractor.py:399-445``)."""
     segments: list[dict] = []
-    if not words:
+    n = lines.starts[li + 1]
+    if lines.starts[li] == n:
         return segments
     exp_concat = expected(" ".join(lbl_words))
     exps = [expected(w) for w in lbl_words]
-    if line is not None:
-        norms = _line_norms(line)
-        if candidates is None:
-            candidates = _candidate_starts(line, exps[0])
-    else:
-        norms = [ocr_norm(w["text"]) for w in words]
-        candidates = [i for i in range(len(words)) if exps[0].startswith(norms[i])]
-    n = len(words)
+    norms = lines.norm
+    if candidates is None:
+        candidates = _candidate_starts(lines, li, exps[0])
     for start_idx in candidates:
         tok0_clean = norms[start_idx]
         if exp_concat.startswith(tok0_clean):
-            seg_tokens = [words[start_idx]]
-            segments.append(_segment(seg_tokens, len(lbl_words)))
+            segments.append(_segment(lines, start_idx, start_idx + 1, len(lbl_words)))
             continue
         matched_here = 1
         k = start_idx + 1
@@ -473,23 +402,23 @@ def find_all_full_in_line(
                 matched_here = 0
                 break
         if matched_here == len(lbl_words):
-            seg_tokens = words[start_idx : start_idx + matched_here]
-            segments.append(_segment(seg_tokens, matched_here))
+            segments.append(_segment(lines, start_idx, start_idx + matched_here, matched_here))
     return segments
 
 
-def _segment(seg_tokens: list[dict], count: int) -> dict:
+def _segment(lines: Lines, a: int, b: int, count: int) -> dict:
+    """The segment of the words ``a..b-1`` of one line."""
     return {
-        "line_y": int(min(t["y"] for t in seg_tokens)),
-        "start_x": seg_tokens[0]["x"],
-        "end_x": seg_tokens[-1]["x"] + seg_tokens[-1].get("w", 0),
+        "line_y": int(min(lines.y[a:b])),
+        "start_x": lines.x[a],
+        "end_x": lines.x[b - 1] + lines.w[b - 1],
         "count": count,
-        "tokens": [t["text"] for t in seg_tokens],
+        "tokens": lines.text[a:b],
     }
 
 
 def multiline_from(
-    lines: list[Line],
+    lines: Lines,
     i: int,
     lbl_words_seq: list[str],
     exps_seq: list,
@@ -501,85 +430,82 @@ def multiline_from(
     candidates (scanned from the line when ``None``). Returns the hit
     ``{start, segments}`` or ``None``, and the first line of the last
     sibling y-group the search read (``i`` when it read none)."""
-    line = lines[i]
-    words = line["words"]
-    if not words:
+    starts, ys = lines.starts, lines.ys
+    xs, norms = lines.x, lines.norm
+    end = starts[i + 1]
+    if starts[i] == end:
         return None, i
-    best_start, matched_here = _best_span_in_line(
-        words, lbl_words_seq, line=line, candidates=candidates
-    )
+    best_start, matched_here = _best_span_in_line(lines, i, lbl_words_seq, candidates)
     if matched_here == 0:
         return None, i
     base_x_tolerance = LABEL_MULTILINE_BASE_X_TOLERANCE
     n_lbl = len(lbl_words_seq)
-    start_x = words[best_start]["x"]
-    start_y = words[best_start]["y"]
+    n_lines = len(ys)
+    start_x = xs[best_start]
+    start_y = lines.y[best_start]
     x_ref = start_x
     curr_lbl_idx = matched_here
     curr_idx = i
     last_group = i
     matched_all = curr_lbl_idx == n_lbl
     lookahead_used = 0
-    seg_words = words[best_start : best_start + matched_here]
-    last_idx = min(best_start + max(0, matched_here - 1), len(words) - 1)
+    # the merged-phrase fast path counts words the line may not hold
+    seg_end = min(best_start + matched_here, end)
+    last_idx = min(best_start + max(0, matched_here - 1), end - 1)
     segments = [
         {
-            "line_y": int(
-                min(t["y"] for t in seg_words) if matched_here > 0 else line.get("y", 0)
-            ),
+            "line_y": int(min(lines.y[best_start:seg_end])),
             "start_x": start_x,
-            "end_x": words[last_idx]["x"] + words[last_idx].get("w", 0),
+            "end_x": xs[last_idx] + lines.w[last_idx],
             "count": matched_here,
-            "tokens": [t["text"] for t in seg_words],
+            "tokens": lines.text[best_start:seg_end],
         }
     ]
     while not matched_all and lookahead_used < LABEL_MULTILINE_MAX_LOOKAHEAD:
         j = curr_idx + 1
-        curr_y = lines[curr_idx]["y"] if curr_idx < len(lines) else None
-        while j < len(lines) and curr_y is not None and lines[j]["y"] <= curr_y:
+        curr_y = ys[curr_idx]
+        while j < n_lines and ys[j] <= curr_y:
             j += 1
-        if j >= len(lines):
+        if j >= n_lines:
             break
         last_group = j
-        next_y = lines[j]["y"]
+        next_y = ys[j]
         group_indices = []
         kidx = j
-        while kidx < len(lines) and lines[kidx]["y"] == next_y:
+        while kidx < n_lines and ys[kidx] == next_y:
             group_indices.append(kidx)
             kidx += 1
         exp_next = exps_seq[curr_lbl_idx]
         best_overall = 0
         best_overall_idx = None
-        best_overall_segtoks = None
+        best_overall_seg = None
         for li in group_indices:
-            line_tokens = lines[li]["words"]
-            if not line_tokens:
+            ls, le = starts[li], starts[li + 1]
+            if ls == le:
                 continue
-            lnorms = _line_norms(lines[li])
-            starters = _candidate_starts(lines[li], exp_next)
+            starters = _candidate_starts(lines, li, exp_next)
             candidate_indices = [
-                idx for idx in starters
-                if abs(line_tokens[idx]["x"] - x_ref) <= base_x_tolerance
+                idx for idx in starters if abs(xs[idx] - x_ref) <= base_x_tolerance
             ]
             if not candidate_indices:
                 candidate_indices = starters
             if not candidate_indices:
                 candidate_indices = [
                     idx
-                    for idx, tok in enumerate(line_tokens)
-                    if abs(tok["x"] - x_ref) <= base_x_tolerance
-                    and exp_next.contains(lnorms[idx])
+                    for idx in range(ls, le)
+                    if abs(xs[idx] - x_ref) <= base_x_tolerance
+                    and exp_next.contains(norms[idx])
                 ]
             if not candidate_indices:
                 continue
             best_line_match = 0
-            best_line_segtoks = None
+            best_line_seg = None
             for ci in candidate_indices:
                 matched_in_line = 0
                 k = ci
-                while k < len(line_tokens) and (curr_lbl_idx + matched_in_line) < n_lbl:
+                while k < le and (curr_lbl_idx + matched_in_line) < n_lbl:
                     exp2 = exps_seq[curr_lbl_idx + matched_in_line]
-                    tok_clean = lnorms[k]
+                    tok_clean = norms[k]
                     ok2 = (
                         exp2.startswith(tok_clean)
                         if matched_in_line == 0
@@ -592,30 +518,19 @@ def multiline_from(
                         break
                 if matched_in_line > best_line_match:
                     best_line_match = matched_in_line
-                    best_line_segtoks = line_tokens[ci : ci + matched_in_line]
+                    best_line_seg = ci
             if best_line_match > best_overall:
                 best_overall = best_line_match
                 best_overall_idx = li
-                best_overall_segtoks = best_line_segtoks
-        if best_overall == 0 or best_overall_idx is None or best_overall_segtoks is None:
+                best_overall_seg = best_line_seg
+        if best_overall == 0 or best_overall_idx is None or best_overall_seg is None:
             break
-        seg_tokens = best_overall_segtoks
-        next_line = lines[best_overall_idx]
-        segments.append(
-            {
-                "line_y": int(
-                    min(t["y"] for t in seg_tokens) if seg_tokens else next_line.get("y", 0)
-                ),
-                "start_x": seg_tokens[0]["x"],
-                "end_x": seg_tokens[-1]["x"] + seg_tokens[-1].get("w", 0),
-                "count": best_overall,
-                "tokens": [t["text"] for t in seg_tokens],
-            }
-        )
+        a = best_overall_seg
+        segments.append(_segment(lines, a, a + best_overall, best_overall))
         curr_lbl_idx += best_overall
         curr_idx = best_overall_idx
         lookahead_used += 1
-        x_ref = seg_tokens[0]["x"]
+        x_ref = xs[a]
         matched_all = curr_lbl_idx == n_lbl
     if matched_all:
         return {"start": (start_x, start_y), "segments": segments}, last_group
@@ -623,7 +538,7 @@ def multiline_from(
 
 
 def try_multiline(
-    lines: list[Line],
+    lines: Lines,
     lbl_words_seq: list[str],
     cand_by_line: dict[int, list[int]] | None = None,
 ) -> dict | None:
@@ -651,12 +566,12 @@ def try_multiline(
 
 
 def match_questions_like_labels(
-    tokens: list[Token], questions: list[str]
+    tokens: PageModel | list[Token], questions: list[str]
 ) -> dict[str, list[Hit]]:
     """Reference ``response_extractor.py:238-612``. Returns, per unique
     question text with a hit, the list of match hits
     ``{x, y, segments}``."""
-    index = PageIndex(group_lines(tokens))
+    index = as_page(tokens).index
     results: dict[str, list[Hit]] = {}
     for q in questions:
         hits = index.hits(q)
@@ -665,32 +580,20 @@ def match_questions_like_labels(
     return results
 
 
-def band_tokens(tokens: list[Token], y1: int, y2: int) -> list[Token]:
-    """The tokens of the band ``[y1, y2)``, for a crop that
-    :meth:`PageIndex.band` cannot slice from the page's lines (a line
-    straddles a band edge). Zero-copy: the matcher's geometry is
-    shift-invariant (grouping/order by relative y, lookahead by line
-    index and x tolerance, no absolute-y constants), so the crop keeps
-    the original token dicts with absolute y instead of shifting them
-    into crop space, and hits need no shift back."""
-    return [t for t in tokens if y1 <= int(t.get("y", 0)) < y2]
-
-
 def match_sections_and_questions(
-    tokens: list[Token],
+    page: PageModel | list[Token],
     sections: list[dict],
     section_regions: dict[str, dict[str, int]],
     page_width: int = 2000,
     page_height: int = 3000,
-    lines: list[Line] | None = None,
-    page_index: "PageIndex | None" = None,
     next_head: NextHead | None = None,
 ) -> list[dict[str, Any]]:
     """Reference ``match_sections_and_questions``
     (``response_extractor.py:618-790``), regions-provided path (the
     extractor always passes ``section_regions``).
 
-    ``next_head`` (built over ``lines``) enables the cross-page
+    ``page`` is the page's :class:`~.lines.PageModel` (or its token
+    list); ``next_head`` (built over the page) enables the cross-page
     fallback; the last page has none."""
     anchors: dict[str, int] = {}
     bands: dict[str, tuple[int, int]] = {}
@@ -716,11 +619,11 @@ def match_sections_and_questions(
         else:
             bands[name] = (anchor_y, next_anchor_bottom)
 
-    if page_index is None:
-        page_index = PageIndex(lines if lines is not None else group_lines(tokens))
+    page = as_page(page)
+    page_index = page.index
     # A band crop is a window of the page's lines, matched from the
     # page's question table, unless a line straddles a band edge; only
-    # then are the band's tokens regrouped.
+    # then are the band's words regrouped.
     crops: dict[tuple[int, int], PageIndex | _LineWindow] = {}
 
     def crop(y1c: int, y2c: int) -> PageIndex | _LineWindow:
@@ -728,7 +631,7 @@ def match_sections_and_questions(
         if view is None:
             view = page_index.band(y1c, y2c)
             if view is None:
-                view = PageIndex(group_lines(band_tokens(tokens, y1c, y2c)))
+                view = PageIndex(page.band(y1c, y2c))
             crops[(y1c, y2c)] = view
         return view
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 
 from .boxes import Box
-from .lines import Line, Token, group_lines
-from .normalize import expected, ocr_norm
+from .lines import Lines, PageModel, Token, as_page
+from .normalize import expected
 
 from ..core.constants import (
     LABEL_MULTILINE_BASE_X_TOLERANCE,
@@ -28,10 +28,10 @@ Region = dict[str, int]
 
 
 def best_span_in_line(
-    words: list[dict], name_words: list[str]
+    lines: Lines, li: int, name_words: list[str]
 ) -> tuple[int | None, int]:
-    """Longest contiguous expected-word match starting at any token
-    (reference ``extractor.py:619-646``).
+    """Longest contiguous expected-word match starting at any word of
+    line ``li`` (reference ``extractor.py:619-646``).
 
     First word requires a startswith match; later words use
     containment. Fast path: the whole phrase merged into one OCR token.
@@ -40,16 +40,18 @@ def best_span_in_line(
     best_matched = 0
     exp_concat = expected(" ".join(name_words))
     exps = [expected(w) for w in name_words]
-    for start_idx in range(len(words)):
-        tok0_clean = ocr_norm(words[start_idx]["text"])
+    norms = lines.norm
+    end = lines.starts[li + 1]
+    for start_idx in range(lines.starts[li], end):
+        tok0_clean = norms[start_idx]
         if exp_concat.startswith(tok0_clean):
             return start_idx, len(name_words)
         matched_here = 0
         k = start_idx
         for lbl_idx in range(len(name_words)):
-            if k >= len(words):
+            if k >= end:
                 break
-            tok_clean = ocr_norm(words[k]["text"])
+            tok_clean = norms[k]
             ok = (
                 exps[lbl_idx].startswith(tok_clean)
                 if lbl_idx == 0
@@ -67,7 +69,7 @@ def best_span_in_line(
 
 
 def continue_multiline_from(
-    lines_local: list[Line],
+    lines: Lines,
     i_start: int,
     start_idx: int,
     name_words: list[str],
@@ -80,18 +82,23 @@ def continue_multiline_from(
     """
     base_x_tolerance = LABEL_MULTILINE_BASE_X_TOLERANCE
     max_lookahead = LABEL_MULTILINE_MAX_LOOKAHEAD
+    starts, ys, xs, norms = lines.starts, lines.ys, lines.x, lines.norm
+    n_lines = len(ys)
     curr_idx = i_start
     curr_lbl_idx = matched_here
-    words0 = lines_local[i_start]["words"]
-    x_ref = words0[start_idx]["x"]
-    last = words0[max(start_idx, start_idx + matched_here - 1)]
+    end0 = starts[i_start + 1]
+    x_ref = xs[start_idx]
+    last = max(start_idx, start_idx + matched_here - 1)
+    if last >= end0:
+        # the merged-phrase fast path counts words the line may not hold
+        raise IndexError("list index out of range")
     segments = [
         {
-            "line_y": int(words0[start_idx]["y"]),
+            "line_y": int(lines.y[start_idx]),
             "start_x": x_ref,
-            "end_x": last["x"] + last.get("w", 0),
+            "end_x": xs[last] + lines.w[last],
             "count": matched_here,
-            "tokens": [t["text"] for t in words0[start_idx : start_idx + matched_here]],
+            "tokens": lines.text[start_idx : min(start_idx + matched_here, end0)],
         }
     ]
     lookahead_used = 0
@@ -99,57 +106,51 @@ def continue_multiline_from(
     while curr_lbl_idx < n_words and lookahead_used < max_lookahead:
         # First y strictly greater than current, then all siblings at it.
         j = curr_idx + 1
-        curr_y = lines_local[curr_idx]["y"]
-        while j < len(lines_local) and lines_local[j]["y"] <= curr_y:
+        curr_y = ys[curr_idx]
+        while j < n_lines and ys[j] <= curr_y:
             j += 1
-        if j >= len(lines_local):
+        if j >= n_lines:
             break
-        next_y = lines_local[j]["y"]
+        next_y = ys[j]
         sibling_indices = []
         kidx = j
-        while kidx < len(lines_local) and lines_local[kidx]["y"] == next_y:
+        while kidx < n_lines and ys[kidx] == next_y:
             sibling_indices.append(kidx)
             kidx += 1
         exp_next = expected(name_words[curr_lbl_idx])
         best_overall = 0
         best_overall_idx = None
-        best_overall_segtoks = None
+        best_overall_seg = None
         for li in sibling_indices:
-            toks = lines_local[li]["words"]
-            if not toks:
+            ls, le = starts[li], starts[li + 1]
+            if ls == le:
                 continue
             # Tiered candidates (reference extractor.py:687-695):
             # startswith within tolerance → startswith anywhere →
             # contains within tolerance.
             candidates = [
                 idx
-                for idx, tok in enumerate(toks)
-                if abs(tok["x"] - x_ref) <= base_x_tolerance
-                and exp_next.startswith(ocr_norm(tok["text"]))
+                for idx in range(ls, le)
+                if abs(xs[idx] - x_ref) <= base_x_tolerance and exp_next.startswith(norms[idx])
             ]
             if not candidates:
-                candidates = [
-                    idx
-                    for idx, tok in enumerate(toks)
-                    if exp_next.startswith(ocr_norm(tok["text"]))
-                ]
+                candidates = [idx for idx in range(ls, le) if exp_next.startswith(norms[idx])]
             if not candidates:
                 candidates = [
                     idx
-                    for idx, tok in enumerate(toks)
-                    if abs(tok["x"] - x_ref) <= base_x_tolerance
-                    and exp_next.contains(ocr_norm(tok["text"]))
+                    for idx in range(ls, le)
+                    if abs(xs[idx] - x_ref) <= base_x_tolerance and exp_next.contains(norms[idx])
                 ]
             if not candidates:
                 continue
             best_line_match = 0
-            best_line_segtoks = None
+            best_line_seg = None
             for ci in candidates:
                 matched_in_line = 0
                 k = ci
-                while k < len(toks) and (curr_lbl_idx + matched_in_line) < n_words:
+                while k < le and (curr_lbl_idx + matched_in_line) < n_words:
                     exp2 = expected(name_words[curr_lbl_idx + matched_in_line])
-                    tok_clean = ocr_norm(toks[k]["text"])
+                    tok_clean = norms[k]
                     ok2 = (
                         exp2.startswith(tok_clean)
                         if matched_in_line == 0
@@ -162,38 +163,36 @@ def continue_multiline_from(
                         break
                 if matched_in_line > best_line_match:
                     best_line_match = matched_in_line
-                    best_line_segtoks = toks[ci : ci + matched_in_line]
+                    best_line_seg = ci
             if best_line_match > best_overall:
                 best_overall = best_line_match
                 best_overall_idx = li
-                best_overall_segtoks = best_line_segtoks
-        if not best_overall or best_overall_segtoks is None or best_overall_idx is None:
+                best_overall_seg = best_line_seg
+        if not best_overall or best_overall_seg is None or best_overall_idx is None:
             break
-        seg_tokens = best_overall_segtoks
+        a, b = best_overall_seg, best_overall_seg + best_overall
         segments.append(
             {
-                "line_y": int(min(t["y"] for t in seg_tokens)),
-                "start_x": seg_tokens[0]["x"],
-                "end_x": seg_tokens[-1]["x"] + seg_tokens[-1].get("w", 0),
+                "line_y": int(min(lines.y[a:b])),
+                "start_x": xs[a],
+                "end_x": xs[b - 1] + lines.w[b - 1],
                 "count": best_overall,
-                "tokens": [t["text"] for t in seg_tokens],
+                "tokens": lines.text[a:b],
             }
         )
         curr_lbl_idx += best_overall
         curr_idx = best_overall_idx
-        x_ref = seg_tokens[0]["x"]
+        x_ref = xs[a]
         lookahead_used += 1
     return curr_lbl_idx, segments
 
 
 def detect_section_regions(
-    tokens: list[Token],
+    page: PageModel | list[Token],
     sections: list[dict],
     checkboxes: list[Box],
     page_width: int = 2000,
     max_gap: int = SECTION_CB_MAX_GAP_PX,
-    lines: list[Line] | None = None,
-    page_index=None,
 ) -> dict[str, Region]:
     """Detect per-section vertical regions
     (reference ``extractor.py:534-829``).
@@ -204,10 +203,10 @@ def detect_section_regions(
     matched words. The region grows downward while consecutive checkbox
     gaps stay ≤ ``max_gap``, plus a 50-px buffer.
     """
-    from .questions import PageIndex
-
-    sorted_lines = lines if lines is not None else group_lines(tokens)
-    page_idx = page_index if page_index is not None else PageIndex(sorted_lines)
+    page = as_page(page)
+    sorted_lines = page.lines
+    page_idx = page.index
+    starts = sorted_lines.starts
     anchor_x_threshold = int(0.10 * page_width)
     checkbox_y_positions = sorted(cb["y"] for cb in checkboxes)
     section_regions: dict[str, Region] = {}
@@ -224,16 +223,13 @@ def detect_section_regions(
         # reference loop; the page-level scan skips them outright.
         cand_by_line = page_idx.candidates(expected(name_words[0]))
         for i in sorted(cand_by_line):
-            line = sorted_lines[i]
-            words = line.get("words", [])
-            if not words:
+            if starts[i] == starts[i + 1]:
                 continue
-            start_idx, matched_here = best_span_in_line(words, name_words)
+            start_idx, matched_here = best_span_in_line(sorted_lines, i, name_words)
             if matched_here == 0 or start_idx is None:
                 continue
-            start_tok = words[start_idx]
-            start_x = int(start_tok.get("x", 0))
-            start_y = int(start_tok.get("y", line.get("y", 0)))
+            start_x = int(sorted_lines.x[start_idx])
+            start_y = int(sorted_lines.y[start_idx])
             if start_x > anchor_x_threshold:
                 continue
             if start_y in claimed_anchor_ys:

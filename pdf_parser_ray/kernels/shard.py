@@ -66,7 +66,7 @@ from .assign import assign_checkboxes_sectionwise
 from .boxes import deduplicate_matches
 from .document import FoldState, classify_form_type, decode_spans, flatten_to_spans, page_model
 from .labels import get_label_positions
-from .questions import match_sections_and_questions
+from .questions import NextHead, match_sections_and_questions
 from .sections import detect_section_regions
 
 Span = dict[str, Any]
@@ -140,20 +140,12 @@ def compute_shard_artifacts(
 
     arts: list[dict[str, Any]] = []
     for idx, page in enumerate(pages):
-        tokens = page["tokens"]
         page_w, page_h = page["width"], page["height"]
         checkboxes = deduplicate_matches(page["ticked"], page["empty"])
         model = models[idx]
-        page_lines = model.lines
-        page_idx = model.index
-        next_head = model.next_head(models[idx + 1], page_h) if idx + 1 < len(models) else None
+        next_head = NextHead(model, models[idx + 1], page_h) if idx + 1 < len(models) else None
 
-        label_positions = get_label_positions(
-            tokens,
-            all_labels,
-            lines=page_lines,
-            next_head=next_head,
-        )
+        label_positions = get_label_positions(model, all_labels, next_head=next_head)
 
         per_variant: dict[Any, dict[str, Any]] = {}
         by_sections: dict[bytes, dict[str, Any]] = {}
@@ -164,14 +156,7 @@ def compute_shard_artifacts(
             if cached is not None:
                 per_variant[v] = cached
                 continue
-            regions = detect_section_regions(
-                tokens,
-                sections,
-                checkboxes,
-                page_width=page_w,
-                lines=page_lines,
-                page_index=page_idx,
-            )
+            regions = detect_section_regions(model, sections, checkboxes, page_width=page_w)
             q_secs = [sec for sec in sections if sec.get("questions")]
             banded = [
                 (pos, sec)
@@ -188,13 +173,11 @@ def compute_shard_artifacts(
                 sname = sec["section_name"]
                 if not _has_band(regions, sname):
                     res = match_sections_and_questions(
-                        tokens,
+                        model,
                         [sec],
                         regions,
                         page_width=page_w,
                         page_height=page_h,
-                        lines=page_lines,
-                        page_index=page_idx,
                         next_head=next_head,
                     )
                     records[sname] = {None: _sec_records(res, sname)}
@@ -211,13 +194,11 @@ def compute_shard_artifacts(
                         pair = [sec, stub]
                         cand_name = cand["section_name"]
                     res = match_sections_and_questions(
-                        tokens,
+                        model,
                         pair,
                         regions,
                         page_width=page_w,
                         page_height=page_h,
-                        lines=page_lines,
-                        page_index=page_idx,
                         next_head=next_head,
                     )
                     entry[cand_name] = _sec_records(res, sname)
@@ -231,7 +212,7 @@ def compute_shard_artifacts(
                 "page_number": page_offset + idx + 1,
                 "width": page_w,
                 "height": page_h,
-                "tokens": tokens,
+                "tokens": page["tokens"],
                 "highlights": page["highlights"],
                 "checkboxes": checkboxes,
                 "label_positions": label_positions,

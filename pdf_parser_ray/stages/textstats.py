@@ -855,7 +855,7 @@ def q_pack_sequences(sf_dir: str, budget: int = 512, tokenizer: str = "whitespac
         )
 
     if tokenizer == "bigram":
-        from .tokenize import TokenizerActor
+        from .tokenize import TokenizerActor, actor_pool
 
         class CountTokens:
             def __init__(self) -> None:
@@ -865,13 +865,7 @@ def q_pack_sequences(sf_dir: str, budget: int = 512, tokenizer: str = "whitespac
                 n = self.tok.count_column(batch["text"].to_pylist())
                 return _with_part(batch, pa.array(n, pa.int64()))
 
-        counted = ds.map_batches(
-            CountTokens,
-            batch_format="pyarrow",
-            batch_size=256,
-            concurrency=(1, 4),
-            num_cpus=1,
-        )
+        counted = actor_pool(ds, CountTokens)
     else:
 
         def count_tokens(batch: pa.Table) -> pa.Table:

@@ -41,6 +41,17 @@ BIGRAMS: tuple[str, ...] = (
 _BIGRAM_ID_BASE = 1_000_000
 
 
+def actor_pool(ds, cls):
+    """``ds`` through an actor pool of ``cls``, 256-row Arrow batches.
+    The actors reserve no CPU: a pool actor holding a reserved CPU
+    waits for rows from the read task upstream of it, and in a 1-CPU
+    session no CPU is left for that task to start, so the query never
+    finishes (``stages.media.decode_media`` has the same rule)."""
+    return ds.map_batches(
+        cls, batch_format="pyarrow", batch_size=256, concurrency=(1, 4), num_cpus=0
+    )
+
+
 def tokenize_word(word: str, vocab: dict[str, int]) -> list[tuple[int, str]]:
     """Greedy longest-match scan of one word → [(token_id, piece)]."""
     out: list[tuple[int, str]] = []
@@ -118,13 +129,7 @@ def q_tokenize(sf_dir: str):
     the exact id SEQUENCE, not just counts. Pure flat-map over an
     actor pool — zero shuffles, embarrassingly parallel; output is the
     training-ready token stream a pack/shuffle stage consumes."""
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        TokenizerActor,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 4),
-        num_cpus=1,
-    )
+    return actor_pool(_docs(sf_dir, ["doc_id", "text"]), TokenizerActor)
 
 
 def _bigram_list_sql() -> str:
@@ -234,13 +239,7 @@ def q_doc_chunks_tokens(sf_dir: str):
     its word count. Two fused per-row stages, zero shuffles."""
     from .corpus import q_doc_chunks
 
-    return q_doc_chunks(sf_dir).map_batches(
-        _ChunkTokenCounter,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 4),
-        num_cpus=1,
-    )
+    return actor_pool(q_doc_chunks(sf_dir), _ChunkTokenCounter)
 
 
 def _sql_doc_chunks_tokens() -> str:
@@ -303,14 +302,7 @@ def q_heavy_hitters_tokens(sf_dir: str, k: int = 20):
     from ray.data.aggregate import Sum
 
     return (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(
-            _IdCounter,
-            batch_format="pyarrow",
-            batch_size=256,
-            concurrency=(1, 4),
-            num_cpus=1,
-        )
+        actor_pool(_docs(sf_dir, ["doc_id", "text"]), _IdCounter)
         .groupby("token_id")
         .aggregate(Sum("cnt", alias_name="cnt"))
         .sort(["cnt", "token_id"], descending=[True, False])
@@ -370,13 +362,7 @@ def q_lm_doc_nll_tokens(sf_dir: str, vocab_size: int = 32768, n_buckets: int = 3
             }
         )
 
-    counts = ds.map_batches(
-        _IdCounter,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 4),
-        num_cpus=1,
-    )
+    counts = actor_pool(ds, _IdCounter)
     # bounded: ≤ B·(V+1) fixed-width rows
     model_rows = exchange([(counts, "token_id")], bucket_model, n_buckets=n_buckets).to_pandas()
     total_tokens = int(model_rows.loc[model_rows["kind"] == 1, "c"].sum())
@@ -434,13 +420,7 @@ def q_lm_doc_nll_tokens(sf_dir: str, vocab_size: int = 32768, n_buckets: int = 3
                 }
             )
 
-    return ds.map_batches(
-        Score,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 4),
-        num_cpus=1,
-    )
+    return actor_pool(ds, Score)
 
 
 def _sql_lm_nll_tokens() -> str:
@@ -545,13 +525,7 @@ def q_contamination_tokens(sf_dir: str, gram_k: int = 8, probe_mod: int = 97):
                 }
             )
 
-    return docs.map_batches(
-        Flag,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 4),
-        num_cpus=1,
-    )
+    return actor_pool(docs, Flag)
 
 
 def _sql_contamination_tokens(gram_k: int = 8, probe_mod: int = 97) -> str:

@@ -10,7 +10,7 @@ from pdf_parser_ray.kernels.answers import (
     highlight_recover,
     looks_yes_no_question,
 )
-from pdf_parser_ray.kernels.lines import group_lines_with_height
+from pdf_parser_ray.kernels.lines import PageModel
 
 
 def _q(question, x, y, segments=None):
@@ -41,7 +41,7 @@ class TestRightBound:
 
 class TestCollectAnswerLines:
     def _lines(self, specs):
-        return group_lines_with_height(make_tokens(specs))
+        return PageModel(make_tokens(specs)).lines
 
     def test_band_capture(self):
         lines = self._lines([(["hello"], 110, 545)])  # in [540, 580]

@@ -7,11 +7,7 @@ from pdf_parser_ray.kernels.boxes import (
     deduplicate_matches,
     filter_checkboxes_in_region,
 )
-from pdf_parser_ray.kernels.lines import (
-    group_lines,
-    group_lines_with_height,
-    head_line_groups,
-)
+from pdf_parser_ray.kernels.lines import PageModel
 from pdf_parser_ray.kernels.questions import NextHead
 
 
@@ -20,22 +16,22 @@ class TestGroupLines:
         tokens = make_tokens([(["b", "a"], 100, 200), (["top"], 50, 100)])
         # scramble x of the first line: swap manually
         tokens[0]["x"], tokens[1]["x"] = 300, 100
-        lines = group_lines(tokens)
-        assert [ln["y"] for ln in lines] == [100, 200]
-        assert [w["text"] for w in lines[1]["words"]] == ["a", "b"]
+        lines = PageModel(tokens).lines
+        assert lines.ys == [100, 200]
+        assert [lines.text[k] for k in lines.line_words(1)] == ["a", "b"]
 
     def test_blank_tokens_skipped(self):
         tokens = make_tokens([(["x"], 10, 10)]) + [
             {"text": "  ", "x": 5, "y": 5, "w": 1, "h": 1, "block": 9, "par": 1, "line": 1}
         ]
-        assert len(group_lines(tokens)) == 1
+        assert len(PageModel(tokens).lines) == 1
 
     def test_height_variant_carries_max_h_and_text(self):
         tokens = make_tokens([(["hello", "world"], 10, 50)])
         tokens[1]["h"] = 40
-        lines = group_lines_with_height(tokens)
-        assert lines[0]["h"] == 40
-        assert lines[0]["text"] == "hello world"
+        lines = PageModel(tokens).lines
+        assert max(lines.h[k] for k in lines.line_words(0)) == 40
+        assert " ".join(lines.text[k] for k in lines.line_words(0)) == "hello world"
 
 
 class TestHeadLineGroups:
@@ -43,15 +39,14 @@ class TestHeadLineGroups:
         tokens = make_tokens(
             [(["a"], 10, 100), (["b"], 500, 100), (["c"], 10, 200), (["d"], 10, 300)]
         )
-        lines = group_lines(tokens)
-        kept = head_line_groups(lines, 2)
-        assert [ln["y"] for ln in kept] == [100, 100, 200]
+        lines = PageModel(tokens).lines
+        assert lines.ys[: lines.head(2)] == [100, 100, 200]
 
     def test_next_head_offsets_by_page_height(self):
-        cur = group_lines(make_tokens([(["a"], 10, 100)]))
+        cur = make_tokens([(["a"], 10, 100)])
         nxt = make_tokens([(["n1"], 10, 50), (["n2"], 10, 90)])
         out = NextHead(cur, nxt, page_height=3000, n_groups=1).lines
-        assert [ln["y"] for ln in out] == [100, 3050]
+        assert out.ys == [100, 3050]
 
 
 class TestDedup:

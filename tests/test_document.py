@@ -2,6 +2,7 @@
 (the engine's core invariant — BASELINE.json: span-sequence equality on
 (kind, text, media_ref, order)) plus targeted fold-state cases."""
 
+import contextlib
 import json
 import os
 
@@ -121,3 +122,95 @@ class TestGiantDoc:
         out = extract_spans("doc-00000041", spans, DEFAULT_CONFIG)
         assert 20 <= len(out) <= 60
         assert [s["offset"] for s in out] == list(range(len(out)))
+
+
+class TestEarlyStop:
+    def test_fold_stops_once_nothing_is_open(self):
+        """Labels and questions all resolve on page 1: the later pages
+        get empty records without being read, as the full page loop
+        gives them."""
+        from unittest import mock
+
+        from pdf_parser_ray.kernels import document
+
+        sections = [{"section_name": "MEDICAL HISTORY", "labels": ["Diabetes"],
+                     "questions": ["Last Name"]}]
+
+        def pages():
+            return [
+                {"page": n, "width": 2000, "height": 3000, "highlights": [], "empty": [],
+                 "ticked": [{"x": 90, "y": 396, "w": 37, "h": 37, "score": 0.9,
+                             "status": "ticked", "ref": f"m://{n}"}],
+                 "tokens": make_tokens([(["MEDICAL", "HISTORY"], 50, 300),
+                                        (["Diabetes"], 150, 400), (["Last", "Name"], 600, 420),
+                                        (["Smith"], 600, 465)])}
+                for n in (1, 2, 3, 4)
+            ]
+
+        def run():
+            calls = []
+            orig = document.detect_section_regions
+
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return orig(*args, **kwargs)
+
+            with mock.patch.object(document, "detect_section_regions", counting):
+                return extract_document(pages(), sections), len(calls)
+
+        stopped, n_stopped = run()
+        with mock.patch.object(document.FoldState, "done", lambda self, n: False):
+            full, n_full = run()
+        assert stopped == full
+        assert (n_stopped, n_full) == (1, 4)
+        first = stopped["pages"][0]
+        assert first["sections"] and first["responses"]
+        assert [p["page_number"] for p in stopped["pages"]] == [1, 2, 3, 4]
+
+
+class TestTracedNames:
+    def test_traced_layer_names_are_called(self):
+        """perfbench's traced run replaces these module attributes with
+        timing wrappers and divides by the pages ``decode_spans``
+        returns: each must still be called through its module name."""
+        from unittest import mock
+
+        import pyarrow as pa
+
+        from pdf_parser_ray.core.schema import DOCUMENT_SCHEMA
+        from pdf_parser_ray.kernels import document
+        from pdf_parser_ray.stages import parse
+
+        names = [
+            (parse, "decode_spans"), (parse, "classify_form_type"),
+            (parse, "extract_document"), (parse, "flatten_to_spans"),
+            (document, "get_label_positions"), (document, "detect_section_regions"),
+            (document, "assign_checkboxes_sectionwise"),
+            (document, "match_sections_and_questions"), (document, "augment_answers"),
+        ]
+        ids = [f"doc-{i:08d}" for i in range(6)]
+        batch = pa.Table.from_pydict(
+            {"doc_id": ids, "spans": [gen_document(d, 42) for d in ids]}, schema=DOCUMENT_SCHEMA
+        )
+        bare = parse.DocumentExtractor()(batch)
+        calls = {name: 0 for _, name in names}
+        pages = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                out = fn(*args, **kwargs)
+                if name == "decode_spans":
+                    pages.append(len(out))
+                return out
+            return wrapper
+
+        with contextlib.ExitStack() as stack:
+            for mod, name in names:
+                stack.enter_context(
+                    mock.patch.object(mod, name, counting(name, getattr(mod, name)))
+                )
+            traced = parse.DocumentExtractor()(batch)
+        assert all(calls.values()), calls
+        assert sum(pages) > 0
+        assert traced.equals(bare)

@@ -3,7 +3,7 @@
 from conftest import make_box, make_tokens
 
 from pdf_parser_ray.kernels.labels import get_label_positions, try_multiline_on_lines
-from pdf_parser_ray.kernels.lines import group_lines
+from pdf_parser_ray.kernels.lines import PageModel
 from pdf_parser_ray.kernels.questions import NextHead
 from pdf_parser_ray.kernels.sections import detect_section_regions
 
@@ -42,17 +42,17 @@ class TestLabelSingleLine:
 
 class TestLabelMultiline:
     def test_wrap_within_x_tolerance(self):
-        lines = group_lines(
+        lines = PageModel(
             make_tokens([(["High", "Blood"], 150, 300), (["Pressure"], 200, 340)])
-        )
+        ).lines
         assert try_multiline_on_lines(lines, ["High", "Blood", "Pressure"]) == (150, 300)
 
     def test_wrap_relaxes_outside_tolerance(self):
         # 161px > LABEL_MULTILINE_BASE_X_TOLERANCE, but the reference
         # relaxes to scanning the whole line (extractor.py:435-437).
-        lines = group_lines(
+        lines = PageModel(
             make_tokens([(["High", "Blood"], 150, 300), (["Pressure"], 150 + 161, 340)])
-        )
+        ).lines
         assert try_multiline_on_lines(lines, ["High", "Blood", "Pressure"]) == (150, 300)
 
     def test_skip_k_fallback(self):
@@ -67,7 +67,7 @@ class TestLabelMultiline:
         pos = get_label_positions(
             tokens,
             ["Kidney Disease"],
-            next_head=NextHead(group_lines(tokens), next_tokens, page_height=3000),
+            next_head=NextHead(tokens, next_tokens, page_height=3000),
         )
         assert pos["Kidney Disease"] == [(150, 2950)]
 

@@ -1,14 +1,16 @@
-"""Property test: the page's :func:`group_lines` result, which the
-answer collector reads as is, must agree with the collector's own
-grouping (`group_lines_with_height(tokens)`) on every consumed field,
-the line height being the tallest word's, for arbitrary token streams
-— the bit-equivalence claim behind skipping one grouping pass per
-page."""
+"""Property test: the page's lines, which the answer collector reads
+as is, must agree with the collector's own grouping
+(``group_lines_with_height(tokens)``, kept as spec in ``line_rules``)
+on every consumed field, the line height being the tallest word's, for
+arbitrary token streams — the bit-equivalence claim behind one set of
+lines per page."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdf_parser_ray.kernels.lines import group_lines, group_lines_with_height
+from line_rules import group_lines_with_height
+
+from pdf_parser_ray.kernels.lines import PageModel
 
 token = st.fixed_dictionaries(
     {
@@ -29,11 +31,12 @@ token = st.fixed_dictionaries(
 @given(st.lists(token, max_size=60))
 def test_derived_lines_equal_regrouped(tokens):
     want = group_lines_with_height([dict(t) for t in tokens])
-    got = group_lines([dict(t) for t in tokens])
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g["y"] == w["y"]
-        assert max(int(t["h"]) for t in g["words"]) == w["h"]
-        assert [t["text"] for t in g["words"]] == [t["text"] for t in w["words"]]
-        assert [t["x"] for t in g["words"]] == [t["x"] for t in w["words"]]
-        assert [t["y"] for t in g["words"]] == [t["y"] for t in w["words"]]
+    lines = PageModel([dict(t) for t in tokens]).lines
+    assert len(lines) == len(want)
+    for i, w in enumerate(want):
+        ks = lines.line_words(i)
+        assert lines.ys[i] == w["y"]
+        assert max(lines.h[k] for k in ks) == w["h"]
+        assert " ".join(lines.text[k] for k in ks) == w["text"]
+        assert [lines.x[k] for k in ks] == [t["x"] for t in w["words"]]
+        assert [lines.y[k] for k in ks] == [t["y"] for t in w["words"]]

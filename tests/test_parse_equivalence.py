@@ -7,12 +7,15 @@
   equals ``try_multiline`` over the window's lines;
 * the next page's head cut from its own lines and the extended index
   of :class:`NextHead` equal regrouping and re-indexing them;
-* the page's question table, the bisected answer windows and the
-  page's shared (y, x) order change no output;
+* the page's question table and the bisected answer windows change no
+  output;
 * the columnar span decode (``span_columns`` → ``decode_spans``, word
-  geometry parsed in Arrow) equals ``decode_spans`` on the
-  ``to_pylist()`` span dicts, for sliced batches, multi-chunk columns
-  and refs Arrow cannot parse, errors included.
+  geometry and page columns built in Arrow and numpy for the batch)
+  equals ``decode_spans`` on the ``to_pylist()`` span dicts, for sliced
+  batches, multi-chunk columns and refs Arrow cannot parse, errors
+  included;
+* the page columns follow the line and reading-order rules kept as
+  spec in ``line_rules``.
 """
 
 from unittest import mock
@@ -21,16 +24,32 @@ import pyarrow as pa
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from line_rules import (
+    band_tokens,
+    group_lines,
+    group_lines_with_height,
+    head_line_groups,
+    offset_tokens,
+    reading_order,
+    line_run,
+    shape,
+)
+
+from pdf_parser_ray.core.constants import (
+    ANCHOR_OFFSET_PX,
+    ANSWER_CONTINUATION_MAX_DELTA_Y,
+    ANSWER_CONTINUATION_MIN_DELTA_Y,
+    ANSWER_LEFT_MARGIN_PX,
+)
 from pdf_parser_ray.core.schema import DOCUMENT_SCHEMA
 from pdf_parser_ray.kernels import questions
 from pdf_parser_ray.kernels.answers import augment_answers, collect_answer_lines
-from pdf_parser_ray.kernels.document import PageModel, decode_spans
-from pdf_parser_ray.kernels.lines import group_lines, group_lines_with_height
+from pdf_parser_ray.kernels.document import decode_spans, page_model
+from pdf_parser_ray.kernels.lines import Lines, PageModel
 from pdf_parser_ray.kernels.normalize import expected
 from pdf_parser_ray.kernels.questions import (
     NextHead,
     PageIndex,
-    band_tokens,
     find_all_full_in_line,
     match_sections_and_questions,
     try_multiline,
@@ -70,13 +89,18 @@ QUESTIONS = ["Would you like", "Yes No", "reminders?", "you like", "Would you", 
 
 
 def _shape(lines):
+    """Dict lines, or page columns, as comparable tuples."""
+    if isinstance(lines, Lines):
+        lines = shape(lines)
     return [
-        (
-            ln["block"], ln["par"], ln["line_num"], ln["y"],
-            [(w["text"], w["x"], w["y"], w["w"], w["h"]) for w in ln["words"]],
-        )
+        (ln["y"], [(w["text"], w["x"], w["y"], w["w"], w["h"]) for w in ln["words"]])
         for ln in lines
     ]
+
+
+def _fresh(lines):
+    """The same columns without their memoized views."""
+    return Lines(lines.text, lines.x, lines.y, lines.w, lines.h, lines.starts, lines.ys)
 
 
 def _plain_hits(lines, q):
@@ -85,8 +109,8 @@ def _plain_hits(lines, q):
     of ``try_multiline`` over all start lines."""
     words = q.split()
     hits, seen = [], set()
-    for line in lines:
-        for seg in find_all_full_in_line(line["words"], words):
+    for li in range(len(lines)):
+        for seg in find_all_full_in_line(lines, li, words):
             key = (int(seg["start_x"]), int(seg["line_y"]))
             if key not in seen:
                 seen.add(key)
@@ -103,25 +127,33 @@ def _plain_hits(lines, q):
 @given(tokens_st, band_st)
 def test_band_slice_equals_regroup(tokens, band):
     y1, y2 = band
-    page = PageIndex(group_lines([dict(t) for t in tokens]))
-    want_lines = group_lines(band_tokens([dict(t) for t in tokens], y1, y2))
+    model = PageModel([dict(t) for t in tokens])
+    page = model.index
+    spec = group_lines(band_tokens([dict(t) for t in tokens], y1, y2))
+    # the regrouped band (the matcher's fallback) follows the line rules
+    want_lines = model.band(y1, y2)
+    assert _shape(want_lines) == _shape(spec)
+    assert _shape(PageModel(band_tokens([dict(t) for t in tokens], y1, y2)).lines) == _shape(spec)
     got = page.band(y1, y2)
     if got is None:
         # a line has words on both sides of an edge: the caller regroups
         assert any(
             min(w["y"] for w in ln["words"]) < e <= max(w["y"] for w in ln["words"])
-            for ln in page.lines
+            for ln in shape(page.lines)
             for e in (y1, y2)
         )
         return
     window = got
     a, b = window.a, window.b
-    assert _shape(page.lines[a:b]) == _shape(want_lines)
+    assert _shape(line_run(page.lines, a, b)) == _shape(spec)
     want_index = PageIndex(want_lines)
+    s = page.lines.starts[a]
     for exp in EXPS:
         # the window's start lines are the page's, restricted and renumbered
         assert {
-            li - a: toks for li, toks in page.candidates(exp).items() if a <= li < b
+            li - a: [k - s for k in ks]
+            for li, ks in page.candidates(exp).items()
+            if a <= li < b
         } == want_index.candidates(exp)
     for q in QUESTIONS:
         assert window.hits(q) == want_index.hits(q)
@@ -143,7 +175,7 @@ stacked_token = token.flatmap(
     st.booleans(),
 )
 def test_window_multiline_equals_try_multiline(tokens, band, q, page_first):
-    page = PageIndex(group_lines([dict(t) for t in tokens]))
+    page = PageModel([dict(t) for t in tokens]).index
     if page_first:
         # the page's outcomes computed before the window reads them
         page.hits(q)
@@ -151,7 +183,7 @@ def test_window_multiline_equals_try_multiline(tokens, band, q, page_first):
     if window is None:
         return
     a, b = window.a, window.b
-    assert page.window_multiline(q, a, b) == try_multiline(page.lines[a:b], q.split())
+    assert page.window_multiline(q, a, b) == try_multiline(line_run(page.lines, a, b), q.split())
 
 
 @settings(max_examples=150, deadline=None)
@@ -171,13 +203,13 @@ def test_matcher_same_with_and_without_slicing(tokens, bands, next_tokens):
     }
 
     def run():
-        page = [dict(t) for t in tokens]
+        page = PageModel([dict(t) for t in tokens])
         return match_sections_and_questions(
             page,
             sections,
             regions,
             page_height=400,
-            next_head=NextHead(group_lines(page), [dict(t) for t in next_tokens], 400),
+            next_head=NextHead(page, [dict(t) for t in next_tokens], 400),
         )
 
     sliced = run()
@@ -189,34 +221,33 @@ def test_matcher_same_with_and_without_slicing(tokens, bands, next_tokens):
 @settings(max_examples=300, deadline=None)
 @given(tokens_st, tokens_st, st.integers(0, 3), st.integers(0, 500))
 def test_next_head_from_next_lines_equals_regroup(tokens, next_tokens, n_groups, height):
-    page_lines = group_lines([dict(t) for t in tokens])
-    page_index = PageIndex(page_lines)
-    next_lines = group_lines([dict(t) for t in next_tokens])
-    shared = NextHead(
-        page_lines, next_tokens, height, n_groups, page_index=page_index,
-        next_lines=lambda: next_lines,
+    spec = group_lines([dict(t) for t in tokens]) + head_line_groups(
+        group_lines(offset_tokens([dict(t) for t in next_tokens], height)), n_groups
     )
-    regrouped = NextHead(page_lines, [dict(t) for t in next_tokens], height, n_groups)
-    assert _shape(shared.lines) == _shape(regrouped.lines)
-    got, want = shared.index, PageIndex(regrouped.lines)
-    assert (got.blob, got.g_offs, got.g_line, got.g_tok) == (
-        want.blob, want.g_offs, want.g_line, want.g_tok,
-    )
+    # the page's blob built before the head is cut, or not
+    warm = PageModel([dict(t) for t in tokens])
+    warm.lines.blob
+    warm_head = NextHead(warm, [dict(t) for t in next_tokens], height, n_groups)
+    cold_head = NextHead([dict(t) for t in tokens], [dict(t) for t in next_tokens], height, n_groups)
+    for head in (warm_head, cold_head):
+        assert _shape(head.lines) == _shape(spec)
+        got, want = head.index, PageIndex(_fresh(head.lines))
+        assert got.lines.blob == want.lines.blob
+    page_index = warm.index
     for exp in EXPS:
         # the page's candidates scanned first, or not
-        assert got.candidates(exp) == want.candidates(exp)
+        assert warm_head.index.candidates(exp) == want.candidates(exp)
         assert NextHead(
-            page_lines, next_tokens, height, n_groups, page_index=PageIndex(page_lines),
-            next_lines=lambda: next_lines,
+            [dict(t) for t in tokens], [dict(t) for t in next_tokens], height, n_groups
         ).index.candidates(exp) == want.candidates(exp)
-        assert page_index.candidates(exp) == PageIndex(page_lines).candidates(exp)
+        assert page_index.candidates(exp) == PageIndex(_fresh(warm.lines)).candidates(exp)
     for q in QUESTIONS:
         # the page's rows built first, their full matches reused, or not
         page_index.hits(q)
-        assert got.hits(q) == _plain_hits(regrouped.lines, q)
+        assert warm_head.index.hits(q) == _plain_hits(want.lines, q)
         assert NextHead(
-            page_lines, next_tokens, height, n_groups, next_lines=lambda: next_lines
-        ).index.hits(q) == _plain_hits(regrouped.lines, q)
+            [dict(t) for t in tokens], [dict(t) for t in next_tokens], height, n_groups
+        ).index.hits(q) == _plain_hits(want.lines, q)
 
 
 def _stacked(words_at):
@@ -279,13 +310,10 @@ def test_matcher_same_with_and_without_memos(tokens, bands, next_tokens):
 
     def run():
         page = PageModel([dict(t) for t in tokens])
-        head = page.next_head(PageModel([dict(t) for t in next_tokens]), 400)
+        head = NextHead(page, PageModel([dict(t) for t in next_tokens]), 400)
         # the same page matched twice, as the page-shard artifacts do
         return [
-            match_sections_and_questions(
-                page.tokens, secs, regions, page_height=400, lines=page.lines,
-                page_index=page.index, next_head=head,
-            )
+            match_sections_and_questions(page, secs, regions, page_height=400, next_head=head)
             for secs in (sections, sections[::-1])
         ]
 
@@ -293,14 +321,74 @@ def test_matcher_same_with_and_without_memos(tokens, bands, next_tokens):
     with mock.patch.object(PageIndex, "hits", lambda self, q: _plain_hits(self.lines, q)), \
             mock.patch.object(
                 questions._LineWindow, "hits",
-                lambda self, q: _plain_hits(self.page.lines[self.a : self.b], q),
+                lambda self, q: _plain_hits(line_run(self.page.lines, self.a, self.b), q),
             ):
         plain = run()
     assert memoized == plain
 
 
-def _full_scan(line_list, *args, line_ys=None, **kwargs):
-    return collect_answer_lines(line_list, *args, **kwargs)
+def _full_scan(line_list, q_start_x, q_start_y, q_segments, right_x, question_line_token_set=None):
+    """The answer collector (reference ``response_extractor.py:935-1155``)
+    over dict lines, scanning every line: the spec of the bisected
+    :func:`collect_answer_lines`."""
+    last_seg_y = q_start_y
+    if q_segments:
+        seg_ys = [int(seg.get("line_y", last_seg_y)) for seg in q_segments if isinstance(seg, dict)]
+        if seg_ys:
+            last_seg_y = max(seg_ys)
+    start_collect_y = last_seg_y + ANCHOR_OFFSET_PX
+    band_bottom_y = start_collect_y + ANCHOR_OFFSET_PX
+    answers = []
+    left_bound = max(0, q_start_x - ANSWER_LEFT_MARGIN_PX)
+    captured = []
+    for ln in line_list:
+        ly = ln["y"]
+        if ly <= last_seg_y or ly < start_collect_y or ly > band_bottom_y:
+            continue
+        window = [w["text"] for w in ln["words"] if left_bound <= w["x"] <= right_x]
+        if window:
+            answers.append(" ".join(t for t in window if t))
+            captured.append(ly)
+    if captured:
+        y_answer = min(captured)
+        cont_start = y_answer + ANSWER_CONTINUATION_MIN_DELTA_Y
+        cont_end = y_answer + ANSWER_CONTINUATION_MAX_DELTA_Y
+        for ln in line_list:
+            ly2 = ln["y"]
+            if ly2 <= y_answer or ly2 <= cont_start:
+                continue
+            if ly2 > cont_end:
+                break
+            if ly2 in captured:
+                continue
+            c_tokens = [w["text"] for w in ln["words"] if left_bound <= w["x"] <= right_x]
+            if not c_tokens:
+                continue
+            if question_line_token_set:
+                if " ".join(c_tokens).strip().lower() in question_line_token_set:
+                    continue
+            answers.append(" ".join(t for t in c_tokens if t))
+            captured.append(ly2)
+    ans_text = ""
+    if answers:
+        deduped = []
+        for cl in (" ".join(a.split()) for a in answers if a):
+            if not deduped or deduped[-1] != cl:
+                deduped.append(cl)
+        if len(deduped) == 2 and deduped[0] == deduped[1]:
+            deduped = [deduped[0]]
+        ans_text = " ".join(deduped).strip()
+    dynamic_y_end = band_bottom_y
+    if captured:
+        last_y = max(captured)
+        last_ln = next(ln for ln in line_list if ln["y"] == last_y)
+        if last_y > band_bottom_y:
+            dynamic_y_end = last_y + max(w["h"] for w in last_ln["words"])
+    return ans_text, start_collect_y, dynamic_y_end
+
+
+def _spec_collect(lines, *args, **kwargs):
+    return _full_scan(shape(lines), *args, **kwargs)
 
 
 # lines crowding the answer band and its continuation window below a
@@ -320,9 +408,9 @@ def test_bisected_answer_window_equals_full_scan(tokens, qx, qy, seg_ys, right_x
     lines = group_lines_with_height([dict(t) for t in tokens])
     segments = [{"line_y": y} for y in seg_ys] or None
     qset = {"yes", "would you"}
-    want = collect_answer_lines(lines, qx, qy, segments, right_x, qset)
+    want = _full_scan(lines, qx, qy, segments, right_x, qset)
     got = collect_answer_lines(
-        lines, qx, qy, segments, right_x, qset, line_ys=[ln["y"] for ln in lines]
+        PageModel([dict(t) for t in tokens]).lines, qx, qy, segments, right_x, qset
     )
     assert got == want
 
@@ -343,10 +431,8 @@ def test_answers_same_with_shared_views(tokens, positions):
             }
         ]
 
-    page = [dict(t) for t in tokens]
-    lines = group_lines(page)
-    shared = augment_answers(matches(), page, [], [], 300, 400, lines=lines, page=PageModel(page))
-    with mock.patch("pdf_parser_ray.kernels.answers.collect_answer_lines", _full_scan):
+    shared = augment_answers(matches(), PageModel([dict(t) for t in tokens]), [], [], 300, 400)
+    with mock.patch("pdf_parser_ray.kernels.answers.collect_answer_lines", _spec_collect):
         plain = augment_answers(matches(), [dict(t) for t in tokens], [], [], 300, 400)
     assert shared == plain
 
@@ -429,8 +515,95 @@ def test_columnar_decode_equals_dict_decode(docs, data):
         [table["spans"].chunk(0).slice(a, b - a) for a, b in zip(bounds, bounds[1:])],
         type=table.schema.field("spans").type,
     )
-    want = [_outcome(lambda r=r: decode_spans("d", r)) for r in column.to_pylist()]
+    want = [_outcome(lambda r=r: _pages(decode_spans("d", r))) for r in column.to_pylist()]
     # a chunked column, and the one-chunk slice as a plain array
     for spans in (column, table["spans"].chunk(0).slice(start)):
-        got = [_outcome(lambda c=c: decode_spans("d", c)) for c in span_columns(spans)]
+        got = [_outcome(lambda c=c: _pages(decode_spans("d", c))) for c in span_columns(spans)]
         assert got == want
+
+
+def _pages(pages):
+    """Decoded pages as comparable values: each page's boxes and
+    highlights, and its columns."""
+    out = []
+    for p in pages:
+        m = page_model(p)
+        lines = m.lines
+        out.append((
+            {k: v for k, v in p.items() if k not in ("tokens", "model")},
+            (lines.text, lines.x, lines.y, lines.w, lines.h, lines.starts, lines.ys),
+            (m.emit, m.yx, m.raw, m.order),
+        ))
+    return out
+
+
+# ---- page columns against the line rules --------------------------
+
+# paddings that str.strip removes, blank texts among them
+_pad = st.sampled_from(["", " ", "\t", "\x1c", "\x85", "\xa0"])
+_word_text = st.one_of(
+    st.none(),
+    st.builds(lambda a, w, b: a + w + b, _pad, st.sampled_from(["", "Yes", "No", "ab", "x"]), _pad),
+)
+# few distinct values: repeated (block, par, line) keys with other y, ties in y and x
+_coord = st.integers(0, 4).map(lambda v: 10 * v)
+_key = st.integers(0, 1)
+# fields Arrow's int64 cast rejects and int() reads: the document takes the scalar path
+_odd = st.sampled_from(["+5", " 7", "9" * 19])
+
+
+def _word(text, x, y, w, h, block, par, line, odd=None):
+    fields = [str(v) for v in (1, x, y, w, h, block, par, line)]
+    if odd is not None:
+        fields[2] = odd
+    return {"kind": "word", "text": text, "media_ref": "tok://" + "/".join(fields), "offset": 0}
+
+
+_word_span = st.builds(
+    _word, _word_text, _coord, _coord, st.integers(0, 9), st.integers(0, 9), _key, _key, _key
+)
+_other_span = st.sampled_from([
+    {"kind": "page", "text": None, "media_ref": "page://d/p#2000/3000", "offset": 0},
+    {"kind": "checkbox", "text": None, "media_ref": "media://d/p1/cb-0#1/2/3/4/90/t", "offset": 0},
+    {"kind": "header", "text": "h", "media_ref": "", "offset": 0},
+])
+_stream = st.lists(st.one_of(_word_span, _word_span, _word_span, _other_span), max_size=30)
+_odd_stream = st.tuples(_stream, st.builds(
+    _word, _word_text, _coord, _coord, st.just(1), st.just(1), _key, _key, _key, _odd
+)).map(lambda t: t[0] + [t[1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_stream, _stream, _stream, _odd_stream), min_size=1, max_size=5))
+@example(  # a line whose first-emitted word is not its leftmost: the line's y is the first's
+    [[_word("Yes", 10, 10, 0, 0, 1, 0, 1), _word("No", 0, 0, 0, 0, 1, 0, 1)]]
+)
+def test_page_columns_follow_line_rules(docs):
+    table = pa.Table.from_pydict(
+        {"doc_id": [f"d{i}" for i in range(len(docs))], "spans": docs}, schema=DOCUMENT_SCHEMA
+    )
+    for spans, cols in zip(docs, span_columns(table["spans"])):
+        assert (cols.pages is None) == any(
+            s["kind"] == "word" and s["media_ref"].split("/")[4] in ("+5", " 7", "9" * 19)
+            for s in spans
+        )
+        want_pages = decode_spans("d", spans)
+        got_pages = decode_spans("d", cols)
+        assert len(got_pages) == len(want_pages)
+        for got, want in zip(got_pages, want_pages):
+            tokens = want["tokens"]
+            model = page_model(got)
+            lines = model.lines
+            # line order, line y and stripped text
+            assert _shape(lines) == _shape(group_lines(tokens))
+            words = [(lines.text[k], lines.x[k], lines.y[k]) for k in range(len(lines.text))]
+            # emission order of the non-blank words, and their reading order
+            assert [words[k] for k in model.emit] == [
+                (t["text"].strip(), t["x"], t["y"]) for t in tokens if t["text"].strip()
+            ]
+            in_order = reading_order(tokens)
+            assert [words[k] for k in model.yx] == [
+                (t["text"].strip(), t["x"], t["y"]) for t in in_order if t["text"].strip()
+            ]
+            # every word's text as emitted, in reading order
+            assert [model.raw[i] for i in model.order] == [t["text"] for t in in_order]

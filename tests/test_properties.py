@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdf_parser_ray.kernels.normalize import expected, normalize_text, ocr_norm
-from pdf_parser_ray.kernels.questions import _candidate_starts, _line_norms
-from pdf_parser_ray.kernels.lines import group_lines
+from pdf_parser_ray.kernels.questions import _candidate_starts
+from pdf_parser_ray.kernels.lines import PageModel
 
 
 # --- straight-line reference transcriptions ---------------------------------
@@ -124,13 +124,12 @@ class TestCandidateScanEquivalence:
              "block": 1, "par": 1, "line": 1}
             for i, w in enumerate(words)
         ]
-        lines = group_lines(tokens)
+        lines = PageModel(tokens).lines
         assert len(lines) == 1
-        line = lines[0]
         exp = expected(first)
-        norms = _line_norms(line)
-        brute = [i for i in range(len(line["words"])) if exp.startswith(norms[i])]
-        assert _candidate_starts(line, exp) == brute
+        norms = lines.norm
+        brute = [i for i in range(len(norms)) if exp.startswith(norms[i])]
+        assert _candidate_starts(lines, 0, exp) == brute
 
 
 class TestDocumentInvariants:

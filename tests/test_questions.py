@@ -3,7 +3,7 @@
 from conftest import make_box, make_tokens
 
 from pdf_parser_ray.kernels.assign import assign_checkboxes_sectionwise
-from pdf_parser_ray.kernels.lines import group_lines
+from pdf_parser_ray.kernels.lines import PageModel
 from pdf_parser_ray.kernels.questions import (
     NextHead,
     find_all_full_in_line,
@@ -63,7 +63,8 @@ class TestQuestionMatching:
 
     def test_merged_phrase_fast_path(self):
         segs = find_all_full_in_line(
-            [{"text": "FirstName", "x": 10, "y": 20, "w": 100, "h": 28}],
+            PageModel([{"text": "FirstName", "x": 10, "y": 20, "w": 100, "h": 28}]).lines,
+            0,
             ["First", "Name"],
         )
         assert len(segs) == 1 and segs[0]["count"] == 2
@@ -143,7 +144,7 @@ class TestCrossPageQuestion:
         regions = {"CONSENT": {"x1": 0, "y1": 2500, "x2": 2000, "y2": 2990}}
         out = match_sections_and_questions(
             tokens, sections, regions, page_height=3000,
-            next_head=NextHead(group_lines(tokens), next_tokens, page_height=3000),
+            next_head=NextHead(tokens, next_tokens, page_height=3000),
         )
         q = out[0]["questions"][0]
         assert q["position"] == [150, 2950]
