@@ -2,37 +2,55 @@
 (operators C4/C5 + J2/J4 + M10/M13 + V2-V6 analogs, SURVEY.md §2).
 
 Mirrors the answer half of ``extract_responses_from_page`` (reference
-``response_extractor.py:796-1634``):
+``response_extractor.py:796-1634``). The reference makes eight passes
+over a page's questions; :func:`augment_answers` reads each question's
+facts once and makes one pass per question, in the reference's order:
 
-* :func:`compute_right_bound` — right-bound lookup self-join (J2,
-  ``response_extractor.py:901-932``) with the "Medical Conditions"
-  narrative full-width exception.
-* :func:`collect_answer_lines` — fixed band ``[last_seg_y+40, +80]``,
-  window ``[q_x-30, right_bound]``, continuation lines in
-  ``(y_answer+10, y_answer+50]`` skipping lines equal to any question
-  line's token sequence, whitespace squeeze + consecutive-duplicate
-  collapse (C4/M13/D6, ``response_extractor.py:935-1155``).
-* highlight recovery chain (V2-V4 analog): the reference crops the
-  padded answer window, masks yellow highlighter and re-OCRs with a
-  YES/NO whitelist; here highlight *marks* — ``kind='highlight'``
-  spans with geometry — stand in for the CV kernel: a mark whose
-  top-left falls inside the padded window is "recovered". Base window →
-  sliding offsets → downward band probes, identical geometry.
-* per-section and global answer-window overlap trims (J4,
-  ``response_extractor.py:1323-1397``).
-* strict horizontal pruning (V6 analog): the reference re-OCRs the
-  exact final window and drops stray tokens; here the page's tokens
-  are filtered to the window — same effect, deterministic — with the
-  same degradation guard (``response_extractor.py:1450-1489``).
-* checkbox-pair inference for the reminder opt-in question and the
-  follow-up "If yes…" inference (``response_extractor.py:1490-1612``).
-* zip-code sanitizer (M10, ``response_extractor.py:1613-1633``).
+1. per section, each question's facts: position, last segment ``y``,
+   lowered segment tokens and its question-line keys (the lowered words
+   of each segment; the continuation window skips lines equal to one);
+2. per question of the section:
+
+   * the right bound (J2, ``response_extractor.py:901-932``: nearest
+     same-row neighbour to the right, or the page's width for the
+     "Medical Conditions" narrative row) and the per-section trim (J4,
+     ``response_extractor.py:1323-1352``), one scan of the section's
+     positions, since both read only positions;
+   * collection (C4/M13/D6, ``response_extractor.py:935-1155``): fixed
+     band ``[last_seg_y+40, +80]``, window ``[q_x-30, right_bound]``,
+     continuation lines in ``(y_answer+10, y_answer+50]``, whitespace
+     squeeze and consecutive-duplicate collapse;
+   * the highlight fallback for an empty yes/no window on the untrimmed
+     window (V2-V4 analog, ``response_extractor.py:1203-1322``): the
+     reference crops the padded window, masks yellow highlighter and
+     re-OCRs with a YES/NO whitelist; here highlight *marks* —
+     ``kind='highlight'`` spans with geometry — stand in for the CV
+     kernel: a mark whose top-left falls inside the padded window is
+     "recovered". Base window → sliding offsets → downward band
+     probes, identical geometry;
+   * then the trimmed window;
+
+3. the global cross-section row-band trim (J4,
+   ``response_extractor.py:1356-1397``);
+4. per question, strict horizontal pruning (V6 analog,
+   ``response_extractor.py:1450-1489``: the page's words filtered to
+   the final window stand in for the re-OCR of the exact crop, with the
+   same degradation guard), or, for a question still unanswered, the
+   checkbox-pair inference of the reminder opt-in question
+   (``response_extractor.py:1490-1593``);
+5. per question of each section, the follow-up "If yes…" inference
+   (``response_extractor.py:1594-1612``) and the zip-code sanitizer
+   (M10, ``response_extractor.py:1613-1633``).
+
+The reference's order is kept as executable spec in
+``tests/answer_rules.py``.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Any
 
 from .boxes import Box
@@ -55,15 +73,21 @@ from ..core.constants import (
 )
 
 _ZIP_RE = re.compile(r"^\d{5}(-\d{4})?$")
+_SLIDES = sorted(YESNO_SLIDE_OFFSETS)
+_NOT_READ = ("", "")
+_BY_X = itemgetter("x")
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
 
 Highlight = dict[str, Any]  # {x, y, w, h, text, ref}
 
 
 def looks_yes_no_question(q_text: str) -> bool:
     """Reference ``response_extractor.py:814-820``."""
-    if not q_text:
-        return False
-    lower = q_text.lower()
+    return bool(q_text) and _yes_no(q_text.lower())
+
+
+def _yes_no(lower: str) -> bool:
     trig = (
         "would you" in lower
         or "do you" in lower
@@ -83,51 +107,95 @@ def highlight_recover(highlights: list[Highlight], box: dict[str, int]) -> tuple
     ``(normalized_text, media_ref)``; empty strings when nothing
     recovered.
     """
-    xs2 = box["x_start"] - YESNO_PAD_X
-    ys2 = box["y_start"] - YESNO_PAD_Y
-    xe2 = box["x_end"] + YESNO_PAD_X
-    ye2 = box["y_end"] + YESNO_PAD_Y
+    return _recover(_marks(highlights), box["x_start"], box["y_start"], box["x_end"], box["y_end"])
+
+
+def _marks(highlights: list[Highlight]) -> list[tuple[int, int, tuple[str, str]]]:
+    """The marks in (y, x) order as ``(y, x, read)``, ``read`` being
+    what the mark recovers when it is the first inside a window."""
+    out = []
     for mark in sorted(highlights, key=lambda m: (m.get("y", 0), m.get("x", 0))):
-        mx, my = int(mark.get("x", 0)), int(mark.get("y", 0))
-        if xs2 <= mx <= xe2 and ys2 <= my <= ye2:
-            txt = (mark.get("text") or "").strip()
-            ref = mark.get("ref", "")
-            if txt.lower().startswith("yes"):
-                return "Yes", ref
-            if txt.lower().startswith("no"):
-                return "No", ref
-            if txt in {"Y", "y"}:
-                return "Yes", ref
-            if txt in {"N", "n"}:
-                return "No", ref
-            return "", ""
-    return "", ""
+        txt = (mark.get("text") or "").strip()
+        ref = mark.get("ref", "")
+        low = txt.lower()
+        if low.startswith("yes") or txt in ("Y", "y"):
+            read = ("Yes", ref)
+        elif low.startswith("no") or txt in ("N", "n"):
+            read = ("No", ref)
+        else:
+            read = _NOT_READ
+        out.append((int(mark.get("y", 0)), int(mark.get("x", 0)), read))
+    return out
+
+
+def _recover(marks, x0: int, y0: int, x1: int, y1: int) -> tuple[str, str]:
+    """What the first mark of ``marks`` (:func:`_marks`) inside the
+    window padded by (15, 12) reads."""
+    x0 -= YESNO_PAD_X
+    x1 += YESNO_PAD_X
+    y0 -= YESNO_PAD_Y
+    y1 += YESNO_PAD_Y
+    for my, mx, read in marks:
+        if my > y1:
+            break
+        if my >= y0 and x0 <= mx <= x1:
+            return read
+    return _NOT_READ
+
+
+def _segment_facts(segments: list[dict] | None) -> tuple[int | None, list[str], list[str]]:
+    """A question's last segment ``line_y`` (``None`` without
+    segments), its lowered segment tokens, and its question-line keys:
+    each segment's lowered words joined by a space."""
+    last = None
+    toks: list[str] = []
+    keys: list[str] = []
+    for seg in segments or ():
+        ly = seg["line_y"]
+        if last is None or ly > last:
+            last = ly
+        words = [t.lower() for t in seg.get("tokens", ()) if t]
+        if words:
+            toks += words
+            keys.append(" ".join(words))
+    return last, toks, keys
+
+
+def _row_bounds(q: dict, x: int, y: int, narrative: bool, spots, full_right: int) -> tuple[int, int]:
+    """The answer window's right bound and its x end after the
+    per-section trim, from the other questions' positions ``spots``
+    (``(question, x, y)``): the nearest neighbour right of ``q`` within
+    the row tolerance bounds the window (not for a narrative row); any
+    neighbour within twice the tolerance whose left edge, less the
+    column gap, stays right of the window's start trims it."""
+    left = max(0, x - ANSWER_LEFT_MARGIN_PX)
+    near = cut = None
+    for o, ox, oy in spots:
+        if o is q:
+            continue
+        dy = abs(oy - y)
+        if dy > 2 * ANSWER_ROW_Y_TOLERANCE_PX:
+            continue
+        end = ox - ANSWER_COL_GAP_PX
+        if end >= left and (cut is None or end < cut):
+            cut = end
+        if dy <= ANSWER_ROW_Y_TOLERANCE_PX and ox > x and (near is None or ox < near):
+            near = ox
+    right = full_right if near is None or narrative else near - ANSWER_COL_GAP_PX
+    return right, cut if cut is not None and cut < right else right
 
 
 def compute_right_bound(
     section_questions: list[dict], current_q: dict, page_width: int
 ) -> int:
     """Reference ``response_extractor.py:901-932``."""
-    cx = current_q["position"][0]
-    cy = current_q["position"][1]
-    segments = current_q.get("segments") or []
-    seg_tokens_lower: list[str] = []
-    for seg in segments:
-        if isinstance(seg, dict):
-            seg_tokens_lower.extend(t.lower() for t in seg.get("tokens", []))
-    is_narrative = "medical" in seg_tokens_lower and "conditions" in seg_tokens_lower
-    candidates = []
-    for q in section_questions:
-        if q is current_q:
-            continue
-        qx, qy = q.get("position", [None, None])
-        if qx is None or qy is None:
-            continue
-        if abs(qy - cy) <= ANSWER_ROW_Y_TOLERANCE_PX and qx > cx:
-            candidates.append(qx)
-    if candidates and not is_narrative:
-        return min(candidates) - ANSWER_COL_GAP_PX
-    return page_width - ANSWER_PAGE_RIGHT_MARGIN_PX
+    x, y = current_q["position"]
+    toks = _segment_facts(current_q.get("segments"))[1]
+    spots = [(q, *q["position"]) for q in section_questions]
+    narrative = "medical" in toks and "conditions" in toks
+    return _row_bounds(
+        current_q, x, y, narrative, spots, page_width - ANSWER_PAGE_RIGHT_MARGIN_PX
+    )[0]
 
 
 def collect_answer_lines(
@@ -140,82 +208,140 @@ def collect_answer_lines(
 ) -> tuple[str, int, int]:
     """Reference ``response_extractor.py:935-1155`` (fixed-offset band +
     continuation window + assembly). Returns
-    ``(answer_text, window_y_start, dynamic_y_end)``.
+    ``(answer_text, window_y_start, dynamic_y_end)``."""
+    last = _segment_facts(q_segments)[0]
+    return _collect(
+        lines,
+        max(0, q_start_x - ANSWER_LEFT_MARGIN_PX),
+        right_x,
+        q_start_y if last is None else last,
+        question_line_token_set or (),
+    )
+
+
+def _collect(lines: Lines, left: int, right: int, last_y: int, qline_keys) -> tuple[str, int, int]:
+    """:func:`collect_answer_lines` for the window ``[left, right]``
+    below the question's last line ``last_y``.
 
     The lines are sorted by ``y``, so the band and the continuation
     window are found by bisection instead of scanning every line: each
     window is a y-range, and a scan in y order visits exactly its run
-    of lines.
-    """
-    last_seg_y = q_start_y
-    if q_segments:
-        seg_ys = [int(seg.get("line_y", last_seg_y)) for seg in q_segments if isinstance(seg, dict)]
-        if seg_ys:
-            last_seg_y = max(seg_ys)
-    start_collect_y = last_seg_y + ANCHOR_OFFSET_PX
-    band_bottom_y = start_collect_y + ANCHOR_OFFSET_PX
+    of lines. Line words are stripped and non-blank, so a line's joined
+    window words need no further strip."""
+    y_start = last_y + ANCHOR_OFFSET_PX
+    band_end = y_start + ANCHOR_OFFSET_PX
+    ys, starts, xs, texts = lines.ys, lines.starts, lines.x, lines.text
+    lo = bisect_left(ys, y_start)
     answers: list[str] = []
-    left_bound = max(0, q_start_x - ANSWER_LEFT_MARGIN_PX)
-    captured_any = False
-    captured_line_ys: list[int] = []
-    line_ys, starts, xs, texts = lines.ys, lines.starts, lines.x, lines.text
-
-    def window_words(i: int) -> list[str]:
-        return [texts[k] for k in range(starts[i], starts[i + 1]) if left_bound <= xs[k] <= right_x]
-
-    for i in range(bisect_left(line_ys, start_collect_y), bisect_right(line_ys, band_bottom_y)):
-        ly = line_ys[i]
-        if ly <= last_seg_y:
-            continue
-        window_tokens = window_words(i)
-        if window_tokens:
-            answers.append(" ".join(t for t in window_tokens if t))
-            captured_any = True
-            captured_line_ys.append(ly)
+    captured: list[int] = []
+    for i in range(lo, bisect_right(ys, band_end, lo)):
+        words = [texts[k] for k in range(starts[i], starts[i + 1]) if left <= xs[k] <= right]
+        if words:
+            answers.append(" ".join(words))
+            captured.append(ys[i])
+    if not captured:
+        return "", y_start, band_end
     # Continuation capture (reference response_extractor.py:1052-1090).
-    if captured_any and captured_line_ys:
-        y_answer = min(captured_line_ys)
-        cont_start = y_answer + ANSWER_CONTINUATION_MIN_DELTA_Y
-        cont_end = y_answer + ANSWER_CONTINUATION_MAX_DELTA_Y
-        for i in range(bisect_right(line_ys, cont_start), len(line_ys)):
-            ly2 = line_ys[i]
-            if ly2 <= y_answer:
-                continue
-            if ly2 > cont_end:
-                break
-            if ly2 in captured_line_ys:
-                continue
-            c_tokens = window_words(i)
-            if not c_tokens:
-                continue
-            if question_line_token_set:
-                joined_lower = " ".join(c_tokens).strip().lower()
-                if joined_lower in question_line_token_set:
-                    continue
-            answers.append(" ".join(t for t in c_tokens if t))
-            captured_line_ys.append(ly2)
+    y_answer = captured[0]
+    cont_end = y_answer + ANSWER_CONTINUATION_MAX_DELTA_Y
+    n = len(ys)
+    i = bisect_right(ys, y_answer + ANSWER_CONTINUATION_MIN_DELTA_Y)
+    while i < n and ys[i] <= cont_end:
+        ly = ys[i]
+        if ly not in captured:
+            words = [texts[k] for k in range(starts[i], starts[i + 1]) if left <= xs[k] <= right]
+            if words:
+                joined = " ".join(words)
+                if joined.lower() not in qline_keys:
+                    answers.append(joined)
+                    captured.append(ly)
+        i += 1
     # Assembly (M13/D6, reference response_extractor.py:1091-1106).
-    if answers:
-        cleaned_lines = [" ".join(a.split()) for a in answers if a]
-        deduped_lines: list[str] = []
-        for cl in cleaned_lines:
-            if not deduped_lines or deduped_lines[-1] != cl:
-                deduped_lines.append(cl)
-        if len(deduped_lines) == 2 and deduped_lines[0] == deduped_lines[1]:
-            deduped_lines = [deduped_lines[0]]
-        ans_text = " ".join(deduped_lines).strip()
-    else:
-        ans_text = ""
+    kept: list[str] = []
+    for a in answers:
+        cl = " ".join(a.split())
+        if not kept or kept[-1] != cl:
+            kept.append(cl)
     # Dynamic y_end extension (reference response_extractor.py:1107-1128).
-    dynamic_y_end = band_bottom_y
-    if captured_line_ys:
-        last_captured_y = max(captured_line_ys)
-        i = bisect_left(line_ys, last_captured_y)
+    y_end = band_end
+    last_captured = max(captured)
+    if last_captured > band_end:
+        i = bisect_left(ys, last_captured)
         # a line's height is its tallest word's
-        last_h = max(lines.h[starts[i] : starts[i + 1]], default=0)
-        if last_captured_y > band_bottom_y:
-            dynamic_y_end = last_captured_y + max(last_h, 0)
-    return ans_text, start_collect_y, dynamic_y_end
+        y_end = last_captured + max(max(lines.h[starts[i] : starts[i + 1]], default=0), 0)
+    return " ".join(kept), y_start, y_end
+
+
+def _highlight_fallback(q: dict, aw: dict, marks, last_y: int | None, page_height: int) -> None:
+    """Answer an empty yes/no window from the highlight marks: the
+    base window, then the window slid down from the question's last
+    line, then the bands below it (reference
+    ``response_extractor.py:1203-1322``)."""
+    x0, y0, x1, y1 = aw["x_start"], aw["y_start"], aw["x_end"], aw["y_end"]
+    text, ref = _recover(marks, x0, y0, x1, y1)
+    if text:
+        q["answer"] = text
+        q["answer_inferred"] = False
+        q["answer_method"] = "highlight_fallback"
+        q["answer_ref"] = ref
+        return
+    band_h = y1 - y0
+    method = None
+    # Sliding offset probes (V3 analog).
+    if last_y is not None and band_h > 0:
+        for off in _SLIDES if band_h in _SLIDES else sorted([*_SLIDES, band_h]):
+            s0 = last_y + off
+            if s0 + band_h > page_height:
+                break
+            text, ref = _recover(marks, x0, s0, x1, s0 + band_h)
+            if text:
+                method = f"highlight_slide_{off}"
+                break
+    # Downward band probes (V4 analog).
+    if method is None:
+        for k in range(1, YESNO_PROBE_MAX_BANDS + 1):
+            text, ref = _recover(marks, x0, y0 + k * band_h, x1, y0 + (k + 1) * band_h)
+            if text:
+                method = f"highlight_probe_{k}"
+                break
+        else:
+            return
+    q["answer"] = text
+    q["answer_inferred"] = False
+    q["answer_method"] = method
+    q["answer_confidence"] = YESNO_HIGHLIGHT_CONFIDENCE
+    q["answer_ref"] = ref
+
+
+def _is_reminder(toks: list[str]) -> bool:
+    """The reminder opt-in question: two of its keywords, one a
+    "reminder…" word."""
+    hits = ("reminders" in toks) + ("automatic" in toks) + ("appointment" in toks) + (
+        "messages" in toks
+    )
+    return hits >= 2 and any(t.startswith("reminder") for t in toks)
+
+
+def _checkbox_pair(checkboxes: list[Box], last_y: int) -> tuple[str, float] | None:
+    """The answer read from the two leftmost boxes at least 5 px apart
+    in ``[last_y-20, last_y+70]``: one ticked reads Yes (left) or No
+    (right), both Yes; with its confidence."""
+    nearby = sorted(
+        (cb for cb in checkboxes if last_y - 20 <= cb["y"] <= last_y + 70), key=_BY_X
+    )
+    if not nearby:
+        return None
+    first = nearby[0]
+    second = next((cb for cb in nearby if cb["x"] - first["x"] >= 5), None)
+    if second is None:
+        return None
+    left = first.get("status") == "ticked"
+    right = second.get("status") == "ticked"
+    if left:
+        return "Yes", 0.5 if right else 0.6
+    if right:
+        return "No", 0.5
+    return None
 
 
 def augment_answers(
@@ -228,7 +354,10 @@ def augment_answers(
 ) -> list[dict]:
     """Run the full post-matching answer phase on ``matches`` in place
     (reference ``extract_responses_from_page`` body,
-    ``response_extractor.py:870-1634``). Returns ``matches``.
+    ``response_extractor.py:870-1634``; module docstring). Returns
+    ``matches``. Each question carries its ``position`` ``[x, y]`` and
+    ``segments`` (dicts with ``line_y`` and ``tokens``), as
+    :func:`~.questions.match_sections_and_questions` emits them.
     ``page`` is the page's :class:`~.lines.PageModel` (or its token
     list): the answer collector reads its lines, which group and order
     like the reference's answer grouping, and the strict pruning its
@@ -236,305 +365,130 @@ def augment_answers(
     if not matches:
         return matches
     page = as_page(page)
-    line_list = page.lines
-
+    lines = page.lines
+    full_right = page_width - ANSWER_PAGE_RIGHT_MARGIN_PX
+    marks = None
+    # per section, each question's (question, window, lowered tokens,
+    # last line y or its own y, lowered text); and every window's row
+    # for the global trim
+    sections: list[list[tuple]] = []
+    rows: list[tuple[int, int, dict]] = []
     for sec in matches:
         qlist = sec.get("questions", [])
-        question_line_token_set: set[str] = set()
-        for q_line in qlist:
-            for seg in q_line.get("segments") or []:
-                if isinstance(seg, dict):
-                    toks = [t.lower() for t in seg.get("tokens", []) if t]
-                    if toks:
-                        question_line_token_set.add(" ".join(toks))
-        # Answers per question.
+        facts = []
+        spots = []
+        qline_keys: set[str] = set()
         for q in qlist:
-            q_start_x, q_start_y = q.get("position", [None, None])
-            if q_start_x is None:
-                continue
-            right_bound = compute_right_bound(qlist, q, page_width)
-            ans_text, win_y1, win_y2 = collect_answer_lines(
-                line_list,
-                q_start_x,
-                q_start_y,
-                q.get("segments"),
-                right_bound,
-                question_line_token_set=question_line_token_set,
-            )
-            expanded_x_start = max(0, int(q_start_x) - ANSWER_LEFT_MARGIN_PX)
-            q["answer_window"] = {
-                "x_start": expanded_x_start,
-                "y_start": int(win_y1),
-                "x_end": int(right_bound),
-                "y_end": int(win_y2),
-            }
-            if ans_text:
-                q["answer"] = ans_text
-        # Pass 1.5: highlight fallback for empty yes/no windows
-        # (reference response_extractor.py:1203-1322).
-        for q in qlist:
-            if q.get("answer"):
-                continue
-            aw = q.get("answer_window")
-            if not aw:
-                continue
-            if not looks_yes_no_question(q.get("question", "")):
-                continue
-            recovered, ref = highlight_recover(highlights, aw)
-            if recovered in ("Yes", "No"):
-                q["answer"] = recovered
-                q["answer_inferred"] = False
-                q["answer_method"] = "highlight_fallback"
-                q["answer_ref"] = ref
-            else:
-                # Sliding offset probes (V3 analog).
-                segs = q.get("segments") or []
-                last_seg_y = None
-                for s in segs:
-                    ly = s.get("line_y")
-                    if isinstance(ly, (int, float)):
-                        last_seg_y = ly if last_seg_y is None else max(last_seg_y, ly)
-                band_h = aw["y_end"] - aw["y_start"]
-                if last_seg_y is not None and band_h > 0 and not q.get("answer"):
-                    slide_offsets = list(YESNO_SLIDE_OFFSETS)
-                    if band_h not in slide_offsets:
-                        slide_offsets.append(band_h)
-                    slide_offsets = sorted(slide_offsets)
-                    for off in slide_offsets:
-                        y1 = int(last_seg_y + off)
-                        y2 = y1 + band_h
-                        if y2 > page_height:
-                            break
-                        slide_box = {
-                            "x_start": aw["x_start"],
-                            "y_start": y1,
-                            "x_end": aw["x_end"],
-                            "y_end": y2,
-                        }
-                        rec_slide, ref_s = highlight_recover(highlights, slide_box)
-                        if rec_slide in ("Yes", "No"):
-                            q["answer"] = rec_slide
-                            q["answer_inferred"] = False
-                            q["answer_method"] = f"highlight_slide_{off}"
-                            q["answer_confidence"] = YESNO_HIGHLIGHT_CONFIDENCE
-                            q["answer_ref"] = ref_s
-                            break
-                # Downward band probes (V4 analog).
-                if not q.get("answer"):
-                    band_h = aw["y_end"] - aw["y_start"]
-                    for probe_idx in range(1, YESNO_PROBE_MAX_BANDS + 1):
-                        if q.get("answer"):
-                            break
-                        probe_box = {
-                            "x_start": aw["x_start"],
-                            "y_start": aw["y_start"] + probe_idx * band_h,
-                            "x_end": aw["x_end"],
-                            "y_end": aw["y_start"] + (probe_idx + 1) * band_h,
-                        }
-                        rec2, ref2 = highlight_recover(highlights, probe_box)
-                        if rec2 in ("Yes", "No"):
-                            q["answer"] = rec2
-                            q["answer_inferred"] = False
-                            q["answer_method"] = f"highlight_probe_{probe_idx}"
-                            q["answer_confidence"] = YESNO_HIGHLIGHT_CONFIDENCE
-                            q["answer_ref"] = ref2
-                            break
-        # Second pass: per-section x_end overlap trim
-        # (reference response_extractor.py:1323-1352).
-        for q in qlist:
-            aw = q.get("answer_window")
-            if not aw:
-                continue
-            qx = aw.get("x_start")
-            q_end = aw.get("x_end")
-            qy = q.get("position", [0, 0])[1]
-            if qx is None or q_end is None:
-                continue
-            min_end = q_end
-            for other in qlist:
-                if other is q:
-                    continue
-                ox, oy = other.get("position", [None, None])
-                if ox is None:
-                    continue
-                if ox <= qx:
-                    continue
-                if abs(oy - qy) <= ANSWER_ROW_Y_TOLERANCE_PX * 2:
-                    candidate = ox - ANSWER_COL_GAP_PX
-                    if candidate < min_end and candidate >= qx:
-                        min_end = candidate
-            if min_end < q_end:
-                aw["x_end"] = max(qx, min_end)
+            x, y = q["position"]
+            last, toks, keys = _segment_facts(q.get("segments"))
+            qline_keys.update(keys)
+            facts.append((q, x, y, last, toks))
+            spots.append((q, x, y))
+        recs = []
+        for q, x, y, last, toks in facts:
+            narrative = "medical" in toks and "conditions" in toks
+            right, end = _row_bounds(q, x, y, narrative, spots, full_right)
+            left = max(0, x - ANSWER_LEFT_MARGIN_PX)
+            base = y if last is None else last
+            text, y0, y1 = _collect(lines, left, right, base, qline_keys)
+            aw = q["answer_window"] = {"x_start": left, "y_start": y0, "x_end": right, "y_end": y1}
+            lower = (q.get("question") or "").lower()
+            if text:
+                q["answer"] = text
+            elif highlights and not q.get("answer") and _yes_no(lower):
+                if marks is None:
+                    marks = _marks(highlights)
+                _highlight_fallback(q, aw, marks, last, page_height)
+            aw["x_end"] = end
+            rows.append((y, left, aw))
+            recs.append((q, aw, toks, base, lower))
+        sections.append(recs)
 
     # Global pass: cross-section row-band overlap trim
-    # (reference response_extractor.py:1356-1397).
-    all_entries: list[tuple[dict, int, int]] = []
-    for sec in matches:
-        for q in sec.get("questions", []):
-            aw = q.get("answer_window")
-            pos = q.get("position", [None, None])
-            if aw and pos and pos[0] is not None and pos[1] is not None:
-                all_entries.append((q, int(pos[1]), int(aw.get("x_start", pos[0]))))
-    all_entries.sort(key=lambda t: t[1])
-    groups: list[list[tuple[dict, int, int]]] = []
-    for entry in all_entries:
-        placed = False
-        for g in groups:
-            if abs(g[0][1] - entry[1]) <= ANSWER_ROW_Y_TOLERANCE_PX * 2:
-                g.append(entry)
-                placed = True
-                break
-        if not placed:
-            groups.append([entry])
+    # (reference response_extractor.py:1356-1397). Rows in y order join
+    # the first group whose first row lies within twice the row
+    # tolerance; the groups' first rows ascend, so a group the rows have
+    # passed is never joined again.
+    rows.sort(key=_FIRST)
+    groups: list[list[tuple[int, int, dict]]] = []
+    live = 0
+    for row in rows:
+        while live < len(groups) and row[0] - groups[live][0][0] > 2 * ANSWER_ROW_Y_TOLERANCE_PX:
+            live += 1
+        if live < len(groups):
+            groups[live].append(row)
+        else:
+            groups.append([row])
     for g in groups:
-        g.sort(key=lambda t: t[2])
-        for i in range(len(g) - 1):
-            q_curr, _y_curr, x_curr = g[i]
-            _q_next, _y_next, x_next = g[i + 1]
-            aw_curr = q_curr.get("answer_window")
-            aw_next = g[i + 1][0].get("answer_window")
-            if not aw_curr or not aw_next:
-                continue
-            x_end_curr = aw_curr.get("x_end")
-            if x_end_curr is None:
-                continue
-            if x_end_curr >= x_next:
-                new_end = x_next - ANSWER_COL_GAP_PX
-                if new_end < aw_curr.get("x_start", x_curr):
-                    new_end = aw_curr.get("x_start", x_curr)
-                aw_curr["x_end"] = new_end
+        if len(g) < 2:
+            continue
+        g.sort(key=_SECOND)
+        for (_y, x_start, aw), (_y2, x_next, _aw2) in zip(g, g[1:]):
+            if aw["x_end"] >= x_next:
+                aw["x_end"] = max(x_next - ANSWER_COL_GAP_PX, x_start)
     # (The reference's row-group multi-line collapse at
     # response_extractor.py:1399-1447 is dead code under space-joined
     # assembly — answers never contain "\n" — and is omitted.)
 
-    # Strict horizontal pruning (V6 analog,
-    # reference response_extractor.py:1450-1489): tokens of the page
-    # filtered to the final window stand in for the re-OCR of the crop.
-    # The page's non-blank words in (y, x) reading order; each window
-    # is a bisected y-slice + x filter (already in OCR reading order).
+    # Strict horizontal pruning (V6 analog): the page's non-blank words
+    # in (y, x) reading order; each window is a bisected y-slice + x
+    # filter (already in OCR reading order). A question left unanswered
+    # tries the checkbox pair instead.
     yx = page.yx
-    xs, texts = line_list.x, line_list.text
+    xs, texts = lines.x, lines.text
     tok_ys: list[int] | None = None
-    for sec in matches:
-        for q in sec.get("questions", []):
-            aw = q.get("answer_window")
+    for recs in sections:
+        for q, aw, toks, last_y, _lower in recs:
             ans = q.get("answer")
-            if not aw or not ans:
-                continue
-            x0, x1 = aw.get("x_start"), aw.get("x_end")
-            y0, y1 = aw.get("y_start"), aw.get("y_end")
-            if None in (x0, x1, y0, y1):
-                continue
-            if tok_ys is None:
-                ys = line_list.y
-                tok_ys = [ys[k] for k in yx]
-            lo = bisect_left(tok_ys, y0)
-            hi = bisect_right(tok_ys, y1)
-            kept_tokens = [texts[k] for k in yx[lo:hi] if x0 <= xs[k] <= x1]
-            if not kept_tokens:
-                continue
-            orig_tokens = ans.split()
-            removed = [tok for tok in orig_tokens if tok not in kept_tokens]
-            joined_new = " ".join(kept_tokens)
-            degraded = False
-            if "gmail" in ans.lower() and "qmail" in joined_new.lower():
-                degraded = True
-            if "days" in ans.lower() and "davs" in joined_new.lower():
-                degraded = True
-            if removed and not degraded:
-                q["answer"] = joined_new
-
-    # Checkbox-pair inference for the reminder opt-in question
-    # (reference response_extractor.py:1490-1593).
-    if checkboxes:
-        cb_list = [cb for cb in checkboxes if isinstance(cb, dict)]
-        for sec in matches:
-            for q in sec.get("questions", []):
-                if q.get("answer"):
+            if ans:
+                if tok_ys is None:
+                    ys = lines.y
+                    tok_ys = [ys[k] for k in yx]
+                lo = bisect_left(tok_ys, aw["y_start"])
+                hi = bisect_right(tok_ys, aw["y_end"], lo)
+                x0, x1 = aw["x_start"], aw["x_end"]
+                kept = [texts[k] for k in yx[lo:hi] if x0 <= xs[k] <= x1]
+                if not kept:
                     continue
-                segments = q.get("segments") or []
-                tokens_flat: list[str] = []
-                for seg in segments:
-                    if isinstance(seg, dict):
-                        tokens_flat.extend(t.lower() for t in seg.get("tokens", []))
-                if not tokens_flat:
-                    continue
-                key_hits = 0
-                for kw in ("reminders?", "automatic", "appointment", "messages."):
-                    if kw.rstrip("?").rstrip(".").lower() in tokens_flat:
-                        key_hits += 1
-                is_reminder = key_hits >= 2 and (
-                    "reminders" in tokens_flat
-                    or any(t.startswith("reminder") for t in tokens_flat)
-                )
-                if not is_reminder:
-                    continue
-                last_seg_y = None
-                for seg in segments:
-                    if isinstance(seg, dict) and seg.get("line_y") is not None:
-                        ly = seg.get("line_y")
-                        if last_seg_y is None or ly > last_seg_y:
-                            last_seg_y = ly
-                if last_seg_y is None:
-                    last_seg_y = q.get("position", [0, 0])[1]
-                y_low = last_seg_y - 20
-                y_high = last_seg_y + 70
-                nearby = [cb for cb in cb_list if y_low <= cb["y"] <= y_high]
-                nearby.sort(key=lambda c: c["x"])
-                pair: list[Box] = []
-                seen_x: set[int] = set()
-                for cb in nearby:
-                    x = cb["x"]
-                    if all(abs(x - ex) >= 5 for ex in seen_x):
-                        pair.append(cb)
-                        seen_x.add(x)
-                    if len(pair) == 2:
-                        break
-                if len(pair) != 2:
-                    continue
-                statuses = [cb.get("status") for cb in pair]
-                ticked_indices = [i for i, s in enumerate(statuses) if s == "ticked"]
-                inferred_answer = None
-                reason = None
-                if len(ticked_indices) == 1:
-                    inferred_answer = "Yes" if ticked_indices[0] == 0 else "No"
-                    reason = f"single_ticked_index={ticked_indices[0]}"
-                elif len(ticked_indices) == 2:
-                    inferred_answer = "Yes"
-                    reason = "both_ticked"
-                if inferred_answer:
-                    q["answer"] = inferred_answer
+                joined = " ".join(kept)
+                # an answer equal to its window's words is left as it is
+                if joined != ans and not set(ans.split()).issubset(kept):
+                    ans_l, new_l = ans.lower(), joined.lower()
+                    degraded = ("gmail" in ans_l and "qmail" in new_l) or (
+                        "days" in ans_l and "davs" in new_l
+                    )
+                    if not degraded:
+                        q["answer"] = joined
+            elif checkboxes and _is_reminder(toks):
+                read = _checkbox_pair(checkboxes, last_y)
+                if read is not None:
+                    q["answer"] = read[0]
                     q["answer_inferred"] = True
                     q["answer_source"] = "checkbox"
-                    q["answer_confidence"] = 0.6 if reason == "single_ticked_index=0" else 0.5
+                    q["answer_confidence"] = read[1]
 
-    # Follow-up inference (reference response_extractor.py:1594-1612).
-    for sec in matches:
-        qs = sec.get("questions", [])
-        for i, q in enumerate(qs):
-            text = (q.get("question") or "").lower()
-            if "appointment" in text and "reminder" in text and not q.get("answer"):
-                if i + 1 < len(qs):
-                    next_q = qs[i + 1]
-                    next_text = (next_q.get("question") or "").lower()
-                    if next_q.get("answer") and next_text.startswith("if yes"):
-                        q["answer"] = "Yes"
-                        q["answer_inferred"] = True
-                        q["answer_source"] = "followup_inference"
-                        q["answer_confidence"] = YESNO_INFERRED_CONFIDENCE
-
-    # Zip-code sanitizer (M10, reference response_extractor.py:1613-1633).
-    for sec in matches:
-        for q in sec.get("questions", []):
-            qtext = (q.get("question") or "").lower()
-            ans = q.get("answer")
-            if not ans:
-                continue
-            if "zip" in qtext and "code" in qtext:
-                for tok in ans.split():
-                    if _ZIP_RE.match(tok):
-                        if tok != ans:
-                            q["answer"] = tok
-                        break
+    # Follow-up inference and the zip-code sanitizer.
+    for recs in sections:
+        for i, (q, _aw, _toks, _last_y, lower) in enumerate(recs):
+            if (
+                "appointment" in lower
+                and "reminder" in lower
+                and not q.get("answer")
+                and i + 1 < len(recs)
+            ):
+                next_q, next_lower = recs[i + 1][0], recs[i + 1][4]
+                if next_q.get("answer") and next_lower.startswith("if yes"):
+                    q["answer"] = "Yes"
+                    q["answer_inferred"] = True
+                    q["answer_source"] = "followup_inference"
+                    q["answer_confidence"] = YESNO_INFERRED_CONFIDENCE
+            if "zip" in lower and "code" in lower:
+                ans = q.get("answer")
+                if ans:
+                    for tok in ans.split():
+                        if _ZIP_RE.match(tok):
+                            if tok != ans:
+                                q["answer"] = tok
+                            break
 
     return matches

@@ -39,7 +39,11 @@ def assign_checkboxes_sectionwise(
             continue
         y1_effective = region["y1"] + ANCHOR_OFFSET_PX
         section_boxes = filter_checkboxes_in_region(checkboxes, region)
-        rows = cluster_checkboxes_by_rows(section_boxes)
+        # each box with its row's mean y: the nearest box carries the
+        # row it was found in
+        row_boxes = [
+            (row["y"], cb) for row in cluster_checkboxes_by_rows(section_boxes) for cb in row["boxes"]
+        ]
         for lbl in sec.get("labels", []):
             assigned = False
             positions = label_positions.get(lbl)
@@ -51,19 +55,14 @@ def assign_checkboxes_sectionwise(
                     continue
                 best_distance = None
                 best_box = None
-                for row in rows:
-                    for cb in row["boxes"]:
-                        dist = abs(cb["y"] - ly) + abs(cb["x"] - lx)
-                        if best_distance is None or dist < best_distance:
-                            best_distance = dist
-                            best_box = cb
+                for row_y, cb in row_boxes:
+                    dist = abs(cb["y"] - ly) + abs(cb["x"] - lx)
+                    if best_distance is None or dist < best_distance:
+                        best_distance = dist
+                        best_box = cb
+                        best_row_y = row_y
                 if best_box is not None:
-                    best_row = next(
-                        (row for row in rows if any(b is best_box for b in row["boxes"])),
-                        None,
-                    )
-                    delta_y = abs(best_row["y"] - ly) if best_row else None
-                    if best_row is None or delta_y > LABEL_CB_ASSIGN_MAX_DELTA_Y:
+                    if abs(best_row_y - ly) > LABEL_CB_ASSIGN_MAX_DELTA_Y:
                         continue
                     if id(best_box) in used_boxes:
                         continue

@@ -3529,8 +3529,10 @@ def q_g2_collocations(
 
     and every ln snaps to the shared integer-micro spec
     (:func:`lnm_micro`) before its integer product, so ``g2_micro``
-    is an order-free exact integer (documented bound: N·lnm(N) needs
-    N ≲ 3·10¹¹ bigrams per int64 — swap to two-limb sums past that).
+    is an order-free exact integer. Envelope: the largest product,
+    N·lnm(N), below 2⁶³, so N ≲ 3·10¹¹ bigrams; past that the query
+    raises ``OverflowError`` (:func:`_g2_envelope`) rather than wrap,
+    and the oracle's BIGINT product ``n * lnm`` overflows too.
 
     Shape: per-batch bigram partials → ONE ``hash_bucket(x)``
     exchange (joint counts AND the first-word margin resolve
@@ -3624,6 +3626,7 @@ def q_g2_collocations(
         )
         if not len(s) or n_total <= 0:
             return empty
+        _g2_envelope(n_total)
         c = c_all[keep].to_numpy(np.int64)
         k11 = s["k11"].to_numpy(np.int64)
         r = s["r"].to_numpy(np.int64)
@@ -3678,6 +3681,17 @@ def q_g2_collocations(
         .head(top_k)[cols]
         .reset_index(drop=True)
     )
+
+
+def _g2_envelope(n_total: int) -> None:
+    """Raise ``OverflowError`` when ``n_total``·lnm(``n_total``), the
+    largest of G²'s integer products (every other cell or margin is at
+    most ``n_total``), reaches 2⁶³: numpy's int64 would wrap silently."""
+    bound = n_total * lnm_micro(n_total)
+    if bound >= 2**63:
+        raise OverflowError(
+            f"g2_collocations: N·lnm(N) = {bound} for {n_total} bigrams passes 2^63 (int64)"
+        )
 
 
 def _sql_g2(min_count: int = 5, top_k: int = 100) -> str:

@@ -3815,6 +3815,19 @@ class TestG2Collocations:
         pairs = list(zip(got["term_a"], got["term_b"]))
         assert ("new", "york") in pairs
 
+    def test_int64_envelope_fails_loudly(self):
+        """N·lnm(N) first reaches 2⁶³ at N = 347,097,309,766 bigrams,
+        where the int64 product wraps negative: one bigram short the
+        check passes, at it the query raises."""
+        from pdf_parser_ray.stages.textstats import _g2_envelope, lnm_micro
+
+        n = 347_097_309_766
+        assert (n - 1) * lnm_micro(n - 1) < 2**63 <= n * lnm_micro(n)
+        assert (np.array([n], np.int64) * lnm_micro(n))[0] < 0
+        _g2_envelope(n - 1)
+        with pytest.raises(OverflowError, match="2\\^63"):
+            _g2_envelope(n)
+
 
 class TestBpeTrain:
     @staticmethod

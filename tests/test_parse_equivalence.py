@@ -24,6 +24,7 @@ import pyarrow as pa
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import answer_rules
 from line_rules import (
     band_tokens,
     group_lines,
@@ -432,8 +433,9 @@ def test_answers_same_with_shared_views(tokens, positions):
         ]
 
     shared = augment_answers(matches(), PageModel([dict(t) for t in tokens]), [], [], 300, 400)
-    with mock.patch("pdf_parser_ray.kernels.answers.collect_answer_lines", _spec_collect):
-        plain = augment_answers(matches(), [dict(t) for t in tokens], [], [], 300, 400)
+    # the spec's eight passes, collecting by a full scan of dict lines
+    with mock.patch.object(answer_rules, "collect_answer_lines", _spec_collect):
+        plain = answer_rules.augment_answers(matches(), [dict(t) for t in tokens], [], [], 300, 400)
     assert shared == plain
 
 
