@@ -90,7 +90,8 @@ def cmd_regress(args) -> int:
     then read the output one partition at a time and compare each
     document's span sequence to the golden file (strict (kind, text,
     media_ref, offset) equality), seed missing goldens, ``--update`` to
-    rewrite, exit 1 on failures."""
+    rewrite, exit 1 on failures. A golden document of the corpus that
+    has no output rows fails as ``[MISS]``."""
     import os
     import tempfile
 
@@ -98,6 +99,7 @@ def cmd_regress(args) -> int:
 
     _init_ray(args.num_cpus)
     from .io.checkpoint import slice_write
+    from .io.sources import parquet_fragments
     from .stages.parse import DocumentExtractor
 
     goldens: dict[str, list] = {}
@@ -106,6 +108,7 @@ def cmd_regress(args) -> int:
             goldens = json.load(f)
     failures, seeded = [], []
     n_docs = 0
+    seen: set[str] = set()
     with tempfile.TemporaryDirectory() as out:
         slice_write(args.corpus, out, DocumentExtractor())
         for name in sorted(os.listdir(out)):
@@ -119,6 +122,7 @@ def cmd_regress(args) -> int:
             ):
                 got.setdefault(doc_id, []).append([kind, text, ref, int(off)])
             n_docs += len(got)
+            seen.update(got)
             for doc_id, spans in got.items():
                 if doc_id not in goldens or args.update:
                     if doc_id not in goldens:
@@ -130,14 +134,21 @@ def cmd_regress(args) -> int:
                     print(f"[FAIL] {doc_id}: span sequence differs from golden")
                 else:
                     print(f"[PASS] {doc_id}")
+    corpus_ids = {
+        d for frag in parquet_fragments(args.corpus)
+        for d in pq.read_table(frag, columns=["doc_id"])["doc_id"].to_pylist()
+    }
+    missed = sorted(corpus_ids.intersection(goldens) - seen)
+    for doc_id in missed:
+        print(f"[MISS] {doc_id}: no output rows")
     if seeded or args.update:
         with open(args.goldens, "w") as f:
             json.dump(dict(sorted(goldens.items())), f, indent=1)
         for d in seeded:
             print(f"[SEED] {d}")
     print(json.dumps({"passed": n_docs - len(failures) - len(seeded),
-                      "failed": len(failures), "seeded": len(seeded)}))
-    return 1 if failures else 0
+                      "failed": len(failures) + len(missed), "seeded": len(seeded)}))
+    return 1 if failures or missed else 0
 
 
 def _load_doc(corpus: str, doc_id: str):

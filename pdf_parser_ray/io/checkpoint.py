@@ -67,9 +67,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..core.util import hash_bucket
+from ..stages.parse import PARSE_BATCH
 
 _TMP = ".tmp-part="  # prefix of a partition's dir before its rename
-_PARSE_BATCH = 32  # documents per transform call in slice_write
 
 
 def _partition_of(keys: pa.Array | pa.ChunkedArray, n_partitions: int) -> pa.Array:
@@ -267,10 +267,10 @@ def slice_write(
     the output of slice ``p`` (see :class:`InputSlices`).
 
     The ``(doc_id, spans)`` rows of a slice go through ``transform``
-    (e.g. a ``DocumentExtractor``) in 32-row tables; its output must
-    carry ``doc_id``. Completed partitions are dropped before
-    anything is read; the rest are split into contiguous runs, one Ray
-    Data task per CPU of the session and never more tasks than
+    (e.g. a ``DocumentExtractor``) in tables of ``PARSE_BATCH`` rows;
+    its output must carry ``doc_id``. Completed partitions are dropped
+    before anything is read; the rest are split into contiguous runs,
+    one Ray Data task per CPU of the session and never more tasks than
     partitions. A task reads the row groups covering its run once,
     keeping a row group that spans two of its slices, and commits each
     slice as soon as it is transformed. It skips a partition that
@@ -312,9 +312,9 @@ def slice_write(
                 pieces.append(cache[rg].slice(start - glo, min(hi, ghi) - start))
             # an empty slice still runs once, to give its output schema
             out = pa.concat_tables(
-                transform(piece.slice(j, _PARSE_BATCH))
+                transform(piece.slice(j, PARSE_BATCH))
                 for piece in pieces or [DOCUMENT_SCHEMA.empty_table()]
-                for j in range(0, max(piece.num_rows, 1), _PARSE_BATCH)
+                for j in range(0, max(piece.num_rows, 1), PARSE_BATCH)
             )
             _commit(out_dir, pid, out, "doc_id", n_partitions,
                     {**layout, "input_rows": [lo, hi]}, started=t0)

@@ -3,12 +3,14 @@ span decode/flatten that bracket it.
 
 ``extract_document`` mirrors ``extract_pdf_with_sections`` (reference
 ``extractor.py:947-1126``): a strictly ordered page loop carrying
-remaining/completed label and question state (:class:`FoldState`, which
-the page-shard replay shares), with next-page lookahead
-limited to the following page's head line groups. The whole fold runs
-inside ONE ``map_batches`` task per document row — documents are
-independent, so Ray parallelizes across documents and never across the
-pages of one document (the only ordering dependency in the pipeline).
+remaining/completed label and question state (:class:`FoldState`),
+with next-page lookahead limited to the following page's head line
+groups. The whole fold runs inside ONE ``map_batches`` task per
+document row, giant documents included — documents are independent,
+so Ray parallelizes across documents and never across the pages of one
+document (the only ordering dependency in the pipeline). Once no label
+or question section is open the fold stops reading pages, so a giant
+document costs what its open pages cost, not its page count.
 The per-document entry that brackets it with decode, classify and
 flatten is ``stages.parse.extract_spans``.
 
@@ -242,8 +244,7 @@ def classify_form_type(pages: list[Page]) -> str:
 class FoldState:
     """The fold's remaining/completed label and question bookkeeping
     (reference ``extractor.py:998-1014``, ``1034-1053``, ``1065-1114``),
-    shared by :func:`extract_document` and the page-shard replay
-    (:func:`~.shard.replay_document`). Per page: :meth:`label_search`,
+    driven by :func:`extract_document`. Per page: :meth:`label_search`,
     then :meth:`labels_found`; :meth:`open_questions` (page 1 starts
     every question list), then :meth:`questions_answered`."""
 

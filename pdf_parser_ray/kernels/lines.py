@@ -20,8 +20,8 @@ of line ``i`` is ``starts[i] + k``, and kernels address words by that
 page index. :class:`PageModel` adds the page's emission and reading
 orders. The parse stage builds every page's columns for a whole batch
 in one numpy pass (``stages.parse``); token dicts (the span-by-span
-decode, the page-shard artifacts, callers' token lists) go through
-:meth:`PageModel.__init__`, which applies the same rules in Python.
+decode, callers' token lists) go through :meth:`PageModel.__init__`,
+which applies the same rules in Python.
 """
 
 from __future__ import annotations

@@ -14,21 +14,17 @@ run the same stage over :func:`corpus_from_documents`, which
 synthesizes the span table from the input tables' ``documents.parquet``
 (ids + text → seeded span documents) inside ``map_batches``: the
 sandbox stand-in for the Lance read of a real interleaved corpus, and
-the source perfbench writes its corpus from.
-:func:`extract_pipeline_skew_aware_sharded` routes documents by span
-count and page-shards the heavy class (:func:`extract_sharded`).
+the source perfbench writes its corpus from. Every document, giant or
+not, is one row folded by one task: its pages run in order.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import pyarrow as pa
 
 from ..core.config import FormConfig
 from ..core.exchange import exchange
-from ..core.schema import explode_spans
-from ..stages.parse import DocumentExtractor
+from ..stages.parse import PARSE_BATCH, DocumentExtractor
 
 
 def corpus_from_documents(sf_dir: str, seed: int = 42, multiplier: int = 1):
@@ -80,25 +76,20 @@ def extract_pipeline(
     ds,
     config: FormConfig | None = None,
     concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 32,
-    num_cpus: float = 1,
 ):
     """Attach the parse stage to a span-corpus Dataset.
 
     ``concurrency=None`` uses stateless tasks (fully elastic — right
     when the config is cheap to construct, as here); set an int for a
-    fixed actor pool (right when per-worker setup is expensive, e.g.
-    real OCR engines)."""
-    kwargs: dict[str, Any] = dict(
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    fixed actor pool of one CPU per actor (right when per-worker setup
+    is expensive, e.g. real OCR engines)."""
+    kwargs = dict(batch_format="pyarrow", batch_size=PARSE_BATCH)
     if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-        kwargs["num_cpus"] = num_cpus
         return ds.map_batches(
             DocumentExtractor,
             fn_constructor_kwargs={"config": config},
+            concurrency=concurrency,
+            num_cpus=1,
             **kwargs,
         )
     return ds.map_batches(DocumentExtractor(config=config), **kwargs)
@@ -471,134 +462,3 @@ def extract_span_length_stats(sf_dir: str, _spans=None):
         out, columns=["kind", "n_spans", "sum_len", "max_len", "median_len"]
     ).astype({c: np.int64 for c in ("n_spans", "sum_len", "max_len",
                                     "median_len")})
-
-
-def extract_pipeline_skew_aware_sharded(
-    ds,
-    config: FormConfig | None = None,
-    heavy_span_threshold: int = 600,
-    light_batch_size: int = 32,
-    pages_per_shard: int = 8,
-):
-    """Size-class routing for skewed corpora: documents split on span
-    count (vectorized ``list_value_length``, no parse); light documents
-    run the plain per-document path, and documents above the threshold
-    (giant PDFs) are page-sharded so one 10k-page document spreads
-    across the cluster instead of pinning one core
-    (:func:`extract_sharded`). Outputs are bit-identical to the
-    unsharded pipeline; only the physical execution differs. A null
-    span list counts as zero spans, so it fails in the light class as
-    it does unrouted."""
-    import pyarrow.compute as pc
-
-    def size_class(heavy: bool):
-        def keep(batch: pa.Table) -> pa.Table:
-            n = pc.fill_null(pc.list_value_length(batch["spans"]), 0)
-            return batch.filter(
-                pc.greater(n, heavy_span_threshold)
-                if heavy
-                else pc.less_equal(n, heavy_span_threshold)
-            )
-
-        return keep
-
-    light = ds.map_batches(size_class(False), batch_format="pyarrow")
-    heavy = ds.map_batches(size_class(True), batch_format="pyarrow")
-    out_light = extract_pipeline(light, config, batch_size=light_batch_size)
-    out_heavy = extract_sharded(heavy, config, pages_per_shard=pages_per_shard)
-    return out_light.union(out_heavy)
-
-
-def extract_sharded(
-    ds,
-    config: FormConfig | None = None,
-    pages_per_shard: int = 8,
-):
-    """Page-sharded extraction for giant documents (SURVEY.md §4.3).
-
-    ``ds`` is a ``(doc_id, spans)`` corpus. Three stages:
-
-    1. split each document into page-range shards at page markers,
-       attaching the next shard's first page as the lead(1) carry
-       (cheap — one map over the rows);
-    2. per-shard artifact computation (the expensive matching —
-       parallel across the shards of one document;
-       :func:`~..kernels.shard.compute_shard_artifacts`);
-    3. ordered ``groupby(doc_id)`` reassembly: shards sort by index
-       and the sequential state machine replays over the artifacts
-       (:func:`~..kernels.shard.replay_document`).
-
-    Output is bit-identical to the unsharded fold (pinned by
-    ``TestShardedExtract``); the artifact blob crosses the shuffle as
-    an opaque pickled binary column (engine-internal exchange).
-    """
-    import pickle
-
-    from ..io.synth import DEFAULT_CONFIG
-    from ..kernels.shard import compute_shard_artifacts, make_shards, replay_document
-
-    cfg = config or DEFAULT_CONFIG
-
-    def split(batch: pa.Table) -> pa.Table:
-        out_doc, out_idx, out_blob = [], [], []
-        for doc_id, spans in zip(batch["doc_id"].to_pylist(), batch["spans"].to_pylist()):
-            for shard_idx, page_offset, shard_spans, carry in make_shards(
-                spans, pages_per_shard
-            ):
-                out_doc.append(doc_id)
-                out_idx.append(shard_idx)
-                out_blob.append(pickle.dumps((page_offset, shard_spans, carry)))
-        return pa.table(
-            {
-                "doc_id": pa.array(out_doc, pa.string()),
-                "shard_idx": pa.array(out_idx, pa.int32()),
-                "payload": pa.array(out_blob, pa.large_binary()),
-            }
-        )
-
-    def artifacts(batch: pa.Table) -> pa.Table:
-        out_doc, out_idx, out_art = [], [], []
-        for doc_id, shard_idx, payload in zip(
-            batch["doc_id"].to_pylist(),
-            batch["shard_idx"].to_pylist(),
-            batch["payload"].to_pylist(),
-        ):
-            page_offset, shard_spans, carry = pickle.loads(payload)
-            arts = compute_shard_artifacts(doc_id, shard_spans, carry, cfg, page_offset)
-            out_doc.append(doc_id)
-            out_idx.append(shard_idx)
-            out_art.append(pickle.dumps(arts))
-        return pa.table(
-            {
-                "doc_id": pa.array(out_doc, pa.string()),
-                "shard_idx": pa.array(out_idx, pa.int32()),
-                "arts": pa.array(out_art, pa.large_binary()),
-            }
-        )
-
-    # Reassembly exchanges on doc_id into COARSE buckets, not one
-    # group per document: one fine-keyed map_groups per document pays
-    # Ray's per-group overhead thousands of times (the repo-wide
-    # tiny-groups trap); inside a bucket the per-document replay is a
-    # plain pandas groupby. Bucket count scales with the session so
-    # buckets spread across workers.
-    import ray
-
-    n_buckets = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
-    def reassemble_bucket(g: pa.Table) -> pa.Table:
-        g = g.to_pandas()
-        doc_ids: list[str] = []
-        span_lists: list[list[dict]] = []
-        for doc_id, sub in g.groupby("doc_id", sort=False):
-            sub = sub.sort_values("shard_idx")
-            arts: list = []
-            for blob in sub["arts"]:
-                arts.extend(pickle.loads(blob))
-            doc_ids.append(doc_id)
-            span_lists.append(replay_document(arts, cfg))
-        return explode_spans(doc_ids, span_lists)
-
-    sharded = ds.map_batches(split, batch_format="pyarrow", batch_size=8)
-    arts_ds = sharded.map_batches(artifacts, batch_format="pyarrow", batch_size=1)
-    return exchange([(arts_ds, "doc_id")], reassemble_bucket, n_buckets=n_buckets)

@@ -15,7 +15,7 @@ Usage::
         DocumentExtractor,
         fn_constructor_kwargs={"config": cfg},
         batch_format="pyarrow",
-        batch_size=32,
+        batch_size=PARSE_BATCH,
         concurrency=8,           # actor pool size
         num_cpus=1,
     )
@@ -67,6 +67,8 @@ from ..kernels.document import (
     flatten_to_spans,
 )
 from ..kernels.lines import Lines, PageModel
+
+PARSE_BATCH = 32  # documents per DocumentExtractor call, on every parse path
 
 
 def span_columns(spans: pa.ChunkedArray | pa.Array) -> list[SpanColumns | list | None]:

@@ -142,3 +142,24 @@ class TestRegressCli:
         out = capsys.readouterr().out
         assert f"[FAIL] {doc}" in out
         assert json.loads(out.splitlines()[-1]) == {"passed": 5, "failed": 1, "seeded": 0}
+
+    def test_golden_doc_without_output_fails(self, ray_session, tmp_path, capsys):
+        """A seeded document that stops producing rows (here: only its
+        page spans are left) is a failure, not a silent skip."""
+        ids = ["doc-00000000", "doc-00000001"]
+        spans = [gen_document(d, 42) for d in ids]
+        corpus = str(tmp_path / "corpus.parquet")
+
+        def write(doc_spans):
+            tbl = pa.Table.from_pydict({"doc_id": ids, "spans": doc_spans}, schema=DOCUMENT_SCHEMA)
+            pq.write_table(tbl, corpus)
+
+        argv = ["regress", "--corpus", corpus, "--goldens", str(tmp_path / "goldens.json")]
+        write(spans)
+        assert main(argv) == 0
+        capsys.readouterr()
+        write([spans[0], [s for s in spans[1] if s["kind"] == "page"]])
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert f"[MISS] {ids[1]}" in out
+        assert json.loads(out.splitlines()[-1]) == {"passed": 1, "failed": 1, "seeded": 0}

@@ -312,7 +312,8 @@ def test_matcher_same_with_and_without_memos(tokens, bands, next_tokens):
     def run():
         page = PageModel([dict(t) for t in tokens])
         head = NextHead(page, PageModel([dict(t) for t in next_tokens]), 400)
-        # the same page matched twice, as the page-shard artifacts do
+        # the same page matched twice: the second run reads the memos
+        # the first one filled
         return [
             match_sections_and_questions(page, secs, regions, page_height=400, next_head=head)
             for secs in (sections, sections[::-1])

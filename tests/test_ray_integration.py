@@ -1009,66 +1009,6 @@ class TestMediaStub:
         assert out["width"].to_pylist() == [6]
 
 
-class TestSkewAware:
-    def test_skew_aware_equals_plain(self, tmp_path):
-        """Size-class routing on span count (the heavy class
-        page-sharded) equals the plain parse of the same read_corpus
-        input, with documents on both sides of the threshold."""
-        import pyarrow.compute as pc
-        import ray.data as rd
-
-        from pdf_parser_ray.io.sources import read_corpus, write_corpus
-        from pdf_parser_ray.io.synth import build_corpus_table
-        from pdf_parser_ray.pipelines.extract import (
-            extract_pipeline,
-            extract_pipeline_skew_aware_sharded,
-        )
-
-        ids = [f"doc-{i:08d}" for i in range(30)]
-        tbl = build_corpus_table(ids, 42)
-        threshold = 108  # these 30 documents carry 95-118 spans
-        n_heavy = pc.sum(pc.greater(pc.list_value_length(tbl["spans"]), threshold)).as_py()
-        assert 0 < n_heavy < len(ids)  # each branch takes at least one document
-        corpus_dir = str(tmp_path / "corpus")
-        write_corpus(rd.from_arrow(tbl), corpus_dir)
-
-        plain = (
-            extract_pipeline(read_corpus(corpus_dir))
-            .to_pandas()
-            .sort_values(["doc_id", "offset"])
-            .reset_index(drop=True)
-        )
-        skew = (
-            extract_pipeline_skew_aware_sharded(
-                read_corpus(corpus_dir), heavy_span_threshold=threshold
-            )
-            .to_pandas()
-            .sort_values(["doc_id", "offset"])
-            .reset_index(drop=True)
-        )
-        assert plain.equals(skew)
-        assert len(plain) > 0
-
-
-    def test_null_span_list_fails_as_unrouted(self):
-        """A document whose span list is null is routed to the light
-        class, where the parse fails loudly as it does unrouted; it is
-        not dropped by both size filters."""
-        import pyarrow as pa
-        import ray.data as rd
-
-        from pdf_parser_ray.core.schema import DOCUMENT_SCHEMA
-        from pdf_parser_ray.io.synth import gen_document
-        from pdf_parser_ray.pipelines.extract import extract_pipeline_skew_aware_sharded
-
-        tbl = pa.Table.from_pydict(
-            {"doc_id": ["doc-a", "doc-b"], "spans": [gen_document("doc-a", 42), None]},
-            schema=DOCUMENT_SCHEMA,
-        )
-        with pytest.raises(Exception, match="NoneType"):
-            extract_pipeline_skew_aware_sharded(rd.from_arrow(tbl)).materialize()
-
-
 class TestMediaPipelines:
     def test_resize_and_frame_sample_stages(self):
         import pyarrow as pa
@@ -1094,54 +1034,6 @@ class TestMediaPipelines:
         ).to_pandas()
         assert len(frames) > len(resized)  # fan-out
         assert set(frames.columns) == {"doc_id", "frame_index", "frame"}
-
-
-class TestShardedExtract:
-    def test_sharded_pipeline_equals_plain(self):
-        """extract_sharded and the skew-aware-sharded pipeline produce
-        exactly the plain pipeline's spans, running through Ray
-        end-to-end."""
-        import ray.data as rd
-
-        from pdf_parser_ray.io.synth import DEFAULT_CONFIG, gen_document
-        from pdf_parser_ray.pipelines.extract import (
-            extract_pipeline,
-            extract_pipeline_skew_aware_sharded,
-            extract_sharded,
-        )
-        from pdf_parser_ray.core.schema import DOCUMENT_SCHEMA
-        import pyarrow as pa
-
-        ids = [f"doc-{i:08d}" for i in range(12)] + ["doc-00000041"]  # incl. a giant
-        tbl = pa.Table.from_pydict(
-            {"doc_id": ids, "spans": [gen_document(d, 42) for d in ids]},
-            schema=DOCUMENT_SCHEMA,
-        )
-        key = ["doc_id", "offset"]
-        plain = (
-            extract_pipeline(rd.from_arrow(tbl), DEFAULT_CONFIG)
-            .to_pandas()
-            .sort_values(key)
-            .reset_index(drop=True)
-        )
-        sharded = (
-            extract_sharded(rd.from_arrow(tbl), DEFAULT_CONFIG, pages_per_shard=2)
-            .to_pandas()
-            .sort_values(key)
-            .reset_index(drop=True)
-        )
-        assert plain.equals(sharded)
-
-        skew = (
-            extract_pipeline_skew_aware_sharded(
-                rd.from_arrow(tbl), DEFAULT_CONFIG, heavy_span_threshold=200
-            )
-            .to_pandas()
-            .sort_values(key)
-            .reset_index(drop=True)
-        )
-        assert plain.equals(skew)
-        assert len(plain) > 0
 
 
 class TestPairTextResolve:
