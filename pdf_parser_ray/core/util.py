@@ -5,10 +5,10 @@ from __future__ import annotations
 import hashlib
 
 
-# Default heap budget for a broadcast join build side: the key set
+# Default heap budget for a broadcast join build side: the build side
 # rides inside every map task, so it must stay far below a worker's
-# heap. 64 MiB ≈ 8M int64 keys — past that the shuffle twin wins
-# (millions of keys re-shipped to thousands of tasks).
+# heap. 64 MiB ≈ 8M int64 keys — past that an exchange wins (millions
+# of keys re-shipped to thousands of tasks).
 BROADCAST_BUDGET_BYTES = 64 << 20
 
 
@@ -16,31 +16,16 @@ def broadcast_build_fits(
     parquet_path: str,
     bytes_per_key: int = 8,
     budget_bytes: int = BROADCAST_BUDGET_BYTES,
-    distinct_ratio: float = 1.0,
 ) -> bool:
-    """Measured broadcast-vs-shuffle crossover for a join build side.
-
-    Reads ONLY the parquet footer (row count — no data pages touched),
-    upper-bounds the broadcast key set as ``rows × distinct_ratio ×
-    bytes_per_key``, and returns whether it fits the heap budget.
-    Callers use this to pick the broadcast shape (key set rides to
-    every task; no second shuffle) while it is safe and the
-    bucket-shuffle twin beyond — one measured rule instead of shipping
-    the choice as two queries.
-
-    The default ``distinct_ratio=1.0`` deliberately OVER-estimates:
-    what actually broadcasts is the DISTINCT key set (orders →
-    distinct custkeys is often ~10× smaller), so the probe may switch
-    to the shuffle twin well before the broadcast truly stops fitting.
-    That direction is safe (never OOMs a worker; the shuffle twin is
-    merely slower) and correctness is unaffected — both twins share
-    one oracle. A caller with domain knowledge (column statistics, a
-    known fan-out like orders-per-customer) passes ``distinct_ratio <
-    1`` to tighten the bound."""
+    """Whether a build side of ``rows × bytes_per_key`` bytes fits the
+    heap budget, reading only the parquet footer's row count. The
+    relational joins size their build side in
+    :func:`~.join.keyed_join`; this rule serves the stages whose build
+    side comes from the same corpus read as the probe side."""
     import pyarrow.parquet as pq
 
     n_rows = pq.ParquetFile(parquet_path).metadata.num_rows
-    return n_rows * distinct_ratio * bytes_per_key <= budget_bytes
+    return n_rows * bytes_per_key <= budget_bytes
 
 
 # Budget for pinning a Dataset in the object store (materialize()) so
@@ -88,13 +73,3 @@ def hash_bucket(value, n_buckets: int) -> int:
         int.from_bytes(hashlib.md5(str(value).encode()).digest()[:4], "big")
         % n_buckets
     )
-
-
-def join_partitions() -> int:
-    """Hash-join partition count sized to the session: Ray's
-    hash-shuffle join spawns an aggregator actor pool, and a pool
-    sized past the session's CPUs starves the feeding task pool on
-    small sessions (one rule, shared by every Dataset.join site)."""
-    import ray
-
-    return max(2, min(16, int(ray.cluster_resources().get("CPU", 8)) // 2))

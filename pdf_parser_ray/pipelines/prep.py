@@ -49,7 +49,7 @@ def q_training_prep(sf_dir: str, budget_bytes: int | None = None):
 
     if not broadcast_build_fits(
         f"{sf_dir}/documents.parquet",
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
+        budget_bytes=BROADCAST_BUDGET_BYTES if budget_bytes is None else budget_bytes,
     ):
         return q_training_prep_shuffle(sf_dir)
 

@@ -33,8 +33,8 @@ Shapes covered here (TPC-H number → engine capability):
 The design rules of ``relational/ops.py`` apply unchanged: prune at
 the read, exact integer arithmetic end to end (cent/µs/packed-int
 encodings so distributed sums and mins are order-free and
-hash-identical to the oracle), broadcast gated by
-:func:`~..core.util.broadcast_build_fits`, pre-aggregate before every
+hash-identical to the oracle), every join through
+:func:`~..core.join.keyed_join`, pre-aggregate before every
 exchange, and never materialize fact-grain data on the driver.
 """
 
@@ -45,13 +45,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core.exchange import exchange
+from ..core.join import keyed_join
 from .ops import _cents, _read
-
-
-def _join_partitions() -> int:
-    from ..core.util import join_partitions
-
-    return join_partitions()
 
 
 def _qty_int(arr) -> "np.ndarray":
@@ -77,7 +72,7 @@ def q_late_ship_priority(sf_dir: str, grace_days: int = 5):
     The correlated EXISTS collapses to a per-order MAX: ``∃ line with
     l_shipdate > o_orderdate + g`` ⇔ ``max(l_shipdate) > o_orderdate +
     g``. Lineitem pre-reduces per batch to one (orderkey, max µs) row,
-    the groupby MAX runs on the order grain, and the hash join with
+    the groupby MAX runs on the order grain, and the keyed join with
     orders is order-grain on both sides — the 100-TB fact table never
     crosses an exchange at line grain. Final counts are per-batch
     partials into a five-row groupby."""
@@ -103,13 +98,13 @@ def q_late_ship_priority(sf_dir: str, grace_days: int = 5):
         .groupby("l_orderkey")
         .aggregate(Max("max_ship_us", alias_name="max_ship_us"))
     )
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    joined = per_order.join(
-        orders,
-        join_type="inner",
-        num_partitions=_join_partitions(),
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
+    joined = keyed_join(
+        per_order,
+        sf_dir,
+        "orders",
+        fact_key="l_orderkey",
+        dim_key="o_orderkey",
+        cols=["o_orderdate", "o_orderpriority"],
     )
     grace_us = grace_days * _US_PER_DAY
 
@@ -154,89 +149,50 @@ GROUP BY o_orderpriority
 
 def q_promo_revenue(sf_dir: str, budget_bytes: int | None = None):
     """Share of revenue from PROMO-type parts, in exact ppm (Q14
-    shape). The part dimension broadcasts as a sorted key array + promo
-    bitmap when :func:`broadcast_build_fits` allows (footer-only
-    check); past the budget, lineitem pre-aggregates revenue per
-    partkey per batch and hash-joins part instead. Each batch emits one
-    (promo, total) partial row; the ppm read-off is a positive rational
-    half-away rounding ``(2·10⁶·promo + total) // (2·total)`` done in
-    Python ints (the products exceed int64; DuckDB's HUGEINT and
-    Python's bignum agree exactly, and ``//`` = floor = trunc for
+    shape). Lineitem pre-sums revenue per partkey per batch, then one
+    :func:`~..core.join.keyed_join` attaches ``p_type`` (broadcast
+    within the footer budget, an exchange beyond it). Each batch emits
+    one (promo, total) partial row; the ppm read-off is a positive
+    rational half-away rounding ``(2·10⁶·promo + total) // (2·total)``
+    done in Python ints (the products exceed int64; DuckDB's HUGEINT
+    and Python's bignum agree exactly, and ``//`` = floor = trunc for
     positives in both)."""
     import pandas as pd
-    import pyarrow.parquet as pq
-
-    from ..core.util import broadcast_build_fits
-
-    def batch_rev(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        price_c = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
-        disc_c = _cents(batch["l_discount"]).to_numpy(zero_copy_only=False)
-        return (
-            batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-            price_c * (100 - disc_c),
-        )
-
-    from ..core.util import BROADCAST_BUDGET_BYTES
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
-    if broadcast_build_fits(
-        f"{sf_dir}/part.parquet",
-        bytes_per_key=9,
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
-    ):
-        part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"])
-        pk = np.asarray(part["p_partkey"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        promo = np.asarray(
-            pc.equal(part["p_type"], "PROMO").to_numpy(zero_copy_only=False), dtype=bool
-        )
-        order = np.argsort(pk)
-        pk, promo = pk[order], promo[order]
 
-        def partial(batch: pa.Table) -> pa.Table:
-            keys, rev = batch_rev(batch)
-            idx = np.clip(np.searchsorted(pk, keys), 0, max(len(pk) - 1, 0))
-            hit = pk[idx] == keys if len(pk) else np.zeros(len(keys), bool)
-            is_promo = np.zeros(len(keys), bool)
-            is_promo[hit] = promo[idx[hit]]
-            return pa.table(
-                {
-                    "promo_cents2": pa.array([int(rev[hit & is_promo].sum())]),
-                    "total_cents2": pa.array([int(rev[hit].sum())]),
-                }
-            )
-
-        partials = li.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    else:
-        def per_part(batch: pa.Table) -> pa.Table:
-            keys, rev = batch_rev(batch)
-            uniq, inv = np.unique(keys, return_inverse=True)
-            sums = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(sums, inv, rev)
-            return pa.table(
-                {"l_partkey": pa.array(uniq, pa.int64()), "rev_cents2": pa.array(sums)}
-            )
-
-        part_ds = _read(sf_dir, "part", ["p_partkey", "p_type"])
-        joined = li.map_batches(per_part, batch_format="pyarrow", batch_size=None).join(
-            part_ds,
-            join_type="inner",
-            num_partitions=_join_partitions(),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
+    def per_part(batch: pa.Table) -> pa.Table:
+        price_c = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
+        disc_c = _cents(batch["l_discount"]).to_numpy(zero_copy_only=False)
+        keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        uniq, inv = np.unique(keys, return_inverse=True)
+        sums = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(sums, inv, price_c * (100 - disc_c))
+        return pa.table(
+            {"l_partkey": pa.array(uniq, pa.int64()), "rev_cents2": pa.array(sums)}
         )
 
-        def fold(batch: pa.Table) -> pa.Table:
-            rev = batch["rev_cents2"].to_numpy(zero_copy_only=False)
-            is_promo = pc.equal(batch["p_type"], "PROMO").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "promo_cents2": pa.array([int(rev[is_promo].sum())]),
-                    "total_cents2": pa.array([int(rev.sum())]),
-                }
-            )
+    joined = keyed_join(
+        li.map_batches(per_part, batch_format="pyarrow", batch_size=None),
+        sf_dir,
+        "part",
+        fact_key="l_partkey",
+        dim_key="p_partkey",
+        cols=["p_type"],
+        budget_bytes=budget_bytes,
+    )
 
-        partials = joined.map_batches(fold, batch_format="pyarrow", batch_size=None)
+    def fold(batch: pa.Table) -> pa.Table:
+        rev = batch["rev_cents2"].to_numpy(zero_copy_only=False)
+        is_promo = pc.equal(batch["p_type"], "PROMO").to_numpy(zero_copy_only=False)
+        return pa.table(
+            {
+                "promo_cents2": pa.array([int(rev[is_promo].sum())]),
+                "total_cents2": pa.array([int(rev.sum())]),
+            }
+        )
 
+    partials = joined.map_batches(fold, batch_format="pyarrow", batch_size=None)
     sums = partials.sum(["promo_cents2", "total_cents2"])
     promo_c, total_c = int(sums["sum(promo_cents2)"]), int(sums["sum(total_cents2)"])
     ppm = (2 * 1_000_000 * promo_c + total_c) // (2 * total_c) if total_c else None
@@ -337,14 +293,12 @@ def q_order_count_distribution(sf_dir: str):
     customer-grain counts into the (tiny) count histogram, keeping only
     custkeys that EXIST in customer (an FK-orphan o_custkey would
     otherwise count a phantom customer the oracle's LEFT JOIN never
-    sees — the key set broadcasts within the footer budget, hash-joins
-    beyond). The zero bucket then needs only the total customer count —
-    read from the parquet footer, no data pages."""
+    sees — one :func:`~..core.join.keyed_join` semi join). The zero
+    bucket then needs only the total customer count — read from the
+    parquet footer, no data pages."""
     import pandas as pd
     import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
-
-    from ..core.util import broadcast_build_fits
 
     orders = _read(sf_dir, "orders", ["o_custkey"])
 
@@ -364,33 +318,14 @@ def q_order_count_distribution(sf_dir: str):
         .aggregate(Sum("order_count", alias_name="order_count"))
     )
 
-    if broadcast_build_fits(f"{sf_dir}/customer.parquet"):
-        known = np.sort(
-            pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-            ["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-
-        def only_known(batch: pa.Table) -> pa.Table:
-            ck = batch["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            if len(known):
-                idx = np.clip(np.searchsorted(known, ck), 0, len(known) - 1)
-                keep = known[idx] == ck
-            else:
-                keep = np.zeros(len(ck), bool)
-            return batch.filter(pa.array(keep))
-
-        cust_grain = cust_grain.map_batches(
-            only_known, batch_format="pyarrow", batch_size=None
-        )
-    else:
-        customer = _read(sf_dir, "customer", ["c_custkey"])
-        cust_grain = cust_grain.join(
-            customer,
-            join_type="inner",
-            num_partitions=_join_partitions(),
-            on=("c_custkey",),
-            right_on=("c_custkey",),
-        ).select_columns(["c_custkey", "order_count"])
+    cust_grain = keyed_join(
+        cust_grain,
+        sf_dir,
+        "customer",
+        fact_key="c_custkey",
+        dim_key="c_custkey",
+        how="semi",
+    )
 
     def histogram(batch: pa.Table) -> pa.Table:
         oc = batch["order_count"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -436,89 +371,51 @@ def q_part_supplier_counts(
     sf_dir: str, exclude_brand: str = "Brand#13", budget_bytes: int | None = None
 ):
     """Distinct suppliers per (brand, size), one brand excluded (Q16
-    shape). The part attributes ride to the scan as sorted arrays
-    (footer-gated broadcast; hash-join fallback past the budget); each
-    batch pre-dedupes its (brand, size, suppkey) triples, one exchange
-    dedupes globally (groupby on the triple), and the final count is
-    per-batch partials over the already-distinct triples — COUNT
-    (DISTINCT) without ever shipping line-grain rows."""
+    shape). Each batch pre-dedupes its (partkey, suppkey) pairs, one
+    :func:`~..core.join.keyed_join` attaches the non-excluded parts'
+    (brand, size), one exchange dedupes the triples globally (groupby
+    on the triple), and the final count is per-batch partials over the
+    already-distinct triples — COUNT (DISTINCT) without ever shipping
+    line-grain rows."""
     import pandas as pd
-    import pyarrow.parquet as pq
     from ray.data.aggregate import Count, Sum
-
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
 
-    if broadcast_build_fits(
-        f"{sf_dir}/part.parquet",
-        bytes_per_key=24,
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
-    ):
-        part = pq.read_table(
-            f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"]
-        )
-        pk = np.asarray(part["p_partkey"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        order = np.argsort(pk)
-        pk = pk[order]
-        brand = np.asarray(part["p_brand"].to_pylist(), dtype=object)[order]
-        size = np.asarray(
-            part["p_size"].to_numpy(zero_copy_only=False), dtype=np.int64
-        )[order]
-        keep_part = brand != exclude_brand
-
-        def triples(batch: pa.Table) -> pa.Table:
-            keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            sk = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            idx = np.clip(np.searchsorted(pk, keys), 0, max(len(pk) - 1, 0))
-            hit = (pk[idx] == keys) & keep_part[idx] if len(pk) else np.zeros(len(keys), bool)
-            df = pd.DataFrame(
-                {"p_brand": brand[idx[hit]], "p_size": size[idx[hit]], "l_suppkey": sk[hit]}
-            ).drop_duplicates()
-            return pa.table(
-                {
-                    "p_brand": pa.array(df["p_brand"].astype(str), pa.string()),
-                    "p_size": pa.array(df["p_size"].to_numpy(dtype=np.int64)),
-                    "l_suppkey": pa.array(df["l_suppkey"].to_numpy(dtype=np.int64)),
-                }
-            )
-
-        tri = li.map_batches(triples, batch_format="pyarrow", batch_size=None)
-    else:
-        def pairs(batch: pa.Table) -> pa.Table:
-            keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            sk = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            assert sk.max(initial=0) < (1 << 20) and keys.max(initial=0) < (1 << 43)
-            uniq = np.unique(keys * (1 << 20) + sk)
-            return pa.table(
-                {
-                    "l_partkey": pa.array(uniq >> 20, pa.int64()),
-                    "l_suppkey": pa.array(uniq & ((1 << 20) - 1), pa.int64()),
-                }
-            )
-
-        part_ds = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
-        joined = li.map_batches(pairs, batch_format="pyarrow", batch_size=None).join(
-            part_ds,
-            join_type="inner",
-            num_partitions=_join_partitions(),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
+    def pairs(batch: pa.Table) -> pa.Table:
+        keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        sk = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        assert sk.max(initial=0) < (1 << 20) and keys.max(initial=0) < (1 << 43)
+        uniq = np.unique(keys * (1 << 20) + sk)
+        return pa.table(
+            {
+                "l_partkey": pa.array(uniq >> 20, pa.int64()),
+                "l_suppkey": pa.array(uniq & ((1 << 20) - 1), pa.int64()),
+            }
         )
 
-        def project(batch: pa.Table) -> pa.Table:
-            keep = pc.not_equal(batch["p_brand"], exclude_brand)
-            t = batch.filter(keep)
-            return pa.table(
-                {
-                    "p_brand": t["p_brand"],
-                    "p_size": pc.cast(t["p_size"], pa.int64()),
-                    "l_suppkey": t["l_suppkey"],
-                }
-            )
+    joined = keyed_join(
+        li.map_batches(pairs, batch_format="pyarrow", batch_size=None),
+        sf_dir,
+        "part",
+        fact_key="l_partkey",
+        dim_key="p_partkey",
+        cols=["p_brand", "p_size"],
+        dim_filter=lambda t: t.filter(pc.not_equal(t["p_brand"], exclude_brand)),
+        budget_bytes=budget_bytes,
+    )
 
-        tri = joined.map_batches(project, batch_format="pyarrow", batch_size=None)
+    def project(batch: pa.Table) -> pa.Table:
+        t = pa.table(
+            {
+                "p_brand": batch["p_brand"],
+                "p_size": pc.cast(batch["p_size"], pa.int64()),
+                "l_suppkey": batch["l_suppkey"],
+            }
+        )
+        return t.group_by(t.column_names).aggregate([])  # distinct per batch
 
+    tri = joined.map_batches(project, batch_format="pyarrow", batch_size=None)
     distinct = tri.groupby(["p_brand", "p_size", "l_suppkey"]).aggregate(
         Count(alias_name="_n")
     )
@@ -683,7 +580,7 @@ def q_large_orders(sf_dir: str, min_qty: int = 150, k: int = 100):
     """Orders whose total line quantity exceeds ``min_qty``, joined
     back to the order header, deterministic top-k (Q18 shape). The
     HAVING runs entirely on the order grain (per-batch partials →
-    groupby SUM → filter), so the hash join back to orders is
+    groupby SUM → filter), so the keyed join back to orders is
     filtered-grain vs order-grain; the one all-to-all sort runs on the
     ≤ qualifying-orders rows with a unique tiebreak key, never on
     lineitems."""
@@ -707,13 +604,13 @@ def q_large_orders(sf_dir: str, min_qty: int = 150, k: int = 100):
         .aggregate(Sum("sum_qty", alias_name="sum_qty"))
         .filter(expr=f"sum_qty > {int(min_qty)}")
     )
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    joined = big.join(
-        orders,
-        join_type="inner",
-        num_partitions=_join_partitions(),
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
+    joined = keyed_join(
+        big,
+        sf_dir,
+        "orders",
+        fact_key="l_orderkey",
+        dim_key="o_orderkey",
+        cols=["o_custkey", "o_totalprice"],
     )
 
     def project(batch: pa.Table) -> pa.Table:
@@ -759,112 +656,68 @@ _Q19_CLAUSES = (
 
 def q_disjunctive_revenue(sf_dir: str, budget_bytes: int | None = None):
     """Revenue under an OR-of-ANDs predicate spanning both join sides
-    (Q19 shape): (brand, quantity range, max size) × 3 clauses. Within
-    the footer budget the part attributes broadcast as aligned arrays
-    and the whole disjunction evaluates as one vectorized boolean
-    expression per batch — one (revenue, count) partial row out. Past
-    the budget, each batch pre-aggregates revenue to the (partkey,
-    quantity) grain — quantities are small integers, so that grain is
-    bounded by |parts|×|qty values|, and the predicate depends on
-    nothing finer — then hash-joins part and applies the same mask."""
+    (Q19 shape): (brand, quantity range, max size) × 3 clauses. Each
+    batch pre-aggregates revenue to the (partkey, quantity) grain —
+    quantities are small integers, so that grain is bounded by
+    |parts|×|qty values|, and the predicate depends on nothing finer —
+    then one :func:`~..core.join.keyed_join` attaches the part's
+    (brand, size) and the whole disjunction evaluates as one
+    vectorized boolean expression per batch — one (revenue, count)
+    partial row out."""
     import pandas as pd
-    import pyarrow.parquet as pq
-
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
 
     li = _read(
         sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"]
     )
 
-    def clause_mask(b: np.ndarray, s: np.ndarray, qty: np.ndarray) -> np.ndarray:
+    def per_part_qty(batch: pa.Table) -> pa.Table:
+        keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        qty = _qty_int(batch["l_quantity"])
+        price_c = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
+        disc_c = _cents(batch["l_discount"]).to_numpy(zero_copy_only=False)
+        rev = price_c * (100 - disc_c)
+        assert qty.max(initial=0) < (1 << 10) and keys.max(initial=0) < (1 << 53)
+        pack = (keys << 10) | qty
+        uniq, inv = np.unique(pack, return_inverse=True)
+        sums = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(sums, inv, rev)
+        cnts = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
+        return pa.table(
+            {
+                "l_partkey": pa.array(uniq >> 10),
+                "qty": pa.array(uniq & ((1 << 10) - 1)),
+                "rev_cents2": pa.array(sums),
+                "n": pa.array(cnts),
+            }
+        )
+
+    joined = keyed_join(
+        li.map_batches(per_part_qty, batch_format="pyarrow", batch_size=None),
+        sf_dir,
+        "part",
+        fact_key="l_partkey",
+        dim_key="p_partkey",
+        cols=["p_brand", "p_size"],
+        budget_bytes=budget_bytes,
+    )
+
+    def fold(batch: pa.Table) -> pa.Table:
+        qty = batch["qty"].to_numpy(zero_copy_only=False)
+        rev = batch["rev_cents2"].to_numpy(zero_copy_only=False)
+        n = batch["n"].to_numpy(zero_copy_only=False)
+        b = np.asarray(batch["p_brand"].to_pylist(), dtype=object)
+        s = batch["p_size"].to_numpy(zero_copy_only=False).astype(np.int64)
         mask = np.zeros(len(qty), bool)
         for cb, qlo, qhi, smax in _Q19_CLAUSES:
             mask |= (b == cb) & (qty >= qlo) & (qty <= qhi) & (s <= smax)
-        return mask
-
-    if broadcast_build_fits(
-        f"{sf_dir}/part.parquet",
-        bytes_per_key=24,
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
-    ):
-        part = pq.read_table(
-            f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"]
-        )
-        pk = np.asarray(part["p_partkey"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        order = np.argsort(pk)
-        pk = pk[order]
-        brand = np.asarray(part["p_brand"].to_pylist(), dtype=object)[order]
-        size = np.asarray(
-            part["p_size"].to_numpy(zero_copy_only=False), dtype=np.int64
-        )[order]
-
-        def partial(batch: pa.Table) -> pa.Table:
-            keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            qty = _qty_int(batch["l_quantity"])
-            price_c = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
-            disc_c = _cents(batch["l_discount"]).to_numpy(zero_copy_only=False)
-            rev = price_c * (100 - disc_c)
-            idx = np.clip(np.searchsorted(pk, keys), 0, max(len(pk) - 1, 0))
-            hit = pk[idx] == keys if len(pk) else np.zeros(len(keys), bool)
-            mask = clause_mask(brand[idx], size[idx], qty) & hit
-            return pa.table(
-                {
-                    "revenue_cents2": pa.array([int(rev[mask].sum())]),
-                    "n_lines": pa.array([int(mask.sum())]),
-                }
-            )
-
-        partials = li.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    else:
-        def per_part_qty(batch: pa.Table) -> pa.Table:
-            keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            qty = _qty_int(batch["l_quantity"])
-            price_c = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
-            disc_c = _cents(batch["l_discount"]).to_numpy(zero_copy_only=False)
-            rev = price_c * (100 - disc_c)
-            # (partkey, qty) grain: qty ∈ small ints, predicate needs
-            # nothing finer — the join probe stays dimension-bounded
-            assert qty.max(initial=0) < (1 << 10) and keys.max(initial=0) < (1 << 53)
-            pack = (keys << 10) | qty
-            uniq, inv = np.unique(pack, return_inverse=True)
-            sums = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(sums, inv, rev)
-            cnts = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-            return pa.table(
-                {
-                    "l_partkey": pa.array(uniq >> 10),
-                    "qty": pa.array(uniq & ((1 << 10) - 1)),
-                    "rev_cents2": pa.array(sums),
-                    "n": pa.array(cnts),
-                }
-            )
-
-        part_ds = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
-        joined = li.map_batches(
-            per_part_qty, batch_format="pyarrow", batch_size=None
-        ).join(
-            part_ds,
-            join_type="inner",
-            num_partitions=_join_partitions(),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
+        return pa.table(
+            {
+                "revenue_cents2": pa.array([int(rev[mask].sum())]),
+                "n_lines": pa.array([int(n[mask].sum())]),
+            }
         )
 
-        def fold(batch: pa.Table) -> pa.Table:
-            qty = batch["qty"].to_numpy(zero_copy_only=False)
-            rev = batch["rev_cents2"].to_numpy(zero_copy_only=False)
-            n = batch["n"].to_numpy(zero_copy_only=False)
-            b = np.asarray(batch["p_brand"].to_pylist(), dtype=object)
-            s = batch["p_size"].to_numpy(zero_copy_only=False).astype(np.int64)
-            mask = clause_mask(b, s, qty)
-            return pa.table(
-                {
-                    "revenue_cents2": pa.array([int(rev[mask].sum())]),
-                    "n_lines": pa.array([int(n[mask].sum())]),
-                }
-            )
-
-        partials = joined.map_batches(fold, batch_format="pyarrow", batch_size=None)
+    partials = joined.map_batches(fold, batch_format="pyarrow", batch_size=None)
 
     sums = partials.sum(["revenue_cents2", "n_lines"])
     return pd.DataFrame(
@@ -966,45 +819,15 @@ def q_waiting_suppliers(
         .aggregate(Sum("waiting_orders", alias_name="waiting_orders"))
     )
 
-    # supplier names: bounded dimension — gated broadcast, join fallback
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
-
-    if broadcast_build_fits(
-        f"{sf_dir}/supplier.parquet",
-        bytes_per_key=32,
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
-    ):
-        import pyarrow.parquet as pq
-
-        supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"])
-        s_keys = np.asarray(supp["s_suppkey"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        order = np.argsort(s_keys)
-        s_keys = s_keys[order]
-        s_names = np.asarray(supp["s_name"].to_pylist(), dtype=object)[order]
-
-        def attach(batch: pa.Table) -> pa.Table:
-            sk = batch["s_suppkey"].to_numpy(zero_copy_only=False)
-            idx = np.clip(np.searchsorted(s_keys, sk), 0, max(len(s_keys) - 1, 0))
-            # verify the lookup: an FK-orphan suppkey must DROP (the
-            # inner-join semantics the fallback twin and oracle share),
-            # not inherit the nearest supplier's name
-            hit = s_keys[idx] == sk if len(s_keys) else np.zeros(len(sk), bool)
-            t = batch.filter(pa.array(hit))
-            return t.append_column(
-                "s_name", pa.array(s_names[idx[hit]].astype(str), pa.string())
-            )
-
-        named = counts.map_batches(attach, batch_format="pyarrow", batch_size=None)
-    else:
-        supp_ds = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
-        named = counts.join(
-            supp_ds,
-            join_type="inner",
-            num_partitions=_join_partitions(),
-            on=("s_suppkey",),
-            right_on=("s_suppkey",),
-        )
-
+    named = keyed_join(
+        counts,
+        sf_dir,
+        "supplier",
+        fact_key="s_suppkey",
+        dim_key="s_suppkey",
+        cols=["s_name"],
+        budget_bytes=budget_bytes,
+    )
     return named.sort(["waiting_orders", "s_suppkey"], descending=[True, False]).limit(k)
 
 
@@ -1041,11 +864,9 @@ def q_idle_rich_customers(
     count — the strict test ``cents·n > Σ`` stays in integers; at
     planetary row counts the product still fits int64 only because
     cents ≤ 10⁶, noted in the assert). The anti side — custkeys with an
-    order above the threshold — is footer-gated: broadcast as a sorted
-    key array within budget, bucket-shuffle twin beyond."""
+    order above the threshold — is one :func:`~..core.join.keyed_join`
+    anti join."""
     from ray.data.aggregate import Sum
-
-    from ..core.util import broadcast_build_fits
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
 
@@ -1078,67 +899,17 @@ def q_idle_rich_customers(
             }
         )
 
-    rich_ds = cust.map_batches(rich, batch_format="pyarrow", batch_size=None)
-
-    from ..core.util import BROADCAST_BUDGET_BYTES
-
-    if broadcast_build_fits(
-        f"{sf_dir}/orders.parquet",
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
-    ):
-        import pyarrow.parquet as pq
-
-        ok_tbl = pq.read_table(
-            f"{sf_dir}/orders.parquet",
-            columns=["o_custkey"],
-            filters=[("o_totalprice", ">", min_order_total)],
-        )
-        big_keys = np.unique(
-            ok_tbl["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-
-        def anti(batch: pa.Table) -> pa.Table:
-            ck = batch["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            if len(big_keys):
-                idx = np.clip(np.searchsorted(big_keys, ck), 0, len(big_keys) - 1)
-                keep = big_keys[idx] != ck
-            else:
-                keep = np.ones(len(ck), bool)
-            return batch.filter(pa.array(keep))
-
-        idle = rich_ds.map_batches(anti, batch_format="pyarrow", batch_size=None)
-    else:
-        # shuffle twin: both sides meet on custkey % B, per-bucket
-        # vectorized NOT-IN — the same exchange as the ops.py
-        # semi/anti family
-        orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-        def big_order_keys(batch: pa.Table) -> pa.Table:
-            t = batch.filter(pc.greater(batch["o_totalprice"], min_order_total))
-            ck = np.unique(t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64))
-            return pa.table({"o_custkey": pa.array(ck, pa.int64())})
-
-        def anti_bucket(big: pa.Table, cu: pa.Table) -> pa.Table:
-            hit = pc.is_in(cu["c_custkey"], value_set=big["o_custkey"].combine_chunks())
-            return cu.filter(pc.invert(hit))
-
-        idle = exchange(
-            [
-                (
-                    orders.map_batches(big_order_keys, batch_format="pyarrow", batch_size=None),
-                    "o_custkey",
-                    pa.schema({"o_custkey": pa.int64()}),
-                ),
-                (
-                    rich_ds,
-                    "c_custkey",
-                    pa.schema(
-                        {"c_custkey": pa.int64(), "c_nationkey": pa.int64(), "acctbal_cents": pa.int64()}
-                    ),
-                ),
-            ],
-            anti_bucket,
-        )
+    idle = keyed_join(
+        cust.map_batches(rich, batch_format="pyarrow", batch_size=None),
+        sf_dir,
+        "orders",
+        fact_key="c_custkey",
+        dim_key="o_custkey",
+        how="anti",
+        dim_filter=lambda t: t.filter(pc.greater(t["o_totalprice"], min_order_total)),
+        filter_cols=["o_totalprice"],
+        budget_bytes=budget_bytes,
+    )
 
     def nation_partial(batch: pa.Table) -> pa.Table:
         nk = batch["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1712,81 +1483,39 @@ def q_brand_mode_qty(sf_dir: str, budget_bytes: int | None = None):
     of cheapest_supplier's argmin pack. The exchange carries the
     (brand, qty) count summary; quantities are small integers so the
     summary is bounded by |brands|×|qty values| per batch."""
-    import pandas as pd
-    import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
-
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
 
-    if broadcast_build_fits(
-        f"{sf_dir}/part.parquet",
-        bytes_per_key=24,
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
-    ):
-        part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])
-        pk = np.asarray(part["p_partkey"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        order = np.argsort(pk)
-        pk = pk[order]
-        brand = np.asarray(part["p_brand"].to_pylist(), dtype=object)[order]
-
-        def partial(batch: pa.Table) -> pa.Table:
-            keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            qty = _qty_int(batch["l_quantity"])
-            assert qty.max(initial=0) < (1 << 10)
-            idx = np.clip(np.searchsorted(pk, keys), 0, max(len(pk) - 1, 0))
-            hit = pk[idx] == keys if len(pk) else np.zeros(len(keys), bool)
-            df = pd.DataFrame({"b": brand[idx[hit]], "q": qty[hit]})
-            g = df.groupby(["b", "q"], as_index=False).size()
-            return pa.table(
-                {
-                    "p_brand": pa.array(g["b"].astype(str), pa.string()),
-                    "qty": pa.array(g["q"].to_numpy(dtype=np.int64)),
-                    "cnt": pa.array(g["size"].to_numpy(dtype=np.int64)),
-                }
-            )
-
-        tagged = li.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    else:
-        # past the budget: pre-aggregate to the (partkey, qty) grain
-        # and hash-join part instead of shipping the dimension around
-        def per_part_qty(batch: pa.Table) -> pa.Table:
-            keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            qty = _qty_int(batch["l_quantity"])
-            assert qty.max(initial=0) < (1 << 10) and keys.max(initial=0) < (1 << 53)
-            pack = (keys << 10) | qty
-            uniq, counts = np.unique(pack, return_counts=True)
-            return pa.table(
-                {
-                    "l_partkey": pa.array(uniq >> 10),
-                    "qty": pa.array(uniq & ((1 << 10) - 1)),
-                    "cnt": pa.array(counts.astype(np.int64)),
-                }
-            )
-
-        part_ds = _read(sf_dir, "part", ["p_partkey", "p_brand"])
-        joined = li.map_batches(
-            per_part_qty, batch_format="pyarrow", batch_size=None
-        ).join(
-            part_ds,
-            join_type="inner",
-            num_partitions=_join_partitions(),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
+    def per_part_qty(batch: pa.Table) -> pa.Table:
+        keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        qty = _qty_int(batch["l_quantity"])
+        assert qty.max(initial=0) < (1 << 10) and keys.max(initial=0) < (1 << 53)
+        pack = (keys << 10) | qty
+        uniq, counts = np.unique(pack, return_counts=True)
+        return pa.table(
+            {
+                "l_partkey": pa.array(uniq >> 10),
+                "qty": pa.array(uniq & ((1 << 10) - 1)),
+                "cnt": pa.array(counts.astype(np.int64)),
+            }
         )
 
-        def project(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "p_brand": batch["p_brand"],
-                    "qty": batch["qty"],
-                    "cnt": batch["cnt"],
-                }
-            )
+    joined = keyed_join(
+        li.map_batches(per_part_qty, batch_format="pyarrow", batch_size=None),
+        sf_dir,
+        "part",
+        fact_key="l_partkey",
+        dim_key="p_partkey",
+        cols=["p_brand"],
+        budget_bytes=budget_bytes,
+    )
 
-        tagged = joined.map_batches(project, batch_format="pyarrow", batch_size=None)
+    def brand_qty(batch: pa.Table) -> pa.Table:
+        g = batch.group_by(["p_brand", "qty"]).aggregate([("cnt", "sum")])
+        return pa.table({"p_brand": g["p_brand"], "qty": g["qty"], "cnt": g["cnt_sum"]})
 
+    tagged = joined.map_batches(brand_qty, batch_format="pyarrow", batch_size=None)
     summary = tagged.groupby(["p_brand", "qty"]).aggregate(Sum("cnt", alias_name="cnt"))
 
     def pack(batch: pa.Table) -> pa.Table:

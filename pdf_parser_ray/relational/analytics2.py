@@ -36,8 +36,7 @@ prune at the read, exact integer arithmetic end to end (cents ×
 (100 − discount-percent) products, µs timestamps, integer quantities)
 so distributed sums are order-free and hash-identical to the oracle,
 pre-aggregate to the coarsest sufficient grain before every exchange,
-and keep every dimension attach behind one footer-gated
-broadcast-vs-join crossover (:func:`_dim_join`).
+and attach every dimension through :func:`~..core.join.keyed_join`.
 
 Reference parity: the reference engine's extraction pipelines
 (``extractor.py``, ``response_extractor.py``) have no relational
@@ -52,8 +51,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .ops import _cents, _read
-from .analytics import _join_partitions, _qty_int
+from .analytics import _qty_int
 from ..core.exchange import exchange
+from ..core.join import keyed_join, session_buckets
 
 _US = np.int64(86_400_000_000)
 
@@ -74,111 +74,6 @@ def _year_of(us: np.ndarray) -> np.ndarray:
     """µs since epoch → calendar year, vectorized."""
     return (
         us.astype("datetime64[us]").astype("datetime64[Y]").astype(np.int64) + 1970
-    )
-
-
-def _dim_join(
-    fact,
-    sf_dir: str,
-    table: str,
-    *,
-    fact_key: str,
-    dim_key: str,
-    cols: list[str],
-    dim_filter=None,
-    filter_cols: list[str] | None = None,
-    budget_bytes: int | None = None,
-    bytes_per_key: int = 32,
-    num_partitions: int | None = None,
-):
-    """Attach dimension columns to a fact Dataset by key (inner join),
-    behind the measured broadcast-vs-shuffle crossover.
-
-    When the dimension's parquet footer says the keyed columns fit the
-    broadcast budget, the (optionally pre-filtered) dimension is read
-    once on the driver, sorted by key, and shipped to every task as
-    plain arrays; each batch gathers its columns via one
-    ``searchsorted`` — zero exchanges. Past the budget it degrades to
-    a co-partitioned :func:`~..core.exchange.exchange` of the fact and
-    the dimension read (``num_partitions`` buckets) — one exchange at
-    fact grain, the honest cost when the "dimension" is itself huge —
-    where each bucket joins its rows in Arrow. Both paths drop fact
-    rows with no match (inner), so FK orphans behave identically, and
-    yield the same columns: the fact's, then ``cols``. ``cols=[]``
-    turns the attach into a pure semi-join membership filter.
-
-    ``dim_filter`` (pa.Table → pa.Table, referencing only ``cols`` /
-    ``filter_cols`` columns) applies the dimension predicate before the
-    dimension rows meet the fact: on the broadcast path before the key
-    set ships (a selective predicate shrinks the broadcast), on the
-    exchange path in each bucket. ``filter_cols`` names the extra
-    columns the predicate reads that are NOT attached to the fact side
-    (read for the filter, then dropped). A side filtered empty, or a
-    fact with no rows, gives an empty result, not an error: the
-    exchange hands each fold the dimension's schema as read from its
-    footer, and the fact's as Ray knows it (Ray runs a fact built by a
-    map or a fold up to its first block to learn it).
-    """
-    import pyarrow.parquet as pq
-
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
-
-    read_cols = [dim_key] + cols + [
-        c for c in (filter_cols or []) if c not in cols
-    ]
-    path = f"{sf_dir}/{table}.parquet"
-    if broadcast_build_fits(
-        path,
-        bytes_per_key=bytes_per_key,
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
-    ):
-        dim = pq.read_table(path, columns=read_cols)
-        if dim_filter is not None:
-            dim = dim_filter(dim)
-        keys = dim[dim_key].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(keys)
-        keys = keys[order]
-        vals = {
-            c: (
-                dim[c].to_numpy(zero_copy_only=False)[order],
-                dim.schema.field(c).type,
-            )
-            for c in cols
-        }
-
-        def gather(batch: pa.Table) -> pa.Table:
-            fk = batch[fact_key].to_numpy(zero_copy_only=False).astype(np.int64)
-            if len(keys):
-                idx = np.clip(np.searchsorted(keys, fk), 0, len(keys) - 1)
-                hit = keys[idx] == fk
-            else:
-                idx = np.zeros(len(fk), np.int64)
-                hit = np.zeros(len(fk), bool)
-            batch = batch.filter(pa.array(hit))
-            sel = idx[hit]
-            for c, (arr, typ) in vals.items():
-                batch = batch.append_column(c, pa.array(arr[sel], typ))
-            return batch
-
-        return fact.map_batches(gather, batch_format="pyarrow", batch_size=None)
-
-    footer = pq.read_schema(path)
-    dim_schema = pa.schema([pa.field(c, footer.field(c).type) for c in read_cols])
-    known = fact.schema()
-    fact_schema = known.base_schema if known is not None else None
-
-    def attach(f: pa.Table, d: pa.Table) -> pa.Table:
-        if dim_filter is not None:
-            d = dim_filter(d)
-        d = d.select([dim_key] + cols)
-        # the key types may differ in width; the dim key is not kept
-        d = d.set_column(0, dim_key, d[dim_key].cast(f.schema.field(fact_key).type))
-        return f.join(d, keys=fact_key, right_keys=dim_key, join_type="inner")
-
-    return exchange(
-        [(fact, fact_key, fact_schema), (_read(sf_dir, table, read_cols), dim_key, dim_schema)],
-        attach,
-        n_buckets=num_partitions or _join_partitions(),
     )
 
 
@@ -305,7 +200,7 @@ def q_nation_trade_volume(sf_dir: str, budget_bytes: int | None = None):
         "lineitem",
         ["l_orderkey", "l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
     )
-    li = _dim_join(
+    li = keyed_join(
         li,
         sf_dir,
         "supplier",
@@ -349,7 +244,7 @@ def q_nation_trade_volume(sf_dir: str, budget_bytes: int | None = None):
     supp_side = li.map_batches(reduce_lines, batch_format="pyarrow", batch_size=None)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    orders = _dim_join(
+    orders = keyed_join(
         orders,
         sf_dir,
         "customer",
@@ -485,8 +380,8 @@ def q_market_share(sf_dir: str, budget_bytes: int | None = None):
         "lineitem",
         ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
     )
-    li = _dim_join_promo(li, sf_dir, budget_bytes)
-    li = _dim_join(
+    li = _promo_parts(li, sf_dir, budget_bytes)
+    li = keyed_join(
         li,
         sf_dir,
         "supplier",
@@ -516,7 +411,7 @@ def q_market_share(sf_dir: str, budget_bytes: int | None = None):
     per_order_ds = li.map_batches(per_order, batch_format="pyarrow", batch_size=None)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-    orders = _dim_join(
+    orders = keyed_join(
         orders,
         sf_dir,
         "customer",
@@ -600,17 +495,17 @@ def q_market_share(sf_dir: str, budget_bytes: int | None = None):
     return df.sort_values("o_year").reset_index(drop=True)
 
 
-def _dim_join_promo(li, sf_dir: str, budget_bytes: int | None):
+def _promo_parts(li, sf_dir: str, budget_bytes: int | None):
     """PROMO-part semi filter on lineitem (the Q8 part attach): the
     dimension predicate runs before the gated broadcast/join so only
     PROMO keys ship."""
-    return _dim_join(
+    return keyed_join(
         li,
         sf_dir,
         "part",
         fact_key="l_partkey",
         dim_key="p_partkey",
-        cols=[],
+        how="semi",
         dim_filter=_promo_only,
         filter_cols=["p_type"],
         budget_bytes=budget_bytes,
@@ -681,7 +576,7 @@ def q_product_profit(sf_dir: str, token: str = "bolt", budget_bytes: int | None 
             "l_discount",
         ],
     )
-    li = _dim_join(
+    li = keyed_join(
         li,
         sf_dir,
         "part",
@@ -691,7 +586,7 @@ def q_product_profit(sf_dir: str, token: str = "bolt", budget_bytes: int | None 
         dim_filter=name_match,
         budget_bytes=budget_bytes,
     )
-    li = _dim_join(
+    li = keyed_join(
         li,
         sf_dir,
         "supplier",
@@ -914,7 +809,7 @@ def q_returned_item_revenue(
         .groupby("o_custkey")
         .aggregate(Sum("revenue_cents2", alias_name="revenue_cents2"))
     )
-    with_dim = _dim_join(
+    with_dim = keyed_join(
         per_customer,
         sf_dir,
         "customer",
@@ -1117,7 +1012,7 @@ def q_top_supplier(sf_dir: str, budget_bytes: int | None = None):
     )
     # Winner set is tiny (ties at the max): one exchange bucket is the
     # right plan at this cardinality.
-    named = _dim_join(
+    named = keyed_join(
         winners,
         sf_dir,
         "supplier",
@@ -1125,7 +1020,7 @@ def q_top_supplier(sf_dir: str, budget_bytes: int | None = None):
         dim_key="s_suppkey",
         cols=["s_name"],
         budget_bytes=budget_bytes,
-        num_partitions=1,
+        n_buckets=1,
     )
 
     def label(batch: pa.Table) -> pa.Table:
@@ -1182,13 +1077,13 @@ def q_prolific_part_suppliers(sf_dir: str, budget_bytes: int | None = None):
     lo, hi = _day_us("1996-01-01"), _day_us("1997-01-01")
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_shipdate", "l_quantity"])
-    li = _dim_join(
+    li = keyed_join(
         li,
         sf_dir,
         "part",
         fact_key="l_partkey",
         dim_key="p_partkey",
-        cols=[],
+        how="semi",
         dim_filter=lambda t: t.filter(pc.starts_with(t["p_name"], "small")),
         filter_cols=["p_name"],
         budget_bytes=budget_bytes,
@@ -1232,7 +1127,7 @@ def q_prolific_part_suppliers(sf_dir: str, budget_bytes: int | None = None):
     n_qual = int(qualified.count())
     if n_qual == 0:
         return qualified
-    named = _dim_join(
+    named = keyed_join(
         qualified,
         sf_dir,
         "supplier",
@@ -1240,7 +1135,7 @@ def q_prolific_part_suppliers(sf_dir: str, budget_bytes: int | None = None):
         dim_key="s_suppkey",
         cols=["s_name", "s_nationkey"],
         budget_bytes=budget_bytes,
-        num_partitions=max(1, min(_join_partitions(), n_qual // 1024 + 1)),
+        n_buckets=max(1, min(session_buckets(), n_qual // 1024 + 1)),
     )
 
     def africa_only(batch: pa.Table) -> pa.Table:

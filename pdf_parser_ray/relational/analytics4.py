@@ -18,6 +18,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.exchange import exchange
+from ..core.join import keyed_join
 from .ops import _cents, _read, _rhalf
 from .analytics2 import _ts_us
 
@@ -1084,15 +1085,13 @@ def q_brand_momentum(sf_dir: str):
     by ``rev_prev_cents2 = 0``). Missing brand-months count 0.
 
     Shape: per-batch (partkey, month → Σrev) partials under the
-    ``brand_revenue`` hash join (probe side ships ≤ distinct
+    ``brand_revenue`` keyed join (probe side ships ≤ distinct
     (partkey, recent-month) pairs per block — months outside the
     final two are dropped BEFORE the join), then a tiny
     (brand, month) groupby and a ≤ #brands driver fold.
     """
     import pandas as pd
     from ray.data.aggregate import Sum
-
-    from ..core.util import join_partitions
 
     li = _read(
         sf_dir,
@@ -1131,15 +1130,14 @@ def q_brand_momentum(sf_dir: str):
             }
         )
 
-    part = _read(sf_dir, "part", ["p_partkey", "p_brand"])
     joined = (
-        li.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .join(
-            part,
-            join_type="inner",
-            num_partitions=join_partitions(),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
+        keyed_join(
+            li.map_batches(prep, batch_format="pyarrow", batch_size=None),
+            sf_dir,
+            "part",
+            fact_key="l_partkey",
+            dim_key="p_partkey",
+            cols=["p_brand"],
         )
         .groupby(["p_brand", "month"])
         .aggregate(Sum("rev", alias_name="rev"))
@@ -1542,27 +1540,49 @@ def q_ship_latency_percentiles(
     ``(n−1)//2``, p95 at ``19·(n−1)//20`` — no float enters); both
     shapes share one oracle.
 
-    Scale shape — the measured broadcast/shuffle crossover every join
-    in this repo uses (:func:`~..core.util.broadcast_build_fits`, 24
-    B/key on the orders footer row count): within budget the
-    (orderkey → order-day, priority) lookup broadcasts into the
-    lineitem scan — ZERO all-to-alls, per-batch (priority, latency)
-    cells stream to a bounded driver merge (≤ blocks × latency-domain
-    rows). Beyond budget, the orderkey bucket join
-    (:func:`~pdf_parser_ray.core.exchange.exchange`, ONE
-    all-to-all; lineitem pre-reduced to (order, ship-day) count cells)
-    folds each bucket to the same cells. The percentile read-off runs
-    on the value-count summary either way.
+    Scale shape: lineitem meets orders in one
+    :func:`~..core.join.keyed_join` (the (order-day, priority) lookup
+    broadcasts into the lineitem scan within budget; an orderkey
+    exchange beyond it), each batch then counts its (priority,
+    latency) cells, and those ≤ blocks × priorities × latency-domain
+    rows reach the driver. The percentile read-off runs on that
+    value-count summary.
     """
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
+    import pandas as pd
 
-    if broadcast_build_fits(
-        f"{sf_dir}/orders.parquet",
-        bytes_per_key=24,
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
-    ):
-        return _ship_latency_broadcast(sf_dir)
-    return _ship_latency_shuffle(sf_dir, n_buckets)
+    lines = keyed_join(
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]),
+        sf_dir,
+        "orders",
+        fact_key="l_orderkey",
+        dim_key="o_orderkey",
+        cols=["o_orderdate", "o_orderpriority"],
+        budget_bytes=budget_bytes,
+        n_buckets=n_buckets,
+    )
+
+    def cells(batch: pa.Table) -> pa.Table:
+        ship_day = _ts_us(batch["l_shipdate"]) // _DAY_US
+        lat = ship_day - _ts_us(batch["o_orderdate"]) // _DAY_US
+        pr = batch["o_orderpriority"].to_numpy(zero_copy_only=False)
+        agg = (
+            pd.DataFrame({"pr": pr, "lat": lat})
+            .groupby(["pr", "lat"], sort=False)
+            .size()
+            .reset_index(name="n")
+        )
+        return pa.table(
+            {
+                "pr": pa.array(agg["pr"].astype(str), pa.string()),
+                "lat": pa.array(agg["lat"].to_numpy(np.int64), pa.int64()),
+                "n": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
+            }
+        )
+
+    parts = lines.map_batches(
+        cells, batch_format="pyarrow", batch_size=None
+    ).to_pandas()  # ≤ blocks × priorities × latency-domain rows
+    return _latency_fold(parts)
 
 
 def _latency_fold(cells: "object"):
@@ -1593,126 +1613,6 @@ def _latency_fold(cells: "object"):
         {c: np.int64 for c in ("n_lines", "min_days", "max_days",
                                "median_days", "p95_days")}
     )
-
-
-def _ship_latency_broadcast(sf_dir: str):
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    ot = pq.read_table(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
-    )
-    ok = ot["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order_idx = np.argsort(ok, kind="stable")
-    key_arr = ok[order_idx]
-    day_arr = (_ts_us(ot["o_orderdate"]) // _DAY_US)[order_idx]
-    pr_raw = ot["o_orderpriority"].to_numpy(zero_copy_only=False)[order_idx]
-    names, pr_codes = np.unique(pr_raw, return_inverse=True)
-    pr_arr = pr_codes.astype(np.int64)
-
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-
-    def cells(batch: pa.Table) -> pa.Table:
-        key = batch["l_orderkey"].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(key_arr, key)
-        lat = _ts_us(batch["l_shipdate"]) // _DAY_US - day_arr[idx]
-        agg = (
-            pd.DataFrame({"pr_id": pr_arr[idx], "lat": lat})
-            .groupby(["pr_id", "lat"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "pr_id": pa.array(agg["pr_id"].to_numpy(np.int64), pa.int64()),
-                "lat": pa.array(agg["lat"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    parts = li.map_batches(
-        cells, batch_format="pyarrow", batch_size=None
-    ).to_pandas()  # ≤ blocks × priorities × latency-domain rows
-    parts = parts.assign(pr=names[parts["pr_id"].to_numpy(np.int64)])
-    return _latency_fold(parts[["pr", "lat", "n"]])
-
-
-def _ship_latency_shuffle(sf_dir: str, n_buckets: int = 32):
-    import pandas as pd
-
-    from ..core.exchange import exchange
-
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-    orders = _read(
-        sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
-    )
-
-    def prep_li(batch: pa.Table) -> pa.Table:
-        agg = (
-            pd.DataFrame(
-                {
-                    "l_orderkey": batch["l_orderkey"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "ship_day": _ts_us(batch["l_shipdate"]) // _DAY_US,
-                }
-            )
-            .groupby(["l_orderkey", "ship_day"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "l_orderkey": pa.array(
-                    agg["l_orderkey"].to_numpy(np.int64), pa.int64()
-                ),
-                "ship_day": pa.array(
-                    agg["ship_day"].to_numpy(np.int64), pa.int64()
-                ),
-                "n": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    def prep_orders(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_orderkey": batch["o_orderkey"],
-                "ord_day": pa.array(
-                    _ts_us(batch["o_orderdate"]) // _DAY_US, pa.int64()
-                ),
-                "pr": batch["o_orderpriority"],
-            }
-        )
-
-    def cells(lines: pa.Table, ords: pa.Table) -> pa.Table:
-        j = lines.to_pandas().merge(ords.to_pandas(), left_on="l_orderkey", right_on="o_orderkey")
-        lat = j["ship_day"].to_numpy(np.int64) - j["ord_day"].to_numpy(np.int64)
-        agg = (
-            pd.DataFrame({"pr": j["pr"].to_numpy(), "lat": lat,
-                          "n": j["n"].to_numpy(np.int64)})
-            .groupby(["pr", "lat"], sort=False)["n"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "pr": pa.array(agg["pr"].astype(str), pa.string()),
-                "lat": pa.array(agg["lat"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    lines = li.map_batches(prep_li, batch_format="pyarrow", batch_size=None)
-    ords = orders.map_batches(prep_orders, batch_format="pyarrow", batch_size=None)
-    lines_schema = pa.schema({"l_orderkey": pa.int64(), "ship_day": pa.int64(), "n": pa.int64()})
-    ords_schema = pa.schema({"o_orderkey": pa.int64(), "ord_day": pa.int64(), "pr": pa.string()})
-    parts = exchange(
-        [(lines, "l_orderkey", lines_schema), (ords, "o_orderkey", ords_schema)],
-        cells,
-        n_buckets=n_buckets,
-    ).to_pandas()  # ≤ buckets × priorities × latency-domain rows
-    return _latency_fold(parts)
 
 
 _SQL_SHIP_LATENCY = """

@@ -34,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core.exchange import exchange
+from ..core.join import keyed_join
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -418,131 +419,76 @@ def q_segment_revenue_salted(sf_dir: str, n_buckets: int = 16, n_salts: int = 4)
 
 
 # ---------------------------------------------------------------------------
-# Q7/Q8 — semi / anti join via broadcast key set
+# Q7/Q8 — semi / anti join on the orders' custkeys
 # ---------------------------------------------------------------------------
 
-def _customer_order_filter(sf_dir: str, keep_with_orders: bool, min_total: float | None = None):
-    import pyarrow.parquet as pq
-
-    cols = ["o_custkey"] + (["o_totalprice"] if min_total is not None else [])
-    okeys = pq.read_table(f"{sf_dir}/orders.parquet", columns=cols)
-    if min_total is not None:
-        okeys = okeys.filter(pc.greater(okeys["o_totalprice"], min_total))
-    keyset = set(okeys["o_custkey"].to_pylist())
-    key_arr = np.array(sorted(keyset), dtype=np.int64)
-
-    ds = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
-
-    def fn(batch: pa.Table) -> pa.Table:
-        ck = batch["c_custkey"].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(key_arr, ck)
-        idx = np.clip(idx, 0, len(key_arr) - 1)
-        present = key_arr[idx] == ck if len(key_arr) else np.zeros(len(ck), bool)
-        mask = present if keep_with_orders else ~present
-        t = batch.filter(pa.array(mask))
-        return pa.table(
-            {
-                "c_custkey": t["c_custkey"],
-                "c_name": t["c_name"],
-                "acctbal_cents": _cents(t["c_acctbal"]),
-            }
-        )
-
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
-
-
-def _customer_order_filter_shuffle(
+def _customers_by_orders(
     sf_dir: str,
-    keep_with_orders: bool,
+    how: str,
     min_total: float | None = None,
-    n_buckets: int = 16,
-    customer_ds=None,
+    budget_bytes: int | None = None,
+    n_buckets: int | None = None,
+    customer=None,
 ):
-    """Bucket-shuffle twin of :func:`_customer_order_filter`: both
-    sides hash into ``key % B`` buckets (order keys pre-deduped per
-    batch so the exchange carries one row per (batch, key)), one coarse
-    groupby, vectorized membership test (negated for anti) per
-    partition. ``customer_ds`` lets a caller substitute a pre-filtered
-    probe side (the Bloom shape) — it must carry the customer
-    schema."""
-    ocols = ["o_custkey"] + (["o_totalprice"] if min_total is not None else [])
-    orders = _read(sf_dir, "orders", ocols)
+    """Customers with (``how="semi"``) or without (``"anti"``) an order
+    above ``min_total`` — one :func:`~..core.join.keyed_join` of the
+    customer rows (or a caller's pre-filtered ``customer`` Dataset with
+    the customer columns) against the orders' custkeys."""
     customer = (
-        customer_ds
-        if customer_ds is not None
+        customer
+        if customer is not None
         else _read(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
     )
-
-    def order_keys(batch: pa.Table) -> pa.Table:
-        if min_total is not None:
-            batch = batch.filter(pc.greater(batch["o_totalprice"], min_total))
-        ck = np.unique(batch["o_custkey"].to_numpy(zero_copy_only=False))
-        return pa.table({"o_custkey": pa.array(ck, pa.int64())})
-
-    def semi_bucket(okeys: pa.Table, cust: pa.Table) -> pa.Table:
-        mask = pc.is_in(cust["c_custkey"], value_set=okeys["o_custkey"].combine_chunks())
-        kept = cust.filter(mask if keep_with_orders else pc.invert(mask))
-        return pa.table(
-            {
-                "c_custkey": pc.cast(kept["c_custkey"], pa.int64()),
-                "c_name": pc.cast(kept["c_name"], pa.string()),
-                "acctbal_cents": _cents(kept["c_acctbal"]),
-            }
-        )
-
-    return exchange(
-        [
-            (
-                orders.map_batches(order_keys, batch_format="pyarrow", batch_size=None),
-                "o_custkey",
-                pa.schema({"o_custkey": pa.int64()}),
-            ),
-            (
-                customer,
-                "c_custkey",
-                pa.schema({"c_custkey": pa.int64(), "c_name": pa.string(), "c_acctbal": pa.float64()}),
-            ),
-        ],
-        semi_bucket,
+    kept = keyed_join(
+        customer,
+        sf_dir,
+        "orders",
+        fact_key="c_custkey",
+        dim_key="o_custkey",
+        how=how,
+        dim_filter=(
+            None
+            if min_total is None
+            else lambda t: t.filter(pc.greater(t["o_totalprice"], min_total))
+        ),
+        filter_cols=[] if min_total is None else ["o_totalprice"],
+        budget_bytes=budget_bytes,
         n_buckets=n_buckets,
     )
 
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "c_custkey": pc.cast(batch["c_custkey"], pa.int64()),
+                "c_name": pc.cast(batch["c_name"], pa.string()),
+                "acctbal_cents": _cents(batch["c_acctbal"]),
+            }
+        )
+
+    return kept.map_batches(project, batch_format="pyarrow", batch_size=None)
+
 
 def q_customers_with_orders(sf_dir: str, budget_bytes: int | None = None):
-    """Semi join with measured broadcast/shuffle crossover: while the
-    build side (orders keys, upper-bounded from parquet footer row
-    count — :func:`~..core.util.broadcast_build_fits`) fits a worker
-    heap, broadcast the sorted key set and membership-test with a
-    vectorized searchsorted (no shuffle); beyond the budget, switch to
-    the bucket-shuffle twin. Both shapes share one oracle; the switch
-    is exercised both ways in ``test_new_ops.py``."""
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
-
-    if broadcast_build_fits(
-        f"{sf_dir}/orders.parquet", budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES
-    ):
-        return _customer_order_filter(sf_dir, True)
-    return _customer_order_filter_shuffle(sf_dir, True)
+    """Semi join: customers with at least one order. The keyed join
+    broadcasts the orders' custkeys while their footer size fits the
+    budget and exchanges both sides on custkey beyond it."""
+    return _customers_by_orders(sf_dir, "semi", budget_bytes=budget_bytes)
 
 
 def q_customers_without_orders(sf_dir: str, budget_bytes: int | None = None):
-    """Anti join: customers with no order above $450k — same measured
-    broadcast/shuffle crossover as the semi join, negated mask (the
-    min-total filter keeps the broadcast side small and the result
-    non-empty at every sf)."""
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
-
-    if broadcast_build_fits(
-        f"{sf_dir}/orders.parquet", budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES
-    ):
-        return _customer_order_filter(sf_dir, False, min_total=450000.0)
-    return _customer_order_filter_shuffle(sf_dir, False, min_total=450000.0)
+    """Anti join: customers with no order above $450k (the min-total
+    filter keeps the build side small and the result non-empty at
+    every sf)."""
+    return _customers_by_orders(
+        sf_dir, "anti", min_total=450000.0, budget_bytes=budget_bytes
+    )
 
 
 def q_customers_with_orders_shuffle(sf_dir: str, n_buckets: int = 16):
-    """The shuffle twin exposed as its own query so the driver oracles
-    the scale shape directly (same SQL as the broadcast path)."""
-    return _customer_order_filter_shuffle(sf_dir, True, n_buckets=n_buckets)
+    """The exchange plan of :func:`q_customers_with_orders` exposed as
+    its own query so the driver oracles the scale shape directly (a
+    zero budget forces it; same SQL)."""
+    return _customers_by_orders(sf_dir, "semi", budget_bytes=0, n_buckets=n_buckets)
 
 
 def q_top_revenue_orders(
@@ -557,16 +503,12 @@ def q_top_revenue_orders(
     ``customer(segment) ⊳ orders(< cutoff) ⋈ lineitem(> cutoff,
     pre-aggregated)`` → top-k orders by exact revenue.
 
-    Scale shape, stage by stage: the customer⊳orders semi join is
-    sized like every other build side
-    (:func:`~..core.util.broadcast_build_fits` on the customer
-    footer): within budget the segment's customer KEYS come from a
-    row-group-filtered dimension read and broadcast into the orders
-    scan; beyond it the keys and orders meet in an extra ``custkey %
-    B`` bucket exchange (same semi-join shape as
-    ``q_customers_with_orders``'s shuffle twin; both shapes share this
-    query's oracle and the switch is exercised both ways in
-    ``TestBroadcastShuffleCrossover``). Lineitem — the 100-TB fact
+    Scale shape, stage by stage: the customer⊳orders semi join is one
+    :func:`~..core.join.keyed_join` of the date-filtered orders against
+    the segment's customer keys, broadcast within budget and a
+    ``custkey`` exchange beyond it (both plans share this query's
+    oracle and are exercised in ``TestBroadcastShuffleCrossover``).
+    Lineitem — the 100-TB fact
     side — never joins raw: each batch pre-sums exact revenue
     (cents × (100−disc), the ``cents2`` convention) per orderkey, so
     the orderkey exchange carries O(distinct keys × blocks) partials.
@@ -575,78 +517,26 @@ def q_top_revenue_orders(
     all-to-all sort in the query, and it runs on the already-aggregated
     grain, never on lineitems."""
     import pandas as pd
-    import pyarrow.parquet as pq
-
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
 
     cut = np.datetime64(cutoff)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
 
-    if broadcast_build_fits(
-        f"{sf_dir}/customer.parquet",
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
-    ):
-        ck_tbl = pq.read_table(
-            f"{sf_dir}/customer.parquet",
-            columns=["c_custkey", "c_mktsegment"],
-            filters=[("c_mktsegment", "=", segment)],
-        )
-        key_arr = np.sort(ck_tbl["c_custkey"].to_numpy(zero_copy_only=False))
+    def early_orders(batch: pa.Table) -> pa.Table:
+        od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
+        return batch.filter(pa.array(od < cut))
 
-        def order_side(batch: pa.Table) -> pa.Table:
-            od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
-            ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-            idx = np.clip(np.searchsorted(key_arr, ck), 0, max(len(key_arr) - 1, 0))
-            in_seg = key_arr[idx] == ck if len(key_arr) else np.zeros(len(ck), bool)
-            return batch.filter(pa.array(in_seg & (od < cut))).select(
-                ["o_orderkey", "o_orderdate"]
-            )
-
-        seg_orders = orders.map_batches(
-            order_side, batch_format="pyarrow", batch_size=None
-        )
-    else:
-        # Shuffle twin for the semi join: orders (date-filtered) and
-        # segment customer keys exchange once on custkey; a partition
-        # keeps its orders whose custkey appears on the customer side,
-        # at the orderkey grain for the downstream join.
-        customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-
-        def early_orders(batch: pa.Table) -> pa.Table:
-            od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(od < cut))
-
-        def seg_cust(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.equal(batch["c_mktsegment"], segment))
-
-        def semi_bucket(ords: pa.Table, cust: pa.Table) -> pa.Table:
-            kept = ords.filter(
-                pc.is_in(ords["o_custkey"], value_set=cust["c_custkey"].combine_chunks())
-            )
-            return kept.select(["o_orderkey", "o_orderdate"])
-
-        seg_orders = exchange(
-            [
-                (
-                    orders.map_batches(early_orders, batch_format="pyarrow", batch_size=None),
-                    "o_custkey",
-                    pa.schema(
-                        {
-                            "o_orderkey": pa.int64(),
-                            "o_custkey": pa.int64(),
-                            "o_orderdate": pa.timestamp("us"),
-                        }
-                    ),
-                ),
-                (
-                    customer.map_batches(seg_cust, batch_format="pyarrow", batch_size=None),
-                    "c_custkey",
-                    pa.schema({"c_custkey": pa.int64(), "c_mktsegment": pa.string()}),
-                ),
-            ],
-            semi_bucket,
-            n_buckets=n_buckets,
-        )
+    seg_orders = keyed_join(
+        orders.map_batches(early_orders, batch_format="pyarrow", batch_size=None),
+        sf_dir,
+        "customer",
+        fact_key="o_custkey",
+        dim_key="c_custkey",
+        how="semi",
+        dim_filter=lambda t: t.filter(pc.equal(t["c_mktsegment"], segment)),
+        filter_cols=["c_mktsegment"],
+        budget_bytes=budget_bytes,
+        n_buckets=n_buckets,
+    )
 
     lineitem = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
@@ -698,7 +588,13 @@ def q_top_revenue_orders(
             (
                 seg_orders,
                 "o_orderkey",
-                pa.schema({"o_orderkey": pa.int64(), "o_orderdate": pa.timestamp("us")}),
+                pa.schema(
+                    {
+                        "o_orderkey": pa.int64(),
+                        "o_custkey": pa.int64(),
+                        "o_orderdate": pa.timestamp("us"),
+                    }
+                ),
             ),
         ],
         join_bucket,
@@ -949,26 +845,16 @@ def q_supplier_revenue(
     on the already-aggregated grain. Top-k by revenue with suppkey
     tie-break.
 
-    Name resolution is sized like every other build side
-    (:func:`~..core.util.broadcast_build_fits` on the supplier footer
-    — supplier GROWS with sf, unlike nation/region which are spec-
-    bounded at 25/5 rows and always ride the closure): within budget
-    the (s_name, n_name) arrays broadcast and resolve via vectorized
-    searchsorted; beyond it the dim rows join the totals in one extra
-    ``suppkey % B`` bucket exchange on the aggregated grain. Both
-    shapes share one oracle; the switch is exercised both ways in
-    ``TestBroadcastShuffleCrossover``."""
+    Name resolution is one :func:`~..core.join.keyed_join` of the
+    totals against supplier (supplier GROWS with sf, unlike
+    nation/region which are spec-bounded at 25/5 rows and always ride
+    the closure): the (s_name, s_nationkey) rows broadcast within
+    budget and meet the totals in a ``suppkey`` exchange on the
+    aggregated grain beyond it. Both plans share one oracle; the
+    switch is exercised both ways in ``TestBroadcastShuffleCrossover``."""
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
-
-    # ~(8B key + two short names) per supplier row
-    fits = broadcast_build_fits(
-        f"{sf_dir}/supplier.parquet",
-        bytes_per_key=64,
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
-    )
     nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
     n_map = dict(
         zip(nation["n_nationkey"].to_pylist(), nation["n_name"].to_pylist())
@@ -1000,71 +886,29 @@ def q_supplier_revenue(
         .groupby("s_suppkey")
         .aggregate(Sum("revenue_cents2", alias_name="revenue_cents2"))
     )
+    named = keyed_join(
+        totals,
+        sf_dir,
+        "supplier",
+        fact_key="s_suppkey",
+        dim_key="s_suppkey",
+        cols=["s_name", "s_nationkey"],
+        budget_bytes=budget_bytes,
+        n_buckets=n_buckets,
+    )
 
-    if fits:
-        sup = pq.read_table(
-            f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name", "s_nationkey"]
+    def resolve(batch: pa.Table) -> pa.Table:
+        nk = batch["s_nationkey"].to_pylist()
+        return pa.table(
+            {
+                "s_suppkey": pc.cast(batch["s_suppkey"], pa.int64()),
+                "s_name": pc.cast(batch["s_name"], pa.string()),
+                "n_name": pa.array([n_map[x] for x in nk], pa.string()),
+                "revenue_cents2": batch["revenue_cents2"],
+            }
         )
-        sup_keys = sup["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(sup_keys)
-        sup_keys = sup_keys[order]
-        sup_names = np.asarray(sup["s_name"].to_pylist(), dtype=object)[order]
-        nk = sup["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)[order]
-        nat_names = np.asarray([n_map[int(x)] for x in nk], dtype=object)
 
-        def resolve(batch: pa.Table) -> pa.Table:
-            keys = batch["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            idx = np.clip(np.searchsorted(sup_keys, keys), 0, max(len(sup_keys) - 1, 0))
-            # fail loudly on FK violation rather than resolving a wrong name
-            if len(sup_keys) == 0 or not (sup_keys[idx] == keys).all():
-                missing = keys[sup_keys[idx] != keys] if len(sup_keys) else keys
-                raise ValueError(
-                    f"lineitem suppkeys missing from supplier: {missing[:5]}"
-                )
-            return pa.table(
-                {
-                    "s_suppkey": batch["s_suppkey"],
-                    "s_name": pa.array(sup_names[idx].tolist(), pa.string()),
-                    "n_name": pa.array(nat_names[idx].tolist(), pa.string()),
-                    "revenue_cents2": batch["revenue_cents2"],
-                }
-            )
-
-        resolved = totals.map_batches(resolve, batch_format="pyarrow", batch_size=None)
-    else:
-        # Shuffle twin: dim rows (nation resolved via the 25-row map)
-        # and totals meet in a suppkey-bucket exchange — O(suppliers +
-        # distinct suppkeys) rows, both already at aggregated grain.
-        sup_ds = _read(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey"])
-
-        def join_bucket(tot: pa.Table, dim: pa.Table) -> pa.Table:
-            d = dim.to_pandas()
-            d["n_name"] = [n_map[int(x)] for x in d["s_nationkey"]]
-            merged = tot.to_pandas().merge(d, how="left", on="s_suppkey")
-            if merged["s_name"].isna().any():
-                missing = merged.loc[merged["s_name"].isna(), "s_suppkey"]
-                raise ValueError(
-                    f"lineitem suppkeys missing from supplier: {missing.head().tolist()}"
-                )
-            return pa.table(
-                {
-                    "s_suppkey": pa.array(
-                        merged["s_suppkey"].to_numpy(dtype=np.int64), pa.int64()
-                    ),
-                    "s_name": pa.array(merged["s_name"].tolist(), pa.string()),
-                    "n_name": pa.array(merged["n_name"].tolist(), pa.string()),
-                    "revenue_cents2": pa.array(
-                        merged["revenue_cents2"].to_numpy(dtype=np.int64), pa.int64()
-                    ),
-                }
-            )
-
-        totals_schema = pa.schema({"s_suppkey": pa.int64(), "revenue_cents2": pa.int64()})
-        resolved = exchange(
-            [(totals, "s_suppkey", totals_schema), (sup_ds, "s_suppkey")],
-            join_bucket,
-            n_buckets=n_buckets,
-        )
+    resolved = named.map_batches(resolve, batch_format="pyarrow", batch_size=None)
     return resolved.sort(["revenue_cents2", "s_suppkey"], descending=[True, False]).limit(k)
 
 
@@ -1339,8 +1183,8 @@ def q_customers_with_orders_bloom(
         return batch.filter(pa.array(_bloom_test(bits, ck, n_hashes)))
 
     survivors = customer.map_batches(probe, batch_format="pyarrow", batch_size=None)
-    return _customer_order_filter_shuffle(
-        sf_dir, True, n_buckets=n_buckets, customer_ds=survivors
+    return _customers_by_orders(
+        sf_dir, "semi", budget_bytes=0, n_buckets=n_buckets, customer=survivors
     )
 
 
@@ -1682,13 +1526,12 @@ LIMIT 10
 
 
 # ---------------------------------------------------------------------------
-# Q13 — built-in Dataset.join (hash-partitioned) : lineitem ⋈ part
+# Q13 — keyed join : lineitem ⋈ part
 # ---------------------------------------------------------------------------
 
 def q_brand_revenue(sf_dir: str):
-    """lineitem ⋈ part via ``Dataset.join`` (Ray's hash-partitioned
-    join operator — the managed counterpart of Q6's explicit bucket
-    pattern), then revenue per brand.
+    """lineitem ⋈ part via :func:`~..core.join.keyed_join`, then
+    revenue per brand.
 
     Aggregation is pushed below the join: each batch pre-sums revenue
     per partkey (vectorized np.bincount-style groupby), so the join's
@@ -1712,17 +1555,13 @@ def q_brand_revenue(sf_dir: str):
             }
         )
 
-    li = li.map_batches(prep, batch_format="pyarrow")
-    part = _read(sf_dir, "part", ["p_partkey", "p_brand"])
-    from ..core.util import join_partitions
-
-    n_part = join_partitions()
-    joined = li.join(
-        part,
-        join_type="inner",
-        num_partitions=n_part,
-        on=("l_partkey",),
-        right_on=("p_partkey",),
+    joined = keyed_join(
+        li.map_batches(prep, batch_format="pyarrow"),
+        sf_dir,
+        "part",
+        fact_key="l_partkey",
+        dim_key="p_partkey",
+        cols=["p_brand"],
     )
     from ray.data.aggregate import Sum
 
@@ -3405,43 +3244,28 @@ def q_order_event_reconcile(
     Scale shape: both inputs pre-aggregate per batch inside
     ``map_batches`` (the exchange carries ``O(keys × blocks)``
     fixed-width partials, never fact rows), meet once in a key-bucket
-    exchange, and each bucket does a vectorized outer merge.
-    The segment membership probe is sized like every other build side
-    (:func:`~..core.util.broadcast_build_fits`): within budget the
-    segment keys come from a row-group-filtered dimension read and
-    prune order partials before the exchange; beyond it the keys ride
-    the SAME exchange as a third side and membership resolves per
-    bucket — either way the plan is one all-to-all, and both shapes
-    share this oracle (switch exercised both ways in tests)."""
-    import pyarrow.parquet as pq
-
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
-
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    events = _read(sf_dir, "events", ["user_id", "value"])
-
-    fits = broadcast_build_fits(
-        f"{sf_dir}/customer.parquet",
-        budget_bytes=budget_bytes or BROADCAST_BUDGET_BYTES,
+    exchange, and each bucket does a vectorized outer merge. The
+    segment membership is a :func:`~..core.join.keyed_join` semi join
+    of the orders against the segment's customer keys, ahead of the
+    partials: within budget the keys broadcast into the orders scan;
+    beyond it the orders meet them in an extra ``custkey`` exchange."""
+    orders = keyed_join(
+        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+        sf_dir,
+        "customer",
+        fact_key="o_custkey",
+        dim_key="c_custkey",
+        how="semi",
+        dim_filter=lambda t: t.filter(pc.equal(t["c_mktsegment"], segment)),
+        filter_cols=["c_mktsegment"],
+        budget_bytes=budget_bytes,
+        n_buckets=n_buckets,
     )
-    if fits:
-        seg_tbl = pq.read_table(
-            f"{sf_dir}/customer.parquet",
-            columns=["c_custkey", "c_mktsegment"],
-            filters=[("c_mktsegment", "=", segment)],
-        )
-        seg_keys = np.sort(seg_tbl["c_custkey"].to_numpy(zero_copy_only=False))
-    else:
-        seg_keys = None  # membership resolves in-bucket via side-2 rows
+    events = _read(sf_dir, "events", ["user_id", "value"])
 
     def order_partials(batch: pa.Table) -> pa.Table:
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = _cents(batch["o_totalprice"]).to_numpy()
-        if seg_keys is not None:
-            idx = np.clip(np.searchsorted(seg_keys, ck), 0, max(len(seg_keys) - 1, 0))
-            in_seg = seg_keys[idx] == ck if len(seg_keys) else np.zeros(len(ck), bool)
-            ck, cents = ck[in_seg], cents[in_seg]
-        return _count_cents(ck, cents)
+        return _count_cents(ck, _cents(batch["o_totalprice"]).to_numpy())
 
     def event_partials(batch: pa.Table) -> pa.Table:
         ck = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3459,21 +3283,9 @@ def q_order_event_reconcile(
             _COUNT_CENTS,
         ),
     ]
-    if not fits:
-        customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-        seg_rows = customer.map_batches(
-            lambda b: b.filter(pc.equal(b["c_mktsegment"], segment)),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        inputs.append(
-            (seg_rows, "c_custkey", pa.schema({"c_custkey": pa.int64(), "c_mktsegment": pa.string()}))
-        )
 
-    def outer_bucket(o_t: pa.Table, e_t: pa.Table, *seg: pa.Table) -> pa.Table:
+    def outer_bucket(o_t: pa.Table, e_t: pa.Table) -> pa.Table:
         o = o_t.to_pandas().groupby("key", sort=False)[["n", "cents"]].sum()
-        if seg:
-            o = o[o.index.isin(seg[0]["c_custkey"].to_numpy(zero_copy_only=False))]
         e = e_t.to_pandas().groupby("key", sort=False)[["n", "cents"]].sum()
         m = o.merge(
             e, how="outer", left_index=True, right_index=True, suffixes=("_o", "_e")
@@ -3937,275 +3749,124 @@ def q_local_supplier_revenue(
 
     * region+nation are spec-bounded (5/25 rows) and ride the task
       closure; the region filter prunes CUSTOMER at its scan.
-    * exchange A (``custkey % B``): orders ⋈ in-region customers —
-      output is the (orderkey → customer nation) stream. Within
-      budget the region-filtered customer map broadcasts instead and
-      the orders scan resolves nations itself, dropping this barrier
-      entirely (both dimension sides gated independently by the same
-      :func:`~..core.util.broadcast_build_fits` call — all four
-      broadcast/shuffle combinations are live plans).
-    * exchange B (``orderkey % B``): lineitem revenue partials ⋈ that
-      stream. Within budget
-      (:func:`~..core.util.broadcast_build_fits` on the supplier
-      footer, 16 B/key) the supplier→nation map broadcasts into the
-      lineitem scan, which then drops every NON-region supplier row
-      BEFORE the exchange (the early-prune win that makes broadcast
-      strictly better when it fits); the in-bucket join applies the
-      ``c_nation == s_nation`` colocation filter and pre-aggregates
-      per nation, so the final groupby folds O(nations × buckets)
-      rows.
-    * beyond budget, a third ``suppkey % B`` exchange joins the
-      (nation, suppkey) revenue partials — already aggregated, far
-      smaller than lineitem — against the supplier dimension. Both
-      shapes share this one oracle; the twin is forced in tests via
-      ``budget_bytes=0``."""
+    * orders ⋈ in-region customers on custkey
+      (:func:`~..core.join.keyed_join`): the (orderkey → customer
+      nation) stream. Within budget the region-filtered customer map
+      broadcasts into the orders scan; beyond it the two meet in a
+      ``custkey`` exchange.
+    * lineitem ⋈ in-region suppliers on suppkey, the same way: every
+      NON-region supplier's line drops before the orderkey exchange
+      (the early prune), and each batch then pre-sums revenue per
+      (order, supplier nation).
+    * the orderkey exchange joins those partials to the order stream,
+      applies the ``c_nation == s_nation`` colocation filter and
+      pre-aggregates per nation, so the final groupby folds
+      O(nations × buckets) rows.
+
+    Both dimension joins are sized independently, so all four
+    broadcast/exchange combinations are live plans; every one shares
+    this oracle, and ``budget_bytes=0`` forces both exchanges in
+    tests."""
     import pandas as pd
     import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
-
-    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
 
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name", "n_regionkey"]
     )
     nk = nation["n_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    region_nations = set(
-        nk[nation["n_regionkey"].to_numpy(zero_copy_only=False) == region_key]
-        .tolist()
-    )
+    in_region = nk[nation["n_regionkey"].to_numpy(zero_copy_only=False) == region_key]
     n_names = dict(zip(nk.tolist(), nation["n_name"].to_pylist()))
-    nat_arr = pa.array(sorted(region_nations), pa.int64())
+    nat_arr = pa.array(np.sort(in_region), pa.int32())
 
-    budget = BROADCAST_BUDGET_BYTES if budget_bytes is None else budget_bytes
-    fits = broadcast_build_fits(
-        f"{sf_dir}/supplier.parquet", bytes_per_key=16, budget_bytes=budget
+    def region_rows(column: str):
+        return lambda t: t.filter(pc.is_in(t[column], value_set=nat_arr))
+
+    order_nat = keyed_join(
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
+        sf_dir,
+        "customer",
+        fact_key="o_custkey",
+        dim_key="c_custkey",
+        cols=["c_nationkey"],
+        dim_filter=region_rows("c_nationkey"),
+        budget_bytes=budget_bytes,
+        n_buckets=n_buckets,
     )
-    cust_fits = broadcast_build_fits(
-        f"{sf_dir}/customer.parquet", bytes_per_key=16, budget_bytes=budget
+    li = keyed_join(
+        _read(
+            sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
+        ),
+        sf_dir,
+        "supplier",
+        fact_key="l_suppkey",
+        dim_key="s_suppkey",
+        cols=["s_nationkey"],
+        dim_filter=region_rows("s_nationkey"),
+        budget_bytes=budget_bytes,
+        n_buckets=n_buckets,
     )
 
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    order_nat_schema = pa.schema({"o_orderkey": pa.int64(), "c_nat": pa.int64()})
-
-    # ---- exchange A: orders ⋈ in-region customers on custkey ----
-    # (skipped entirely when the region-filtered customer map fits the
-    # broadcast budget: the orders scan then resolves c_nat itself and
-    # the whole plan drops one all-to-all barrier — measured ~15%
-    # faster at bench scale, 3.41→2.91 s best-of-3; the bucket
-    # exchange below remains the beyond-budget shape, forced in tests)
-    def in_region(b: pa.Table) -> pa.Table:
-        return b.filter(pc.is_in(b["c_nationkey"], value_set=nat_arr))
-
-    def join_a(ords: pa.Table, cust: pa.Table) -> pa.Table:
-        j = ords.to_pandas().merge(cust.to_pandas(), left_on="o_custkey", right_on="c_custkey")
+    def prep_li(b: pa.Table) -> pa.Table:
+        price_c = _cents(b["l_extendedprice"]).to_numpy()
+        disc_c = _cents(b["l_discount"]).to_numpy()
+        agg = (
+            pd.DataFrame(
+                {
+                    "ok": b["l_orderkey"].to_numpy(zero_copy_only=False),
+                    "s_nat": b["s_nationkey"].to_numpy(zero_copy_only=False),
+                    "rev": price_c * (100 - disc_c),
+                }
+            )
+            .groupby(["ok", "s_nat"], sort=False)["rev"]
+            .sum()
+            .reset_index()
+        )
         return pa.table(
             {
-                "o_orderkey": pa.array(j["o_orderkey"].to_numpy(dtype=np.int64)),
-                "c_nat": pa.array(j["c_nationkey"].to_numpy(dtype=np.int64)),
+                "ok": pa.array(agg["ok"].to_numpy(dtype=np.int64), pa.int64()),
+                "s_nat": pa.array(agg["s_nat"].to_numpy(dtype=np.int64)),
+                "rev": pa.array(agg["rev"].to_numpy(dtype=np.int64), pa.int64()),
             }
         )
 
-    if cust_fits:
-        cust = pq.read_table(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-        )
-        ck_all = cust["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cn_all = cust["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        in_region = np.isin(cn_all, nat_arr.to_numpy())
-        order_c = np.argsort(ck_all[in_region])
-        ck_keys = ck_all[in_region][order_c]
-        ck_nat = cn_all[in_region][order_c]
-
-        def resolve_orders(b: pa.Table) -> pa.Table:
-            keys = b["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            idx = np.clip(
-                np.searchsorted(ck_keys, keys), 0, max(len(ck_keys) - 1, 0)
-            )
-            hit = (ck_keys[idx] == keys) if len(ck_keys) else np.zeros(len(keys), bool)
-            return pa.table(
-                {
-                    "o_orderkey": b["o_orderkey"].filter(pa.array(hit)),
-                    "c_nat": pa.array(ck_nat[idx[hit]], pa.int64()),
-                }
-            )
-
-        order_nat = orders.map_batches(
-            resolve_orders, batch_format="pyarrow", batch_size=None
-        )
-    else:
-        # the customer Dataset exists only on this branch — the
-        # broadcast path reads the dimension itself via pq.read_table
-        customer = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        order_nat = exchange(
-            [
-                (orders, "o_custkey"),
-                (
-                    customer.map_batches(in_region, batch_format="pyarrow", batch_size=None),
-                    "c_custkey",
-                    pa.schema({"c_custkey": pa.int64(), "c_nationkey": pa.int32()}),
-                ),
-            ],
-            join_a,
-            n_buckets=n_buckets,
+    def join_b(lines: pa.Table, ords: pa.Table) -> pa.Table:
+        j = lines.to_pandas().merge(ords.to_pandas(), left_on="ok", right_on="o_orderkey")
+        j = j[j["s_nat"] == j["c_nationkey"]]
+        out = j.groupby("s_nat", as_index=False)["rev"].sum()
+        return pa.table(
+            {
+                "nat": pa.array(out["s_nat"].to_numpy(dtype=np.int64), pa.int64()),
+                "rev": pa.array(out["rev"].to_numpy(dtype=np.int64), pa.int64()),
+            }
         )
 
-    # ---- exchange B: lineitem revenue ⋈ (orderkey → c_nat) ----
-    li = _read(
-        sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
-    )
-
-    if fits:
-        sup = pq.read_table(
-            f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-        )
-        sk = sup["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order_ = np.argsort(sk)
-        sk = sk[order_]
-        snat = sup["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)[
-            order_
-        ]
-
-        def prep_li(b: pa.Table) -> pa.Table:
-            keys = b["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            idx = np.clip(np.searchsorted(sk, keys), 0, max(len(sk) - 1, 0))
-            if len(sk) == 0 or not (sk[idx] == keys).all():
-                missing = keys[sk[idx] != keys] if len(sk) else keys
-                raise ValueError(f"lineitem suppkeys missing: {missing[:5]}")
-            s_nat = snat[idx]
-            keep = np.isin(s_nat, nat_arr.to_numpy())
-            price_c = _cents(b["l_extendedprice"]).to_numpy()[keep]
-            disc_c = _cents(b["l_discount"]).to_numpy()[keep]
-            ok = b["l_orderkey"].to_numpy(zero_copy_only=False)[keep]
-            agg = (
-                pd.DataFrame(
-                    {"ok": ok, "s_nat": s_nat[keep], "rev": price_c * (100 - disc_c)}
-                )
-                .groupby(["ok", "s_nat"], sort=False)["rev"]
-                .sum()
-                .reset_index()
-            )
-            return pa.table(
-                {
-                    "ok": pa.array(agg["ok"].to_numpy(dtype=np.int64), pa.int64()),
-                    "s_nat": pa.array(agg["s_nat"].to_numpy(dtype=np.int64)),
-                    "rev": pa.array(agg["rev"].to_numpy(dtype=np.int64), pa.int64()),
-                }
-            )
-
-        def join_b(lines: pa.Table, ords: pa.Table) -> pa.Table:
-            j = lines.to_pandas().merge(ords.to_pandas(), left_on="ok", right_on="o_orderkey")
-            j = j[j["s_nat"] == j["c_nat"]]
-            out = j.groupby("s_nat", as_index=False)["rev"].sum()
-            return pa.table(
-                {
-                    "nat": pa.array(out["s_nat"].to_numpy(dtype=np.int64), pa.int64()),
-                    "rev": pa.array(out["rev"].to_numpy(dtype=np.int64), pa.int64()),
-                }
-            )
-
-        folded = (
-            exchange(
-                [
-                    (
-                        li.map_batches(prep_li, batch_format="pyarrow", batch_size=None),
-                        "ok",
-                        pa.schema({"ok": pa.int64(), "s_nat": pa.int64(), "rev": pa.int64()}),
-                    ),
-                    (order_nat, "o_orderkey", order_nat_schema),
-                ],
-                join_b,
-                n_buckets=n_buckets,
-            )
-            .groupby("nat")
-            .aggregate(Sum("rev", alias_name="revenue_cents2"))
-        )
-    else:
-        # twin: keep suppkey through exchange B, resolve the supplier
-        # nation in a third exchange on the AGGREGATED grain
-        def prep_li_nk(b: pa.Table) -> pa.Table:
-            price_c = _cents(b["l_extendedprice"]).to_numpy()
-            disc_c = _cents(b["l_discount"]).to_numpy()
-            ok = b["l_orderkey"].to_numpy(zero_copy_only=False)
-            agg = (
-                pd.DataFrame(
-                    {
-                        "ok": ok,
-                        "sup": b["l_suppkey"].to_numpy(zero_copy_only=False),
-                        "rev": price_c * (100 - disc_c),
-                    }
-                )
-                .groupby(["ok", "sup"], sort=False)["rev"]
-                .sum()
-                .reset_index()
-            )
-            return pa.table(
-                {
-                    "ok": pa.array(agg["ok"].to_numpy(dtype=np.int64), pa.int64()),
-                    "sup": pa.array(agg["sup"].to_numpy(dtype=np.int64)),
-                    "rev": pa.array(agg["rev"].to_numpy(dtype=np.int64), pa.int64()),
-                }
-            )
-
-        def join_b2(lines: pa.Table, ords: pa.Table) -> pa.Table:
-            j = lines.to_pandas().merge(ords.to_pandas(), left_on="ok", right_on="o_orderkey")
-            out = j.groupby(["sup", "c_nat"], as_index=False)["rev"].sum()
-            return pa.table(
-                {
-                    "sup": pa.array(out["sup"].to_numpy(dtype=np.int64), pa.int64()),
-                    "c_nat": pa.array(out["c_nat"].to_numpy(dtype=np.int64)),
-                    "rev": pa.array(out["rev"].to_numpy(dtype=np.int64), pa.int64()),
-                }
-            )
-
-        part_b = exchange(
+    folded = (
+        exchange(
             [
                 (
-                    li.map_batches(prep_li_nk, batch_format="pyarrow", batch_size=None),
+                    li.map_batches(prep_li, batch_format="pyarrow", batch_size=None),
                     "ok",
-                    pa.schema({"ok": pa.int64(), "sup": pa.int64(), "rev": pa.int64()}),
+                    pa.schema({"ok": pa.int64(), "s_nat": pa.int64(), "rev": pa.int64()}),
                 ),
-                (order_nat, "o_orderkey", order_nat_schema),
+                (
+                    order_nat,
+                    "o_orderkey",
+                    pa.schema(
+                        {
+                            "o_orderkey": pa.int64(),
+                            "o_custkey": pa.int64(),
+                            "c_nationkey": pa.int32(),
+                        }
+                    ),
+                ),
             ],
-            join_b2,
+            join_b,
             n_buckets=n_buckets,
         )
-
-        sup_ds = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-
-        def sup_in_region(b: pa.Table) -> pa.Table:
-            return b.filter(pc.is_in(pc.cast(b["s_nationkey"], pa.int64()), value_set=nat_arr))
-
-        def join_c(parts: pa.Table, sups: pa.Table) -> pa.Table:
-            j = parts.to_pandas().merge(sups.to_pandas(), left_on="sup", right_on="s_suppkey")
-            j = j[j["c_nat"] == j["s_nationkey"]]
-            out = j.groupby("c_nat", as_index=False)["rev"].sum()
-            return pa.table(
-                {
-                    "nat": pa.array(out["c_nat"].to_numpy(dtype=np.int64), pa.int64()),
-                    "rev": pa.array(out["rev"].to_numpy(dtype=np.int64), pa.int64()),
-                }
-            )
-
-        folded = (
-            exchange(
-                [
-                    (
-                        part_b,
-                        "sup",
-                        pa.schema({"sup": pa.int64(), "c_nat": pa.int64(), "rev": pa.int64()}),
-                    ),
-                    (
-                        sup_ds.map_batches(sup_in_region, batch_format="pyarrow", batch_size=None),
-                        "s_suppkey",
-                        pa.schema({"s_suppkey": pa.int64(), "s_nationkey": pa.int32()}),
-                    ),
-                ],
-                join_c,
-                n_buckets=n_buckets,
-            )
-            .groupby("nat")
-            .aggregate(Sum("rev", alias_name="revenue_cents2"))
-        )
+        .groupby("nat")
+        .aggregate(Sum("rev", alias_name="revenue_cents2"))
+    )
 
     def resolve(b: pa.Table) -> pa.Table:
         nats = b["nat"].to_numpy(zero_copy_only=False)

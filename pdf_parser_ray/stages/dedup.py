@@ -1235,7 +1235,7 @@ def q_dedup_incremental(sf_dir: str, snapshot_mod: int = 3, budget_bytes: "int |
     this operator IS that index's build + probe in one plan."""
     import ray
 
-    from ..core.util import broadcast_build_fits
+    from ..core.util import BROADCAST_BUDGET_BYTES, broadcast_build_fits
 
     def tag_rows(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -1251,7 +1251,7 @@ def q_dedup_incremental(sf_dir: str, snapshot_mod: int = 3, budget_bytes: "int |
     fits = broadcast_build_fits(
         f"{sf_dir}/documents.parquet",
         bytes_per_key=64,  # 32-hex fp + set overhead; aug ≈ 1.25× rows
-        budget_bytes=budget_bytes or 64 << 20,
+        budget_bytes=BROADCAST_BUDGET_BYTES if budget_bytes is None else budget_bytes,
     )
     if fits:
         # broadcast plan: snapshot fps → one driver set, shipped once

@@ -71,6 +71,34 @@ class TestBroadcastFallbackTwins:
         assert _canon(a) == _canon(b)
 
 
+class TestDefaultBudgetTwins:
+    """Queries with no budget parameter: a zero default budget, set on
+    the driver where the keyed join picks its plan, forces the
+    exchange; both plans must hash-match."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "late_ship_priority",
+            "large_orders",
+            "order_count_distribution",
+            "brand_momentum",
+            "brand_revenue",
+        ],
+    )
+    def test_twins_match(self, monkeypatch, name):
+        import pdf_parser_ray.core.util as cu
+        from pdf_parser_ray.relational import analytics4, ops
+
+        fn = {**an.QUERIES, **analytics4.QUERIES, **ops.QUERIES}[name]
+        a = _pd(fn(SF))
+        monkeypatch.setattr(cu, "BROADCAST_BUDGET_BYTES", 0)
+        b = _pd(fn(SF))
+        assert len(a) > 0
+        assert sorted(a.columns) == sorted(b.columns)
+        assert _canon(a) == _canon(b)
+
+
 def _write(tmp_path, name: str, table: pa.Table) -> None:
     pq.write_table(table, str(tmp_path / f"{name}.parquet"))
 

@@ -5,13 +5,12 @@ Pins beyond the oracle harness:
 * a randomized micro-TPC-H corpus WITH deliberate FK orphans, on which
   every query must hash-match DuckDB running its registered oracle SQL
   verbatim (semantics incl. orphan-drop, not just the driver tables);
-* broadcast/fallback twins (budget_bytes=1 forces every ``_dim_join``
+* broadcast/fallback twins (budget_bytes=1 forces every keyed join
   to the exchange plan) produce identical results;
 * the algebraic edges: Q6 strict boundaries, Q15 max ties, Q20's
-  exact-5/4-mean exclusion, Q10's total tie-break under LIMIT;
-* ``_dim_join`` itself: inner orphan-drop, ``filter_cols`` columns are
-  read for the predicate but never attached, identical schema on both
-  paths.
+  exact-5/4-mean exclusion, Q10's total tie-break under LIMIT.
+
+The keyed join itself is tested in ``test_join.py``.
 """
 
 import hashlib
@@ -166,7 +165,7 @@ class TestCraftedDifferential:
 
 
 class TestBroadcastFallbackTwins:
-    """budget_bytes=1 forces every _dim_join to the exchange plan;
+    """budget_bytes=1 forces every keyed join to the exchange plan;
     both plans must hash-match on the same input."""
 
     @pytest.mark.parametrize(
@@ -185,60 +184,6 @@ class TestBroadcastFallbackTwins:
         b = _pd(a2.QUERIES[name](corpus, budget_bytes=1))
         assert sorted(a.columns) == sorted(b.columns)
         assert _canon(a) == _canon(b)
-
-
-class TestDimJoin:
-    def _fact(self):
-        import ray.data
-
-        return ray.data.from_arrow(pa.table({
-            "k": pa.array(list(range(1, 65)), pa.int64()),
-            "x": pa.array(list(range(64)), pa.int64()),
-        }))
-
-    def _dim(self, tmp_path):
-        _write(tmp_path, "dim", pa.table({
-            "dk": pa.array(list(range(1, 41)), pa.int64()),
-            "v": pa.array([f"v{i}" for i in range(1, 41)]),
-            "flag": pa.array([i % 2 for i in range(1, 41)], pa.int64()),
-        }))
-
-    @pytest.mark.parametrize("budget", [None, 1], ids=["broadcast", "join"])
-    def test_inner_drop_and_filter_cols(self, tmp_path, budget):
-        """Fact keys without a dim row drop (inner); dim rows failing
-        dim_filter drop; filter_cols are readable by the predicate but
-        never attached. Identical schema + rows on both paths."""
-        self._dim(tmp_path)
-        out = a2._dim_join(
-            self._fact(),
-            str(tmp_path),
-            "dim",
-            fact_key="k",
-            dim_key="dk",
-            cols=["v"],
-            dim_filter=lambda t: t.filter(pa.compute.equal(t["flag"], 1)),
-            filter_cols=["flag"],
-            budget_bytes=budget,
-        ).to_pandas()
-        odd = [i for i in range(1, 41) if i % 2 == 1]
-        assert sorted(out.columns) == ["k", "v", "x"]
-        assert sorted(out["k"].tolist()) == odd
-        assert out.sort_values("k")["v"].tolist() == [f"v{i}" for i in odd]
-
-    @pytest.mark.parametrize("budget", [None, 1], ids=["broadcast", "join"])
-    def test_empty_cols_is_semi_filter(self, tmp_path, budget):
-        self._dim(tmp_path)
-        out = a2._dim_join(
-            self._fact(),
-            str(tmp_path),
-            "dim",
-            fact_key="k",
-            dim_key="dk",
-            cols=[],
-            budget_bytes=budget,
-        ).to_pandas()
-        assert sorted(out.columns) == ["k", "x"]
-        assert sorted(out["k"].tolist()) == list(range(1, 41))
 
 
 class TestDiscountRevenue:

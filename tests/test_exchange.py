@@ -2,8 +2,9 @@
 exchange: every row of every side reaches exactly one fold call, rows
 that share a key meet in the same call, no call is made for a bucket
 without rows, and each side arrives with its own schema — also in a
-bucket where it has no rows, and when it has no rows at all. A guard
-keeps bucket-keyed folds from being hand-rolled outside it again."""
+bucket where it has no rows, and when it has no rows at all. Guards
+keep bucket-keyed folds and joins from being hand-rolled outside
+``core/`` again."""
 
 from __future__ import annotations
 
@@ -286,3 +287,52 @@ def test_bucket_folds_go_through_exchange():
         if (module, key) not in _NATURAL_KEY_FOLDS
     ]
     assert not stray, "route these folds through core.exchange.exchange:\n" + "\n".join(stray)
+
+
+# Sites outside ``core/`` that still size a broadcast themselves. Their
+# build side comes from the same corpus read as the probe side, and the
+# keyed join takes its build side from a parquet table.
+_OWN_BROADCAST_SIZING = {
+    ("stages/dedup.py", "broadcast_build_fits"): (
+        "q_dedup_incremental: the snapshot fingerprints and the new shard "
+        "come from one corpus read"
+    ),
+    ("pipelines/prep.py", "broadcast_build_fits"): (
+        "q_training_prep: the dedup survivor ids come from the corpus the "
+        "prep pass reads"
+    ),
+}
+
+
+def _join_sites(package: pathlib.Path):
+    """``(module, kind, line)`` of every ``broadcast_build_fits(...)``
+    call and every ``.join(..., join_type=...)`` call in ``package``
+    outside ``core/``."""
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if module.startswith("core/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "broadcast_build_fits":
+                yield module, name, node.lineno
+            elif name == "join" and any(kw.arg == "join_type" for kw in node.keywords):
+                yield module, ".join(join_type=)", node.lineno
+
+
+def test_joins_go_through_the_keyed_join():
+    """A relational join is one ``core.join.keyed_join`` call: no module
+    outside ``core/`` sizes its own broadcast or calls ``Dataset.join``,
+    except the allowlisted stage sites, and each of those is still there."""
+    package = pathlib.Path(__file__).resolve().parent.parent / "pdf_parser_ray"
+    sites = list(_join_sites(package))
+    stray = [
+        f"{module}:{line} {kind}"
+        for module, kind, line in sites
+        if (module, kind) not in _OWN_BROADCAST_SIZING
+    ]
+    assert not stray, "route these joins through core.join.keyed_join:\n" + "\n".join(stray)
+    assert {(module, kind) for module, kind, _ in sites} == set(_OWN_BROADCAST_SIZING)

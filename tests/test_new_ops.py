@@ -179,11 +179,10 @@ class TestAdversarialOps:
 
 
 class TestBroadcastShuffleCrossover:
-    """The broadcast/shuffle join twins now share one entry point that
-    picks the shape from a parquet-footer size probe
-    (core/util.broadcast_build_fits). Force the probe both ways and
-    assert identical results — the verdict's 'switch exercised both
-    ways' requirement."""
+    """Each join picks broadcast or exchange from a parquet-footer size
+    probe (core/join.keyed_join; core/util.broadcast_build_fits for the
+    prep pipeline). Force the probe both ways and assert identical
+    results."""
 
     SF = "/root/testdata/sf0.001"
 
@@ -237,18 +236,6 @@ class TestBroadcastShuffleCrossover:
         shuffle = self._sorted(q_top_revenue_orders(self.SF, budget_bytes=1))
         assert len(broadcast) > 0
         pd.testing.assert_frame_equal(broadcast, shuffle)
-
-    def test_distinct_ratio_tightens_bound(self):
-        from pdf_parser_ray.core.util import broadcast_build_fits
-
-        p = f"{self.SF}/orders.parquet"
-        import pyarrow.parquet as pq_
-
-        rows = pq_.ParquetFile(p).metadata.num_rows
-        # a budget exactly one key short of the row-count bound fails …
-        assert not broadcast_build_fits(p, budget_bytes=rows * 8 - 1)
-        # … but a 10%-distinct hint (orders → distinct custkeys) fits
-        assert broadcast_build_fits(p, budget_bytes=rows * 8 - 1, distinct_ratio=0.1)
 
     def test_bloom_no_false_negatives_and_bounded_fp(self):
         import numpy as np
@@ -2630,14 +2617,14 @@ class TestLocalSupplierRevenue:
         )
         assert a.equals(b)
         # mixed shape: supplier broadcasts, customer does not (budget
-        # sits exactly between the two footer-row sizes)
-        import pyarrow.parquet as pq_
+        # sits between the two footer sizes of the columns each join reads)
+        from pdf_parser_ray.core.join import build_bytes
 
-        sup_rows = pq_.ParquetFile(f"{sf}/supplier.parquet").metadata.num_rows
-        cust_rows = pq_.ParquetFile(f"{sf}/customer.parquet").metadata.num_rows
-        assert sup_rows * 16 < cust_rows * 16
+        sup = build_bytes(f"{sf}/supplier.parquet", ["s_suppkey", "s_nationkey"])
+        cust = build_bytes(f"{sf}/customer.parquet", ["c_custkey", "c_nationkey"])
+        assert sup < cust
         c = (
-            q_local_supplier_revenue(sf, budget_bytes=sup_rows * 16)
+            q_local_supplier_revenue(sf, budget_bytes=sup + 1)
             .to_pandas()
             .sort_values("n_name")
             .reset_index(drop=True)
