@@ -115,10 +115,29 @@ def keyed_join(
     read_cols = [dim_key, *cols, *(c for c in filter_cols if c not in cols)]
     path = f"{sf_dir}/{table}.parquet"
     budget = util.BROADCAST_BUDGET_BYTES if budget_bytes is None else budget_bytes
-    if build_bytes(path, read_cols) < budget:
-        return _broadcast(fact, path, fact_key, dim_key, how, cols, read_cols, dim_filter)
-
     import pyarrow.parquet as pq
+
+    if build_bytes(path, read_cols) < budget:
+        dim = pq.read_table(path, columns=read_cols)
+        if dim_filter is not None:
+            dim = dim_filter(dim)
+        keys = _int64(dim[dim_key])
+        if how == "inner":
+            order = np.argsort(keys, kind="stable")
+            keys, attached = keys[order], dim.select(cols).take(pa.array(order))
+        else:
+            keys = np.unique(keys)
+
+        def gather(batch: pa.Table) -> pa.Table:
+            idx, hit = probe(keys, _int64(batch[fact_key]))
+            batch = batch.filter(pa.array(~hit if how == "anti" else hit))
+            if cols:
+                rows = attached.take(pa.array(idx[hit]))
+                for c in cols:
+                    batch = batch.append_column(c, rows[c])
+            return batch
+
+        return fact.map_batches(gather, batch_format="pyarrow", batch_size=None)
 
     from ..io.sources import read_table
 
@@ -157,27 +176,3 @@ def keyed_join(
         n_buckets=session_buckets() if n_buckets is None else n_buckets,
     )
 
-
-def _broadcast(fact, path, fact_key, dim_key, how, cols, read_cols, dim_filter):
-    import pyarrow.parquet as pq
-
-    dim = pq.read_table(path, columns=read_cols)
-    if dim_filter is not None:
-        dim = dim_filter(dim)
-    keys = _int64(dim[dim_key])
-    if how == "inner":
-        order = np.argsort(keys, kind="stable")
-        keys, attached = keys[order], dim.select(cols).take(pa.array(order))
-    else:
-        keys = np.unique(keys)
-
-    def gather(batch: pa.Table) -> pa.Table:
-        idx, hit = probe(keys, _int64(batch[fact_key]))
-        batch = batch.filter(pa.array(~hit if how == "anti" else hit))
-        if cols:
-            rows = attached.take(pa.array(idx[hit]))
-            for c in cols:
-                batch = batch.append_column(c, rows[c])
-        return batch
-
-    return fact.map_batches(gather, batch_format="pyarrow", batch_size=None)

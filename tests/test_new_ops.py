@@ -197,6 +197,10 @@ class TestBroadcastShuffleCrossover:
         p = f"{self.SF}/orders.parquet"
         assert broadcast_build_fits(p)  # tiny sf fits the default budget
         assert not broadcast_build_fits(p, budget_bytes=1)
+        rows = pq.ParquetFile(p).metadata.num_rows
+        # rows × 8 bytes fits exactly; one byte less does not
+        assert broadcast_build_fits(p, budget_bytes=rows * 8)
+        assert not broadcast_build_fits(p, budget_bytes=rows * 8 - 1)
 
     def test_semi_join_switches_both_ways(self):
         from pdf_parser_ray.relational.ops import q_customers_with_orders
