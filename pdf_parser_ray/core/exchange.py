@@ -46,6 +46,10 @@ the loop to take its output, and the barrier's tasks never start. In
 a 1-CPU session ``near_dup_pairs`` hung exactly so: the LSH band
 groupby sat in one branch of the union while the corpus read held
 the CPU in the other.
+
+An iterative query (label propagation, PageRank, HITS) runs each of
+its rounds as one :func:`message_round`: two exchanges over a
+materialized static side and a small ``(node, val)`` state.
 """
 
 from __future__ import annotations
@@ -193,3 +197,45 @@ def exchange(
         return fold(*tables)
 
     return wire.groupby("bucket").map_groups(meet, batch_format="pyarrow")
+
+
+_STATE = pa.schema({"node": pa.int64(), "val": pa.int64()})
+
+
+def _combine(msgs: pa.Table, how: str) -> pa.Table:
+    g = msgs.group_by("node").aggregate([("val", how)])
+    return pa.table({"node": g["node"], "val": g[f"val_{how}"]})
+
+
+def message_round(static, key: str, state, send, combine: str, *, n_buckets: int):
+    """One synchronous message-passing round of an iterative query.
+
+    ``static`` is a materialized Dataset every round reuses (an edge
+    set, an adjacency), keyed by its integer column ``key``; ``state``
+    is the current ``(node, val)`` int64 table, one row per node, or
+    ``None`` in the first round. One exchange meets each bucket's
+    static rows with the state rows whose ``node`` equals their
+    ``key``, and ``send(static_rows, state_rows)`` (``state_rows`` is
+    ``None`` in the first round) turns them into ``(node, val)`` int64
+    messages. ``combine`` (``"sum"`` or ``"min"``) folds each task's
+    messages per node before they ship, as a Pregel combiner does, and
+    again where a second exchange meets them by ``node``. The result,
+    the next state, is capped at ``n_buckets`` blocks and materialized:
+    a shuffle emits one block per input block, so an uncapped state
+    would feed its block count into the next round and compound it.
+
+    k-core and BFS keep their own loops: their state is the edge set
+    itself, or a frontier on the driver, not a value per node."""
+    if combine not in ("sum", "min"):
+        raise ValueError(f"combine must be 'sum' or 'min', not {combine!r}")
+    sides = [(static, key)] + ([(state, "node", _STATE)] if state is not None else [])
+
+    def emit(rows: pa.Table, *st: pa.Table) -> pa.Table:
+        return _combine(send(rows, st[0] if st else None), combine)
+
+    msgs = exchange(sides, emit, n_buckets=n_buckets)
+    return (
+        exchange([(msgs, "node")], lambda m: _combine(m, combine), n_buckets=n_buckets)
+        .repartition(n_buckets)
+        .materialize()
+    )

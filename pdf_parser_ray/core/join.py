@@ -13,9 +13,13 @@ the plan from the table's parquet footer:
   rows in Arrow.
 
 Both plans keep the same rows and give the same columns: the fact's,
-then the attached ones. The size is the footer's uncompressed bytes of
-the columns read, that is row count × uncompressed bytes per row; no
-data page is read to find it.
+then the attached ones. The size is read from the footer alone, no
+data page: for each fixed-width column read, row count × width (and a
+validity bit), the Arrow size the driver reads and every task gets;
+for each variable-width one, the footer's uncompressed bytes. A
+footer's "uncompressed" size keeps parquet's dictionary and RLE
+encodings applied, so it understates a fixed-width column: 0.38 MB
+against 1.22 MB in Arrow for sf0.1's ``o_custkey``.
 """
 
 from __future__ import annotations
@@ -32,19 +36,39 @@ from .exchange import _has_barrier, exchange
 _HOWS = ("inner", "semi", "anti")
 
 
+def _bits_per_row(schema: pa.Schema, name: str) -> int:
+    """Bits per row of a fixed-width Arrow column as the parquet reader
+    builds it (the value, plus a validity bit if the field is
+    nullable: the reader allocates that bitmap even with no nulls), 0
+    for any other column."""
+    i = schema.get_field_index(name)
+    field = schema.field(i) if i >= 0 else None
+    if field is None or pa.types.is_dictionary(field.type):
+        return 0
+    try:
+        return field.type.bit_width + field.nullable
+    except ValueError:  # variable width
+        return 0
+
+
 def build_bytes(path: str, columns: Sequence[str]) -> int:
-    """Footer-only size of a parquet file's ``columns``: their
-    uncompressed bytes summed over the row groups."""
+    """Footer-only size of a parquet file's ``columns``, summed over the
+    row groups: row count × width for a fixed-width column, the
+    footer's uncompressed bytes for any other."""
     import pyarrow.parquet as pq
 
-    meta = pq.ParquetFile(path).metadata
+    pf = pq.ParquetFile(path)
+    meta, schema = pf.metadata, pf.schema_arrow
     wanted = set(columns)
     total = 0
     for g in range(meta.num_row_groups):
         rg = meta.row_group(g)
         for i in range(rg.num_columns):
-            if rg.column(i).path_in_schema in wanted:
-                total += rg.column(i).total_uncompressed_size
+            col = rg.column(i)
+            if col.path_in_schema not in wanted:
+                continue
+            bits = _bits_per_row(schema, col.path_in_schema)
+            total += (rg.num_rows * bits + 7) // 8 if bits else col.total_uncompressed_size
     return total
 
 

@@ -753,7 +753,8 @@ def substring_dedup_ds(
             batch_format="pyarrow",
             batch_size=None,
         )
-    if pin_fits(input_bytes_hint, pin_budget_bytes or PIN_BUDGET_BYTES):
+    budget = PIN_BUDGET_BYTES if pin_budget_bytes is None else pin_budget_bytes
+    if pin_fits(input_bytes_hint, budget):
         ds = ds.materialize()
 
     grams = ds.map_batches(

@@ -37,7 +37,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..core.exchange import exchange
+from ..core.exchange import exchange, message_round
 
 _EXACT_EVERY = 10
 _NEAR_EVERY = 7
@@ -953,71 +953,46 @@ def q_simhash_dup_pairs(sf_dir: str, n_buckets: int = 32):
 
 def label_propagation_clusters(edges, max_rounds: int = 32):
     """Connected components over an edge Dataset ``(doc_a, doc_b)`` via
-    distributed min-label propagation: each round every node takes the
-    minimum label among itself and its neighbours
-    (``edges ⋈ labels`` → ``groupby(node).min``), until the global
-    label sum stops decreasing (labels only ever decrease, so equal
-    sums ⟺ fixpoint). Rounds needed = component diameter — dup
-    clusters are shallow, so a handful. Per-round state is the small
-    ``(node, label)`` table; it is materialized (it IS the small
-    result) so round k doesn't re-execute rounds 1..k-1; the edge set
-    stays distributed throughout. Returns a Dataset
+    distributed min-label propagation: each round
+    (:func:`~pdf_parser_ray.core.exchange.message_round` over the
+    undirected adjacency) every node takes the minimum label among
+    itself and its neighbours, until the global label sum stops
+    decreasing (labels only ever decrease, so equal sums ⟺ fixpoint).
+    Rounds needed = component diameter + 1 — dup clusters are shallow,
+    so a handful; running out of ``max_rounds`` raises ``RuntimeError``.
+    Per-round state is the small ``(node, val)`` label table, at most 16
+    blocks and materialized so round k doesn't re-execute rounds
+    1..k-1; the adjacency is materialized once. Returns a Dataset
     ``(doc_id, cluster_rep)``."""
-    from ray.data.aggregate import Min
 
-    def undirect(batch: pa.Table) -> pa.Table:
-        a = batch["doc_a"].combine_chunks() if isinstance(batch["doc_a"], pa.ChunkedArray) else batch["doc_a"]
-        b = batch["doc_b"].combine_chunks() if isinstance(batch["doc_b"], pa.ChunkedArray) else batch["doc_b"]
-        src = pa.concat_arrays([pa.array(a.to_numpy(zero_copy_only=False), pa.int64()),
-                                pa.array(b.to_numpy(zero_copy_only=False), pa.int64())])
-        dst = pa.concat_arrays([pa.array(b.to_numpy(zero_copy_only=False), pa.int64()),
-                                pa.array(a.to_numpy(zero_copy_only=False), pa.int64())])
-        return pa.table({"src": src, "dst": dst})
+    def undirect(b: pa.Table) -> pa.Table:
+        a, d = b["doc_a"].cast(pa.int64()), b["doc_b"].cast(pa.int64())
+        return pa.concat_tables([pa.table({"src": a, "dst": d}), pa.table({"src": d, "dst": a})])
 
     adj = edges.map_batches(undirect, batch_format="pyarrow", batch_size=None).materialize()
 
-    # initial labels: every endpoint labels itself
-    def init_labels(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["src"], "label": batch["src"]})
-
-    labels = (
-        adj.map_batches(init_labels, batch_format="pyarrow", batch_size=None)
-        .groupby("node")
-        .aggregate(Min("label", alias_name="label"))
-        .materialize()
-    )
-    prev_sum = labels.sum("label")
-    if prev_sum is None:  # no edges at all → no clustered documents
-        import ray.data as rd
-
-        return rd.from_arrow(
-            pa.table({"doc_id": pa.array([], pa.int64()), "cluster_rep": pa.array([], pa.int64())})
+    def send(adj_g: pa.Table, labels_g: pa.Table | None) -> pa.Table:
+        # every node sends its label to itself and to its neighbours;
+        # in the first round every node labels itself
+        if labels_g is None:
+            label = adj_g["src"]
+        else:
+            adj_g = adj_g.join(labels_g, keys="src", right_keys="node")
+            label = adj_g["val"]
+        return pa.concat_tables(
+            [pa.table({"node": adj_g["src"], "val": label}), pa.table({"node": adj_g["dst"], "val": label})]
         )
 
-    def propagate(edges_g: pa.Table, labels_g: pa.Table) -> pa.Table:
-        # edges (src, dst) ⋈ labels (node, label) → neighbour-label
-        # candidates (node=dst, label). Emitted as Arrow so the union
-        # with the Arrow-blocked labels dataset stays single-block-type
-        # (mixed block types break sort/agg).
-        j = edges_g.to_pandas().merge(labels_g.to_pandas(), left_on="src", right_on="node")
-        return pa.table(
-            {
-                "node": pa.array(j["dst"].to_numpy(dtype=np.int64), pa.int64()),
-                "label": pa.array(j["label"].to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
-
+    labels, prev_sum = None, None
     for _ in range(max_rounds):
-        # one coarse-bucket exchange joins edges with current labels;
-        # the Min aggregate folds neighbour candidates into the labels
-        nbr = exchange([(adj, "src"), (labels, "node")], propagate, n_buckets=16)
-        labels = (
-            nbr.union(labels)
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-            .materialize()
-        )
-        new_sum = labels.sum("label")
+        labels = message_round(adj, "src", labels, send, "min", n_buckets=16)
+        new_sum = labels.sum("val")
+        if new_sum is None:  # no edges at all → no clustered documents
+            import ray.data as rd
+
+            return rd.from_arrow(
+                pa.table({"doc_id": pa.array([], pa.int64()), "cluster_rep": pa.array([], pa.int64())})
+            )
         if new_sum == prev_sum:
             break
         prev_sum = new_sum
@@ -1030,7 +1005,7 @@ def label_propagation_clusters(edges, max_rounds: int = 32):
         )
 
     def emit(batch: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": batch["node"], "cluster_rep": batch["label"]})
+        return pa.table({"doc_id": batch["node"], "cluster_rep": batch["val"]})
 
     return labels.map_batches(emit, batch_format="pyarrow", batch_size=None)
 

@@ -4,7 +4,12 @@ The engine already covers iterative-broadcast learning (k-means,
 ``stages/embed.py``); this module adds the OTHER iterative shape a
 100 TB pipeline needs: **edge-partitioned message passing**, where
 per-iteration state lives in the object store as a Dataset (never on
-the driver) and every round is a fixed number of bucket exchanges.
+the driver). PageRank and HITS run every round as one
+:func:`~pdf_parser_ray.core.exchange.message_round`: the edge set is
+materialized once, and each round's two exchanges carry a per-node
+state and pre-combined messages, never the graph; the state stays at
+most ``n_buckets`` blocks. k-core keeps its own loop, because its
+state is the edge set itself.
 
 PageRank is the canonical instance — and a real training-data signal:
 link-graph centrality is a classic web-corpus quality prior (pages
@@ -23,8 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..core.exchange import exchange
+from ..core.exchange import exchange, message_round
 
 N_ITER = 5
 DAMP_NUM = 850_000  # 0.85 in micro-units
@@ -72,19 +78,20 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
        their own src bucket) and computes ``deg(src)`` in the same
        partition. The result is materialized ONCE — the adjacency is
        reused by all iterations, and the pin is O(edges), spillable.
-    3. **Per iteration (×5)** — ranks meet the adjacency in one
-       src-bucket exchange (the first iteration needs no rank side:
-       every node starts at ``R0``); per-edge ``contrib = (r·850000) //
-       (1000000·deg)`` rows re-bucket by dst and sum into the next
-       rank vector, which is materialized (O(nodes) per iteration,
-       never driver-side). Every exchanged row is three int64s —
-       at web scale the shuffle carries messages, never the graph.
+    3. **Per iteration (×5)** — one
+       :func:`~pdf_parser_ray.core.exchange.message_round`: ranks meet
+       the adjacency by src (the first iteration needs no rank side:
+       every node starts at ``R0``), and the per-edge ``contrib =
+       (r·850000) // (1000000·deg)`` messages, summed per dst inside
+       each task, meet by dst and sum into the next rank vector
+       (materialized, at most ``n_buckets`` blocks, never
+       driver-side); ``BASE`` is added as the next round reads it.
+       Every exchanged message is two int64s — at web scale the
+       shuffle carries messages, never the graph.
 
     Returns one row per node: ``(node, rank_micro)`` after 5
     iterations. Every node of the symmetric graph has in-edges, so the
     ``BASE`` term needs no dangling-mass correction."""
-    import pandas as pd
-
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
 
@@ -115,59 +122,31 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
             {
                 "src": pa.array(e["src"].to_numpy(dtype=np.int64)),
                 "dst": pa.array(e["dst"].to_numpy(dtype=np.int64)),
-                "val": pa.array(deg.to_numpy(dtype=np.int64)),  # deg(src)
+                "deg": pa.array(deg.to_numpy(dtype=np.int64)),  # deg(src)
             }
         )
 
     edges = exchange([(sym, "src")], adjacency, n_buckets=n_buckets).materialize()
 
-    def contribs(e: pa.Table, *r: pa.Table) -> pa.Table:
-        j = e.to_pandas()
-        if r:
-            j = j.merge(r[0].to_pandas().rename(columns={"val": "r"}), on="src")
+    def send(e: pa.Table, r: pa.Table | None) -> pa.Table:
         # the first iteration has no rank side: every node starts at R0
-        rank = j["r"].to_numpy(dtype=np.int64) if r else R0
-        c = (rank * DAMP_NUM) // (1_000_000 * j["val"].to_numpy(dtype=np.int64))
-        # pre-aggregate by dst before the exchange: the dst-bucket
-        # shuffle carries O(nodes × buckets) partials, never edges
-        agg = pd.DataFrame({"dst": j["dst"].to_numpy(dtype=np.int64), "c": c}).groupby(
-            "dst", sort=False
-        )["c"].sum()
-        return pa.table(
-            {
-                "dst": pa.array(agg.index.to_numpy(dtype=np.int64)),
-                "c": pa.array(agg.to_numpy(dtype=np.int64)),
-            }
-        )
+        rank = R0
+        if r is not None:
+            e = e.join(r, keys="src", right_keys="node")
+            rank = e["val"].to_numpy()
+        c = (rank * DAMP_NUM) // (1_000_000 * e["deg"].to_numpy())
+        return pa.table({"node": e["dst"], "val": pa.array(c, pa.int64())})
 
-    def fold(g: pa.Table) -> pa.Table:
-        g = g.to_pandas()
-        agg = g.groupby("dst", sort=False)["c"].sum()
-        return pa.table(
-            {
-                "src": pa.array(agg.index.to_numpy(dtype=np.int64)),
-                "val": pa.array(BASE + agg.to_numpy(dtype=np.int64)),
-            }
-        )
+    def add_base(b: pa.Table) -> pa.Table:
+        return pa.table({"node": b["node"], "val": pc.add(b["val"], BASE)})
 
     ranks = None
     for _ in range(N_ITER):
-        sides = [(edges, "src")] + ([(ranks, "src")] if ranks is not None else [])
-        contrib = exchange(sides, contribs, n_buckets=n_buckets)
-        ranks = (
-            exchange([(contrib, "dst")], fold, n_buckets=n_buckets)
-            # Ray's sort shuffle emits one output partition per input
-            # block; left uncapped, each iteration's block count feeds
-            # the next union and compounds (measured: 606 mostly-empty
-            # rank blocks by iteration 5 at sf0.1, 5× slower). The
-            # split-merge repartition (no shuffle) pins the loop state
-            # at n_buckets blocks per iteration.
-            .repartition(n_buckets)
-            .materialize()
-        )
+        contrib = message_round(edges, "src", ranks, send, "sum", n_buckets=n_buckets)
+        ranks = contrib.map_batches(add_base, batch_format="pyarrow", batch_size=None)
 
     def finish(b: pa.Table) -> pa.Table:
-        return pa.table({"node": b["src"], "rank_micro": b["val"]})
+        return pa.table({"node": b["node"], "rank_micro": b["val"]})
 
     return ranks.map_batches(finish, batch_format="pyarrow", batch_size=None)
 
@@ -1156,6 +1135,16 @@ _SQL_K_CORE = _sql_k_core()
 _HITS_ITER = 5
 
 
+def _hits_envelope(mx: int) -> None:
+    """Raise ``OverflowError`` when a half-step's max raw score ``mx``
+    passes (2⁶³−1) // 10⁶, past which the scale's int64 product
+    ``v·10⁶`` (``v ≤ mx``) would wrap silently; DuckDB's BIGINT product
+    raises at the same point. A raw score is at most 10⁶ × degree, so a
+    node of degree over about 9.2·10⁶ can reach it."""
+    if mx > (2**63 - 1) // 1_000_000:
+        raise OverflowError(f"hits_scores: max raw score {mx} times 10^6 passes 2^63 (int64)")
+
+
 def q_hits_scores(sf_dir: str, n_buckets: int = 16):
     """HITS (Kleinberg JACM'99) over the directed customer→supplier
     purchase graph: customers are HUBS (their score flows to the
@@ -1170,10 +1159,16 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
 
     Shape (the PageRank message-passing discipline on a DIRECTED
     graph): the distinct edge set materializes once; each half-step
-    is ONE bucket exchange of pre-aggregated contributions (partials
-    fold per destination inside the map before shipping) plus a
-    dimension-bounded Max read-off for the normalizer; per-iteration
-    state is O(nodes), in the object store, never on the driver.
+    is ONE :func:`~pdf_parser_ray.core.exchange.message_round` keyed
+    on ``c`` (hubs → authorities) or ``s`` (authorities → hubs),
+    whose messages are summed per destination inside each task before
+    they ship, plus a Max read-off of the materialized raw scores for
+    the normalizer; the scale itself stays lazy. The first half-step
+    has no hub side: every customer starts at 10⁶. Per-iteration
+    state is O(nodes), at most ``n_buckets`` blocks, in the object
+    store, never on the driver. A half-step whose max raw score would
+    take ``v·10⁶`` past int64 raises ``OverflowError``
+    (:func:`_hits_envelope`).
 
     Returns one row per node: ``(node_type, node, score_micro)`` with
     node_type 0 = customer hub, 1 = supplier authority."""
@@ -1211,79 +1206,22 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
     # O(edges) pin, reused by all 2·ITER half-steps
     edges = exchange([(pairs, "c")], dedup_edges, n_buckets=n_buckets).materialize()
 
-    # h₀ = 10⁶ per customer (derived from the edge set itself)
-    def h0_rows(b: pa.Table) -> pa.Table:
-        c = np.unique(b["c"].to_numpy(zero_copy_only=False))
-        return pa.table(
-            {
-                "node": pa.array(c),
-                "val": pa.array(np.full(len(c), 1_000_000, np.int64)),
-            }
-        )
-
-    def dedup_nodes(g: pa.Table) -> pa.Table:
-        g = g.to_pandas()
-        d = g.drop_duplicates("node")
-        return pa.table(
-            {
-                "node": pa.array(d["node"].to_numpy(np.int64)),
-                "val": pa.array(d["val"].to_numpy(np.int64)),
-            }
-        )
-
-    keyed = edges.map_batches(h0_rows, batch_format="pyarrow", batch_size=None)
-    h = exchange([(keyed, "node")], dedup_nodes, n_buckets=n_buckets).materialize()
-
     def half_step(state, join_key, emit_key):
-        """One E/Eᵀ application: co-locate state with edges on
-        ``join_key``, pre-sum contributions per ``emit_key`` inside
-        the map, exchange once, fold."""
+        """One E/Eᵀ application and its max-normalization."""
 
-        def contribs(e: pa.Table, st: pa.Table) -> pa.Table:
-            r = st.to_pandas().rename(columns={"node": join_key, "val": "r"})
-            j = e.to_pandas().merge(r, on=join_key)
-            agg = j.groupby(emit_key, sort=False)["r"].sum()
-            return pa.table(
-                {
-                    "node": pa.array(agg.index.to_numpy(dtype=np.int64)),
-                    "contrib": pa.array(agg.to_numpy(dtype=np.int64)),
-                }
-            )
+        def send(e: pa.Table, st: pa.Table | None) -> pa.Table:
+            if st is None:  # h₀ = 10⁶ per customer
+                val = pa.array(np.full(e.num_rows, 1_000_000, np.int64))
+                return pa.table({"node": e[emit_key], "val": val})
+            j = e.join(st, keys=join_key, right_keys="node")
+            return pa.table({"node": j[emit_key], "val": j["val"]})
 
-        def fold(g: pa.Table) -> pa.Table:
-            g = g.to_pandas()
-            agg = g.groupby("node", sort=False)["contrib"].sum()
-            node = agg.index.to_numpy(dtype=np.int64)
-            return pa.table(
-                {
-                    "node": pa.array(node),
-                    "val": pa.array(agg.to_numpy(dtype=np.int64)),
-                }
-            )
-
-        state_side = (state, "node", pa.schema({"node": pa.int64(), "val": pa.int64()}))
-        contrib = exchange([(edges, join_key), state_side], contribs, n_buckets=n_buckets)
-        raw = (
-            exchange([(contrib, "node")], fold, n_buckets=n_buckets)
-            # pin the loop state at n_buckets blocks: the sort shuffle
-            # emits one output partition per input block, so left
-            # uncapped each half-step's block count feeds the next
-            # union and compounds across 10 steps (the PageRank
-            # repartition rule — without it sf0.1 runs minutes, not
-            # seconds)
-            .repartition(n_buckets)
-            .materialize()
-        )
+        raw = message_round(edges, join_key, state, send, "sum", n_buckets=n_buckets)
         mx = int(raw.max("val"))
+        _hits_envelope(mx)
 
-        def scale(b: pa.Table) -> pa.Table:
-            v = b["val"].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "node": b["node"],
-                    "val": pa.array(v * 1_000_000 // mx),
-                }
-            )
+        def scale(b: pa.Table) -> pa.Table:  # v ≥ 0: Arrow's truncation is floor
+            return pa.table({"node": b["node"], "val": pc.divide(pc.multiply(b["val"], 1_000_000), mx)})
 
         # the scale map stays LAZY: raw is already materialized (the
         # Max read-off executed it), and the next half-step is the
@@ -1291,7 +1229,7 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
         # per-iteration object-store writes
         return raw.map_batches(scale, batch_format="pyarrow", batch_size=None)
 
-    a = None
+    h = a = None
     for _ in range(_HITS_ITER):
         a = half_step(h, "c", "s")
         h = half_step(a, "s", "c")

@@ -1945,7 +1945,7 @@ def q_bm25_search(sf_dir: str, k: int = 10, pin_budget_bytes: "int | None" = Non
     from ..core.util import PIN_BUDGET_BYTES, pin_fits
 
     hint = n_docs * (len(probe) + 1) * 40
-    if pin_fits(hint, pin_budget_bytes or PIN_BUDGET_BYTES):
+    if pin_fits(hint, PIN_BUDGET_BYTES if pin_budget_bytes is None else pin_budget_bytes):
         tagged = tagged.materialize()
 
     parts = tagged.filter(expr="kind == 1").to_pandas()  # 1 row per block

@@ -2,9 +2,11 @@
 exchange: every row of every side reaches exactly one fold call, rows
 that share a key meet in the same call, no call is made for a bucket
 without rows, and each side arrives with its own schema — also in a
-bucket where it has no rows, and when it has no rows at all. Guards
-keep bucket-keyed folds and joins from being hand-rolled outside
-``core/`` again."""
+bucket where it has no rows, and when it has no rows at all.
+``message_round``, one round of an iterative query, combines its
+messages per node and keeps every loop's state at ``n_buckets``
+blocks. Guards keep bucket-keyed folds, joins and state caps from
+being hand-rolled outside ``core/`` again."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import pathlib
 import uuid
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -253,33 +256,41 @@ _NATURAL_KEY_FOLDS = {
 }
 
 
-def _groupby_map_groups_sites(package: pathlib.Path):
-    """``(module, key, line)`` of every ``.groupby(K).map_groups(`` call
-    in ``package`` outside ``core/``; a list key becomes a tuple."""
-    for path in sorted(package.rglob("*.py")):
-        module = path.relative_to(package).as_posix()
+_PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "pdf_parser_ray"
+
+
+def _calls_outside_core():
+    """``(module, call)`` for every call node in the package outside
+    ``core/``."""
+    for path in sorted(_PACKAGE.rglob("*.py")):
+        module = path.relative_to(_PACKAGE).as_posix()
         if module.startswith("core/"):
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            inner = node.func.value
-            if node.func.attr != "map_groups" or not (
-                isinstance(inner, ast.Call)
-                and isinstance(inner.func, ast.Attribute)
-                and inner.func.attr == "groupby"
-            ):
-                continue
-            key = ast.literal_eval(inner.args[0])
-            yield module, tuple(key) if isinstance(key, list) else key, node.lineno
+            if isinstance(node, ast.Call):
+                yield module, node
+
+
+def _method(call: ast.Call) -> str | None:
+    return call.func.attr if isinstance(call.func, ast.Attribute) else None
+
+
+def _groupby_map_groups_sites():
+    """``(module, key, line)`` of every ``.groupby(K).map_groups(`` call
+    outside ``core/``; a list key becomes a tuple."""
+    for module, node in _calls_outside_core():
+        inner = node.func.value if _method(node) == "map_groups" else None
+        if not (isinstance(inner, ast.Call) and _method(inner) == "groupby"):
+            continue
+        key = ast.literal_eval(inner.args[0])
+        yield module, tuple(key) if isinstance(key, list) else key, node.lineno
 
 
 def test_bucket_folds_go_through_exchange():
     """A fold over coarse key buckets is one ``exchange`` call: no
     module outside ``core/`` computes its own bucket column and folds it
     with ``groupby(bucket).map_groups``."""
-    package = pathlib.Path(__file__).resolve().parent.parent / "pdf_parser_ray"
-    sites = list(_groupby_map_groups_sites(package))
+    sites = list(_groupby_map_groups_sites())
     assert sites, "the walk found no groupby().map_groups call at all"
     stray = [
         f"{module}:{line} groupby({key!r})"
@@ -304,31 +315,23 @@ _OWN_BROADCAST_SIZING = {
 }
 
 
-def _join_sites(package: pathlib.Path):
+def _join_sites():
     """``(module, kind, line)`` of every ``broadcast_build_fits(...)``
-    call and every ``.join(..., join_type=...)`` call in ``package``
-    outside ``core/``."""
-    for path in sorted(package.rglob("*.py")):
-        module = path.relative_to(package).as_posix()
-        if module.startswith("core/"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "broadcast_build_fits":
-                yield module, name, node.lineno
-            elif name == "join" and any(kw.arg == "join_type" for kw in node.keywords):
-                yield module, ".join(join_type=)", node.lineno
+    call and every ``.join(..., join_type=...)`` call outside
+    ``core/``."""
+    for module, node in _calls_outside_core():
+        name = _method(node) or getattr(node.func, "id", None)
+        if name == "broadcast_build_fits":
+            yield module, name, node.lineno
+        elif name == "join" and any(kw.arg == "join_type" for kw in node.keywords):
+            yield module, ".join(join_type=)", node.lineno
 
 
 def test_joins_go_through_the_keyed_join():
     """A relational join is one ``core.join.keyed_join`` call: no module
     outside ``core/`` sizes its own broadcast or calls ``Dataset.join``,
     except the allowlisted stage sites, and each of those is still there."""
-    package = pathlib.Path(__file__).resolve().parent.parent / "pdf_parser_ray"
-    sites = list(_join_sites(package))
+    sites = list(_join_sites())
     stray = [
         f"{module}:{line} {kind}"
         for module, kind, line in sites
@@ -336,3 +339,118 @@ def test_joins_go_through_the_keyed_join():
     ]
     assert not stray, "route these joins through core.join.keyed_join:\n" + "\n".join(stray)
     assert {(module, kind) for module, kind, _ in sites} == set(_OWN_BROADCAST_SIZING)
+
+
+def test_loop_state_is_capped_only_in_core():
+    """An iterative query caps its loop state through
+    ``core.exchange.message_round``: no module outside ``core/`` calls
+    ``.repartition(``."""
+    stray = [
+        f"{module}:{node.lineno}"
+        for module, node in _calls_outside_core()
+        if _method(node) == "repartition"
+    ]
+    assert not stray, "run these loops through core.exchange.message_round:\n" + "\n".join(stray)
+
+
+def test_message_round_sums_and_mins_messages_per_node():
+    """The first round has no state; a later one meets the state by the
+    static key. Messages are combined per node, in the task and across
+    tasks, and the state is capped at ``n_buckets`` blocks."""
+    import ray.data
+
+    from pdf_parser_ray.core.exchange import message_round
+
+    edges = ray.data.from_arrow(
+        pa.table({"src": pa.array([1, 1, 2, 3, 3, 3], pa.int64()), "dst": pa.array([2, 3, 3, 1, 2, 4], pa.int64())})
+    ).materialize()
+
+    def in_degree(e, st):
+        assert st is None
+        return pa.table({"node": e["dst"], "val": pa.array([1] * e.num_rows, pa.int64())})
+
+    deg = message_round(edges, "src", None, in_degree, "sum", n_buckets=3)
+    assert deg.num_blocks() <= 3
+    assert dict(deg.to_pandas().values.tolist()) == {1: 1, 2: 2, 3: 2, 4: 1}
+
+    def min_in_neighbour(e, st):
+        j = e.join(st, keys="src", right_keys="node")
+        return pa.table({"node": j["dst"], "val": pc.multiply(j["src"], j["val"])})
+
+    state = ray.data.from_arrow(pa.table({"node": pa.array([1, 2, 3], pa.int64()), "val": pa.array([5, 6, 7], pa.int64())}))
+    got = message_round(edges, "src", state, min_in_neighbour, "min", n_buckets=3)
+    assert got.num_blocks() <= 3
+    assert dict(got.to_pandas().values.tolist()) == {1: 21, 2: 5, 3: 5, 4: 21}
+    with pytest.raises(ValueError, match="combine"):
+        message_round(edges, "src", None, in_degree, "max", n_buckets=3)
+
+
+def _purchase_graph(d: pathlib.Path) -> str:
+    """Three customers buying from three suppliers through four orders."""
+    import pyarrow.parquet as pq
+
+    pq.write_table(
+        pa.table({"o_orderkey": pa.array([1, 2, 3, 4], pa.int64()), "o_custkey": pa.array([1, 2, 2, 3], pa.int64())}),
+        str(d / "orders.parquet"),
+    )
+    pq.write_table(
+        pa.table({"l_orderkey": pa.array([1, 2, 3, 3, 4], pa.int64()), "l_suppkey": pa.array([1, 1, 2, 3, 3], pa.int64())}),
+        str(d / "lineitem.parquet"),
+    )
+    return str(d)
+
+
+def _chain_components(_sf):
+    import ray.data
+
+    from pdf_parser_ray.stages.dedup import label_propagation_clusters
+
+    chain = pa.table({"doc_a": pa.array([1, 2, 3, 4], pa.int64()), "doc_b": pa.array([2, 3, 4, 5], pa.int64())})
+    return label_propagation_clusters(ray.data.from_arrow(chain))
+
+
+def _pagerank(sf):
+    from pdf_parser_ray.stages.graph import q_purchase_pagerank
+
+    return q_purchase_pagerank(sf, n_buckets=4)
+
+
+def _hits(sf):
+    from pdf_parser_ray.stages.graph import q_hits_scores
+
+    return q_hits_scores(sf, n_buckets=4)
+
+
+# query, its state's bucket count, the rounds it materializes at least
+# (label propagation's 16 buckets are fixed; the chain of diameter 4
+# takes 5 rounds)
+_LOOPS = {
+    "label_propagation": (_chain_components, 16, 5),
+    "pagerank": (_pagerank, 4, 5),
+    "hits": (_hits, 4, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOOPS))
+def test_loop_state_stays_at_n_buckets_blocks(name, tmp_path, monkeypatch):
+    """After its static side (the first Dataset it materializes), every
+    Dataset an iterative query materializes, its state after each
+    round, has at most ``n_buckets`` blocks: an uncapped shuffle output
+    feeds its block count into the next round and compounds it (1, 3,
+    7, 15, 31 label blocks on this chain before the cap)."""
+    import ray.data
+
+    run, n_buckets, rounds = _LOOPS[name]
+    blocks = []
+    real = ray.data.Dataset.materialize
+
+    def spy(self):
+        out = real(self)
+        blocks.append(out.num_blocks())
+        return out
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", spy)
+    assert run(_purchase_graph(tmp_path)).count() > 0
+    states = blocks[1:]
+    assert len(states) >= rounds
+    assert max(states) <= n_buckets, blocks

@@ -118,17 +118,31 @@ class TestKeyedJoin:
             _join(_fact(), sf, None, "semi", cols=["v"])
 
 
-def test_build_size_is_the_footer_bytes_of_the_columns_read(tmp_path):
+def test_build_size_is_arrow_width_for_fixed_columns_footer_bytes_for_others(tmp_path):
+    """A fixed-width column counts rows × (width + a validity bit), as
+    the reader builds it; a variable-width one its footer's
+    uncompressed bytes. The footer's own size of a dictionary-encoded
+    int64 column understates its Arrow size, which the build must not."""
     sf = _dim(tmp_path)
     path = f"{sf}/dim.parquet"
     meta = pq.ParquetFile(path).metadata
-    per_column = {
-        meta.row_group(0).column(i).path_in_schema:
-        meta.row_group(0).column(i).total_uncompressed_size
-        for i in range(meta.num_columns)
-    }
-    assert join.build_bytes(path, ["dk"]) == per_column["dk"]
-    assert join.build_bytes(path, ["dk", "v"]) == per_column["dk"] + per_column["v"]
+    footer_v = sum(
+        meta.row_group(g).column(1).total_uncompressed_size for g in range(meta.num_row_groups)
+    )
+    assert join.build_bytes(path, ["dk"]) == (40 * 33 + 7) // 8  # int32, nullable
+    assert join.build_bytes(path, ["dk", "v"]) == (40 * 33 + 7) // 8 + footer_v
+    assert join.build_bytes(path, ["flag"]) == 40 * 65 // 8
+
+    rows = 10_000
+    pq.write_table(
+        pa.table({"k": pa.array([i % 7 for i in range(rows)], pa.int64())}),
+        str(tmp_path / "rep.parquet"),
+    )
+    rep = f"{tmp_path}/rep.parquet"
+    footer = pq.ParquetFile(rep).metadata.row_group(0).column(0).total_uncompressed_size
+    arrow = pq.read_table(rep).nbytes
+    assert footer < arrow  # dictionary + RLE stay applied in the footer size
+    assert join.build_bytes(rep, ["k"]) >= arrow
 
 
 @pytest.mark.parametrize(

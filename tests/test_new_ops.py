@@ -1492,9 +1492,38 @@ class TestWindowPivotGroupedPct:
         assert got.loc["error"].tolist() == [1, 1]
 
 
+def _spy_pin_fits(monkeypatch):
+    """Record every ``core.util.pin_fits`` call as ``(hint, budget, fits)``."""
+    from pdf_parser_ray.core import util
+
+    calls, real = [], util.pin_fits
+
+    def spy(hint, budget_bytes=util.PIN_BUDGET_BYTES):
+        fits = real(hint, budget_bytes)
+        calls.append((hint, budget_bytes, fits))
+        return fits
+
+    monkeypatch.setattr(util, "pin_fits", spy)
+    return calls
+
+
 class TestPinGate:
     """Size-gated input pin for two-consumer stages (VERDICT r3 item 3:
     the broadcast_build_fits discipline applied to materialize pins)."""
+
+    def test_zero_budget_is_not_the_default(self, monkeypatch, ray_session):
+        """``pin_budget_bytes=0`` reaches ``pin_fits`` as 0 and the input
+        is not pinned; only ``None`` means the default budget."""
+        import ray.data as rd
+
+        from pdf_parser_ray.stages.corpus import substring_dedup_ds
+
+        calls = _spy_pin_fits(monkeypatch)
+        tbl = pa.table({"doc_id": pa.array([1, 2], pa.int64()), "text": pa.array(["a b c d e f"] * 2)})
+        substring_dedup_ds(
+            rd.from_arrow(tbl), input_bytes_hint=1, n_buckets=2, pin_budget_bytes=0
+        ).to_pandas()
+        assert calls == [(1, 0, False)]
 
     def test_pin_fits_rule(self, tmp_path):
         from pdf_parser_ray.core.util import parquet_uncompressed_bytes, pin_fits
@@ -2011,6 +2040,15 @@ class TestBM25:
         # force the gate shut: postings estimate >> 1 byte budget
         unpinned = q_bm25_search(bm25_sf, pin_budget_bytes=1).to_pandas()
         assert got.equals(unpinned)
+
+    def test_zero_pin_budget_is_not_the_default(self, bm25_sf, monkeypatch, ray_session):
+        """``pin_budget_bytes=0`` reaches ``pin_fits`` as 0 and the
+        postings are not pinned; only ``None`` means the default."""
+        from pdf_parser_ray.stages.textstats import q_bm25_search
+
+        calls = _spy_pin_fits(monkeypatch)
+        q_bm25_search(bm25_sf, pin_budget_bytes=0).to_pandas()
+        assert [(budget, fits) for _, budget, fits in calls] == [(0, False)]
 
 
 class TestLangMixOrderSpan:
@@ -4081,6 +4119,17 @@ class TestHitsScores:
         hub = got.loc[0]["score_micro"]
         assert auth.loc[1] == 1_000_000 and auth.loc[2] < 1_000_000
         assert hub.loc[2] == 1_000_000 and hub.loc[1] < 1_000_000
+
+    def test_scale_envelope_boundary(self):
+        """The scale ``v·10⁶ // max`` stays in int64 up to a max raw score
+        of (2⁶³−1) // 10⁶; one more raises instead of wrapping."""
+        from pdf_parser_ray.stages.graph import _hits_envelope
+
+        edge = 9_223_372_036_854
+        _hits_envelope(edge)
+        assert int(np.int64(edge) * 1_000_000) == edge * 1_000_000  # no wrap
+        with pytest.raises(OverflowError):
+            _hits_envelope(edge + 1)
 
 
 class TestDupClusterHistogram:
