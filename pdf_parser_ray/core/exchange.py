@@ -50,6 +50,10 @@ the CPU in the other.
 An iterative query (label propagation, PageRank, HITS) runs each of
 its rounds as one :func:`message_round`: two exchanges over a
 materialized static side and a small ``(node, val)`` state.
+
+Every per-batch partial aggregate, the map-side combiner in front of
+an exchange or a ``groupby``, is one :func:`combine` call: it folds
+the batch to one row per key in Arrow before the batch's rows ship.
 """
 
 from __future__ import annotations
@@ -202,12 +206,26 @@ def exchange(
 _STATE = pa.schema({"node": pa.int64(), "val": pa.int64()})
 
 
-def _combine(msgs: pa.Table, how: str) -> pa.Table:
-    g = msgs.group_by("node").aggregate([("val", how)])
-    return pa.table({"node": g["node"], "val": g[f"val_{how}"]})
+def combine(table: pa.Table, keys: str | Sequence[str], how: str | dict[str, str]) -> pa.Table:
+    """Fold ``table`` to one row per distinct key: the partial aggregate
+    a task takes of its batch before the batch's rows ship.
+
+    Every non-key column is aggregated by ``how``, one Arrow hash
+    aggregation name (``"sum"``, ``"min"``, ``"max"``) or a column →
+    name map. Each column keeps its name, the keys come first, and a
+    row whose key is null is dropped (pandas' ``groupby`` default). The
+    fold runs on one thread, so groups come out in first-seen order."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    for k in keys:
+        if table[k].null_count:
+            table = table.filter(pc.is_valid(table[k]))
+    values = [c for c in table.column_names if c not in keys]
+    hows = how if isinstance(how, dict) else dict.fromkeys(values, how)
+    g = table.group_by(keys, use_threads=False).aggregate([(c, hows[c]) for c in values])
+    return pa.table({**{k: g[k] for k in keys}, **{c: g[f"{c}_{hows[c]}"] for c in values}})
 
 
-def message_round(static, key: str, state, send, combine: str, *, n_buckets: int):
+def message_round(static, key: str, state, send, how: str, *, n_buckets: int):
     """One synchronous message-passing round of an iterative query.
 
     ``static`` is a materialized Dataset every round reuses (an edge
@@ -217,25 +235,26 @@ def message_round(static, key: str, state, send, combine: str, *, n_buckets: int
     static rows with the state rows whose ``node`` equals their
     ``key``, and ``send(static_rows, state_rows)`` (``state_rows`` is
     ``None`` in the first round) turns them into ``(node, val)`` int64
-    messages. ``combine`` (``"sum"`` or ``"min"``) folds each task's
-    messages per node before they ship, as a Pregel combiner does, and
-    again where a second exchange meets them by ``node``. The result,
-    the next state, is capped at ``n_buckets`` blocks and materialized:
-    a shuffle emits one block per input block, so an uncapped state
-    would feed its block count into the next round and compound it.
+    messages. :func:`combine` by ``how`` (``"sum"`` or ``"min"``)
+    folds each task's messages per node before they ship, as a Pregel
+    combiner does, and again where a second exchange meets them by
+    ``node``. The result, the next state, is capped at ``n_buckets``
+    blocks and materialized: a shuffle emits one block per input
+    block, so an uncapped state would feed its block count into the
+    next round and compound it.
 
     k-core and BFS keep their own loops: their state is the edge set
     itself, or a frontier on the driver, not a value per node."""
-    if combine not in ("sum", "min"):
-        raise ValueError(f"combine must be 'sum' or 'min', not {combine!r}")
+    if how not in ("sum", "min"):
+        raise ValueError(f"message_round combines by 'sum' or 'min', not {how!r}")
     sides = [(static, key)] + ([(state, "node", _STATE)] if state is not None else [])
 
     def emit(rows: pa.Table, *st: pa.Table) -> pa.Table:
-        return _combine(send(rows, st[0] if st else None), combine)
+        return combine(send(rows, st[0] if st else None), "node", how)
 
     msgs = exchange(sides, emit, n_buckets=n_buckets)
     return (
-        exchange([(msgs, "node")], lambda m: _combine(m, combine), n_buckets=n_buckets)
+        exchange([(msgs, "node")], lambda m: combine(m, "node", how), n_buckets=n_buckets)
         .repartition(n_buckets)
         .materialize()
     )

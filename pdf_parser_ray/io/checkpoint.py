@@ -36,12 +36,9 @@ any work.
   is a Parquet corpus and the output only needs to be complete and
   resumable.
 * :func:`resumable_write` (any Dataset) routes each output row by
-  ``md5(key) % N``, or by an int ``partition_col`` the caller computed
-  (range routing, which a layout-clustering rewrite needs: contiguous
-  key ranges stay in one file, so its zone maps stay tight). It runs a
-  ``groupby`` exchange, so it commits only after the whole input is
-  produced. Use it when a partition must hold given keys (``zorder``)
-  or the input is not a file corpus.
+  ``md5(key) % N``. It runs a ``groupby`` exchange, so it commits only
+  after the whole input is produced. Use it when a partition must hold
+  given keys or the input is not a file corpus.
 
 Per-partition ``manifest.json`` carries the lineage/metrics record:
 the partition count it was routed with, row/doc counts, the
@@ -377,17 +374,10 @@ def resumable_write(
     fail_on: Callable[[int], bool] | None = None,
     verify_fingerprints: bool = False,
     allow_empty_input: bool = False,
-    partition_col: str | None = None,
 ) -> dict:
     """Write ``ds`` to a resumable partitioned layout.
 
-    Rows route to ``md5(key) % n_partitions`` — or, when
-    ``partition_col`` names an int column already on the dataset, to
-    that value directly (must lie in ``[0, n_partitions)``): the
-    RANGE-routing mode a layout-clustering rewrite needs, where
-    contiguous key ranges must land in the same file so its zone maps
-    stay tight (hash routing would scatter them). All
-    resume/kill/fingerprint semantics are identical in both modes.
+    Rows route to ``md5(key) % n_partitions``.
 
     Where the anti-join runs: ``done_partitions`` is read once, and the
     rows of ``ds`` that route to a partition bearing a manifest are
@@ -441,8 +431,6 @@ def resumable_write(
         return {"written": [], "skipped": sorted(done), "n_partitions": n_partitions}
 
     def route(batch: pa.Table):
-        if partition_col is not None:
-            return pc.cast(batch[partition_col], pa.int32())
         return _partition_of(batch[key], n_partitions)
 
     # batch_size=None (per-block, zero-copy): the filter and the

@@ -23,7 +23,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..core.config import FormConfig
-from ..core.exchange import exchange
+from ..core.exchange import combine, exchange
 from ..stages.parse import PARSE_BATCH, DocumentExtractor
 
 
@@ -295,25 +295,16 @@ def extract_offset_audit(sf_dir: str, n_buckets: int = 32, _spans=None):
     spans = flagship(sf_dir) if _spans is None else _spans
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
+        off = batch["offset"].cast(pa.int64())
+        t = pa.table(
             {
-                "doc_id": batch["doc_id"].to_pylist(),
-                "off": batch["offset"].to_numpy(zero_copy_only=False),
+                "doc_id": batch["doc_id"].cast(pa.string()),
+                "n": np.ones(batch.num_rows, np.int64),
+                "mn": off,
+                "mx": off,
             }
         )
-        agg = (
-            df.groupby("doc_id", sort=False)["off"]
-            .agg(["size", "min", "max"])
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(agg["doc_id"].tolist(), pa.string()),
-                "n": pa.array(agg["size"].to_numpy(np.int64), pa.int64()),
-                "mn": pa.array(agg["min"].to_numpy(np.int64), pa.int64()),
-                "mx": pa.array(agg["max"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        return combine(t, "doc_id", {"n": "sum", "mn": "min", "mx": "max"})
 
     def verdicts(g: pa.Table) -> pa.Table:
         g = g.to_pandas()
@@ -421,25 +412,18 @@ def extract_span_length_stats(sf_dir: str, _spans=None):
     """
     import numpy as np
     import pandas as pd
+    import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
     spans = flagship(sf_dir) if _spans is None else _spans
 
     def partial(batch: pa.Table) -> pa.Table:
-        ln = [len(t or "") for t in batch["text"].to_pylist()]
-        agg = (
-            pd.DataFrame({"kind": batch["kind"].to_pylist(), "ln": ln})
-            .groupby(["kind", "ln"], sort=False)
-            .size()
-            .reset_index(name="n")
+        # a block whose texts are all null types the column null
+        ln = pc.fill_null(pc.utf8_length(batch["text"].cast(pa.string())), 0).cast(pa.int64())
+        t = pa.table(
+            {"kind": batch["kind"].cast(pa.string()), "ln": ln, "n": np.ones(batch.num_rows, np.int64)}
         )
-        return pa.table(
-            {
-                "kind": pa.array(agg["kind"].tolist(), pa.string()),
-                "ln": pa.array(agg["ln"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        return combine(t, ["kind", "ln"], "sum")
 
     cells = (
         spans.map_batches(partial, batch_format="pyarrow", batch_size=None)

@@ -44,9 +44,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..core.exchange import exchange
+from ..core.exchange import combine, exchange
 from ..core.join import keyed_join
-from .ops import _cents, _read
+from ..io.sources import read_table
+from .ops import _cents
 
 
 def _qty_int(arr) -> "np.ndarray":
@@ -78,7 +79,7 @@ def q_late_ship_priority(sf_dir: str, grace_days: int = 5):
     partials into a five-row groupby."""
     from ray.data.aggregate import Max, Sum
 
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
     def max_ship(batch: pa.Table) -> pa.Table:
         ok = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -159,7 +160,7 @@ def q_promo_revenue(sf_dir: str, budget_bytes: int | None = None):
     positives in both)."""
     import pandas as pd
 
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
 
     def per_part(batch: pa.Table) -> pa.Table:
         price_c = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
@@ -237,7 +238,7 @@ def q_important_parts(sf_dir: str):
     per-row product can overflow at any corpus size."""
     from ray.data.aggregate import Sum
 
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
 
     def per_part(batch: pa.Table) -> pa.Table:
         price_c = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
@@ -300,7 +301,7 @@ def q_order_count_distribution(sf_dir: str):
     import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
-    orders = _read(sf_dir, "orders", ["o_custkey"])
+    orders = read_table(sf_dir, "orders", ["o_custkey"])
 
     def per_cust(batch: pa.Table) -> pa.Table:
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -377,10 +378,9 @@ def q_part_supplier_counts(
     on the triple), and the final count is per-batch partials over the
     already-distinct triples — COUNT (DISTINCT) without ever shipping
     line-grain rows."""
-    import pandas as pd
     from ray.data.aggregate import Count, Sum
 
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
 
     def pairs(batch: pa.Table) -> pa.Table:
         keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -421,20 +421,14 @@ def q_part_supplier_counts(
     )
 
     def count_partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "p_brand": batch["p_brand"].to_pandas(),
-                "p_size": batch["p_size"].to_numpy(zero_copy_only=False).astype(np.int64),
+                "p_brand": batch["p_brand"],
+                "p_size": batch["p_size"].cast(pa.int64()),
+                "supplier_cnt": np.ones(batch.num_rows, np.int64),
             }
         )
-        g = df.groupby(["p_brand", "p_size"], as_index=False).size()
-        return pa.table(
-            {
-                "p_brand": pa.array(g["p_brand"].astype(str), pa.string()),
-                "p_size": pa.array(g["p_size"].to_numpy(dtype=np.int64)),
-                "supplier_cnt": pa.array(g["size"].to_numpy(dtype=np.int64)),
-            }
-        )
+        return combine(t, ["p_brand", "p_size"], "sum")
 
     return (
         distinct.map_batches(count_partial, batch_format="pyarrow", batch_size=None)
@@ -477,7 +471,7 @@ def q_small_qty_revenue(sf_dir: str, brand: str = "Brand#1"):
     )
     brand_keys = np.sort(pk_tbl["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64))
 
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
 
     def in_brand(keys: np.ndarray) -> np.ndarray:
         if not len(brand_keys):
@@ -586,7 +580,7 @@ def q_large_orders(sf_dir: str, min_qty: int = 150, k: int = 100):
     lineitems."""
     from ray.data.aggregate import Sum
 
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def per_order(batch: pa.Table) -> pa.Table:
         ok = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -666,7 +660,7 @@ def q_disjunctive_revenue(sf_dir: str, budget_bytes: int | None = None):
     partial row out."""
     import pandas as pd
 
-    li = _read(
+    li = read_table(
         sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"]
     )
 
@@ -767,7 +761,7 @@ def q_waiting_suppliers(
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
 
     def pair_max(batch: pa.Table) -> pa.Table:
         ok = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -868,7 +862,7 @@ def q_idle_rich_customers(
     anti join."""
     from ray.data.aggregate import Sum
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
 
     def bal_partial(batch: pa.Table) -> pa.Table:
         cents = _cents(batch["c_acctbal"]).to_numpy(zero_copy_only=False)
@@ -982,7 +976,7 @@ def q_cheapest_supplier(sf_dir: str, size: int = 10):
     pk = pk[order]
     names = np.asarray(part["p_name"].to_pylist(), dtype=object)[order]
 
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice"])
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice"])
 
     def pack_min(batch: pa.Table) -> pa.Table:
         keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1053,7 +1047,7 @@ def q_hourly_fill(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    ds = _read(sf_dir, "events", ["ts"])
+    ds = read_table(sf_dir, "events", ["ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -1168,21 +1162,19 @@ def q_order_total_mad(sf_dir: str):
     def summarize(extract):
         """orders scan → (priority, value) count summary → per-priority
         value-count rows."""
-        ds = _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
+        ds = read_table(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
 
         def partial(batch: pa.Table) -> pa.Table:
             cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-            prio = batch["o_orderpriority"].to_pandas()
-            val = extract(prio, cents)
-            df = pd.DataFrame({"p": prio, "v": val})
-            g = df.groupby(["p", "v"], as_index=False).size()
-            return pa.table(
+            prio = batch["o_orderpriority"]
+            t = pa.table(
                 {
-                    "o_orderpriority": pa.array(g["p"].astype(str), pa.string()),
-                    "v": pa.array(g["v"].to_numpy(dtype=np.int64)),
-                    "n": pa.array(g["size"].to_numpy(dtype=np.int64)),
+                    "o_orderpriority": prio,
+                    "v": extract(prio, cents),
+                    "n": np.ones(len(cents), np.int64),
                 }
             )
+            return combine(t, ["o_orderpriority", "v"], "sum")
 
         return (
             ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -1209,10 +1201,11 @@ def q_order_total_mad(sf_dir: str):
         )
 
     med_df = read_off(summarize(lambda p, c: c), "median_cents")
-    med_lut = dict(zip(med_df["o_orderpriority"], med_df["median_cents"]))
+    med_keys = pa.array(med_df["o_orderpriority"].tolist(), pa.string())
+    med_vals = med_df["median_cents"].to_numpy(dtype=np.int64)
 
     def abs_dev(prio, cents):
-        med = prio.map(med_lut).to_numpy(dtype=np.int64)
+        med = med_vals[pc.index_in(prio, med_keys).to_numpy()]
         return np.abs(cents - med)
 
     mad_df = read_off(summarize(abs_dev), "mad_cents")
@@ -1255,7 +1248,7 @@ def q_order_ewma(sf_dir: str, n_buckets: int = 32):
     grain (the input grain of any ordered window), everything after is
     vectorized per partition."""
 
-    orders = _read(
+    orders = read_table(
         sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"]
     )
 
@@ -1350,8 +1343,8 @@ def q_id_set_algebra(sf_dir: str):
     block, never event/order volume."""
     from ray.data.aggregate import Max
 
-    events = _read(sf_dir, "events", ["user_id"])
-    orders = _read(sf_dir, "orders", ["o_custkey"])
+    events = read_table(sf_dir, "events", ["user_id"])
+    orders = read_table(sf_dir, "orders", ["o_custkey"])
 
     def side(col: str, e: int, o: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -1404,19 +1397,18 @@ def q_priority_value_ranks(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    orders = _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"p": batch["o_orderpriority"].to_pandas(), "cents": cents})
-        g = df.groupby(["p", "cents"], as_index=False).size()
-        return pa.table(
+        t = pa.table(
             {
-                "o_orderpriority": pa.array(g["p"].astype(str), pa.string()),
-                "cents": pa.array(g["cents"].to_numpy(dtype=np.int64)),
-                "cnt": pa.array(g["size"].to_numpy(dtype=np.int64)),
+                "o_orderpriority": batch["o_orderpriority"],
+                "cents": cents,
+                "cnt": np.ones(len(cents), np.int64),
             }
         )
+        return combine(t, ["o_orderpriority", "cents"], "sum")
 
     summary = (
         orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -1485,7 +1477,7 @@ def q_brand_mode_qty(sf_dir: str, budget_bytes: int | None = None):
     summary is bounded by |brands|×|qty values| per batch."""
     from ray.data.aggregate import Sum
 
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
 
     def per_part_qty(batch: pa.Table) -> pa.Table:
         keys = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1580,7 +1572,7 @@ def q_event_validity_intervals(sf_dir: str, n_buckets: int = 32):
     attribution_last_touch). One user-bucket exchange at the event
     grain; the shift is a vectorized per-partition gather."""
 
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
+    ev = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def tag(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1655,22 +1647,13 @@ def q_weighted_median_price(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    li = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice", "l_quantity"])
+    li = read_table(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice", "l_quantity"])
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
         qty = _qty_int(batch["l_quantity"])
-        df = pd.DataFrame(
-            {"f": batch["l_returnflag"].to_pandas(), "cents": cents, "w": qty}
-        )
-        g = df.groupby(["f", "cents"], as_index=False)["w"].sum()
-        return pa.table(
-            {
-                "l_returnflag": pa.array(g["f"].astype(str), pa.string()),
-                "cents": pa.array(g["cents"].to_numpy(dtype=np.int64)),
-                "w": pa.array(g["w"].to_numpy(dtype=np.int64)),
-            }
-        )
+        t = pa.table({"l_returnflag": batch["l_returnflag"], "cents": cents, "w": qty})
+        return combine(t, ["l_returnflag", "cents"], "sum")
 
     summary = (
         li.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -1739,24 +1722,13 @@ def q_pre_purchase_views(sf_dir: str, n_buckets: int = 32):
     partitioned-distinct argument as ``type_user_counts``."""
     import pandas as pd
 
-    events = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
+    events = read_table(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def prep_cutoffs(b: pa.Table) -> pa.Table:
         mask = pc.equal(b["event_type"], "purchase")
         b = b.filter(mask)
-        df = pd.DataFrame(
-            {
-                "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-                "ts_us": pc.cast(b["ts"], pa.int64()).to_numpy(),
-            }
-        )
-        g = df.groupby("user_id", as_index=False)["ts_us"].min()
-        return pa.table(
-            {
-                "user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64), pa.int64()),
-                "ts_us": pa.array(g["ts_us"].to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
+        t = pa.table({"user_id": b["user_id"].cast(pa.int64()), "ts_us": pc.cast(b["ts"], pa.int64())})
+        return combine(t, "user_id", "min")
 
     def fold_bucket(cuts: pa.Table, evs: pa.Table) -> pa.Table:
         # fold the per-batch partial MINs
@@ -1842,23 +1814,12 @@ def q_spend_gini(sf_dir: str, n_buckets: int = 16):
     — group-local cost, unbounded-magnitude safe."""
     import pandas as pd
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    customer = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
     def prep_orders(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "key": b["o_custkey"].to_numpy(zero_copy_only=False),
-                "cents": _cents(b["o_totalprice"]).to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby("key", as_index=False)["cents"].sum()
-        return pa.table(
-            {
-                "key": pa.array(g["key"].to_numpy(), pa.int64()),
-                "cents": pa.array(g["cents"].to_numpy(), pa.int64()),
-            }
-        )
+        t = pa.table({"key": b["o_custkey"].cast(pa.int64()), "cents": _cents(b["o_totalprice"])})
+        return combine(t, "key", "sum")
 
     m1 = 7  # mantissa bits of the value-range binning (≈ 2⁻⁷ buckets)
     _LIMB = 62

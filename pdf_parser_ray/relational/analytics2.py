@@ -50,10 +50,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .ops import _cents, _read
+from .ops import _cents
 from .analytics import _qty_int
-from ..core.exchange import exchange
+from ..core.exchange import combine, exchange
 from ..core.join import keyed_join, session_buckets
+from ..io.sources import read_table
 
 _US = np.int64(86_400_000_000)
 
@@ -124,7 +125,7 @@ def q_discount_revenue(sf_dir: str):
     100 TB scan-aggregate should have."""
     import pandas as pd
 
-    li = _read(
+    li = read_table(
         sf_dir,
         "lineitem",
         ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"],
@@ -186,7 +187,6 @@ def q_nation_trade_volume(sf_dir: str, budget_bytes: int | None = None):
     pair sums in place — the customer side is unique per orderkey, so
     per-batch partials join-then-sum exactly — and the final group-by
     runs on a ≤ nations² × years key space."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     names, regions = _nation_maps(sf_dir)
@@ -195,7 +195,7 @@ def q_nation_trade_volume(sf_dir: str, budget_bytes: int | None = None):
     asia = np.array([regions[i] == "ASIA" for i in range(n_keys)], dtype=bool)
     lo, hi = _day_us("1996-01-01"), _day_us("1998-01-01")
 
-    li = _read(
+    li = read_table(
         sf_dir,
         "lineitem",
         ["l_orderkey", "l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
@@ -214,28 +214,13 @@ def q_nation_trade_volume(sf_dir: str, budget_bytes: int | None = None):
         ship = _ts_us(batch["l_shipdate"])
         nk = batch["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = (ship >= lo) & (ship < hi) & euro[nk]
-        if not keep.any():
-            return pa.table(
-                {
-                    "l_orderkey": pa.array([], pa.int64()),
-                    "sn_year": pa.array([], pa.int64()),
-                    "revenue_cents2": pa.array([], pa.int64()),
-                }
-            )
         ok = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)[keep]
         year = _year_of(ship[keep])
-        rev = _rev2(batch)[keep]
         # years are four-digit (< 4096): pack (nation, year) into one key
-        sn_year = (nk[keep] << 12) | year
-        df = pd.DataFrame({"k1": ok, "k2": sn_year, "v": rev})
-        agg = df.groupby(["k1", "k2"], sort=False)["v"].sum().reset_index()
-        return pa.table(
-            {
-                "l_orderkey": pa.array(agg["k1"].to_numpy(), pa.int64()),
-                "sn_year": pa.array(agg["k2"].to_numpy(), pa.int64()),
-                "revenue_cents2": pa.array(agg["v"].to_numpy(), pa.int64()),
-            }
+        t = pa.table(
+            {"l_orderkey": ok, "sn_year": (nk[keep] << 12) | year, "revenue_cents2": _rev2(batch)[keep]}
         )
+        return combine(t, ["l_orderkey", "sn_year"], "sum")
 
     # per-batch partials flow straight into the bucket exchange: the
     # customer side is unique per orderkey, so join-then-sum equals
@@ -243,7 +228,7 @@ def q_nation_trade_volume(sf_dir: str, budget_bytes: int | None = None):
     # folds away — one all-to-all saved
     supp_side = li.map_batches(reduce_lines, batch_format="pyarrow", batch_size=None)
 
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     orders = keyed_join(
         orders,
         sf_dir,
@@ -366,7 +351,6 @@ def q_market_share(sf_dir: str, budget_bytes: int | None = None):
     orderkey, so per-batch partials need no pre-merge). The
     per-year read-off happens on ≤ #years rows driver-side in Python
     bignums, so no ppm product can overflow at any corpus size."""
-    import pandas as pd
     import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
@@ -375,7 +359,7 @@ def q_market_share(sf_dir: str, budget_bytes: int | None = None):
     target_keys = [i for i in range(len(names)) if names[i] == "NATION_7"]
     target_nk = target_keys[0] if target_keys else -1
 
-    li = _read(
+    li = read_table(
         sf_dir,
         "lineitem",
         ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
@@ -396,21 +380,14 @@ def q_market_share(sf_dir: str, budget_bytes: int | None = None):
         nk = batch["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         rev = _rev2(batch)
         target = np.where(nk == target_nk, rev, 0)
-        df = pd.DataFrame({"k": ok, "t": target, "v": rev})
-        agg = df.groupby("k", sort=False)[["t", "v"]].sum().reset_index()
-        return pa.table(
-            {
-                "l_orderkey": pa.array(agg["k"].to_numpy(), pa.int64()),
-                "target_cents2": pa.array(agg["t"].to_numpy(), pa.int64()),
-                "total_cents2": pa.array(agg["v"].to_numpy(), pa.int64()),
-            }
-        )
+        t = pa.table({"l_orderkey": ok, "target_cents2": target, "total_cents2": rev})
+        return combine(t, "l_orderkey", "sum")
 
     # per-batch partials ride straight into the bucket exchange (the
     # ASIA-orders side is unique per orderkey)
     per_order_ds = li.map_batches(per_order, batch_format="pyarrow", batch_size=None)
 
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
     orders = keyed_join(
         orders,
         sf_dir,
@@ -556,7 +533,6 @@ def q_product_profit(sf_dir: str, token: str = "bolt", budget_bytes: int | None 
     supplier nationality rides the same gated attach, and profit folds
     to (orderkey, nation) grain per batch before the order-grain
     exchange that picks up the order year."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     names, _ = _nation_maps(sf_dir)
@@ -564,7 +540,7 @@ def q_product_profit(sf_dir: str, token: str = "bolt", budget_bytes: int | None 
     def name_match(t: pa.Table) -> pa.Table:
         return t.filter(pc.match_substring(t["p_name"], token))
 
-    li = _read(
+    li = read_table(
         sf_dir,
         "lineitem",
         [
@@ -601,32 +577,21 @@ def q_product_profit(sf_dir: str, token: str = "bolt", budget_bytes: int | None 
         retail_c = _cents(batch["p_retailprice"]).to_numpy(zero_copy_only=False)
         qty = _qty_int(batch["l_quantity"])
         profit = rev - 100 * retail_c * qty
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "k1": batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(
-                    np.int64
-                ),
-                "k2": batch["s_nationkey"].to_numpy(zero_copy_only=False).astype(
-                    np.int64
-                ),
-                "v": profit,
+                "l_orderkey": batch["l_orderkey"].cast(pa.int64()),
+                "s_nationkey": batch["s_nationkey"].cast(pa.int64()),
+                "profit_e4": profit,
             }
         )
-        agg = df.groupby(["k1", "k2"], sort=False)["v"].sum().reset_index()
-        return pa.table(
-            {
-                "l_orderkey": pa.array(agg["k1"].to_numpy(), pa.int64()),
-                "s_nationkey": pa.array(agg["k2"].to_numpy(), pa.int64()),
-                "profit_e4": pa.array(agg["v"].to_numpy(), pa.int64()),
-            }
-        )
+        return combine(t, ["l_orderkey", "s_nationkey"], "sum")
 
     # per-batch (orderkey, nation) partials flow straight into the
     # bucket exchange — orders are unique per key
     per_order = li.map_batches(
         per_order_nation, batch_format="pyarrow", batch_size=None
     )
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
 
     def order_years(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -724,12 +689,10 @@ def q_returned_item_revenue(
     engines."""
     from ray.data.aggregate import Sum
 
-    import pandas as pd
-
     names, _ = _nation_maps(sf_dir)
     lo, hi = _day_us("1996-01-01"), _day_us("1996-07-01")
 
-    li = _read(
+    li = read_table(
         sf_dir,
         "lineitem",
         ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
@@ -739,14 +702,7 @@ def q_returned_item_revenue(
         keep = pc.equal(batch["l_returnflag"], "R").to_numpy(zero_copy_only=False)
         ok = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)[keep]
         rev = _rev2(batch)[keep]
-        df = pd.DataFrame({"k": ok, "v": rev})
-        agg = df.groupby("k", sort=False)["v"].sum().reset_index()
-        return pa.table(
-            {
-                "l_orderkey": pa.array(agg["k"].to_numpy(), pa.int64()),
-                "revenue_cents2": pa.array(agg["v"].to_numpy(), pa.int64()),
-            }
-        )
+        return combine(pa.table({"l_orderkey": ok, "revenue_cents2": rev}), "l_orderkey", "sum")
 
     # per-batch partials ride into the bucket exchange directly (the
     # date-filtered orders side is unique per orderkey)
@@ -754,7 +710,7 @@ def q_returned_item_revenue(
         returned_per_order, batch_format="pyarrow", batch_size=None
     )
 
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
 
     def window(batch: pa.Table) -> pa.Table:
         od = _ts_us(batch["o_orderdate"])
@@ -873,34 +829,26 @@ def q_priority_line_mix(sf_dir: str):
     from ray.data.aggregate import Sum
 
     lo, hi = _day_us("1997-01-01"), _day_us("1998-01-01")
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_linestatus", "l_shipdate"])
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_linestatus", "l_shipdate"])
 
     def per_order_status(batch: pa.Table) -> pa.Table:
         ship = _ts_us(batch["l_shipdate"])
         keep = (ship >= lo) & (ship < hi)
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "k": batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(
-                    np.int64
-                )[keep],
-                "s": batch["l_linestatus"].to_pandas()[keep].to_numpy(),
+                "l_orderkey": batch["l_orderkey"].cast(pa.int64()),
+                "l_linestatus": batch["l_linestatus"],
+                "cnt": np.ones(len(keep), np.int64),
             }
-        )
-        agg = df.groupby(["k", "s"], sort=False).size().reset_index(name="cnt")
-        return pa.table(
-            {
-                "l_orderkey": pa.array(agg["k"].to_numpy(), pa.int64()),
-                "l_linestatus": pa.array(agg["s"].astype(str), pa.string()),
-                "cnt": pa.array(agg["cnt"].to_numpy().astype(np.int64)),
-            }
-        )
+        ).filter(keep)
+        return combine(t, ["l_orderkey", "l_linestatus"], "sum")
 
     # per-batch (orderkey, status) count partials flow straight into
     # the bucket exchange — orders are unique per key
     per_order = li.map_batches(
         per_order_status, batch_format="pyarrow", batch_size=None
     )
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
 
     def split_fold(lines: pa.Table, prio: pa.Table) -> pa.Table:
         j = lines.to_pandas().merge(
@@ -973,10 +921,8 @@ def q_top_supplier(sf_dir: str, budget_bytes: int | None = None):
     maximum is returned, deterministically on both engines."""
     from ray.data.aggregate import Sum
 
-    import pandas as pd
-
     lo, hi = _day_us("1996-01-01"), _day_us("1996-04-01")
-    li = _read(
+    li = read_table(
         sf_dir,
         "lineitem",
         ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
@@ -987,14 +933,7 @@ def q_top_supplier(sf_dir: str, budget_bytes: int | None = None):
         keep = (ship >= lo) & (ship < hi)
         sk = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)[keep]
         rev = _rev2(batch)[keep]
-        df = pd.DataFrame({"k": sk, "v": rev})
-        agg = df.groupby("k", sort=False)["v"].sum().reset_index()
-        return pa.table(
-            {
-                "l_suppkey": pa.array(agg["k"].to_numpy(), pa.int64()),
-                "total_revenue_cents2": pa.array(agg["v"].to_numpy(), pa.int64()),
-            }
-        )
+        return combine(pa.table({"l_suppkey": sk, "total_revenue_cents2": rev}), "l_suppkey", "sum")
 
     agg = (
         li.map_batches(per_supp, batch_format="pyarrow", batch_size=None)
@@ -1067,7 +1006,6 @@ def q_prolific_part_suppliers(sf_dir: str, budget_bytes: int | None = None):
     supplier-grain groupby (materialized once, dimension-sized) →
     threshold filter → gated supplier attach → region filter via the
     spec-bounded nation map."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     names, regions = _nation_maps(sf_dir)
@@ -1076,7 +1014,7 @@ def q_prolific_part_suppliers(sf_dir: str, budget_bytes: int | None = None):
     )
     lo, hi = _day_us("1996-01-01"), _day_us("1997-01-01")
 
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_shipdate", "l_quantity"])
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_shipdate", "l_quantity"])
     li = keyed_join(
         li,
         sf_dir,
@@ -1094,14 +1032,7 @@ def q_prolific_part_suppliers(sf_dir: str, budget_bytes: int | None = None):
         keep = (ship >= lo) & (ship < hi)
         sk = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)[keep]
         qty = _qty_int(batch["l_quantity"])[keep]
-        df = pd.DataFrame({"k": sk, "v": qty})
-        agg = df.groupby("k", sort=False)["v"].sum().reset_index()
-        return pa.table(
-            {
-                "s_suppkey": pa.array(agg["k"].to_numpy(), pa.int64()),
-                "shipped_qty": pa.array(agg["v"].to_numpy(), pa.int64()),
-            }
-        )
+        return combine(pa.table({"s_suppkey": sk, "shipped_qty": qty}), "s_suppkey", "sum")
 
     agg = (
         li.map_batches(per_supp, batch_format="pyarrow", batch_size=None)
@@ -1193,16 +1124,16 @@ def q_revenue_trend(sf_dir: str):
     from ray.data.aggregate import Sum
 
     epoch = _day_us("1995-01-01")
-    orders = _read(
+    orders = read_table(
         sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"]
     )
 
     def partial(batch: pa.Table) -> pa.Table:
         x = (_ts_us(batch["o_orderdate"]) - epoch) // _US
         y = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "pr": batch["o_orderpriority"].to_pandas().to_numpy(),
+                "o_orderpriority": batch["o_orderpriority"],
                 "n": np.ones(len(x), np.int64),
                 "sx": x,
                 "sy": y,
@@ -1210,18 +1141,12 @@ def q_revenue_trend(sf_dir: str):
                 "sxx": x * x,
             }
         )
-        agg = df.groupby("pr", sort=False).sum().reset_index()
+        agg = combine(t, "o_orderpriority", "sum")
         sxy = agg["sxy"].to_numpy()
-        return pa.table(
-            {
-                "o_orderpriority": pa.array(agg["pr"].astype(str), pa.string()),
-                "n": pa.array(agg["n"].to_numpy(), pa.int64()),
-                "sx": pa.array(agg["sx"].to_numpy(), pa.int64()),
-                "sy": pa.array(agg["sy"].to_numpy(), pa.int64()),
-                "sxy_hi": pa.array(sxy >> 31, pa.int64()),
-                "sxy_lo": pa.array(sxy & ((1 << 31) - 1), pa.int64()),
-                "sxx": pa.array(agg["sxx"].to_numpy(), pa.int64()),
-            }
+        return (
+            agg.drop_columns("sxy")
+            .append_column("sxy_hi", pa.array(sxy >> 31))
+            .append_column("sxy_lo", pa.array(sxy & ((1 << 31) - 1)))
         )
 
     g = (
@@ -1300,7 +1225,7 @@ def _expedited_price_hist(sf_dir: str):
     bounded by the price domain, tiny next to the data."""
     from ray.data.aggregate import Sum
 
-    ds = _read(sf_dir, "orders", ["o_totalprice", "o_orderpriority"])
+    ds = read_table(sf_dir, "orders", ["o_totalprice", "o_orderpriority"])
 
     def counts(batch: pa.Table) -> pa.Table:
         cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
@@ -1515,7 +1440,7 @@ def q_benford_deviation(sf_dir: str):
     from ray.data.aggregate import Sum
     from ..stages.textstats import lnm_micro
 
-    ds = _read(sf_dir, "orders", ["o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_totalprice"])
 
     def counts(batch: pa.Table) -> pa.Table:
         # Benford is defined on positive magnitudes: zero cents would
@@ -1620,24 +1545,12 @@ def q_priority_year_chi2(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    ds = _read(sf_dir, "orders", ["o_orderpriority", "o_orderdate"])
+    ds = read_table(sf_dir, "orders", ["o_orderpriority", "o_orderdate"])
 
     def counts(batch: pa.Table) -> pa.Table:
         yr = _year_of(_ts_us(batch["o_orderdate"]))
-        df = pd.DataFrame(
-            {
-                "pri": batch["o_orderpriority"].to_pandas().to_numpy(),
-                "yr": yr,
-            }
-        )
-        g = df.groupby(["pri", "yr"], sort=False).size().reset_index(name="k")
-        return pa.table(
-            {
-                "pri": pa.array(g["pri"].astype(str), pa.string()),
-                "yr": pa.array(g["yr"].to_numpy(), pa.int64()),
-                "k": pa.array(g["k"].to_numpy(), pa.int64()),
-            }
-        )
+        t = pa.table({"pri": batch["o_orderpriority"], "yr": yr, "k": np.ones(len(yr), np.int64)})
+        return combine(t, ["pri", "yr"], "sum")
 
     g = (
         ds.map_batches(counts, batch_format="pyarrow", batch_size=None)
@@ -1713,15 +1626,15 @@ def q_discount_qty_correlation(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    li = _read(sf_dir, "lineitem", ["l_returnflag", "l_discount", "l_quantity"])
+    li = read_table(sf_dir, "lineitem", ["l_returnflag", "l_discount", "l_quantity"])
 
     def partial(batch: pa.Table) -> pa.Table:
         d = batch["l_discount"].to_numpy(zero_copy_only=False)
         x = (np.sign(d) * np.floor(np.abs(d) * 100.0 + 0.5)).astype(np.int64)
         y = _qty_int(batch["l_quantity"])
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "flag": batch["l_returnflag"].to_pandas().to_numpy(),
+                "flag": batch["l_returnflag"],
                 "n": np.ones(len(x), np.int64),
                 "sx": x,
                 "sy": y,
@@ -1730,16 +1643,7 @@ def q_discount_qty_correlation(sf_dir: str):
                 "syy": y * y,
             }
         )
-        agg = df.groupby("flag", sort=False).sum().reset_index()
-        return pa.table(
-            {
-                "flag": pa.array(agg["flag"].astype(str), pa.string()),
-                **{
-                    c: pa.array(agg[c].to_numpy(), pa.int64())
-                    for c in ("n", "sx", "sy", "sxy", "sxx", "syy")
-                },
-            }
-        )
+        return combine(t, "flag", "sum")
 
     g = (
         li.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -1939,7 +1843,7 @@ def q_discount_qty_spearman(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    li = _read(sf_dir, "lineitem", ["l_returnflag", "l_discount", "l_quantity"])
+    li = read_table(sf_dir, "lineitem", ["l_returnflag", "l_discount", "l_quantity"])
 
     def _xy(batch: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d = batch["l_discount"].to_numpy(zero_copy_only=False)
@@ -1949,26 +1853,17 @@ def q_discount_qty_spearman(sf_dir: str):
         return flag, x, y
 
     def freq_partial(batch: pa.Table) -> pa.Table:
-        flag, x, y = _xy(batch)
-        df = pd.concat(
-            [
-                pd.DataFrame({"flag": flag, "var": 0, "val": x}),
-                pd.DataFrame({"flag": flag, "var": 1, "val": y}),
-            ]
-        )
-        agg = (
-            df.groupby(["flag", "var", "val"], sort=False)
-            .size()
-            .reset_index(name="cnt")
-        )
-        return pa.table(
+        _, x, y = _xy(batch)
+        flag = batch["l_returnflag"]
+        t = pa.table(
             {
-                "flag": pa.array(agg["flag"].astype(str), pa.string()),
-                "var": pa.array(agg["var"].to_numpy(dtype=np.int64), pa.int64()),
-                "val": pa.array(agg["val"].to_numpy(dtype=np.int64), pa.int64()),
-                "cnt": pa.array(agg["cnt"].to_numpy(dtype=np.int64), pa.int64()),
+                "flag": pa.chunked_array(flag.chunks * 2, flag.type),
+                "var": np.repeat(np.array([0, 1], np.int64), len(x)),
+                "val": np.concatenate([x, y]),
+                "cnt": np.ones(2 * len(x), np.int64),
             }
         )
+        return combine(t, ["flag", "var", "val"], "sum")
 
     freq = (
         li.map_batches(freq_partial, batch_format="pyarrow", batch_size=None)
@@ -2105,24 +2000,13 @@ def q_trimmed_mean_price(sf_dir: str, trim_permille: int = 50):
     or a two-round exact bisect — the trim RULE is unchanged."""
     import pandas as pd
 
-    orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         y = _year_of(_ts_us(batch["o_orderdate"]))
         cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"o_year": y, "cents": cents})
-        agg = (
-            df.groupby(["o_year", "cents"], sort=False)
-            .size()
-            .reset_index(name="cnt")
-        )
-        return pa.table(
-            {
-                "o_year": pa.array(agg["o_year"].to_numpy(dtype=np.int64), pa.int64()),
-                "cents": pa.array(agg["cents"].to_numpy(dtype=np.int64), pa.int64()),
-                "cnt": pa.array(agg["cnt"].to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
+        t = pa.table({"o_year": y, "cents": cents, "cnt": np.ones(len(y), np.int64)})
+        return combine(t, ["o_year", "cents"], "sum")
 
     def finish(g: pd.DataFrame) -> pa.Table:
         h = g.groupby("cents", sort=True)["cnt"].sum()

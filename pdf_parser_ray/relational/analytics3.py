@@ -16,8 +16,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..core.exchange import exchange
-from .ops import _cents, _read, _rhalf
+from ..core.exchange import combine, exchange
+from ..io.sources import read_table
+from .ops import _cents, _rhalf
 from .analytics2 import _ts_us, _year_of
 
 
@@ -51,7 +52,7 @@ def q_user_active_time(sf_dir: str, ttl_s: int = 300, n_buckets: int = 32):
     import pandas as pd
 
     ttl_us = int(ttl_s) * 1_000_000
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table({"user_id": batch["user_id"], "ts_us": pc.cast(batch["ts"], pa.int64())})
@@ -140,24 +141,14 @@ def q_user_burstiness(sf_dir: str, n_buckets: int = 32):
     import pandas as pd
 
     day_us = 86_400_000_000
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
         day = pc.cast(batch["ts"], pa.int64()).to_numpy() // day_us
-        agg = (
-            pd.DataFrame({"user_id": uid, "day": day})
-            .groupby(["user_id", "day"], sort=False)
-            .size()
-            .reset_index(name="cnt")
+        t = pa.table(
+            {"user_id": batch["user_id"].cast(pa.int64()), "day": day, "cnt": np.ones(len(day), np.int64)}
         )
-        return pa.table(
-            {
-                "user_id": pa.array(agg["user_id"].to_numpy(np.int64), pa.int64()),
-                "day": pa.array(agg["day"].to_numpy(np.int64), pa.int64()),
-                "cnt": pa.array(agg["cnt"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        return combine(t, ["user_id", "day"], "sum")
 
     def fold_bucket(g: pa.Table) -> pa.Table:
         g = g.to_pandas()
@@ -242,30 +233,18 @@ def q_geo_mean_price(sf_dir: str):
 
     from ..stages.textstats import _lnm_vec
 
-    parts = _read(sf_dir, "part", ["p_brand", "p_retailprice"])
+    parts = read_table(sf_dir, "part", ["p_brand", "p_retailprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         cents = _cents(batch["p_retailprice"]).to_numpy(zero_copy_only=False)
-        lnm = _lnm_vec(cents)
-        agg = (
-            pd.DataFrame(
-                {"p_brand": batch["p_brand"].to_pylist(), "lnm": lnm}
-            )
-            .groupby("p_brand", sort=False)
-            .agg(n_parts=("lnm", "size"), sum_ln_micro=("lnm", "sum"))
-            .reset_index()
-        )
-        return pa.table(
+        t = pa.table(
             {
-                "p_brand": pa.array(agg["p_brand"].tolist(), pa.string()),
-                "n_parts": pa.array(agg["n_parts"].to_numpy(np.int64), pa.int64()),
-                "sum_ln_micro": pa.array(
-                    agg["sum_ln_micro"].to_numpy(np.int64), pa.int64()
-                ),
+                "p_brand": batch["p_brand"],
+                "n_parts": np.ones(len(cents), np.int64),
+                "sum_ln_micro": pa.array(_lnm_vec(cents), pa.int64()),
             }
         )
+        return combine(t, "p_brand", "sum")
 
     def finish(batch: pa.Table) -> pa.Table:
         n = batch["n_parts"].to_numpy(zero_copy_only=False)
@@ -336,25 +315,12 @@ def q_theilsen_trend(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         y = _year_of(_ts_us(batch["o_orderdate"]))
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        agg = (
-            pd.DataFrame({"o_year": y, "cents": cents})
-            .groupby("o_year", sort=False)["cents"]
-            .sum()
-            .reset_index(name="rev_cents")
-        )
-        return pa.table(
-            {
-                "o_year": pa.array(agg["o_year"].to_numpy(np.int64), pa.int64()),
-                "rev_cents": pa.array(
-                    agg["rev_cents"].to_numpy(np.int64), pa.int64()
-                ),
-            }
-        )
+        cents = _cents(batch["o_totalprice"])
+        return combine(pa.table({"o_year": y, "rev_cents": cents}), "o_year", "sum")
 
     yearly = (
         orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -528,7 +494,7 @@ def q_time_to_convert(sf_dir: str, n_buckets: int = 32):
     the grouped-percentile family)."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
+    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
 
     def prep(batch: pa.Table) -> pa.Table:
         et = batch["event_type"]
@@ -619,29 +585,11 @@ def q_top_decile_share(sf_dir: str):
     import pandas as pd
 
     n_buckets = 32
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        agg = (
-            pd.DataFrame(
-                {
-                    "o_custkey": batch["o_custkey"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "cents": cents,
-                }
-            )
-            .groupby("o_custkey", sort=False)["cents"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "o_custkey": pa.array(agg["o_custkey"].to_numpy(np.int64), pa.int64()),
-                "cents": pa.array(agg["cents"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        t = pa.table({"o_custkey": batch["o_custkey"].cast(pa.int64()), "cents": _cents(batch["o_totalprice"])})
+        return combine(t, "o_custkey", "sum")
 
     def bucket_value_counts(g: pa.Table) -> pa.Table:
         g = g.to_pandas()
@@ -735,26 +683,15 @@ def q_revenue_autocorr(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         us = _ts_us(batch["o_orderdate"])
         month = (
             us.astype("datetime64[us]").astype("datetime64[M]").astype(np.int64)
         )
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        agg = (
-            pd.DataFrame({"month": month, "cents": cents})
-            .groupby("month", sort=False)["cents"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "month": pa.array(agg["month"].to_numpy(np.int64), pa.int64()),
-                "cents": pa.array(agg["cents"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        cents = _cents(batch["o_totalprice"])
+        return combine(pa.table({"month": month, "cents": cents}), "month", "sum")
 
     m = (
         orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -837,32 +774,17 @@ def q_weekday_seasonality(sf_dir: str):
     Shape: per-batch (dow, n, cents) partials → ONE 7-key exchange;
     ``rev_share_ppm = _rhalf(10⁶·dow_cents, total_cents)`` read off
     the ≤7-row fold."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
-    orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         us = _ts_us(batch["o_orderdate"])
         dow = (us // 86_400_000_000 + 4) % 7
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        agg = (
-            pd.DataFrame({"dow": dow, "cents": cents})
-            .groupby("dow", sort=False)
-            .agg(n_orders=("cents", "size"), rev_cents=("cents", "sum"))
-            .reset_index()
+        t = pa.table(
+            {"dow": dow, "n_orders": np.ones(len(dow), np.int64), "rev_cents": _cents(batch["o_totalprice"])}
         )
-        return pa.table(
-            {
-                "dow": pa.array(agg["dow"].to_numpy(np.int64), pa.int64()),
-                "n_orders": pa.array(
-                    agg["n_orders"].to_numpy(np.int64), pa.int64()
-                ),
-                "rev_cents": pa.array(
-                    agg["rev_cents"].to_numpy(np.int64), pa.int64()
-                ),
-            }
-        )
+        return combine(t, "dow", "sum")
 
     df = (
         orders.map_batches(partial, batch_format="pyarrow", batch_size=None)

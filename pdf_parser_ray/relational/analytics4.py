@@ -17,9 +17,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.exchange import exchange
+from ..core.exchange import combine, exchange
 from ..core.join import keyed_join
-from .ops import _cents, _read, _rhalf
+from ..io.sources import read_table
+from .ops import _cents, _rhalf
 from .analytics2 import _ts_us
 
 _DAY_US = 86_400_000_000
@@ -36,26 +37,13 @@ def _daily_revenue(sf_dir: str):
     the calendar-bounded result (a few thousand rows at any corpus
     size), sorted by day. Feeds the sequential monitors (CUSUM, runs
     test) without either re-spelling the exchange."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
-    orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         day = _ts_us(batch["o_orderdate"]) // _DAY_US
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        agg = (
-            pd.DataFrame({"day": day, "rev": cents})
-            .groupby("day", sort=False)
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "day": pa.array(agg["day"].to_numpy(np.int64), pa.int64()),
-                "rev": pa.array(agg["rev"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        return combine(pa.table({"day": day, "rev": _cents(batch["o_totalprice"])}), "day", "sum")
 
     return (
         orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -162,7 +150,7 @@ def _orders_max_day(sf_dir: str) -> int:
             return mx_us // _DAY_US
     from ray.data.aggregate import Max
 
-    ds = _read(sf_dir, "orders", ["o_orderdate"])
+    ds = read_table(sf_dir, "orders", ["o_orderdate"])
 
     def to_day(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -211,24 +199,12 @@ def q_customer_survival_km(sf_dir: str, censor_days: int = 90, n_buckets: int = 
     from ..stages.textstats import lnm_micro
 
     horizon = _orders_max_day(sf_dir) - int(censor_days)
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderdate"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
         day = _ts_us(batch["o_orderdate"]) // _DAY_US
-        agg = (
-            pd.DataFrame({"ck": ck, "first": day, "last": day})
-            .groupby("ck", sort=False)
-            .agg(first=("first", "min"), last=("last", "max"))
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "ck": pa.array(agg["ck"].to_numpy(np.int64), pa.int64()),
-                "first": pa.array(agg["first"].to_numpy(np.int64), pa.int64()),
-                "last": pa.array(agg["last"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        t = pa.table({"ck": batch["o_custkey"].cast(pa.int64()), "first": day, "last": day})
+        return combine(t, "ck", {"first": "min", "last": "max"})
 
     def cells_bucket(g: pa.Table) -> pa.Table:
         g = g.to_pandas()
@@ -363,25 +339,12 @@ def q_event_type_mi(sf_dir: str):
 
     from ..stages.textstats import lnm_micro
 
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
+    ds = read_table(sf_dir, "events", ["event_type", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
         hr = (_ts_us(batch["ts"]) // _HOUR_US) % 24
-        agg = (
-            pd.DataFrame(
-                {"ty": batch["event_type"].to_pandas().to_numpy(), "hr": hr}
-            )
-            .groupby(["ty", "hr"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "ty": pa.array(agg["ty"].astype(str), pa.string()),
-                "hr": pa.array(agg["hr"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        t = pa.table({"ty": batch["event_type"], "hr": hr, "n": np.ones(len(hr), np.int64)})
+        return combine(t, ["ty", "hr"], "sum")
 
     cells = (
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -571,7 +534,7 @@ def q_basket_lift(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
     import pandas as pd
 
     n_baskets = _orders_count(sf_dir)
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def prep(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -731,7 +694,7 @@ def _orders_count(sf_dir: str) -> int:
         import pyarrow.parquet as pq
 
         return pq.ParquetFile(path).metadata.num_rows
-    return _read(sf_dir, "orders", ["o_orderkey"]).count()
+    return read_table(sf_dir, "orders", ["o_orderkey"]).count()
 
 
 _SQL_BASKET_LIFT = """
@@ -865,25 +828,12 @@ def q_customer_concentration_hhi(sf_dir: str, n_buckets: int = 32):
 
     from .analytics2 import _year_of
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
         yr = _year_of(_ts_us(batch["o_orderdate"]))
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        agg = (
-            pd.DataFrame({"ck": ck, "yr": yr, "rev": cents})
-            .groupby(["ck", "yr"], sort=False)
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "ck": pa.array(agg["ck"].to_numpy(np.int64), pa.int64()),
-                "yr": pa.array(agg["yr"].to_numpy(np.int64), pa.int64()),
-                "rev": pa.array(agg["rev"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        t = pa.table({"ck": batch["o_custkey"].cast(pa.int64()), "yr": yr, "rev": _cents(batch["o_totalprice"])})
+        return combine(t, ["ck", "yr"], "sum")
 
     def cells_bucket(g: pa.Table) -> pa.Table:
         g = g.to_pandas()
@@ -989,26 +939,15 @@ def q_winsorized_mean_price(sf_dir: str, winsor_permille: int = 50):
     """
     import pandas as pd
 
-    orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
     from .analytics2 import _year_of
 
     def partial(batch: pa.Table) -> pa.Table:
         y = _year_of(_ts_us(batch["o_orderdate"]))
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        agg = (
-            pd.DataFrame({"o_year": y, "cents": cents})
-            .groupby(["o_year", "cents"], sort=False)
-            .size()
-            .reset_index(name="cnt")
-        )
-        return pa.table(
-            {
-                "o_year": pa.array(agg["o_year"].to_numpy(np.int64), pa.int64()),
-                "cents": pa.array(agg["cents"].to_numpy(np.int64), pa.int64()),
-                "cnt": pa.array(agg["cnt"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        cents = _cents(batch["o_totalprice"])
+        t = pa.table({"o_year": y, "cents": cents, "cnt": np.ones(len(y), np.int64)})
+        return combine(t, ["o_year", "cents"], "sum")
 
     def finish(g: pd.DataFrame) -> pa.Table:
         h = g.groupby("cents", sort=True)["cnt"].sum()
@@ -1093,7 +1032,7 @@ def q_brand_momentum(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    li = _read(
+    li = read_table(
         sf_dir,
         "lineitem",
         ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
@@ -1105,30 +1044,10 @@ def q_brand_momentum(sf_dir: str):
         keep = month >= last_m - 1
         price = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
         disc = _cents(batch["l_discount"]).to_numpy(zero_copy_only=False)
-        rev = (price * (100 - disc))[keep]
-        agg = (
-            pd.DataFrame(
-                {
-                    "l_partkey": batch["l_partkey"].to_numpy(
-                        zero_copy_only=False
-                    )[keep],
-                    "month": month[keep],
-                    "rev": rev,
-                }
-            )
-            .groupby(["l_partkey", "month"], sort=False)
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "l_partkey": pa.array(
-                    agg["l_partkey"].to_numpy(np.int64), pa.int64()
-                ),
-                "month": pa.array(agg["month"].to_numpy(np.int64), pa.int64()),
-                "rev": pa.array(agg["rev"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        t = pa.table(
+            {"l_partkey": batch["l_partkey"].cast(pa.int64()), "month": month, "rev": price * (100 - disc)}
+        ).filter(keep)
+        return combine(t, ["l_partkey", "month"], "sum")
 
     joined = (
         keyed_join(
@@ -1187,7 +1106,7 @@ def _lineitem_max_month(sf_dir: str) -> int:
             return int(_month_of(mx.astype(np.int64))[0])
     from ray.data.aggregate import Max
 
-    ds = _read(sf_dir, "lineitem", ["l_shipdate"])
+    ds = read_table(sf_dir, "lineitem", ["l_shipdate"])
 
     def to_m(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -1257,7 +1176,7 @@ def q_user_stickiness(sf_dir: str, n_buckets: int = 32):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
@@ -1347,25 +1266,12 @@ def q_new_vs_returning_revenue(sf_dir: str, n_buckets: int = 32):
 
     from .analytics2 import _year_of
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
         yr = _year_of(_ts_us(batch["o_orderdate"]))
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        agg = (
-            pd.DataFrame({"ck": ck, "yr": yr, "rev": cents})
-            .groupby(["ck", "yr"], sort=False)
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "ck": pa.array(agg["ck"].to_numpy(np.int64), pa.int64()),
-                "yr": pa.array(agg["yr"].to_numpy(np.int64), pa.int64()),
-                "rev": pa.array(agg["rev"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        t = pa.table({"ck": batch["o_custkey"].cast(pa.int64()), "yr": yr, "rev": _cents(batch["o_totalprice"])})
+        return combine(t, ["ck", "yr"], "sum")
 
     def cells(g: pa.Table) -> pa.Table:
         g = g.to_pandas()
@@ -1458,7 +1364,7 @@ def q_user_activity_streaks(sf_dir: str, n_buckets: int = 32):
     """
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
@@ -1548,10 +1454,8 @@ def q_ship_latency_percentiles(
     rows reach the driver. The percentile read-off runs on that
     value-count summary.
     """
-    import pandas as pd
-
     lines = keyed_join(
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]),
+        read_table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]),
         sf_dir,
         "orders",
         fact_key="l_orderkey",
@@ -1564,20 +1468,10 @@ def q_ship_latency_percentiles(
     def cells(batch: pa.Table) -> pa.Table:
         ship_day = _ts_us(batch["l_shipdate"]) // _DAY_US
         lat = ship_day - _ts_us(batch["o_orderdate"]) // _DAY_US
-        pr = batch["o_orderpriority"].to_numpy(zero_copy_only=False)
-        agg = (
-            pd.DataFrame({"pr": pr, "lat": lat})
-            .groupby(["pr", "lat"], sort=False)
-            .size()
-            .reset_index(name="n")
+        t = pa.table(
+            {"pr": batch["o_orderpriority"].cast(pa.string()), "lat": lat, "n": np.ones(len(lat), np.int64)}
         )
-        return pa.table(
-            {
-                "pr": pa.array(agg["pr"].astype(str), pa.string()),
-                "lat": pa.array(agg["lat"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        return combine(t, ["pr", "lat"], "sum")
 
     parts = lines.map_batches(
         cells, batch_format="pyarrow", batch_size=None

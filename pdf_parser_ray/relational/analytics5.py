@@ -17,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.exchange import exchange
-from .ops import _cents, _read
+from ..core.exchange import combine, exchange
+from ..io.sources import read_table
+from .ops import _cents
 from .analytics2 import _ts_us
 
 
@@ -29,27 +30,15 @@ def _monthly_rev_k(sf_dir: str):
     (epoch-month → Σcents) partials, ONE month-grain ``groupby``
     exchange, and a driver pull of the calendar-bounded result
     (≤ dozens of rows at any corpus size), sorted by month."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
-    orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         us = _ts_us(batch["o_orderdate"])
         month = us.astype("datetime64[us]").astype("datetime64[M]").astype(np.int64)
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        agg = (
-            pd.DataFrame({"month": month, "cents": cents})
-            .groupby("month", sort=False)["cents"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "month": pa.array(agg["month"].to_numpy(np.int64), pa.int64()),
-                "cents": pa.array(agg["cents"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        cents = _cents(batch["o_totalprice"])
+        return combine(pa.table({"month": month, "cents": cents}), "month", "sum")
 
     m = (
         orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -272,36 +261,27 @@ def q_rfm_segments(sf_dir: str, n_buckets: int = 32):
     anchor day is the R histogram's max support. The coding pass
     emits per-batch cell partials against the broadcast boundaries →
     a ≤ 64-cell exchange."""
-    import pandas as pd
     import pyarrow.parquet as pq_
     from ray.data.aggregate import Max, Sum
 
     from ..core.util import pin_fits
 
     def build_cust():
-        orders = _read(
+        orders = read_table(
             sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"]
         )
 
         def partial(batch: pa.Table) -> pa.Table:
-            ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
             day = _ts_us(batch["o_orderdate"]) // 86_400_000_000
-            cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-            agg = (
-                pd.DataFrame({"ck": ck, "day": day, "cents": cents})
-                .groupby("ck", sort=False)
-                .agg(last_day=("day", "max"), n=("day", "size"),
-                     cents=("cents", "sum"))
-                .reset_index()
-            )
-            return pa.table(
+            t = pa.table(
                 {
-                    "ck": pa.array(agg["ck"].to_numpy(np.int64), pa.int64()),
-                    "last_day": pa.array(agg["last_day"].to_numpy(np.int64)),
-                    "n": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
-                    "cents": pa.array(agg["cents"].to_numpy(np.int64), pa.int64()),
+                    "ck": batch["o_custkey"].cast(pa.int64()),
+                    "last_day": day,
+                    "n": np.ones(len(day), np.int64),
+                    "cents": _cents(batch["o_totalprice"]),
                 }
             )
+            return combine(t, "ck", {"last_day": "max", "n": "sum", "cents": "sum"})
 
         def finish(b: pa.Table) -> pa.Table:
             return pa.table(
@@ -381,21 +361,16 @@ def q_rfm_segments(sf_dir: str, n_buckets: int = 32):
         rc = 1 + (rec > rq[0]).astype(np.int64) + (rec > rq[1]) + (rec > rq[2])
         fc = 1 + (f > fq[0]).astype(np.int64) + (f > fq[1]) + (f > fq[2])
         mc = 1 + (m > mq[0]).astype(np.int64) + (m > mq[1]) + (m > mq[2])
-        agg = (
-            pd.DataFrame({"r_code": rc, "f_code": fc, "m_code": mc, "d": m})
-            .groupby(["r_code", "f_code", "m_code"], sort=False)["d"]
-            .agg(["size", "sum"])
-            .reset_index()
-        )
-        return pa.table(
+        t = pa.table(
             {
-                "r_code": pa.array(agg["r_code"].to_numpy(np.int64)),
-                "f_code": pa.array(agg["f_code"].to_numpy(np.int64)),
-                "m_code": pa.array(agg["m_code"].to_numpy(np.int64)),
-                "nc": pa.array(agg["size"].to_numpy(np.int64)),
-                "dollars": pa.array(agg["sum"].to_numpy(np.int64)),
+                "r_code": rc,
+                "f_code": fc,
+                "m_code": mc,
+                "nc": np.ones(len(m), np.int64),
+                "dollars": m.astype(np.int64),
             }
         )
+        return combine(t, ["r_code", "f_code", "m_code"], "sum")
 
     cells = (
         cust2.map_batches(code_cells, batch_format="pyarrow", batch_size=None)
@@ -492,28 +467,15 @@ def q_event_type_xcorr(
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from .ops import _read as _read2
-
-    events = _read2(sf_dir, "events", ["ts", "event_type"])
+    events = read_table(sf_dir, "events", ["ts", "event_type"])
 
     def partial(batch: pa.Table) -> pa.Table:
         day = _ts_us(batch["ts"]) // 86_400_000_000
-        et = batch["event_type"].to_pandas().to_numpy()
+        et = batch["event_type"].to_numpy(zero_copy_only=False)
         side = np.where(et == type_a, 0, np.where(et == type_b, 1, -1))
         keep = side >= 0
-        agg = (
-            pd.DataFrame({"day": day[keep], "side": side[keep]})
-            .groupby(["day", "side"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "day": pa.array(agg["day"].to_numpy(np.int64), pa.int64()),
-                "side": pa.array(agg["side"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        t = pa.table({"day": day[keep], "side": side[keep], "n": np.ones(int(keep.sum()), np.int64)})
+        return combine(t, ["day", "side"], "sum")
 
     cnt = (
         events.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -716,7 +678,7 @@ def q_brand_rank_stability(sf_dir: str):
         lo = int(month_of(np.array([np.datetime64(mn[0], "us")], "datetime64[us]").astype(np.int64))[0])
         hi = int(month_of(np.array([np.datetime64(mx[0], "us")], "datetime64[us]").astype(np.int64))[0])
     else:  # statistics absent: one column-pruned aggregate pass
-        ds0 = _read(sf_dir, "lineitem", ["l_shipdate"])
+        ds0 = read_table(sf_dir, "lineitem", ["l_shipdate"])
 
         def to_m(b: pa.Table) -> pa.Table:
             return pa.table(
@@ -737,26 +699,15 @@ def q_brand_rank_stability(sf_dir: str):
     pk_sorted = pk[order]
     brands = part["p_brand"].to_pandas().to_numpy()[order]
 
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_shipdate"])
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_shipdate"])
 
     def partial(b: pa.Table) -> pa.Table:
         key = b["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         cents = _cents(b["l_extendedprice"]).to_numpy(zero_copy_only=False)
         half = (month_of(_ts_us(b["l_shipdate"])) > mid).astype(np.int64)
         br = brands[np.searchsorted(pk_sorted, key)]
-        agg = (
-            pd.DataFrame({"brand": br, "half": half, "cents": cents})
-            .groupby(["brand", "half"], sort=False)["cents"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "brand": pa.array(agg["brand"].tolist(), pa.string()),
-                "half": pa.array(agg["half"].to_numpy(np.int64), pa.int64()),
-                "cents": pa.array(agg["cents"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        t = pa.table({"brand": pa.array(br, pa.string()), "half": half, "cents": cents})
+        return combine(t, ["brand", "half"], "sum")
 
     folded = (
         li.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -856,7 +807,7 @@ def q_basket_triples(
     sf1000)."""
     import pandas as pd
 
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def op_rows(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -1061,7 +1012,7 @@ def q_event_trigrams(sf_dir: str, n_buckets: int = 32):
 
     from .ops import _rhalf
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1209,24 +1160,12 @@ def q_theil_decomposition(sf_dir: str, n_buckets: int = 32):
     from ..stages.textstats import lnm_micro, _lnm_vec
 
     def build_cust():
-        orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        customer = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+        orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+        customer = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
 
         def o_rows(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame(
-                {
-                    "key": b["o_custkey"].to_numpy(zero_copy_only=False),
-                    "cents": _cents(b["o_totalprice"]).to_numpy(
-                        zero_copy_only=False
-                    ),
-                }
-            ).groupby("key", as_index=False)["cents"].sum()
-            return pa.table(
-                {
-                    "key": pa.array(df["key"].to_numpy(np.int64)),
-                    "cents": pa.array(df["cents"].to_numpy(np.int64)),
-                }
-            )
+            t = pa.table({"key": b["o_custkey"].cast(pa.int64()), "cents": _cents(b["o_totalprice"])})
+            return combine(t, "key", "sum")
 
         def resolve(parts: pa.Table, cust: pa.Table) -> pa.Table:
             spend = parts.to_pandas().groupby("key", as_index=False)["cents"].sum()
@@ -1412,24 +1351,13 @@ def q_return_rate_pchart(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    li = _read(sf_dir, "lineitem", ["l_shipdate", "l_returnflag"])
+    li = read_table(sf_dir, "lineitem", ["l_shipdate", "l_returnflag"])
 
     def partial(b: pa.Table) -> pa.Table:
         week = (_ts_us(b["l_shipdate"]) // 86_400_000_000) // 7
-        ret = (b["l_returnflag"].to_pandas().to_numpy() == "R").astype(np.int64)
-        agg = (
-            pd.DataFrame({"week": week, "n": 1, "x": ret})
-            .groupby("week", sort=False)
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "week": pa.array(agg["week"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
-                "x": pa.array(agg["x"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        ret = (b["l_returnflag"].to_numpy(zero_copy_only=False) == "R").astype(np.int64)
+        t = pa.table({"week": week, "n": np.ones(len(week), np.int64), "x": ret})
+        return combine(t, "week", "sum")
 
     weekly = (
         li.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -1499,35 +1427,22 @@ def q_k_anonymity_audit(sf_dir: str, k: int = 5):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    cust = _read(
+    cust = read_table(
         sf_dir, "customer", ["c_nationkey", "c_mktsegment", "c_acctbal"]
     )
 
     def partial(b: pa.Table) -> pa.Table:
         bal = _cents(b["c_acctbal"]).to_numpy(zero_copy_only=False)
         band = bal // 100_000  # whole-k$ balance bands
-        agg = (
-            pd.DataFrame(
-                {
-                    "nation": b["c_nationkey"]
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "seg": b["c_mktsegment"].to_pandas().to_numpy(),
-                    "band": band,
-                }
-            )
-            .groupby(["nation", "seg", "band"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
+        t = pa.table(
             {
-                "nation": pa.array(agg["nation"].to_numpy(np.int64)),
-                "seg": pa.array(agg["seg"].tolist(), pa.string()),
-                "band": pa.array(agg["band"].to_numpy(np.int64)),
-                "n": pa.array(agg["n"].to_numpy(np.int64)),
+                "nation": b["c_nationkey"].cast(pa.int64()),
+                "seg": b["c_mktsegment"],
+                "band": band,
+                "n": np.ones(len(band), np.int64),
             }
         )
+        return combine(t, ["nation", "seg", "band"], "sum")
 
     classes = (
         cust.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -1600,7 +1515,7 @@ def q_encoding_advisor(sf_dir: str, dict_ratio_den: int = 1000):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    orders = _read(
+    orders = read_table(
         sf_dir, "orders",
         ["o_orderstatus", "o_orderpriority", "o_orderdate", "o_totalprice"],
     )
@@ -1713,7 +1628,7 @@ def q_cohort_ltv(sf_dir: str, n_buckets: int = 32):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
 
     def partial(b: pa.Table) -> pa.Table:
         ck = b["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1874,29 +1789,17 @@ def q_price_volume_decomposition(sf_dir: str, n_buckets: int = 32):
     hi = int(month_of(np.array([np.datetime64(mx[0], "us")], "datetime64[us]").astype(np.int64))[0])
     mid = (lo + hi) // 2
 
-    li = _read(
+    li = read_table(
         sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_quantity", "l_shipdate"]
     )
 
     def partial(b: pa.Table) -> pa.Table:
-        pk = b["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = _cents(b["l_extendedprice"]).to_numpy(zero_copy_only=False)
         qty = b["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64)
         half = (month_of(_ts_us(b["l_shipdate"])) > mid).astype(np.int64)
-        agg = (
-            pd.DataFrame({"pk": pk, "half": half, "c": cents, "q": qty})
-            .groupby(["pk", "half"], sort=False)[["c", "q"]]
-            .sum()
-            .reset_index()
+        t = pa.table(
+            {"pk": b["l_partkey"].cast(pa.int64()), "half": half, "c": _cents(b["l_extendedprice"]), "q": qty}
         )
-        return pa.table(
-            {
-                "pk": pa.array(agg["pk"].to_numpy(np.int64)),
-                "half": pa.array(agg["half"].to_numpy(np.int64)),
-                "c": pa.array(agg["c"].to_numpy(np.int64)),
-                "q": pa.array(agg["q"].to_numpy(np.int64)),
-            }
-        )
+        return combine(t, ["pk", "half"], "sum")
 
     def bridge(g: pa.Table) -> pa.Table:
         g = g.to_pandas()
@@ -2012,7 +1915,7 @@ def q_basket_dispersion(sf_dir: str):
     snap."""
     import pandas as pd
 
-    li = _read(sf_dir, "lineitem", ["l_orderkey"])
+    li = read_table(sf_dir, "lineitem", ["l_orderkey"])
 
     n_buckets = 16
 
@@ -2106,24 +2009,10 @@ def q_source_length_drift(sf_dir: str):
     ds = _docs(sf_dir, ["source", "n_chars"])
 
     def partial(b: pa.Table) -> pa.Table:
-        agg = (
-            pd.DataFrame(
-                {
-                    "v": b["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64),
-                    "s": b["source"].to_pandas().to_numpy(),
-                }
-            )
-            .groupby(["v", "s"], sort=False)
-            .size()
-            .reset_index(name="c")
+        t = pa.table(
+            {"v": b["n_chars"].cast(pa.int64()), "s": b["source"], "c": np.ones(b.num_rows, np.int64)}
         )
-        return pa.table(
-            {
-                "v": pa.array(agg["v"].to_numpy(np.int64)),
-                "s": pa.array(agg["s"].tolist(), pa.string()),
-                "c": pa.array(agg["c"].to_numpy(np.int64)),
-            }
-        )
+        return combine(t, ["v", "s"], "sum")
 
     h = (
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None)

@@ -18,7 +18,8 @@ Design rules:
   plain dicts captured in the batch fn (Ray serializes them once per
   task/actor, the object store dedupes); no shuffle.
 * **Pre-aggregate before the shuffle** — per-batch partial combine
-  inside ``map_batches``, then a small ``groupby`` over partials.
+  inside ``map_batches`` (:func:`~..core.exchange.combine`), then a
+  small ``groupby`` over partials.
 * **Salt nothing silently** — when both sides are large they meet in
   :func:`~..core.exchange.exchange`, the one co-partitioned bucket
   exchange (routing, side split, empty-side schemas); the salted
@@ -33,14 +34,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..core.exchange import exchange
+from ..core.exchange import combine, exchange
 from ..core.join import keyed_join
-
-
-def _read(sf_dir: str, table: str, columns: list[str] | None = None):
-    from ..io.sources import read_table
-
-    return read_table(sf_dir, table, columns)
+from ..io.sources import read_table
 
 
 def _cents(arr: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -58,7 +54,7 @@ def q_pricing_summary(sf_dir: str):
     sums. Partial aggregation happens inside ``map_batches`` (one row
     per key per batch), so the shuffle moves O(keys × blocks) rows, not
     O(rows) — the pattern that keeps a 100 TB groupby cheap."""
-    ds = _read(
+    ds = read_table(
         sf_dir,
         "lineitem",
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
@@ -69,29 +65,17 @@ def q_pricing_summary(sf_dir: str):
         disc_c = _cents(batch["l_discount"]).to_numpy(zero_copy_only=False)
         qty = batch["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64)
         disc_price = price_c * (100 - disc_c)  # cents × 100, exact
-        import pandas as pd
-
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "l_returnflag": batch["l_returnflag"].to_pandas(),
-                "l_linestatus": batch["l_linestatus"].to_pandas(),
-                "qty": qty,
-                "price_c": price_c,
-                "disc_price_c2": disc_price,
+                "l_returnflag": batch["l_returnflag"],
+                "l_linestatus": batch["l_linestatus"],
+                "sum_qty": qty,
+                "sum_base_cents": price_c,
+                "sum_disc_cents2": disc_price,
+                "count_order": np.ones(len(qty), np.int64),
             }
         )
-        g = (
-            df.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-            .agg(
-                sum_qty=("qty", "sum"),
-                sum_base_cents=("price_c", "sum"),
-                sum_disc_cents2=("disc_price_c2", "sum"),
-                count_order=("qty", "size"),
-            )
-        )
-        # strip the pandas schema-metadata blob: it makes block
-        # schemas unhashable and defeats Ray's schema dedup fast path
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
+        return combine(t, ["l_returnflag", "l_linestatus"], "sum")
 
     from ray.data.aggregate import Sum
 
@@ -125,7 +109,7 @@ def q_filter_project(sf_dir: str):
     """Shipped-1995+ large lineitems with exact revenue cents; the
     filter is a pyarrow kernel inside map_batches (not per-row
     ``ds.filter``)."""
-    ds = _read(
+    ds = read_table(
         sf_dir,
         "lineitem",
         ["l_orderkey", "l_linenumber", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate"],
@@ -167,7 +151,7 @@ WHERE l_shipdate >= TIMESTAMP '1995-01-01' AND l_quantity > 30
 # ---------------------------------------------------------------------------
 
 def q_top_orders(sf_dir: str):
-    ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice", "o_orderdate"])
+    ds = read_table(sf_dir, "orders", ["o_orderkey", "o_totalprice", "o_orderdate"])
 
     def to_cents(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -195,7 +179,7 @@ LIMIT 20
 # ---------------------------------------------------------------------------
 
 def q_distinct_flags(sf_dir: str):
-    ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"])
+    ds = read_table(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"])
     from ray.data.aggregate import Count
 
     out = ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(Count(alias_name="_n"))
@@ -222,7 +206,7 @@ def q_region_customers(sf_dir: str):
     rk_to_name = dict(zip(region["r_regionkey"].to_pylist(), region["r_name"].to_pylist()))
     nk_to_name = {nk: rk_to_name[rk] for nk, rk in nk_to_rk.items()}
 
-    ds = _read(sf_dir, "customer", ["c_nationkey"])
+    ds = read_table(sf_dir, "customer", ["c_nationkey"])
 
     max_nk = max(nk_to_name) if nk_to_name else 0
     lut = np.array([nk_to_name.get(i, "") for i in range(max_nk + 1)], dtype=object)
@@ -265,29 +249,18 @@ def q_segment_revenue(sf_dir: str, n_buckets: int = 16):
     side fits a worker's heap, and hot keys get salted into
     sub-buckets; here the key is near-uniform so no salting is needed
     (documented partitioning assumption)."""
-    import pandas as pd
-
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    customer = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
     def prep_orders(b: pa.Table) -> pa.Table:
         # Pre-aggregate per custkey inside the batch before the
         # shuffle: the exchange then carries one row per (batch, key)
         # instead of one per order — the partial-combine discipline
         # applied to the join's probe side.
-        df = pd.DataFrame(
-            {
-                "key": b["o_custkey"].to_numpy(zero_copy_only=False),
-                "total_cents": _cents(b["o_totalprice"]).to_numpy(zero_copy_only=False),
-            }
+        t = pa.table(
+            {"key": b["o_custkey"].cast(pa.int64()), "total_cents": _cents(b["o_totalprice"])}
         )
-        g = df.groupby("key", as_index=False)["total_cents"].sum()
-        return pa.table(
-            {
-                "key": pa.array(g["key"].to_numpy(), pa.int64()),
-                "total_cents": pa.array(g["total_cents"].to_numpy(), pa.int64()),
-            }
-        )
+        return combine(t, "key", "sum")
 
     def join_bucket(probe: pa.Table, build: pa.Table) -> pa.Table:
         j = probe.to_pandas().merge(build.to_pandas(), left_on="key", right_on="c_custkey")
@@ -344,28 +317,18 @@ def q_segment_revenue_salted(sf_dir: str, n_buckets: int = 16, n_salts: int = 4)
     ANY assignment yields the same sums because every sub-bucket
     carries the full build rows for its keys — the invariance the
     twin-equality test and the shared oracle pin."""
-    import pandas as pd
-
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    customer = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
     def prep_orders(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "key": b["o_custkey"].to_numpy(zero_copy_only=False),
-                "total_cents": _cents(b["o_totalprice"]).to_numpy(zero_copy_only=False),
-            }
+        g = combine(
+            pa.table({"key": b["o_custkey"].cast(pa.int64()), "total_cents": _cents(b["o_totalprice"])}),
+            "key",
+            "sum",
         )
-        g = df.groupby("key", as_index=False)["total_cents"].sum()
         keys = g["key"].to_numpy()
         salt = np.arange(len(g), dtype=np.int64) % n_salts
-        return pa.table(
-            {
-                "route": pa.array((keys % n_buckets) * n_salts + salt, pa.int64()),
-                "key": pa.array(keys, pa.int64()),
-                "total_cents": pa.array(g["total_cents"].to_numpy(), pa.int64()),
-            }
-        )
+        return g.add_column(0, "route", pa.array((keys % n_buckets) * n_salts + salt, pa.int64()))
 
     def prep_cust(b: pa.Table) -> pa.Table:
         ck = b["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -437,7 +400,7 @@ def _customers_by_orders(
     customer = (
         customer
         if customer is not None
-        else _read(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
+        else read_table(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
     )
     kept = keyed_join(
         customer,
@@ -516,10 +479,8 @@ def q_top_revenue_orders(
     is a distributed sort over order-grain rows + limit — the only
     all-to-all sort in the query, and it runs on the already-aggregated
     grain, never on lineitems."""
-    import pandas as pd
-
     cut = np.datetime64(cutoff)
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
 
     def early_orders(batch: pa.Table) -> pa.Table:
         od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
@@ -538,7 +499,7 @@ def q_top_revenue_orders(
         n_buckets=n_buckets,
     )
 
-    lineitem = _read(
+    lineitem = read_table(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
     )
 
@@ -547,18 +508,10 @@ def q_top_revenue_orders(
         t = batch.filter(pa.array(sd > cut))
         price_c = _cents(t["l_extendedprice"]).to_numpy()
         disc_c = _cents(t["l_discount"]).to_numpy()
-        df = pd.DataFrame(
-            {
-                "key": t["l_orderkey"].to_numpy(zero_copy_only=False),
-                "rev": price_c * (100 - disc_c),
-            }
-        )
-        agg = df.groupby("key", sort=False)["rev"].sum()
-        return pa.table(
-            {
-                "key": pa.array(agg.index.to_numpy(dtype=np.int64), pa.int64()),
-                "rev": pa.array(agg.to_numpy(dtype=np.int64), pa.int64()),
-            }
+        return combine(
+            pa.table({"key": t["l_orderkey"].cast(pa.int64()), "rev": price_c * (100 - disc_c)}),
+            "key",
+            "sum",
         )
 
     def join_bucket(lines: pa.Table, ords: pa.Table) -> pa.Table:
@@ -634,7 +587,7 @@ def q_event_gaps(sf_dir: str, n_buckets: int = 32):
     vectorized sort + ``diff`` per partition with the cross-user
     boundary masked — never a per-user task."""
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -690,22 +643,13 @@ def q_customer_spend_quartiles(sf_dir: str, k_tiles: int = 4):
     extra row)."""
     import pandas as pd
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def partials(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "c_custkey": batch["o_custkey"].to_numpy(zero_copy_only=False),
-                "cents": _cents(batch["o_totalprice"]).to_numpy(),
-            }
+        t = pa.table(
+            {"c_custkey": batch["o_custkey"].cast(pa.int64()), "spend_cents": _cents(batch["o_totalprice"])}
         )
-        agg = df.groupby("c_custkey", sort=False)["cents"].sum()
-        return pa.table(
-            {
-                "c_custkey": pa.array(agg.index.to_numpy(dtype=np.int64), pa.int64()),
-                "spend_cents": pa.array(agg.to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
+        return combine(t, "c_custkey", "sum")
 
     from ray.data.aggregate import Sum
 
@@ -787,7 +731,7 @@ def q_event_dedup_windowed(sf_dir: str, window_sec: int = 3600, n_buckets: int =
     Same ``user_id % B`` coarse-bucket exchange: each row moves once,
     one vectorized sort + diff per partition."""
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -852,7 +796,6 @@ def q_supplier_revenue(
     budget and meet the totals in a ``suppkey`` exchange on the
     aggregated grain beyond it. Both plans share one oracle; the
     switch is exercised both ways in ``TestBroadcastShuffleCrossover``."""
-    import pandas as pd
     import pyarrow.parquet as pq
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
@@ -860,24 +803,15 @@ def q_supplier_revenue(
         zip(nation["n_nationkey"].to_pylist(), nation["n_name"].to_pylist())
     )
 
-    li = _read(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"])
+    li = read_table(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"])
 
     def partials(batch: pa.Table) -> pa.Table:
         price_c = _cents(batch["l_extendedprice"]).to_numpy()
         disc_c = _cents(batch["l_discount"]).to_numpy()
-        df = pd.DataFrame(
-            {
-                "s_suppkey": batch["l_suppkey"].to_numpy(zero_copy_only=False),
-                "rev": price_c * (100 - disc_c),
-            }
+        t = pa.table(
+            {"s_suppkey": batch["l_suppkey"].cast(pa.int64()), "revenue_cents2": price_c * (100 - disc_c)}
         )
-        agg = df.groupby("s_suppkey", sort=False)["rev"].sum()
-        return pa.table(
-            {
-                "s_suppkey": pa.array(agg.index.to_numpy(dtype=np.int64), pa.int64()),
-                "revenue_cents2": pa.array(agg.to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
+        return combine(t, "s_suppkey", "sum")
 
     from ray.data.aggregate import Sum
 
@@ -959,7 +893,7 @@ def _buyer_keys(sf_dir: str) -> list:
 
     return [
         (
-            _read(sf_dir, table, [col]).map_batches(
+            read_table(sf_dir, table, [col]).map_batches(
                 distinct(col), batch_format="pyarrow", batch_size=None
             ),
             col,
@@ -1006,26 +940,18 @@ def q_customer_order_profile(sf_dir: str, n_buckets: int = 16):
     shuffle carries O(distinct keys × blocks) fixed-width rows, never
     order rows; per bucket, partials sum and a vectorized left-merge
     fills absent keys with zero. Exact-cent arithmetic end to end."""
-    import pandas as pd
-
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    customer = _read(sf_dir, "customer", ["c_custkey", "c_name"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    customer = read_table(sf_dir, "customer", ["c_custkey", "c_name"])
 
     def order_partials(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "key": batch["o_custkey"].to_numpy(zero_copy_only=False),
-                "cents": _cents(batch["o_totalprice"]).to_numpy(),
+                "key": batch["o_custkey"].cast(pa.int64()),
+                "n": np.ones(batch.num_rows, np.int64),
+                "cents": _cents(batch["o_totalprice"]),
             }
         )
-        agg = df.groupby("key", sort=False).agg(n=("cents", "size"), cents=("cents", "sum"))
-        return pa.table(
-            {
-                "key": pa.array(agg.index.to_numpy(dtype=np.int64), pa.int64()),
-                "n": pa.array(agg["n"].to_numpy(dtype=np.int64), pa.int64()),
-                "cents": pa.array(agg["cents"].to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
+        return combine(t, "key", "sum")
 
     def outer_bucket(parts: pa.Table, cust: pa.Table) -> pa.Table:
         built = parts.to_pandas().groupby("key", sort=False)[["n", "cents"]].sum()
@@ -1138,7 +1064,7 @@ def q_customers_with_orders_bloom(
     m_bits = 1 << min(24, max(14, int(np.ceil(np.log2(max(n_rows, 1) * 16)))))
     n_words = m_bits // 64
 
-    orders = _read(sf_dir, "orders", ["o_custkey"])
+    orders = read_table(sf_dir, "orders", ["o_custkey"])
 
     def partial_bloom(batch: pa.Table) -> pa.Table:
         ck = np.unique(batch["o_custkey"].to_numpy(zero_copy_only=False))
@@ -1175,7 +1101,7 @@ def q_customers_with_orders_bloom(
         final |= np.frombuffer(b, dtype=np.uint64)
     bits_ref = ray.put(final)
 
-    customer = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
+    customer = read_table(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
 
     def probe(batch: pa.Table) -> pa.Table:
         bits = ray.get(bits_ref)  # plasma-cached per worker, zero-copy
@@ -1204,7 +1130,7 @@ WHERE c_custkey NOT IN (SELECT o_custkey FROM orders WHERE o_totalprice > 450000
 # ---------------------------------------------------------------------------
 
 def q_events_by_type(sf_dir: str):
-    ds = _read(sf_dir, "events", ["event_type", "value"])
+    ds = read_table(sf_dir, "events", ["event_type", "value"])
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1248,7 +1174,7 @@ def q_hourly_events(sf_dir: str):
     event-time windows; the window IS the group key (epoch-hour int),
     computed vectorized — the batch-engine expression of a streaming
     windowed aggregate (SURVEY.md §2.11 note)."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
+    ds = read_table(sf_dir, "events", ["event_type", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["ts"], pa.int64())
@@ -1283,27 +1209,18 @@ def q_hourly_top_user(sf_dir: str, n_buckets: int = 32):
     the (cents DESC, user ASC) tie-break. The streaming analog is a
     keyed window + per-window reduce; the batch shape never holds more
     than a bucket's distinct pairs in one task."""
-    import pandas as pd
-
-    ds = _read(sf_dir, "events", ["user_id", "value", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "value", "ts"])
 
     def partials(batch: pa.Table) -> pa.Table:
         hour = pc.divide(pc.cast(batch["ts"], pa.int64()), 3_600_000_000)
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "hour_bucket": hour.to_numpy(zero_copy_only=False),
-                "user_id": batch["user_id"].to_numpy(zero_copy_only=False),
-                "cents": _cents(batch["value"]).to_numpy(),
+                "hour_bucket": hour,
+                "user_id": batch["user_id"].cast(pa.int64()),
+                "cents": _cents(batch["value"]),
             }
         )
-        agg = df.groupby(["hour_bucket", "user_id"], sort=False, as_index=False)["cents"].sum()
-        return pa.table(
-            {
-                "hour_bucket": pa.array(agg["hour_bucket"].to_numpy(dtype=np.int64), pa.int64()),
-                "user_id": pa.array(agg["user_id"].to_numpy(dtype=np.int64), pa.int64()),
-                "cents": pa.array(agg["cents"].to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
+        return combine(t, ["hour_bucket", "user_id"], "sum")
 
     from ray.data.aggregate import Sum
 
@@ -1362,7 +1279,7 @@ def q_user_sessions(sf_dir: str, gap_s: int = 1800, n_buckets: int = 32):
     break by event_id — stated here and in the oracle."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "event_id", "ts"])
     gap_us = gap_s * 1_000_000
 
     def fn(g: pa.Table) -> pa.Table:
@@ -1413,7 +1330,7 @@ def q_user_interarrival(sf_dir: str, n_buckets: int = 32):
     in the oracle."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "event_id", "ts"])
 
     def fn(g: pa.Table) -> pa.Table:
         g = g.to_pandas()
@@ -1497,7 +1414,7 @@ GROUP BY user_id
 # ---------------------------------------------------------------------------
 
 def q_top_customers(sf_dir: str, n: int = 10):
-    ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1538,7 +1455,7 @@ def q_brand_revenue(sf_dir: str):
     probe side carries ≤ distinct-partkeys rows per block instead of
     one row per lineitem — the standard partial-agg-under-join
     rewrite, exact because revenue is associative per key."""
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
 
     def prep(batch: pa.Table) -> pa.Table:
         price_c = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
@@ -1605,7 +1522,7 @@ def q_last_order_before_event(sf_dir: str):
     ck_sorted = ck[order_idx]
     od_sorted = od[order_idx]
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def fn(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
@@ -1642,8 +1559,8 @@ def q_last_order_before_event_bucketed(sf_dir: str, n_buckets: int = 16):
     concurrency)."""
     import pandas as pd
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-    events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderdate"])
+    events = read_table(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def asof_bucket(ords: pa.Table, evs: pa.Table) -> pa.Table:
         ev = pd.DataFrame(
@@ -1713,8 +1630,8 @@ def q_orders_near_event(sf_dir: str, window_days: int = 30, n_buckets: int = 16)
     Window-bound day arithmetic is exact in integers: a midnight-
     aligned order date is ≥ ``ts − w`` iff its day ≥
     ``⌈(ts − w) / day⌉`` and ≤ ``ts`` iff its day ≤ ``⌊ts / day⌋``."""
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
-    events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
+    events = read_table(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     w_us = np.int64(window_days) * _US_PER_DAY
 
@@ -1777,7 +1694,7 @@ def q_sliding_window(sf_dir: str):
     window assignment is a vectorized fan-out (concat of two shifted
     copies) inside map_batches — the batch-engine form of a sliding
     window, complementing the tumbling shape of ``q_hourly_events``."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
+    ds = read_table(sf_dir, "events", ["event_type", "ts"])
 
     def fan_out(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["ts"], pa.int64())
@@ -1823,7 +1740,7 @@ def q_json_props(sf_dir: str):
     (``pc.extract_regex``) — no per-row ``json.loads`` in the hot
     path; the oracle uses DuckDB's JSON functions, so the comparison
     also pins the parse itself."""
-    ds = _read(sf_dir, "events", ["event_type", "props"])
+    ds = read_table(sf_dir, "events", ["event_type", "props"])
 
     def fn(batch: pa.Table) -> pa.Table:
         ext = pc.extract_regex(batch["props"], r'"k": (?P<k>-?\d+)')
@@ -1865,7 +1782,7 @@ def q_top_orders_per_customer(sf_dir: str, n: int = 3, n_buckets: int = 32):
     vectorized (per-customer ``map_groups`` would serialize on group
     overhead)."""
 
-    ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1930,7 +1847,7 @@ def q_price_percentiles(sf_dir: str):
     ⌈q·N⌉."""
     import pandas as pd
 
-    ds = _read(sf_dir, "orders", ["o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_totalprice"])
 
     def counts(batch: pa.Table) -> pa.Table:
         c = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
@@ -1987,7 +1904,7 @@ def q_price_percentiles_sketch(sf_dir: str):
     ``groupby(bin).Sum`` — associative, any block order."""
     import pandas as pd
 
-    ds = _read(sf_dir, "orders", ["o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_totalprice"])
     m1 = _QSK_MBITS + 1
 
     def bin_counts(batch: pa.Table) -> pa.Table:
@@ -1997,16 +1914,8 @@ def q_price_percentiles_sketch(sf_dir: str):
         bl = np.frexp(c.astype(np.float64))[1].astype(np.int64)  # bit_length, exact
         shift = np.maximum(bl - m1, 0)
         sub = c >> shift
-        df = pd.DataFrame({"bl": bl, "sub": sub})
-        agg = df.groupby(["bl", "sub"], sort=False).size()
-        idx = agg.index.to_frame(index=False)
-        return pa.table(
-            {
-                "bl": pa.array(idx["bl"].to_numpy(dtype=np.int64), pa.int64()),
-                "sub": pa.array(idx["sub"].to_numpy(dtype=np.int64), pa.int64()),
-                "cnt": pa.array(agg.to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
+        t = pa.table({"bl": bl, "sub": sub, "cnt": np.ones(len(c), np.int64)})
+        return combine(t, ["bl", "sub"], "sum")
 
     from ray.data.aggregate import Sum
 
@@ -2081,7 +1990,7 @@ def q_priority_percentiles_sketch(sf_dir: str, n_buckets: int = 8):
     import pandas as pd
 
     m1 = _QSK_MBITS + 1
-    ds = _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
 
     def bin_counts(batch: pa.Table) -> pa.Table:
         c = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
@@ -2089,19 +1998,15 @@ def q_priority_percentiles_sketch(sf_dir: str, n_buckets: int = 8):
             raise ValueError("log-histogram sketch requires positive values")
         bl = np.frexp(c.astype(np.float64))[1].astype(np.int64)
         sub = c >> np.maximum(bl - m1, 0)
-        df = pd.DataFrame(
-            {"pri": batch["o_orderpriority"].to_pylist(), "bl": bl, "sub": sub}
-        )
-        agg = df.groupby(["pri", "bl", "sub"], sort=False).size()
-        idx = agg.index.to_frame(index=False)
-        return pa.table(
+        t = pa.table(
             {
-                "o_orderpriority": pa.array(idx["pri"].tolist(), pa.string()),
-                "bl": pa.array(idx["bl"].to_numpy(dtype=np.int64), pa.int64()),
-                "sub": pa.array(idx["sub"].to_numpy(dtype=np.int64), pa.int64()),
-                "cnt": pa.array(agg.to_numpy(dtype=np.int64), pa.int64()),
+                "o_orderpriority": batch["o_orderpriority"],
+                "bl": bl,
+                "sub": sub,
+                "cnt": np.ones(len(c), np.int64),
             }
         )
+        return combine(t, ["o_orderpriority", "bl", "sub"], "sum")
 
     from ray.data.aggregate import Sum
 
@@ -2186,7 +2091,6 @@ def q_revenue_rollup(sf_dir: str, n_buckets: int = 16):
     grouping sets and re-aggregating — the second shuffle moves
     3 × |leaf| rows (hundreds), not data. 'ALL' is the subtotal
     sentinel on both the Ray and SQL sides."""
-    import pandas as pd
     import pyarrow.parquet as pq
 
     nation = pq.read_table(
@@ -2203,23 +2107,12 @@ def q_revenue_rollup(sf_dir: str, n_buckets: int = 16):
         )
     }
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    customer = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    customer = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
 
     def prep_orders(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "key": b["o_custkey"].to_numpy(zero_copy_only=False),
-                "cents": _cents(b["o_totalprice"]).to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby("key", as_index=False)["cents"].sum()
-        return pa.table(
-            {
-                "key": pa.array(g["key"].to_numpy(), pa.int64()),
-                "cents": pa.array(g["cents"].to_numpy(), pa.int64()),
-            }
-        )
+        t = pa.table({"key": b["o_custkey"].cast(pa.int64()), "cents": _cents(b["o_totalprice"])})
+        return combine(t, "key", "sum")
 
     def join_bucket(probe: pa.Table, build: pa.Table) -> pa.Table:
         j = probe.to_pandas().merge(build.to_pandas(), left_on="key", right_on="c_custkey")
@@ -2292,7 +2185,7 @@ def q_distinct_users(sf_dir: str):
     distinct (the partial-combine discipline — the exchange carries
     unique keys per batch, not rows), one groupby to global-distinct,
     then a count. Returns a 1-row table."""
-    ds = _read(sf_dir, "events", ["user_id"])
+    ds = read_table(sf_dir, "events", ["user_id"])
 
     def local_distinct(batch: pa.Table) -> pa.Table:
         u = np.unique(batch["user_id"].to_numpy(zero_copy_only=False))
@@ -2468,7 +2361,7 @@ def q_type_user_counts_hll(sf_dir: str, p: int = _HLL_P):
     3σ of the exact grouped distinct."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["event_type", "user_id"])
+    ds = read_table(sf_dir, "events", ["event_type", "user_id"])
 
     def registers(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -2526,7 +2419,7 @@ def q_distinct_users_hll(sf_dir: str, p: int = _HLL_P):
     by construction); the unit test pins the estimate within 3σ of
     exact."""
     m = 1 << p
-    ds = _read(sf_dir, "events", ["user_id"])
+    ds = read_table(sf_dir, "events", ["user_id"])
 
     def registers(batch: pa.Table) -> pa.Table:
         users = np.unique(batch["user_id"].to_numpy(zero_copy_only=False))
@@ -2571,7 +2464,7 @@ def q_type_user_overlap_hll(sf_dir: str, p: int = _HLL_P):
     both sides)."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["event_type", "user_id"])
+    ds = read_table(sf_dir, "events", ["event_type", "user_id"])
 
     def registers(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -2721,7 +2614,7 @@ def q_running_total(sf_dir: str, n_buckets: int = 32):
     row once; partition memory is |orders|/B rows — at 100 TB raise B
     to keep a bucket inside a worker's heap."""
 
-    ds = _read(
+    ds = read_table(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"]
     )
 
@@ -2779,7 +2672,7 @@ def q_event_pivot(sf_dir: str):
     — the exchange carries O(days × blocks) wide rows, never events."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
+    ds = read_table(sf_dir, "events", ["event_type", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -2834,23 +2727,17 @@ def q_priority_percentiles(sf_dir: str):
     exact on the discrete cents domain."""
     import pandas as pd
 
-    ds = _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
 
     def counts(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "o_orderpriority": batch["o_orderpriority"].to_pandas(),
-                "cents": _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False),
+                "o_orderpriority": batch["o_orderpriority"],
+                "cents": _cents(batch["o_totalprice"]),
+                "cnt": np.ones(batch.num_rows, np.int64),
             }
         )
-        g = df.groupby(["o_orderpriority", "cents"], as_index=False, sort=False).size()
-        return pa.table(
-            {
-                "o_orderpriority": pa.array(g["o_orderpriority"], pa.string()),
-                "cents": pa.array(g["cents"].to_numpy(dtype=np.int64)),
-                "cnt": pa.array(g["size"].to_numpy(dtype=np.int64)),
-            }
-        )
+        return combine(t, ["o_orderpriority", "cents"], "sum")
 
     from ray.data.aggregate import Sum
 
@@ -2905,7 +2792,7 @@ def q_type_user_counts(sf_dir: str):
     driver (bounded by the group domain)."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["event_type", "user_id"])
+    ds = read_table(sf_dir, "events", ["event_type", "user_id"])
 
     def local_pairs(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -2923,14 +2810,8 @@ def q_type_user_counts(sf_dir: str):
         )
 
     def local_totals(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"event_type": batch["event_type"].to_pandas()})
-        g = df.groupby("event_type", as_index=False, sort=False).size()
-        return pa.table(
-            {
-                "event_type": pa.array(g["event_type"], pa.string()),
-                "n": pa.array(g["size"].to_numpy(dtype=np.int64)),
-            }
-        )
+        t = pa.table({"event_type": batch["event_type"], "n": np.ones(batch.num_rows, np.int64)})
+        return combine(t, "event_type", "sum")
 
     from ray.data.aggregate import Count, Sum
 
@@ -2981,36 +2862,29 @@ def q_customer_order_span(sf_dir: str, n_buckets: int = 16):
     re-reduces partials with the same lexicographic (date, orderkey)
     argmin/argmax. Total ordering via the orderkey tiebreak keeps the
     result exact under any block arrival order."""
-    import pandas as pd
-
-    orders = _read(
+    orders = read_table(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
     )
 
     def partials(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
+        ok = b["o_orderkey"].cast(pa.int64())
+        dt = b["o_orderdate"].cast(pa.int64())
+        cents = _cents(b["o_totalprice"])
+        t = pa.table(
             {
-                "ck": b["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "ok": b["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "dt": b["o_orderdate"].cast(pa.int64()).to_numpy(zero_copy_only=False),
-                "cents": _cents(b["o_totalprice"]).to_numpy(zero_copy_only=False),
+                "ck": b["o_custkey"].cast(pa.int64()),
+                "f_ok": ok,
+                "f_dt": dt,
+                "f_cents": cents,
+                "l_ok": ok,
+                "l_dt": dt,
+                "l_cents": cents,
+                "n": np.ones(b.num_rows, np.int64),
             }
-        ).sort_values(["ck", "dt", "ok"])
-        g = df.groupby("ck", sort=False)
-        f, l, n = g.head(1), g.tail(1), g.size()
-        ck = f["ck"].to_numpy(dtype=np.int64)
-        return pa.table(
-            {
-                "ck": pa.array(ck),
-                "f_ok": pa.array(f["ok"].to_numpy(dtype=np.int64)),
-                "f_dt": pa.array(f["dt"].to_numpy(dtype=np.int64)),
-                "f_cents": pa.array(f["cents"].to_numpy(dtype=np.int64)),
-                "l_ok": pa.array(l["ok"].to_numpy(dtype=np.int64)),
-                "l_dt": pa.array(l["dt"].to_numpy(dtype=np.int64)),
-                "l_cents": pa.array(l["cents"].to_numpy(dtype=np.int64)),
-                "n": pa.array(n.to_numpy(dtype=np.int64)),
-            }
-        )
+        ).sort_by([("ck", "ascending"), ("f_dt", "ascending"), ("f_ok", "ascending")])
+        firsts = dict.fromkeys(["f_ok", "f_dt", "f_cents"], "first")
+        lasts = dict.fromkeys(["l_ok", "l_dt", "l_cents"], "last")
+        return combine(t, "ck", {**firsts, **lasts, "n": "sum"})
 
     def reduce_bucket(g: pa.Table) -> pa.Table:
         g = g.to_pandas()
@@ -3096,8 +2970,8 @@ def q_customer_supplier_reach(sf_dir: str, min_suppliers: int = 5, n_buckets: in
     of int64s, and never let a count-distinct ship raw values to the
     driver."""
 
-    lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    lineitem = read_table(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
 
     def li_pairs(b: pa.Table) -> pa.Table:
         return pa.Table.from_pandas(
@@ -3173,7 +3047,7 @@ def q_key_skew(sf_dir: str, k: int = 20, n_buckets: int = 32):
     import pyarrow.parquet as pq
 
     total = pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
-    orders = _read(sf_dir, "orders", ["o_custkey"])
+    orders = read_table(sf_dir, "orders", ["o_custkey"])
 
     def partials(b: pa.Table) -> pa.Table:
         ck = b["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3250,7 +3124,7 @@ def q_order_event_reconcile(
     partials: within budget the keys broadcast into the orders scan;
     beyond it the orders meet them in an extra ``custkey`` exchange."""
     orders = keyed_join(
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+        read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
         sf_dir,
         "customer",
         fact_key="o_custkey",
@@ -3261,7 +3135,7 @@ def q_order_event_reconcile(
         budget_bytes=budget_bytes,
         n_buckets=n_buckets,
     )
-    events = _read(sf_dir, "events", ["user_id", "value"])
+    events = read_table(sf_dir, "events", ["user_id", "value"])
 
     def order_partials(batch: pa.Table) -> pa.Table:
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3381,7 +3255,7 @@ def q_cohort_retention(sf_dir: str, n_buckets: int = 32):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    ev = _read(sf_dir, "events", ["user_id", "ts"])
+    ev = read_table(sf_dir, "events", ["user_id", "ts"])
 
     def partials(b: pa.Table) -> pa.Table:
         us = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -3478,7 +3352,7 @@ def q_conversion_funnel(sf_dir: str, n_buckets: int = 16):
     import pandas as pd
 
     _STAGES = ("view", "click", "purchase")
-    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
         et = batch["event_type"]
@@ -3569,27 +3443,18 @@ def q_revenue_cube(sf_dir: str, n_buckets: int = 16):
     leaf rows, never the fact table, which is what keeps 2^d
     affordable at any corpus size (cost is 2^d × |leaf|, not
     2^d × |orders|)."""
-    import pandas as pd
-
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority", "o_totalprice"])
-    customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderpriority", "o_totalprice"])
+    customer = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
     def prep_orders(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "key": b["o_custkey"].to_numpy(zero_copy_only=False),
-                "priority": b["o_orderpriority"].to_pylist(),
-                "cents": _cents(b["o_totalprice"]).to_numpy(zero_copy_only=False),
+                "key": b["o_custkey"].cast(pa.int64()),
+                "priority": b["o_orderpriority"],
+                "cents": _cents(b["o_totalprice"]),
             }
         )
-        g = df.groupby(["key", "priority"], as_index=False)["cents"].sum()
-        return pa.table(
-            {
-                "key": pa.array(g["key"].to_numpy(dtype=np.int64)),
-                "priority": pa.array(g["priority"], pa.string()),
-                "cents": pa.array(g["cents"].to_numpy(dtype=np.int64)),
-            }
-        )
+        return combine(t, ["key", "priority"], "sum")
 
     def join_bucket(probe: pa.Table, build: pa.Table) -> pa.Table:
         j = probe.to_pandas().merge(build.to_pandas(), left_on="key", right_on="c_custkey")
@@ -3667,20 +3532,16 @@ def q_orders_above_avg(sf_dir: str, n_buckets: int = 16):
     ``side``: they come from one read, which a two-sided exchange
     would run twice. Each kind pads the other's columns with int64
     zeros, never nulls, so no wide int is floated."""
-    import pandas as pd
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
     def prep(b: pa.Table) -> pa.Table:
         ck = b["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         ok = b["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         cents = _cents(b["o_totalprice"]).to_numpy(zero_copy_only=False)
-        part = (
-            pd.DataFrame({"ck": ck, "cents": cents})
-            .groupby("ck")["cents"]
-            .agg(["count", "sum"])
+        part = combine(
+            pa.table({"ck": ck, "cents": cents, "cnt": np.ones(len(ck), np.int64)}), "ck", "sum"
         )
-        pk = part.index.to_numpy(dtype=np.int64)
+        pk = part["ck"].to_numpy()
         return pa.table(
             {
                 "side": pa.array(
@@ -3690,12 +3551,8 @@ def q_orders_above_avg(sf_dir: str, n_buckets: int = 16):
                 ),
                 "custkey": pa.array(np.concatenate([ck, pk])),
                 "orderkey": pa.array(np.concatenate([ok, np.zeros(len(pk), dtype=np.int64)])),
-                "cents": pa.array(np.concatenate([cents, part["sum"].to_numpy(dtype=np.int64)])),
-                "cnt": pa.array(
-                    np.concatenate(
-                        [np.zeros(len(ck), dtype=np.int64), part["count"].to_numpy(dtype=np.int64)]
-                    )
-                ),
+                "cents": pa.array(np.concatenate([cents, part["cents"].to_numpy()])),
+                "cnt": pa.array(np.concatenate([np.zeros(len(ck), dtype=np.int64), part["cnt"].to_numpy()])),
             }
         )
 
@@ -3767,7 +3624,6 @@ def q_local_supplier_revenue(
     broadcast/exchange combinations are live plans; every one shares
     this oracle, and ``budget_bytes=0`` forces both exchanges in
     tests."""
-    import pandas as pd
     import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
@@ -3783,7 +3639,7 @@ def q_local_supplier_revenue(
         return lambda t: t.filter(pc.is_in(t[column], value_set=nat_arr))
 
     order_nat = keyed_join(
-        _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
+        read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
         sf_dir,
         "customer",
         fact_key="o_custkey",
@@ -3794,7 +3650,7 @@ def q_local_supplier_revenue(
         n_buckets=n_buckets,
     )
     li = keyed_join(
-        _read(
+        read_table(
             sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
         ),
         sf_dir,
@@ -3810,25 +3666,14 @@ def q_local_supplier_revenue(
     def prep_li(b: pa.Table) -> pa.Table:
         price_c = _cents(b["l_extendedprice"]).to_numpy()
         disc_c = _cents(b["l_discount"]).to_numpy()
-        agg = (
-            pd.DataFrame(
-                {
-                    "ok": b["l_orderkey"].to_numpy(zero_copy_only=False),
-                    "s_nat": b["s_nationkey"].to_numpy(zero_copy_only=False),
-                    "rev": price_c * (100 - disc_c),
-                }
-            )
-            .groupby(["ok", "s_nat"], sort=False)["rev"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
+        t = pa.table(
             {
-                "ok": pa.array(agg["ok"].to_numpy(dtype=np.int64), pa.int64()),
-                "s_nat": pa.array(agg["s_nat"].to_numpy(dtype=np.int64)),
-                "rev": pa.array(agg["rev"].to_numpy(dtype=np.int64), pa.int64()),
+                "ok": b["l_orderkey"].cast(pa.int64()),
+                "s_nat": b["s_nationkey"].cast(pa.int64()),
+                "rev": price_c * (100 - disc_c),
             }
         )
+        return combine(t, ["ok", "s_nat"], "sum")
 
     def join_b(lines: pa.Table, ords: pa.Table) -> pa.Table:
         j = lines.to_pandas().merge(ords.to_pandas(), left_on="ok", right_on="o_orderkey")
@@ -3923,7 +3768,7 @@ def q_user_entropy(sf_dir: str, n_buckets: int = 32):
 
     from ..stages.textstats import lnm_micro
 
-    ds = _read(sf_dir, "events", ["user_id", "event_type"])
+    ds = read_table(sf_dir, "events", ["user_id", "event_type"])
 
     def partials(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
@@ -4070,7 +3915,7 @@ def q_latest_events(sf_dir: str, n_buckets: int = 32):
     winner resolves as one vectorized sort + head-of-run mask."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
 
     def prep(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -4154,7 +3999,7 @@ def q_copurchase_pairs(sf_dir: str, min_support: int = 2, n_buckets: int = 16):
     payloads never ship — only int64 keys."""
     import pandas as pd
 
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def prep(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -4251,7 +4096,7 @@ def q_rolling_active_users(sf_dir: str, window_days: int = 7, n_buckets: int = 3
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    ev = _read(sf_dir, "events", ["user_id", "ts"])
+    ev = read_table(sf_dir, "events", ["user_id", "ts"])
     day_us = 86_400_000_000
 
     def fan_out(b: pa.Table) -> pa.Table:
@@ -4341,7 +4186,7 @@ def q_user_paths(sf_dir: str, max_steps: int = 8, n_buckets: int = 32):
     sort, the per-user head-``max_steps`` mask and the join are
     vectorized pandas ops, and the output is one row per user."""
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -4409,7 +4254,7 @@ def q_price_histogram(sf_dir: str, width_cents: int = 2_000_000):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    ds = _read(sf_dir, "orders", ["o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_totalprice"])
 
     def partials(batch: pa.Table) -> pa.Table:
         cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
@@ -4474,7 +4319,7 @@ def q_user_activity_outliers(sf_dir: str, k_sigma: int = 2, n_buckets: int = 32)
     table streams twice (stats, then filter) rather than pinning."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["user_id"])
+    ds = read_table(sf_dir, "events", ["user_id"])
 
     def partials(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
@@ -4596,7 +4441,7 @@ def q_price_qty_moments(sf_dir: str):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    ds = _read(
+    ds = read_table(
         sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_extendedprice"]
     )
 
@@ -4609,9 +4454,9 @@ def q_price_qty_moments(sf_dir: str):
         y = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
         h, r = y // 1_000_000, y % 1_000_000
         m, low = r // 1_000, r % 1_000
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "g": batch["l_returnflag"].to_pandas(),
+                "g": batch["l_returnflag"],
                 "n": np.ones(len(y), np.int64),
                 "sx": x,
                 "sy": y,
@@ -4627,8 +4472,7 @@ def q_price_qty_moments(sf_dir: str):
                 "sml": m * low,
             }
         )
-        agg = df.groupby("g", sort=False).sum().reset_index()
-        return pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
+        return combine(t, "g", "sum")
 
     cols = [
         "n", "sx", "sy", "sxx", "sxh", "sxm", "sxl",
@@ -4721,7 +4565,7 @@ def q_event_transitions(sf_dir: str, n_buckets: int = 32):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -4813,7 +4657,7 @@ def q_order_moving_avg(sf_dir: str, window: int = 3, n_buckets: int = 32):
     boundary masked — O(rows) per partition, never a per-customer task.
     The average is an exact integer rational, so it hash-matches."""
 
-    orders = _read(
+    orders = read_table(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"]
     )
 
@@ -4902,7 +4746,7 @@ def q_attribution_last_touch(sf_dir: str, n_buckets: int = 32):
     compares."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def prep(batch: pa.Table) -> pa.Table:
         keep = pc.is_in(
@@ -5015,7 +4859,7 @@ def q_peak_concurrency(sf_dir: str, hold_s: int = 300):
     import pandas as pd
 
     hold_us = hold_s * 1_000_000
-    ds = _read(sf_dir, "events", ["ts"])
+    ds = read_table(sf_dir, "events", ["ts"])
 
     def points(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -5135,7 +4979,7 @@ def q_pareto_front(sf_dir: str):
     oracle's NOT EXISTS."""
     import pandas as pd
 
-    ds = _read(sf_dir, "part", ["p_partkey", "p_retailprice", "p_size"])
+    ds = read_table(sf_dir, "part", ["p_partkey", "p_retailprice", "p_size"])
 
     def local_skyline(batch: pa.Table) -> pa.Table:
         price = _cents(batch["p_retailprice"]).to_numpy(zero_copy_only=False)
@@ -5214,11 +5058,11 @@ def q_dq_audit(sf_dir: str, n_buckets: int = 32):
     bucket-shuffle twin is the unbounded-dimension fallback). The
     final exchange carries O(metrics × blocks) rows."""
 
-    orders = _read(
+    orders = read_table(
         sf_dir, "orders",
         ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"],
     )
-    customer = _read(sf_dir, "customer", ["c_custkey"])
+    customer = read_table(sf_dir, "customer", ["c_custkey"])
 
     ckeys = np.sort(
         pq_read_keys(f"{sf_dir}/customer.parquet", "c_custkey")

@@ -37,14 +37,9 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.exchange import exchange
+from ..io.sources import read_table
 
 _B = 256  # value-range buckets; widen at scale to bound bucket size
-
-
-def _read(sf_dir: str, table: str, columns: list[str] | None = None):
-    from ..io.sources import read_table
-
-    return read_table(sf_dir, table, columns)
 
 
 def q_global_rank(sf_dir: str, n_buckets: int = _B):
@@ -58,7 +53,7 @@ def q_global_rank(sf_dir: str, n_buckets: int = _B):
 
     from ..stages.zorder import _footer_max
 
-    ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
 
     stats = _footer_max(f"{sf_dir}/orders.parquet", ["o_totalprice"])
     if stats is not None:

@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..core.exchange import combine
 from .domheur import _SQL_PARA, _cand_scores, _synth_dom, _winners
 from .justext import _GOOD, _SQL_BLOCKS_CTE, _block_arrays, classify_blocks
 
@@ -296,23 +298,16 @@ def q_cascade_routing_by_source(sf_dir: str):
     )
 
     def fn(batch: pa.Table) -> pa.Table:
-        out = _cascade_table(batch).to_pandas()
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        smap = pd.Series(batch["source"].to_pandas().to_numpy(), index=ids)
-        out["source"] = smap.loc[out["doc_id"].to_numpy()].to_numpy()
-        agg = (
-            out.groupby(["source", "tier"], sort=False)
-            .agg(n=("doc_id", "size"), cw=("content_words", "sum"))
-            .reset_index()
-        )
-        return pa.table(
+        out = _cascade_table(batch)
+        t = pa.table(
             {
-                "source": pa.array(agg["source"].tolist(), pa.string()),
-                "tier": pa.array(agg["tier"].tolist(), pa.string()),
-                "n": pa.array(agg["n"].to_numpy(dtype=np.int64), pa.int64()),
-                "cw": pa.array(agg["cw"].to_numpy(dtype=np.int64), pa.int64()),
+                "source": batch["source"].take(pc.index_in(out["doc_id"], batch["doc_id"])),
+                "tier": out["tier"],
+                "n": np.ones(out.num_rows, np.int64),
+                "cw": out["content_words"].cast(pa.int64()),
             }
         )
+        return combine(t, ["source", "tier"], "sum")
 
     cells = (
         ds.map_batches(fn, batch_format="pyarrow", batch_size=4096)

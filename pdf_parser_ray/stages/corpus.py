@@ -306,6 +306,8 @@ def q_semantic_dedup(sf_dir: str, threshold: float = 0.4, n_buckets: int = 16):
     clusters = label_propagation_clusters(
         pairs.map_batches(as_edges, batch_format="pyarrow", batch_size=None)
     )
+    if isinstance(clusters, pa.Table):  # no pairs: every vector survives
+        return _embeddings(sf_dir).select_columns(["vec_id"])
 
     # dropped = cluster members that are not their cluster's min label
     def dropped_only(batch: pa.Table) -> pa.Table:

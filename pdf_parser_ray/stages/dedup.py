@@ -963,7 +963,9 @@ def label_propagation_clusters(edges, max_rounds: int = 32):
     Per-round state is the small ``(node, val)`` label table, at most 16
     blocks and materialized so round k doesn't re-execute rounds
     1..k-1; the adjacency is materialized once. Returns a Dataset
-    ``(doc_id, cluster_rep)``."""
+    ``(doc_id, cluster_rep)``, or with no edges at all the empty
+    ``pa.Table`` of those two int64 columns: a Ray Dataset with no rows
+    hands ``to_pandas()`` a frame with no columns."""
 
     def undirect(b: pa.Table) -> pa.Table:
         a, d = b["doc_a"].cast(pa.int64()), b["doc_b"].cast(pa.int64())
@@ -988,11 +990,7 @@ def label_propagation_clusters(edges, max_rounds: int = 32):
         labels = message_round(adj, "src", labels, send, "min", n_buckets=16)
         new_sum = labels.sum("val")
         if new_sum is None:  # no edges at all → no clustered documents
-            import ray.data as rd
-
-            return rd.from_arrow(
-                pa.table({"doc_id": pa.array([], pa.int64()), "cluster_rep": pa.array([], pa.int64())})
-            )
+            return pa.table({"doc_id": pa.array([], pa.int64()), "cluster_rep": pa.array([], pa.int64())})
         if new_sum == prev_sum:
             break
         prev_sum = new_sum

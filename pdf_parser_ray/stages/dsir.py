@@ -37,9 +37,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..core.exchange import exchange
+from ..core.exchange import combine, exchange
 from .textstats import (
     _docs,
+    _term_counts,
     _shared_ln_cte,
     lm_score_ds,
     lnm_micro,
@@ -165,42 +166,19 @@ def q_dsir_weights(
 
     def score(batch: pa.Table) -> pa.Table:
         terms_s, w_s, w_oov_s = ray.get(model_ref)
-        toks = pc.utf8_split_whitespace(batch["text"])
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        s = flat.to_pandas()
-        keep = (s != "").to_numpy()
-        df = pd.DataFrame({"d": parent, "t": s})
-        if not keep.all():
-            df = df[keep]
-        agg = df.groupby(["d", "t"], sort=False).size().reset_index(name="tf")
-        tok = agg["t"].to_numpy()
+        agg = _term_counts(batch)
+        tok = agg["term"].to_numpy(zero_copy_only=False)
         if len(terms_s):
             idx = np.clip(np.searchsorted(terms_s, tok), 0, len(terms_s) - 1)
             hit = terms_s[idx] == tok
             tok_w = np.where(hit, w_s[idx], w_oov_s)
         else:
             tok_w = np.full(len(tok), w_oov_s, dtype=np.int64)
-        tf = agg["tf"].to_numpy(dtype=np.int64)
-        per_doc = (
-            pd.DataFrame(
-                {"d": agg["d"].to_numpy(), "tf": tf, "micro": tf * tok_w}
-            )
-            .groupby("d", sort=False)
-            .sum()
-        )
+        tf = agg["tf"].to_numpy()
+        t = pa.table({"d": agg["d"], "n_tokens": tf, "dsir_micro": tf * tok_w})
+        per_doc = combine(t, "d", "sum")
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[per_doc.index.to_numpy()], pa.int64()),
-                "n_tokens": pa.array(
-                    per_doc["tf"].to_numpy(dtype=np.int64), pa.int64()
-                ),
-                "dsir_micro": pa.array(
-                    per_doc["micro"].to_numpy(dtype=np.int64), pa.int64()
-                ),
-            }
-        )
+        return per_doc.set_column(0, "doc_id", pa.array(ids[per_doc["d"].to_numpy()], pa.int64()))
 
     return ds.map_batches(score, batch_format="pyarrow", batch_size=None)
 

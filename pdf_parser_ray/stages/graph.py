@@ -31,17 +31,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core.exchange import exchange, message_round
+from ..io.sources import read_table
 
 N_ITER = 5
 DAMP_NUM = 850_000  # 0.85 in micro-units
 BASE = 150_000      # (1 − 0.85) in micro-units
 R0 = 1_000_000      # initial rank: 1.0 per node (unnormalised)
-
-
-def _read(sf_dir: str, table: str, columns: list[str] | None = None):
-    from ..io.sources import read_table
-
-    return read_table(sf_dir, table, columns)
 
 
 # the exchange schemas of the order-supplier pair side and of a
@@ -92,8 +87,8 @@ def q_purchase_pagerank(sf_dir: str, n_buckets: int = 16):
     Returns one row per node: ``(node, rank_micro)`` after 5
     iterations. Every node of the symmetric graph has in-edges, so the
     ``BASE`` term needs no dangling-mass correction."""
-    lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    lineitem = read_table(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
 
     def to_edges(li: pa.Table, o: pa.Table) -> pa.Table:
         j = li.to_pandas().merge(o.to_pandas(), left_on="l_orderkey", right_on="o_orderkey")
@@ -242,7 +237,7 @@ def _copurchase_edges(sf_dir: str, n_buckets: int):
     orderkey-bucket basket expansion, then edge-hash global dedup."""
     import pandas as pd
 
-    lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+    lineitem = read_table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def op_rows(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -828,7 +823,7 @@ def q_part_hops(sf_dir: str, seed_size: int = 1, n_buckets: int = 32):
     )
     seeds = np.unique(seeds_tbl["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64))
 
-    lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+    lineitem = read_table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def op_rows(b: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -1172,8 +1167,8 @@ def q_hits_scores(sf_dir: str, n_buckets: int = 16):
 
     Returns one row per node: ``(node_type, node, score_micro)`` with
     node_type 0 = customer hub, 1 = supplier authority."""
-    lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    lineitem = read_table(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
 
     def to_edges(li: pa.Table, o: pa.Table) -> pa.Table:
         j = li.to_pandas().merge(o.to_pandas(), left_on="l_orderkey", right_on="o_orderkey")

@@ -38,6 +38,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..io.sources import read_table
+
 _MULT1 = 2654435761  # Knuth multiplicative constant
 _MULT2 = 2246822519  # xxHash PRIME32_2
 _MERSENNE = (1 << 31) - 1
@@ -50,12 +52,6 @@ def _salts(node: int) -> tuple[int, int]:
         (node * _MULT1 + 40503) % _MERSENNE + 1,
         (node * _MULT2 + 12345) % _MERSENNE + 1,
     )
-
-
-def _read(sf_dir: str, table: str, columns: list[str] | None = None):
-    from ..io.sources import read_table
-
-    return read_table(sf_dir, table, columns)
 
 
 def _owner(keys: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -85,7 +81,7 @@ def q_rendezvous_moves(
     placement."""
     from ray.data.aggregate import Sum
 
-    ds = _read(sf_dir, "orders", ["o_orderkey"])
+    ds = read_table(sf_dir, "orders", ["o_orderkey"])
 
     def cells(batch: pa.Table) -> pa.Table:
         keys = batch["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)

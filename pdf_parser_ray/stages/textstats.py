@@ -16,7 +16,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..core.exchange import exchange
+from ..core.exchange import combine, exchange
 
 
 def _docs(sf_dir: str, columns: list[str]):
@@ -246,17 +246,14 @@ def q_lang_confusion(sf_dir: str):
 
     def fn(batch: pa.Table) -> pa.Table:
         _, pred = _lang_scores_and_pred(batch["text"])
-        df = pd.DataFrame(
-            {"lang": batch["lang"].to_pandas().to_numpy(), "lang_pred": pred}
-        )
-        agg = df.groupby(["lang", "lang_pred"], sort=False).size().reset_index(name="n")
-        return pa.table(
+        t = pa.table(
             {
-                "lang": pa.array(agg["lang"].tolist(), pa.string()),
-                "lang_pred": pa.array(agg["lang_pred"].tolist(), pa.string()),
-                "n": pa.array(agg["n"].to_numpy(dtype=np.int64), pa.int64()),
+                "lang": batch["lang"],
+                "lang_pred": pa.array(pred, pa.string()),
+                "n": np.ones(batch.num_rows, np.int64),
             }
         )
+        return combine(t, ["lang", "lang_pred"], "sum")
 
     cells = (
         ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
@@ -1017,39 +1014,41 @@ def tf_rows_loop(n_buckets: int):
     return fn
 
 
+def _term_counts(batch: pa.Table) -> pa.Table:
+    """``(d, term, tf)``: the whitespace tokens of each row's ``text``
+    counted per row, ``d`` being the row's index in the batch, rows in
+    first-seen order."""
+    toks = pc.utf8_split_whitespace(batch["text"])
+    flat = pc.list_flatten(toks)
+    t = pa.table({"d": pc.list_parent_indices(toks), "term": flat, "tf": np.ones(len(flat), np.int64)})
+    # Arrow split can emit edge empties
+    return combine(t.filter(pc.not_equal(flat, "")), ["d", "term"], "sum")
+
+
 def tf_rows_vec(n_buckets: int):
     """Vectorized twin (VERDICT r3 item 6): Arrow whitespace split +
-    list_flatten/parent_indices + one pandas hash groupby; crc32 runs
+    list_flatten/parent_indices + one Arrow hash aggregation; crc32 runs
     only once per DISTINCT term for the bucket key. Identical output
     to :func:`tf_rows_loop` (asserted by the A/B tool and
     ``test_tf_rows_vec_equals_loop``); measured 1.2× faster at sf0.1
     (best-of-7, BASELINE.md) — the adopted formulation."""
     import zlib
 
-    import pandas as pd
-
     def fn(batch: pa.Table) -> pa.Table:
-        toks = pc.utf8_split_whitespace(batch["text"])
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        s = flat.to_pandas()
-        keep = (s != "").to_numpy()  # Arrow split can emit edge empties
-        df = pd.DataFrame({"d": parent, "t": s})
-        if not keep.all():
-            df = df[keep]
-        agg = df.groupby(["d", "t"], sort=False).size().reset_index(name="tf")
+        agg = _term_counts(batch)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bmap = {
-            t: zlib.crc32(t.encode()) % n_buckets for t in pd.unique(agg["t"])
-        }
+        terms = pc.dictionary_encode(agg["term"].combine_chunks())
+        per_term = np.fromiter(
+            (zlib.crc32(t.encode()) % n_buckets for t in terms.dictionary.to_pylist()),
+            np.int64,
+            len(terms.dictionary),
+        )
         return pa.table(
             {
-                "term_bucket": pa.array(
-                    agg["t"].map(bmap).to_numpy(dtype=np.int64), pa.int64()
-                ),
-                "term": pa.array(agg["t"].tolist(), pa.string()),
-                "doc_id": pa.array(ids[agg["d"].to_numpy()], pa.int64()),
-                "tf": pa.array(agg["tf"].to_numpy(dtype=np.int64), pa.int64()),
+                "term_bucket": per_term[terms.indices.to_numpy(zero_copy_only=False)],
+                "term": agg["term"].cast(pa.string()),
+                "doc_id": ids[agg["d"].to_numpy()],
+                "tf": agg["tf"],
             }
         )
 
@@ -1243,33 +1242,24 @@ def q_lexical_diversity(sf_dir: str):
     score hash-matches. Embarrassingly parallel: one vectorized
     split + two hash aggregations per batch, no shuffle; zero-token
     documents drop out of both engines identically (no token rows)."""
-    import pandas as pd
-
     ds = _docs(sf_dir, ["doc_id", "text"])
 
     def fn(batch: pa.Table) -> pa.Table:
-        toks = pc.utf8_split_whitespace(batch["text"])
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        s = flat.to_pandas()
-        keep = (s != "").to_numpy()
-        df = pd.DataFrame({"d": parent, "t": s})
-        if not keep.all():
-            df = df[keep]
-        g = df.groupby("d", sort=False)
-        total = g.size()
-        distinct = g["t"].nunique()
+        tc = _term_counts(batch)
+        per_doc = combine(
+            pa.table({"d": tc["d"], "n_tokens": tc["tf"], "n_distinct": np.ones(tc.num_rows, np.int64)}),
+            "d",
+            "sum",
+        )
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        tot = total.to_numpy(dtype=np.int64)
-        dis = distinct.to_numpy(dtype=np.int64)
+        tot = per_doc["n_tokens"].to_numpy()
+        dis = per_doc["n_distinct"].to_numpy()
         return pa.table(
             {
-                "doc_id": pa.array(ids[total.index.to_numpy()], pa.int64()),
-                "n_tokens": pa.array(tot, pa.int64()),
-                "n_distinct": pa.array(dis, pa.int64()),
-                "ttr_micro": pa.array(
-                    (2_000_000 * dis + tot) // (2 * tot), pa.int64()
-                ),
+                "doc_id": ids[per_doc["d"].to_numpy()],
+                "n_tokens": tot,
+                "n_distinct": dis,
+                "ttr_micro": (2_000_000 * dis + tot) // (2 * tot),
             }
         )
 
@@ -1566,7 +1556,6 @@ def lm_score_ds(
     per-document columns (``carry``, e.g. ``lang``) through the score
     pass instead of paying a corpus-scale join afterwards. With
     ``carry=()`` the output is exactly ``q_lm_doc_nll``'s."""
-    import pandas as pd
     import ray
 
     ds = _docs(sf_dir, ["doc_id", "text", *carry])
@@ -1612,16 +1601,8 @@ def lm_score_ds(
 
     def score(batch: pa.Table) -> pa.Table:
         terms_s, nll_s = ray.get(model_ref)
-        toks = pc.utf8_split_whitespace(batch["text"])
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        s = flat.to_pandas()
-        keep = (s != "").to_numpy()
-        df = pd.DataFrame({"d": parent, "t": s})
-        if not keep.all():
-            df = df[keep]
-        agg = df.groupby(["d", "t"], sort=False).size().reset_index(name="tf")
-        tok = agg["t"].to_numpy()
+        agg = _term_counts(batch)
+        tok = agg["term"].to_numpy(zero_copy_only=False)
         if len(terms_s):
             idx = np.clip(np.searchsorted(terms_s, tok), 0, len(terms_s) - 1)
             hit = terms_s[idx] == tok
@@ -1629,28 +1610,18 @@ def lm_score_ds(
             tok_nll = np.where(hit, nll_s[idx], ln_t)
         else:
             tok_nll = np.full(len(tok), ln_t)
-        tf = agg["tf"].to_numpy(dtype=np.int64)
+        tf = agg["tf"].to_numpy()
         micro = np.floor((tf.astype(np.float64) * tok_nll) * 1_000_000 + 0.5).astype(
             np.int64
         )
-        per_doc = (
-            pd.DataFrame({"d": agg["d"].to_numpy(), "tf": tf, "micro": micro})
-            .groupby("d", sort=False)
-            .sum()
-        )
+        per_doc = combine(pa.table({"d": agg["d"], "tf": tf, "micro": micro}), "d", "sum")
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        rows = per_doc.index.to_numpy()
-        cols: dict = {"doc_id": pa.array(ids[rows], pa.int64())}
+        rows = per_doc["d"].to_numpy()
+        cols: dict = {"doc_id": ids[rows]}
         for c in carry:
             cols[c] = batch[c].take(pa.array(rows))
-        cols["n_tokens"] = pa.array(
-            per_doc["tf"].to_numpy(dtype=np.int64), pa.int64()
-        )
-        cols["nll_micro"] = pa.array(
-            per_doc["micro"].to_numpy(dtype=np.int64)
-            // per_doc["tf"].to_numpy(dtype=np.int64),
-            pa.int64(),
-        )
+        cols["n_tokens"] = per_doc["tf"]
+        cols["nll_micro"] = per_doc["micro"].to_numpy() // per_doc["tf"].to_numpy()
         return pa.table(cols)
 
     return ds.map_batches(score, batch_format="pyarrow", batch_size=None)
@@ -1902,21 +1873,27 @@ def q_bm25_search(sf_dir: str, k: int = 10, pin_budget_bytes: "int | None" = Non
 
     ds = _docs(sf_dir, ["doc_id", "text"])
     term_of = {i: t for i, t in enumerate(probe)}
-    idx_of = {t: i for i, t in enumerate(probe)}
+    probe_arr = pa.array(probe, pa.string())
 
     def hit_rows(batch: pa.Table) -> pa.Table:
         toks = pc.utf8_split_whitespace(pc.utf8_lower(batch["text"]))
         flat = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         parent = pc.list_parent_indices(flat).to_numpy(zero_copy_only=False)
-        s = pc.list_flatten(flat).to_pandas()
-        keep = (s != "").to_numpy()
-        parent = parent[keep]
-        s = s[keep]
+        s = pc.list_flatten(flat)
+        keep = pc.not_equal(s, "")
+        parent = parent[keep.to_numpy(zero_copy_only=False)]
+        s = s.filter(keep)
         dl = np.bincount(parent, minlength=batch.num_rows).astype(np.int64)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        m = s.isin(probe).to_numpy()
-        df = pd.DataFrame({"d": parent[m], "t": s[m].map(idx_of).to_numpy()})
-        agg = df.groupby(["d", "t"], sort=False).size().reset_index(name="tf")
+        # a token outside the probe has a null term_idx, and combine drops it
+        t = pa.table(
+            {
+                "d": parent,
+                "term_idx": pc.index_in(s, probe_arr).cast(pa.int64()),
+                "tf": np.ones(len(parent), np.int64),
+            }
+        )
+        agg = combine(t, ["d", "term_idx"], "sum")
         drows = agg["d"].to_numpy()
         return pa.table(
             {
@@ -1924,14 +1901,8 @@ def q_bm25_search(sf_dir: str, k: int = 10, pin_budget_bytes: "int | None" = Non
                     np.concatenate([np.zeros(len(agg), dtype=np.int8), [1]])
                 ),
                 "doc_id": pa.array(np.concatenate([ids[drows], [-1]]), pa.int64()),
-                "term_idx": pa.array(
-                    np.concatenate([agg["t"].to_numpy(dtype=np.int64), [-1]])
-                ),
-                "tf": pa.array(
-                    np.concatenate(
-                        [agg["tf"].to_numpy(dtype=np.int64), [batch.num_rows]]
-                    )
-                ),
+                "term_idx": pa.array(np.concatenate([agg["term_idx"].to_numpy(), [-1]])),
+                "tf": pa.array(np.concatenate([agg["tf"].to_numpy(), [batch.num_rows]])),
                 "dl": pa.array(
                     np.concatenate([dl[drows], [int(dl.sum())]]), pa.int64()
                 ),
@@ -2071,20 +2042,8 @@ def q_source_lang_entropy(sf_dir: str):
     ds = _docs(sf_dir, ["source", "lang"])
 
     def counts(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "source": batch["source"].to_pandas().to_numpy(),
-                "lang": batch["lang"].to_pandas().to_numpy(),
-            }
-        )
-        g = df.groupby(["source", "lang"], sort=False).size().reset_index(name="k")
-        return pa.table(
-            {
-                "source": pa.array(g["source"].astype(str), pa.string()),
-                "lang": pa.array(g["lang"].astype(str), pa.string()),
-                "k": pa.array(g["k"].to_numpy(), pa.int64()),
-            }
-        )
+        t = pa.table({"source": batch["source"], "lang": batch["lang"], "k": np.ones(batch.num_rows, np.int64)})
+        return combine(t, ["source", "lang"], "sum")
 
     g = (
         ds.map_batches(counts, batch_format="pyarrow", batch_size=None)
@@ -2174,28 +2133,18 @@ def q_vocab_growth(sf_dir: str, n_bins: int = 10):
         flat = pc.list_flatten(toks)
         parent = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = flat.to_pandas().to_numpy()
-        keep = s != ""  # Arrow split can emit edge empties; SQL never does
-        if not keep.all():
-            s, parent = s[keep], parent[keep]
+        keep = pc.not_equal(flat, "")  # Arrow split can emit edge empties; SQL never does
+        s = flat.filter(keep)
+        parent = parent[keep.to_numpy(zero_copy_only=False)]
         # word 3-grams: positions i where parent[i] == parent[i+2]
         ok = np.zeros(len(s), dtype=bool)
         if len(s) >= 3:
             ok[: len(s) - 2] = parent[: len(s) - 2] == parent[2:]
         i = np.flatnonzero(ok)
-        grams = pd.Series(s[i]) + " " + pd.Series(s[i + 1]) + " " + pd.Series(s[i + 2])
-        df = pd.DataFrame({"d": ids[parent[i]], "t": grams.to_numpy()})
-        agg = df.groupby("t", sort=False)["d"].min().reset_index()
-        bmap = {t: zlib.crc32(t.encode()) % 32 for t in agg["t"]}
-        return pa.table(
-            {
-                "term_bucket": pa.array(
-                    agg["t"].map(bmap).to_numpy(dtype=np.int64), pa.int64()
-                ),
-                "term": pa.array(agg["t"].tolist(), pa.string()),
-                "first_doc": pa.array(agg["d"].to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
+        grams = pc.binary_join_element_wise(s.take(i), s.take(i + 1), s.take(i + 2), " ")
+        agg = combine(pa.table({"term": grams, "first_doc": ids[parent[i]]}), "term", "min")
+        buckets = [zlib.crc32(t.encode()) % 32 for t in agg["term"].to_pylist()]
+        return agg.add_column(0, "term_bucket", pa.array(buckets, pa.int64()))
 
     def bucket_bins(g: pa.Table) -> pa.Table:
         g = g.to_pandas()
@@ -2538,7 +2487,6 @@ def q_source_js_divergence(sf_dir: str, n_buckets: int = 32):
     in SOURCES, not terms — at web scale (millions of domains) you
     bound the pair set (each candidate vs the reference mixes), which
     leaves the exchange unchanged."""
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     ds = _docs(sf_dir, ["doc_id", "source", "text"])
@@ -2546,34 +2494,13 @@ def q_source_js_divergence(sf_dir: str, n_buckets: int = 32):
 
     def tf_src(batch: pa.Table) -> pa.Table:
         t = tfv(batch)
-        src = batch["source"].to_pandas().to_numpy()
         # tf_rows_vec keys rows by doc_id taken from the batch; map
         # each row back to its document's source (ids unique per batch)
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        smap = pd.Series(src, index=ids)
-        rows_src = smap.loc[
-            t["doc_id"].to_numpy(zero_copy_only=False)
-        ].to_numpy()
-        df = pd.DataFrame(
-            {
-                "term_bucket": t["term_bucket"].to_numpy(zero_copy_only=False),
-                "term": t["term"].to_pandas().to_numpy(),
-                "source": rows_src,
-                "tf": t["tf"].to_numpy(zero_copy_only=False),
-            }
+        rows_src = batch["source"].take(pc.index_in(t["doc_id"], batch["doc_id"]))
+        t = pa.table(
+            {"term_bucket": t["term_bucket"], "term": t["term"], "source": rows_src, "tf": t["tf"]}
         )
-        agg = df.groupby(["term_bucket", "term", "source"], sort=False,
-                         as_index=False)["tf"].sum()
-        return pa.table(
-            {
-                "term_bucket": pa.array(
-                    agg["term_bucket"].to_numpy(dtype=np.int64), pa.int64()
-                ),
-                "term": pa.array(agg["term"].tolist(), pa.string()),
-                "source": pa.array(agg["source"].tolist(), pa.string()),
-                "tf": pa.array(agg["tf"].to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
+        return combine(t, ["term_bucket", "term", "source"], "sum")
 
     def src_token_counts(batch: pa.Table) -> pa.Table:
         # totals need only the per-source token COUNT — no term
@@ -2583,19 +2510,9 @@ def q_source_js_divergence(sf_dir: str, n_buckets: int = 32):
         flat = pc.list_flatten(toks)
         parent = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        src = batch["source"].to_pandas().to_numpy()
-        agg = (
-            pd.DataFrame({"source": src[parent[nonempty]]})
-            .groupby("source", sort=False)
-            .size()
-            .reset_index(name="t")
-        )
-        return pa.table(
-            {
-                "source": pa.array(agg["source"].tolist(), pa.string()),
-                "t": pa.array(agg["t"].to_numpy(dtype=np.int64), pa.int64()),
-            }
-        )
+        rows = parent[nonempty]
+        t = pa.table({"source": batch["source"].take(rows), "t": np.ones(len(rows), np.int64)})
+        return combine(t, "source", "sum")
 
     totals_df = (
         ds.map_batches(src_token_counts, batch_format="pyarrow", batch_size=None)
@@ -2949,8 +2866,6 @@ def q_proximity_search(
     the insertion-neighbor check — no per-row Python, no exchange; at
     corpus scale the index variant intersects positional postings
     with the same offset filter (the ``phrase_search`` note)."""
-    import pandas as pd
-
     ds = _docs(sf_dir, ["doc_id", "text"])
     empty = pa.table(
         {
@@ -3007,23 +2922,9 @@ def q_proximity_search(
         )
         dmin = np.minimum(d_left, d_right)
         hit = n_b > 0
-        if not hit.any():
-            return empty
-        agg = (
-            pd.DataFrame(
-                {"doc": (ka[hit] >> 32), "n": n_b[hit], "d": dmin[hit]}
-            )
-            .groupby("doc", sort=False)
-            .agg(n_pairs=("n", "sum"), min_dist=("d", "min"))
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[agg["doc"].to_numpy()], pa.int64()),
-                "n_pairs": pa.array(agg["n_pairs"].to_numpy(np.int64), pa.int64()),
-                "min_dist": pa.array(agg["min_dist"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        t = pa.table({"doc": ka[hit] >> 32, "n_pairs": n_b[hit].astype(np.int64), "min_dist": dmin[hit]})
+        agg = combine(t, "doc", {"n_pairs": "sum", "min_dist": "min"})
+        return agg.set_column(0, "doc_id", pa.array(ids[agg["doc"].to_numpy()], pa.int64()))
 
     return ds.map_batches(hits, batch_format="pyarrow", batch_size=None)
 
@@ -3199,21 +3100,14 @@ def q_token_freq_spectrum(sf_dir: str, max_class: int = 10):
     def spectrum(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy(zero_copy_only=False)
         cls = np.where(n <= max_class, n, -1)
-        agg = (
-            pd.DataFrame({"freq_class": cls, "types": 1, "mass": n})
-            .groupby("freq_class", sort=False)
-            .agg(n_types=("types", "sum"), sum_tf=("mass", "sum"))
-            .reset_index()
-        )
-        return pa.table(
+        t = pa.table(
             {
-                "freq_class": pa.array(
-                    agg["freq_class"].to_numpy(np.int64), pa.int64()
-                ),
-                "n_types": pa.array(agg["n_types"].to_numpy(np.int64), pa.int64()),
-                "sum_tf": pa.array(agg["sum_tf"].to_numpy(np.int64), pa.int64()),
+                "freq_class": cls.astype(np.int64),
+                "n_types": np.ones(len(n), np.int64),
+                "sum_tf": n.astype(np.int64),
             }
         )
+        return combine(t, "freq_class", "sum")
 
     cells = (
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None)

@@ -50,18 +50,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..io.sources import read_table
+
 _HASH_MULT = 2654435761  # Knuth multiplicative hash constant
 _HASH_MOD = 1 << 32  # delay modulus: ≤ 2^32 µs ≈ 71.6 min of jitter
 _LATENESS_US = 1_800_000_000  # allowed lateness: 30 minutes
 _DAY_US = 86_400_000_000
 _HOUR_US = 3_600_000_000
 _NEG_INF = -(1 << 62)  # carry-in for the first arrival day
-
-
-def _read(sf_dir: str, table: str, columns: list[str] | None = None):
-    from ..io.sources import read_table
-
-    return read_table(sf_dir, table, columns)
 
 
 def _cents(arr) -> pa.Array:
@@ -98,7 +94,7 @@ def q_watermark_split(sf_dir: str, lateness_us: int = _LATENESS_US):
     import pandas as pd
     from ray.data.aggregate import Max, Sum
 
-    ds = _read(sf_dir, "events", ["event_id", "ts", "value"])
+    ds = read_table(sf_dir, "events", ["event_id", "ts", "value"])
 
     # Pass 1: exact watermark carry-in at each arrival-day boundary.
     # Bounded: one row per arrival day present in the corpus.

@@ -25,10 +25,9 @@ Scale shape (two passes, both cheap):
    never lineitems. With ``CELL_BITS = 5`` per dimension that is a
    1,024-cell table regardless of input size.
 
-The actual rewrite step is the engine's existing ordered
-``resumable_write`` sink keyed by ``zval`` — this query surfaces the
-deterministic, oracle-checkable part (the layout statistics), which is
-also what an operator would inspect to decide whether a rewrite pays.
+The module does not rewrite the table: it surfaces the deterministic,
+oracle-checkable part (the layout statistics), which is what an
+operator would inspect to decide whether a rewrite pays.
 
 Reference parity: the reference engine (a single-machine PDF-form
 parser, ``/root/reference``) has no storage layer; this is an engine
@@ -41,15 +40,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.exchange import combine
+from ..io.sources import read_table
+
 _BITS = 16  # per-dimension grid resolution (2^16 cells per axis)
 _CELL_BITS = 5  # top bits per dimension that define a layout cell
 _CELL_SHIFT = 2 * (_BITS - _CELL_BITS)  # zval >> 22 → 10-bit cell id
-
-
-def _read(sf_dir: str, table: str, columns: list[str] | None = None):
-    from ..io.sources import read_table
-
-    return read_table(sf_dir, table, columns)
 
 
 def _footer_max(path: str, columns: list[str]) -> list | None:
@@ -130,10 +126,9 @@ def q_zorder_layout(sf_dir: str):
     spreading, and take the top ``2 × 5`` interleaved bits as the cell
     id. Output columns: ``cell, n_rows, min_partkey, max_partkey,
     min_suppkey, max_suppkey``."""
-    import pandas as pd
     from ray.data.aggregate import Max, Min, Sum
 
-    ds = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
+    ds = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
     stats = _footer_max(
         f"{sf_dir}/lineitem.parquet", ["l_partkey", "l_suppkey"]
     )
@@ -150,21 +145,24 @@ def q_zorder_layout(sf_dir: str):
         gx = (pk << _BITS) // (max_pk + 1)
         gy = (sk << _BITS) // (max_sk + 1)
         cell = morton16(gx, gy) >> _CELL_SHIFT
-        df = pd.DataFrame({"cell": cell, "pk": pk, "sk": sk})
-        agg = df.groupby("cell", sort=False).agg(
-            n_rows=("pk", "size"),
-            min_partkey=("pk", "min"),
-            max_partkey=("pk", "max"),
-            min_suppkey=("sk", "min"),
-            max_suppkey=("sk", "max"),
-        )
-        agg = agg.reset_index()
-        return pa.table(
+        t = pa.table(
             {
-                c: pa.array(agg[c].to_numpy(dtype=np.int64), pa.int64())
-                for c in agg.columns
+                "cell": cell.astype(np.int64),
+                "n_rows": np.ones(len(pk), np.int64),
+                "min_partkey": pk,
+                "max_partkey": pk,
+                "min_suppkey": sk,
+                "max_suppkey": sk,
             }
         )
+        how = {
+            "n_rows": "sum",
+            "min_partkey": "min",
+            "max_partkey": "max",
+            "min_suppkey": "min",
+            "max_suppkey": "max",
+        }
+        return combine(t, "cell", how)
 
     return (
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
@@ -235,7 +233,7 @@ def q_zorder_prune_stats(sf_dir: str):
     else:  # pragma: no cover - fixture footers always carry stats
         from ray.data.aggregate import Max
 
-        li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
+        li = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
         mx = li.aggregate(Max("l_partkey"), Max("l_suppkey"))
         max_pk, max_sk = int(mx["max(l_partkey)"]), int(mx["max(l_suppkey)"])
 
@@ -311,59 +309,6 @@ SELECT dim, n_cells, n_rows,
        CAST(cover_ppm_sum // n_cells AS BIGINT) AS expected_cells_ppm
 FROM d
 """
-
-
-def zorder_rewrite(
-    sf_dir: str, out_dir: str, n_partitions: int = 16, **write_kwargs
-) -> dict:
-    """The actual ZORDER rewrite, end to end: compute each lineitem
-    row's Z-cell, range-route contiguous cell ranges to output
-    partitions (``cell · P // 1024`` — hash routing would scatter the
-    curve and ruin the zone maps), and write through the engine's
-    resumable, manifested, kill/resume-safe sink
-    (:func:`~pdf_parser_ray.io.checkpoint.resumable_write` with
-    ``partition_col``). Each output file then carries tight min/max
-    on BOTH interleaved dimensions — the physical artifact
-    :func:`q_zorder_layout` statistically describes and
-    :func:`q_zorder_prune_stats` scores. Returns the sink's run
-    summary; all checkpoint semantics (skip completed partitions on
-    resume, manifest lineage + metrics) are inherited unchanged."""
-    from ..io.checkpoint import resumable_write
-    from ray.data.aggregate import Max
-
-    ds = _read(
-        sf_dir, "lineitem", ["l_orderkey", "l_partkey", "l_suppkey"]
-    )
-    stats = _footer_max(
-        f"{sf_dir}/lineitem.parquet", ["l_partkey", "l_suppkey"]
-    )
-    if stats is not None:
-        max_pk, max_sk = int(stats[0]), int(stats[1])
-    else:  # pragma: no cover - fixture footers always carry stats
-        mx = ds.aggregate(Max("l_partkey"), Max("l_suppkey"))
-        max_pk, max_sk = int(mx["max(l_partkey)"]), int(mx["max(l_suppkey)"])
-    n_cells = 1 << (2 * _CELL_BITS)
-
-    def route(batch: pa.Table) -> pa.Table:
-        pk = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sk = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        gx = (pk << _BITS) // (max_pk + 1)
-        gy = (sk << _BITS) // (max_sk + 1)
-        zval = morton16(gx, gy)
-        zpart = (zval >> _CELL_SHIFT) * n_partitions // n_cells
-        return batch.append_column(
-            "zval", pa.array(zval, pa.int64())
-        ).append_column("zpart", pa.array(zpart, pa.int64()))
-
-    routed = ds.map_batches(route, batch_format="pyarrow", batch_size=None)
-    return resumable_write(
-        routed,
-        out_dir,
-        key="zval",
-        n_partitions=n_partitions,
-        partition_col="zpart",
-        **write_kwargs,
-    )
 
 
 QUERIES = {

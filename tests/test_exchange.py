@@ -5,8 +5,9 @@ without rows, and each side arrives with its own schema — also in a
 bucket where it has no rows, and when it has no rows at all.
 ``message_round``, one round of an iterative query, combines its
 messages per node and keeps every loop's state at ``n_buckets``
-blocks. Guards keep bucket-keyed folds, joins and state caps from
-being hand-rolled outside ``core/`` again."""
+blocks; ``combine`` folds a batch to one row per key. Guards keep
+bucket-keyed folds, joins, state caps and in-batch folds from being
+hand-rolled outside ``core/`` again."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdf_parser_ray.core.exchange import _has_barrier, exchange
+from pdf_parser_ray.core.exchange import _has_barrier, combine, exchange
 
 # wide ints: a pandas column padded with nulls would float and round these
 _BIG = 2**62
@@ -259,14 +260,20 @@ _NATURAL_KEY_FOLDS = {
 _PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "pdf_parser_ray"
 
 
-def _calls_outside_core():
-    """``(module, call)`` for every call node in the package outside
+def _trees_outside_core():
+    """``(module, tree)`` for every module of the package outside
     ``core/``."""
     for path in sorted(_PACKAGE.rglob("*.py")):
         module = path.relative_to(_PACKAGE).as_posix()
-        if module.startswith("core/"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        if not module.startswith("core/"):
+            yield module, ast.parse(path.read_text())
+
+
+def _calls_outside_core():
+    """``(module, call)`` for every call node in the package outside
+    ``core/``."""
+    for module, tree in _trees_outside_core():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 yield module, node
 
@@ -351,6 +358,96 @@ def test_loop_state_is_capped_only_in_core():
         if _method(node) == "repartition"
     ]
     assert not stray, "run these loops through core.exchange.message_round:\n" + "\n".join(stray)
+
+
+# Functions passed to ``map_batches`` that still fold their batch per
+# key in pandas, each with what ``combine`` cannot do for it.
+_OWN_IN_BATCH_FOLDS = {
+    ("relational/ops.py", "q_user_entropy.partials"): (
+        "groupby(dropna=False) keeps SQL's NULL group, which combine drops"
+    ),
+    ("stages/textstats.py", "q_source_cap_sample.prune"): (
+        "cumcount numbers the rows of each group; it is not an aggregate"
+    ),
+}
+
+
+def _map_batches_udfs():
+    """``(module, name, def)`` of every function outside ``core/`` passed
+    to ``map_batches`` by name, or built by the factory call passed
+    (then the factory's def); ``name`` is the dotted path of the def,
+    resolved from the scope of the call as Python resolves it."""
+    for module, tree in _trees_outside_core():
+        scope = {tree: ()}  # node -> names of the defs enclosing it
+        for node in ast.walk(tree):  # breadth first: parents come first
+            inner = scope[node] + ((node.name,) if isinstance(node, ast.FunctionDef) else ())
+            for child in ast.iter_child_nodes(node):
+                scope[child] = inner
+        defs = {scope[n] + (n.name,): n for n in scope if isinstance(n, ast.FunctionDef)}
+        for call in scope:
+            if not (isinstance(call, ast.Call) and _method(call) == "map_batches" and call.args):
+                continue
+            arg = call.args[0]
+            name = getattr(arg.func if isinstance(arg, ast.Call) else arg, "id", None)
+            enclosing = scope[call]
+            for depth in range(len(enclosing), -1, -1):
+                if name and enclosing[:depth] + (name,) in defs:
+                    path = enclosing[:depth] + (name,)
+                    yield module, ".".join(path), defs[path]
+                    break
+
+
+def test_in_batch_folds_go_through_combine():
+    """A function passed to ``map_batches`` folds its batch per key with
+    ``core.exchange.combine``: outside ``core/`` none calls
+    ``.groupby(`` except the allowlisted ones, and each of those still
+    does."""
+    folds = {
+        (module, name)
+        for module, name, fn in _map_batches_udfs()
+        if any(isinstance(n, ast.Call) and _method(n) == "groupby" for n in ast.walk(fn))
+    }
+    stray = sorted(f"{module} {name}" for module, name in folds - set(_OWN_IN_BATCH_FOLDS))
+    assert not stray, "fold these batches with core.exchange.combine:\n" + "\n".join(stray)
+    assert folds == set(_OWN_IN_BATCH_FOLDS)
+
+
+def test_combine_folds_each_key_to_one_row():
+    """Sum, min, max and a mixed map; one key and two; keys first, types
+    kept; a null key's row dropped, as pandas' ``groupby`` drops it; an
+    empty table folds to an empty table of the same schema."""
+    t = pa.table(
+        {
+            "v": pa.array([1, _BIG, 3, 4, 5], pa.int64()),
+            "k": pa.array(["a", "b", None, "a", "b"]),
+            "j": pa.array([1, 1, 1, 2, 1], pa.int64()),
+        }
+    )
+    one = t.drop_columns("j")
+    for how, want in (("sum", [5, _BIG + 5]), ("min", [1, 5]), ("max", [4, _BIG])):
+        got = combine(one, "k", how)
+        assert got.schema == pa.schema({"k": pa.string(), "v": pa.int64()})
+        assert got.to_pydict() == {"k": ["a", "b"], "v": want}
+    two = combine(t, ["k", "j"], "sum")
+    assert two.column_names == ["k", "j", "v"]
+    assert sorted(zip(*two.to_pydict().values())) == [("a", 1, 1), ("a", 2, 4), ("b", 1, _BIG + 5)]
+    mixed = combine(t.append_column("w", t["v"]), "j", {"k": "max", "v": "min", "w": "sum"})
+    assert mixed.to_pydict() == {"j": [1, 2], "k": ["b", "a"], "v": [1, 4], "w": [_BIG + 9, 4]}
+    empty = combine(one.slice(0, 0), "k", "sum")
+    assert empty.num_rows == 0 and empty.schema == pa.schema({"k": pa.string(), "v": pa.int64()})
+
+
+def test_label_propagation_without_edges_keeps_its_columns():
+    """With no edges there are no clusters: zero rows of the two int64
+    columns, as the SQL oracle returns them."""
+    import ray.data
+
+    from pdf_parser_ray.stages.dedup import label_propagation_clusters
+
+    no_edges = pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
+    got = label_propagation_clusters(ray.data.from_arrow(no_edges)).to_pandas()
+    assert list(got.columns) == ["doc_id", "cluster_rep"]
+    assert len(got) == 0 and all(str(t) == "int64" for t in got.dtypes)
 
 
 def test_message_round_sums_and_mins_messages_per_node():

@@ -317,62 +317,3 @@ def test_zorder_prune_stats_replay_and_effectiveness():
     assert (got["expected_cells_ppm"] < 250_000).all()
 
 
-def test_zorder_rewrite_range_routes_and_resumes(tmp_path):
-    """The executable ZORDER rewrite: range-routed output files carry
-    TIGHT zone maps on both interleaved dimensions (the whole point —
-    md5 routing would leave every file spanning the full domain), all
-    rows survive the rewrite, and the kill/resume contract of the
-    resumable sink holds unchanged under partition_col routing."""
-    import os
-
-    from pdf_parser_ray.io.checkpoint import (
-        done_partitions,
-        partition_metrics,
-        read_output,
-        resumable_write,
-    )
-    from pdf_parser_ray.stages.zorder import zorder_rewrite
-
-    out = str(tmp_path / "zout")
-    summary = zorder_rewrite(SF, out, n_partitions=8)
-    assert set(summary["written"]) == set(range(8))
-
-    li = pq.read_table(
-        f"{SF}/lineitem.parquet",
-        columns=["l_orderkey", "l_partkey", "l_suppkey"],
-    ).to_pandas()
-    back = read_output(out).to_pandas()
-    assert len(back) == len(li)
-    key_cols = ["l_orderkey", "l_partkey", "l_suppkey"]
-    a = li.sort_values(key_cols).reset_index(drop=True)
-    b = back[key_cols].sort_values(key_cols).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-
-    pk_dom = li["l_partkey"].max() - li["l_partkey"].min()
-    sk_dom = li["l_suppkey"].max() - li["l_suppkey"].min()
-    for pid in range(8):
-        part = pq.read_table(
-            os.path.join(out, f"part={pid:05d}", "data.parquet")
-        ).to_pandas()
-        # zvals must be contiguous ranges per file: sorted global
-        # order means file i's max zval <= file i+1's min zval
-        assert part["zval"].is_monotonic_increasing or len(part) <= 1
-        # tight zone maps: each file spans well under the full domain
-        # on BOTH dimensions (top z-bits bound gx to half the domain
-        # and gy to a quarter at 8 partitions)
-        assert part["l_partkey"].max() - part["l_partkey"].min() <= 0.6 * pk_dom
-        assert part["l_suppkey"].max() - part["l_suppkey"].min() <= 0.6 * sk_dom
-
-    # kill/resume under partition_col routing
-    out2 = str(tmp_path / "zout2")
-    with pytest.raises(Exception):
-        zorder_rewrite(SF, out2, n_partitions=8, fail_on=lambda p: p >= 4)
-    done_first = done_partitions(out2)
-    assert done_first and all(p < 4 for p in done_first)
-    summary2 = zorder_rewrite(SF, out2, n_partitions=8)
-    assert set(summary2["skipped"]) == done_first
-    assert done_partitions(out2) == set(range(8))
-    c = read_output(out2).to_pandas()[key_cols].sort_values(key_cols)
-    pd.testing.assert_frame_equal(c.reset_index(drop=True), a)
-    m = partition_metrics(out2)
-    assert len(m) == 8 and m["n_rows"].sum() == len(li)
